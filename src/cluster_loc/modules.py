@@ -9,11 +9,15 @@ linear map M_j -> M_i (precomposition).  With this bookkeeping
 H(x) = Hom(T, x) carries spaces Hom(t_i, x) and H(t_i) is the i-th
 indecomposable projective, which is the Yoneda check pinning the convention.
 
-Indecomposability combines the characteristic-zero trace-form radical with
-Fitting splittings along rational eigenvalues; isomorphism testing between
-indecomposables uses the unit-composite criterion.  Both are exact and are
-guarded by internal-consistency errors in the (here unreachable) ambiguous
-cases.
+Indecomposability is decided in three exact steps, cheapest first: two
+certified splits that need no endomorphism ring (arrows acting by zero
+between two vertex sets, and a simple summand S_i sitting in the socle but
+not the radical at vertex i), then the characteristic-zero trace form of
+End(M), which certifies a local ring, then a Fitting splitting along a
+rational eigenvalue.  Every split is returned as explicit, action-stable,
+complementary submodules.  Isomorphism testing between indecomposables uses
+the unit-composite criterion.  Both are guarded by internal-consistency
+errors in the (here unreachable) ambiguous cases.
 """
 
 from __future__ import annotations
@@ -526,45 +530,120 @@ def _split_along(f: ModuleHom, r: Fraction):
     if ker.cols == 0 or ker.cols == n:
         return None
     img = column_space_basis(power)
-    return _restrict_to(m, ker), _restrict_to(m, img)
+    return _split_into(m, _vertex_blocks(m, ker), _vertex_blocks(m, img))
 
 
-def _restrict_to(m: LambdaModule, total_cols: Mat) -> tuple[LambdaModule, list[Mat]]:
-    """Submodule spanned by columns of a total-space matrix (which must be
-    vertex-homogeneous, as Fitting subspaces of vertex-preserving maps are)."""
+def _vertex_blocks(m: LambdaModule, total_cols: Mat) -> list[Mat]:
+    """The rows of a total-space matrix cut into one block per vertex."""
+    out = []
+    off = 0
+    c = total_cols.cols
+    for d in m.dims:
+        out.append(Mat(d, c, total_cols.entries[off * c:(off + d) * c]))
+        off += d
+    return out
+
+
+def _restrict_to(m: LambdaModule,
+                 spans: list[Mat]) -> tuple[LambdaModule, list[Mat]]:
+    """Submodule spanned at each vertex i by the columns of spans[i], with
+    the per-vertex bases chosen for it; raises if it is not action-stable."""
     alg = m.alg
-    offs = []
-    run = 0
-    for i in range(alg.r):
-        offs.append(run)
-        run += m.dims[i]
-    per_vertex = []
-    for i in range(alg.r):
-        block = [[total_cols.at(offs[i] + a, c) for c in range(total_cols.cols)]
-                 for a in range(m.dims[i])]
-        per_vertex.append(column_space_basis(Mat.from_rows(block))
-                          if m.dims[i] else Mat.zeros(0, 0))
+    per_vertex = [column_space_basis(s) for s in spans]
     dims = [b.cols for b in per_vertex]
     act = {}
     for (i, j) in alg.radical_pairs:
         rhs = m.act[(i, j)] * per_vertex[j]
         sol = solve_right(per_vertex[i], rhs)
         if sol is None:
-            raise InternalConsistencyError("Fitting subspace not action-stable")
+            raise InternalConsistencyError("split subspace not action-stable")
         act[(i, j)] = sol
     return LambdaModule(alg, dims, act), per_vertex
 
 
+def _split_into(m: LambdaModule, spans_a: list[Mat],
+                spans_b: list[Mat]) -> tuple[LambdaModule, LambdaModule]:
+    """M = A + B for two vertex-wise spanning sets; raises unless both are
+    action-stable, nonzero and complementary at every vertex."""
+    a, basis_a = _restrict_to(m, spans_a)
+    b, basis_b = _restrict_to(m, spans_b)
+    for i, d in enumerate(m.dims):
+        if (a.dims[i] + b.dims[i] != d
+                or rank(basis_a[i].hstack(basis_b[i])) != d):
+            raise InternalConsistencyError(
+                f"split summands are not complementary at vertex {i}")
+    if a.is_zero() or b.is_zero():
+        raise InternalConsistencyError("split has a zero summand")
+    return a, b
+
+
+def _split_disconnected(m: LambdaModule):
+    """Split by vertex sets when the nonzero arrow matrices leave the
+    support disconnected, or None."""
+    support = [i for i, d in enumerate(m.dims) if d]
+    edges = [p for p, a in m.act.items() if not a.is_zero()]
+    first = _component(support, edges)
+    if len(first) == len(support):
+        return None
+
+    def spans(keep):
+        return [Mat.identity(d) if i in keep else Mat.zeros(d, 0)
+                for i, d in enumerate(m.dims)]
+
+    return _split_into(m, spans(first), spans(set(support) - first))
+
+
+def _split_simple_summand(m: LambdaModule):
+    """Split off S_i.v for a vector v at vertex i in soc_i (killed by every
+    arrow leaving i) but outside rad_i (the images of the arrows entering i),
+    or None.  The other summand is rad_i extended to a complement of v at
+    vertex i, and everything at the other vertices."""
+    rads = radical_subspaces(m)
+    for i, d in enumerate(m.dims):
+        if not d:
+            continue
+        leaving = [row for (k, j) in m.alg.radical_pairs if j == i
+                   for row in m.act[(k, j)].to_rows()]
+        soc = (kernel_basis(Mat.from_rows(leaving)) if leaving
+               else Mat.identity(d))
+        rad = rads[i]
+        for c in range(soc.cols):
+            v = Mat.column(soc.col(c))
+            with_v = rad.hstack(v)
+            if rank(with_v) == rad.cols:
+                continue
+            units = [[F1 if r == e else F0 for r in range(d)]
+                     for e in complement_coords(with_v)]
+            rest = rad.hstack(mat_from_cols(units, d))
+            return _split_into(
+                m, [v if k == i else Mat.zeros(dk, 0)
+                    for k, dk in enumerate(m.dims)],
+                [rest if k == i else Mat.identity(dk)
+                 for k, dk in enumerate(m.dims)])
+    return None
+
+
 def _end_radical_dim_drop(m: LambdaModule, basis: list[ModuleHom]) -> int:
-    """dim End(M)/rad End(M) via the characteristic-zero trace form."""
+    """dim End(M)/rad End(M) via the characteristic-zero trace form.
+
+    Endomorphisms act vertex by vertex, so tr(fg) is the sum over vertex
+    blocks and rows k of row_k(f_i).col_k(g_i); no product is formed, and
+    only the upper triangle of the symmetric Gram matrix is computed.
+    """
     d = len(basis)
-    mats = [_total_matrix(b) for b in basis]
-    gram = [[_trace(mats[i] * mats[j]) for j in range(d)] for i in range(d)]
-    return rank(Mat.from_rows(gram)) if d else 0
-
-
-def _trace(a: Mat) -> Fraction:
-    return sum((a.at(i, i) for i in range(a.rows)), F0)
+    if not d:
+        return 0
+    rows = [[(p, x) for p, x in enumerate(
+                x for c in f.comps for x in c.entries) if x]
+            for f in basis]
+    cols = [tuple(x for c in g.comps for k in range(c.cols) for x in c.col(k))
+            for g in basis]
+    gram = [[F0] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            cb = cols[b]
+            gram[a][b] = gram[b][a] = sum((x * cb[p] for p, x in rows[a]), F0)
+    return rank(Mat.from_rows(gram))
 
 
 def _split_candidates(basis: list[ModuleHom], rng: random.Random, tries: int):
@@ -585,14 +664,19 @@ def _split_candidates(basis: list[ModuleHom], rng: random.Random, tries: int):
 def split_module(m: LambdaModule) -> Optional[tuple[LambdaModule, LambdaModule]]:
     """A nontrivial direct-sum decomposition, or None if indecomposable.
 
-    Local endomorphism ring (semisimple quotient of dimension 1) certifies
-    indecomposability; otherwise a Fitting splitting along a rational
-    eigenvalue is searched for, and failure to find one raises.
+    The tests run cheapest first.  Two certified splits need no
+    endomorphism ring: a disconnected graph of nonzero arrow matrices, and a
+    simple summand (socle outside the radical at some vertex).  Otherwise
+    the trace form of End(M) decides: a local ring (semisimple quotient of
+    dimension 1) certifies indecomposability, and a non-local one is split
+    by a Fitting decomposition along a rational eigenvalue, whose search
+    raises if it fails.
     """
-    if m.total_dim == 0:
+    if m.total_dim <= 1:
         return None
-    if m.total_dim == 1:
-        return None
+    got = _split_disconnected(m) or _split_simple_summand(m)
+    if got is not None:
+        return got
     basis = module_hom_basis(m, m)
     if _end_radical_dim_drop(m, basis) == 1:
         return None
@@ -601,8 +685,7 @@ def split_module(m: LambdaModule) -> Optional[tuple[LambdaModule, LambdaModule]]
         for root in _rational_roots(_min_poly(_total_matrix(cand))):
             got = _split_along(cand, root)
             if got is not None:
-                (k, _), (i, _) = got
-                return k, i
+                return got
     raise InternalConsistencyError(
         "endomorphism ring is not local but no rational Fitting splitting "
         "was found")
@@ -666,29 +749,6 @@ def _indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
     return False
 
 
-def find_isomorphism(m1: LambdaModule, m2: LambdaModule) -> Optional[ModuleHom]:
-    """An explicit isomorphism for indecomposable-matched modules, by the
-    unit-composite criterion applied to the hom basis (sufficient for
-    indecomposables; falls back to seeded combinations)."""
-    if m1.dims != m2.dims:
-        return None
-    if m1.total_dim == 0:
-        return ModuleHom(m1, m2, [Mat.zeros(0, 0)] * m1.alg.r, check=False)
-    basis = module_hom_basis(m1, m2)
-    for f in basis:
-        if f.is_iso():
-            return f
-    rng = random.Random(11)
-    for _ in range(200):
-        acc = None
-        for b in basis:
-            t = b.scale(rng.randint(-2, 2))
-            acc = t if acc is None else acc.add(t)
-        if acc is not None and acc.is_iso():
-            return acc
-    return None
-
-
 # -- enumeration of indecomposables -----------------------------------------
 
 
@@ -709,14 +769,10 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int,
         return []
     found: list[LambdaModule] = []
     pairs = alg.radical_pairs
-    adj = {}
-    for (i, j) in pairs:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
     for total in range(1, dim_bound + 1):
         for dims in _compositions(total, alg.r):
             support = [i for i in range(alg.r) if dims[i]]
-            if not _connected(support, adj):
+            if len(_component(support, pairs)) != len(support):
                 continue
             slots = [(i, j) for (i, j) in pairs if dims[i] and dims[j]]
             count = 1
@@ -751,9 +807,15 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _connected(support: list[int], adj: dict) -> bool:
+def _component(support: list[int], edges) -> set[int]:
+    """The vertices of the support reachable from its first vertex along
+    the given (i, j) edges, in either direction."""
+    adj = {}
+    for (i, j) in edges:
+        adj.setdefault(i, set()).add(j)
+        adj.setdefault(j, set()).add(i)
     if not support:
-        return False
+        return set()
     seen = {support[0]}
     stack = [support[0]]
     sup = set(support)
@@ -763,7 +825,7 @@ def _connected(support: list[int], adj: dict) -> bool:
             if w in sup and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == sup
+    return seen
 
 
 def _matrix_tuples(dims, slots, values):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_loc.linalg import Mat
+from cluster_loc.linalg import Mat, rank
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
                                  decompose_module, direct_sum_modules,
@@ -14,6 +14,9 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
                                  projective_cover, projective_module,
                                  simple_module, solve_H_preimage, top_dims,
                                  zero_module)
+from cluster_loc.modules import (_compositions, _end_radical_dim_drop,
+                                 _matrix_tuples, _split_disconnected,
+                                 _split_simple_summand, _total_matrix)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
 from cluster_loc.suites import cached_category
 
@@ -134,6 +137,99 @@ def test_enumerate_indecs_example(cat4, example_T):
     dimvecs = sorted(m.dims for m in classes)
     assert dimvecs == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                               (1, 1, 0), (0, 1, 1)])
+    # every class has total dimension <= 2, so each bound from 2 up returns
+    # the same representatives in the same order
+    for bound in range(2, 5):
+        smaller = enumerate_indec_modules(alg, bound)
+        assert [m.to_dict() for m in smaller] == [m.to_dict() for m in classes]
+
+
+def test_enumerate_indecs_fan(cat4, fan_T):
+    # the heptagon fan gives the linear A4 quiver with all paths nonzero:
+    # one indecomposable per interval of vertices
+    alg = algebra_of(cat4, fan_T)
+    classes = enumerate_indec_modules(alg, 4)
+    intervals = sorted(tuple(1 if a <= v <= b else 0 for v in range(4))
+                       for a in range(4) for b in range(a, 4))
+    assert sorted(m.dims for m in classes) == intervals
+    for m in classes:
+        assert sum(1 for c in classes if modules_isomorphic(m, c)) == 1
+
+
+def _module(alg, dims, act):
+    m = LambdaModule(alg, dims, {k: Mat.from_rows(v) for k, v in act.items()})
+    m.validate()
+    return m
+
+
+def _assert_certified_split(m, pieces):
+    a, b = pieces
+    for p in pieces:
+        p.validate()
+        assert not p.is_zero()
+    assert tuple(x + y for x, y in zip(a.dims, b.dims)) == m.dims
+    total, _ = direct_sum_modules([a, b])
+    assert modules_isomorphic(total, m)
+
+
+def test_split_disconnected_on_zero_arrow(cat4, example_T):
+    alg = algebra_of(cat4, example_T)
+    # full support, but the arrow 3 -> 2 acts by zero
+    m = _module(alg, (1, 1, 1), {(0, 1): [[1]], (1, 2): [[0]]})
+    pieces = _split_disconnected(m)
+    assert sorted(p.dims for p in pieces) == [(0, 0, 1), (1, 1, 0)]
+    _assert_certified_split(m, pieces)
+    connected = _module(alg, (1, 1, 0), {(0, 1): [[1]]})
+    assert _split_disconnected(connected) is None
+
+
+def test_split_simple_summand(cat4, example_T):
+    alg = algebra_of(cat4, example_T)
+    # M_2 = <e1, e2> with rad_2 = <e1> = image of the arrow from vertex 3:
+    # e2 spans a simple summand S2, and the arrow graph is connected
+    m = _module(alg, (0, 2, 1), {(1, 2): [[1], [0]]})
+    assert _split_disconnected(m) is None
+    pieces = _split_simple_summand(m)
+    assert [p.dims for p in pieces] == [(0, 1, 0), (0, 1, 1)]
+    _assert_certified_split(m, pieces)
+    assert modules_isomorphic(pieces[1], projective_module(alg, 2))
+    assert _split_simple_summand(projective_module(alg, 2)) is None
+
+
+def test_fitting_split_when_no_cheap_split(cat4, example_T):
+    alg = algebra_of(cat4, example_T)
+    p3 = projective_module(alg, 2)
+    square, _ = direct_sum_modules([p3, p3])
+    assert _split_disconnected(square) is None
+    assert _split_simple_summand(square) is None
+    parts = decompose_module(square)
+    assert len(parts) == 2
+    assert all(modules_isomorphic(p, p3) for p in parts)
+
+
+def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
+    """On every validated candidate of total dimension <= 3, the verdict of
+    split_module (cheap splits first) equals the local-ring test, and the
+    Gram rank equals the one of the product-and-trace reference."""
+    for t in (example_T, fan_T):
+        alg = algebra_of(cat4, t)
+        for total in range(1, 4):
+            for dims in _compositions(total, alg.r):
+                slots = [(i, j) for (i, j) in alg.radical_pairs
+                         if dims[i] and dims[j]]
+                for mats in _matrix_tuples(dims, slots, (0, 1, -1)):
+                    m = LambdaModule(alg, dims, dict(zip(slots, mats)))
+                    try:
+                        m.validate()
+                    except ValueError:
+                        continue
+                    basis = module_hom_basis(m, m)
+                    tot = [_total_matrix(b) for b in basis]
+                    gram = [[sum((p * q).at(k, k) for k in range(total))
+                             for q in tot] for p in tot]
+                    drop = _end_radical_dim_drop(m, basis)
+                    assert drop == (rank(Mat.from_rows(gram)) if gram else 0)
+                    assert is_indecomposable(m) == (drop == 1)
 
 
 def test_enumerate_indecs_point_algebra(cat4):
