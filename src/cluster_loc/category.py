@@ -28,7 +28,8 @@ from typing import Iterable, Optional, Sequence
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    make_arc, parse_arc, rotate)
-from .linalg import Mat, kernel_basis, mat_from_cols, solve_right
+from .linalg import (Mat, kernel_basis, mat_from_cols, reduced_rows,
+                     solve_right)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -75,12 +76,16 @@ class Mor:
 
 
 class Category:
-    """Built hom/composition/suspension tables plus the additive layer."""
+    """Built hom/composition/suspension tables plus the additive layer.
+
+    Composition and suspension constants are stored as ``int``; a constant
+    outside {-1, 0, 1} raises ValueError naming its key.
+    """
 
     def __init__(self, polygon: Polygon, arcs: list[Arc],
                  hom_deg: dict[tuple[int, int], int],
-                 comp: dict[tuple[int, int, int], Fraction],
-                 sig: dict[tuple[int, int], Fraction],
+                 comp: dict[tuple[int, int, int], Fraction | int],
+                 sig: dict[tuple[int, int], Fraction | int],
                  sigma_arc: list[int],
                  labels: list[str],
                  meta: dict):
@@ -90,8 +95,8 @@ class Category:
         self.N = len(arcs)
         self.arc_index = {a: i for i, a in enumerate(arcs)}
         self.hom_deg = hom_deg
-        self.comp = comp
-        self.sig = sig
+        self.comp = _unit_table("composition", comp)
+        self.sig = _unit_table("suspension", sig)
         self.sigma_arc = sigma_arc
         self.sigma_arc_inv = [0] * self.N
         for i, j in enumerate(sigma_arc):
@@ -99,11 +104,6 @@ class Category:
         self.labels = labels
         self.label_to_arc = {lab: i for i, lab in enumerate(labels)}
         self.meta = meta
-        # integer fast path for rank computations (scalars here are 0/+-1;
-        # engines fall back to exact rational arithmetic otherwise)
-        self.comp_all_int = all(c.denominator == 1 for c in comp.values())
-        self.comp_int = ({k: int(v) for k, v in comp.items()}
-                         if self.comp_all_int else None)
         self._cross = [[crosses(polygon, x, y) for y in arcs] for x in arcs]
         self.hom_out = [[] for _ in range(self.N)]
         self.hom_in = [[] for _ in range(self.N)]
@@ -117,11 +117,8 @@ class Category:
     def hom1(self, x: int, y: int) -> bool:
         return (x, y) in self.hom_deg
 
-    def comp3(self, x: int, y: int, z: int) -> Fraction:
-        return self.comp.get((x, y, z), F0)
-
-    def sig1(self, x: int, y: int) -> Fraction:
-        return self.sig[(x, y)]
+    def comp3(self, x: int, y: int, z: int) -> int:
+        return self.comp.get((x, y, z), 0)
 
     def crosses_idx(self, x: int, y: int) -> bool:
         return self._cross[x][y]
@@ -134,9 +131,6 @@ class Category:
             x = self.sigma_arc_inv[x]
             k += 1
         return x
-
-    def label_of(self, x: int) -> str:
-        return self.labels[x]
 
     def arc_of_token(self, token: str) -> int:
         """Resolve 'a-b', a canonical label, or S-prefixed labels."""
@@ -346,25 +340,6 @@ class Category:
                     rows[ri][cj] += v * c
         return rows
 
-    def pre_matrix(self, f: Mor, W: Obj) -> list[list[Fraction]]:
-        """Matrix of Hom(f, W): Hom(tgt, W) -> Hom(src, W)."""
-        s_slots = self.hom_slots(f.tgt, W)
-        t_slots = self.hom_slots(f.src, W)
-        rows = [[F0] * len(s_slots) for _ in range(len(t_slots))]
-        for cj, (wj, i) in enumerate(s_slots):
-            yi = f.tgt.summands[i]
-            w = W.summands[wj]
-            for ri, (wi, j) in enumerate(t_slots):
-                if wi != wj:
-                    continue
-                v = f.m[i][j]
-                if v == 0:
-                    continue
-                c = self.comp.get((f.src.summands[j], yi, w))
-                if c:
-                    rows[ri][cj] += v * c
-        return rows
-
     def hom_dim_arcwise(self, w: int, X: Obj) -> int:
         """dim Hom(w, X) for an indecomposable w (arc index)."""
         return sum(1 for s in X.summands if self.hom1(w, s))
@@ -397,12 +372,6 @@ class Category:
         # check can only fail for genuinely non-invertible f (split epis)
         if self.compose(g, f).m != self.identity(X).m:
             return None
-        return g
-
-    def inverse_mor(self, f: Mor) -> Mor:
-        g = self._solve_two_sided(f)
-        if g is None:
-            raise ValueError("morphism is not invertible")
         return g
 
     def is_right_minimal(self, f: Mor) -> bool:
@@ -763,6 +732,17 @@ def build_category(p: Polygon | int, with_labels: bool = True,
     return cat
 
 
+def _unit_table(name: str, table: dict) -> dict:
+    """The table with ``int`` values; every value must lie in {-1, 0, 1}."""
+    out = {}
+    for key, v in table.items():
+        if v != 0 and v != 1 and v != -1:
+            raise ValueError(f"{name} constant at {key} is {v}, "
+                             "outside {-1, 0, 1}")
+        out[key] = int(v)
+    return out
+
+
 def _quotient_1d(rel_rows: list[list[Fraction]], ngens: int):
     """Quotient of k^ngens by the row space; expects dim <= 1.
 
@@ -774,37 +754,17 @@ def _quotient_1d(rel_rows: list[list[Fraction]], ngens: int):
         if ngens > 1:
             return ngens, None, []
         return 1, 0, [F1]
-    rows = [r[:] for r in rel_rows]
-    ncols = ngens
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots, d = reduced_rows(rel_rows)
+    free = [c for c in range(ngens) if c not in pivots]
     dim = len(free)
     if dim != 1:
-        return dim, None, ([F0] * ncols if dim == 0 else [])
+        return dim, None, ([F0] * ngens if dim == 0 else [])
     f0 = free[0]
-    red = [F0] * ncols
-    red[f0] = F1
+    reduction = [F0] * ngens
+    reduction[f0] = F1
     for rr, pc in enumerate(pivots):
-        red[pc] = -rows[rr][f0]
-    return 1, f0, red
+        reduction[pc] = Fraction(-red[rr][f0], d)
+    return 1, f0, reduction
 
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
@@ -918,7 +878,11 @@ def label_bridge(cat: Category) -> list[str]:
 
 
 def load_category(data: dict | str) -> Category:
-    """Rebuild a Category from its serialized table form."""
+    """Rebuild a Category from its serialized table form.
+
+    Raises ValueError on a foreign schema or on a composition or suspension
+    constant outside {-1, 0, 1}.
+    """
     if isinstance(data, str):
         with open(data) as fh:
             data = json.load(fh)

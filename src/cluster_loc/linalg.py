@@ -6,10 +6,14 @@ representation is deliberately plain: a matrix is a row-major tuple of
 invariants (lowest terms, positive denominator, arbitrary-precision integer
 parts), and all arithmetic is exact.
 
-Row reduction uses first-nonzero pivoting so that ranks, solutions and kernel
-bases are reproducible across runs.  ``rank`` clears denominators row-wise and
-runs fraction-free (Bareiss) elimination over Python ints, which is noticeably
-faster in the hot paths.
+One elimination core, ``eliminate``, serves every operation.  It works on
+integer rows, whose denominators ``integer_row`` clears once per row, and
+never divides inexactly: forward Bareiss elimination gives ranks and pivot
+columns, and fraction-free Gauss-Jordan gives the reduced row echelon form
+over one shared denominator, the last pivot.  Solutions and kernel bases are
+read off that form and become ``Fraction`` again only there.  Pivoting takes
+the first nonzero entry, and the reduced form is unique, so ranks, solutions
+and kernel bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -126,11 +130,6 @@ class Mat:
             out.extend(acc)
         return Mat(self.rows, other.cols, tuple(out))
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(self.at(i, j) for j in range(self.cols)
-                         for i in range(self.rows)))
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
@@ -144,85 +143,86 @@ class Mat:
 # -- elimination core ---------------------------------------------------
 
 
-def _int_rows(m: Mat) -> list[list[int]]:
-    """Clear denominators row by row; rank-preserving."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
-        out.append([int(x * mult) for x in row])
-    return out
+def integer_row(row: Sequence) -> list[int]:
+    """The row times the least common multiple of its denominators.
 
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss) over int rows."""
-    if not rows or not rows[0]:
-        return 0
-    rows = [r[:] for r in rows]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            xi = rows[i][col]
-            if xi == 0 and p == prev:
-                continue
-            ri = rows[i]
-            rp = rows[rank]
-            for j in range(col, ncols):
-                ri[j] = (p * ri[j] - xi * rp[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting.
-
-    Returns (reduced rows, pivot column indices).
+    Entries are ``int`` or ``Fraction``.  Scaling a row by a nonzero constant
+    changes neither the row space nor the solutions nor any pivot column.
     """
-    rows = [r[:] for r in rows]
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
+    mult = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            mult = mult * d // gcd(mult, d)
+    if mult == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (mult // x.denominator) for x in row]
+
+
+def eliminate(rows: list[list[int]], reduce: bool = False
+              ) -> tuple[list[int], int]:
+    """Fraction-free elimination of integer rows, in place, with
+    first-nonzero pivoting.  Returns (pivot columns, last pivot).
+
+    Forward (Bareiss) elimination leaves an echelon form of rank
+    ``len(pivots)``.  With ``reduce`` it is fraction-free Gauss-Jordan: each
+    pivot also clears its column above, every pivot entry ends equal to the
+    last pivot d, and rows[r] / d for r < len(pivots) are the rows of the
+    reduced row echelon form.  Every entry stays a minor of the input, up to
+    sign, so each division is exact.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
         if r == nrows:
             break
-    return rows, pivots
+        for i in range(r, nrows):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rp = rows[r]
+        p = rp[col]
+        for i in range(0 if reduce else r + 1, nrows):
+            ri = rows[i]
+            x = ri[col]
+            if i == r or (x == 0 and p == prev):
+                continue
+            if x == 0:
+                rows[i] = [p * a // prev for a in ri]
+            elif prev == 1:
+                rows[i] = [p * a - x * b for a, b in zip(ri, rp)]
+            else:
+                rows[i] = [(p * a - x * b) // prev for a, b in zip(ri, rp)]
+        pivots.append(col)
+        prev = p
+        r += 1
+    return pivots, prev
+
+
+def reduced_rows(rows: Sequence[Sequence]
+                 ) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form over one positive denominator.
+
+    Returns (integer rows, pivot columns, d > 0): rows[r] / d for
+    r < len(pivots) are the nonzero rows of the reduced row echelon form,
+    which is unique, and the remaining rows are zero.
+    """
+    ints = [integer_row(row) for row in rows]
+    pivots, d = eliminate(ints, reduce=True)
+    if d < 0:
+        d = -d
+        for r in range(len(pivots)):
+            ints[r] = [-a for a in ints[r]]
+    return ints, pivots, d
+
+
+def _ratio(a: int, d: int) -> Fraction:
+    return Fraction(a, d) if a else _ZERO
 
 
 # -- public operations ---------------------------------------------------
@@ -230,25 +230,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def rank(m: Mat) -> int:
     """Rank of ``m`` over Q."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _int_rank(_int_rows(m))
+    return len(eliminate([integer_row(m.row(i)) for i in range(m.rows)])[0])
 
 
 def rank_rows(rows: list[list]) -> int:
     """Rank of a plain list-of-lists matrix (int or Fraction entries)."""
-    if not rows or not rows[0]:
-        return 0
-    clean: list[list[int]] = []
-    for row in rows:
-        mult = 1
-        frs = [_frac(x) for x in row]
-        for x in frs:
-            d = x.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
-        clean.append([int(x * mult) for x in frs])
-    return _int_rank(clean)
+    return len(eliminate([integer_row(row) for row in rows])[0])
 
 
 def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
@@ -262,16 +249,14 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
         return Mat.zeros(0, b.cols) if b.is_zero() else None
     if a.rows == 0:
         return Mat.zeros(a.cols, b.cols)
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    red, pivots = _rref(aug)
-    for col in pivots:
-        if col >= a.cols:
-            return None  # pivot in the rhs block: inconsistent
-    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
+    red, pivots, d = reduced_rows([a.row(i) + b.row(i)
+                                   for i in range(a.rows)])
+    if pivots and pivots[-1] >= a.cols:
+        return None  # pivot in the rhs block: inconsistent
+    sol = [(_ZERO,) * b.cols] * a.cols
     for r, col in enumerate(pivots):
-        for j in range(b.cols):
-            sol[col][j] = red[r][a.cols + j]
-    return Mat.from_rows(sol) if a.cols else Mat.zeros(0, b.cols)
+        sol[col] = tuple(_ratio(x, d) for x in red[r][a.cols:])
+    return Mat(a.cols, b.cols, tuple(x for row in sol for x in row))
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -280,7 +265,7 @@ def kernel_basis(m: Mat) -> Mat:
         return Mat.zeros(0, 0)
     if m.rows == 0:
         return Mat.identity(m.cols)
-    red, pivots = _rref(m.to_rows())
+    red, pivots, d = reduced_rows([m.row(i) for i in range(m.rows)])
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     cols = []
@@ -288,20 +273,12 @@ def kernel_basis(m: Mat) -> Mat:
         v = [_ZERO] * m.cols
         v[f] = _ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
+            v[pc] = _ratio(-red[r][f], d)
         cols.append(v)
     if not cols:
         return Mat.zeros(m.cols, 0)
     return Mat(m.cols, len(cols),
                tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols))))
-
-
-def solve_affine(a: Mat, b: Mat) -> Optional[tuple[Mat, Mat]]:
-    """(particular solution, kernel basis) for a*x = b, or None."""
-    x0 = solve_right(a, b)
-    if x0 is None:
-        return None
-    return x0, kernel_basis(a)
 
 
 def mat_from_cols(cols: Sequence[Sequence], nrows: int) -> Mat:
@@ -315,23 +292,21 @@ def mat_from_cols(cols: Sequence[Sequence], nrows: int) -> Mat:
 
 def column_space_basis(m: Mat) -> Mat:
     """Matrix whose columns are the pivot columns of m (a basis of im m)."""
-    if m.rows == 0 or m.cols == 0:
+    pivots, _ = eliminate([integer_row(m.row(i)) for i in range(m.rows)])
+    if not pivots:
         return Mat.zeros(m.rows, 0)
-    _, pivots = _rref(m.to_rows())
-    cols = [m.col(j) for j in pivots]
-    if not cols:
-        return Mat.zeros(m.rows, 0)
-    return Mat(m.rows, len(cols),
-               tuple(cols[j][i] for i in range(m.rows) for j in range(len(cols))))
+    return Mat(m.rows, len(pivots),
+               tuple(m.at(i, j) for i in range(m.rows) for j in pivots))
 
 
 def complement_coords(basis: Mat) -> list[int]:
     """Standard coordinates extending the columns of ``basis`` to a basis of
     the ambient space (pivot positions of the identity block)."""
-    n = basis.rows
-    aug = basis.hstack(Mat.identity(n))
-    _, pivots = _rref(aug.to_rows())
-    return [p - basis.cols for p in pivots if p >= basis.cols]
+    n, k = basis.rows, basis.cols
+    pivots, _ = eliminate([integer_row(basis.row(i) + (0,) * i + (1,)
+                                       + (0,) * (n - 1 - i))
+                           for i in range(n)])
+    return [p - k for p in pivots if p >= k]
 
 
 def inverse(m: Mat) -> Optional[Mat]:

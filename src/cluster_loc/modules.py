@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import (Mat, column_space_basis, complement_coords, inverse,
-                     kernel_basis, mat_from_cols, rank, solve_right)
+from .linalg import (Mat, column_space_basis, complement_coords, integer_row,
+                     inverse, kernel_basis, mat_from_cols, rank, solve_right)
 from .rigid import RigidObject, in_CT
 from .triangles import complete_triangle
 
@@ -476,11 +476,7 @@ def _min_poly(a: Mat) -> list[Fraction]:
 def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
     """All rational roots, by the rational root theorem after clearing
     denominators."""
-    from math import gcd
-    mult = 1
-    for c in poly:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = [int(c * mult) for c in poly]
+    ints = integer_row(poly)
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:

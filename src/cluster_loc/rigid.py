@@ -20,7 +20,8 @@ from typing import Iterable, Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, mat_from_cols, rank_rows, solve_right
-from .triangles import Triangle, complete_triangle
+from .triangles import (Triangle, complete_triangle, post_rank_table,
+                        pre_rank_table)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -160,9 +161,9 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     f = bundle_right_approx(cat, set(t.arcs), x)
     if minimal:
         f, _ = cat.right_minimal_reduce(f)
+    ranks = post_rank_table(cat, f)
     for ti in set(t.arcs):
-        W = Obj((ti,))
-        if rank_rows(cat.post_matrix(f, W)) != cat.hom_dim_arcwise(ti, x):
+        if ranks[ti] != cat.hom_dim_arcwise(ti, x):
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
                 f"at {cat.labels[ti]}")
@@ -186,12 +187,8 @@ def wakamatsu_check(cat: Category, t: RigidObject, x: Obj) -> bool:
     if any(s not in tperp for s in u.summands):
         return False
     conn = cat.suspend_mor(tri.g, -1)   # Σ^{-1}x -> Σ^{-1}Z = U
-    for m in sorted(tperp):
-        W = Obj((m,))
-        if rank_rows(cat.pre_matrix(conn, W)) != \
-                cat.hom_dim_to_arc(conn.src, m):
-            return False
-    return True
+    ranks = pre_rank_table(cat, conn)
+    return all(ranks[m] == cat.hom_dim_to_arc(conn.src, m) for m in tperp)
 
 
 def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:
@@ -204,13 +201,6 @@ def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:
         addt = set(t.arcs)
         memo[x.summands] = all(s in addt for s in u.summands)
     return memo[x.summands]
-
-
-def presentation_triangle(cat: Category, t: RigidObject, x: Obj) -> Triangle:
-    """The triangle U -> T0 -> x -> ΣU (rotated back from the approximation
-    completion); callers may require in_CT(x) first."""
-    tri = approx_triangle(cat, t, x)
-    return tri
 
 
 def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:

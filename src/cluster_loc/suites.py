@@ -35,8 +35,9 @@ from .rigid import (RigidObject, dim_factoring_through_add,
                     factors_through_mor, factors_through_subcat,
                     hom_functor_zero, in_CT, is_cluster_tilting, is_rigid,
                     left_sigma_perp_approx, perp_view, rigid_object,
-                    right_addT_approx, sample_rigid)
-from .triangles import complete_triangle, mesh_map_into, mesh_map_out_of
+                    right_addT_approx, sample_rigid, wakamatsu_check)
+from .triangles import (complete_triangle, mesh_map_into, mesh_map_out_of,
+                        mesh_middle)
 
 CONFIG_SCHEMA = "cluster-loc/config/v1"
 REPORT_SCHEMA = "cluster-loc/report/v1"
@@ -287,16 +288,11 @@ def suite_wakamatsu(cat, t, cfg, maps, rec):
     for x in objs:
         try:
             rec.check("wakamatsu", "cone-perp-and-left-approximation",
-                      wakamatsu_ok(cat, t, x), {"x": cat.obj_label(x)})
+                      wakamatsu_check(cat, t, x), {"x": cat.obj_label(x)})
         except Exception as e:  # noqa: BLE001
             rec.exception("wakamatsu", "cone-perp-and-left-approximation", e,
                           {"x": cat.obj_label(x)})
     rec.coverage("wakamatsu", objects=len(objs), mode="exhaustive")
-
-
-def wakamatsu_ok(cat, t, x) -> bool:
-    from .rigid import wakamatsu_check
-    return wakamatsu_check(cat, t, x)
 
 
 def suite_identify(cat, t, cfg, maps, rec):
@@ -628,7 +624,6 @@ def export_dot(cfg: InstanceConfig, what: str,
     if what not in ("ar-quiver", "image-quiver"):
         raise ValueError("what must be 'ar-quiver' or 'image-quiver'")
     cat = cat or cached_category(cfg.n)
-    from .triangles import mesh_middle
     annotate = {}
     if what == "image-quiver":
         for row in image_table(cfg, cat):

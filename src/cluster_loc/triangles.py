@@ -6,10 +6,12 @@ the long-exact-sequence profile
 
     dim Hom(W, z) = dim coker Hom(W, f) + dim ker Hom(W, Σf)
 
-solved against the (checked invertible) hom-dimension matrix of the category;
-the connecting maps (g, h) are then found by a seeded search over the finite-
-dimensional solution spaces of the zero-composite constraints, each candidate
-accepted only when the full hom-exactness certificate passes.
+solved in nonnegative integer multiplicities against the hom-dimension matrix
+D of the category (D is singular at some ranks, so a profile can allow more
+than one cone, each tried in turn); the connecting maps (g, h) are then found
+by a seeded search over the finite-dimensional solution spaces of the
+zero-composite constraints, each candidate accepted only when the full
+hom-exactness certificate passes.
 
 The certificate checks, for every indecomposable W and every rotation of the
 triangle over one full suspension period, exactness of Hom(W, -) and
@@ -21,12 +23,14 @@ exactly the same equations without re-suspending the maps.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .category import Category, Mor, Obj
-from .linalg import Mat, inverse, kernel_basis, mat_from_cols, rank_rows
+from .category import Category, Mor, Obj, _mesh_at
+from .linalg import (Mat, eliminate, integer_row, kernel_basis, mat_from_cols,
+                     reduced_rows)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -61,60 +65,35 @@ class Triangle:
 # -- rank tables -------------------------------------------------------------
 
 
-def _int_entries(f: Mor) -> list[list[int]]:
-    """The coefficient matrix rescaled to integers (rank-preserving)."""
-    from math import gcd
-    mult = 1
-    for row in f.m:
-        for v in row:
-            d = v.denominator
-            if d != 1:
-                mult = mult * d // gcd(mult, d)
-    return [[int(v * mult) for v in row] for row in f.m]
-
-
 def post_rank_table(cat: Category, f: Mor) -> list[int]:
     """rank of Hom(w, f) for every indecomposable w."""
-    if cat.comp_int is None:
-        return [rank_rows(cat.post_matrix(f, Obj((w,)))) for w in range(cat.N)]
-    from .linalg import _int_rank
-    fm = _int_entries(f)
+    fm = [integer_row(row) for row in f.m]
     src = f.src.summands
     tgt = f.tgt.summands
-    comp = cat.comp_int
+    comp = cat.comp
     hom1 = cat.hom1
     out = []
     for w in range(cat.N):
         cols = [j for j, xj in enumerate(src) if hom1(w, xj)]
-        rows_i = [i for i, yi in enumerate(tgt) if hom1(w, yi)]
-        mat = []
-        for i in rows_i:
-            yi = tgt[i]
-            fr = fm[i]
-            mat.append([fr[j] * comp.get((w, src[j], yi), 0) for j in cols])
-        out.append(_int_rank(mat) if mat and cols else 0)
+        mat = [[fm[i][j] * comp.get((w, src[j], yi), 0) for j in cols]
+               for i, yi in enumerate(tgt) if hom1(w, yi)]
+        out.append(len(eliminate(mat)[0]))
     return out
 
 
 def pre_rank_table(cat: Category, f: Mor) -> list[int]:
     """rank of Hom(f, w) for every indecomposable w."""
-    if cat.comp_int is None:
-        return [rank_rows(cat.pre_matrix(f, Obj((w,)))) for w in range(cat.N)]
-    from .linalg import _int_rank
-    fm = _int_entries(f)
+    fm = [integer_row(row) for row in f.m]
     src = f.src.summands
     tgt = f.tgt.summands
-    comp = cat.comp_int
+    comp = cat.comp
     hom1 = cat.hom1
     out = []
     for w in range(cat.N):
         cols = [i for i, yi in enumerate(tgt) if hom1(yi, w)]
-        rows_j = [j for j, xj in enumerate(src) if hom1(xj, w)]
-        mat = []
-        for j in rows_j:
-            xj = src[j]
-            mat.append([fm[i][j] * comp.get((xj, tgt[i], w), 0) for i in cols])
-        out.append(_int_rank(mat) if mat and cols else 0)
+        mat = [[fm[i][j] * comp.get((xj, tgt[i], w), 0) for i in cols]
+               for j, xj in enumerate(src) if hom1(xj, w)]
+        out.append(len(eliminate(mat)[0]))
     return out
 
 
@@ -136,101 +115,82 @@ def cone_profile(cat: Category, f: Mor) -> list[int]:
 
 
 def hom_dim_matrix(cat: Category) -> Mat:
+    """D with D[w][v] = dim Hom(w, v) over the indecomposables."""
     return Mat.from_rows([[1 if cat.hom1(w, v) else 0 for v in range(cat.N)]
                           for w in range(cat.N)])
 
 
-def hom_dim_matrix_invertible(cat: Category) -> bool:
-    return _dinv(cat) is not None
+def _reduced_hom_dim_system(cat: Category):
+    """[D | I] in reduced row echelon form, once per category.
 
-
-def _dinv(cat: Category):
-    if "Dinv" not in cat._memo:
-        cat._memo["Dinv"] = inverse(hom_dim_matrix(cat))
-    return cat._memo["Dinv"]
+    Every row of the form is (E.D, E) for the recorded row operations E, so
+    the reduced right-hand side of D.m = profile is E.profile.  Returns
+    (pivot columns inside D, free columns, the nonzero entries of each column
+    of E as (row, value), the nonzero free-column entries of each pivot row
+    as (free position, value), common denominator d > 0); rows from
+    len(pivots) on have a zero D part and pin the profile.
+    """
+    got = cat._memo.get("Dred")
+    if got is None:
+        n = cat.N
+        aug = hom_dim_matrix(cat).hstack(Mat.identity(n))
+        red, pivots, d = reduced_rows(aug.to_rows())
+        pivots = [p for p in pivots if p < n]
+        free = [c for c in range(n) if c not in pivots]
+        by_profile = [[(r, red[r][n + u]) for r in range(n) if red[r][n + u]]
+                      for u in range(n)]
+        by_free = [[(k, red[r][c]) for k, c in enumerate(free) if red[r][c]]
+                   for r in range(len(pivots))]
+        got = cat._memo["Dred"] = (pivots, free, by_profile, by_free, d)
+    return got
 
 
 def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
     """All nonnegative-integer multiplicity solutions of D.m = profile.
 
-    With D invertible (checked and cached once per category) the solution is
-    unique.  For the singular ranks (the hom-dimension matrix has a
-    2-dimensional kernel at n = 5 and n = 7) the free coordinates of the
-    reduced system are enumerated outright: each multiplicity m_v is bounded
-    by profile[v] because dim Hom(v, v) = 1, so the enumeration is finite and
-    complete.  Candidates are returned in a deterministic order; the caller
-    certifies each.
+    D is the hom-dimension matrix.  Its kernel is 0 except at n = 5 and 7,
+    where it has dimension 2, and at n = 9 and 11, where it has dimension 4.
+    The free coordinates of the reduced system are enumerated outright:
+    each multiplicity m_v is bounded by profile[v] because
+    dim Hom(v, v) = 1, so the enumeration is finite and complete, and with
+    no free coordinate it is the single solution.  Candidates are returned
+    in a deterministic order; the caller certifies each.
     """
-    dinv = _dinv(cat)
-    if dinv is not None:
-        m = dinv * Mat.column(profile)
-        mults = []
-        for i in range(cat.N):
-            v = m.at(i, 0)
-            if v.denominator != 1 or v < 0:
-                raise TriangleError(
-                    f"profile has no nonnegative integer solution "
-                    f"(multiplicity of {cat.labels[i]} = {v})")
-            mults.append(int(v))
-        return [_mults_to_obj(mults)]
-    return _profile_enumerate(cat, profile)
-
-
-def _mults_to_obj(mults: list[int]) -> Obj:
-    summands = []
-    for i, k in enumerate(mults):
-        summands.extend([i] * k)
-    return Obj(tuple(summands))
-
-
-def _profile_enumerate(cat: Category, profile: list[int]) -> list[Obj]:
-    from .linalg import _rref
-    import itertools
-    # the reduced homogeneous system is profile-independent: cache it and
-    # reduce only the right-hand side per call
-    if "Drref" not in cat._memo:
-        rows = [[Fraction(1 if cat.hom1(w, v) else 0) for v in range(cat.N)]
-                + [Fraction(1 if w == u else 0) for u in range(cat.N)]
-                for w in range(cat.N)]
-        red_full, pivots_all = _rref(rows)
-        # pivots inside the identity block mark the dependent rows; every row
-        # of the echelon form still satisfies (D-part, I-part) = (E.D, E)
-        pivots = [p for p in pivots_all if p < cat.N]
-        cat._memo["Drref"] = (red_full, pivots)
-    red_full, pivots = cat._memo["Drref"]
-    # reduced rhs = E . profile, with E the recorded row operations
-    red = []
-    consistent = True
-    for r in range(len(red_full)):
-        rhs = sum(red_full[r][cat.N + u] * profile[u] for u in range(cat.N))
-        red.append(red_full[r][:cat.N] + [rhs])
-        if r >= len(pivots) and rhs != 0:
-            consistent = False
-    if not consistent:
+    pivots, free, by_profile, by_free, d = _reduced_hom_dim_system(cat)
+    rhs = [0] * cat.N
+    for u, pu in enumerate(profile):
+        if pu:
+            for r, c in by_profile[u]:
+                rhs[r] += c * pu
+    if any(rhs[len(pivots):]):
         raise TriangleError("profile is not in the image of the "
                             "hom-dimension matrix")
-    free = [c for c in range(cat.N) if c not in pivots]
-    ranges = [range(profile[c] + 1) for c in free]
     found = []
-    for assign in itertools.product(*ranges):
+    for assign in itertools.product(*(range(profile[c] + 1) for c in free)):
         mults = [0] * cat.N
-        ok = True
         for c, v in zip(free, assign):
             mults[c] = v
         for r, pc in enumerate(pivots):
-            val = red[r][cat.N]
-            for c, v in zip(free, assign):
-                val -= red[r][c] * v
-            if val.denominator != 1 or val < 0:
-                ok = False
+            val = rhs[r]
+            for k, c in by_free[r]:
+                val -= c * assign[k]
+            q, rem = divmod(val, d)
+            if rem or q < 0:
                 break
-            mults[pc] = int(val)
-        if ok:
+            mults[pc] = q
+        else:
             found.append(tuple(mults))
     found.sort(key=lambda m: (sum(m), m))
     if not found:
         raise TriangleError("profile admits no nonnegative integer solution")
-    return [_mults_to_obj(list(m)) for m in found]
+    return [_mults_to_obj(m) for m in found]
+
+
+def _mults_to_obj(mults) -> Obj:
+    summands = []
+    for i, k in enumerate(mults):
+        summands.extend([i] * k)
+    return Obj(tuple(summands))
 
 
 # -- certificate --------------------------------------------------------------
@@ -425,14 +385,7 @@ def rotate_forward(cat: Category, tri: Triangle) -> Triangle:
 
 def mesh_middle(cat: Category, x: int) -> list[int]:
     """Middle terms of the mesh ending at x (sources of arrows into x)."""
-    from .arcs import arc_or_none
-    arc = cat.arcs[x]
-    mids = []
-    for cand in (arc_or_none(cat.polygon, arc.a - 1, arc.b),
-                 arc_or_none(cat.polygon, arc.a, arc.b - 1)):
-        if cand is not None:
-            mids.append(cat.arc_index[cand])
-    return sorted(mids)
+    return list(_mesh_at(cat.polygon, cat.arcs, cat.arc_index, x)[1])
 
 
 def mesh_map_into(cat: Category, x: int) -> Mor:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -194,6 +195,18 @@ def test_serialization_roundtrip(tmp_path, cat4):
     with pytest.raises(ValueError):
         load_category({"schema": "bogus"})
     assert d["schema"] == "cluster-loc/cat/v1"
+
+
+def test_load_rejects_non_unit_constants(cat4):
+    assert all(type(c) is int for c in cat4.comp.values())
+    assert all(type(c) is int for c in cat4.sig.values())
+    for table, at in (("comp", 3), ("sigma", 2)):
+        d = cat4.to_dict()
+        entry = d[table][0]
+        entry[at] = "1/2"
+        key = tuple(entry[:at])
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            load_category(d)
 
 
 def test_mor_literal_roundtrip(cat4):

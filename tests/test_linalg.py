@@ -5,7 +5,7 @@ import pytest
 
 from cluster_loc.linalg import (Mat, column_space_basis, complement_coords,
                                 inverse, kernel_basis, mat_from_cols, rank,
-                                rank_rows, solve_right)
+                                rank_rows, reduced_rows, solve_right)
 
 
 def test_rank_examples():
@@ -113,3 +113,118 @@ def test_mat_from_cols_keeps_shape():
 def test_rank_rows_mixed_entries():
     assert rank_rows([[Fraction(1, 2), 1], [1, 2]]) == 1
     assert rank_rows([]) == 0
+
+
+# -- the elimination core against a plain Fraction Gauss-Jordan reference --
+
+
+def _ref_rref(rows):
+    """Reduced row echelon form over Fraction, first-nonzero pivoting."""
+    rows = [r[:] for r in rows]
+    if not rows:
+        return rows, []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _ref_kernel(m):
+    red, pivots = _ref_rref(m.to_rows())
+    cols = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][f]
+        cols.append(v)
+    return cols
+
+
+def _ref_solve(a, b):
+    red, pivots = _ref_rref([list(a.row(i)) + list(b.row(i))
+                             for i in range(a.rows)])
+    if any(p >= a.cols for p in pivots):
+        return None
+    sol = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for r, col in enumerate(pivots):
+        sol[col] = red[r][a.cols:]
+    return sol
+
+
+def _shaped_random_mat(rng, rows, cols):
+    """Fractional entries, about a third zero, with a zero row, a zero column
+    and a repeated scaled row mixed in at random."""
+    ent = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+            if rng.random() < 0.65 else Fraction(0) for _ in range(cols)]
+           for _ in range(rows)]
+    if rows and cols:
+        if rng.random() < 0.3:
+            ent[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in ent:
+                row[j] = Fraction(0)
+        if rows > 1 and rng.random() < 0.4:
+            k = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            ent[rng.randrange(rows)] = [k * x for x in ent[rng.randrange(rows)]]
+    return Mat(rows, cols, tuple(x for row in ent for x in row))
+
+
+_SHAPES = [(1, 1), (1, 6), (2, 7), (3, 3), (4, 4), (6, 2), (7, 1), (5, 8),
+           (8, 5), (6, 6), (0, 4), (4, 0)]
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=[f"{r}x{c}" for r, c in _SHAPES])
+def test_core_matches_fraction_reference(shape):
+    rows, cols = shape
+    rng = random.Random(100 * rows + cols)
+    for _ in range(40):
+        m = _shaped_random_mat(rng, rows, cols)
+        ref, ref_pivots = _ref_rref(m.to_rows())
+        red, pivots, d = reduced_rows(m.to_rows())
+        assert pivots == ref_pivots and d > 0
+        for r in range(len(pivots)):
+            assert [Fraction(x, d) for x in red[r]] == ref[r]
+        assert not any(x for row in red[len(pivots):] for x in row)
+
+        assert rank(m) == rank_rows(m.to_rows()) == len(ref_pivots)
+        k = kernel_basis(m)
+        if cols:
+            assert [list(k.col(j)) for j in range(k.cols)] == _ref_kernel(m)
+        basis = column_space_basis(m)
+        assert [basis.col(j) for j in range(basis.cols)] == \
+            [m.col(j) for j in ref_pivots]
+        aug = basis.hstack(Mat.identity(rows))
+        _, aug_pivots = _ref_rref(aug.to_rows())
+        assert complement_coords(basis) == \
+            [p - basis.cols for p in aug_pivots if p >= basis.cols]
+        if rows and cols:
+            for b in (_shaped_random_mat(rng, rows, 2),
+                      m * _shaped_random_mat(rng, cols, 1)):
+                x = solve_right(m, b)
+                want = _ref_solve(m, b)
+                if want is None:
+                    assert x is None
+                else:
+                    assert x.to_rows() == want

@@ -4,13 +4,13 @@ import pytest
 
 from cluster_loc.arcs import smooth_crossing
 from cluster_loc.category import Obj
+from cluster_loc.linalg import rank
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (Triangle, ar_triangle, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
-                                   cone_profile, hom_dim_matrix_invertible,
+                                   cone_profile, hom_dim_matrix,
                                    mesh_map_into, mesh_map_out_of,
-                                   profile_candidates, rotate_forward,
-                                   _profile_enumerate)
+                                   profile_candidates, rotate_forward)
 
 
 def test_cone_of_identity_is_zero(cat4):
@@ -40,19 +40,36 @@ def test_cone_profile_examples(cat4):
         assert prof[w] == int(cat4.hom1(w, m13))
 
 
-@pytest.mark.parametrize("n,invertible",
-                         [(1, True), (2, True), (3, True), (4, True),
-                          (5, False), (6, True), (7, False), (8, True)])
-def test_hom_dim_matrix_invertibility_pattern(n, invertible):
-    # singular exactly at ranks 5 and 7 (2-dimensional kernels); those
-    # ranks exercise the bounded candidate enumeration below
-    assert hom_dim_matrix_invertible(cached_category(n)) == invertible
+_NULLITY = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 2), (6, 0), (7, 2), (8, 0),
+            (9, 4), (10, 0), (11, 4), (12, 0)]
 
 
-def test_profile_enumeration_agrees_with_solver(cat4):
-    s = mesh_map_into(cat4, cat4.arc_of_token("M34"))
-    prof = cone_profile(cat4, s)
-    assert _profile_enumerate(cat4, prof) == profile_candidates(cat4, prof)
+@pytest.mark.parametrize("n,nullity", _NULLITY,
+                         ids=[f"{n}-{k == 0}" for n, k in _NULLITY])
+def test_hom_dim_matrix_invertibility_pattern(n, nullity):
+    # the id reads "rank-invertible"; the singular ranks exercise the
+    # bounded enumeration of free coordinates in profile_candidates
+    cat = cached_category(n)
+    assert cat.N - rank(hom_dim_matrix(cat)) == nullity
+
+
+def test_profile_candidates_solve_the_profile():
+    # rank 4 has an invertible hom-dimension matrix, rank 5 a singular one
+    for n, invertible in ((4, True), (5, False)):
+        cat = cached_category(n)
+        rng = random.Random(n)
+        maps = [cat.random_mor(rng, cat.random_obj(rng, 3),
+                               cat.random_obj(rng, 3)) for _ in range(25)]
+        maps += [mesh_map_into(cat, x) for x in range(cat.N)]
+        for f in maps:
+            profile = cone_profile(cat, f)
+            cands = profile_candidates(cat, profile)
+            assert cands
+            for z in cands:
+                assert all(cat.hom_dim_arcwise(w, z) == profile[w]
+                           for w in range(cat.N))
+            if invertible:
+                assert len(cands) == 1
 
 
 def test_completion_on_singular_rank():
