@@ -12,6 +12,14 @@ computed dimensions ever disagree with the crossing rule
 or with the independent quiver-representation oracle through the label
 bridge.
 
+The build is exact-integer from start to finish: the mesh quotient reduces
+integer relations, every reduction coefficient, composition constant and
+suspension constant is an ``int`` (a reduction coefficient that is not an
+integer raises BuildError), and the checks multiply ints.  The oracle
+solves the commutation equations of each interval pair once per rank.
+``load_category`` runs the same table checks, and the label bridge, on
+what it reads.
+
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
 suspension, isomorphism testing and right-minimal reduction.
@@ -564,13 +572,13 @@ def _mesh_at(p: Polygon, arcs, arc_index, z: int):
     return tz, tuple(sorted(mids))
 
 
-def build_category(p: Polygon | int, with_labels: bool = True,
-                   check: bool = True) -> Category:
+def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
     """Build all tables for the rank-n category; deterministic in n.
 
-    Raises BuildError with a diagnostic naming the offending pair whenever an
-    internal cross-check fails (mesh dimensions vs crossing rule, sigma,
-    associativity, or the label bridge).
+    Every scalar of the build is an ``int``.  Raises BuildError with a
+    diagnostic naming the offending pair whenever an internal cross-check
+    fails (mesh dimensions vs crossing rule, sigma, associativity, or the
+    label bridge), or when a mesh reduction coefficient is not an integer.
     """
     if isinstance(p, int):
         p = Polygon(p)
@@ -581,14 +589,14 @@ def build_category(p: Polygon | int, with_labels: bool = True,
     N = len(arcs)
     arrows = _arrows(p, arcs, arc_index)
     arrow_idx = {st: k for k, st in enumerate(arrows)}
-    arrows_into: list[list[int]] = [[] for _ in range(N)]
+    arrows_out: list[list[int]] = [[] for _ in range(N)]
     for k, (w, z) in enumerate(arrows):
-        arrows_into[z].append(k)
+        arrows_out[w].append(k)
     mesh = [_mesh_at(p, arcs, arc_index, z) for z in range(N)]
 
     hom_deg: dict[tuple[int, int], int] = {(x, x): 0 for x in range(N)}
     def_pair: dict[tuple[int, int], tuple[int, int]] = {}
-    exp: dict[tuple[int, int], Fraction] = {}
+    exp: dict[tuple[int, int], int] = {}
 
     alive_prev: set[tuple[int, int]] = set()
     alive_cur: set[tuple[int, int]] = {(x, x) for x in range(N)}
@@ -604,30 +612,27 @@ def build_category(p: Polygon | int, with_labels: bool = True,
         # generators of the next degree: arrow a: w -> z applied to a basis
         # element of the current degree at (x, w)
         gen_map: dict[tuple[int, int], list[int]] = {}
-        for a_id, (w, z) in enumerate(arrows):
-            for x in range(N):
-                if (x, w) in alive_cur:
-                    gen_map.setdefault((x, z), []).append(a_id)
+        for (x, w) in alive_cur:
+            for a_id in arrows_out[w]:
+                gen_map.setdefault((x, arrows[a_id][1]), []).append(a_id)
         for (x, z), gens in sorted(gen_map.items()):
-            gens = sorted(gens)
-            rel_rows: list[list[Fraction]] = []
+            gens.sort()
+            rel_rows: list[list[int]] = []
             tz, mids = mesh[z]
             if (x, tz) in alive_prev:
-                row = [F0] * len(gens)
+                row = [0] * len(gens)
                 nonzero = False
                 for m in mids:
-                    a_in = arrow_idx[(tz, m)]
-                    coeff = exp.get((a_in, x), F0)
+                    coeff = exp.get((arrow_idx[(tz, m)], x), 0)
                     if coeff == 0:
                         continue
                     a_out = arrow_idx[(m, z)]
-                    if a_out in gens:
-                        row[gens.index(a_out)] += coeff
-                        nonzero = True
-                    elif coeff != 0:
+                    if a_out not in gens:
                         raise BuildError(
                             f"mesh relation at {arcs[z]} hits a dead pair "
                             f"({arcs[x]}, {arcs[m]})")
+                    row[gens.index(a_out)] += coeff
+                    nonzero = True
                 if nonzero:
                     rel_rows.append(row)
             dim, basis_col, reduction = _quotient_1d(rel_rows, len(gens))
@@ -650,44 +655,47 @@ def build_category(p: Polygon | int, with_labels: bool = True,
 
     # -- composition scalars ------------------------------------------
 
-    comp: dict[tuple[int, int, int], Fraction] = {}
+    comp: dict[tuple[int, int, int], int] = {}
 
-    def cscal(x: int, y: int, z: int) -> Fraction:
+    def cscal(x: int, y: int, z: int) -> int:
         """Coefficient of basis(x,z) in basis(y,z) . basis(x,y)."""
         if y == x or z == y:
-            return F1 if (x, z) in hom_deg else F0
+            return 1 if (x, z) in hom_deg else 0
         key = (x, y, z)
         got = comp.get(key)
         if got is not None:
             return got
         a_id, w = def_pair[(y, z)]
         if (x, w) in hom_deg:
-            val = cscal(x, y, w) * exp.get((a_id, x), F0)
+            val = cscal(x, y, w) * exp.get((a_id, x), 0)
         else:
-            val = F0
+            val = 0
         comp[key] = val
         return val
 
+    hom_from: list[list[int]] = [[] for _ in range(N)]
+    for (y, z) in sorted(hom_deg):
+        hom_from[y].append(z)
     for (x, y) in hom_deg:
-        for z in range(N):
-            if (y, z) in hom_deg and (x, z) in hom_deg:
+        for z in hom_from[y]:
+            if (x, z) in hom_deg:
                 comp[(x, y, z)] = cscal(x, y, z)
     # keep only genuine triple entries (identities handled implicitly)
     comp = {k: v for k, v in comp.items()
             if k[0] != k[1] and k[1] != k[2]}
     full_comp = dict(comp)
     for (x, y) in hom_deg:
-        full_comp[(x, x, y)] = F1
-        full_comp[(x, y, y)] = F1
+        full_comp[(x, x, y)] = 1
+        full_comp[(x, y, y)] = 1
 
     # -- suspension ------------------------------------------------------
 
     sigma_arc = [arc_index[rotate(p, a, 1)] for a in arcs]
-    sig: dict[tuple[int, int], Fraction] = {}
+    sig: dict[tuple[int, int], int] = {}
 
-    def sscal(x: int, y: int) -> Fraction:
+    def sscal(x: int, y: int) -> int:
         if x == y:
-            return F1
+            return 1
         key = (x, y)
         got = sig.get(key)
         if got is not None:
@@ -695,41 +703,20 @@ def build_category(p: Polygon | int, with_labels: bool = True,
         a_id, w = def_pair[(x, y)]
         ws, zs = arrows[a_id]
         a_shift = arrow_idx[(sigma_arc[ws], sigma_arc[zs])]
-        val = sscal(x, w) * exp.get((a_shift, sigma_arc[x]), F0)
+        val = sscal(x, w) * exp.get((a_shift, sigma_arc[x]), 0)
         sig[key] = val
         return val
 
     for (x, y) in hom_deg:
         sig[(x, y)] = sscal(x, y)
 
-    # -- checks -----------------------------------------------------------
+    # -- checks and label bridge --------------------------------------------
 
-    if check:
-        for x in range(N):
-            for y in range(N):
-                predicted = crosses(p, arcs[x], rotate(p, arcs[y], -1))
-                got = (x, y) in hom_deg
-                if predicted != got:
-                    raise BuildError(
-                        f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): "
-                        f"crossing rule {int(predicted)}, mesh {int(got)}")
-        for (x, y), v in sig.items():
-            if v == 0:
-                raise BuildError(f"suspension scalar vanishes at ({arcs[x]}, {arcs[y]})")
-            sx, sy = sigma_arc[x], sigma_arc[y]
-            if (sx, sy) not in hom_deg:
-                raise BuildError(f"suspension not hom-preserving at ({arcs[x]}, {arcs[y]})")
-        _check_sigma_functorial(arcs, full_comp, sig, sigma_arc)
-        _check_associativity(p.n, arcs, hom_deg, full_comp)
-
-    # -- label bridge ------------------------------------------------------
-
+    _check_tables(p, arcs, hom_deg, full_comp, sig, sigma_arc)
     labels, meta = (_bridge(p, arcs, arc_index, hom_deg, sigma_arc)
                     if with_labels else
                     ([str(a) for a in arcs], {"bridge": None}))
-
-    cat = Category(p, arcs, hom_deg, full_comp, sig, sigma_arc, labels, meta)
-    return cat
+    return Category(p, arcs, hom_deg, full_comp, sig, sigma_arc, labels, meta)
 
 
 def _unit_table(name: str, table: dict) -> dict:
@@ -743,28 +730,72 @@ def _unit_table(name: str, table: dict) -> dict:
     return out
 
 
-def _quotient_1d(rel_rows: list[list[Fraction]], ngens: int):
-    """Quotient of k^ngens by the row space; expects dim <= 1.
+def _quotient_1d(rel_rows: list[list[int]], ngens: int):
+    """Quotient of k^ngens by the row space of integer relations; expects
+    dim <= 1.
 
-    Returns (dim, basis column or None, reduction coefficients per generator).
+    Returns (dim, basis column or None, reduction coefficient per generator).
+    The coefficients are ``int``; one that is not an integer raises
+    BuildError.
     """
     if ngens == 0:
         return 0, None, []
     if not rel_rows:
         if ngens > 1:
             return ngens, None, []
-        return 1, 0, [F1]
+        return 1, 0, [1]
     red, pivots, d = reduced_rows(rel_rows)
     free = [c for c in range(ngens) if c not in pivots]
     dim = len(free)
     if dim != 1:
-        return dim, None, ([F0] * ngens if dim == 0 else [])
+        return dim, None, ([0] * ngens if dim == 0 else [])
     f0 = free[0]
-    reduction = [F0] * ngens
-    reduction[f0] = F1
+    reduction = [0] * ngens
+    reduction[f0] = 1
     for rr, pc in enumerate(pivots):
-        reduction[pc] = Fraction(-red[rr][f0], d)
+        q, rem = divmod(-red[rr][f0], d)
+        if rem:
+            raise BuildError(f"mesh reduction coefficient {-red[rr][f0]}/{d} "
+                             "is not an integer")
+        reduction[pc] = q
     return 1, f0, reduction
+
+
+def _check_tables(p: Polygon, arcs, hom_deg, comp, sig, sigma_arc):
+    """The cross-checks every built or loaded table passes; raises
+    BuildError naming the first failure.
+
+    Hom pairs against the crossing rule, identities as units of the
+    composition and fixed by the suspension, suspension constants on exactly
+    the hom pairs, nonzero and hom-preserving, suspension functorial on
+    compositions, composition associative.  Together these catch the sign
+    flip of any nonzero composition or suspension constant (tested at
+    n = 3).
+    """
+    N = len(arcs)
+    for y in range(N):
+        ym = rotate(p, arcs[y], -1)
+        for x in range(N):
+            predicted = crosses(p, arcs[x], ym)
+            got = (x, y) in hom_deg
+            if predicted != got:
+                raise BuildError(
+                    f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): "
+                    f"crossing rule {int(predicted)}, mesh {int(got)}")
+    for (x, y) in hom_deg:
+        if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
+            raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")
+    if sig.keys() != hom_deg.keys():
+        raise BuildError("suspension table does not cover exactly the hom pairs")
+    if any(sig[(x, x)] != 1 for x in range(N)):
+        raise BuildError("suspension does not preserve an identity")
+    for (x, y), v in sig.items():
+        if v == 0:
+            raise BuildError(f"suspension scalar vanishes at ({arcs[x]}, {arcs[y]})")
+        if (sigma_arc[x], sigma_arc[y]) not in hom_deg:
+            raise BuildError(f"suspension not hom-preserving at ({arcs[x]}, {arcs[y]})")
+    _check_sigma_functorial(arcs, comp, sig, sigma_arc)
+    _check_associativity(p.n, arcs, hom_deg, comp)
 
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
@@ -772,7 +803,7 @@ def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
         if x == y or y == z:
             continue
         lhs = sig[(x, z)] * c
-        rhs = comp.get((sigma_arc[x], sigma_arc[y], sigma_arc[z]), F0) \
+        rhs = comp.get((sigma_arc[x], sigma_arc[y], sigma_arc[z]), 0) \
             * sig[(x, y)] * sig[(y, z)]
         if lhs != rhs:
             raise BuildError(
@@ -780,40 +811,43 @@ def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
 
 
 def _check_associativity(n: int, arcs, hom_deg, comp):
-    pairs = [k for k in hom_deg if k[0] != k[1]]
-    out: dict[int, list[int]] = {}
-    for (x, y) in pairs:
-        out.setdefault(x, []).append(y)
-
-    def check_chain(x, y, z, w):
-        lhs = comp.get((x, y, z), F0) * comp.get((x, z, w), F0)
-        rhs = comp.get((y, z, w), F0) * comp.get((x, y, w), F0)
+    for x, y, z, w in _associativity_chains(n, hom_deg):
+        lhs = comp.get((x, y, z), 0) * comp.get((x, z, w), 0)
+        rhs = comp.get((y, z, w), 0) * comp.get((x, y, w), 0)
         if lhs != rhs:
             raise BuildError(
                 f"associativity fails on chain {arcs[x]} -> {arcs[y]} -> "
                 f"{arcs[z]} -> {arcs[w]}")
 
+
+def _associativity_chains(n: int, hom_deg):
+    """Chains x -> y -> z -> w of non-identity hom pairs: all of them for
+    n <= 5, else 10,000 draws from Random(0)."""
+    # pairs in build order (by degree, then pair), whatever order the table
+    # came in, so that a loaded table draws the same chains as its build
+    pairs = sorted((k for k in hom_deg if k[0] != k[1]),
+                   key=lambda k: (hom_deg[k], k))
+    out: dict[int, list[int]] = {}
+    for (x, y) in pairs:
+        out.setdefault(x, []).append(y)
+    # out[y] never holds y itself: identities are not in pairs
     if n <= 5:
         for (x, y) in pairs:
             for z in out.get(y, ()):
-                if z == y:
-                    continue
                 for w in out.get(z, ()):
-                    if w == z:
-                        continue
-                    check_chain(x, y, z, w)
-    else:
-        rng = random.Random(0)
-        for _ in range(10_000):
-            x, y = pairs[rng.randrange(len(pairs))]
-            zs = [z for z in out.get(y, ()) if z != y]
-            if not zs:
-                continue
-            z = zs[rng.randrange(len(zs))]
-            ws = [w for w in out.get(z, ()) if w != z]
-            if not ws:
-                continue
-            check_chain(x, y, z, ws[rng.randrange(len(ws))])
+                    yield x, y, z, w
+        return
+    rng = random.Random(0)
+    for _ in range(10_000):
+        x, y = pairs[rng.randrange(len(pairs))]
+        zs = out.get(y)
+        if not zs:
+            continue
+        z = zs[rng.randrange(len(zs))]
+        ws = out.get(z)
+        if not ws:
+            continue
+        yield x, y, z, ws[rng.randrange(len(ws))]
 
 
 def _base_labeling(p: Polygon, arc_index) -> dict[int, str]:
@@ -880,8 +914,11 @@ def label_bridge(cat: Category) -> list[str]:
 def load_category(data: dict | str) -> Category:
     """Rebuild a Category from its serialized table form.
 
-    Raises ValueError on a foreign schema or on a composition or suspension
-    constant outside {-1, 0, 1}.
+    The tables pass the build's checks again: the arcs and the suspension
+    permutation, the crossing rule, the suspension constants, functoriality,
+    associativity and, for a labelled table, the label bridge.  Raises
+    ValueError on a foreign schema or on a composition or suspension
+    constant outside {-1, 0, 1}, and BuildError when a check fails.
     """
     if isinstance(data, str):
         with open(data) as fh:
@@ -890,8 +927,20 @@ def load_category(data: dict | str) -> Category:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
     p = Polygon(data["n"])
     arcs = [parse_arc(p, t) for t in data["arcs"]]
+    if arcs != enumerate_arcs(p):
+        raise BuildError("arcs are not the rank's arcs in canonical order")
+    arc_index = {a: i for i, a in enumerate(arcs)}
+    if data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]:
+        raise BuildError("sigma_arc is not the rotation of the arcs")
     hom_deg = {(x, y): d for x, y, d in data["hom"]}
     comp = {(x, y, z): Fraction(c) for x, y, z, c in data["comp"]}
     sig = {(x, y): Fraction(c) for x, y, c in data["sigma"]}
-    return Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
-                    data["labels"], data.get("meta", {}))
+    cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
+                   data["labels"], data.get("meta", {}))
+    _check_tables(p, arcs, hom_deg, cat.comp, cat.sig, cat.sigma_arc)
+    if cat.meta.get("bridge") is None:
+        if cat.labels != [str(a) for a in arcs]:
+            raise BuildError("unlabelled table carries labels")
+    else:
+        label_bridge(cat)
+    return cat

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Mat, rank
+from .linalg import rank_rows
 
 
 @dataclass(frozen=True)
@@ -47,42 +47,34 @@ def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
     f_{v+1} . x_arrow = y_arrow . f_v whenever its domain and codomain spaces
     are nonzero.
     """
-
-    def dx(v: int) -> bool:
-        return x.i <= v <= x.j
-
-    def dy(v: int) -> bool:
-        return y.i <= v <= y.j
-
-    slots = [v for v in range(1, n + 1) if dx(v) and dy(v)]
-    if not slots:
+    lo, hi = max(x.i, y.i), min(x.j, y.j)   # the slots are f_lo .. f_hi
+    if lo > hi:
         return 0
-    idx = {v: k for k, v in enumerate(slots)}
     rows = []
     for v in range(1, n):  # arrow v -> v+1
-        if not (dx(v) and dy(v + 1)):
+        if not (x.i <= v <= x.j and y.i <= v + 1 <= y.j):
             continue
-        row = [0] * len(slots)
-        if dx(v + 1):       # x's arrow map is the identity, f_{v+1} exists
-            row[idx[v + 1]] += 1
-        if dy(v):           # y's arrow map is the identity, f_v exists
-            row[idx[v]] -= 1
+        row = [0] * (hi - lo + 1)
+        if v + 1 <= x.j:    # x's arrow map is the identity, f_{v+1} exists
+            row[v + 1 - lo] += 1
+        if y.i <= v:        # y's arrow map is the identity, f_v exists
+            row[v - lo] -= 1
         if any(row):
             rows.append(row)
     if not rows:
-        return len(slots)
-    return len(slots) - rank(Mat.from_rows(rows))
+        return hi - lo + 1
+    return hi - lo + 1 - rank_rows(rows)
 
 
-def ext1_dim_mod(n: int, x: Interval, y: Interval) -> int:
-    """dim Ext^1_kQ(x, y) via 0 -> P_{j+1} -> P_i -> x -> 0."""
+def ext1_dim_mod(n: int, x: Interval, y: Interval, hom=hom_dim_mod) -> int:
+    """dim Ext^1_kQ(x, y) via 0 -> P_{j+1} -> P_i -> x -> 0; ``hom`` gives
+    the hom dimensions."""
     if x.j == n:  # x projective
         return 0
     p0 = Interval(x.i, n)
     p1 = Interval(x.j + 1, n)
     # 0 -> Hom(x,y) -> Hom(P0,y) -> Hom(P1,y) -> Ext1(x,y) -> 0
-    return (hom_dim_mod(n, p1, y) - hom_dim_mod(n, p0, y)
-            + hom_dim_mod(n, x, y))
+    return hom(n, p1, y) - hom(n, p0, y) + hom(n, x, y)
 
 
 def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
@@ -93,21 +85,21 @@ def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
     return Stalk(Interval(m.j, n), s.shift + 1)   # inverse translate of I_j is P_j[1]
 
 
-def hom_dim_derived(n: int, x: Stalk, y: Stalk) -> int:
+def hom_dim_derived(n: int, x: Stalk, y: Stalk, hom=hom_dim_mod) -> int:
     d = y.shift - x.shift
     if d == 0:
-        return hom_dim_mod(n, x.mod, y.mod)
+        return hom(n, x.mod, y.mod)
     if d == 1:
-        return ext1_dim_mod(n, x.mod, y.mod)
+        return ext1_dim_mod(n, x.mod, y.mod, hom)
     return 0
 
 
-def hom_dim_orbit(n: int, x: Stalk, y: Stalk) -> int:
+def hom_dim_orbit(n: int, x: Stalk, y: Stalk, hom=hom_dim_mod) -> int:
     """dim Hom in the orbit category: sum of Hom_D(x, F^k y) over twists."""
     total = 0
     cur = y
     for _ in range(4):
-        total += hom_dim_derived(n, x, cur)
+        total += hom_dim_derived(n, x, cur, hom)
         t = tau_inv_stalk(n, cur)
         cur = Stalk(t.mod, t.shift + 1)
         if cur.shift - x.shift > 1:
@@ -153,8 +145,19 @@ def label_to_stalk(n: int, label: str) -> Stalk:
 
 @lru_cache(maxsize=None)
 def label_hom_matrix(n: int) -> dict[tuple[str, str], int]:
-    """All orbit hom dimensions between canonical labels."""
+    """All orbit hom dimensions between canonical labels.
+
+    The commutation equations of each interval pair are solved once.
+    """
     labs = labels(n)
     stalks = {lab: label_to_stalk(n, lab) for lab in labs}
-    return {(a, b): hom_dim_orbit(n, stalks[a], stalks[b])
+    solved: dict[tuple[Interval, Interval], int] = {}
+
+    def hom(n: int, x: Interval, y: Interval) -> int:
+        got = solved.get((x, y))
+        if got is None:
+            got = solved[(x, y)] = hom_dim_mod(n, x, y)
+        return got
+
+    return {(a, b): hom_dim_orbit(n, stalks[a], stalks[b], hom)
             for a in labs for b in labs}

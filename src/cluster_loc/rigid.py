@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, mat_from_cols, rank_rows, solve_right

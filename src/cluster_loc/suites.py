@@ -24,18 +24,15 @@ from fractions import Fraction
 from .category import Category, InternalConsistencyError, Mor, Obj, build_category
 from .localization import (Zigzag, algebra_of, classify,
                            elementary_identities_suite, factor_through_s,
-                           forward, inv, loc_hom, s_resolution, zigzag_equal,
-                           zigzag_eval)
+                           inv, loc_hom, s_resolution, zigzag_eval)
 from .modules import (H_mor, H_obj, decompose_module, direct_sum_modules,
                       enumerate_indec_modules, hom_dim_modules,
-                      min_proj_presentation, modules_isomorphic,
-                      simple_module, top_dims)
+                      modules_isomorphic, simple_module)
 from .rigid import (RigidObject, dim_factoring_through_add,
-                    dim_hom_functor_kernel, enumerate_basic_rigid,
-                    factors_through_mor, factors_through_subcat,
+                    dim_hom_functor_kernel, factors_through_mor,
                     hom_functor_zero, in_CT, is_cluster_tilting, is_rigid,
                     left_sigma_perp_approx, perp_view, rigid_object,
-                    right_addT_approx, sample_rigid, wakamatsu_check)
+                    wakamatsu_check)
 from .triangles import (complete_triangle, mesh_map_into, mesh_map_out_of,
                         mesh_middle)
 

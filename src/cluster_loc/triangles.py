@@ -104,7 +104,11 @@ def cone_profile(cat: Category, f: Mor) -> list[int]:
     rank Hom(W, Σf) equals rank Hom(Σ^{-1}W, f), so one rank table serves
     both terms.
     """
-    rf = post_rank_table(cat, f)
+    return _profile_from_ranks(cat, f, post_rank_table(cat, f))
+
+
+def _profile_from_ranks(cat: Category, f: Mor, rf: list[int]) -> list[int]:
+    """The cone profile of f from its rank table rf = post_rank_table(f)."""
     out = []
     for w in range(cat.N):
         coker = cat.hom_dim_arcwise(w, f.tgt) - rf[w]
@@ -307,9 +311,9 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0,
     key = (f.key(), seed)
     if key in memo:
         return memo[key]
-    profile = cone_profile(cat, f)
-    candidates = profile_candidates(cat, profile)
     rf = post_rank_table(cat, f)
+    profile = _profile_from_ranks(cat, f, rf)
+    candidates = profile_candidates(cat, profile)
     pf = pre_rank_table(cat, f)
     full = (tries, max(20, tries // 4))
     budgets = [full] if len(candidates) == 1 else [(40, 20), full]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -5,8 +6,8 @@ import re
 import pytest
 
 from cluster_loc.arcs import Polygon, crosses, rotate
-from cluster_loc.category import (BuildError, Obj, build_category,
-                                  load_category)
+from cluster_loc.category import (BuildError, Obj, _associativity_chains,
+                                  _quotient_1d, build_category, load_category)
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
@@ -218,3 +219,116 @@ def test_mor_literal_roundtrip(cat4):
     assert h.m[0][0] == -0.5
     with pytest.raises(ValueError):
         cat4.parse_mor("M44 M34")
+
+
+# sha256 of json.dumps(build_category(n).to_dict(), sort_keys=True) and of
+# json.dumps(sorted(label_hom_matrix(n).items())), recorded from the Fraction
+# build that the integer build replaced
+PINNED_TABLES = {
+    1: ("3d4d1812b8518411bff8963f83355766765d8e78f41f81332381eb91052aa5cd",
+        "d6ce02f28f35653f3bf8f8c976226afaac0a35bbb680b5b83880e8eb47121b52"),
+    2: ("f569420f3a0e7acf237fa0a475d08f9ed9a08187f3abc2cac3213943ea442d30",
+        "fe4e960a1669f95e03bc5bd0d56f5e9c81b3cddf0cd7c97bb7a9b5a4afddefba"),
+    3: ("8d09d4bcbd28627ec91041130fe1c8392b8b5650d29738dde3bdb302e8a97712",
+        "7127e5732caed4a900d84a3aed9d87fc1cdce2e491125cc298aabc50368963a1"),
+    4: ("90261d336427397cbb4baeea0873abaabf5b2ab8a85b23b8c35dee51255efd41",
+        "e1b9614b05a3506ba0582886824b45ca6a0f9b20fb6770c330196561add99396"),
+    5: ("0e46ddbf4d49d030cf057c82eb838f78ffd42df1d309de0a0f651d4a28f1f45a",
+        "b0b2110a75124bfc89152bd5a74d485610b82d939d11a7f4e55cb12cdbb7b0c1"),
+    6: ("f619e2ef27028f2d6e975deb1afd7093d4327699b9b83d0bb913e1a31d3dee66",
+        "d7fe0cd1e5c9c84a88f00959e79ddeb931a8258c29151426e8bc9cf3b109eccd"),
+    7: ("11fc42271a172baabd51196e361d510dcdabe53269ea2e0d294f87a67dff2aa8",
+        "e485a80b5261cfb1f786c256177a6ddd4e5b4567391340ce194e6131e40873de"),
+    8: ("d4c0029d0c70a89f6f4ba44d07f8c9106b2e21d61db74a820d8b6c0ccaf8dc70",
+        "e4d35f62cf81e764b4f221cc0fcc65ebe12f527dca2cedca5c3b7b232536eb3c"),
+    9: ("d0c4facd786329221a7e2d52b180b39251115f8e411fcc190643bd09ae6ba8d6",
+        "33d63be6bb518e5a19bf9cbf47ce937b9634e94cefd07c01bb95c23a59174b5b"),
+    10: ("f324acbe815dfc21a028a958c28e5dc0000dff920ba2628ad54450f26dcd9837",
+        "d9ee0305b1fc70dc528745cd65301222074be5c5560e2b33be393c694985eebb"),
+    11: ("de134d8e1cbb6822aa8c25a1d65b6c5c53a546cff0e4e844d164d9d29c5ab66f",
+        "eba6554b2d3d42120f379072c4a2e0d01f3c30db25c86dc8e11e7e820ce42e4c"),
+    12: ("3cccdb2c5f8b0e45785cfdcefda22ef94a3a01ecf6e2c228d4178761abbcfd23",
+        "399ec7939a5daa7030127d7458b1e44a13dcd7b15079c732d86ebecc0c862aea"),
+}
+
+# (count, sha256 of json.dumps(list of chains)) of the associativity chains
+# the build checks, recorded from the same earlier build
+PINNED_CHAINS = {
+    1: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    2: (5, "bb3f1c823990ad0824d14375fbed556355c567fd37ad5e49eb1b5d1d0cb4a899"),
+    3: (123, "83db08425e2a06926a4b70ed4f956ac812056ca7b904ed676de97e7936b1a267"),
+    4: (1008, "e198ac2168a67640705a2a26f5935e43821d78fe8d03c39434746e43f1ff3b4c"),
+    5: (5016, "75c39516b7eefa7035761a4d0435fd75004a6c67275c1dc625a800bc89ee9d38"),
+    6: (10000, "609378ca8e4fc363ca1392635b8b8349ce7adba2e6efb07c69d218122923490f"),
+    7: (10000, "c0d28529fdbd8975a4ebdf1c544c76ca0e5c90be5c91e429db46de4f17d99497"),
+    8: (10000, "e1c893005433e75d3ac9e1ded745a853aa08023370f25b0d12a235263ed1a661"),
+    9: (10000, "d77f67b2ac84d583ee196d5e38fb8c1370f2a665ac9ca97e47b3f5900441b3fd"),
+    10: (10000, "ec47bf4c5ed941c1ed8cfd2bf2aa6e59031c982184f825dc76141c25e9316287"),
+    11: (10000, "bf4e4c5d45f04caa6574e993a91ad1a17d80d3a91a3f10855c5dd61304a80523"),
+    12: (10000, "a73815a4b5aa7c59e4771b3924bff92291aa834c7bfa8da7bbecdad3f9154ad4"),
+}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tables_pinned(n):
+    cat = build_category(n)
+    assert all(type(c) is int for c in cat.comp.values())
+    assert all(type(c) is int for c in cat.sig.values())
+    assert (_sha(cat.to_dict()), _sha(sorted(label_hom_matrix(n).items()))) \
+        == PINNED_TABLES[n]
+    chains = list(_associativity_chains(n, cat.hom_deg))
+    assert (len(chains), _sha(chains)) == PINNED_CHAINS[n]
+
+
+def test_quotient_rejects_non_integral_coefficient():
+    assert _quotient_1d([[1, 1]], 2) == (1, 1, [-1, 1])
+    with pytest.raises(BuildError, match="not an integer"):
+        _quotient_1d([[2, 1]], 2)
+
+
+def test_load_reruns_the_build_checks(cat4):
+    d = cat4.to_dict()
+    k = next(i for i, (x, y, _) in enumerate(d["hom"]) if x != y)
+    del d["hom"][k]
+    with pytest.raises(BuildError, match="crossing"):
+        load_category(d)
+    d = cat4.to_dict()
+    k = next(i for i, (x, y, z, c) in enumerate(d["comp"])
+             if x != y != z and c != "0")
+    d["comp"][k][3] = str(-int(d["comp"][k][3]))
+    with pytest.raises(BuildError, match="functorial"):
+        load_category(d)
+    d = cat4.to_dict()
+    d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
+    with pytest.raises(BuildError, match="label bridge"):
+        load_category(d)
+    d = cat4.to_dict()
+    d["sigma_arc"] = d["sigma_arc"][1:] + d["sigma_arc"][:1]
+    with pytest.raises(BuildError, match="rotation"):
+        load_category(d)
+
+
+def test_load_catches_every_sign_flip():
+    cat = cached_category(3)
+    for table, at in (("comp", 3), ("sigma", 2)):
+        for k, entry in enumerate(cat.to_dict()[table]):
+            if entry[at] == "0":
+                continue
+            d = cat.to_dict()
+            d[table][k][at] = str(-int(entry[at]))
+            with pytest.raises(BuildError):
+                load_category(d)
+
+
+def test_load_unlabelled_table():
+    cat = build_category(3, with_labels=False)
+    loaded = load_category(cat.to_dict())
+    assert loaded.labels == cat.labels and loaded.comp == cat.comp
+    d = cat.to_dict()
+    d["labels"][0] = "M11"
+    with pytest.raises(BuildError, match="unlabelled"):
+        load_category(d)

@@ -1,7 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
+from cluster_loc.category import build_category
 from cluster_loc.localization import (LocHom, Zigzag, algebra_of, classify,
                                       elementary_identities_suite,
                                       factor_through_s, forward, inv, loc_hom,
@@ -221,3 +224,45 @@ def test_resolution_variant_agrees(cat4, example_T):
         alg = algebra_of(cat4, example_T)
         assert modules_isomorphic(H_obj(cat4, alg, xp0),
                                   H_obj(cat4, alg, xp1))
+
+
+def test_built_category_shared_across_threads():
+    """Threads classifying maps on one shared, freshly built category (cold
+    memos, so they fill the memos concurrently) get the serial verdicts."""
+
+    def verdicts(cat, order):
+        t = rigid_object(cat, ["M55", "M25", "M22"])
+        out = {}
+        for k in order:
+            rng = random.Random(k)
+            x, y = cat.random_obj(rng, 2), cat.random_obj(rng, 2)
+            c = classify(cat, t, cat.random_mor(rng, x, y))
+            out[k] = (c.in_S_tilde, c.in_S, c.H_mono, c.H_epi,
+                      c.witness_triangle.z)
+        return out
+
+    maps = list(range(24))
+    serial = verdicts(build_category(5), maps)
+    shared = build_category(5)
+    results = [None] * 4
+    errors = []
+
+    def work(i):
+        try:
+            results[i] = verdicts(shared, maps[6 * i:] + maps[:6 * i])
+        except Exception as exc:   # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert all(r == serial for r in results)
