@@ -765,23 +765,24 @@ def _check_tables(p: Polygon, arcs, hom_deg, comp, sig, sigma_arc):
     """The cross-checks every built or loaded table passes; raises
     BuildError naming the first failure.
 
-    Hom pairs against the crossing rule, identities as units of the
-    composition and fixed by the suspension, suspension constants on exactly
-    the hom pairs, nonzero and hom-preserving, suspension functorial on
-    compositions, composition associative.  Together these catch the sign
+    Hom pairs exactly the pairs of arcs the crossing rule predicts,
+    identities as units of the composition and fixed by the suspension,
+    suspension constants on exactly the hom pairs, nonzero and
+    hom-preserving, suspension functorial on compositions, composition
+    associative.  Together these catch the sign
     flip of any nonzero composition or suspension constant (tested at
-    n = 3).
+    n = 3 and 4).
     """
     N = len(arcs)
-    for y in range(N):
-        ym = rotate(p, arcs[y], -1)
-        for x in range(N):
-            predicted = crosses(p, arcs[x], ym)
-            got = (x, y) in hom_deg
-            if predicted != got:
-                raise BuildError(
-                    f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): "
-                    f"crossing rule {int(predicted)}, mesh {int(got)}")
+    predicted = {(x, y) for y in range(N) for ym in [rotate(p, arcs[y], -1)]
+                 for x in range(N) if crosses(p, arcs[x], ym)}
+    for x, y in sorted(predicted.symmetric_difference(hom_deg),
+                       key=lambda k: (k[1], k[0])):
+        if not (0 <= x < N and 0 <= y < N):
+            raise BuildError(f"hom pair ({x}, {y}) is not a pair of arcs")
+        raise BuildError(
+            f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): crossing rule "
+            f"{int((x, y) in predicted)}, mesh {int((x, y) in hom_deg)}")
     for (x, y) in hom_deg:
         if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
             raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")

@@ -39,8 +39,10 @@ class Stalk:
     shift: int
 
 
+@lru_cache(maxsize=None)
 def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
-    """dim Hom_kQ(x, y) by solving the arrow-commutation equations.
+    """dim Hom_kQ(x, y) by solving the arrow-commutation equations, once
+    per interval pair.
 
     Unknowns are the vertex components f_v (one scalar per vertex where both
     intervals are supported); the arrow v -> v+1 contributes the equation
@@ -66,15 +68,15 @@ def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
     return hi - lo + 1 - rank_rows(rows)
 
 
-def ext1_dim_mod(n: int, x: Interval, y: Interval, hom=hom_dim_mod) -> int:
-    """dim Ext^1_kQ(x, y) via 0 -> P_{j+1} -> P_i -> x -> 0; ``hom`` gives
-    the hom dimensions."""
+def ext1_dim_mod(n: int, x: Interval, y: Interval) -> int:
+    """dim Ext^1_kQ(x, y) via 0 -> P_{j+1} -> P_i -> x -> 0."""
     if x.j == n:  # x projective
         return 0
     p0 = Interval(x.i, n)
     p1 = Interval(x.j + 1, n)
     # 0 -> Hom(x,y) -> Hom(P0,y) -> Hom(P1,y) -> Ext1(x,y) -> 0
-    return hom(n, p1, y) - hom(n, p0, y) + hom(n, x, y)
+    return (hom_dim_mod(n, p1, y) - hom_dim_mod(n, p0, y)
+            + hom_dim_mod(n, x, y))
 
 
 def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
@@ -85,21 +87,21 @@ def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
     return Stalk(Interval(m.j, n), s.shift + 1)   # inverse translate of I_j is P_j[1]
 
 
-def hom_dim_derived(n: int, x: Stalk, y: Stalk, hom=hom_dim_mod) -> int:
+def hom_dim_derived(n: int, x: Stalk, y: Stalk) -> int:
     d = y.shift - x.shift
     if d == 0:
-        return hom(n, x.mod, y.mod)
+        return hom_dim_mod(n, x.mod, y.mod)
     if d == 1:
-        return ext1_dim_mod(n, x.mod, y.mod, hom)
+        return ext1_dim_mod(n, x.mod, y.mod)
     return 0
 
 
-def hom_dim_orbit(n: int, x: Stalk, y: Stalk, hom=hom_dim_mod) -> int:
+def hom_dim_orbit(n: int, x: Stalk, y: Stalk) -> int:
     """dim Hom in the orbit category: sum of Hom_D(x, F^k y) over twists."""
     total = 0
     cur = y
     for _ in range(4):
-        total += hom_dim_derived(n, x, cur, hom)
+        total += hom_dim_derived(n, x, cur)
         t = tau_inv_stalk(n, cur)
         cur = Stalk(t.mod, t.shift + 1)
         if cur.shift - x.shift > 1:
@@ -145,19 +147,8 @@ def label_to_stalk(n: int, label: str) -> Stalk:
 
 @lru_cache(maxsize=None)
 def label_hom_matrix(n: int) -> dict[tuple[str, str], int]:
-    """All orbit hom dimensions between canonical labels.
-
-    The commutation equations of each interval pair are solved once.
-    """
+    """All orbit hom dimensions between canonical labels."""
     labs = labels(n)
     stalks = {lab: label_to_stalk(n, lab) for lab in labs}
-    solved: dict[tuple[Interval, Interval], int] = {}
-
-    def hom(n: int, x: Interval, y: Interval) -> int:
-        got = solved.get((x, y))
-        if got is None:
-            got = solved[(x, y)] = hom_dim_mod(n, x, y)
-        return got
-
-    return {(a, b): hom_dim_orbit(n, stalks[a], stalks[b], hom)
+    return {(a, b): hom_dim_orbit(n, stalks[a], stalks[b])
             for a in labs for b in labs}

@@ -296,11 +296,15 @@ def test_load_reruns_the_build_checks(cat4):
     del d["hom"][k]
     with pytest.raises(BuildError, match="crossing"):
         load_category(d)
+    # an extra pair outside the arcs, with sigma and identity entries that
+    # negative indexing would otherwise make look consistent
     d = cat4.to_dict()
-    k = next(i for i, (x, y, z, c) in enumerate(d["comp"])
-             if x != y != z and c != "0")
-    d["comp"][k][3] = str(-int(d["comp"][k][3]))
-    with pytest.raises(BuildError, match="functorial"):
+    last = len(d["arcs"]) - 1
+    _, y, deg = next(e for e in d["hom"] if e[0] == last and e[1] != last)
+    d["hom"].append([-1, y, deg])
+    d["sigma"].append([-1, y, "1"])
+    d["comp"] += [[-1, -1, y, "1"], [-1, y, y, "1"]]
+    with pytest.raises(BuildError, match="not a pair of arcs"):
         load_category(d)
     d = cat4.to_dict()
     d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
@@ -312,8 +316,9 @@ def test_load_reruns_the_build_checks(cat4):
         load_category(d)
 
 
-def test_load_catches_every_sign_flip():
-    cat = cached_category(3)
+@pytest.mark.parametrize("n", [3, 4])
+def test_load_catches_every_sign_flip(n):
+    cat = cached_category(n)
     for table, at in (("comp", 3), ("sigma", 2)):
         for k, entry in enumerate(cat.to_dict()[table]):
             if entry[at] == "0":
