@@ -769,9 +769,8 @@ def _check_tables(p: Polygon, arcs, hom_deg, comp, sig, sigma_arc):
     identities as units of the composition and fixed by the suspension,
     suspension constants on exactly the hom pairs, nonzero and
     hom-preserving, suspension functorial on compositions, composition
-    associative.  Together these catch the sign
-    flip of any nonzero composition or suspension constant (tested at
-    n = 3 and 4).
+    associative.  Together these catch the sign flip of any nonzero
+    composition or suspension constant (tested at n = 3 and 4).
     """
     N = len(arcs)
     predicted = {(x, y) for y in range(N) for ym in [rotate(p, arcs[y], -1)]
