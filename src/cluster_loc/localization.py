@@ -27,7 +27,7 @@ from .linalg import (Mat, complement_coords, kernel_basis,
 from .modules import Algebra, H_mor, ModuleHom, end_algebra
 from .rigid import (RigidObject, approx_triangle, factors_through_subcat,
                     in_CT, perp_view, right_addT_approx)
-from .triangles import Triangle, complete_triangle
+from .triangles import Triangle, complete_triangle, generic_maps
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -133,26 +133,10 @@ def _solve_resolution_map(cat, t, p, u, xprime, y, variant) -> Mor:
     if sol is None:
         raise InternalConsistencyError(
             f"resolution edge equation unsolvable for {cat.obj_label(y)}")
-    ker = kernel_basis(a)
     base = [sol.at(i, 0) for i in range(sol.rows)]
     rng = random.Random(variant + 101)
-    trials = [[F0] * ker.cols]
-    for i in range(ker.cols):
-        for sign in (F1, -F1):
-            e = [F0] * ker.cols
-            e[i] = sign
-            trials.append(e)
-    for _ in range(60):
-        trials.append([Fraction(rng.randint(-2, 2)) for _ in range(ker.cols)])
-    for coeffs in trials:
-        vec = list(base)
-        for j, c in enumerate(coeffs):
-            if c:
-                for r in range(ker.rows):
-                    vec[r] += c * ker.at(r, j)
-        s = cat.mor_from_vec(xprime, y, vec)
-        cls = classify(cat, t, s, seed=variant)
-        if cls.in_S:
+    for s in generic_maps(cat, xprime, y, kernel_basis(a), rng, base):
+        if classify(cat, t, s, seed=variant).in_S:
             return s
     raise InternalConsistencyError(
         f"no solution of the resolution equation for {cat.obj_label(y)} "

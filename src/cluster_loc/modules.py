@@ -138,9 +138,6 @@ class LambdaModule:
                 if lhs.entries != rhs.entries:
                     raise ValueError("action violates structure constants")
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims
-
     def to_dict(self) -> dict:
         return {
             "schema": MOD_SCHEMA,

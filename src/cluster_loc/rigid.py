@@ -20,8 +20,7 @@ from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, mat_from_cols, rank_rows, solve_right
-from .triangles import (Triangle, complete_triangle, post_rank_table,
-                        pre_rank_table)
+from .triangles import Triangle, complete_triangle, pre_rank_table
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -161,9 +160,9 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     f = bundle_right_approx(cat, set(t.arcs), x)
     if minimal:
         f, _ = cat.right_minimal_reduce(f)
-    ranks = post_rank_table(cat, f)
     for ti in set(t.arcs):
-        if ranks[ti] != cat.hom_dim_arcwise(ti, x):
+        got = rank_rows(cat.post_matrix(f, Obj((ti,))))
+        if got != cat.hom_dim_arcwise(ti, x):
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
                 f"at {cat.labels[ti]}")
@@ -317,8 +316,7 @@ def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
     return out
 
 
-def sample_rigid(cat: Category, rng: random.Random,
-                 min_summands: int = 1) -> RigidObject:
+def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
     """A random basic rigid object (seeded)."""
     order = list(range(cat.N))
     rng.shuffle(order)
@@ -326,6 +324,6 @@ def sample_rigid(cat: Category, rng: random.Random,
     for a in order:
         if all(not cat.crosses_idx(a, b) for b in acc):
             acc.append(a)
-            if len(acc) >= min_summands and rng.random() < 0.35:
+            if rng.random() < 0.35:
                 break
     return RigidObject(tuple(sorted(acc)), True)

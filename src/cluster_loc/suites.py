@@ -113,9 +113,11 @@ _CAT_CACHE: dict[int, Category] = {}
 
 
 def cached_category(n: int) -> Category:
-    if n not in _CAT_CACHE:
-        _CAT_CACHE[n] = build_category(n)
-    return _CAT_CACHE[n]
+    cat = _CAT_CACHE.get(n)
+    if cat is None:
+        # threads racing on one rank may each build it; all get the one stored
+        cat = _CAT_CACHE.setdefault(n, build_category(n))
+    return cat
 
 
 class Recorder:
@@ -336,8 +338,8 @@ def suite_factoring(cat, t, cfg, maps, rec):
     rec.coverage("factoring-surjection", maps=count, mode="exhaustive")
 
 
-def _pair_sample(cat, cfg, exhaustive_limit=5):
-    if cat.n <= exhaustive_limit:
+def _pair_sample(cat, cfg):
+    if cat.n <= 5:
         return [(i, j) for i in range(cat.N) for j in range(cat.N)], "exhaustive"
     rng = random.Random(f"pairs:{cfg.seed}")
     pairs = sorted({(rng.randrange(cat.N), rng.randrange(cat.N))

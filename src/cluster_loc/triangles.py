@@ -8,10 +8,11 @@ the long-exact-sequence profile
 
 solved in nonnegative integer multiplicities against the hom-dimension matrix
 D of the category (D is singular at some ranks, so a profile can allow more
-than one cone, each tried in turn); the connecting maps (g, h) are then found
-by a seeded search over the finite-dimensional solution spaces of the
-zero-composite constraints, each candidate accepted only when the full
-hom-exactness certificate passes.
+than one cone, each tried in turn); the connecting maps (g, h) are then a
+seeded generic draw from the solution spaces of the zero-composite
+constraints, gated by the full hom-exactness certificate.  Every exactness
+condition is a maximal-rank condition on such a linear family, so one
+generic member passes unless no member does.
 
 The certificate checks, for every indecomposable W and every rotation of the
 triangle over one full suspension period, exactness of Hom(W, -) and
@@ -34,6 +35,12 @@ from .linalg import (Mat, eliminate, integer_row, kernel_basis, mat_from_cols,
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+# Bounds of generic_maps.  Its coefficients are positive because a signed
+# range also draws zeros: on the same inputs, draws from -3..3 needed up to
+# 11 tries per search where 1..7 needed at most 5.
+DRAW_RANGE = 100
+DRAW_LIMIT = 12
 
 
 class TriangleError(RuntimeError):
@@ -267,45 +274,35 @@ def _kernel_of_linear(cat: Category, columns: list[tuple], nrows: int) -> Mat:
     return kernel_basis(mat_from_cols(columns, nrows))
 
 
-def _candidates(kb: Mat, rng: random.Random, tries: int):
-    """Deterministic-then-random coefficient vectors over a kernel basis."""
-    k = kb.cols
-    if k == 0:
-        yield []
+def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
+                 rng: random.Random, base=None):
+    """Generic members base + kb.c of an affine family of maps X -> Y.
+
+    Each coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
+    DRAW_LIMIT times; base defaults to zero, and an empty basis gives base
+    alone.  The callers' gates are maximal-rank conditions on the family,
+    so by the Schwartz–Zippel lemma a draw fails them with probability at
+    most (their degree)/DRAW_RANGE unless every member fails.
+    """
+    base = [F0] * kb.rows if base is None else base
+    if kb.cols == 0:
+        yield cat.mor_from_vec(X, Y, base)
         return
-    yield [F1] * k
-    for i in range(k):
-        e = [F0] * k
-        e[i] = F1
-        yield e
-    for i in range(k):
-        for j in range(i + 1, min(k, i + 4)):
-            for s in (F1, -F1):
-                e = [F0] * k
-                e[i] = F1
-                e[j] = s
-                yield e
-    for _ in range(tries):
-        yield [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+    for _ in range(DRAW_LIMIT):
+        c = [rng.randint(1, DRAW_RANGE) for _ in range(kb.cols)]
+        yield cat.mor_from_vec(X, Y, [b + sum(ci * x for ci, x in
+                                              zip(c, kb.row(r)) if x)
+                                      for r, b in enumerate(base)])
 
 
-def _combine(cat: Category, X: Obj, Y: Obj, kb: Mat, coeffs) -> Mor:
-    vec = [F0] * kb.rows
-    for j, c in enumerate(coeffs):
-        if c:
-            for r in range(kb.rows):
-                vec[r] += c * kb.at(r, j)
-    return cat.mor_from_vec(X, Y, vec)
-
-
-def complete_triangle(cat: Category, f: Mor, seed: int = 0,
-                      tries: int = 300) -> Triangle:
+def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
     """Certified completion of f to a triangle f.src -> f.tgt -> z -> Σf.src.
 
-    Deterministic for a fixed seed; memoized per category and seed so that
-    permuted-search reruns stay available.  When the hom-dimension matrix is
-    singular, the profile determines a finite candidate list of cones and
-    each is certified in order.
+    The connecting maps are a generic draw from their solution spaces, gated
+    by the certificate.  Deterministic for a fixed seed; memoized per
+    category and seed so that permuted-search reruns stay available.  When
+    the hom-dimension matrix is singular, the profile determines a finite
+    candidate list of cones and each is certified in order.
     """
     memo = cat._memo.setdefault("triangles", {})
     key = (f.key(), seed)
@@ -315,15 +312,11 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0,
     profile = _profile_from_ranks(cat, f, rf)
     candidates = profile_candidates(cat, profile)
     pf = pre_rank_table(cat, f)
-    full = (tries, max(20, tries // 4))
-    budgets = [full] if len(candidates) == 1 else [(40, 20), full]
-    for g_tries, h_tries in budgets:
-        for Z in candidates:
-            tri = _search_completion(cat, f, Z, profile, rf, pf, seed,
-                                     g_tries, h_tries)
-            if tri is not None:
-                memo[key] = tri
-                return tri
+    for Z in candidates:
+        tri = _search_completion(cat, f, Z, profile, rf, pf, seed)
+        if tri is not None:
+            memo[key] = tri
+            return tri
     raise TriangleError(
         f"no certified completion found for {cat.obj_label(f.src)} -> "
         f"{cat.obj_label(f.tgt)} (candidate cones: "
@@ -331,7 +324,7 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0,
 
 
 def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
-                       seed: int, g_tries: int, h_tries: int):
+                       seed: int):
     X, Y = f.src, f.tgt
     sX = cat.suspend_obj(X)
     sf = cat.suspend_mor(f)
@@ -342,8 +335,7 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
               for s in cat.hom_slots(Y, Z)]
     kb_g = _kernel_of_linear(cat, cols_g, cat.dim_hom_obj(X, Z))
 
-    for cg in _candidates(kb_g, rng, g_tries):
-        g = _combine(cat, Y, Z, kb_g, cg)
+    for g in generic_maps(cat, Y, Z, kb_g, rng):
         rg = post_rank_table(cat, g)
         if any(rf[w] + rg[w] != cat.hom_dim_arcwise(w, Y)
                for w in range(cat.N)):
@@ -361,8 +353,7 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
                           + tuple(cat.vectorize(cat.compose(sf, e))))
         nrows = cat.dim_hom_obj(Y, sX) + cat.dim_hom_obj(Z, cat.suspend_obj(Y))
         kb_h = _kernel_of_linear(cat, cols_h, nrows)
-        for ch in _candidates(kb_h, rng, h_tries):
-            h = _combine(cat, Z, sX, kb_h, ch)
+        for h in generic_maps(cat, Z, sX, kb_h, rng):
             rh = post_rank_table(cat, h)
             if any(rg[w] + rh[w] != cat.hom_dim_arcwise(w, Z)
                    for w in range(cat.N)):

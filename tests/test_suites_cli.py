@@ -1,7 +1,10 @@
 import json
+import threading
+import time
 
 import pytest
 
+from cluster_loc import suites
 from cluster_loc.cli import main
 from cluster_loc.suites import (InstanceConfig, export_dot, image_table,
                                 replay_failure, run_suites, strip_timing)
@@ -216,3 +219,28 @@ def test_cli_image_table_and_dot(tmp_path, capsys):
     assert main(["export-dot", "--config", cfg, "--what", "image-quiver",
                  "--out", str(dot)]) == 0
     assert dot.read_text().startswith("digraph")
+
+
+def test_cached_category_returns_one_object_across_threads(monkeypatch):
+    """Threads that all miss the cache for one rank get the same category,
+    the one left in the cache."""
+    build = suites.build_category
+
+    def slow_build(n):
+        time.sleep(0.2)
+        return build(n)
+
+    monkeypatch.setattr(suites, "_CAT_CACHE", {})
+    monkeypatch.setattr(suites, "build_category", slow_build)
+    got = [None] * 4
+
+    def work(i):
+        got[i] = suites.cached_category(2)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert all(c is suites._CAT_CACHE[2] for c in got)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from cluster_loc import triangles
 from cluster_loc.arcs import smooth_crossing
-from cluster_loc.category import Obj
+from cluster_loc.category import Obj, build_category
 from cluster_loc.linalg import rank
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (Triangle, ar_triangle, certify_triangle,
@@ -164,6 +165,54 @@ def test_completion_independent_of_search_order(cat4):
         t1 = complete_triangle(cat4, f, seed=1)
         assert t0.z == t1.z
         assert t1.cert.is_valid()
+
+
+@pytest.fixture(scope="module")
+def drawn_pool():
+    """Completions at seeds 0 and 1 of a seeded pool of maps at ranks 5..8,
+    on fresh categories, with the draws each solution space took."""
+    spaces = []     # [kernel dimension, draws] per solution space
+    real = triangles.generic_maps
+
+    def counted(cat, X, Y, kb, rng, base=None):
+        rec = [kb.cols, 0]
+        spaces.append(rec)
+        for m in real(cat, X, Y, kb, rng, base):
+            rec[1] += 1
+            yield m
+
+    pool = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangles, "generic_maps", counted)
+        for n in range(5, 9):
+            cat = build_category(n)
+            rng = random.Random(100 + n)
+            for _ in range(8):
+                f = cat.random_mor(rng, cat.random_obj(rng, 2),
+                                   cat.random_obj(rng, 3))
+                first = len(spaces)
+                t0 = complete_triangle(cat, f, seed=0)
+                t1 = complete_triangle(cat, f, seed=1)
+                pool.append((cat, t0, t1, spaces[first][0]))
+    return pool, spaces
+
+
+def test_generic_draw_depends_on_the_seed(drawn_pool):
+    pool, _ = drawn_pool
+    differ = 0
+    for cat, t0, t1, kdim in pool:
+        assert t0.z == t1.z
+        assert certify_triangle(cat, t0).is_valid()
+        assert certify_triangle(cat, t1).is_valid()
+        if kdim >= 1 and (t0.g, t0.h) != (t1.g, t1.h):
+            differ += 1
+    assert differ >= 1
+
+
+def test_generic_draw_needs_few_draws(drawn_pool):
+    _, spaces = drawn_pool
+    assert spaces
+    assert max(draws for _, draws in spaces) <= 3
 
 
 @pytest.mark.parametrize("n", range(1, 5))
