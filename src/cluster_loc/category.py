@@ -44,6 +44,8 @@ F1 = Fraction(1)
 
 CAT_SCHEMA = "cluster-loc/cat/v1"
 
+MAX_RANK = 12   # the supported ranks are 1..MAX_RANK, built or configured
+
 
 class BuildError(RuntimeError):
     """Internal consistency failure while constructing the category."""
@@ -348,13 +350,34 @@ class Category:
                     rows[ri][cj] += v * c
         return rows
 
+    def hom_vec_into(self, X: Obj) -> list[int]:
+        """v with v[w] = dim Hom(w, X) for every indecomposable w, built once
+        per ``X.summands`` and memoised write-once like ``slots``."""
+        return self._hom_vec("vec_into", self.hom_in, X)
+
+    def hom_vec_from(self, X: Obj) -> list[int]:
+        """v with v[w] = dim Hom(X, w) for every indecomposable w, memoised
+        like ``hom_vec_into``; callers of either must not mutate v."""
+        return self._hom_vec("vec_from", self.hom_out, X)
+
+    def _hom_vec(self, kind: str, adjacent: list[list[int]], X: Obj):
+        cache = self._memo.setdefault(kind, {})
+        got = cache.get(X.summands)
+        if got is None:
+            got = [0] * self.N
+            for s in X.summands:
+                for w in adjacent[s]:
+                    got[w] += 1
+            cache[X.summands] = got
+        return got
+
     def hom_dim_arcwise(self, w: int, X: Obj) -> int:
         """dim Hom(w, X) for an indecomposable w (arc index)."""
-        return sum(1 for s in X.summands if self.hom1(w, s))
+        return self.hom_vec_into(X)[w]
 
     def hom_dim_to_arc(self, X: Obj, w: int) -> int:
         """dim Hom(X, w) for an indecomposable w (arc index)."""
-        return sum(1 for s in X.summands if self.hom1(s, w))
+        return self.hom_vec_from(X)[w]
 
     # -- isomorphism and minimality ---------------------------------------
 
@@ -582,8 +605,8 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
     """
     if isinstance(p, int):
         p = Polygon(p)
-    if not 1 <= p.n <= 12:
-        raise ValueError("rank out of supported range 1..12")
+    if not 1 <= p.n <= MAX_RANK:
+        raise ValueError(f"rank out of supported range 1..{MAX_RANK}")
     arcs = enumerate_arcs(p)
     arc_index = {a: i for i, a in enumerate(arcs)}
     N = len(arcs)

@@ -21,7 +21,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .category import Category, InternalConsistencyError, Mor, Obj, build_category
+from .category import (MAX_RANK, Category, InternalConsistencyError, Mor, Obj,
+                       build_category)
 from .localization import (Zigzag, algebra_of, classify,
                            elementary_identities_suite, factor_through_s,
                            inv, loc_hom, s_resolution, zigzag_eval)
@@ -77,8 +78,8 @@ class InstanceConfig:
     def __post_init__(self):
         if self.type != "A":
             raise ValueError("only type A instances are supported")
-        if not 1 <= self.n <= 8:
-            raise ValueError("instance rank must be in 1..8")
+        if not 1 <= self.n <= MAX_RANK:
+            raise ValueError(f"instance rank must be in 1..{MAX_RANK}")
         wanted = self.resolved_suites()
         for s in wanted:
             if s not in SUITE_NAMES:

@@ -19,7 +19,11 @@ triangle over one full suspension period, exactness of Hom(W, -) and
 Hom(-, W) at the middle term.  Because the suspension is an autoequivalence,
 rank Hom(W, Σ^k u) = rank Hom(Σ^{-k} W, u), so the (W, rotation) grid folds
 into six rank tables indexed by the indecomposables; the folded check covers
-exactly the same equations without re-suspending the maps.
+exactly the same equations without re-suspending the maps.  A table ranks
+only the live observers: Hom(W, f) has no row or no column unless W maps to
+both ends of f (for Hom(f, W), both ends map to W), so every other entry is
+0.  The hom dimensions the check compares against are memoised vectors per
+object (``Category.hom_vec_into`` / ``hom_vec_from``).
 """
 
 from __future__ import annotations
@@ -73,35 +77,49 @@ class Triangle:
 
 
 def post_rank_table(cat: Category, f: Mor) -> list[int]:
-    """rank of Hom(w, f) for every indecomposable w."""
+    """rank of Hom(w, f) for every indecomposable w; only the w with a hom
+    into both f.src and f.tgt are ranked, the others have an empty block."""
     fm = [integer_row(row) for row in f.m]
     src = f.src.summands
     tgt = f.tgt.summands
     comp = cat.comp
     hom1 = cat.hom1
-    out = []
+    into_src, into_tgt = cat.hom_vec_into(f.src), cat.hom_vec_into(f.tgt)
+    out = [0] * cat.N
     for w in range(cat.N):
-        cols = [j for j, xj in enumerate(src) if hom1(w, xj)]
-        mat = [[fm[i][j] * comp.get((w, src[j], yi), 0) for j in cols]
-               for i, yi in enumerate(tgt) if hom1(w, yi)]
-        out.append(len(eliminate(mat)[0]))
+        if into_src[w] and into_tgt[w]:
+            cols = [j for j, xj in enumerate(src) if hom1(w, xj)]
+            out[w] = _block_rank(
+                [[fm[i][j] * comp.get((w, src[j], yi), 0) for j in cols]
+                 for i, yi in enumerate(tgt) if hom1(w, yi)])
     return out
 
 
 def pre_rank_table(cat: Category, f: Mor) -> list[int]:
-    """rank of Hom(f, w) for every indecomposable w."""
+    """rank of Hom(f, w) for every indecomposable w; only the w with a hom
+    out of both f.tgt and f.src are ranked, the others have an empty block."""
     fm = [integer_row(row) for row in f.m]
     src = f.src.summands
     tgt = f.tgt.summands
     comp = cat.comp
     hom1 = cat.hom1
-    out = []
+    from_src, from_tgt = cat.hom_vec_from(f.src), cat.hom_vec_from(f.tgt)
+    out = [0] * cat.N
     for w in range(cat.N):
-        cols = [i for i, yi in enumerate(tgt) if hom1(yi, w)]
-        mat = [[fm[i][j] * comp.get((xj, tgt[i], w), 0) for i in cols]
-               for j, xj in enumerate(src) if hom1(xj, w)]
-        out.append(len(eliminate(mat)[0]))
+        if from_tgt[w] and from_src[w]:
+            cols = [i for i, yi in enumerate(tgt) if hom1(yi, w)]
+            out[w] = _block_rank(
+                [[fm[i][j] * comp.get((xj, tgt[i], w), 0) for i in cols]
+                 for j, xj in enumerate(src) if hom1(xj, w)])
     return out
+
+
+def _block_rank(mat: list[list[int]]) -> int:
+    """Rank of a nonempty integer block; a single row or column is read off,
+    only larger blocks are eliminated."""
+    if len(mat) == 1 or len(mat[0]) == 1:
+        return 1 if any(map(any, mat)) else 0
+    return len(eliminate(mat)[0])
 
 
 def cone_profile(cat: Category, f: Mor) -> list[int]:
@@ -115,14 +133,11 @@ def cone_profile(cat: Category, f: Mor) -> list[int]:
 
 
 def _profile_from_ranks(cat: Category, f: Mor, rf: list[int]) -> list[int]:
-    """The cone profile of f from its rank table rf = post_rank_table(f)."""
-    out = []
-    for w in range(cat.N):
-        coker = cat.hom_dim_arcwise(w, f.tgt) - rf[w]
-        wm = cat.shift_arc(w, -1)
-        ker = cat.hom_dim_arcwise(wm, f.src) - rf[wm]
-        out.append(coker + ker)
-    return out
+    """The cone profile of f from its rank table rf = post_rank_table(f):
+    coker Hom(w, f) plus ker Hom(Σ^{-1}w, f)."""
+    into_src, into_tgt = cat.hom_vec_into(f.src), cat.hom_vec_into(f.tgt)
+    return [into_tgt[w] - rf[w] + into_src[wm] - rf[wm]
+            for w, wm in enumerate(cat.sigma_arc_inv)]
 
 
 def hom_dim_matrix(cat: Category) -> Mat:
@@ -216,21 +231,23 @@ def _exactness_failures(cat: Category, X, Y, Z, rf, rg, rh,
     unrotated instance at observer Σ^{-k}W.
     """
     sX = cat.suspend_obj(X)
+    into_y, into_z, into_sx = map(cat.hom_vec_into, (Y, Z, sX))
+    from_y, from_z, from_sx = map(cat.hom_vec_from, (Y, Z, sX))
     left = []
     right = []
-    for w in range(cat.N):
+    for w, wm in enumerate(cat.sigma_arc_inv):
         lab = cat.labels[w]
-        if rf[w] + rg[w] != cat.hom_dim_arcwise(w, Y):
+        if rf[w] + rg[w] != into_y[w]:
             left.append((lab, "Y"))
-        if rg[w] + rh[w] != cat.hom_dim_arcwise(w, Z):
+        if rg[w] + rh[w] != into_z[w]:
             left.append((lab, "Z"))
-        if rh[w] + rf[cat.shift_arc(w, -1)] != cat.hom_dim_arcwise(w, sX):
+        if rh[w] + rf[wm] != into_sx[w]:
             left.append((lab, "SX"))
-        if pg[w] + pf[w] != cat.hom_dim_to_arc(Y, w):
+        if pg[w] + pf[w] != from_y[w]:
             right.append((lab, "Y"))
-        if ph[w] + pg[w] != cat.hom_dim_to_arc(Z, w):
+        if ph[w] + pg[w] != from_z[w]:
             right.append((lab, "Z"))
-        if pf[cat.shift_arc(w, -1)] + ph[w] != cat.hom_dim_to_arc(sX, w):
+        if pf[wm] + ph[w] != from_sx[w]:
             right.append((lab, "SX"))
     return tuple(left), tuple(right)
 
@@ -250,7 +267,7 @@ def certify_triangle_parts(cat: Category, X: Obj, Y: Obj, Z: Obj,
         left_extra.append(("composite", "Sf.h"))
     if profile is None:
         profile = cone_profile(cat, f)
-    homdim = all(cat.hom_dim_arcwise(w, Z) == profile[w] for w in range(cat.N))
+    homdim = cat.hom_vec_into(Z) == list(profile)
     if tables is None:
         tables = (post_rank_table(cat, f), post_rank_table(cat, g),
                   post_rank_table(cat, h), pre_rank_table(cat, f),
@@ -335,14 +352,14 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
               for s in cat.hom_slots(Y, Z)]
     kb_g = _kernel_of_linear(cat, cols_g, cat.dim_hom_obj(X, Z))
 
+    into_y, from_y = cat.hom_vec_into(Y), cat.hom_vec_from(Y)
+    into_z = cat.hom_vec_into(Z)
     for g in generic_maps(cat, Y, Z, kb_g, rng):
         rg = post_rank_table(cat, g)
-        if any(rf[w] + rg[w] != cat.hom_dim_arcwise(w, Y)
-               for w in range(cat.N)):
+        if any(a + b != d for a, b, d in zip(rf, rg, into_y)):
             continue
         pg = pre_rank_table(cat, g)
-        if any(pg[w] + pf[w] != cat.hom_dim_to_arc(Y, w)
-               for w in range(cat.N)):
+        if any(a + b != d for a, b, d in zip(pg, pf, from_y)):
             continue
         # h candidates: h . g = 0 and Σf . h = 0
         slots_h = cat.hom_slots(Z, sX)
@@ -355,8 +372,7 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
         kb_h = _kernel_of_linear(cat, cols_h, nrows)
         for h in generic_maps(cat, Z, sX, kb_h, rng):
             rh = post_rank_table(cat, h)
-            if any(rg[w] + rh[w] != cat.hom_dim_arcwise(w, Z)
-                   for w in range(cat.N)):
+            if any(a + b != d for a, b, d in zip(rg, rh, into_z)):
                 continue
             ph = pre_rank_table(cat, h)
             cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,

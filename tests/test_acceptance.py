@@ -7,7 +7,8 @@ integers or of rational matrices.
     1. full reproduction of the rank-4 worked example (a-f, under 30 s);
     2. lemma suites: exhaustive over every basic rigid object for n <= 4,
        seeded sampling (>= 10^3 maps, >= 5 rigid objects per rank) for
-       n = 5..8, zero failures, within 10 minutes;
+       n = 5..8, zero failures, within 10 minutes; one sampled rigid
+       object with 10^2 maps at n = 9 and 11, where ker D is largest;
     3. the localization/module dimension equalities on all indecomposable
        pairs, for the worked example and every basic rigid object of rank
        <= 4, including the quotient chain on presented pairs;
@@ -17,6 +18,7 @@ integers or of rational matrices.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -97,6 +99,21 @@ def test_ac2_lemma_suites_battery():
     _report("AC2 runtime", elapsed <= 600.0, f"{elapsed:.0f}s <= 600s")
 
 
+@pytest.mark.parametrize("n", [9, 11])
+def test_ac2_suites_where_ker_D_has_dimension_four(n):
+    """AC2's suites on one sampled rigid object at the only ranks where the
+    hom-dimension matrix D has a four-dimensional kernel, so that the cone
+    enumeration has four free coordinates."""
+    cat = cached_category(n)
+    t = sample_rigid(cat, random.Random(f"ac2:{n}"))
+    cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs], seed=7,
+                         suites=AC2_SUITES)
+    rep = run_suites(cfg, sample_maps=100, cat=cat)
+    checks = sum(s["checks"] for s in rep["suites"])
+    _report(f"AC2 rank {n} zero failures", rep["failures_total"] == 0,
+            f"T = {' + '.join(cfg.T)}, {checks} checks")
+
+
 # -- criterion 3 --------------------------------------------------------------
 
 
@@ -146,7 +163,7 @@ def test_ac5_mesh_vs_crossing_rule():
     from cluster_loc.arcs import crosses, rotate
     bad = 0
     pairs = 0
-    for n in range(1, 9):
+    for n in range(1, 13):
         cat = cached_category(n)
         p = cat.polygon
         for x in range(cat.N):
@@ -155,7 +172,7 @@ def test_ac5_mesh_vs_crossing_rule():
                 want = crosses(p, cat.arcs[x], rotate(p, cat.arcs[y], -1))
                 bad += want != cat.hom1(x, y)
     _report("AC5 mesh dimensions = crossing rule", bad == 0,
-            f"exhaustive n<=8, {pairs} pairs")
+            f"exhaustive n<=12, {pairs} pairs")
 
 
 def test_ac5_cone_vs_smoothing():

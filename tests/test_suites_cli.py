@@ -22,7 +22,8 @@ def example_report(example_cfg):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        InstanceConfig(n=9, T=["M11"])
+        InstanceConfig(n=13, T=["M11"])
+    assert InstanceConfig(n=12, T=["M11"]).n == 12
     with pytest.raises(ValueError):
         InstanceConfig(n=4, T=["M11"], suites=["bogus"])
     with pytest.raises(ValueError):

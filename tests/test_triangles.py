@@ -5,7 +5,7 @@ import pytest
 from cluster_loc import triangles
 from cluster_loc.arcs import smooth_crossing
 from cluster_loc.category import Obj, build_category
-from cluster_loc.linalg import rank
+from cluster_loc.linalg import eliminate, integer_row, rank
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (Triangle, ar_triangle, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
@@ -239,3 +239,80 @@ def test_certify_triangle_of_stored_triangle(cat4):
     rep = certify_triangle(cat4, tri)
     assert rep.is_valid()
     assert isinstance(tri, Triangle)
+
+
+def _dense_post_rank_table(cat, f):
+    """rank of Hom(w, f) with a block eliminated for every observer w: the
+    reference for post_rank_table."""
+    fm = [integer_row(row) for row in f.m]
+    src = f.src.summands
+    tgt = f.tgt.summands
+    out = []
+    for w in range(cat.N):
+        cols = [j for j, xj in enumerate(src) if cat.hom1(w, xj)]
+        mat = [[fm[i][j] * cat.comp.get((w, src[j], yi), 0) for j in cols]
+               for i, yi in enumerate(tgt) if cat.hom1(w, yi)]
+        out.append(len(eliminate(mat)[0]))
+    return out
+
+
+def _dense_pre_rank_table(cat, f):
+    """rank of Hom(f, w) with a block eliminated for every observer w: the
+    reference for pre_rank_table."""
+    fm = [integer_row(row) for row in f.m]
+    src = f.src.summands
+    tgt = f.tgt.summands
+    out = []
+    for w in range(cat.N):
+        cols = [i for i, yi in enumerate(tgt) if cat.hom1(yi, w)]
+        mat = [[fm[i][j] * cat.comp.get((xj, tgt[i], w), 0) for i in cols]
+               for j, xj in enumerate(src) if cat.hom1(xj, w)]
+        out.append(len(eliminate(mat)[0]))
+    return out
+
+
+def _table_maps(n):
+    """Seeded maps at rank n with entries in -3..3: random, zero, between
+    single summands, to and from an object with a repeated summand, and to
+    and from the zero object."""
+    cat = cached_category(n)
+    rng = random.Random(f"tables:{n}")
+    maps = []
+    for _ in range(8):
+        x, y = cat.random_obj(rng, 4), cat.random_obj(rng, 4)
+        a = rng.randrange(cat.N)
+        b = rng.choice(cat.hom_out[a])
+        rep = Obj(tuple(sorted((a, a, b))))
+        maps += [cat.random_mor(rng, x, y), cat.zero_mor(x, y),
+                 cat.random_mor(rng, Obj((a,)), Obj((b,))),
+                 cat.random_mor(rng, rep, y), cat.random_mor(rng, x, rep),
+                 cat.zero_mor(cat.zero_obj, x), cat.zero_mor(y, cat.zero_obj)]
+    return cat, maps
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rank_tables_match_the_dense_reference(n, monkeypatch):
+    cat, maps = _table_maps(n)
+    shapes = []
+
+    def spy(rows, reduce=False):
+        shapes.append((len(rows), len(rows[0])))
+        return eliminate(rows, reduce)
+
+    monkeypatch.setattr(triangles, "eliminate", spy)
+    for f in maps:
+        post = triangles.post_rank_table(cat, f)
+        assert post == _dense_post_rank_table(cat, f)
+        assert triangles.pre_rank_table(cat, f) == _dense_pre_rank_table(cat, f)
+    # one-row and one-column blocks are read off, never eliminated
+    assert all(r >= 2 and c >= 2 for r, c in shapes)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hom_vectors_count_hom1(n):
+    cat, maps = _table_maps(n)
+    for X in {O for f in maps for O in (f.src, f.tgt)}:
+        assert cat.hom_vec_into(X) == [
+            sum(cat.hom1(w, s) for s in X.summands) for w in range(cat.N)]
+        assert cat.hom_vec_from(X) == [
+            sum(cat.hom1(s, w) for s in X.summands) for w in range(cat.N)]
