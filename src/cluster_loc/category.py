@@ -22,7 +22,10 @@ what it reads.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
-suspension, isomorphism testing and right-minimal reduction.
+suspension, isomorphism testing and right-minimal reduction.  The maps f
+induces on hom spaces are matrices on the slot bases (``hom_slots``), built
+directly: ``post_matrix`` (Hom(W, f)), ``pre_matrix`` (Hom(f, W)) and, in
+``rigid``, ``hom_functor_matrix`` (Hom(T, -) on a space Hom(x, y)).
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from typing import Iterable, Optional, Sequence
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    make_arc, parse_arc, rotate)
-from .linalg import (Mat, kernel_basis, mat_from_cols, reduced_rows,
-                     solve_right)
+from .linalg import Mat, kernel_basis, reduced_rows, solve_right
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -331,24 +333,25 @@ class Category:
 
     # -- linear maps induced on hom spaces -------------------------------
 
-    def post_matrix(self, f: Mor, W: Obj) -> list[list[Fraction]]:
-        """Matrix of Hom(W, f): Hom(W, src) -> Hom(W, tgt)."""
-        s_slots = self.hom_slots(W, f.src)
-        t_slots = self.hom_slots(W, f.tgt)
-        rows = [[F0] * len(s_slots) for _ in range(len(t_slots))]
-        for cj, (j, wj) in enumerate(s_slots):
-            xj = f.src.summands[j]
-            w = W.summands[wj]
-            for ri, (i, wi) in enumerate(t_slots):
-                if wi != wj:
-                    continue
-                v = f.m[i][j]
-                if v == 0:
-                    continue
-                c = self.comp.get((w, xj, f.tgt.summands[i]))
-                if c:
-                    rows[ri][cj] += v * c
-        return rows
+    def post_matrix(self, f: Mor, W: Obj) -> Mat:
+        """Matrix of Hom(W, f): Hom(W, src) -> Hom(W, tgt) on the slot bases,
+        of shape dim Hom(W, tgt) x dim Hom(W, src) even when one is 0."""
+        X, Y, V = f.src.summands, f.tgt.summands, W.summands
+        rows, cols = self.hom_slots(W, f.tgt), self.hom_slots(W, f.src)
+        comp = self.comp
+        return Mat(len(rows), len(cols), tuple(
+            f.m[i][j] * comp.get((V[w], X[j], Y[i]), 0) if w == v else F0
+            for i, w in rows for j, v in cols))
+
+    def pre_matrix(self, f: Mor, W: Obj) -> Mat:
+        """Matrix of Hom(f, W): Hom(tgt, W) -> Hom(src, W) on the slot bases,
+        of shape dim Hom(src, W) x dim Hom(tgt, W) even when one is 0."""
+        X, Y, V = f.src.summands, f.tgt.summands, W.summands
+        rows, cols = self.hom_slots(f.src, W), self.hom_slots(f.tgt, W)
+        comp = self.comp
+        return Mat(len(rows), len(cols), tuple(
+            f.m[i][j] * comp.get((X[j], Y[i], V[w]), 0) if w == v else F0
+            for w, j in rows for v, i in cols))
 
     def hom_vec_into(self, X: Obj) -> list[int]:
         """v with v[w] = dim Hom(w, X) for every indecomposable w, built once
@@ -387,18 +390,11 @@ class Category:
 
     def _solve_two_sided(self, f: Mor) -> Optional[Mor]:
         X, Y = f.src, f.tgt
-        g_slots = self.hom_slots(Y, X)
-        idY = self.identity(Y)
-        cols = []
-        for s in range(len(g_slots)):
-            e = self.slot_mor(Y, X, g_slots[s])
-            cols.append(self.vectorize(self.compose(f, e)))
-        a = mat_from_cols(cols, self.dim_hom_obj(Y, Y))
-        b = Mat.column(self.vectorize(idY))
-        sol = solve_right(a, b)
+        sol = solve_right(self.post_matrix(f, Y),
+                          Mat.column(self.vectorize(self.identity(Y))))
         if sol is None:
             return None
-        g = self.mor_from_vec(Y, X, [sol.at(i, 0) for i in range(sol.rows)])
+        g = self.mor_from_vec(Y, X, sol.col(0))
         # when f is invertible, f.g = id pins g = f^{-1}, so the two-sided
         # check can only fail for genuinely non-invertible f (split epis)
         if self.compose(g, f).m != self.identity(X).m:
@@ -415,11 +411,7 @@ class Category:
         for a in sorted(set(X.summands)):
             A = Obj((a,))
             slots = self.hom_slots(A, X)       # (j, 0) pairs
-            if not slots:
-                continue
-            cols = [self.vectorize(self.compose(f, self.slot_mor(A, X, s)))
-                    for s in slots]
-            ker = kernel_basis(mat_from_cols(cols, self.dim_hom_obj(A, f.tgt)))
+            ker = kernel_basis(self.post_matrix(f, A))
             iso_positions = [k for k, (j, _) in enumerate(slots)
                              if X.summands[j] == a]
             for c in range(ker.cols):

@@ -139,6 +139,12 @@ class Mat:
             ent.extend(other.row(i))
         return Mat(self.rows, self.cols + other.cols, tuple(ent))
 
+    def vstack(self, other: "Mat") -> "Mat":
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch in vstack")
+        return Mat(self.rows + other.rows, self.cols,
+                   self.entries + other.entries)
+
 
 # -- elimination core ---------------------------------------------------
 

@@ -12,6 +12,12 @@ triangles; localized hom spaces are presented in normal form as the hom
 space between resolved objects modulo the kernel of the hom functor.
 Zigzags (formal composites with inverses of classified maps) are evaluated
 through the module side, which also decides zigzag equality.
+
+The linear systems read the induced-hom matrices of ``category`` and
+``rigid``: the resolution equation s . p = u reads ``pre_matrix(p, y)``,
+``factor_through_s`` (s . h = u) reads ``post_matrix(s, u.src)``, the
+localized hom space reads the kernel of ``hom_functor_matrix``, and the
+module side (``H_mor``) reads ``post_matrix`` at each summand of T.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import (Mat, complement_coords, kernel_basis,
-                     mat_from_cols, solve_right)
+from .linalg import Mat, complement_coords, kernel_basis, solve_right
 from .modules import Algebra, H_mor, ModuleHom, end_algebra
 from .rigid import (RigidObject, approx_triangle, factors_through_subcat,
-                    in_CT, perp_view, right_addT_approx)
+                    hom_functor_matrix, in_CT, perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
 
 F0 = Fraction(0)
@@ -123,19 +128,13 @@ def _solve_resolution_map(cat, t, p, u, xprime, y, variant) -> Mor:
     if not in_CT(cat, t, xprime):
         raise InternalConsistencyError(
             f"resolution cone of {cat.obj_label(y)} is not in C(T)")
-    slots = cat.hom_slots(xprime, y)
-    cols = [cat.vectorize(cat.compose(cat.slot_mor(xprime, y, s0), p))
-            for s0 in slots]
-    nrows = cat.dim_hom_obj(p.src, y)
-    a = mat_from_cols(cols, nrows)
-    b = Mat.column(cat.vectorize(u))
-    sol = solve_right(a, b)
+    a = cat.pre_matrix(p, y)           # s -> s . p on Hom(x', y)
+    sol = solve_right(a, Mat.column(cat.vectorize(u)))
     if sol is None:
         raise InternalConsistencyError(
             f"resolution edge equation unsolvable for {cat.obj_label(y)}")
-    base = [sol.at(i, 0) for i in range(sol.rows)]
     rng = random.Random(variant + 101)
-    for s in generic_maps(cat, xprime, y, kernel_basis(a), rng, base):
+    for s in generic_maps(cat, xprime, y, kernel_basis(a), rng, sol.col(0)):
         if classify(cat, t, s, seed=variant).in_S:
             return s
     raise InternalConsistencyError(
@@ -149,17 +148,13 @@ def factor_through_s(cat: Category, t: RigidObject, u: Mor, s: Mor) -> Mor:
         raise ValueError("u and s must share their target")
     if not in_CT(cat, t, u.src):
         raise ValueError("source of u is not in C(T)")
-    slots = cat.hom_slots(u.src, s.src)
-    cols = [cat.vectorize(cat.compose(s, cat.slot_mor(u.src, s.src, s0)))
-            for s0 in slots]
-    nrows = cat.dim_hom_obj(u.src, u.tgt)
-    a = mat_from_cols(cols, nrows)
-    sol = solve_right(a, Mat.column(cat.vectorize(u)))
+    sol = solve_right(cat.post_matrix(s, u.src),   # h -> s . h
+                      Mat.column(cat.vectorize(u)))
     if sol is None:
         raise InternalConsistencyError(
             "map from a presented object does not factor through the S-map "
             f"{cat.obj_label(s.src)} -> {cat.obj_label(s.tgt)}")
-    return cat.mor_from_vec(u.src, s.src, [sol.at(i, 0) for i in range(sol.rows)])
+    return cat.mor_from_vec(u.src, s.src, sol.col(0))
 
 
 # -- localized hom spaces ----------------------------------------------------
@@ -198,18 +193,13 @@ def loc_hom(cat: Category, t: RigidObject, x: Obj, y: Obj,
 
 
 def _quotient_reps(cat, t, xp: Obj, yp: Obj):
+    """dim of Hom(x', y') modulo the kernel of Hom(T, -), and slot maps
+    whose classes are a basis of the quotient."""
     slots = cat.hom_slots(xp, yp)
-    total = len(slots)
-    if total == 0:
-        return 0, []
-    alg = algebra_of(cat, t)
-    cols = []
-    for s in slots:
-        hm = H_mor(cat, alg, cat.slot_mor(xp, yp, s))
-        cols.append([v for comp in hm.comps for v in comp.entries])
-    ker = kernel_basis(mat_from_cols(cols, len(cols[0])))
+    ker = kernel_basis(hom_functor_matrix(cat, algebra_of(cat, t).summands,
+                                          xp, yp))
     reps = [cat.slot_mor(xp, yp, slots[c]) for c in complement_coords(ker)]
-    return total - ker.cols, reps
+    return len(slots) - ker.cols, reps
 
 
 # -- zigzags -----------------------------------------------------------------

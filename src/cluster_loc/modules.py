@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import (Mat, column_space_basis, complement_coords, integer_row,
                      inverse, kernel_basis, mat_from_cols, rank, solve_right)
-from .rigid import RigidObject, in_CT
+from .rigid import RigidObject, hom_functor_matrix, in_CT
 from .triangles import complete_triangle
 
 F0 = Fraction(0)
@@ -40,6 +40,11 @@ F1 = Fraction(1)
 MOD_SCHEMA = "cluster-loc/mod/v1"
 MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
                   "the basis element of Hom(t_i, t_j) acts M_j -> M_i")
+
+# enumerate_indec_modules: the entries of candidate action matrices, and the
+# largest candidate count per dimension vector before it raises ValueError
+CANDIDATE_VALUES = (0, 1, -1)
+CANDIDATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -276,22 +281,10 @@ def H_obj(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
     return LambdaModule(alg, dims, act)
 
 
-def H_mor(cat: Category, alg: Algebra, f: Mor,
-          src_mod: Optional[LambdaModule] = None,
-          tgt_mod: Optional[LambdaModule] = None) -> ModuleHom:
-    """Hom(T, f); components are the post-composition matrices."""
-    src_mod = src_mod or H_obj(cat, alg, f.src)
-    tgt_mod = tgt_mod or H_obj(cat, alg, f.tgt)
-    comps = [Mat.from_rows(cat.post_matrix(f, Obj((alg.summands[i],))))
-             if tgt_mod.dims[i] or src_mod.dims[i]
-             else Mat.zeros(0, 0)
-             for i in range(alg.r)]
-    fixed = []
-    for i, m in enumerate(comps):
-        if (m.rows, m.cols) != (tgt_mod.dims[i], src_mod.dims[i]):
-            m = Mat.zeros(tgt_mod.dims[i], src_mod.dims[i])
-        fixed.append(m)
-    return ModuleHom(src_mod, tgt_mod, fixed)
+def H_mor(cat: Category, alg: Algebra, f: Mor) -> ModuleHom:
+    """Hom(T, f); component i is the matrix of Hom(t_i, f)."""
+    return ModuleHom(H_obj(cat, alg, f.src), H_obj(cat, alg, f.tgt),
+                     [cat.post_matrix(f, Obj((t,))) for t in alg.summands])
 
 
 # -- structure of modules ---------------------------------------------------
@@ -745,16 +738,16 @@ def _indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
 # -- enumeration of indecomposables -----------------------------------------
 
 
-def enumerate_indec_modules(alg: Algebra, dim_bound: int,
-                            values: tuple = (0, 1, -1),
-                            candidate_limit: int = 2_000_000) -> list[LambdaModule]:
+def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
     """All isomorphism classes of indecomposables of total dimension <= bound.
 
     Dimension vectors are enumerated outright; for each, the action matrices
-    range over the finite coefficient set (the structure constants here are
-    all 0 or +-1, and every indecomposable over these dissection algebras is
+    range over CANDIDATE_VALUES (the structure constants here are all 0 or
+    +-1, and every indecomposable over these dissection algebras is
     realizable with such matrices), candidates are filtered by the structure
     constants and indecomposability, then deduplicated up to isomorphism.
+    Raises ValueError when a dimension vector has more than CANDIDATE_LIMIT
+    candidates.
     """
     if dim_bound > 8:
         raise ValueError("enumeration is a desk-scale oracle; bound <= 8")
@@ -770,13 +763,13 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int,
             slots = [(i, j) for (i, j) in pairs if dims[i] and dims[j]]
             count = 1
             for (i, j) in slots:
-                count *= len(values) ** (dims[i] * dims[j])
-            if count > candidate_limit:
+                count *= len(CANDIDATE_VALUES) ** (dims[i] * dims[j])
+            if count > CANDIDATE_LIMIT:
                 raise ValueError(
                     f"candidate space too large ({count}) for dims {dims}; "
-                    "reduce the bound or the value set")
+                    "reduce the bound")
             classes: list[LambdaModule] = []
-            for mats in _matrix_tuples(dims, slots, values):
+            for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
                 try:
                     m = LambdaModule(alg, dims, dict(zip(slots, mats)))
                     m.validate()
@@ -917,14 +910,9 @@ def _resum(alg: Algebra, factors: list[int]):
 def solve_H_preimage(cat: Category, alg: Algebra, x: Obj, y: Obj,
                      target: ModuleHom) -> Optional[Mor]:
     """Some f: x -> y with Hom(T, f) equal to the given module map."""
-    slots = cat.hom_slots(x, y)
-    cols = []
-    for s in slots:
-        hm = H_mor(cat, alg, cat.slot_mor(x, y, s))
-        cols.append([v for comp in hm.comps for v in comp.entries])
-    tvec = [v for comp in target.comps for v in comp.entries]
-    a = mat_from_cols(cols, len(tvec))
-    sol = solve_right(a, Mat.column(tvec))
+    sol = solve_right(hom_functor_matrix(cat, alg.summands, x, y),
+                      Mat.column([v for comp in target.comps
+                                  for v in comp.entries]))
     if sol is None:
         return None
-    return cat.mor_from_vec(x, y, [sol.at(i, 0) for i in range(sol.rows)])
+    return cat.mor_from_vec(x, y, sol.col(0))

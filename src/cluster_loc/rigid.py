@@ -9,6 +9,13 @@ presentation subcategory C(T), and the factoring tests.
 Wherever two independent decision procedures exist (the hom-functor kernel
 test against direct divisibility) both are run and a disagreement raises
 InternalConsistencyError rather than returning either verdict.
+
+Each test reads one matrix of an induced map on hom spaces (see
+``category``): the approximation's surjectivity check and the hom-functor
+kernel test read ``post_matrix`` at each summand of T; direct divisibility
+(``factors_through_mor``, ``dim_factoring_through_add``) reads
+``pre_matrix`` of the map divided through; ``dim_hom_functor_kernel`` reads
+``hom_functor_matrix``, defined here.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, mat_from_cols, rank_rows, solve_right
+from .linalg import Mat, rank, solve_right
 from .triangles import Triangle, complete_triangle, pre_rank_table
 
 F0 = Fraction(0)
@@ -161,7 +168,7 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     if minimal:
         f, _ = cat.right_minimal_reduce(f)
     for ti in set(t.arcs):
-        got = rank_rows(cat.post_matrix(f, Obj((ti,))))
+        got = rank(cat.post_matrix(f, Obj((ti,))))
         if got != cat.hom_dim_arcwise(ti, x):
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
@@ -221,21 +228,16 @@ def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:
 
 def hom_functor_zero(cat: Category, t: RigidObject, f: Mor) -> bool:
     """Hom(T, f) = 0, componentwise on the summands of T."""
-    return all(all(v == 0 for row in cat.post_matrix(f, Obj((ti,)))
-                   for v in row)
-               for ti in set(t.arcs))
+    return all(cat.post_matrix(f, Obj((ti,))).is_zero() for ti in set(t.arcs))
 
 
 def factors_through_mor(cat: Category, f: Mor, through: Mor) -> bool:
-    """Does f factor as v . through (through shares f's source)?"""
+    """Does f factor as v . through (through shares f's source)?  Solves
+    Hom(through, f.tgt) v = f."""
     if through.src != f.src:
         raise ValueError("sources differ")
-    cols = [cat.vectorize(cat.compose(cat.slot_mor(through.tgt, f.tgt, s),
-                                      through))
-            for s in cat.hom_slots(through.tgt, f.tgt)]
-    a = mat_from_cols(cols, cat.dim_hom_obj(f.src, f.tgt))
-    b = Mat.column(cat.vectorize(f))
-    return solve_right(a, b) is not None
+    return solve_right(cat.pre_matrix(through, f.tgt),
+                       Mat.column(cat.vectorize(f))) is not None
 
 
 def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:
@@ -272,29 +274,42 @@ def factors_through_add(cat: Category, f: Mor, w_arcs: Iterable[int]) -> bool:
 
 def dim_factoring_through_add(cat: Category, x: Obj, y: Obj,
                               w_arcs: Iterable[int]) -> int:
-    """Dimension of the subspace of Hom(x, y) factoring through add(w_arcs)."""
-    ell = bundle_left_approx(cat, x, w_arcs)
-    cols = [cat.vectorize(cat.compose(cat.slot_mor(ell.tgt, y, s), ell))
-            for s in cat.hom_slots(ell.tgt, y)]
-    return rank_rows([[c[r] for c in cols]
-                      for r in range(cat.dim_hom_obj(x, y))]) if cols else 0
+    """Dimension of the subspace of Hom(x, y) factoring through add(w_arcs):
+    the rank of Hom(ell, y) for the left approximation ell of x."""
+    return rank(cat.pre_matrix(bundle_left_approx(cat, x, w_arcs), y))
+
+
+def hom_functor_matrix(cat: Category, arcs: Iterable[int], x: Obj,
+                       y: Obj) -> Mat:
+    """Matrix of Hom(T, -) on Hom(x, y), T the sum of ``arcs``.
+
+    The column of each slot of Hom(x, y) is its image under Hom(t, -) for
+    each arc t in turn, each block flattened row-major as the components of
+    ``H_mor`` are: rows over the slots of Hom(t, y), columns over those of
+    Hom(t, x).  A slot (i, j) meets block t in the single entry
+    comp(t, x_j, y_i).
+    """
+    slots = cat.hom_slots(x, y)
+    col_of = {s: c for c, s in enumerate(slots)}
+    rows = []
+    for t in arcs:
+        into_x = [j for j, xj in enumerate(x.summands) if cat.hom1(t, xj)]
+        for i, yi in enumerate(y.summands):
+            if not cat.hom1(t, yi):
+                continue
+            for j in into_x:
+                row = [F0] * len(slots)
+                c = col_of.get((i, j))
+                if c is not None:
+                    row[c] = Fraction(cat.comp3(t, x.summands[j], yi))
+                rows.append(row)
+    return Mat(len(rows), len(slots), tuple(v for r in rows for v in r))
 
 
 def dim_hom_functor_kernel(cat: Category, t: RigidObject, x: Obj, y: Obj) -> int:
     """dim of the kernel of Hom(T, -) on Hom(x, y)."""
-    slots = cat.hom_slots(x, y)
-    if not slots:
-        return 0
-    cols = []
-    for s in slots:
-        e = cat.slot_mor(x, y, s)
-        stacked: list[Fraction] = []
-        for ti in sorted(set(t.arcs)):
-            for row in cat.post_matrix(e, Obj((ti,))):
-                stacked.extend(row)
-        cols.append(stacked)
-    rows = [[c[r] for c in cols] for r in range(len(cols[0]))]
-    return len(slots) - rank_rows(rows)
+    m = hom_functor_matrix(cat, sorted(set(t.arcs)), x, y)
+    return m.cols - rank(m)
 
 
 # -- enumeration -----------------------------------------------------------

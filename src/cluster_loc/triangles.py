@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import Category, Mor, Obj, _mesh_at
-from .linalg import (Mat, eliminate, integer_row, kernel_basis, mat_from_cols,
-                     reduced_rows)
+from .linalg import Mat, eliminate, integer_row, kernel_basis, reduced_rows
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -285,12 +284,6 @@ def certify_triangle(cat: Category, tri: Triangle) -> CertReport:
 # -- completion ---------------------------------------------------------------
 
 
-def _kernel_of_linear(cat: Category, columns: list[tuple], nrows: int) -> Mat:
-    if not columns:
-        return Mat.zeros(0, 0)
-    return kernel_basis(mat_from_cols(columns, nrows))
-
-
 def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
                  rng: random.Random, base=None):
     """Generic members base + kb.c of an affine family of maps X -> Y.
@@ -348,9 +341,7 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     rng = random.Random((seed, 0xC0FFEE, f.key(), Z.summands)
                         .__hash__() & 0xFFFFFFFF)
     # g candidates: g . f = 0
-    cols_g = [cat.vectorize(cat.compose(cat.slot_mor(Y, Z, s), f))
-              for s in cat.hom_slots(Y, Z)]
-    kb_g = _kernel_of_linear(cat, cols_g, cat.dim_hom_obj(X, Z))
+    kb_g = kernel_basis(cat.pre_matrix(f, Z))
 
     into_y, from_y = cat.hom_vec_into(Y), cat.hom_vec_from(Y)
     into_z = cat.hom_vec_into(Z)
@@ -362,14 +353,8 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
         if any(a + b != d for a, b, d in zip(pg, pf, from_y)):
             continue
         # h candidates: h . g = 0 and Σf . h = 0
-        slots_h = cat.hom_slots(Z, sX)
-        cols_h = []
-        for s in slots_h:
-            e = cat.slot_mor(Z, sX, s)
-            cols_h.append(tuple(cat.vectorize(cat.compose(e, g)))
-                          + tuple(cat.vectorize(cat.compose(sf, e))))
-        nrows = cat.dim_hom_obj(Y, sX) + cat.dim_hom_obj(Z, cat.suspend_obj(Y))
-        kb_h = _kernel_of_linear(cat, cols_h, nrows)
+        kb_h = kernel_basis(cat.pre_matrix(g, sX).vstack(
+            cat.post_matrix(sf, Z)))
         for h in generic_maps(cat, Z, sX, kb_h, rng):
             rh = post_rank_table(cat, h)
             if any(a + b != d for a, b, d in zip(rg, rh, into_z)):

@@ -8,6 +8,7 @@ import pytest
 from cluster_loc.arcs import Polygon, crosses, rotate
 from cluster_loc.category import (BuildError, Obj, _associativity_chains,
                                   _quotient_1d, build_category, load_category)
+from cluster_loc.linalg import mat_from_cols
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
@@ -337,3 +338,73 @@ def test_load_unlabelled_table():
     d["labels"][0] = "M11"
     with pytest.raises(BuildError, match="unlabelled"):
         load_category(d)
+
+
+def _slot_post_matrix(cat, f, W):
+    """Hom(W, f) one slot at a time: f composed with each basis map of
+    Hom(W, f.src); the reference for Category.post_matrix."""
+    cols = [cat.vectorize(cat.compose(f, cat.slot_mor(W, f.src, s)))
+            for s in cat.hom_slots(W, f.src)]
+    return mat_from_cols(cols, cat.dim_hom_obj(W, f.tgt))
+
+
+def _slot_pre_matrix(cat, f, W):
+    """Hom(f, W) one slot at a time; the reference for Category.pre_matrix."""
+    cols = [cat.vectorize(cat.compose(cat.slot_mor(f.tgt, W, s), f))
+            for s in cat.hom_slots(f.tgt, W)]
+    return mat_from_cols(cols, cat.dim_hom_obj(f.src, W))
+
+
+def _slot_hom_functor_matrix(cat, arcs, x, y):
+    """Hom(T, -) on Hom(x, y) one slot at a time, the image of each slot map
+    flattened over the arcs of T; the reference for hom_functor_matrix."""
+    cols = [[v for t in arcs
+             for v in _slot_post_matrix(cat, cat.slot_mor(x, y, s),
+                                        Obj((t,))).entries]
+            for s in cat.hom_slots(x, y)]
+    nrows = sum(cat.dim_hom_obj(Obj((t,)), y) * cat.dim_hom_obj(Obj((t,)), x)
+                for t in arcs)
+    return mat_from_cols(cols, nrows)
+
+
+def _hom_matrix_maps(cat, rng):
+    """40 seeded maps: random (some with a repeated summand), zero, from and
+    to the zero object, and between two arcs with no hom between them."""
+    zero_pairs = [(a, b) for a in range(cat.N) for b in range(cat.N)
+                  if not cat.hom1(a, b)]
+    maps = []
+    for _ in range(8):
+        x, y = cat.random_obj(rng, 3), cat.random_obj(rng, 3)
+        a = rng.randrange(cat.N)
+        rep = Obj(tuple(sorted((a, a, rng.choice(cat.hom_out[a])))))
+        a, b = rng.choice(zero_pairs)
+        maps += [cat.random_mor(rng, x, y), cat.random_mor(rng, rep, y),
+                 cat.zero_mor(cat.zero_obj, y), cat.zero_mor(x, cat.zero_obj),
+                 cat.zero_mor(Obj((a,)), Obj((b,)))]
+    return maps
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hom_matrices_match_the_slot_reference(n):
+    from cluster_loc.rigid import hom_functor_matrix, sample_rigid
+    cat = cached_category(n)
+    rng = random.Random(f"hom-matrices:{n}")
+    maps = _hom_matrix_maps(cat, rng)
+    assert len(maps) == 40
+    shapes = set()
+    for f in maps:
+        observers = ([Obj((w,)) for w in range(cat.N)]
+                     + [cat.random_obj(rng, 3), cat.zero_obj])
+        for W in observers:
+            post, pre = cat.post_matrix(f, W), cat.pre_matrix(f, W)
+            assert post == _slot_post_matrix(cat, f, W)
+            assert pre == _slot_pre_matrix(cat, f, W)
+            shapes.update((m.rows > 0, m.cols > 0) for m in (post, pre))
+        for arcs in (sample_rigid(cat, rng).arcs,
+                     tuple(rng.randrange(cat.N) for _ in range(3))):
+            got = hom_functor_matrix(cat, arcs, f.src, f.tgt)
+            assert got == _slot_hom_functor_matrix(cat, arcs, f.src, f.tgt)
+            shapes.add((got.rows > 0, got.cols > 0))
+    # every shape occurs: k x m, 0 x m, k x 0 and 0 x 0 with k, m > 0
+    assert shapes == {(True, True), (False, True), (True, False),
+                      (False, False)}

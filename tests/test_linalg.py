@@ -110,6 +110,16 @@ def test_mat_from_cols_keeps_shape():
     assert kernel_basis(empty).cols == 2
 
 
+def test_vstack_keeps_shape():
+    a = Mat.from_rows([[1, 2]])
+    assert a.vstack(Mat.zeros(0, 2)) == a
+    assert Mat.zeros(0, 2).vstack(a).vstack(a) == Mat.from_rows([[1, 2],
+                                                                 [1, 2]])
+    assert Mat.zeros(2, 0).vstack(Mat.zeros(1, 0)) == Mat.zeros(3, 0)
+    with pytest.raises(ValueError):
+        a.vstack(Mat.zeros(1, 3))
+
+
 def test_rank_rows_mixed_entries():
     assert rank_rows([[Fraction(1, 2), 1], [1, 2]]) == 1
     assert rank_rows([]) == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_loc import modules
 from cluster_loc.linalg import Mat, rank
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
@@ -77,6 +78,42 @@ def test_H_functorial_and_additive(cat4, example_T):
     both = cat4.obj(["M34", "M14"])
     hsum, _ = direct_sum_modules([H_obj(cat4, alg, x), H_obj(cat4, alg, y)])
     assert modules_isomorphic(H_obj(cat4, alg, both), hsum)
+
+
+def test_H_mor_components_are_shaped(cat4, example_T, fan_T):
+    # component i is dim Hom(t_i, tgt) x dim Hom(t_i, src), also when both
+    # are 0: on maps from and to the zero object, and at summands of T that
+    # map to neither end
+    rng = random.Random(22)
+    neither = 0
+    for t in (example_T, fan_T):
+        alg = algebra_of(cat4, t)
+        for _ in range(20):
+            x, y = cat4.random_obj(rng, 2), cat4.random_obj(rng, 2)
+            for f in (cat4.random_mor(rng, x, y),
+                      cat4.zero_mor(cat4.zero_obj, y),
+                      cat4.zero_mor(x, cat4.zero_obj)):
+                hf = H_mor(cat4, alg, f)
+                assert len(hf.comps) == alg.r
+                for ti, c in zip(alg.summands, hf.comps):
+                    rows = sum(cat4.hom1(ti, s) for s in f.tgt.summands)
+                    cols = sum(cat4.hom1(ti, s) for s in f.src.summands)
+                    assert (c.rows, c.cols) == (rows, cols)
+                    neither += not f.src.is_zero() and rows == cols == 0
+    assert neither
+
+
+def test_enumerate_indecs_raises_past_the_candidate_limit(cat4, example_T,
+                                                          monkeypatch):
+    alg = algebra_of(cat4, example_T)
+    # the first dimension vector with an arrow in its support has 3
+    # candidates, one per value for the arrow's 1 x 1 matrix
+    monkeypatch.setattr(modules, "CANDIDATE_LIMIT", 2)
+    with pytest.raises(ValueError,
+                       match=r"too large \(3\) for dims \(0, 1, 1\)"):
+        enumerate_indec_modules(alg, 2)
+    monkeypatch.setattr(modules, "CANDIDATE_LIMIT", 3)
+    assert len(enumerate_indec_modules(alg, 2)) == 5
 
 
 def test_projectives_yoneda(cat4, example_T):
