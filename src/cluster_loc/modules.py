@@ -18,6 +18,12 @@ rational eigenvalue.  Every split is returned as explicit, action-stable,
 complementary submodules.  Isomorphism testing between indecomposables uses
 the unit-composite criterion.  Both are guarded by internal-consistency
 errors in the (here unreachable) ambiguous cases.
+
+The enumeration of indecomposables tries one {0, +-1} candidate per orbit of
+the diagonal sign changes at the vertices, which keep validity and the
+isomorphism class: a class's representative may differ from an unfiltered
+enumeration's, but the image tables and the example's checks read only
+dimension vectors.
 """
 
 from __future__ import annotations
@@ -460,7 +466,8 @@ def _min_poly(a: Mat) -> list[Fraction]:
                     lead = kb.at(k, c)
                     return [kb.at(r, c) / lead for r in range(k + 1)]
         if k > n:
-            raise RuntimeError("minimal polynomial search exceeded degree bound")
+            raise InternalConsistencyError(
+                "minimal polynomial search exceeded degree bound")
 
 
 def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
@@ -747,7 +754,11 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
     realizable with such matrices), candidates are filtered by the structure
     constants and indecomposability, then deduplicated up to isomorphism.
     Raises ValueError when a dimension vector has more than CANDIDATE_LIMIT
-    candidates.
+    candidates, counted before the sign filter: only one candidate per orbit
+    of the diagonal sign changes A_(i,j) -> D_i A_(i,j) D_j is tried (see
+    `_sign_normal`).  These keep a candidate in {0, +-1}, its validity and
+    its isomorphism class, so the class list is unchanged, but a class's
+    representative may differ from the one an unfiltered loop keeps.
     """
     if dim_bound > 8:
         raise ValueError("enumeration is a desk-scale oracle; bound <= 8")
@@ -770,6 +781,8 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
                     "reduce the bound")
             classes: list[LambdaModule] = []
             for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
+                if not _sign_normal(dims, slots, mats):
+                    continue
                 try:
                     m = LambdaModule(alg, dims, dict(zip(slots, mats)))
                     m.validate()
@@ -824,6 +837,40 @@ def _matrix_tuples(dims, slots, values):
         yield ()
         return
     yield from itertools.product(*spaces)
+
+
+def _sign_normal(dims, slots, mats) -> bool:
+    """Whether a candidate is the representative of its sign orbit.
+
+    The nodes are the basis vectors (i, a), and each nonzero entry
+    A_(i,j)[a, b] is an edge (i, a) - (j, b).  Entries are visited in slot
+    order, row-major; the candidate is accepted iff every entry that joins
+    two components of the graph so far is +1.  The joining entries form a
+    spanning forest fixed by the support, which D leaves alone: a sign
+    change propagated from each tree's root turns any orbit member into one
+    that is accepted, and a D fixing the forest's signs is constant on each
+    tree, so it fixes every entry too.  Hence exactly one per orbit.
+    """
+    offs = [0]
+    for d in dims:
+        offs.append(offs[-1] + d)
+    parent = list(range(offs[-1]))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for (i, j), m in zip(slots, mats):
+        for p, x in enumerate(m.entries):
+            if x:
+                u = find(offs[i] + p // m.cols)
+                v = find(offs[j] + p % m.cols)
+                if u != v:
+                    if x < 0:
+                        return False
+                    parent[u] = v
+    return True
 
 
 # -- density: lifting modules into the category ------------------------------

@@ -591,8 +591,8 @@ def image_table(cfg: InstanceConfig, cat: Category | None = None) -> list[dict]:
     cat = cat or cached_category(cfg.n)
     t = rigid_object(cat, cfg.T)
     alg = algebra_of(cat, t)
-    bound = max(sum(H_obj(cat, alg, cat.obj([i])).dims)
-                for i in range(cat.N))
+    images = [H_obj(cat, alg, cat.obj([i])) for i in range(cat.N)]
+    bound = max(hm.total_dim for hm in images)
     classes = enumerate_indec_modules(alg, max(bound, 2))
     names = {}
     for m in classes:
@@ -601,8 +601,7 @@ def image_table(cfg: InstanceConfig, cat: Category | None = None) -> list[dict]:
         else:
             names[id(m)] = "(" + ",".join(str(d) for d in m.dims) + ")"
     rows = []
-    for i in range(cat.N):
-        hm = H_obj(cat, alg, cat.obj([i]))
+    for i, hm in enumerate(images):
         parts = decompose_module(hm)
         decomp = []
         for p in parts:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
                                  projective_cover, projective_module,
                                  simple_module, solve_H_preimage, top_dims,
                                  zero_module)
-from cluster_loc.modules import (_compositions, _end_radical_dim_drop,
-                                 _matrix_tuples, _split_disconnected,
+from cluster_loc.modules import (CANDIDATE_VALUES, _component, _compositions,
+                                 _end_radical_dim_drop, _matrix_tuples,
+                                 _sign_normal, _split_disconnected,
                                  _split_simple_summand, _total_matrix)
-from cluster_loc.rigid import in_CT, perp_view, rigid_object
+from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
+                               rigid_object)
 from cluster_loc.suites import cached_category
 
 
@@ -181,16 +184,104 @@ def test_enumerate_indecs_example(cat4, example_T):
         assert [m.to_dict() for m in smaller] == [m.to_dict() for m in classes]
 
 
+def _assert_interval_classes(classes, r):
+    intervals = sorted(tuple(1 if a <= v <= b else 0 for v in range(r))
+                       for a in range(r) for b in range(a, r))
+    assert sorted(m.dims for m in classes) == intervals
+    for m in classes:
+        assert sum(1 for c in classes if modules_isomorphic(m, c)) == 1
+
+
 def test_enumerate_indecs_fan(cat4, fan_T):
     # the heptagon fan gives the linear A4 quiver with all paths nonzero:
     # one indecomposable per interval of vertices
     alg = algebra_of(cat4, fan_T)
-    classes = enumerate_indec_modules(alg, 4)
-    intervals = sorted(tuple(1 if a <= v <= b else 0 for v in range(4))
-                       for a in range(4) for b in range(a, 4))
-    assert sorted(m.dims for m in classes) == intervals
-    for m in classes:
-        assert sum(1 for c in classes if modules_isomorphic(m, c)) == 1
+    _assert_interval_classes(enumerate_indec_modules(alg, 4), 4)
+
+
+def test_enumerate_indecs_fan_n5():
+    # the octagon fan: linear A5 with all paths nonzero, 15 intervals
+    cat = cached_category(5)
+    alg = algebra_of(cat, rigid_object(cat, [f"0-{k}" for k in range(2, 7)]))
+    _assert_interval_classes(enumerate_indec_modules(alg, 5), 5)
+
+
+def _sign_orbit_key(dims, slots, mats):
+    """The least entry tuple over the orbit of the diagonal sign changes
+    A_(i,j) -> D_i A_(i,j) D_j."""
+    offs = [sum(dims[:i]) for i in range(len(dims))]
+    return min(
+        tuple(tuple(x * d[offs[i] + p // m.cols] * d[offs[j] + p % m.cols]
+                    for p, x in enumerate(m.entries))
+              for (i, j), m in zip(slots, mats))
+        for d in itertools.product((1, -1), repeat=sum(dims)))
+
+
+def test_sign_filter_keeps_one_candidate_per_orbit(cat4, example_T, fan_T,
+                                                   cat2):
+    algebras = [algebra_of(cat4, example_T), algebra_of(cat4, fan_T),
+                algebra_of(cat2, rigid_object(cat2, ["M22", "M12"]))]
+    orbits = 0
+    for alg in algebras:
+        for total in range(1, 4):
+            for dims in _compositions(total, alg.r):
+                slots = [(i, j) for (i, j) in alg.radical_pairs
+                         if dims[i] and dims[j]]
+                kept = {}
+                for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
+                    key = _sign_orbit_key(dims, slots, mats)
+                    kept[key] = (kept.get(key, 0)
+                                 + _sign_normal(dims, slots, mats))
+                assert set(kept.values()) == {1}, (dims, kept)
+                orbits += len(kept)
+    assert orbits > 0
+
+
+def _unpruned_enumeration(alg, dim_bound):
+    """The enumeration without the sign filter: every {0, +-1} candidate."""
+    found = []
+    for total in range(1, dim_bound + 1):
+        for dims in _compositions(total, alg.r):
+            support = [i for i in range(alg.r) if dims[i]]
+            if len(_component(support, alg.radical_pairs)) != len(support):
+                continue
+            slots = [(i, j) for (i, j) in alg.radical_pairs
+                     if dims[i] and dims[j]]
+            classes = []
+            for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
+                m = LambdaModule(alg, dims, dict(zip(slots, mats)))
+                try:
+                    m.validate()
+                except ValueError:
+                    continue
+                if not is_indecomposable(m):
+                    continue
+                if any(modules_isomorphic(m, c) for c in classes):
+                    continue
+                classes.append(m)
+            found.extend(classes)
+    return found
+
+
+def test_enumerate_indecs_matches_unpruned_reference():
+    """On every basic rigid object of rank <= 4, the sign filter keeps the
+    classes: the same dimension vectors, and each class is isomorphic to
+    exactly one class of the unfiltered loop, both ways."""
+    objects = 0
+    for n in range(1, 5):
+        cat = cached_category(n)
+        for t in enumerate_basic_rigid(cat):
+            alg = algebra_of(cat, t)
+            bound = max(H_obj(cat, alg, cat.obj([i])).total_dim
+                        for i in range(cat.N))
+            got = enumerate_indec_modules(alg, max(2, bound))
+            ref = _unpruned_enumeration(alg, max(2, bound))
+            assert sorted(m.dims for m in got) == sorted(m.dims for m in ref)
+            for a, b in ((got, ref), (ref, got)):
+                for m in a:
+                    assert sum(1 for c in b if modules_isomorphic(m, c)) == 1
+            objects += 1
+    assert objects == 252
 
 
 def _module(alg, dims, act):
