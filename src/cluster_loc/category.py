@@ -691,17 +691,11 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
     hom_from: list[list[int]] = [[] for _ in range(N)]
     for (y, z) in sorted(hom_deg):
         hom_from[y].append(z)
+    # every composable triple, the identity triples (x = y or y = z) too
     for (x, y) in hom_deg:
         for z in hom_from[y]:
             if (x, z) in hom_deg:
                 comp[(x, y, z)] = cscal(x, y, z)
-    # keep only genuine triple entries (identities handled implicitly)
-    comp = {k: v for k, v in comp.items()
-            if k[0] != k[1] and k[1] != k[2]}
-    full_comp = dict(comp)
-    for (x, y) in hom_deg:
-        full_comp[(x, x, y)] = 1
-        full_comp[(x, y, y)] = 1
 
     # -- suspension ------------------------------------------------------
 
@@ -727,11 +721,11 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
 
     # -- checks and label bridge --------------------------------------------
 
-    _check_tables(p, arcs, hom_deg, full_comp, sig, sigma_arc)
+    _check_tables(p, arcs, hom_deg, comp, sig, sigma_arc)
     labels, meta = (_bridge(p, arcs, arc_index, hom_deg, sigma_arc)
                     if with_labels else
                     ([str(a) for a in arcs], {"bridge": None}))
-    return Category(p, arcs, hom_deg, full_comp, sig, sigma_arc, labels, meta)
+    return Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
 
 
 def _unit_table(name: str, table: dict) -> dict:

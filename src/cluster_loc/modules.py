@@ -19,11 +19,12 @@ complementary submodules.  Isomorphism testing between indecomposables uses
 the unit-composite criterion.  Both are guarded by internal-consistency
 errors in the (here unreachable) ambiguous cases.
 
-The enumeration of indecomposables tries one {0, +-1} candidate per orbit of
-the diagonal sign changes at the vertices, which keep validity and the
-isomorphism class: a class's representative may differ from an unfiltered
-enumeration's, but the image tables and the example's checks read only
-dimension vectors.
+The enumeration of indecomposables chooses {0, +-1} matrices on the Gabriel
+arrows only, one candidate per orbit of the diagonal sign changes at the
+vertices (which keep validity and the isomorphism class); every other radical
+basis element is a product of arrows, so its action is forced.  A class's
+representative may differ from an unrestricted enumeration's, but the image
+tables and the example's checks read only dimension vectors.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ MOD_SCHEMA = "cluster-loc/mod/v1"
 MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
                   "the basis element of Hom(t_i, t_j) acts M_j -> M_i")
 
-# enumerate_indec_modules: the entries of candidate action matrices, and the
-# largest candidate count per dimension vector before it raises ValueError
-CANDIDATE_VALUES = (0, 1, -1)
+# enumerate_indec_modules: the largest count of {0, +-1} arrow candidates per
+# dimension vector, taken before the sign orbits, before it raises ValueError
 CANDIDATE_LIMIT = 2_000_000
 
 
@@ -67,19 +67,37 @@ class Algebra:
     def r(self) -> int:
         return len(self.summands)
 
-    def gabriel_arrows(self) -> list[tuple[int, int]]:
-        """Arrows of the quiver of the opposite algebra, 1-based vertices.
+    def arrow_pairs(self) -> list[tuple[int, int]]:
+        """The radical pairs outside the square of the radical: those that no
+        nonzero mult(i, j, k) lands on."""
+        rad2 = {(i, k) for (i, _, k), c in self.mult.items() if c}
+        return [p for p in self.radical_pairs if p not in rad2]
 
-        The basis element of Hom(t_i, t_j) gives an arrow j+1 -> i+1 unless it
-        lies in the square of the radical.
-        """
-        rad = set(self.radical_pairs)
-        rad2 = set()
-        for (i, j) in rad:
-            for (j2, k) in rad:
-                if j2 == j and (i, k) in rad and self.mult.get((i, j, k)):
-                    rad2.add((i, k))
-        return sorted((j + 1, i + 1) for (i, j) in rad if (i, j) not in rad2)
+    def composites(self) -> list[tuple[int, int, int, int]]:
+        """(i, j, k, c) with b_(i,k) = c b_(i,j) b_(j,k), c = mult(i, j, k),
+        once for every pair (i, k) in the square of the radical, after both
+        factors unless they are arrows.  Factors lie in lower powers of the
+        radical, so one pass per pair suffices; a pair left over would act by
+        zero unnoticed, so it raises."""
+        done = set(self.arrow_pairs())
+        out = []
+        for _ in self.radical_pairs:
+            for (i, j, k), c in self.mult.items():
+                if (c and (i, k) not in done
+                        and (i, j) in done and (j, k) in done):
+                    done.add((i, k))
+                    out.append((i, j, k, c))
+        if len(done) != len(self.radical_pairs):
+            raise InternalConsistencyError(
+                "radical pairs without a factorization into arrows: "
+                f"{sorted(set(self.radical_pairs) - done)}")
+        return out
+
+    def gabriel_arrows(self) -> list[tuple[int, int]]:
+        """Arrows of the quiver of the opposite algebra, 1-based vertices:
+        the basis element of Hom(t_i, t_j) outside the square of the radical
+        gives an arrow j+1 -> i+1."""
+        return sorted((j + 1, i + 1) for (i, j) in self.arrow_pairs())
 
 
 def end_algebra(cat: Category, t: RigidObject) -> Algebra:
@@ -270,21 +288,12 @@ def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list
 
 def H_obj(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
     """Hom(T, x) as a module; the basis of the i-th space runs over the
-    summands of x in order."""
-    dims = [sum(1 for s in x.summands if cat.hom1(alg.summands[i], s))
-            for i in range(alg.r)]
-    basis = [[pos for pos, s in enumerate(x.summands)
-              if cat.hom1(alg.summands[i], s)] for i in range(alg.r)]
-    act = {}
-    for (i, j) in alg.radical_pairs:
-        rows = [[F0] * dims[j] for _ in range(dims[i])]
-        for cj, pos in enumerate(basis[j]):
-            s = x.summands[pos]
-            if cat.hom1(alg.summands[i], s):
-                ri = basis[i].index(pos)
-                rows[ri][cj] = cat.comp3(alg.summands[i], alg.summands[j], s)
-        act[(i, j)] = Mat.from_rows(rows) if dims[i] else Mat.zeros(0, dims[j])
-    return LambdaModule(alg, dims, act)
+    summands of x in order, and the basis element of Hom(t_i, t_j) acts as
+    Hom(t_j, x) -> Hom(t_i, x), precomposition with it."""
+    vec, ts = cat.hom_vec_into(x), alg.summands
+    return LambdaModule(alg, [vec[t] for t in ts], {
+        (i, j): cat.pre_matrix(cat.basis_mor(ts[i], ts[j]), x)
+        for (i, j) in alg.radical_pairs})
 
 
 def H_mor(cat: Category, alg: Algebra, f: Mor) -> ModuleHom:
@@ -373,13 +382,12 @@ def kernel_module(f: ModuleHom) -> ModuleHom:
     return ModuleHom(k, f.src, kers)
 
 
-def min_proj_presentation(cat_or_mod: LambdaModule):
+def min_proj_presentation(m: LambdaModule):
     """Minimal projective presentation P1 -> P0 -> M -> 0.
 
     Returns (p1, cover) where cover: P0 -> M is the projective cover and
     p1: P1 -> P0 covers its kernel (so the image of p1 lies in rad P0).
     """
-    m = cat_or_mod
     cover = projective_cover(m)
     incl = kernel_module(cover)
     cover1 = projective_cover(incl.src)
@@ -748,43 +756,45 @@ def _indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
 def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
     """All isomorphism classes of indecomposables of total dimension <= bound.
 
-    Dimension vectors are enumerated outright; for each, the action matrices
-    range over CANDIDATE_VALUES (the structure constants here are all 0 or
-    +-1, and every indecomposable over these dissection algebras is
-    realizable with such matrices), candidates are filtered by the structure
-    constants and indecomposability, then deduplicated up to isomorphism.
-    Raises ValueError when a dimension vector has more than CANDIDATE_LIMIT
-    candidates, counted before the sign filter: only one candidate per orbit
-    of the diagonal sign changes A_(i,j) -> D_i A_(i,j) D_j is tried (see
-    `_sign_normal`).  These keep a candidate in {0, +-1}, its validity and
-    its isomorphism class, so the class list is unchanged, but a class's
-    representative may differ from the one an unfiltered loop keeps.
+    Dimension vectors are enumerated outright, skipping those whose support
+    is not connected along the arrows.  For each, the matrices on the
+    Gabriel arrows range over {0, +-1} (the structure constants here are all
+    0 or +-1, and every indecomposable over these dissection algebras is
+    realizable with such matrices), one candidate per orbit of the diagonal
+    sign changes A_(i,j) -> D_i A_(i,j) D_j (see `_candidates`).  Every other
+    radical basis element is c b_(i,j) b_(j,k) (`Algebra.composites`), so its
+    action is forced.  Candidates are filtered by the structure constants and
+    indecomposability, then deduplicated up to isomorphism.  Sign changes
+    keep validity and the isomorphism class, so the class list is that of an
+    unrestricted loop, but a class's representative may differ.  Raises
+    ValueError when a dimension vector has more than CANDIDATE_LIMIT arrow
+    candidates, counted before the sign orbits.
     """
     if dim_bound > 8:
         raise ValueError("enumeration is a desk-scale oracle; bound <= 8")
     if dim_bound < 1:
         return []
     found: list[LambdaModule] = []
-    pairs = alg.radical_pairs
+    arrows, composites = alg.arrow_pairs(), alg.composites()
     for total in range(1, dim_bound + 1):
         for dims in _compositions(total, alg.r):
             support = [i for i in range(alg.r) if dims[i]]
-            if len(_component(support, pairs)) != len(support):
+            if len(_component(support, arrows)) != len(support):
                 continue
-            slots = [(i, j) for (i, j) in pairs if dims[i] and dims[j]]
-            count = 1
-            for (i, j) in slots:
-                count *= len(CANDIDATE_VALUES) ** (dims[i] * dims[j])
+            slots = [(i, j) for (i, j) in arrows if dims[i] and dims[j]]
+            count = 3 ** sum(dims[i] * dims[j] for (i, j) in slots)
             if count > CANDIDATE_LIMIT:
                 raise ValueError(
                     f"candidate space too large ({count}) for dims {dims}; "
                     "reduce the bound")
+            forced = [(i, j, k, c) for (i, j, k, c) in composites
+                      if dims[i] and dims[j] and dims[k]]
             classes: list[LambdaModule] = []
-            for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
-                if not _sign_normal(dims, slots, mats):
-                    continue
+            for mats in _candidates(dims, slots):
+                m = LambdaModule(alg, dims, dict(zip(slots, mats)))
+                for (i, j, k, c) in forced:
+                    m.act[(i, k)] = (m.act[(i, j)] * m.act[(j, k)]).scale(c)
                 try:
-                    m = LambdaModule(alg, dims, dict(zip(slots, mats)))
                     m.validate()
                 except ValueError:
                     continue
@@ -827,50 +837,46 @@ def _component(support: list[int], edges) -> set[int]:
     return seen
 
 
-def _matrix_tuples(dims, slots, values):
-    spaces = []
-    for (i, j) in slots:
-        cells = dims[i] * dims[j]
-        ents = itertools.product([Fraction(v) for v in values], repeat=cells)
-        spaces.append([Mat(dims[i], dims[j], tuple(e)) for e in ents])
-    if not slots:
-        yield ()
-        return
-    yield from itertools.product(*spaces)
-
-
-def _sign_normal(dims, slots, mats) -> bool:
-    """Whether a candidate is the representative of its sign orbit.
+def _candidates(dims, slots):
+    """One {0, +-1} matrix tuple on the slots per orbit of the diagonal sign
+    changes A_(i,j) -> D_i A_(i,j) D_j.
 
     The nodes are the basis vectors (i, a), and each nonzero entry
-    A_(i,j)[a, b] is an edge (i, a) - (j, b).  Entries are visited in slot
-    order, row-major; the candidate is accepted iff every entry that joins
-    two components of the graph so far is +1.  The joining entries form a
-    spanning forest fixed by the support, which D leaves alone: a sign
+    A_(i,j)[a, b] is an edge (i, a) - (j, b).  D keeps the zero pattern.  For
+    each pattern, the entries that join two components of the graph so far,
+    visited in slot order and row-major, form a spanning forest; these
+    entries are +1, and every other nonzero entry takes both signs.  A sign
     change propagated from each tree's root turns any orbit member into one
-    that is accepted, and a D fixing the forest's signs is constant on each
-    tree, so it fixes every entry too.  Hence exactly one per orbit.
+    with +1 on the forest, and a D fixing the forest's signs is constant on
+    each tree, so it fixes every entry too.  Hence exactly one tuple per
+    orbit.
     """
-    offs = [0]
-    for d in dims:
-        offs.append(offs[-1] + d)
-    parent = list(range(offs[-1]))
+    offs = list(itertools.accumulate(dims, initial=0))
+    cells = [(offs[i] + p // dims[j], offs[j] + p % dims[j])
+             for (i, j) in slots for p in range(dims[i] * dims[j])]
 
     def find(u):
         while parent[u] != u:
             u = parent[u]
         return u
 
-    for (i, j), m in zip(slots, mats):
-        for p, x in enumerate(m.entries):
-            if x:
-                u = find(offs[i] + p // m.cols)
-                v = find(offs[j] + p % m.cols)
+    for pattern in itertools.product((F0, F1), repeat=len(cells)):
+        parent = list(range(offs[-1]))
+        free = []
+        for e, (a, b) in enumerate(cells):
+            if pattern[e]:
+                u, v = find(a), find(b)
                 if u != v:
-                    if x < 0:
-                        return False
                     parent[u] = v
-    return True
+                else:
+                    free.append(e)
+        for signs in itertools.product((F1, -F1), repeat=len(free)):
+            ents = list(pattern)
+            for e, x in zip(free, signs):
+                ents[e] = x
+            it = iter(ents)
+            yield tuple(Mat(dims[i], dims[j], tuple(itertools.islice(
+                it, dims[i] * dims[j]))) for (i, j) in slots)
 
 
 # -- density: lifting modules into the category ------------------------------
@@ -878,7 +884,7 @@ def _sign_normal(dims, slots, mats) -> bool:
 
 def yoneda_mor_from_hom(cat: Category, alg: Algebra,
                         p1_factors: list[int], p0_factors: list[int],
-                        p1_mod, p0_mod, p1_offsets, p0_offsets,
+                        p0_mod, p1_offsets, p0_offsets,
                         p1_map: ModuleHom) -> Mor:
     """Translate a map between direct sums of projectives into the category
     through the Yoneda identification Hom(P_j, P_i) = Hom_C(t_j, t_i)."""
@@ -888,6 +894,7 @@ def yoneda_mor_from_hom(cat: Category, alg: Algebra,
                        key=lambda c: (alg.summands[p1_factors[c]], c))
     tgt_order = sorted(range(len(p0_factors)),
                        key=lambda r: (alg.summands[p0_factors[r]], r))
+    rad = set(alg.radical_pairs)
     rows = [[F0] * len(p1_factors) for _ in range(len(p0_factors))]
     for c, jfac in enumerate(p1_factors):
         jv = jfac
@@ -895,11 +902,9 @@ def yoneda_mor_from_hom(cat: Category, alg: Algebra,
         col = p1_offsets[c][jv]
         img = [p1_map.comps[jv].at(a, col) for a in range(p0_mod.dims[jv])]
         for r, ifac in enumerate(p0_factors):
-            # coordinate of factor r at vertex jv, if its projective has one
-            pr = projective_module(alg, ifac)
-            if pr.dims[jv] == 0:
-                continue
-            rows[r][c] = img[p0_offsets[r][jv]]
+            # coordinate of factor r at vertex jv, if P_ifac has one there
+            if ifac == jv or (jv, ifac) in rad:
+                rows[r][c] = img[p0_offsets[r][jv]]
     out = [[F0] * len(p1_factors) for _ in range(len(p0_factors))]
     for r in range(len(p0_factors)):
         for c in range(len(p1_factors)):
@@ -926,8 +931,7 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
         x = Obj(tuple(sorted(alg.summands[i] for i in p0_factors)))
     else:
         phi = yoneda_mor_from_hom(cat, alg, p1_factors, p0_factors,
-                                  p1_map.src, p1_map.tgt,
-                                  p1_offsets, p0_offsets, p1_map)
+                                  p1_map.tgt, p1_offsets, p0_offsets, p1_map)
         x = complete_triangle(cat, phi).z
     hx = H_obj(cat, alg, x)
     if not modules_isomorphic(hx, m):

@@ -16,12 +16,13 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
                                  projective_cover, projective_module,
                                  simple_module, solve_H_preimage, top_dims,
                                  zero_module)
-from cluster_loc.modules import (CANDIDATE_VALUES, _component, _compositions,
-                                 _end_radical_dim_drop, _matrix_tuples,
-                                 _sign_normal, _split_disconnected,
-                                 _split_simple_summand, _total_matrix)
+from cluster_loc.category import InternalConsistencyError
+from cluster_loc.modules import (Algebra, _candidates, _component,
+                                 _compositions, _end_radical_dim_drop,
+                                 _split_disconnected, _split_simple_summand,
+                                 _total_matrix)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
-                               rigid_object)
+                               rigid_object, sample_rigid)
 from cluster_loc.suites import cached_category
 
 
@@ -44,6 +45,44 @@ def test_end_algebra_requires_basic(cat4):
     t = rigid_object(cat4, ["M44", "M44"])
     with pytest.raises(ValueError):
         end_algebra(cat4, t)
+
+
+def test_composites_follow_their_factors():
+    """On every basic rigid object of rank <= 4, composites() lists each pair
+    of the square of the radical once, after both of its factors, and every
+    projective module satisfies b_(i,k) = c b_(i,j) b_(j,k)."""
+    objects = composites = 0
+    for n in range(1, 5):
+        cat = cached_category(n)
+        for t in enumerate_basic_rigid(cat):
+            alg = algebra_of(cat, t)
+            known = set(alg.arrow_pairs())
+            comps = alg.composites()
+            for (i, j, k, c) in comps:
+                assert c == alg.mult[(i, j, k)] != 0
+                assert (i, j) in known and (j, k) in known
+                assert (i, k) not in known
+                known.add((i, k))
+            assert sorted(known) == sorted(alg.radical_pairs)
+            for v in range(alg.r):
+                p = projective_module(alg, v)
+                for (i, j, k, c) in comps:
+                    prod = (p.act[(i, j)] * p.act[(j, k)]).scale(c)
+                    assert p.act[(i, k)].entries == prod.entries
+            objects += 1
+            composites += len(comps)
+    assert objects == 252 and composites > 0
+
+
+def test_composites_raise_without_a_factorization():
+    # b_(0,1) = b_(0,2) b_(2,1) and b_(0,2) = b_(0,1) b_(1,2): neither pair
+    # of the square of the radical reaches the arrows first
+    alg = Algebra((0, 1, 2), ("a", "b", "c"),
+                  ((0, 1), (0, 2), (1, 2), (2, 1)),
+                  {(0, 2, 1): 1, (0, 1, 2): 1}, 7)
+    assert alg.arrow_pairs() == [(1, 2), (2, 1)]
+    with pytest.raises(InternalConsistencyError, match="factorization"):
+        alg.composites()
 
 
 def test_H_of_example_object(cat4, example_T):
@@ -104,6 +143,47 @@ def test_H_mor_components_are_shaped(cat4, example_T, fan_T):
                     assert (c.rows, c.cols) == (rows, cols)
                     neither += not f.src.is_zero() and rows == cols == 0
     assert neither
+
+
+def _H_obj_reference(cat, alg, x):
+    """H(x) built entry by entry from hom1 and comp3."""
+    dims = [sum(1 for s in x.summands if cat.hom1(alg.summands[i], s))
+            for i in range(alg.r)]
+    basis = [[pos for pos, s in enumerate(x.summands)
+              if cat.hom1(alg.summands[i], s)] for i in range(alg.r)]
+    act = {}
+    for (i, j) in alg.radical_pairs:
+        rows = [[Fraction(0)] * dims[j] for _ in range(dims[i])]
+        for cj, pos in enumerate(basis[j]):
+            s = x.summands[pos]
+            if cat.hom1(alg.summands[i], s):
+                ri = basis[i].index(pos)
+                rows[ri][cj] = cat.comp3(alg.summands[i], alg.summands[j], s)
+        act[(i, j)] = Mat.from_rows(rows) if dims[i] else Mat.zeros(0, dims[j])
+    return LambdaModule(alg, dims, act)
+
+
+def test_H_obj_matches_the_entrywise_reference():
+    """Every basic rigid object of rank <= 3 and sampled ones at ranks 4-6,
+    on every indecomposable, random objects, repeated summands and the zero
+    object: the same dimensions, shapes and entries."""
+    rng = random.Random(24)
+    cases = 0
+    for n in range(1, 7):
+        cat = cached_category(n)
+        ts = (enumerate_basic_rigid(cat) if n <= 3
+              else [sample_rigid(cat, rng) for _ in range(10)])
+        for t in ts:
+            alg = algebra_of(cat, t)
+            xs = [cat.obj([i]) for i in range(cat.N)]
+            xs += [cat.zero_obj, cat.obj([t.arcs[0]] * 2 + [t.arcs[-1]])]
+            xs += [cat.random_obj(rng, 4) for _ in range(5)]
+            for x in xs:
+                got, ref = H_obj(cat, alg, x), _H_obj_reference(cat, alg, x)
+                # Mat equality compares the shape and the entries
+                assert got.dims == ref.dims and got.act == ref.act
+                cases += 1
+    assert cases > 1500
 
 
 def test_enumerate_indecs_raises_past_the_candidate_limit(cat4, example_T,
@@ -206,6 +286,16 @@ def test_enumerate_indecs_fan_n5():
     _assert_interval_classes(enumerate_indec_modules(alg, 5), 5)
 
 
+def _raw_tuples(dims, slots):
+    """Every {0, +-1} matrix tuple on the slots."""
+    spaces = []
+    for (i, j) in slots:
+        ents = itertools.product([Fraction(v) for v in (0, 1, -1)],
+                                 repeat=dims[i] * dims[j])
+        spaces.append([Mat(dims[i], dims[j], tuple(e)) for e in ents])
+    return itertools.product(*spaces)
+
+
 def _sign_orbit_key(dims, slots, mats):
     """The least entry tuple over the orbit of the diagonal sign changes
     A_(i,j) -> D_i A_(i,j) D_j."""
@@ -219,26 +309,31 @@ def _sign_orbit_key(dims, slots, mats):
 
 def test_sign_filter_keeps_one_candidate_per_orbit(cat4, example_T, fan_T,
                                                    cat2):
+    """_candidates on the arrow slots meets every orbit of the raw tuples
+    once.  Total dimension 4 is included: below it no graph of basis
+    vectors has a cycle, so no entry would take both signs."""
     algebras = [algebra_of(cat4, example_T), algebra_of(cat4, fan_T),
                 algebra_of(cat2, rigid_object(cat2, ["M22", "M12"]))]
-    orbits = 0
+    orbits = negative = 0
     for alg in algebras:
-        for total in range(1, 4):
+        for total in range(1, 5):
             for dims in _compositions(total, alg.r):
-                slots = [(i, j) for (i, j) in alg.radical_pairs
+                slots = [(i, j) for (i, j) in alg.arrow_pairs()
                          if dims[i] and dims[j]]
-                kept = {}
-                for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
-                    key = _sign_orbit_key(dims, slots, mats)
-                    kept[key] = (kept.get(key, 0)
-                                 + _sign_normal(dims, slots, mats))
-                assert set(kept.values()) == {1}, (dims, kept)
-                orbits += len(kept)
-    assert orbits > 0
+                cands = list(_candidates(dims, slots))
+                got = [_sign_orbit_key(dims, slots, mats) for mats in cands]
+                assert len(got) == len(set(got)), dims
+                assert set(got) == {_sign_orbit_key(dims, slots, mats)
+                                    for mats in _raw_tuples(dims, slots)}
+                orbits += len(got)
+                negative += sum(x < 0 for mats in cands for m in mats
+                                for x in m.entries)
+    assert orbits > 0 and negative > 0
 
 
 def _unpruned_enumeration(alg, dim_bound):
-    """The enumeration without the sign filter: every {0, +-1} candidate."""
+    """The enumeration over every {0, +-1} matrix on every radical pair,
+    arrows or not, with no sign orbits."""
     found = []
     for total in range(1, dim_bound + 1):
         for dims in _compositions(total, alg.r):
@@ -248,7 +343,7 @@ def _unpruned_enumeration(alg, dim_bound):
             slots = [(i, j) for (i, j) in alg.radical_pairs
                      if dims[i] and dims[j]]
             classes = []
-            for mats in _matrix_tuples(dims, slots, CANDIDATE_VALUES):
+            for mats in _raw_tuples(dims, slots):
                 m = LambdaModule(alg, dims, dict(zip(slots, mats)))
                 try:
                     m.validate()
@@ -264,9 +359,10 @@ def _unpruned_enumeration(alg, dim_bound):
 
 
 def test_enumerate_indecs_matches_unpruned_reference():
-    """On every basic rigid object of rank <= 4, the sign filter keeps the
-    classes: the same dimension vectors, and each class is isomorphic to
-    exactly one class of the unfiltered loop, both ways."""
+    """On every basic rigid object of rank <= 4, the arrow candidates with
+    forced composites keep the classes: the same dimension vectors, and each
+    class is isomorphic to exactly one class of the unrestricted loop, both
+    ways."""
     objects = 0
     for n in range(1, 5):
         cat = cached_category(n)
@@ -345,7 +441,7 @@ def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
             for dims in _compositions(total, alg.r):
                 slots = [(i, j) for (i, j) in alg.radical_pairs
                          if dims[i] and dims[j]]
-                for mats in _matrix_tuples(dims, slots, (0, 1, -1)):
+                for mats in _raw_tuples(dims, slots):
                     m = LambdaModule(alg, dims, dict(zip(slots, mats)))
                     try:
                         m.validate()
