@@ -15,10 +15,14 @@ bridge.
 The build is exact-integer from start to finish: the mesh quotient reduces
 integer relations, every reduction coefficient, composition constant and
 suspension constant is an ``int`` (a reduction coefficient that is not an
-integer raises BuildError), and the checks multiply ints.  The oracle
-solves the commutation equations of each interval pair once per rank.
-``load_category`` runs the same table checks, and the label bridge, on
-what it reads.
+integer raises BuildError), and the checks multiply ints.  The composition
+and suspension tables are filled in one pass over the hom pairs in degree
+order, each entry from one a degree lower.  Each category computes one
+crossing matrix of its arcs; the crossing-rule check reads it too.  The
+oracle solves the commutation equations of each interval pair once per
+rank.  ``load_category`` runs the same table checks, and the label bridge,
+on what it reads, and also rejects repeated keys and hom degrees that are
+not path lengths in the arrow quiver.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -590,10 +594,11 @@ def _mesh_at(p: Polygon, arcs, arc_index, z: int):
 def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
     """Build all tables for the rank-n category; deterministic in n.
 
-    Every scalar of the build is an ``int``.  Raises BuildError with a
-    diagnostic naming the offending pair whenever an internal cross-check
-    fails (mesh dimensions vs crossing rule, sigma, associativity, or the
-    label bridge), or when a mesh reduction coefficient is not an integer.
+    Every scalar of the build is an ``int``.  Raises BuildError whenever
+    an internal cross-check fails: the label bridge (mesh dimensions vs the
+    representation oracle) first, then the table checks of
+    ``_check_tables``, which name the offending pair; also when a mesh
+    reduction coefficient is not an integer.
     """
     if isinstance(p, int):
         p = Polygon(p)
@@ -668,68 +673,57 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
                 exp[(a_id, x)] = reduction[col]
         alive_prev, alive_cur = alive_cur, alive_next
 
-    # -- composition scalars ------------------------------------------
-
-    comp: dict[tuple[int, int, int], int] = {}
-
-    def cscal(x: int, y: int, z: int) -> int:
-        """Coefficient of basis(x,z) in basis(y,z) . basis(x,y)."""
-        if y == x or z == y:
-            return 1 if (x, z) in hom_deg else 0
-        key = (x, y, z)
-        got = comp.get(key)
-        if got is not None:
-            return got
-        a_id, w = def_pair[(y, z)]
-        if (x, w) in hom_deg:
-            val = cscal(x, y, w) * exp.get((a_id, x), 0)
-        else:
-            val = 0
-        comp[key] = val
-        return val
-
-    hom_from: list[list[int]] = [[] for _ in range(N)]
-    for (y, z) in sorted(hom_deg):
-        hom_from[y].append(z)
-    # every composable triple, the identity triples (x = y or y = z) too
-    for (x, y) in hom_deg:
-        for z in hom_from[y]:
-            if (x, z) in hom_deg:
-                comp[(x, y, z)] = cscal(x, y, z)
-
-    # -- suspension ------------------------------------------------------
+    # -- composition and suspension scalars -----------------------------
+    # one pass over the hom pairs (y, z) by degree: with (a, w) the
+    # defining pair of (y, z), basis(y, z) = a . basis(y, w), and (y, w)
+    # sits one degree lower, so its entries are already known
 
     sigma_arc = [arc_index[rotate(p, a, 1)] for a in arcs]
+    comp: dict[tuple[int, int, int], int] = {}
     sig: dict[tuple[int, int], int] = {}
-
-    def sscal(x: int, y: int) -> int:
-        if x == y:
-            return 1
-        key = (x, y)
-        got = sig.get(key)
-        if got is not None:
-            return got
-        a_id, w = def_pair[(x, y)]
+    hom_to: list[list[int]] = [[] for _ in range(N)]
+    for (x, y) in sorted(hom_deg):
+        hom_to[y].append(x)
+    for (y, z) in sorted(hom_deg, key=lambda k: (hom_deg[k], k)):
+        if y == z:
+            sig[(y, y)] = 1
+            for x in hom_to[y]:
+                comp[(x, y, y)] = 1
+            continue
+        a_id, w = def_pair[(y, z)]
         ws, zs = arrows[a_id]
         a_shift = arrow_idx[(sigma_arc[ws], sigma_arc[zs])]
-        val = sscal(x, w) * exp.get((a_shift, sigma_arc[x]), 0)
-        sig[key] = val
-        return val
-
-    for (x, y) in hom_deg:
-        sig[(x, y)] = sscal(x, y)
+        sig[(y, z)] = sig[(y, w)] * exp.get((a_shift, sigma_arc[y]), 0)
+        # comp[(x, y, z)]: coefficient of basis(x, z) in
+        # basis(y, z) . basis(x, y), for every composable triple
+        for x in hom_to[y]:
+            if (x, z) not in hom_deg:
+                continue
+            if x == y:
+                comp[(x, y, z)] = 1
+            elif (x, w) in hom_deg:
+                comp[(x, y, z)] = comp[(x, y, w)] * exp.get((a_id, x), 0)
+            else:
+                comp[(x, y, z)] = 0
 
     # -- checks and label bridge --------------------------------------------
 
-    _check_tables(p, arcs, hom_deg, comp, sig, sigma_arc)
     labels, meta = (_bridge(p, arcs, arc_index, hom_deg, sigma_arc)
                     if with_labels else
                     ([str(a) for a in arcs], {"bridge": None}))
-    return Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
+    cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
+    _check_tables(cat)
+    return cat
 
 
 def _unit_table(name: str, table: dict) -> dict:
-    """The table with ``int`` values; every value must lie in {-1, 0, 1}."""
+    """The table with ``int`` values; every value must lie in {-1, 0, 1}.
+
+    A table whose values are all ``int`` in {-1, 0, 1} (every built table)
+    is returned as it is, not copied."""
+    values = table.values()
+    if set(map(type, values)) <= {int} and set(values) <= {-1, 0, 1}:
+        return table
     out = {}
     for key, v in table.items():
         if v != 0 and v != 1 and v != -1:
@@ -770,20 +764,23 @@ def _quotient_1d(rel_rows: list[list[int]], ngens: int):
     return 1, f0, reduction
 
 
-def _check_tables(p: Polygon, arcs, hom_deg, comp, sig, sigma_arc):
+def _check_tables(cat: Category):
     """The cross-checks every built or loaded table passes; raises
     BuildError naming the first failure.
 
-    Hom pairs exactly the pairs of arcs the crossing rule predicts,
-    identities as units of the composition and fixed by the suspension,
-    suspension constants on exactly the hom pairs, nonzero and
+    Hom pairs exactly the pairs of arcs the crossing rule predicts
+    (Hom(x, y) != 0 iff x crosses sigma^-1 y, read off the category's
+    crossing matrix), identities as units of the composition and fixed by
+    the suspension, suspension constants on exactly the hom pairs, nonzero and
     hom-preserving, suspension functorial on compositions, composition
     associative.  Together these catch the sign flip of any nonzero
     composition or suspension constant (tested at n = 3 and 4).
     """
-    N = len(arcs)
-    predicted = {(x, y) for y in range(N) for ym in [rotate(p, arcs[y], -1)]
-                 for x in range(N) if crosses(p, arcs[x], ym)}
+    arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
+                                           cat.sig, cat.sigma_arc)
+    N, cross, inv = cat.N, cat._cross, cat.sigma_arc_inv
+    predicted = {(x, y) for y in range(N) for x in range(N)
+                 if cross[x][inv[y]]}
     for x, y in sorted(predicted.symmetric_difference(hom_deg),
                        key=lambda k: (k[1], k[0])):
         if not (0 <= x < N and 0 <= y < N):
@@ -804,7 +801,7 @@ def _check_tables(p: Polygon, arcs, hom_deg, comp, sig, sigma_arc):
         if (sigma_arc[x], sigma_arc[y]) not in hom_deg:
             raise BuildError(f"suspension not hom-preserving at ({arcs[x]}, {arcs[y]})")
     _check_sigma_functorial(arcs, comp, sig, sigma_arc)
-    _check_associativity(p.n, arcs, hom_deg, comp)
+    _check_associativity(cat.n, arcs, hom_deg, comp)
 
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
@@ -846,17 +843,29 @@ def _associativity_chains(n: int, hom_deg):
                 for w in out.get(z, ()):
                     yield x, y, z, w
         return
-    rng = random.Random(0)
+    if not pairs:
+        return   # no chains, and below(0) would never return
+    bits = random.Random(0).getrandbits
+
+    def below(k: int) -> int:
+        # random.Random.randrange(k) for k > 0: the same getrandbits calls,
+        # without its argument handling
+        b = k.bit_length()
+        r = bits(b)
+        while r >= k:
+            r = bits(b)
+        return r
+
     for _ in range(10_000):
-        x, y = pairs[rng.randrange(len(pairs))]
+        x, y = pairs[below(len(pairs))]
         zs = out.get(y)
         if not zs:
             continue
-        z = zs[rng.randrange(len(zs))]
+        z = zs[below(len(zs))]
         ws = out.get(z)
         if not ws:
             continue
-        yield x, y, z, ws[rng.randrange(len(ws))]
+        yield x, y, z, ws[below(len(ws))]
 
 
 def _base_labeling(p: Polygon, arc_index) -> dict[int, str]:
@@ -925,9 +934,12 @@ def load_category(data: dict | str) -> Category:
 
     The tables pass the build's checks again: the arcs and the suspension
     permutation, the crossing rule, the suspension constants, functoriality,
-    associativity and, for a labelled table, the label bridge.  Raises
-    ValueError on a foreign schema or on a composition or suspension
-    constant outside {-1, 0, 1}, and BuildError when a check fails.
+    associativity and, for a labelled table, the label bridge.  Two checks
+    are the loader's own: no key of ``hom``, ``comp`` or ``sigma`` is
+    repeated, and every hom degree is the length of a shortest path in the
+    arrow quiver.  Raises ValueError on a foreign schema or on a composition
+    or suspension constant outside {-1, 0, 1}, and BuildError when a check
+    fails.
     """
     if isinstance(data, str):
         with open(data) as fh:
@@ -941,15 +953,61 @@ def load_category(data: dict | str) -> Category:
     arc_index = {a: i for i, a in enumerate(arcs)}
     if data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]:
         raise BuildError("sigma_arc is not the rotation of the arcs")
-    hom_deg = {(x, y): d for x, y, d in data["hom"]}
-    comp = {(x, y, z): Fraction(c) for x, y, z, c in data["comp"]}
-    sig = {(x, y): Fraction(c) for x, y, c in data["sigma"]}
+    hom_deg = _read_table("hom", data["hom"], 2)
+    comp = {k: Fraction(c)
+            for k, c in _read_table("comp", data["comp"], 3).items()}
+    sig = {k: Fraction(c)
+           for k, c in _read_table("sigma", data["sigma"], 2).items()}
     cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
                    data["labels"], data.get("meta", {}))
-    _check_tables(p, arcs, hom_deg, cat.comp, cat.sig, cat.sigma_arc)
+    _check_tables(cat)
+    _check_degrees(cat)
     if cat.meta.get("bridge") is None:
         if cat.labels != [str(a) for a in arcs]:
             raise BuildError("unlabelled table carries labels")
     else:
         label_bridge(cat)
     return cat
+
+
+def _read_table(name: str, rows: list, arity: int) -> dict:
+    """{key: value} from serialized rows [*key, value]; a repeated key
+    raises BuildError naming it."""
+    out = {}
+    for row in rows:
+        if len(row) != arity + 1:
+            raise ValueError(f"{name} entry {row} does not have "
+                             f"{arity + 1} fields")
+        key = tuple(row[:arity])
+        if key in out:
+            raise BuildError(f"{name} table repeats the key {key}")
+        out[key] = row[arity]
+    return out
+
+
+def _check_degrees(cat: Category):
+    """Every hom degree is the length of a shortest path in the arrow
+    quiver (breadth-first from each arc); raises BuildError naming the
+    first pair that disagrees.  Expects hom pairs of arcs, as
+    ``_check_tables`` makes sure."""
+    succ: list[list[int]] = [[] for _ in range(cat.N)]
+    for w, z in _arrows(cat.polygon, cat.arcs, cat.arc_index):
+        succ[w].append(z)
+    for x in range(cat.N):
+        dist = {x: 0}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for z in succ[w]:
+                    if z not in dist:
+                        dist[z] = dist[w] + 1
+                        nxt.append(z)
+            frontier = nxt
+        for y in cat.hom_out[x]:
+            d = cat.hom_deg[(x, y)]
+            if d != dist.get(y):
+                raise BuildError(
+                    f"hom degree {d} at ({cat.arcs[x]}, {cat.arcs[y]}) is "
+                    f"not the shortest path length {dist.get(y)} in the "
+                    "arrow quiver")

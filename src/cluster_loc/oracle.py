@@ -11,6 +11,8 @@ On top of mod kQ sits a stalk model of the orbit construction: objects are
 pairs (interval, shift), the inverse translate of an injective stalk jumps
 the shift by one, and hom spaces between orbit representatives are the sums
 over twists sum_k Hom_D(X, F^k Y) with F = inverse-translate-then-shift.
+The twists F^k Y are computed once per label (``twists``), and every orbit
+hom dimension is the same sum over them (``_orbit_sum``).
 Everything here is deliberately independent of the mesh category so the two
 sides can be compared as separate computations.
 """
@@ -53,9 +55,8 @@ def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
     if lo > hi:
         return 0
     rows = []
-    for v in range(1, n):  # arrow v -> v+1
-        if not (x.i <= v <= x.j and y.i <= v + 1 <= y.j):
-            continue
+    # the arrows v -> v+1 with x supported at v and y at v+1
+    for v in range(max(1, x.i, y.i - 1), min(n - 1, x.j, y.j - 1) + 1):
         row = [0] * (hi - lo + 1)
         if v + 1 <= x.j:    # x's arrow map is the identity, f_{v+1} exists
             row[v + 1 - lo] += 1
@@ -87,26 +88,33 @@ def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
     return Stalk(Interval(m.j, n), s.shift + 1)   # inverse translate of I_j is P_j[1]
 
 
-def hom_dim_derived(n: int, x: Stalk, y: Stalk) -> int:
-    d = y.shift - x.shift
-    if d == 0:
-        return hom_dim_mod(n, x.mod, y.mod)
-    if d == 1:
-        return ext1_dim_mod(n, x.mod, y.mod)
-    return 0
+def twists(n: int, y: Stalk) -> list[Stalk]:
+    """F^k y for k = 0..3, F = inverse translate then shift; the shifts
+    only grow along the list."""
+    out = [y]
+    for _ in range(3):
+        t = tau_inv_stalk(n, out[-1])
+        out.append(Stalk(t.mod, t.shift + 1))
+    return out
+
+
+def _orbit_sum(n: int, x: Stalk, ys: list[Stalk]) -> int:
+    """Sum of Hom_D(x, F^k y) over the twists ``ys = twists(n, y)``."""
+    total = 0
+    for cur in ys:
+        d = cur.shift - x.shift
+        if d == 0:
+            total += hom_dim_mod(n, x.mod, cur.mod)
+        elif d == 1:
+            total += ext1_dim_mod(n, x.mod, cur.mod)
+        elif d > 1:
+            break  # shifts only grow from here, no further contributions
+    return total
 
 
 def hom_dim_orbit(n: int, x: Stalk, y: Stalk) -> int:
     """dim Hom in the orbit category: sum of Hom_D(x, F^k y) over twists."""
-    total = 0
-    cur = y
-    for _ in range(4):
-        total += hom_dim_derived(n, x, cur)
-        t = tau_inv_stalk(n, cur)
-        cur = Stalk(t.mod, t.shift + 1)
-        if cur.shift - x.shift > 1:
-            break  # shifts only grow from here, no further contributions
-    return total
+    return _orbit_sum(n, x, twists(n, y))
 
 
 # -- labelled fundamental domain -----------------------------------------
@@ -150,5 +158,6 @@ def label_hom_matrix(n: int) -> dict[tuple[str, str], int]:
     """All orbit hom dimensions between canonical labels."""
     labs = labels(n)
     stalks = {lab: label_to_stalk(n, lab) for lab in labs}
-    return {(a, b): hom_dim_orbit(n, stalks[a], stalks[b])
+    tw = {lab: twists(n, s) for lab, s in stalks.items()}
+    return {(a, b): _orbit_sum(n, stalks[a], tw[b])
             for a in labs for b in labs}

@@ -6,8 +6,9 @@ import re
 import pytest
 
 from cluster_loc.arcs import Polygon, crosses, rotate
-from cluster_loc.category import (BuildError, Obj, _associativity_chains,
-                                  _quotient_1d, build_category, load_category)
+from cluster_loc.category import (BuildError, Category, Obj,
+                                  _associativity_chains, _quotient_1d,
+                                  _unit_table, build_category, load_category)
 from cluster_loc.linalg import mat_from_cols
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
@@ -211,6 +212,22 @@ def test_load_rejects_non_unit_constants(cat4):
             load_category(d)
 
 
+def test_unit_tables_of_ints(cat4):
+    # an int table with values in {-1, 0, 1} is kept as it is
+    table = dict(cat4.comp)
+    assert _unit_table("composition", table) is table
+    # int values outside {-1, 0, 1} leave the fast path and raise
+    key3 = next(k for k, c in cat4.comp.items() if c and k[0] != k[1] != k[2])
+    key2 = next(k for k in cat4.sig if k[0] != k[1])
+    for name, key, bad in (("comp", key3, 2), ("comp", key3, -2),
+                           ("sig", key2, 2)):
+        tables = {"comp": dict(cat4.comp), "sig": dict(cat4.sig)}
+        tables[name][key] = bad
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            Category(cat4.polygon, cat4.arcs, cat4.hom_deg, tables["comp"],
+                     tables["sig"], cat4.sigma_arc, cat4.labels, cat4.meta)
+
+
 def test_mor_literal_roundtrip(cat4):
     f = cat4.parse_mor("M44,SM24 -> M34")
     assert cat4.format_mor(f) == "SP2,M44 -> M34 @ [[1,1]]"
@@ -314,6 +331,31 @@ def test_load_reruns_the_build_checks(cat4):
     d = cat4.to_dict()
     d["sigma_arc"] = d["sigma_arc"][1:] + d["sigma_arc"][:1]
     with pytest.raises(BuildError, match="rotation"):
+        load_category(d)
+
+
+def test_load_rejects_repeated_keys_and_shifted_degrees(cat4):
+    # a repeated key placed before the true entry would otherwise be
+    # overwritten by it: a composition entry with the opposite sign, and a
+    # hom or suspension entry repeated as it is
+    for table, at in (("comp", 3), ("hom", 2), ("sigma", 2)):
+        d = cat4.to_dict()
+        k = next(i for i, e in enumerate(d[table])
+                 if e[0] != e[1] and e[at] not in ("0", 0))
+        entry = list(d[table][k])
+        if table == "comp":
+            entry[at] = str(-int(entry[at]))
+        d[table].insert(0, entry)
+        with pytest.raises(BuildError,
+                           match=re.escape(f"repeats the key {tuple(entry[:at])}")):
+            load_category(d)
+    # a hom degree that is not the path length in the arrow quiver
+    d = cat4.to_dict()
+    k = next(i for i, (x, y, _) in enumerate(d["hom"]) if x != y)
+    d["hom"][k][2] += 3
+    x, y, deg = d["hom"][k]
+    with pytest.raises(BuildError, match=re.escape(
+            f"hom degree {deg} at ({d['arcs'][x]}, {d['arcs'][y]})")):
         load_category(d)
 
 

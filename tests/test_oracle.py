@@ -1,6 +1,9 @@
+import pytest
+
+from cluster_loc.linalg import rank_rows
 from cluster_loc.oracle import (Interval, Stalk, ext1_dim_mod, hom_dim_mod,
                                 hom_dim_orbit, label_hom_matrix,
-                                label_to_stalk, labels)
+                                label_to_stalk, labels, tau_inv_stalk)
 
 
 def test_module_homs_linear_a2():
@@ -60,3 +63,57 @@ def test_orbit_homs_shifted_projectives():
         for j in range(1, n + 1):
             assert m[(f"SP{i}", f"SP{j}")] == \
                 hom_dim_mod(n, Interval(i, n), Interval(j, n))
+
+
+def _ref_hom_dim_mod(n, x, y):
+    """dim Hom_kQ(x, y) with the equation of every arrow v -> v+1 tried in
+    turn; the reference for hom_dim_mod's shorter arrow range."""
+    lo, hi = max(x.i, y.i), min(x.j, y.j)
+    if lo > hi:
+        return 0
+    rows = []
+    for v in range(1, n):
+        if not (x.i <= v <= x.j and y.i <= v + 1 <= y.j):
+            continue
+        row = [0] * (hi - lo + 1)
+        if v + 1 <= x.j:
+            row[v + 1 - lo] += 1
+        if y.i <= v:
+            row[v - lo] -= 1
+        if any(row):
+            rows.append(row)
+    return hi - lo + 1 - (rank_rows(rows) if rows else 0)
+
+
+def _ref_hom_dim_orbit(n, x, y):
+    """The orbit sum with the twists of y recomputed for each pair; the
+    reference for the twists that hom_dim_orbit and label_hom_matrix share."""
+    total = 0
+    cur = y
+    for _ in range(4):
+        d = cur.shift - x.shift
+        if d == 0:
+            total += hom_dim_mod(n, x.mod, cur.mod)
+        elif d == 1:
+            total += ext1_dim_mod(n, x.mod, cur.mod)
+        t = tau_inv_stalk(n, cur)
+        cur = Stalk(t.mod, t.shift + 1)
+        if cur.shift - x.shift > 1:
+            break
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_homs_match_the_per_pair_reference(n):
+    intervals = [Interval(i, j) for i in range(1, n + 1)
+                 for j in range(i, n + 1)]
+    for x in intervals:
+        for y in intervals:
+            assert hom_dim_mod(n, x, y) == _ref_hom_dim_mod(n, x, y)
+    m = label_hom_matrix(n)
+    stalks = {lab: label_to_stalk(n, lab) for lab in labels(n)}
+    for a, x in stalks.items():
+        for b, y in stalks.items():
+            want = _ref_hom_dim_orbit(n, x, y)
+            assert hom_dim_orbit(n, x, y) == want
+            assert m[(a, b)] == want
