@@ -26,7 +26,7 @@ not path lengths in the arrow quiver.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
-suspension, isomorphism testing and right-minimal reduction.  The maps f
+suspension, direct sums and right-minimal reduction.  The maps f
 induces on hom spaces are matrices on the slot bases (``hom_slots``), built
 directly: ``post_matrix`` (Hom(W, f)), ``pre_matrix`` (Hom(f, W)) and, in
 ``rigid``, ``hom_functor_matrix`` (Hom(T, -) on a space Hom(x, y)).
@@ -38,12 +38,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    make_arc, parse_arc, rotate)
-from .linalg import Mat, kernel_basis, reduced_rows, solve_right
+from .linalg import Mat, kernel_basis, reduced_rows
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -386,27 +386,7 @@ class Category:
         """dim Hom(X, w) for an indecomposable w (arc index)."""
         return self.hom_vec_from(X)[w]
 
-    # -- isomorphism and minimality ---------------------------------------
-
-    def is_isomorphism(self, f: Mor) -> bool:
-        """Decide invertibility by solving f.g = id and checking g.f = id."""
-        return self._solve_two_sided(f) is not None
-
-    def _solve_two_sided(self, f: Mor) -> Optional[Mor]:
-        X, Y = f.src, f.tgt
-        sol = solve_right(self.post_matrix(f, Y),
-                          Mat.column(self.vectorize(self.identity(Y))))
-        if sol is None:
-            return None
-        g = self.mor_from_vec(Y, X, sol.col(0))
-        # when f is invertible, f.g = id pins g = f^{-1}, so the two-sided
-        # check can only fail for genuinely non-invertible f (split epis)
-        if self.compose(g, f).m != self.identity(X).m:
-            return None
-        return g
-
-    def is_right_minimal(self, f: Mor) -> bool:
-        return self._find_split_column(f) is None
+    # -- right minimality ---------------------------------------------------
 
     def _find_split_column(self, f: Mor):
         """A pair (iota, j0) where iota: a -> src has f.iota = 0 and nonzero
@@ -739,7 +719,8 @@ def _quotient_1d(rel_rows: list[list[int]], ngens: int):
 
     Returns (dim, basis column or None, reduction coefficient per generator).
     The coefficients are ``int``; one that is not an integer raises
-    BuildError.
+    BuildError.  A single nonzero relation is its own reduced form over the
+    absolute value of its leading entry, so it is read off the row.
     """
     if ngens == 0:
         return 0, None, []
@@ -747,7 +728,13 @@ def _quotient_1d(rel_rows: list[list[int]], ngens: int):
         if ngens > 1:
             return ngens, None, []
         return 1, 0, [1]
-    red, pivots, d = reduced_rows(rel_rows)
+    if len(rel_rows) == 1 and any(rel_rows[0]):
+        row = rel_rows[0]
+        lead = next(v for v in row if v)
+        red, pivots, d = ([row if lead > 0 else [-v for v in row]],
+                          [row.index(lead)], abs(lead))
+    else:
+        red, pivots, d = reduced_rows(rel_rows)
     free = [c for c in range(ngens) if c not in pivots]
     dim = len(free)
     if dim != 1:
@@ -954,10 +941,8 @@ def load_category(data: dict | str) -> Category:
     if data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]:
         raise BuildError("sigma_arc is not the rotation of the arcs")
     hom_deg = _read_table("hom", data["hom"], 2)
-    comp = {k: Fraction(c)
-            for k, c in _read_table("comp", data["comp"], 3).items()}
-    sig = {k: Fraction(c)
-           for k, c in _read_table("sigma", data["sigma"], 2).items()}
+    comp = _read_constants("comp", data["comp"], 3)
+    sig = _read_constants("sigma", data["sigma"], 2)
     cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
                    data["labels"], data.get("meta", {}))
     _check_tables(cat)
@@ -983,6 +968,17 @@ def _read_table(name: str, rows: list, arity: int) -> dict:
             raise BuildError(f"{name} table repeats the key {key}")
         out[key] = row[arity]
     return out
+
+
+_UNIT_LITERALS = {"-1": -1, "0": 0, "1": 1}
+
+
+def _read_constants(name: str, rows: list, arity: int) -> dict:
+    """A composition or suspension table as ``_read_table`` reads it, each
+    value parsed as a ``Fraction``; the literals "-1", "0" and "1" (all
+    that ``to_dict`` writes) are read straight to ``int``."""
+    return {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else Fraction(c)
+            for k, c in _read_table(name, rows, arity).items()}
 
 
 def _check_degrees(cat: Category):

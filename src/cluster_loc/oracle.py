@@ -112,11 +112,6 @@ def _orbit_sum(n: int, x: Stalk, ys: list[Stalk]) -> int:
     return total
 
 
-def hom_dim_orbit(n: int, x: Stalk, y: Stalk) -> int:
-    """dim Hom in the orbit category: sum of Hom_D(x, F^k y) over twists."""
-    return _orbit_sum(n, x, twists(n, y))
-
-
 # -- labelled fundamental domain -----------------------------------------
 
 

@@ -20,9 +20,9 @@ kernel test read ``post_matrix`` at each summand of T; direct divisibility
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
@@ -199,14 +199,18 @@ def wakamatsu_check(cat: Category, t: RigidObject, x: Obj) -> bool:
 
 def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:
     """Presentation-subcategory membership: the cosuspended cone of the
-    minimal right add T-approximation must lie in add T."""
+    minimal right add T-approximation must lie in add T.
+
+    The minimal right add T-approximation of X + Y is the sum of the minimal
+    ones of X and Y, so its cone is the sum of their cones, and add T is
+    closed under sums and summands: x lies in C(T) exactly when each of its
+    indecomposable summands does.  The verdict is memoised per arc.
+    """
     memo = _rigid_memo(cat, t).setdefault("in_ct", {})
-    if x.summands not in memo:
-        tri = approx_triangle(cat, t, x)
-        u = cat.suspend_obj(tri.z, -1)
-        addt = set(t.arcs)
-        memo[x.summands] = all(s in addt for s in u.summands)
-    return memo[x.summands]
+    for a in set(x.summands) - memo.keys():
+        u = cat.suspend_obj(approx_triangle(cat, t, Obj((a,))).z, -1)
+        memo[a] = all(s in t.arcs for s in u.summands)
+    return all(memo[a] for a in x.summands)
 
 
 def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:
@@ -241,9 +245,17 @@ def factors_through_mor(cat: Category, f: Mor, through: Mor) -> bool:
 
 
 def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:
-    """Left Sigma-T-perp-approximation of x: the cone map of x's
-    approximation triangle (suspended Wakamatsu data)."""
-    return approx_triangle(cat, t, x).g
+    """Left Sigma-T-perp-approximation of x, with source x itself.
+
+    For an indecomposable a it is the cone map g: a -> Z of a's
+    approximation triangle (suspended Wakamatsu data).  The minimal right
+    add T-approximation of X + Y is the sum of the minimal ones of X and Y,
+    so the cones add up, and a sum of left approximations is a left
+    approximation of the sum: the map for x is the direct sum of the maps
+    for its summands, one memoised triangle per indecomposable.
+    """
+    parts = [approx_triangle(cat, t, Obj((a,))).g for a in x.summands]
+    return reduce(cat.direct_sum_mor, parts) if parts else cat.zero_mor(x, x)
 
 
 def factors_through_subcat(cat: Category, t: RigidObject, f: Mor,
@@ -265,11 +277,6 @@ def factors_through_subcat(cat: Category, t: RigidObject, f: Mor,
         return direct
     return factors_through_mor(cat, f, bundle_left_approx(cat, f.src,
                                                           view.members))
-
-
-def factors_through_add(cat: Category, f: Mor, w_arcs: Iterable[int]) -> bool:
-    """Direct divisibility through the additive closure of the given arcs."""
-    return factors_through_mor(cat, f, bundle_left_approx(cat, f.src, w_arcs))
 
 
 def dim_factoring_through_add(cat: Category, x: Obj, y: Obj,
@@ -329,16 +336,3 @@ def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
 
     rec(0, [])
     return out
-
-
-def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
-    """A random basic rigid object (seeded)."""
-    order = list(range(cat.N))
-    rng.shuffle(order)
-    acc: list[int] = []
-    for a in order:
-        if all(not cat.crosses_idx(a, b) for b in acc):
-            acc.append(a)
-            if rng.random() < 0.35:
-                break
-    return RigidObject(tuple(sorted(acc)), True)

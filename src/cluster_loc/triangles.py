@@ -368,14 +368,6 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     return None
 
 
-def rotate_forward(cat: Category, tri: Triangle) -> Triangle:
-    """(f, g, h) -> (g, h, -Σf); the certificate is recomputed."""
-    nf = cat.scale_mor(-1, cat.suspend_mor(tri.f))
-    cert = certify_triangle_parts(cat, tri.y, tri.z, cat.suspend_obj(tri.x),
-                                  tri.g, tri.h, nf)
-    return Triangle(tri.y, tri.z, cat.suspend_obj(tri.x), tri.g, tri.h, nf, cert)
-
-
 # -- meshes as almost split triangles ------------------------------------
 
 
@@ -399,8 +391,3 @@ def mesh_map_out_of(cat: Category, x: int) -> Mor:
     X = Obj((x,))
     E = Obj(tuple(mids))
     return cat.mor(X, E, [[F1] for _ in mids])
-
-
-def ar_triangle(cat: Category, x: int, seed: int = 0) -> Triangle:
-    """The almost split triangle Σx -> E -> x -> Σ²x, certified."""
-    return complete_triangle(cat, mesh_map_into(cat, x), seed=seed)

@@ -5,14 +5,21 @@ import re
 
 import pytest
 
+from cluster_loc import category
 from cluster_loc.arcs import Polygon, crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj,
                                   _associativity_chains, _quotient_1d,
                                   _unit_table, build_category, load_category)
-from cluster_loc.linalg import mat_from_cols
+from cluster_loc.linalg import mat_from_cols, reduced_rows
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
+from conftest import is_isomorphism, sample_rigid
+
+
+def is_right_minimal(cat, f) -> bool:
+    """No summand of the source splits off on which f vanishes."""
+    return cat._find_split_column(f) is None
 
 
 def test_build_guard():
@@ -130,11 +137,11 @@ def test_mor_validation(cat4):
 
 def test_is_isomorphism(cat4):
     x = cat4.obj(["M34", "M44"])
-    assert cat4.is_isomorphism(cat4.identity(x))
-    assert cat4.is_isomorphism(cat4.scale_mor(2, cat4.identity(x)))
+    assert is_isomorphism(cat4, cat4.identity(x))
+    assert is_isomorphism(cat4, cat4.scale_mor(2, cat4.identity(x)))
     f = cat4.basis_mor(cat4.arc_of_token("M44"), cat4.arc_of_token("M34"))
-    assert not cat4.is_isomorphism(f)
-    assert not cat4.is_isomorphism(cat4.zero_mor(x, x))
+    assert not is_isomorphism(cat4, f)
+    assert not is_isomorphism(cat4, cat4.zero_mor(x, x))
 
 
 def test_right_minimal_reduce(cat4):
@@ -151,8 +158,8 @@ def test_right_minimal_reduce(cat4):
     red2, split2 = cat4.right_minimal_reduce(g)
     assert split2.summands == (cat4.arc_of_token("M11"),)
     assert red2.src.summands == (m44,)
-    assert cat4.is_right_minimal(red2)
-    assert not cat4.is_right_minimal(g)
+    assert is_right_minimal(cat4, red2)
+    assert not is_right_minimal(cat4, g)
 
 
 def test_right_minimal_reduce_kills_iso_padding(cat4):
@@ -183,7 +190,7 @@ def test_every_e_with_fe_f_is_iso_on_minimal(cat4):
         for c in range(ker.cols):
             u = cat4.mor_from_vec(X, X, [ker.at(r, c) for r in range(ker.rows)])
             e = cat4.add_mor(cat4.identity(X), u)
-            assert cat4.is_isomorphism(e)
+            assert is_isomorphism(cat4, e)
 
 
 def test_serialization_roundtrip(tmp_path, cat4):
@@ -210,6 +217,31 @@ def test_load_rejects_non_unit_constants(cat4):
         key = tuple(entry[:at])
         with pytest.raises(ValueError, match=re.escape(str(key))):
             load_category(d)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_load_roundtrips_the_built_tables(n):
+    d = build_category(n).to_dict()
+    loaded = load_category(json.loads(json.dumps(d)))
+    assert loaded.to_dict() == d
+    assert all(type(c) is int for c in loaded.comp.values())
+    assert all(type(c) is int for c in loaded.sig.values())
+
+
+def test_load_parses_other_constants_as_fractions(cat4):
+    for value in ("2", "1/2", "-3", "0.5"):
+        for table, at in (("comp", 3), ("sigma", 2)):
+            d = cat4.to_dict()
+            entry = next(e for e in d[table] if e[at] == "1")
+            entry[at] = value
+            with pytest.raises(ValueError, match="outside"):
+                load_category(d)
+    # equal values in another spelling are read as the constants they are
+    d = cat4.to_dict()
+    for table, at in (("comp", 3), ("sigma", 2)):
+        for entry in d[table]:
+            entry[at] = {"1": "2/2", "-1": -1, "0": " 0 "}[entry[at]]
+    assert load_category(d).to_dict() == cat4.to_dict()
 
 
 def test_unit_tables_of_ints(cat4):
@@ -306,6 +338,58 @@ def test_quotient_rejects_non_integral_coefficient():
     assert _quotient_1d([[1, 1]], 2) == (1, 1, [-1, 1])
     with pytest.raises(BuildError, match="not an integer"):
         _quotient_1d([[2, 1]], 2)
+    # the one-row path and the general path agree on the message
+    for quotient in (_quotient_1d, _quotient_1d_by_reduced_rows):
+        with pytest.raises(BuildError, match="coefficient 1/2 is not"):
+            quotient([[-2, 1]], 2)
+
+
+def _quotient_1d_by_reduced_rows(rel_rows, ngens):
+    """``_quotient_1d`` with every relation set, one row or more, sent
+    through ``reduced_rows``: the reference for the one-row path."""
+    if ngens == 0:
+        return 0, None, []
+    if not rel_rows:
+        if ngens > 1:
+            return ngens, None, []
+        return 1, 0, [1]
+    red, pivots, d = reduced_rows(rel_rows)
+    free = [c for c in range(ngens) if c not in pivots]
+    dim = len(free)
+    if dim != 1:
+        return dim, None, ([0] * ngens if dim == 0 else [])
+    f0 = free[0]
+    reduction = [0] * ngens
+    reduction[f0] = 1
+    for rr, pc in enumerate(pivots):
+        q, rem = divmod(-red[rr][f0], d)
+        if rem:
+            raise BuildError(f"mesh reduction coefficient {-red[rr][f0]}/{d} "
+                             "is not an integer")
+        reduction[pc] = q
+    return 1, f0, reduction
+
+
+def test_one_row_quotients_match_reduced_rows():
+    rng = random.Random("quotient")
+    for _ in range(300):
+        ngens = rng.randint(1, 4)
+        row = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(ngens)]
+        for rows in ([row], [row, [rng.randint(-1, 1) for _ in row]]):
+            try:
+                want = _quotient_1d_by_reduced_rows(rows, ngens)
+            except BuildError as err:
+                with pytest.raises(BuildError, match=re.escape(str(err))):
+                    _quotient_1d(rows, ngens)
+            else:
+                assert _quotient_1d(rows, ngens) == want
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tables_match_the_reduced_rows_build(n, monkeypatch):
+    fast = build_category(n).to_dict()
+    monkeypatch.setattr(category, "_quotient_1d", _quotient_1d_by_reduced_rows)
+    assert build_category(n).to_dict() == fast
 
 
 def test_load_reruns_the_build_checks(cat4):
@@ -428,7 +512,7 @@ def _hom_matrix_maps(cat, rng):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_hom_matrices_match_the_slot_reference(n):
-    from cluster_loc.rigid import hom_functor_matrix, sample_rigid
+    from cluster_loc.rigid import hom_functor_matrix
     cat = cached_category(n)
     rng = random.Random(f"hom-matrices:{n}")
     maps = _hom_matrix_maps(cat, rng)

@@ -22,8 +22,9 @@ from cluster_loc.modules import (Algebra, _candidates, _component,
                                  _split_disconnected, _split_simple_summand,
                                  _total_matrix)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
-                               rigid_object, sample_rigid)
+                               rigid_object)
 from cluster_loc.suites import cached_category
+from conftest import sample_rigid
 
 
 def test_end_algebra_example(cat4, example_T):

@@ -2,16 +2,20 @@ import random
 
 import pytest
 
-from cluster_loc.category import InternalConsistencyError, Obj
-from cluster_loc.rigid import (bundle_left_approx, dim_factoring_through_add,
+from cluster_loc.category import InternalConsistencyError, Obj, build_category
+from cluster_loc.localization import classify
+from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
+                               dim_factoring_through_add,
                                dim_hom_functor_kernel, enumerate_basic_rigid,
-                               factors_through_add, factors_through_subcat,
+                               factors_through_mor, factors_through_subcat,
                                hom_functor_zero, in_CT, is_cluster_tilting,
                                is_rigid, left_sigma_perp_approx, perp_view,
-                               rigid_object, right_addT_approx, sample_rigid,
+                               rigid_object, right_addT_approx,
                                wakamatsu_check)
 from cluster_loc.suites import cached_category
-from cluster_loc.triangles import complete_triangle, mesh_map_into
+from cluster_loc.triangles import (complete_triangle, mesh_map_into,
+                                   pre_rank_table)
+from conftest import is_isomorphism, sample_rigid
 
 
 def test_is_rigid_examples(cat4, example_T):
@@ -64,7 +68,7 @@ def test_approximation_of_T_summand_is_identity_like(cat4, example_T):
     for a in example_T.arcs:
         f = right_addT_approx(cat4, example_T, cat4.obj([a]))
         assert f.src.summands == (a,)
-        assert cat4.is_isomorphism(f)
+        assert is_isomorphism(cat4, f)
 
 
 def test_approximation_of_perp_object_is_zero(cat4, example_T):
@@ -108,7 +112,7 @@ def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
         assert sol is not None
         sigma = cat4.mor_from_vec(f1.src, f2.src,
                                   [sol.at(i, 0) for i in range(sol.rows)])
-        assert cat4.is_isomorphism(sigma)
+        assert is_isomorphism(cat4, sigma)
 
 
 def test_wakamatsu_all_objects(cat4, example_T):
@@ -148,7 +152,9 @@ def test_factoring_example(cat4, example_T):
     ar = complete_triangle(cat4, mesh_map_into(cat4, cat4.arc_of_token("M34")))
     assert factors_through_subcat(cat4, example_T, ar.g, sperp)
     # ... through M23 specifically, as in the worked example
-    assert factors_through_add(cat4, ar.g, [cat4.arc_of_token("M23")])
+    m23 = [cat4.arc_of_token("M23")]
+    assert factors_through_mor(cat4, ar.g,
+                               bundle_left_approx(cat4, ar.g.src, m23))
     ident = cat4.identity(cat4.obj(["M44"]))
     assert not factors_through_subcat(cat4, example_T, ident, sperp)
     zero = cat4.zero_mor(cat4.obj(["M34"]), cat4.obj(["M13"]))
@@ -204,3 +210,95 @@ def test_sample_rigid_seeded(cat4):
     assert is_rigid(cat4, Obj(t.arcs))
     rng2 = random.Random(0)
     assert sample_rigid(cat4, rng2).arcs == t.arcs
+
+
+# -- approximations assembled from one triangle per indecomposable ---------
+
+# (rank, summand tokens of T or None for a seeded sample, repeat a summand)
+ASSEMBLY_CASES = {
+    "example": (4, ["M44", "M14", "M11"], False),
+    "fan": (4, ["0-2", "0-3", "0-4", "0-5"], False),
+    "sampled-3": (3, None, False),
+    "non-basic-5": (5, None, True),
+    "sampled-6": (6, None, False),
+    "sampled-8": (8, None, False),
+}
+
+
+def _assembly_case(name):
+    n, tokens, repeat = ASSEMBLY_CASES[name]
+    cat = cached_category(n)
+    if tokens is not None:
+        return cat, rigid_object(cat, tokens)
+    arcs = sample_rigid(cat, random.Random(f"assembly:{name}")).arcs
+    return cat, rigid_object(cat, arcs + arcs[:1] if repeat else arcs)
+
+
+def _seeded_objects(cat, rng, count):
+    """Objects of 2-4 summands; every third one repeats a summand."""
+    out = []
+    for k in range(count):
+        summands = [rng.randrange(cat.N) for _ in range(2 + k % 3)]
+        if k % 3 == 0:
+            summands[-1] = summands[0]
+        out.append(cat.obj(summands))
+    return out
+
+
+def _whole_object_triangle(cat, t, x):
+    """The reference: the approximation triangle of x as one object."""
+    return complete_triangle(cat, right_addT_approx(cat, t, x))
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+def test_assembled_approximation_is_certified(name):
+    """The summand-wise left Sigma T-perp approximation lands in Sigma
+    T-perp, every map into a member factors through it, and its factoring
+    and C(T) verdicts are those of the whole-object triangle."""
+    cat, t = _assembly_case(name)
+    sperp = perp_view(cat, t, "SigmaTperp").members
+    addt = set(t.arcs)
+    rng = random.Random(f"assembled:{name}")
+    verdicts = set()
+    for x in _seeded_objects(cat, rng, 9):
+        g = left_sigma_perp_approx(cat, t, x)
+        assert g.src == x
+        assert all(s in sperp for s in g.tgt.summands)
+        ranks = pre_rank_table(cat, g)
+        assert all(ranks[m] == cat.hom_dim_to_arc(x, m) for m in sperp)
+        ref = _whole_object_triangle(cat, t, x)
+        assert g.tgt.summands == tuple(sorted(ref.z.summands))
+        u = cat.suspend_obj(ref.z, -1)
+        assert in_CT(cat, t, x) == all(s in addt for s in u.summands)
+        into_sperp = cat.obj([rng.choice(sorted(sperp))]) if sperp else x
+        maps = [cat.identity(x),
+                cat.random_mor(rng, x, cat.random_obj(rng, 2)),
+                cat.random_mor(rng, x, into_sperp),
+                cat.compose(cat.random_mor(rng, ref.z, x), ref.g)]
+        for f in maps:
+            direct = factors_through_mor(cat, f, g)
+            assert direct == factors_through_mor(cat, f, ref.g)
+            verdicts.add(direct)
+    assert verdicts == {True, False}
+    zero = left_sigma_perp_approx(cat, t, cat.zero_obj)
+    assert zero.src.is_zero() and zero.tgt.is_zero()
+    assert in_CT(cat, t, cat.zero_obj)
+
+
+def test_factoring_memo_holds_one_triangle_per_indecomposable():
+    """Classifying maps between objects of several summands completes
+    approximation triangles of indecomposables only, and C(T) membership
+    is memoised per arc."""
+    cat = build_category(7)
+    rng = random.Random("memo-guard")
+    t = sample_rigid(cat, rng)
+    for k in range(24):
+        x = cat.obj([rng.randrange(cat.N) for _ in range(2 + k % 3)])
+        y = cat.random_obj(rng, 3)
+        classify(cat, t, cat.random_mor(rng, x, y))
+        in_CT(cat, t, x)
+        in_CT(cat, t, y)
+    memo = _rigid_memo(cat, t)
+    assert memo["approx_tri"]
+    assert all(len(key) <= 1 for key in memo["approx_tri"])
+    assert set(memo["in_ct"]) <= set(range(cat.N))

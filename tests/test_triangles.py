@@ -7,11 +7,24 @@ from cluster_loc.arcs import smooth_crossing
 from cluster_loc.category import Obj, build_category
 from cluster_loc.linalg import eliminate, integer_row, rank
 from cluster_loc.suites import cached_category
-from cluster_loc.triangles import (Triangle, ar_triangle, certify_triangle,
+from cluster_loc.triangles import (Triangle, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
                                    cone_profile, hom_dim_matrix,
                                    mesh_map_into, mesh_map_out_of,
-                                   profile_candidates, rotate_forward)
+                                   profile_candidates)
+
+
+def ar_triangle(cat, x: int) -> Triangle:
+    """The almost split triangle Σx -> E -> x -> Σ²x, certified."""
+    return complete_triangle(cat, mesh_map_into(cat, x))
+
+
+def rotate_forward(cat, tri: Triangle) -> Triangle:
+    """(f, g, h) -> (g, h, -Σf); the certificate is recomputed."""
+    nf = cat.scale_mor(-1, cat.suspend_mor(tri.f))
+    sx = cat.suspend_obj(tri.x)
+    cert = certify_triangle_parts(cat, tri.y, tri.z, sx, tri.g, tri.h, nf)
+    return Triangle(tri.y, tri.z, sx, tri.g, tri.h, nf, cert)
 
 
 def test_cone_of_identity_is_zero(cat4):
