@@ -10,7 +10,8 @@ computed dimensions ever disagree with the crossing rule
     dim Hom(x, y) = [ x crosses rotate(y, -1) ]
 
 or with the independent quiver-representation oracle through the label
-bridge.
+bridge, which checks one derived labelling of the arcs by interval modules
+and shifted projectives against the oracle on every pair.
 
 The build is exact-integer from start to finish: the mesh quotient reduces
 integer relations, every reduction coefficient, composition constant and
@@ -26,7 +27,7 @@ not path lengths in the arrow quiver.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
-suspension, direct sums and right-minimal reduction.  The maps f
+suspension and direct sums.  The maps f
 induces on hom spaces are matrices on the slot bases (``hom_slots``), built
 directly: ``post_matrix`` (Hom(W, f)), ``pre_matrix`` (Hom(f, W)) and, in
 ``rigid``, ``hom_functor_matrix`` (Hom(T, -) on a space Hom(x, y)).
@@ -43,7 +44,7 @@ from typing import Iterable, Sequence
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    make_arc, parse_arc, rotate)
-from .linalg import Mat, kernel_basis, reduced_rows
+from .linalg import Mat, reduced_rows
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -386,61 +387,6 @@ class Category:
         """dim Hom(X, w) for an indecomposable w (arc index)."""
         return self.hom_vec_from(X)[w]
 
-    # -- right minimality ---------------------------------------------------
-
-    def _find_split_column(self, f: Mor):
-        """A pair (iota, j0) where iota: a -> src has f.iota = 0 and nonzero
-        isotypic coordinate at position j0, or None if f is right minimal."""
-        X = f.src
-        for a in sorted(set(X.summands)):
-            A = Obj((a,))
-            slots = self.hom_slots(A, X)       # (j, 0) pairs
-            ker = kernel_basis(self.post_matrix(f, A))
-            iso_positions = [k for k, (j, _) in enumerate(slots)
-                             if X.summands[j] == a]
-            for c in range(ker.cols):
-                for k in iso_positions:
-                    if ker.at(k, c) != 0:
-                        vec = [ker.at(r, c) for r in range(ker.rows)]
-                        iota = self.mor_from_vec(A, X, vec)
-                        return iota, slots[k][0]
-        return None
-
-    def right_minimal_reduce(self, f: Mor) -> tuple[Mor, Obj]:
-        """Split off the maximal summand of the source on which f vanishes.
-
-        Returns (f', X') with f isomorphic to f' + (X' -> 0) and f' right
-        minimal: every endomorphism e of its source with f'.e = f' is
-        invertible.
-        """
-        cur = f
-        removed: list[int] = []
-        while True:
-            found = self._find_split_column(cur)
-            if found is None:
-                break
-            iota, j0 = found
-            X = cur.src
-            # automorphism of X: replace basis column j0 by iota
-            rows = [[F1 if i == j else F0 for j in range(len(X.summands))]
-                    for i in range(len(X.summands))]
-            a = iota.src.summands[0]
-            for i in range(len(X.summands)):
-                if self.hom1(a, X.summands[i]):
-                    rows[i][j0] = iota.m[i][0]
-                elif i == j0:
-                    rows[i][j0] = F0
-            sigma = self.mor(X, X, rows)
-            moved = self.compose(cur, sigma)
-            # drop column j0 (now exactly zero)
-            assert all(moved.m[i][j0] == 0 for i in range(len(moved.tgt.summands)))
-            keep = [j for j in range(len(X.summands)) if j != j0]
-            new_src = Obj(tuple(X.summands[j] for j in keep))
-            cur = Mor(new_src, cur.tgt,
-                      tuple(tuple(row[j] for j in keep) for row in moved.m))
-            removed.append(X.summands[j0])
-        return cur, Obj(tuple(sorted(removed)))
-
     # -- randomness helpers (suites) --------------------------------------
 
     def random_obj(self, rng: random.Random, max_summands: int = 3) -> Obj:
@@ -688,7 +634,7 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
 
     # -- checks and label bridge --------------------------------------------
 
-    labels, meta = (_bridge(p, arcs, arc_index, hom_deg, sigma_arc)
+    labels, meta = (_bridge(p, arcs, arc_index, hom_deg)
                     if with_labels else
                     ([str(a) for a in arcs], {"bridge": None}))
     cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
@@ -869,48 +815,33 @@ def _base_labeling(p: Polygon, arc_index) -> dict[int, str]:
     return out
 
 
-def _bridge(p: Polygon, arcs, arc_index, hom_deg, sigma_arc):
-    """Label arcs with interval modules / shifted projectives so that mesh hom
-    dimensions match the quiver-representation oracle on every pair; the
-    dihedral search fixes the anchoring."""
+def _bridge(p: Polygon, arcs, arc_index, hom_deg):
+    """Label arcs with interval modules / shifted projectives by the derived
+    assignment (``_base_labeling``) and check that the mesh hom dimensions
+    match the quiver-representation oracle on every pair; raises BuildError
+    at the first pair that disagrees."""
     n = p.n
     want = oracle.label_hom_matrix(n)
     base = _base_labeling(p, arc_index)
-    m = p.vertex_count
-    for refl in (0, 1):
-        for rot in range(m):
-            def g(idx: int) -> int:
-                a = arcs[idx]
-                if refl:
-                    cand = arc_or_none(p, rot - a.a, rot - a.b)
-                else:
-                    cand = arc_or_none(p, a.a + rot, a.b + rot)
-                return arc_index[cand]
-
-            labels = [base[g(i)] for i in range(len(arcs))]
-            ok = True
-            for x in range(len(arcs)):
-                for y in range(len(arcs)):
-                    if want[(labels[x], labels[y])] != (1 if (x, y) in hom_deg else 0):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                # suspension must also match: SP_i sits one shift above P_i
-                meta = {"bridge": {"reflection": refl, "rotation": rot,
-                                   "projective_slice":
-                                   [labels.index(f"SP{i}") for i in range(1, n + 1)]}}
-                return labels, meta
-    raise BuildError("label bridge search failed: no dihedral assignment "
-                     "matches the representation oracle")
+    labels = [base[i] for i in range(len(arcs))]
+    for x, lx in enumerate(labels):
+        for y, ly in enumerate(labels):
+            mesh_dim = 1 if (x, y) in hom_deg else 0
+            if want[(lx, ly)] != mesh_dim:
+                raise BuildError(
+                    f"label bridge fails at ({arcs[x]}, {arcs[y]}): oracle "
+                    f"dim Hom({lx}, {ly}) = {want[(lx, ly)]}, mesh {mesh_dim}")
+    # the reflection and rotation of the derived assignment, both 0
+    meta = {"bridge": {"reflection": 0, "rotation": 0,
+                       "projective_slice":
+                       [labels.index(f"SP{i}") for i in range(1, n + 1)]}}
+    return labels, meta
 
 
 def label_bridge(cat: Category) -> list[str]:
     """Recompute and re-validate the arc/label assignment against the
     representation oracle; must reproduce the stored labels."""
-    labels, meta = _bridge(cat.polygon, cat.arcs, cat.arc_index, cat.hom_deg,
-                           cat.sigma_arc)
+    labels, _ = _bridge(cat.polygon, cat.arcs, cat.arc_index, cat.hom_deg)
     if labels != cat.labels:
         raise BuildError("label bridge is not reproducible")
     return labels

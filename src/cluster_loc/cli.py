@@ -33,10 +33,7 @@ from .triangles import complete_triangle
 
 
 def _load_cfg(args) -> InstanceConfig:
-    if getattr(args, "config", None):
-        cfg = InstanceConfig.load(args.config)
-    else:
-        raise SystemExit("--config is required for this command")
+    cfg = InstanceConfig.load(args.config)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
@@ -275,7 +272,8 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--full", action="store_true",
-                   help="skip the minimal reduction")
+                   help="skip the minimal reduction: keep every basis map "
+                        "from a summand of T")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("export-dot", help="graph-text export")

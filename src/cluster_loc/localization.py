@@ -67,9 +67,9 @@ def classify(cat: Category, t: RigidObject, f: Mor,
     h_mono, h_epi = hf.is_mono(), hf.is_epi()
     tri = complete_triangle(cat, f, seed=seed)
     sperp = perp_view(cat, t, "SigmaTperp")
-    g_fac = factors_through_subcat(cat, t, tri.g, sperp)
+    g_fac = factors_through_subcat(cat, t, tri.g)
     h_back = cat.suspend_mor(tri.h, -1)      # Sigma^{-1}z -> x
-    h_fac = factors_through_subcat(cat, t, h_back, sperp)
+    h_fac = factors_through_subcat(cat, t, h_back)
     tilde_by_triangle = g_fac and h_fac
     tilde_by_functor = h_mono and h_epi
     if tilde_by_triangle != tilde_by_functor:

@@ -1,10 +1,12 @@
 """Rigid objects, perpendicular subcategories and approximations.
 
 A rigid object is a set of pairwise non-crossing arcs.  The four standard
-subcategory views are computed from hom dimensions; right approximations are
-built by bundling hom bases and reduced to right minimal form, and their
-certified completion triangles drive the Wakamatsu check, membership in the
-presentation subcategory C(T), and the factoring tests.
+subcategory views are computed from hom dimensions.  The minimal right
+add T-approximation of x is written down directly as the lift of the
+projective cover of Hom(T, x): one basis map t_i -> x_j for each slot of a
+complement of the radical of Hom(t_i, x).  Its certified completion
+triangles drive the Wakamatsu check, membership in the presentation
+subcategory C(T), and the factoring tests.
 
 Wherever two independent decision procedures exist (the hom-functor kernel
 test against direct divisibility) both are run and a disagreement raises
@@ -26,7 +28,7 @@ from functools import reduce
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, rank, solve_right
+from .linalg import Mat, complement_coords, rank, solve_right
 from .triangles import Triangle, complete_triangle, pre_rank_table
 
 F0 = Fraction(0)
@@ -122,24 +124,6 @@ def perp_view(cat: Category, t: RigidObject, kind: str) -> SubcatView:
 # -- approximations --------------------------------------------------------
 
 
-def bundle_right_approx(cat: Category, members: Iterable[int], x: Obj) -> Mor:
-    """Right approximation of x from the additive closure of ``members``,
-    bundling one source copy per basis map member -> summand of x."""
-    members = sorted(set(members))
-    src_arcs: list[int] = []
-    cols: list[tuple[int, int]] = []   # (source arc, target summand position)
-    for m in members:
-        for pos, s in enumerate(x.summands):
-            if cat.hom1(m, s):
-                src_arcs.append(m)
-                cols.append((m, pos))
-    src = Obj(tuple(src_arcs))  # already sorted: members asc, positions asc
-    rows = [[F0] * len(src_arcs) for _ in x.summands]
-    for j, (m, pos) in enumerate(cols):
-        rows[pos][j] = F1
-    return cat.mor(src, x, rows)
-
-
 def bundle_left_approx(cat: Category, x: Obj, members: Iterable[int]) -> Mor:
     """Left approximation of x into the additive closure of ``members``."""
     members = sorted(set(members))
@@ -159,15 +143,37 @@ def bundle_left_approx(cat: Category, x: Obj, members: Iterable[int]) -> Mor:
 
 def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
                       minimal: bool = True) -> Mor:
-    """Right add T-approximation of x (minimal by default).
+    """Right add T-approximation of x (minimal by default), a bundle of
+    basis maps t_i -> x_j with one source copy each.
 
-    Surjectivity of Hom(t_i, -) onto Hom(t_i, x) is re-verified after the
-    minimal reduction; the minimal form is unique up to isomorphism.
+    Hom(T, -) takes add T onto the projective End(T)-modules, so the
+    minimal approximation lifts the projective cover of Hom(T, x): for each
+    summand t_i it keeps the basis maps whose slots extend the radical of
+    Hom(t_i, x), the images of Hom(t', x) under precomposition with
+    t_i -> t' for the other summands t', to a basis.  With ``minimal=False``
+    every basis map is kept.  Surjectivity of Hom(t_i, -) onto Hom(t_i, x)
+    is re-verified; the minimal form is unique up to isomorphism.
     """
-    f = bundle_right_approx(cat, set(t.arcs), x)
-    if minimal:
-        f, _ = cat.right_minimal_reduce(f)
-    for ti in set(t.arcs):
+    arcs = sorted(set(t.arcs))
+    src: list[int] = []
+    picks: list[int] = []    # target summand position of each source copy
+    for ti in arcs:
+        slots = cat.hom_slots(Obj((ti,)), x)
+        keep = range(len(slots))
+        if minimal:
+            rad = reduce(Mat.hstack,
+                         (cat.pre_matrix(cat.basis_mor(ti, u), x)
+                          for u in arcs if u != ti and cat.hom1(ti, u)),
+                         Mat.zeros(len(slots), 0))
+            keep = complement_coords(rad)
+        for c in keep:
+            src.append(ti)
+            picks.append(slots[c][0])
+    rows = [[F0] * len(src) for _ in x.summands]
+    for j, pos in enumerate(picks):
+        rows[pos][j] = F1
+    f = cat.mor(Obj(tuple(src)), x, rows)
+    for ti in arcs:
         got = rank(cat.post_matrix(f, Obj((ti,))))
         if got != cat.hom_dim_arcwise(ti, x):
             raise InternalConsistencyError(
@@ -258,25 +264,21 @@ def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:
     return reduce(cat.direct_sum_mor, parts) if parts else cat.zero_mor(x, x)
 
 
-def factors_through_subcat(cat: Category, t: RigidObject, f: Mor,
-                           view: SubcatView) -> bool:
-    """Factoring through a subcategory view.
+def factors_through_subcat(cat: Category, t: RigidObject, f: Mor) -> bool:
+    """Does f factor through Sigma T-perp?
 
-    For SigmaTperp the hom-functor kernel criterion and direct divisibility
-    through the left approximation are both evaluated and must agree.  Other
-    kinds use direct divisibility through the bundled approximation.
+    The hom-functor kernel criterion and direct divisibility through the
+    left Sigma T-perp-approximation of f's source are both evaluated and
+    must agree.
     """
-    if view.kind == "SigmaTperp":
-        by_functor = hom_functor_zero(cat, t, f)
-        direct = factors_through_mor(cat, f, left_sigma_perp_approx(cat, t, f.src))
-        if by_functor != direct:
-            raise InternalConsistencyError(
-                "hom-functor kernel test disagrees with direct factoring "
-                f"through Sigma T-perp for {cat.obj_label(f.src)} -> "
-                f"{cat.obj_label(f.tgt)}")
-        return direct
-    return factors_through_mor(cat, f, bundle_left_approx(cat, f.src,
-                                                          view.members))
+    by_functor = hom_functor_zero(cat, t, f)
+    direct = factors_through_mor(cat, f, left_sigma_perp_approx(cat, t, f.src))
+    if by_functor != direct:
+        raise InternalConsistencyError(
+            "hom-functor kernel test disagrees with direct factoring "
+            f"through Sigma T-perp for {cat.obj_label(f.src)} -> "
+            f"{cat.obj_label(f.tgt)}")
+    return direct
 
 
 def dim_factoring_through_add(cat: Category, x: Obj, y: Obj,

@@ -80,13 +80,15 @@ class InstanceConfig:
             raise ValueError("only type A instances are supported")
         if not 1 <= self.n <= MAX_RANK:
             raise ValueError(f"instance rank must be in 1..{MAX_RANK}")
-        wanted = self.resolved_suites()
-        for s in wanted:
+        if not isinstance(self.suites, list):
+            raise ValueError("suites must be a list of suite names, not "
+                             f"{type(self.suites).__name__} {self.suites!r}")
+        for s in self.resolved_suites():
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
 
     def resolved_suites(self) -> list[str]:
-        if self.suites == ["all"] or self.suites == "all":
+        if self.suites == ["all"]:
             return list(SUITE_NAMES)
         return list(self.suites)
 
@@ -102,7 +104,7 @@ class InstanceConfig:
         return InstanceConfig(n=d["n"], T=list(d["T"]),
                               type=d.get("type", "A"),
                               seed=int(d.get("seed", 0)),
-                              suites=list(d.get("suites", ["all"])))
+                              suites=d.get("suites", ["all"]))
 
     @staticmethod
     def load(path: str) -> "InstanceConfig":

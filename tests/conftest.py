@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cluster_loc.category import Category, Mor
-from cluster_loc.linalg import Mat, solve_right
+from cluster_loc.category import Category, Mor, Obj
+from cluster_loc.linalg import Mat, kernel_basis, solve_right
 from cluster_loc.rigid import RigidObject, rigid_object
 from cluster_loc.suites import cached_category
 
@@ -33,6 +33,69 @@ def is_isomorphism(cat: Category, f: Mor) -> bool:
         return False
     g = cat.mor_from_vec(Y, X, sol.col(0))
     return cat.compose(g, f).m == cat.identity(X).m
+
+
+# -- right-minimal reduction: the reference for ``right_addT_approx`` ------
+
+
+def find_split_column(cat: Category, f: Mor):
+    """A pair (iota, j0) where iota: a -> src has f.iota = 0 and nonzero
+    isotypic coordinate at position j0, or None if f is right minimal."""
+    X = f.src
+    for a in sorted(set(X.summands)):
+        A = Obj((a,))
+        slots = cat.hom_slots(A, X)       # (j, 0) pairs
+        ker = kernel_basis(cat.post_matrix(f, A))
+        iso_positions = [k for k, (j, _) in enumerate(slots)
+                         if X.summands[j] == a]
+        for c in range(ker.cols):
+            for k in iso_positions:
+                if ker.at(k, c) != 0:
+                    vec = [ker.at(r, c) for r in range(ker.rows)]
+                    iota = cat.mor_from_vec(A, X, vec)
+                    return iota, slots[k][0]
+    return None
+
+
+def is_right_minimal(cat: Category, f: Mor) -> bool:
+    """No summand of the source splits off on which f vanishes."""
+    return find_split_column(cat, f) is None
+
+
+def right_minimal_reduce(cat: Category, f: Mor) -> tuple[Mor, Obj]:
+    """Split off the maximal summand of the source on which f vanishes,
+    one kernel search per split.
+
+    Returns (f', X') with f isomorphic to f' + (X' -> 0) and f' right
+    minimal: every endomorphism e of its source with f'.e = f' is
+    invertible.
+    """
+    cur = f
+    removed: list[int] = []
+    while True:
+        found = find_split_column(cat, cur)
+        if found is None:
+            break
+        iota, j0 = found
+        X = cur.src
+        # automorphism of X: replace basis column j0 by iota
+        rows = [[1 if i == j else 0 for j in range(len(X.summands))]
+                for i in range(len(X.summands))]
+        a = iota.src.summands[0]
+        for i in range(len(X.summands)):
+            if cat.hom1(a, X.summands[i]):
+                rows[i][j0] = iota.m[i][0]
+            elif i == j0:
+                rows[i][j0] = 0
+        moved = cat.compose(cur, cat.mor(X, X, rows))
+        # drop column j0 (now exactly zero)
+        assert all(moved.m[i][j0] == 0 for i in range(len(moved.tgt.summands)))
+        keep = [j for j in range(len(X.summands)) if j != j0]
+        new_src = Obj(tuple(X.summands[j] for j in keep))
+        cur = Mor(new_src, cur.tgt,
+                  tuple(tuple(row[j] for j in keep) for row in moved.m))
+        removed.append(X.summands[j0])
+    return cur, Obj(tuple(sorted(removed)))
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,8 @@ from cluster_loc.linalg import mat_from_cols, reduced_rows
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
-from conftest import is_isomorphism, sample_rigid
-
-
-def is_right_minimal(cat, f) -> bool:
-    """No summand of the source splits off on which f vanishes."""
-    return cat._find_split_column(f) is None
+from conftest import (is_isomorphism, is_right_minimal, right_minimal_reduce,
+                      sample_rigid)
 
 
 def test_build_guard():
@@ -148,14 +144,14 @@ def test_right_minimal_reduce(cat4):
     m44 = cat4.arc_of_token("M44")
     m34 = cat4.arc_of_token("M34")
     f = cat4.basis_mor(m44, m34)
-    red, split = cat4.right_minimal_reduce(f)
+    red, split = right_minimal_reduce(cat4, f)
     assert red.m == f.m and split.is_zero()
     # pad with a summand mapping to zero: it must split off
     padded_src = cat4.obj([m44, cat4.arc_of_token("M11")])
     g = cat4.mor(padded_src, f.tgt,
                  [[1 if cat4.hom1(s, m34) and s == m44 else 0
                    for s in padded_src.summands]])
-    red2, split2 = cat4.right_minimal_reduce(g)
+    red2, split2 = right_minimal_reduce(cat4, g)
     assert split2.summands == (cat4.arc_of_token("M11"),)
     assert red2.src.summands == (m44,)
     assert is_right_minimal(cat4, red2)
@@ -169,7 +165,7 @@ def test_right_minimal_reduce_kills_iso_padding(cat4):
     m34 = cat4.arc_of_token("M34")
     src = cat4.obj([m44, m44])
     dup = cat4.mor(src, cat4.obj([m34]), [[1, 1]])
-    red, split = cat4.right_minimal_reduce(dup)
+    red, split = right_minimal_reduce(cat4, dup)
     assert len(red.src.summands) == 1 and split.summands == (m44,)
 
 
@@ -181,7 +177,7 @@ def test_every_e_with_fe_f_is_iso_on_minimal(cat4):
         x = cat4.random_obj(rng, 2)
         y = cat4.random_obj(rng, 2)
         f0 = cat4.random_mor(rng, x, y)
-        f, _ = cat4.right_minimal_reduce(f0)
+        f, _ = right_minimal_reduce(cat4, f0)
         X = f.src
         slots = cat4.hom_slots(X, X)
         cols = [cat4.vectorize(cat4.compose(f, cat4.slot_mor(X, X, s)))
@@ -390,6 +386,21 @@ def test_tables_match_the_reduced_rows_build(n, monkeypatch):
     fast = build_category(n).to_dict()
     monkeypatch.setattr(category, "_quotient_1d", _quotient_1d_by_reduced_rows)
     assert build_category(n).to_dict() == fast
+
+
+def test_label_bridge_names_the_first_pair_that_disagrees(cat4):
+    # the bridge on its own, with one mesh pair dropped: the crossing check
+    # of _check_tables would otherwise catch it first
+    pair = next(k for k in sorted(cat4.hom_deg) if k[0] != k[1])
+    hom_deg = {k: d for k, d in cat4.hom_deg.items() if k != pair}
+    x, y = (cat4.arcs[i] for i in pair)
+    with pytest.raises(BuildError,
+                       match=rf"label bridge fails at \({x}, {y}\): oracle "
+                             r"dim Hom\(\w+, \w+\) = 1, mesh 0"):
+        category._bridge(cat4.polygon, cat4.arcs, cat4.arc_index, hom_deg)
+    labels, meta = category._bridge(cat4.polygon, cat4.arcs, cat4.arc_index,
+                                    cat4.hom_deg)
+    assert labels == cat4.labels and meta == cat4.meta
 
 
 def test_load_reruns_the_build_checks(cat4):

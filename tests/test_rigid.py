@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from cluster_loc.category import InternalConsistencyError, Obj, build_category
+from cluster_loc.category import Obj, build_category
 from cluster_loc.localization import classify
+from cluster_loc.modules import H_obj, end_algebra, top_dims
 from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
                                dim_factoring_through_add,
                                dim_hom_functor_kernel, enumerate_basic_rigid,
@@ -15,7 +16,7 @@ from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (complete_triangle, mesh_map_into,
                                    pre_rank_table)
-from conftest import is_isomorphism, sample_rigid
+from conftest import is_isomorphism, right_minimal_reduce, sample_rigid
 
 
 def test_is_rigid_examples(cat4, example_T):
@@ -101,7 +102,7 @@ def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
         f1 = right_addT_approx(cat4, example_T, x)
         # rebuild through a permuted bundle: pad, then reduce again
         pad = right_addT_approx(cat4, example_T, x, minimal=False)
-        f2, _ = cat4.right_minimal_reduce(pad)
+        f2, _ = right_minimal_reduce(cat4, pad)
         assert sorted(f1.src.summands) == sorted(f2.src.summands)
         # an isomorphism sigma with f2 . sigma = f1 exists
         slots = cat4.hom_slots(f1.src, f2.src)
@@ -113,6 +114,65 @@ def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
         sigma = cat4.mor_from_vec(f1.src, f2.src,
                                   [sol.at(i, 0) for i in range(sol.rows)])
         assert is_isomorphism(cat4, sigma)
+
+
+def bundle_right_approx(cat, t, x):
+    """The reference bundle: one source copy per basis map from a distinct
+    summand of T into a summand of x, summands of T ascending, then target
+    positions ascending."""
+    cols = [(m, pos) for m in sorted(set(t.arcs))
+            for pos, s in enumerate(x.summands) if cat.hom1(m, s)]
+    rows = [[int(pos == i) for _, pos in cols] for i in range(len(x))]
+    return cat.mor(Obj(tuple(m for m, _ in cols)), x, rows)
+
+
+def _approximated_objects(cat, rng):
+    """Every indecomposable and five random objects of up to 3 summands."""
+    return ([cat.obj([a]) for a in range(cat.N)]
+            + [cat.random_obj(rng, 3) for _ in range(5)])
+
+
+def _equality_cases():
+    for n in (1, 2, 3, 4):
+        cat = cached_category(n)
+        for t in enumerate_basic_rigid(cat):
+            yield cat, t
+    for n, count in ((5, 60), (6, 40)):
+        cat = cached_category(n)
+        rng = random.Random(f"approx-equality:{n}")
+        for _ in range(count):
+            yield cat, sample_rigid(cat, rng)
+
+
+def test_direct_approximation_matches_reduced_bundle():
+    """The approximation read off the top of Hom(T, x) is exactly the
+    bundle of all basis maps (minimal=False) and exactly that bundle after
+    the kernel-search reduction of the reference (minimal=True)."""
+    cases = 0
+    for cat, t in _equality_cases():
+        rng = random.Random(f"approx-objects:{cat.n}:{t.arcs}")
+        for x in _approximated_objects(cat, rng):
+            bundle = bundle_right_approx(cat, t, x)
+            assert right_addT_approx(cat, t, x, minimal=False) == bundle
+            assert right_addT_approx(cat, t, x) == \
+                right_minimal_reduce(cat, bundle)[0]
+            cases += 1
+    assert cases > 7000
+
+
+def test_approximation_source_is_the_top_of_the_module():
+    """Each t_i occurs in the source of the minimal approximation of x as
+    often as the simple S_i in the top of Hom(T, x): the category tables
+    against the module's action matrices."""
+    for n in (1, 2, 3, 4):
+        cat = cached_category(n)
+        for t in enumerate_basic_rigid(cat):
+            alg = end_algebra(cat, t)
+            rng = random.Random(f"approx-top:{n}:{t.arcs}")
+            for x in _approximated_objects(cat, rng):
+                src = right_addT_approx(cat, t, x).src.summands
+                assert tuple(src.count(a) for a in t.arcs) == \
+                    top_dims(H_obj(cat, alg, x))
 
 
 def test_wakamatsu_all_objects(cat4, example_T):
@@ -148,38 +208,35 @@ def test_is_cluster_tilting(cat4, example_T, fan_T):
 
 
 def test_factoring_example(cat4, example_T):
-    sperp = perp_view(cat4, example_T, "SigmaTperp")
     ar = complete_triangle(cat4, mesh_map_into(cat4, cat4.arc_of_token("M34")))
-    assert factors_through_subcat(cat4, example_T, ar.g, sperp)
+    assert factors_through_subcat(cat4, example_T, ar.g)
     # ... through M23 specifically, as in the worked example
     m23 = [cat4.arc_of_token("M23")]
     assert factors_through_mor(cat4, ar.g,
                                bundle_left_approx(cat4, ar.g.src, m23))
     ident = cat4.identity(cat4.obj(["M44"]))
-    assert not factors_through_subcat(cat4, example_T, ident, sperp)
+    assert not factors_through_subcat(cat4, example_T, ident)
     zero = cat4.zero_mor(cat4.obj(["M34"]), cat4.obj(["M13"]))
-    assert factors_through_subcat(cat4, example_T, zero, sperp)
+    assert factors_through_subcat(cat4, example_T, zero)
 
 
 def test_kernel_criterion_all_basis_maps(cat4, example_T):
-    sperp = perp_view(cat4, example_T, "SigmaTperp")
     for (x, y) in sorted(cat4.hom_deg):
         if x == y:
             continue
         f = cat4.basis_mor(x, y)
         functor_zero = hom_functor_zero(cat4, example_T, f)
-        direct = factors_through_subcat(cat4, example_T, f, sperp)
+        direct = factors_through_subcat(cat4, example_T, f)
         assert functor_zero == direct
 
 
 def test_kernel_criterion_random_maps(cat4, example_T):
     rng = random.Random(14)
-    sperp = perp_view(cat4, example_T, "SigmaTperp")
     for _ in range(200):
         f = cat4.random_mor(rng, cat4.random_obj(rng, 2),
                             cat4.random_obj(rng, 2))
         assert hom_functor_zero(cat4, example_T, f) == \
-            factors_through_subcat(cat4, example_T, f, sperp)
+            factors_through_subcat(cat4, example_T, f)
 
 
 def test_smaller_kernel_on_presented_objects(cat4, example_T):

@@ -34,6 +34,18 @@ def test_config_validation():
         __import__("cluster_loc.suites", fromlist=["SUITE_NAMES"]).SUITE_NAMES)
 
 
+def test_config_rejects_suites_that_are_not_a_list(tmp_path):
+    # a string would otherwise be read letter by letter
+    with pytest.raises(ValueError, match="suites must be a list"):
+        InstanceConfig(n=4, T=["M44", "M14", "M11"], suites="all")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n": 4, "T": ["M44"], "suites": "kernel"}))
+    with pytest.raises(ValueError, match="suites must be a list"):
+        InstanceConfig.load(str(p))
+    p.write_text(json.dumps({"n": 4, "T": ["M44"], "suites": ["kernel"]}))
+    assert InstanceConfig.load(str(p)).resolved_suites() == ["kernel"]
+
+
 def test_config_roundtrip(tmp_path, example_cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(example_cfg.to_dict()))
