@@ -26,7 +26,8 @@ import sys
 from .category import build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
                            zigzag_equal, zigzag_eval)
-from .rigid import perp_view, right_addT_approx, rigid_object
+from .rigid import (is_cluster_tilting, perp_view, right_addT_approx,
+                    rigid_object)
 from .suites import (InstanceConfig, cached_category, export_dot, image_table,
                      run_suites)
 from .triangles import complete_triangle
@@ -171,7 +172,6 @@ def cmd_check_rigid(args) -> int:
     except ValueError as e:
         print(f"not rigid: {e}")
         return 1
-    from .rigid import is_cluster_tilting
     print(f"rigid: True (basic: {t.basic}); "
           f"cluster-tilting: {is_cluster_tilting(cat, t)}")
     return 0

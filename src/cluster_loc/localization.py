@@ -30,8 +30,9 @@ from typing import Optional
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, complement_coords, kernel_basis, solve_right
 from .modules import Algebra, H_mor, ModuleHom, end_algebra
-from .rigid import (RigidObject, approx_triangle, factors_through_subcat,
-                    hom_functor_matrix, in_CT, perp_view, right_addT_approx)
+from .rigid import (RigidObject, _rigid_memo, approx_triangle,
+                    factors_through_subcat, hom_functor_matrix, in_CT,
+                    perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
 
 F0 = Fraction(0)
@@ -39,7 +40,7 @@ F1 = Fraction(1)
 
 
 def algebra_of(cat: Category, t: RigidObject) -> Algebra:
-    memo = cat._memo.setdefault("rigid", {}).setdefault(t.key(), {})
+    memo = _rigid_memo(cat, t)
     if "algebra" not in memo:
         memo["algebra"] = end_algebra(cat, t)
     return memo["algebra"]
@@ -97,8 +98,7 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj,
     s solves s . p = u over the completion edge p.  Memoized per variant;
     variant > 0 permutes the underlying searches.
     """
-    memo = cat._memo.setdefault("rigid", {}).setdefault(t.key(), {}) \
-        .setdefault("s_res", {})
+    memo = _rigid_memo(cat, t).setdefault("s_res", {})
     key = (y.summands, variant)
     if key in memo:
         return memo[key]

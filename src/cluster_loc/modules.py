@@ -9,22 +9,24 @@ linear map M_j -> M_i (precomposition).  With this bookkeeping
 H(x) = Hom(T, x) carries spaces Hom(t_i, x) and H(t_i) is the i-th
 indecomposable projective, which is the Yoneda check pinning the convention.
 
-Indecomposability is decided in three exact steps, cheapest first: two
-certified splits that need no endomorphism ring (arrows acting by zero
-between two vertex sets, and a simple summand S_i sitting in the socle but
-not the radical at vertex i), then the characteristic-zero trace form of
-End(M), which certifies a local ring, then a Fitting splitting along a
-rational eigenvalue.  Every split is returned as explicit, action-stable,
-complementary submodules.  Isomorphism testing between indecomposables uses
-the unit-composite criterion.  Both are guarded by internal-consistency
-errors in the (here unreachable) ambiguous cases.
+Indecomposability is decided in three exact steps, cheapest first: a
+certified split that needs no endomorphism ring (a simple summand S_i
+sitting in the socle but not the radical at vertex i), then the
+characteristic-zero trace form of End(M), which certifies a local ring, then
+a Fitting splitting along a rational eigenvalue.  Every split is returned as
+explicit, action-stable, complementary submodules.  Isomorphism testing
+between indecomposables (`indec_isomorphic`) uses the unit-composite
+criterion.  Both are guarded by internal-consistency errors in the (here
+unreachable) ambiguous cases.
 
 The enumeration of indecomposables chooses {0, +-1} matrices on the Gabriel
 arrows only, one candidate per orbit of the diagonal sign changes at the
 vertices (which keep validity and the isomorphism class); every other radical
-basis element is a product of arrows, so its action is forced.  A class's
-representative may differ from an unrestricted enumeration's, but the image
-tables and the example's checks read only dimension vectors.
+basis element is a product of arrows, so its action is forced.  Only
+matrices whose nonzero entries connect every basis vector are tried: any
+other choice splits along its components.  A class's representative may
+differ from an unrestricted enumeration's, but the image tables and the
+example's checks read only dimension vectors.
 """
 
 from __future__ import annotations
@@ -578,22 +580,6 @@ def _split_into(m: LambdaModule, spans_a: list[Mat],
     return a, b
 
 
-def _split_disconnected(m: LambdaModule):
-    """Split by vertex sets when the nonzero arrow matrices leave the
-    support disconnected, or None."""
-    support = [i for i, d in enumerate(m.dims) if d]
-    edges = [p for p, a in m.act.items() if not a.is_zero()]
-    first = _component(support, edges)
-    if len(first) == len(support):
-        return None
-
-    def spans(keep):
-        return [Mat.identity(d) if i in keep else Mat.zeros(d, 0)
-                for i, d in enumerate(m.dims)]
-
-    return _split_into(m, spans(first), spans(set(support) - first))
-
-
 def _split_simple_summand(m: LambdaModule):
     """Split off S_i.v for a vector v at vertex i in soc_i (killed by every
     arrow leaving i) but outside rad_i (the images of the arrows entering i),
@@ -665,17 +651,17 @@ def _split_candidates(basis: list[ModuleHom], rng: random.Random, tries: int):
 def split_module(m: LambdaModule) -> Optional[tuple[LambdaModule, LambdaModule]]:
     """A nontrivial direct-sum decomposition, or None if indecomposable.
 
-    The tests run cheapest first.  Two certified splits need no
-    endomorphism ring: a disconnected graph of nonzero arrow matrices, and a
-    simple summand (socle outside the radical at some vertex).  Otherwise
-    the trace form of End(M) decides: a local ring (semisimple quotient of
-    dimension 1) certifies indecomposability, and a non-local one is split
-    by a Fitting decomposition along a rational eigenvalue, whose search
-    raises if it fails.
+    The tests run cheapest first.  A simple summand (socle outside the
+    radical at some vertex) is a certified split that needs no endomorphism
+    ring.  Otherwise the trace form of End(M) decides: a local ring
+    (semisimple quotient of dimension 1) certifies indecomposability, and a
+    non-local one, a disconnected module among them, is split by a Fitting
+    decomposition along a rational eigenvalue, whose search raises if it
+    fails.
     """
     if m.total_dim <= 1:
         return None
-    got = _split_disconnected(m) or _split_simple_summand(m)
+    got = _split_simple_summand(m)
     if got is not None:
         return got
     basis = module_hom_basis(m, m)
@@ -728,7 +714,7 @@ def modules_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
     for a in d1:
         found = False
         for k, b in enumerate(d2):
-            if not used[k] and _indec_isomorphic(a, b):
+            if not used[k] and indec_isomorphic(a, b):
                 used[k] = True
                 found = True
                 break
@@ -737,7 +723,8 @@ def modules_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
     return True
 
 
-def _indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
+def indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
+    """Isomorphism of two indecomposables (unit-composite criterion)."""
     if m1.dims != m2.dims:
         return False
     fwd = module_hom_basis(m1, m2)
@@ -760,15 +747,14 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
     is not connected along the arrows.  For each, the matrices on the
     Gabriel arrows range over {0, +-1} (the structure constants here are all
     0 or +-1, and every indecomposable over these dissection algebras is
-    realizable with such matrices), one candidate per orbit of the diagonal
-    sign changes A_(i,j) -> D_i A_(i,j) D_j (see `_candidates`).  Every other
+    realizable with such matrices) whose nonzero entries connect every basis
+    vector, one candidate per sign orbit (see `_candidates`).  Every other
     radical basis element is c b_(i,j) b_(j,k) (`Algebra.composites`), so its
     action is forced.  Candidates are filtered by the structure constants and
-    indecomposability, then deduplicated up to isomorphism.  Sign changes
-    keep validity and the isomorphism class, so the class list is that of an
-    unrestricted loop, but a class's representative may differ.  Raises
-    ValueError when a dimension vector has more than CANDIDATE_LIMIT arrow
-    candidates, counted before the sign orbits.
+    indecomposability, then deduplicated by `indec_isomorphic`.  The class
+    list is that of an unrestricted loop, but a class's representative may
+    differ.  Raises ValueError when a dimension vector has more than
+    CANDIDATE_LIMIT arrow candidates, counted before any is dropped.
     """
     if dim_bound > 8:
         raise ValueError("enumeration is a desk-scale oracle; bound <= 8")
@@ -800,7 +786,7 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
                     continue
                 if not is_indecomposable(m):
                     continue
-                if any(modules_isomorphic(m, c) for c in classes):
+                if any(indec_isomorphic(m, c) for c in classes):
                     continue
                 classes.append(m)
             found.extend(classes)
@@ -839,17 +825,18 @@ def _component(support: list[int], edges) -> set[int]:
 
 def _candidates(dims, slots):
     """One {0, +-1} matrix tuple on the slots per orbit of the diagonal sign
-    changes A_(i,j) -> D_i A_(i,j) D_j.
+    changes A_(i,j) -> D_i A_(i,j) D_j, over the connected zero patterns.
 
     The nodes are the basis vectors (i, a), and each nonzero entry
-    A_(i,j)[a, b] is an edge (i, a) - (j, b).  D keeps the zero pattern.  For
-    each pattern, the entries that join two components of the graph so far,
-    visited in slot order and row-major, form a spanning forest; these
-    entries are +1, and every other nonzero entry takes both signs.  A sign
-    change propagated from each tree's root turns any orbit member into one
-    with +1 on the forest, and a D fixing the forest's signs is constant on
-    each tree, so it fixes every entry too.  Hence exactly one tuple per
-    orbit.
+    A_(i,j)[a, b] is an edge (i, a) - (j, b).  A disconnected pattern is
+    skipped: every forced composite entry follows a path of nonzero entries,
+    so the module splits along the components.  D keeps the zero pattern.
+    The entries that join two components of the graph so far, visited in
+    slot order and row-major, form a spanning tree; these entries are +1,
+    and every other nonzero entry takes both signs.  A sign change
+    propagated from the root turns any orbit member into one with +1 on the
+    tree, and a D fixing the tree's signs is constant, so it fixes every
+    entry too.  Hence exactly one tuple per orbit.
     """
     offs = list(itertools.accumulate(dims, initial=0))
     cells = [(offs[i] + p // dims[j], offs[j] + p % dims[j])
@@ -862,14 +849,17 @@ def _candidates(dims, slots):
 
     for pattern in itertools.product((F0, F1), repeat=len(cells)):
         parent = list(range(offs[-1]))
-        free = []
+        joins, free = 0, []
         for e, (a, b) in enumerate(cells):
             if pattern[e]:
                 u, v = find(a), find(b)
                 if u != v:
                     parent[u] = v
+                    joins += 1
                 else:
                     free.append(e)
+        if joins != offs[-1] - 1:
+            continue
         for signs in itertools.product((F1, -F1), repeat=len(free)):
             ents = list(pattern)
             for e, x in zip(free, signs):

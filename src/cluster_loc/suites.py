@@ -28,7 +28,7 @@ from .localization import (Zigzag, algebra_of, classify,
                            inv, loc_hom, s_resolution, zigzag_eval)
 from .modules import (H_mor, H_obj, decompose_module, direct_sum_modules,
                       enumerate_indec_modules, hom_dim_modules,
-                      modules_isomorphic, simple_module)
+                      indec_isomorphic, modules_isomorphic, simple_module)
 from .rigid import (RigidObject, dim_factoring_through_add,
                     dim_hom_functor_kernel, factors_through_mor,
                     hom_functor_zero, in_CT, is_cluster_tilting, is_rigid,
@@ -76,6 +76,13 @@ class InstanceConfig:
     suites: list[str] = field(default_factory=lambda: ["all"])
 
     def __post_init__(self):
+        for name, v in (("n", self.n), ("seed", self.seed)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an int, not {v!r}")
+        if not (isinstance(self.T, list)
+                and all(isinstance(x, str) for x in self.T)):
+            raise ValueError(
+                f"T must be a list of object tokens, not {self.T!r}")
         if self.type != "A":
             raise ValueError("only type A instances are supported")
         if not 1 <= self.n <= MAX_RANK:
@@ -101,9 +108,8 @@ class InstanceConfig:
     def from_dict(d: dict) -> "InstanceConfig":
         if d.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise ValueError(f"unexpected config schema {d.get('schema')!r}")
-        return InstanceConfig(n=d["n"], T=list(d["T"]),
-                              type=d.get("type", "A"),
-                              seed=int(d.get("seed", 0)),
+        return InstanceConfig(n=d["n"], T=d["T"], type=d.get("type", "A"),
+                              seed=d.get("seed", 0),
                               suites=d.get("suites", ["all"]))
 
     @staticmethod
@@ -570,7 +576,7 @@ def strip_timing(report: dict) -> dict:
 
 def replay_failure(repro: dict) -> bool:
     """Re-run a reported failure; returns True when it fails again."""
-    cfg = InstanceConfig(n=repro["n"], T=list(repro["T"]),
+    cfg = InstanceConfig(n=repro["n"], T=repro["T"],
                          seed=repro.get("seed", 0), suites=[repro["suite"]])
     cat = cached_category(cfg.n)
     t = rigid_object(cat, cfg.T)
@@ -609,7 +615,7 @@ def image_table(cfg: InstanceConfig, cat: Category | None = None) -> list[dict]:
         for p in parts:
             label = None
             for m in classes:
-                if modules_isomorphic(p, m):
+                if indec_isomorphic(p, m):
                     label = names[id(m)]
                     break
             decomp.append(label or "?" + str(p.dims))

@@ -19,8 +19,7 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
 from cluster_loc.category import InternalConsistencyError
 from cluster_loc.modules import (Algebra, _candidates, _component,
                                  _compositions, _end_radical_dim_drop,
-                                 _split_disconnected, _split_simple_summand,
-                                 _total_matrix)
+                                 _split_simple_summand, _total_matrix)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
 from cluster_loc.suites import cached_category
@@ -308,15 +307,29 @@ def _sign_orbit_key(dims, slots, mats):
         for d in itertools.product((1, -1), repeat=sum(dims)))
 
 
+def _basis_graph_connected(dims, slots, mats):
+    """Whether the nonzero entries A_(i,j)[a, b], as edges (i, a) - (j, b),
+    join every basis vector (i, a)."""
+    nodes = [(i, a) for i, d in enumerate(dims) for a in range(d)]
+    edges = [((i, p // m.cols), (j, p % m.cols))
+             for (i, j), m in zip(slots, mats)
+             for p, x in enumerate(m.entries) if x]
+    return len(_component(nodes, edges)) == len(nodes)
+
+
+def _small_algebras(cat4, example_T, fan_T, cat2):
+    return [algebra_of(cat4, example_T), algebra_of(cat4, fan_T),
+            algebra_of(cat2, rigid_object(cat2, ["M22", "M12"]))]
+
+
 def test_sign_filter_keeps_one_candidate_per_orbit(cat4, example_T, fan_T,
                                                    cat2):
     """_candidates on the arrow slots meets every orbit of the raw tuples
-    once.  Total dimension 4 is included: below it no graph of basis
-    vectors has a cycle, so no entry would take both signs."""
-    algebras = [algebra_of(cat4, example_T), algebra_of(cat4, fan_T),
-                algebra_of(cat2, rigid_object(cat2, ["M22", "M12"]))]
+    whose basis graph is connected once, and yields nothing else.  Total
+    dimension 4 is included: below it no graph of basis vectors has a
+    cycle, so no entry would take both signs."""
     orbits = negative = 0
-    for alg in algebras:
+    for alg in _small_algebras(cat4, example_T, fan_T, cat2):
         for total in range(1, 5):
             for dims in _compositions(total, alg.r):
                 slots = [(i, j) for (i, j) in alg.arrow_pairs()
@@ -325,11 +338,42 @@ def test_sign_filter_keeps_one_candidate_per_orbit(cat4, example_T, fan_T,
                 got = [_sign_orbit_key(dims, slots, mats) for mats in cands]
                 assert len(got) == len(set(got)), dims
                 assert set(got) == {_sign_orbit_key(dims, slots, mats)
-                                    for mats in _raw_tuples(dims, slots)}
+                                    for mats in _raw_tuples(dims, slots)
+                                    if _basis_graph_connected(dims, slots,
+                                                              mats)}
                 orbits += len(got)
                 negative += sum(x < 0 for mats in cands for m in mats
                                 for x in m.entries)
     assert orbits > 0 and negative > 0
+
+
+def test_disconnected_candidates_are_decomposable(cat4, example_T, fan_T,
+                                                  cat2):
+    """Every raw arrow tuple of total dimension <= 4 whose basis graph is
+    disconnected, with its composites forced, fails validation or is
+    decomposable, so `_candidates` drops no indecomposable."""
+    checked = 0
+    for alg in _small_algebras(cat4, example_T, fan_T, cat2):
+        composites = alg.composites()
+        for total in range(2, 5):
+            for dims in _compositions(total, alg.r):
+                slots = [(i, j) for (i, j) in alg.arrow_pairs()
+                         if dims[i] and dims[j]]
+                for mats in _raw_tuples(dims, slots):
+                    if _basis_graph_connected(dims, slots, mats):
+                        continue
+                    m = LambdaModule(alg, dims, dict(zip(slots, mats)))
+                    for (i, j, k, c) in composites:
+                        if dims[i] and dims[j] and dims[k]:
+                            m.act[(i, k)] = (m.act[(i, j)]
+                                             * m.act[(j, k)]).scale(c)
+                    try:
+                        m.validate()
+                    except ValueError:
+                        continue
+                    assert not is_indecomposable(m), (dims, mats)
+                    checked += 1
+    assert checked > 0
 
 
 def _unpruned_enumeration(alg, dim_bound):
@@ -401,11 +445,10 @@ def test_split_disconnected_on_zero_arrow(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     # full support, but the arrow 3 -> 2 acts by zero
     m = _module(alg, (1, 1, 1), {(0, 1): [[1]], (1, 2): [[0]]})
-    pieces = _split_disconnected(m)
+    pieces = decompose_module(m)
     assert sorted(p.dims for p in pieces) == [(0, 0, 1), (1, 1, 0)]
     _assert_certified_split(m, pieces)
-    connected = _module(alg, (1, 1, 0), {(0, 1): [[1]]})
-    assert _split_disconnected(connected) is None
+    assert is_indecomposable(_module(alg, (1, 1, 0), {(0, 1): [[1]]}))
 
 
 def test_split_simple_summand(cat4, example_T):
@@ -413,7 +456,6 @@ def test_split_simple_summand(cat4, example_T):
     # M_2 = <e1, e2> with rad_2 = <e1> = image of the arrow from vertex 3:
     # e2 spans a simple summand S2, and the arrow graph is connected
     m = _module(alg, (0, 2, 1), {(1, 2): [[1], [0]]})
-    assert _split_disconnected(m) is None
     pieces = _split_simple_summand(m)
     assert [p.dims for p in pieces] == [(0, 1, 0), (0, 1, 1)]
     _assert_certified_split(m, pieces)
@@ -425,7 +467,6 @@ def test_fitting_split_when_no_cheap_split(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     p3 = projective_module(alg, 2)
     square, _ = direct_sum_modules([p3, p3])
-    assert _split_disconnected(square) is None
     assert _split_simple_summand(square) is None
     parts = decompose_module(square)
     assert len(parts) == 2

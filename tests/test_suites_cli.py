@@ -46,6 +46,21 @@ def test_config_rejects_suites_that_are_not_a_list(tmp_path):
     assert InstanceConfig.load(str(p)).resolved_suites() == ["kernel"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", "M44"),           # would be read letter by letter
+    ("T", ["M44", 14]),
+    ("seed", 1.9),          # would be truncated to 1
+    ("seed", True),
+    ("n", "4"),             # would raise a bare TypeError
+    ("n", 4.0),             # would run and write 4.0 into the report
+])
+def test_config_rejects_fields_of_the_wrong_type(field, value):
+    d = {"n": 4, "T": ["M44", "M14", "M11"], "seed": 7}
+    d[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        InstanceConfig.from_dict(d)
+
+
 def test_config_roundtrip(tmp_path, example_cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(example_cfg.to_dict()))
