@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
@@ -34,9 +33,6 @@ from .rigid import (RigidObject, _rigid_memo, approx_triangle,
                     factors_through_subcat, hom_functor_matrix, in_CT,
                     perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def algebra_of(cat: Category, t: RigidObject) -> Algebra:
@@ -264,96 +260,3 @@ def forward(f: Mor) -> tuple[Mor, bool]:
 
 def inv(f: Mor) -> tuple[Mor, bool]:
     return (f, True)
-
-
-# -- elementary identities ----------------------------------------------------
-
-
-def elementary_identities_suite(cat: Category, t: RigidObject,
-                                rng: random.Random) -> dict:
-    """Projection/section identities of the localization on sampled data."""
-    sperp = sorted(perp_view(cat, t, "SigmaTperp").members)
-    checks = 0
-    failures = []
-
-    def note(name, ok, detail=""):
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append({"check": name, "detail": detail})
-
-    for u_arc in sperp:
-        U = cat.obj([u_arc])
-        zero_to = cat.zero_mor(U, cat.zero_obj)
-        note("zero-map-to-zero-in-S", classify(cat, t, zero_to).in_S,
-             cat.labels[u_arc])
-        for _ in range(2):
-            X = cat.random_obj(rng, 2)
-            XU = cat.obj(list(X.summands) + [u_arc])
-            src_positions = _embed_positions(XU, X)
-            proj_rows = []
-            for i_pos in src_positions:
-                row = [F0] * len(XU.summands)
-                row[i_pos] = F1
-                proj_rows.append(row)
-            pi = cat.mor(XU, X, proj_rows)
-            note("projection-in-S", classify(cat, t, pi).in_S,
-                 f"{cat.obj_label(XU)} -> {cat.obj_label(X)}")
-            iota = _section_of(cat, XU, X, src_positions)
-            z1 = Zigzag((forward(iota), forward(pi)))
-            z2 = Zigzag((forward(cat.identity(X)),))
-            note("section-projection-identity", zigzag_equal(cat, t, z1, z2))
-            z3 = Zigzag((forward(pi), inv(pi)))
-            idxu = Zigzag((forward(cat.identity(XU)),))
-            note("inverse-cancellation", zigzag_equal(cat, t, z3, idxu))
-    # (c)/(d): maps through Sigma T-perp evaluate to zero and do not change
-    # localized classes
-    alg = algebra_of(cat, t)
-    for _ in range(4):
-        X = cat.random_obj(rng, 2)
-        Y = cat.random_obj(rng, 2)
-        mid = None
-        for u_arc in sperp:
-            if cat.dim_hom_obj(X, cat.obj([u_arc])) and \
-               cat.dim_hom_obj(cat.obj([u_arc]), Y):
-                mid = cat.obj([u_arc])
-                break
-        if mid is None:
-            continue
-        a = cat.random_mor(rng, X, mid)
-        b = cat.random_mor(rng, mid, Y)
-        v = cat.compose(b, a)
-        note("through-perp-evaluates-zero",
-             H_mor(cat, alg, v).is_zero(),
-             f"{cat.obj_label(X)} -> {cat.obj_label(Y)}")
-        u = cat.random_mor(rng, X, Y)
-        z1 = Zigzag((forward(cat.add_mor(u, v)),))
-        z2 = Zigzag((forward(u),))
-        note("translate-by-perp-factoring", zigzag_equal(cat, t, z1, z2))
-    return {"checks": checks, "failures": failures}
-
-
-def _embed_positions(big: Obj, small: Obj) -> list[int]:
-    """Positions embedding the summands of small into big (first match)."""
-    used = [False] * len(big.summands)
-    out = []
-    for s in small.summands:
-        for j, b in enumerate(big.summands):
-            if not used[j] and b == s:
-                used[j] = True
-                out.append(j)
-                break
-        else:
-            raise ValueError("small object does not embed")
-    return out
-
-
-def _section_of(cat: Category, big: Obj, small: Obj,
-                positions: list[int]) -> Mor:
-    rows = []
-    for j in range(len(big.summands)):
-        row = [F0] * len(small.summands)
-        if j in positions:
-            row[positions.index(j)] = F1
-        rows.append(row)
-    return cat.mor(small, big, rows)

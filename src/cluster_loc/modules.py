@@ -9,11 +9,18 @@ linear map M_j -> M_i (precomposition).  With this bookkeeping
 H(x) = Hom(T, x) carries spaces Hom(t_i, x) and H(t_i) is the i-th
 indecomposable projective, which is the Yoneda check pinning the convention.
 
+A projective cover lists its factors P_i in the order of the arcs t_i, so a
+sum of projectives it builds is, entry for entry, H(T0) for the object T0 of
+add T with those summands.  Density (`lift_module_to_CT`) reads T1 and T0 off
+a minimal projective presentation P1 -> P0, takes the preimage of the map
+under H, which is bijective on maps in add T, and cones it.
+
 Indecomposability is decided in three exact steps, cheapest first: a
 certified split that needs no endomorphism ring (a simple summand S_i
 sitting in the socle but not the radical at vertex i), then the
 characteristic-zero trace form of End(M), which certifies a local ring, then
-a Fitting splitting along a rational eigenvalue.  Every split is returned as
+a Fitting splitting along a rational eigenvalue, one vertex block at a
+time since End(M) acts vertex by vertex.  Every split is returned as
 explicit, action-stable, complementary submodules.  Isomorphism testing
 between indecomposables (`indec_isomorphic`) uses the unit-composite
 criterion.  Both are guarded by internal-consistency errors in the (here
@@ -329,12 +336,16 @@ def top_dims(m: LambdaModule) -> tuple[int, ...]:
 
 
 def projective_cover(m: LambdaModule) -> ModuleHom:
-    """P(top M) -> M, lifting a complement of the radical at each vertex."""
+    """P(top M) -> M, lifting a complement of the radical at each vertex.
+
+    The factors P_i come in the order of the arcs t_i, not of the vertices,
+    so the sum is, entry for entry, H(T0) for the object T0 of add T with
+    those summands (H(t_i) = P_i)."""
     alg = m.alg
     rads = radical_subspaces(m)
     factors = []
     lifts: list[tuple[int, Mat]] = []   # (vertex, column vector in M_i)
-    for i in range(alg.r):
+    for i in sorted(range(alg.r), key=alg.summands.__getitem__):
         for c in complement_coords(rads[i]):
             vec = [F0] * m.dims[i]
             vec[c] = F1
@@ -370,17 +381,7 @@ def projective_cover(m: LambdaModule) -> ModuleHom:
 
 def kernel_module(f: ModuleHom) -> ModuleHom:
     """The kernel with its inclusion map."""
-    alg = f.src.alg
-    kers = [kernel_basis(m) for m in f.comps]
-    dims = [k.cols for k in kers]
-    act = {}
-    for (i, j) in alg.radical_pairs:
-        rhs = f.src.act[(i, j)] * kers[j]
-        sol = solve_right(kers[i], rhs)
-        if sol is None:
-            raise InternalConsistencyError("kernel is not action-stable")
-        act[(i, j)] = sol
-    k = LambdaModule(alg, dims, act)
+    k, kers = _restrict_to(f.src, [kernel_basis(m) for m in f.comps])
     return ModuleHom(k, f.src, kers)
 
 
@@ -442,20 +443,6 @@ def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
 
 def hom_dim_modules(m1: LambdaModule, m2: LambdaModule) -> int:
     return len(module_hom_basis(m1, m2))
-
-
-def _total_matrix(f: ModuleHom) -> Mat:
-    """Block-diagonal matrix of an endomorphism on the total space."""
-    n = f.src.total_dim
-    rows = [[F0] * n for _ in range(n)]
-    off = 0
-    for i in range(f.src.alg.r):
-        m = f.comps[i]
-        for a in range(m.rows):
-            for b in range(m.cols):
-                rows[off + a][off + b] = m.at(a, b)
-        off += f.src.dims[i]
-    return Mat.from_rows(rows) if n else Mat.zeros(0, 0)
 
 
 def _min_poly(a: Mat) -> list[Fraction]:
@@ -521,30 +508,20 @@ def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
 
 def _split_along(f: ModuleHom, r: Fraction):
     """Fitting decomposition of the source along the eigenvalue r of f,
-    or None if it is trivial."""
+    or None if it is trivial.  f acts vertex by vertex, so the kernel and
+    image of (f - r)^n are those of (f_i - r)^(d_i) on each block."""
     m = f.src
-    n = m.total_dim
-    a = _total_matrix(f)
-    shifted = a - Mat.identity(n).scale(r)
-    power = Mat.identity(n)
-    for _ in range(n):
-        power = shifted * power
-    ker = kernel_basis(power)
-    if ker.cols == 0 or ker.cols == n:
+    kers, imgs = [], []
+    for c, d in zip(f.comps, m.dims):
+        shifted = c - Mat.identity(d).scale(r)
+        power = Mat.identity(d)
+        for _ in range(d):
+            power = shifted * power
+        kers.append(kernel_basis(power))
+        imgs.append(column_space_basis(power))
+    if sum(k.cols for k in kers) in (0, m.total_dim):
         return None
-    img = column_space_basis(power)
-    return _split_into(m, _vertex_blocks(m, ker), _vertex_blocks(m, img))
-
-
-def _vertex_blocks(m: LambdaModule, total_cols: Mat) -> list[Mat]:
-    """The rows of a total-space matrix cut into one block per vertex."""
-    out = []
-    off = 0
-    c = total_cols.cols
-    for d in m.dims:
-        out.append(Mat(d, c, total_cols.entries[off * c:(off + d) * c]))
-        off += d
-    return out
+    return _split_into(m, kers, imgs)
 
 
 def _restrict_to(m: LambdaModule,
@@ -559,7 +536,7 @@ def _restrict_to(m: LambdaModule,
         rhs = m.act[(i, j)] * per_vertex[j]
         sol = solve_right(per_vertex[i], rhs)
         if sol is None:
-            raise InternalConsistencyError("split subspace not action-stable")
+            raise InternalConsistencyError("subspace is not action-stable")
         act[(i, j)] = sol
     return LambdaModule(alg, dims, act), per_vertex
 
@@ -669,7 +646,9 @@ def split_module(m: LambdaModule) -> Optional[tuple[LambdaModule, LambdaModule]]
         return None
     rng = random.Random(7)
     for cand in _split_candidates(basis, rng, tries=60):
-        for root in _rational_roots(_min_poly(_total_matrix(cand))):
+        roots = set().union(*(_rational_roots(_min_poly(c))
+                              for c in cand.comps))
+        for root in sorted(roots):
             got = _split_along(cand, root)
             if got is not None:
                 return got
@@ -872,57 +851,30 @@ def _candidates(dims, slots):
 # -- density: lifting modules into the category ------------------------------
 
 
-def yoneda_mor_from_hom(cat: Category, alg: Algebra,
-                        p1_factors: list[int], p0_factors: list[int],
-                        p0_mod, p1_offsets, p0_offsets,
-                        p1_map: ModuleHom) -> Mor:
-    """Translate a map between direct sums of projectives into the category
-    through the Yoneda identification Hom(P_j, P_i) = Hom_C(t_j, t_i)."""
-    src = Obj(tuple(sorted(alg.summands[j] for j in p1_factors)))
-    tgt = Obj(tuple(sorted(alg.summands[i] for i in p0_factors)))
-    src_order = sorted(range(len(p1_factors)),
-                       key=lambda c: (alg.summands[p1_factors[c]], c))
-    tgt_order = sorted(range(len(p0_factors)),
-                       key=lambda r: (alg.summands[p0_factors[r]], r))
-    rad = set(alg.radical_pairs)
-    rows = [[F0] * len(p1_factors) for _ in range(len(p0_factors))]
-    for c, jfac in enumerate(p1_factors):
-        jv = jfac
-        # evaluate at the identity slot of factor c (vertex jv)
-        col = p1_offsets[c][jv]
-        img = [p1_map.comps[jv].at(a, col) for a in range(p0_mod.dims[jv])]
-        for r, ifac in enumerate(p0_factors):
-            # coordinate of factor r at vertex jv, if P_ifac has one there
-            if ifac == jv or (jv, ifac) in rad:
-                rows[r][c] = img[p0_offsets[r][jv]]
-    out = [[F0] * len(p1_factors) for _ in range(len(p0_factors))]
-    for r in range(len(p0_factors)):
-        for c in range(len(p1_factors)):
-            out[tgt_order.index(r)][src_order.index(c)] = rows[r][c]
-    return cat.mor(src, tgt, out)
-
-
 def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
                       m: LambdaModule) -> Obj:
     """An object of C(T) whose image under Hom(T, -) is isomorphic to m.
 
-    Lifts a minimal projective presentation through the Yoneda identification,
-    completes the lifted map to a triangle and takes the cone; the
-    postconditions H(x) = m and x in C(T) are verified and failure raises.
+    The minimal projective presentation P1 -> P0 of m is Hom(T, -) of a map
+    phi: T1 -> T0 in add T, because its projectives come in arc order and
+    Hom(T, -) is bijective on maps in add T.  The cone of phi is the lift;
+    the postconditions H(x) = m and x in C(T) are verified and failure
+    raises.
     """
     if m.is_zero():
         return cat.zero_obj
-    p1_map, cover = min_proj_presentation(m)
-    p0_factors = _projective_factors(alg, cover.src)
-    p1_factors = _projective_factors(alg, p1_map.src)
-    _, p0_offsets = _resum(alg, p0_factors)
-    _, p1_offsets = _resum(alg, p1_factors)
-    if not p1_factors:
-        x = Obj(tuple(sorted(alg.summands[i] for i in p0_factors)))
-    else:
-        phi = yoneda_mor_from_hom(cat, alg, p1_factors, p0_factors,
-                                  p1_map.tgt, p1_offsets, p0_offsets, p1_map)
-        x = complete_triangle(cat, phi).z
+    p1, cover = min_proj_presentation(m)
+
+    def add_t(p: LambdaModule) -> Obj:
+        """The object of add T whose image is p, a sum of projectives."""
+        return Obj(tuple(sorted(a for a, k in zip(alg.summands, top_dims(p))
+                                for _ in range(k))))
+
+    phi = solve_H_preimage(cat, alg, add_t(p1.src), add_t(cover.src), p1)
+    if phi is None:
+        raise InternalConsistencyError(
+            "presentation map has no preimage in add T")
+    x = complete_triangle(cat, phi).z
     hx = H_obj(cat, alg, x)
     if not modules_isomorphic(hx, m):
         raise InternalConsistencyError(
@@ -930,22 +882,6 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
     if not in_CT(cat, t, x):
         raise InternalConsistencyError("lifted cone is not in C(T)")
     return x
-
-
-def _projective_factors(alg: Algebra, p: LambdaModule) -> list[int]:
-    """Recover the projective factor list of a module built as a direct sum
-    of projectives by projective_cover (top multiplicities)."""
-    tops = top_dims(p)
-    out = []
-    for i in range(alg.r):
-        out.extend([i] * tops[i])
-    return out
-
-
-def _resum(alg: Algebra, factors: list[int]):
-    if not factors:
-        return zero_module(alg), []
-    return direct_sum_modules([projective_module(alg, i) for i in factors])
 
 
 def solve_H_preimage(cat: Category, alg: Algebra, x: Obj, y: Obj,

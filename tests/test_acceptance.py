@@ -59,6 +59,17 @@ def test_ac1_example_reproduction(cat4, example_T):
 # -- criterion 2 --------------------------------------------------------------
 
 
+def _five_rigid(cat, rng):
+    """Five distinct basic rigid objects, drawn in turn from the seeded
+    sampler."""
+    seen = []
+    while len(seen) < 5:
+        t = sample_rigid(cat, rng)
+        if t not in seen:
+            seen.append(t)
+    return seen
+
+
 def test_ac2_lemma_suites_battery():
     start = time.perf_counter()
     failures = 0
@@ -79,14 +90,7 @@ def test_ac2_lemma_suites_battery():
     assert instances == 2 + 10 + 44 + 196
     for n in range(5, 9):
         cat = cached_category(n)
-        import random
-        rng = random.Random(f"ac2:{n}")
-        seen = set()
-        while len(seen) < 5:
-            t = sample_rigid(cat, rng)
-            if t.arcs in seen:
-                continue
-            seen.add(t.arcs)
+        for t in _five_rigid(cat, random.Random(f"ac2:{n}")):
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
                                  seed=7, suites=AC2_SUITES)
             rep = run_suites(cfg, sample_maps=1000, cat=cat)
@@ -132,6 +136,27 @@ def test_ac3_equivalence_dimensions():
     elapsed = time.perf_counter() - start
     _report("AC3 dimension equalities", failures == 0,
             f"{instances} instances, all indecomposable pairs, {elapsed:.0f}s")
+
+
+def test_ac3_module_suites_beyond_rank_four():
+    """The module-side suites at ranks 5-8, where the object pairs are
+    sampled from rank 6 on: five seeded rigid objects and the fan per
+    rank."""
+    checks = failures = 0
+    for n in range(5, 9):
+        cat = cached_category(n)
+        fan = rigid_object(cat, [f"0-{k}" for k in range(2, n + 2)])
+        for t in _five_rigid(cat, random.Random(f"ac3:{n}")) + [fan]:
+            cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
+                                 seed=7, suites=["equivalence", "chain", "kz",
+                                                 "elementary"])
+            rep = run_suites(cfg, sample_maps=0, cat=cat)
+            failures += rep["failures_total"]
+            checks += sum(s["checks"] for s in rep["suites"])
+            modes = {s["coverage"].get("mode") for s in rep["suites"]}
+            assert modes - {None} == {"sampled" if n >= 6 else "exhaustive"}
+    _report("AC3 module suites at ranks 5-8", failures == 0,
+            f"24 instances, {checks} checks")
 
 
 # -- criterion 4 --------------------------------------------------------------

@@ -6,14 +6,13 @@ import pytest
 
 from cluster_loc.category import build_category
 from cluster_loc.localization import (LocHom, Zigzag, algebra_of, classify,
-                                      elementary_identities_suite,
                                       factor_through_s, forward, inv, loc_hom,
                                       s_resolution, zigzag_equal, zigzag_eval)
 from cluster_loc.modules import (H_mor, H_obj, direct_sum_modules,
                                  hom_dim_modules, modules_isomorphic,
                                  simple_module)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
-from cluster_loc.suites import cached_category
+from cluster_loc.suites import InstanceConfig, cached_category, run_suites
 from cluster_loc.triangles import mesh_map_into, mesh_map_out_of
 
 
@@ -209,12 +208,15 @@ def test_zigzag_validation(cat4, example_T):
         zigzag_eval(cat4, example_T, Zigzag((inv(f),)))
 
 
-def test_elementary_identities(cat4, example_T, fan_T, cat2):
-    for cat, t in [(cat4, example_T), (cat4, fan_T),
-                   (cat2, rigid_object(cat2, ["M22", "M12"]))]:
-        rep = elementary_identities_suite(cat, t, random.Random(3))
+def test_elementary_identities(cat4, cat2):
+    for cat, tokens in [(cat4, ["M44", "M14", "M11"]),
+                        (cat4, ["0-2", "0-3", "0-4", "0-5"]),
+                        (cat2, ["M22", "M12"])]:
+        cfg = InstanceConfig(n=cat.n, T=tokens, seed=3, suites=["elementary"])
+        (rep,) = run_suites(cfg, cat=cat)["suites"]
         assert rep["failures"] == []
         assert rep["checks"] > 10
+        assert rep["coverage"] == {"checks": rep["checks"]}
 
 
 def test_resolution_variant_agrees(cat4, example_T):

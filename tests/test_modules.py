@@ -19,7 +19,7 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
 from cluster_loc.category import InternalConsistencyError
 from cluster_loc.modules import (Algebra, _candidates, _component,
                                  _compositions, _end_radical_dim_drop,
-                                 _split_simple_summand, _total_matrix)
+                                 _split_simple_summand)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
 from cluster_loc.suites import cached_category
@@ -241,6 +241,21 @@ def test_min_proj_presentation(cat4, example_T):
     # zero module
     p1z, coverz = min_proj_presentation(zero_module(alg))
     assert p1z.src.is_zero() and coverz.src.is_zero()
+
+
+@pytest.mark.parametrize("tokens", [["M11", "M14", "M44"],
+                                    ["0-5", "0-4", "0-3", "0-2"]])
+def test_projective_cover_is_H_of_an_object_of_add_T(cat4, tokens):
+    """With T's summands out of arc order, the cover of the sum of all
+    projectives is H(T) entry for entry: its factors come in arc order."""
+    t = rigid_object(cat4, tokens)
+    alg = algebra_of(cat4, t)
+    assert list(t.arcs) != sorted(t.arcs)
+    total, _ = direct_sum_modules([projective_module(alg, i)
+                                   for i in range(alg.r)])
+    got = projective_cover(total).src
+    want = H_obj(cat4, alg, cat4.obj(t.arcs))
+    assert got.dims == want.dims and got.act == want.act
 
 
 def test_projective_cover_surjects_with_minimal_top(cat4, example_T):
@@ -490,9 +505,11 @@ def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
                     except ValueError:
                         continue
                     basis = module_hom_basis(m, m)
-                    tot = [_total_matrix(b) for b in basis]
-                    gram = [[sum((p * q).at(k, k) for k in range(total))
-                             for q in tot] for p in tot]
+                    # tr(pq), one vertex block at a time
+                    gram = [[sum((pi * qi).at(k, k)
+                                 for pi, qi in zip(p.comps, q.comps)
+                                 for k in range(pi.rows))
+                             for q in basis] for p in basis]
                     drop = _end_radical_dim_drop(m, basis)
                     assert drop == (rank(Mat.from_rows(gram)) if gram else 0)
                     assert is_indecomposable(m) == (drop == 1)
@@ -541,6 +558,27 @@ def test_iso_invariant_under_base_change(cat4, example_T):
     twisted.validate()
     assert modules_isomorphic(p3, twisted)
     assert not modules_isomorphic(p3, simple_module(alg, 2))
+
+
+def test_lift_every_class_of_every_small_rigid_object():
+    """Every enumerated class of every basic rigid object of rank <= 3, and
+    of the rank-4 example with its summands in every order, lifts to C(T)
+    (lift_module_to_CT checks H(x) = M and x in C(T) itself)."""
+    cat4 = cached_category(4)
+    instances = [(cached_category(n), t) for n in range(1, 4)
+                 for t in enumerate_basic_rigid(cached_category(n))]
+    instances += [(cat4, rigid_object(cat4, order)) for order in
+                  itertools.permutations(["M44", "M14", "M11"])]
+    lifts = 0
+    for cat, t in instances:
+        alg = algebra_of(cat, t)
+        bound = max(H_obj(cat, alg, cat.obj([i])).total_dim
+                    for i in range(cat.N))
+        for m in enumerate_indec_modules(alg, max(2, bound)):
+            x = lift_module_to_CT(cat, t, alg, m)
+            assert in_CT(cat, t, x) and not x.is_zero()
+            lifts += 1
+    assert len(instances) == 2 + 10 + 44 + 6 and lifts == 205
 
 
 def test_density_round_trip(cat4, example_T):

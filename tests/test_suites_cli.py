@@ -112,6 +112,32 @@ def test_replay_failure_mechanism(monkeypatch, example_cfg):
     assert replay_failure(rep) is True
 
 
+def test_suite_exception_is_a_replayable_failure(tmp_path, monkeypatch,
+                                                 capsys):
+    """A library call that raises inside a suite becomes a failure record
+    with the error and the reproducer, and verify exits 1."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(suites, "classify", boom)
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["identify"])
+    rep = run_suites(cfg)
+    (suite,) = rep["suites"]
+    assert rep["failures_total"] == suite["checks"] == 14
+    first = suite["failures"][0]
+    assert first["error"] == "RuntimeError: boom"
+    assert (first["suite"], first["check"]) == ("identify",
+                                                "resolution-in-CT-and-S")
+    assert "the existence of S-resolutions" in first["falsifies"]
+    assert (first["n"], first["T"], first["seed"]) == (4, cfg.T, 7)
+    assert first["detail"] == {"y": "SP4"}    # the first indecomposable
+    assert replay_failure(first) is True
+    path = _write_cfg(tmp_path, suites=["identify"])
+    assert main(["verify", "--config", path]) == 1
+    assert "total failures: 14" in capsys.readouterr().out
+
+
 def test_image_table_example(example_cfg):
     rows = image_table(example_cfg)
     assert len(rows) == 14
@@ -170,6 +196,10 @@ def test_cli_build(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["schema"] == "cluster-loc/cat/v1"
     assert len(data["arcs"]) == 9
+    capsys.readouterr()
+    # without --out the serialized category goes to stdout
+    assert main(["build", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 def test_cli_verify_and_determinism(tmp_path, capsys):
@@ -204,6 +234,11 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     assert main(["cone", "--config", cfg, "--map", "M44,SM24 -> M34"]) == 0
     out = capsys.readouterr().out
     assert "M13" in out and "certificate valid: True" in out
+    # the README's form: a rank instead of a config
+    assert main(["cone", "--n", "4", "--map", "M44,SM24 -> M34"]) == 0
+    assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit, match="need --config or --n"):
+        main(["cone", "--map", "M44,SM24 -> M34"])
     assert main(["loc-hom", "--config", cfg, "--x", "M34", "--y", "M34"]) == 0
     out = capsys.readouterr().out
     assert "dimension 2" in out
@@ -243,10 +278,19 @@ def test_cli_image_table_and_dot(tmp_path, capsys):
     assert main(["image-table", "--config", cfg, "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 14
+    assert main(["image-table", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    m34 = next(line for line in lines if line.startswith("M34 "))
+    assert m34.endswith("dims=(1,0,1)  H = S1 + S3")
     dot = tmp_path / "g.dot"
     assert main(["export-dot", "--config", cfg, "--what", "image-quiver",
                  "--out", str(dot)]) == 0
+    capsys.readouterr()
     assert dot.read_text().startswith("digraph")
+    # without --out the graph text goes to stdout
+    assert main(["export-dot", "--config", cfg, "--what", "image-quiver"]) == 0
+    assert capsys.readouterr().out == dot.read_text()
 
 
 def test_cached_category_returns_one_object_across_threads(monkeypatch):

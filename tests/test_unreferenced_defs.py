@@ -7,9 +7,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cluster_loc"
 
 # name -> why it may stay although nothing in the package refers to it
 ALLOWED = {
-    "solve_H_preimage": "the module-side preimage that a density suite "
-                        "(ROADMAP item 6) is to call; tests/test_modules.py "
-                        "checks it meanwhile",
     "strip_timing": "the report normaliser that bench/ and the determinism "
                     "tests apply to run_suites reports",
     "smooth_crossing": "the arc model's crossing resolution, the reference "
