@@ -228,15 +228,13 @@ class Category:
         return Mor(Obj((x,)), Obj((y,)), ((F1,),))
 
     def hom_slots(self, X: Obj, Y: Obj) -> list[tuple[int, int]]:
-        """(target index, source index) pairs carrying a basis map."""
-        key = (X.summands, Y.summands)
-        cache = self._memo.setdefault("slots", {})
-        got = cache.get(key)
-        if got is None:
-            got = [(i, j) for i, yi in enumerate(Y.summands)
-                   for j, xj in enumerate(X.summands) if self.hom1(xj, yi)]
-            cache[key] = got
-        return got
+        """(target index, source index) pairs carrying a basis map, row-major.
+
+        Built on each call: a list of a few pairs costs about as much as a
+        memo lookup keyed on both summand tuples, and a memo would hold one
+        entry per object pair the caller ever met."""
+        return [(i, j) for i, yi in enumerate(Y.summands)
+                for j, xj in enumerate(X.summands) if self.hom1(xj, yi)]
 
     def dim_hom_obj(self, X: Obj, Y: Obj) -> int:
         return len(self.hom_slots(X, Y))
@@ -360,7 +358,9 @@ class Category:
 
     def hom_vec_into(self, X: Obj) -> list[int]:
         """v with v[w] = dim Hom(w, X) for every indecomposable w, built once
-        per ``X.summands`` and memoised write-once like ``slots``."""
+        per ``X.summands`` and memoised write-once: the triangle certificate
+        reads whole vectors of the same objects again and again, so unlike
+        ``hom_slots`` a rebuild would cost time."""
         return self._hom_vec("vec_into", self.hom_in, X)
 
     def hom_vec_from(self, X: Obj) -> list[int]:
@@ -378,14 +378,6 @@ class Category:
                     got[w] += 1
             cache[X.summands] = got
         return got
-
-    def hom_dim_arcwise(self, w: int, X: Obj) -> int:
-        """dim Hom(w, X) for an indecomposable w (arc index)."""
-        return self.hom_vec_into(X)[w]
-
-    def hom_dim_to_arc(self, X: Obj, w: int) -> int:
-        """dim Hom(X, w) for an indecomposable w (arc index)."""
-        return self.hom_vec_from(X)[w]
 
     # -- randomness helpers (suites) --------------------------------------
 

@@ -29,9 +29,8 @@ from typing import Optional
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, complement_coords, kernel_basis, solve_right
 from .modules import Algebra, H_mor, ModuleHom, end_algebra
-from .rigid import (RigidObject, _rigid_memo, approx_triangle,
-                    factors_through_subcat, hom_functor_matrix, in_CT,
-                    perp_view, right_addT_approx)
+from .rigid import (RigidObject, _rigid_memo, factors_through_subcat,
+                    hom_functor_matrix, in_CT, perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
 
 
@@ -102,11 +101,7 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj,
         s = cat.zero_mor(cat.zero_obj, y)
         memo[key] = (cat.zero_obj, s)
         return memo[key]
-    if variant == 0:
-        tri1 = approx_triangle(cat, t, y)
-    else:
-        tri1 = complete_triangle(cat, right_addT_approx(cat, t, y),
-                                 seed=variant)
+    tri1 = complete_triangle(cat, right_addT_approx(cat, t, y), seed=variant)
     u = tri1.f
     v = cat.scale_mor(-1, cat.suspend_mor(tri1.h, -1))   # Z -> T0
     z_obj = v.src

@@ -65,16 +65,8 @@ def is_rigid(cat: Category, x: Obj | Iterable[int]) -> bool:
 def rigid_object(cat: Category, summands: Iterable) -> RigidObject:
     if isinstance(summands, Obj):
         arcs = summands.summands
-    else:
-        resolved = []
-        for s in summands:
-            if isinstance(s, int):
-                resolved.append(s)
-            elif isinstance(s, str):
-                resolved.append(cat.arc_of_token(s))
-            else:
-                resolved.append(cat.arc_index[s])
-        arcs = tuple(resolved)
+    else:   # each summand resolved and range-checked as Category.obj does
+        arcs = tuple(cat.obj([s]).summands[0] for s in summands)
     if not arcs:
         raise ValueError("rigid object must have at least one summand")
     if not is_rigid(cat, arcs):
@@ -175,7 +167,7 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     f = cat.mor(Obj(tuple(src)), x, rows)
     for ti in arcs:
         got = rank(cat.post_matrix(f, Obj((ti,))))
-        if got != cat.hom_dim_arcwise(ti, x):
+        if got != cat.dim_hom_obj(Obj((ti,)), x):
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
                 f"at {cat.labels[ti]}")
@@ -199,8 +191,8 @@ def wakamatsu_check(cat: Category, t: RigidObject, x: Obj) -> bool:
     if any(s not in tperp for s in u.summands):
         return False
     conn = cat.suspend_mor(tri.g, -1)   # Σ^{-1}x -> Σ^{-1}Z = U
-    ranks = pre_rank_table(cat, conn)
-    return all(ranks[m] == cat.hom_dim_to_arc(conn.src, m) for m in tperp)
+    ranks, dims = pre_rank_table(cat, conn), cat.hom_vec_from(conn.src)
+    return all(ranks[m] == dims[m] for m in tperp)
 
 
 def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:

@@ -40,10 +40,6 @@ from .triangles import (complete_triangle, mesh_map_into, mesh_map_out_of,
 CONFIG_SCHEMA = "cluster-loc/config/v1"
 REPORT_SCHEMA = "cluster-loc/report/v1"
 
-SUITE_NAMES = ("kernel", "stilde", "doubleperp", "wakamatsu", "identify",
-               "factoring-surjection", "equivalence", "chain", "kz",
-               "elementary", "example71")
-
 # what a failure in each suite would falsify on the instance
 FALSIFIED_FACTS = {
     "kernel": "the kernel characterization of the hom functor (maps killed "
@@ -607,6 +603,7 @@ SUITE_FUNCS = {
     "elementary": suite_elementary,
     "example71": suite_example71,
 }
+SUITE_NAMES = tuple(SUITE_FUNCS)
 
 
 def run_suites(cfg: InstanceConfig, sample_maps: int | None = None,

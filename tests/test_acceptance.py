@@ -7,8 +7,8 @@ integers or of rational matrices.
     1. full reproduction of the rank-4 worked example (a-f, under 30 s);
     2. lemma suites: exhaustive over every basic rigid object for n <= 4,
        seeded sampling (>= 10^3 maps, >= 5 rigid objects per rank) for
-       n = 5..8, zero failures, within 10 minutes; one sampled rigid
-       object with 10^2 maps at n = 9 and 11, where ker D is largest;
+       n = 5..12, zero failures, within 10 minutes, with the process's
+       peak RSS in the report line;
     3. the localization/module dimension equalities on all indecomposable
        pairs, for the worked example and every basic rigid object of rank
        <= 4, including the quotient chain on presented pairs;
@@ -19,6 +19,7 @@ integers or of rational matrices.
 
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -88,7 +89,7 @@ def test_ac2_lemma_suites_battery():
     print(f"AC2 exhaustive: {instances} instances, {checks} checks, "
           f"{failures} failures ({exhaustive_done:.0f}s)")
     assert instances == 2 + 10 + 44 + 196
-    for n in range(5, 9):
+    for n in range(5, 13):
         cat = cached_category(n)
         for t in _five_rigid(cat, random.Random(f"ac2:{n}")):
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
@@ -98,8 +99,10 @@ def test_ac2_lemma_suites_battery():
             checks += sum(s["checks"] for s in rep["suites"])
             instances += 1
     elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     _report("AC2 zero failures", failures == 0,
-            f"{instances} instances, {checks} checks")
+            f"{instances} instances, {checks} checks, "
+            f"peak RSS {peak_mb:.0f} MB")
     _report("AC2 runtime", elapsed <= 600.0, f"{elapsed:.0f}s <= 600s")
 
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from cluster_loc import category
-from cluster_loc.arcs import Polygon, crosses, rotate
+from cluster_loc.arcs import crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj,
                                   _associativity_chains, _quotient_1d,
                                   _unit_table, build_category, load_category)
@@ -171,7 +171,7 @@ def test_right_minimal_reduce_kills_iso_padding(cat4):
 
 def test_every_e_with_fe_f_is_iso_on_minimal(cat4):
     # the defining property, checked over the solution space of f.e = f
-    from cluster_loc.linalg import Mat, kernel_basis, mat_from_cols
+    from cluster_loc.linalg import kernel_basis, mat_from_cols
     rng = random.Random(4)
     for _ in range(40):
         x = cat4.random_obj(rng, 2)

@@ -12,7 +12,7 @@ from cluster_loc.modules import (H_mor, H_obj, direct_sum_modules,
                                  hom_dim_modules, modules_isomorphic,
                                  simple_module)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
-from cluster_loc.suites import InstanceConfig, cached_category, run_suites
+from cluster_loc.suites import InstanceConfig, run_suites
 from cluster_loc.triangles import mesh_map_into, mesh_map_out_of
 
 

@@ -235,7 +235,7 @@ def test_min_proj_presentation(cat4, example_T):
     assert top_dims(cover.src) == (0, 1, 0)
     assert top_dims(p1_map.src) == (1, 0, 0)
     # exactness: im(p1) = ker(cover), and minimality: im(p1) inside rad P0
-    from cluster_loc.modules import kernel_module, radical_subspaces
+    from cluster_loc.modules import kernel_module
     incl = kernel_module(cover)
     assert incl.src.dims == p1_map.src.dims  # P1 covers the kernel 1-1 here
     # zero module

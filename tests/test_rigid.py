@@ -35,6 +35,17 @@ def test_rigid_object_validation(cat4):
     assert not t.basic
 
 
+def test_rigid_object_rejects_summands_that_are_not_arcs(cat4, example_T):
+    # -14 would index SP4 from the end, -1 M11, and 14 no arc at all
+    for summands in ([0, -14], [-1], [14]):
+        with pytest.raises(ValueError, match="out of range"):
+            rigid_object(cat4, summands)
+    with pytest.raises(ValueError, match="bad summand"):
+        rigid_object(cat4, [1.0])
+    arcs = tuple(reversed(example_T.arcs))
+    assert rigid_object(cat4, list(arcs)).arcs == arcs
+
+
 def test_perp_views_example(cat4, example_T):
     tperp = perp_view(cat4, example_T, "Tperp")
     assert sorted(cat4.labels[a] for a in tperp.members) == \
@@ -322,7 +333,7 @@ def test_assembled_approximation_is_certified(name):
         assert g.src == x
         assert all(s in sperp for s in g.tgt.summands)
         ranks = pre_rank_table(cat, g)
-        assert all(ranks[m] == cat.hom_dim_to_arc(x, m) for m in sperp)
+        assert all(ranks[m] == cat.hom_vec_from(x)[m] for m in sperp)
         ref = _whole_object_triangle(cat, t, x)
         assert g.tgt.summands == tuple(sorted(ref.z.summands))
         u = cat.suspend_obj(ref.z, -1)

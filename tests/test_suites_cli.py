@@ -1,13 +1,16 @@
 import json
+import random
 import threading
 import time
 
 import pytest
 
 from cluster_loc import suites
+from cluster_loc.category import build_category
 from cluster_loc.cli import main
 from cluster_loc.suites import (InstanceConfig, export_dot, image_table,
                                 replay_failure, run_suites, strip_timing)
+from conftest import sample_rigid
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +33,11 @@ def test_config_validation():
         InstanceConfig(n=4, T=["M11"], type="D")
     cfg = InstanceConfig.from_dict({"schema": "cluster-loc/config/v1",
                                     "n": 2, "T": ["M11"], "seed": 3})
-    assert cfg.resolved_suites() == list(
-        __import__("cluster_loc.suites", fromlist=["SUITE_NAMES"]).SUITE_NAMES)
+    assert cfg.resolved_suites() == list(suites.SUITE_NAMES)
+
+
+def test_every_suite_names_the_fact_it_checks():
+    assert set(suites.FALSIFIED_FACTS) == set(suites.SUITE_NAMES)
 
 
 def test_config_rejects_suites_that_are_not_a_list(tmp_path):
@@ -87,6 +93,23 @@ def test_full_battery_on_example(example_report):
 def test_reports_deterministic(example_cfg, example_report):
     rep2 = run_suites(example_cfg)
     assert strip_timing(rep2) == strip_timing(example_report)
+
+
+def test_battery_memo_keeps_no_entry_per_object_pair():
+    """After a seeded AC2 instance the category's memo holds the kept kinds
+    only: triangles per map, the hom vectors per object, the reduced
+    hom-dimension matrix, the per-T memos and the map pool.  Hom slot lists
+    are built on demand, so nothing is stored per (X, Y) pair."""
+    cat = build_category(6)
+    t = sample_rigid(cat, random.Random("ac2:6"))
+    cfg = InstanceConfig(n=6, T=[cat.labels[a] for a in t.arcs], seed=7,
+                         suites=["kernel", "stilde", "doubleperp", "wakamatsu",
+                                 "identify", "factoring-surjection"])
+    assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
+    assert set(cat._memo) == {"triangles", "vec_into", "vec_from", "Dred",
+                              "rigid", ("map_pool", 7, 100)}
+    for kind in ("vec_into", "vec_from"):
+        assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
 
 
 def test_kz_suite_on_fan():

@@ -80,7 +80,7 @@ def test_profile_candidates_solve_the_profile():
             cands = profile_candidates(cat, profile)
             assert cands
             for z in cands:
-                assert all(cat.hom_dim_arcwise(w, z) == profile[w]
+                assert all(cat.hom_vec_into(z)[w] == profile[w]
                            for w in range(cat.N))
             if invertible:
                 assert len(cands) == 1

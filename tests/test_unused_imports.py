@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package, and no test module, imports a name it never
+uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cluster_loc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cluster_loc"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +27,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_scan_finds_the_modules():
     assert "triangles.py" in MODULES
+    assert {"conftest.py", "test_unused_imports.py"} <= set(TEST_MODULES)
 
 
 def test_scan_flags_an_unused_import():
@@ -34,3 +38,8 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+@pytest.mark.parametrize("name", TEST_MODULES)
+def test_no_unused_imports_in_tests(name):
+    assert unused_imports((TESTS / name).read_text()) == []
