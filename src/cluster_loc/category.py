@@ -170,7 +170,7 @@ class Category:
         for s in summands:
             if isinstance(s, Arc):
                 idx.append(self.arc_index[s])
-            elif isinstance(s, int):
+            elif isinstance(s, int) and not isinstance(s, bool):
                 if not 0 <= s < self.N:
                     raise ValueError(f"arc index {s} out of range")
                 idx.append(s)

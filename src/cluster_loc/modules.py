@@ -26,19 +26,19 @@ between indecomposables (`indec_isomorphic`) uses the unit-composite
 criterion.  Both are guarded by internal-consistency errors in the (here
 unreachable) ambiguous cases.
 
-The enumeration of indecomposables chooses {0, +-1} matrices on the Gabriel
-arrows only, one candidate per orbit of the diagonal sign changes at the
-vertices (which keep validity and the isomorphism class); every other radical
-basis element is a product of arrows, so its action is forced.  Only
-matrices whose nonzero entries connect every basis vector are tried: any
-other choice splits along its components.  A class's representative may
-differ from an unrestricted enumeration's, but the image tables and the
-example's checks read only dimension vectors.
+The indecomposables are listed as string modules.  The enumeration first
+certifies that End(T) is a string algebra: at most two arrows start and end
+at each vertex, each arrow has at most one nonzero composite on each side,
+the relations are monomial, and no string repeats a letter in one direction,
+which rules out bands.  Over such an algebra the string modules, one per
+string up to inversion, are the complete list of indecomposables and
+pairwise non-isomorphic (Butler-Ringel, Comm. Algebra 15, 1987).  The
+certificate reads only the arrows, `mult` and `composites`, never the
+category, so the module side stays an independent decision.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,10 +56,6 @@ F1 = Fraction(1)
 MOD_SCHEMA = "cluster-loc/mod/v1"
 MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
                   "the basis element of Hom(t_i, t_j) acts M_j -> M_i")
-
-# enumerate_indec_modules: the largest count of {0, +-1} arrow candidates per
-# dimension vector, taken before the sign orbits, before it raises ValueError
-CANDIDATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -716,136 +712,139 @@ def indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
     return False
 
 
-# -- enumeration of indecomposables -----------------------------------------
+# -- the string-module oracle -----------------------------------------------
+
+
+def _certified_arrows(alg: Algebra) -> list[tuple[int, int]]:
+    """The arrows, after certifying that the algebra is a string algebra:
+    at most two arrows start and at most two end at each vertex, each arrow
+    has at most one nonzero composite on each side, and between two vertices
+    there is at most one nonzero path, so every relation is a monomial.
+    Raises InternalConsistencyError naming the condition that fails.
+    Vertices are 1-based in messages, as in `Algebra.gabriel_arrows`."""
+    arrows = alg.arrow_pairs()
+    for v in range(alg.r):
+        for side, count in (("start", sum(j == v for _, j in arrows)),
+                            ("end", sum(i == v for i, _ in arrows))):
+            if count > 2:
+                raise InternalConsistencyError(
+                    f"not a string algebra: {count} arrows {side} at vertex "
+                    f"{v + 1}")
+    mult = alg.mult
+    for (i, j) in arrows:
+        after = sum(1 for h, g in arrows if g == i and mult.get((h, i, j)))
+        before = sum(1 for g, k in arrows if g == j and mult.get((i, j, k)))
+        if max(after, before) > 1:
+            raise InternalConsistencyError(
+                "not a string algebra: the arrow "
+                f"{j + 1} -> {i + 1} has more than one nonzero composite on "
+                "one side")
+    ends = set()
+
+    def extend(path):
+        # path (u_0, ..., u_m) is nonzero; so is its extension by an arrow
+        # (i, u_m) iff b_(i,u_m) b_(u_m,u_0) = mult(i, u_m, u_0) b_(i,u_0) != 0
+        for (i, j) in arrows:
+            if j == path[-1] and (len(path) == 1
+                                  or mult.get((i, j, path[0]))):
+                if (path[0], i) in ends:
+                    raise InternalConsistencyError(
+                        "not a monomial algebra: two nonzero paths from "
+                        f"vertex {path[0] + 1} to {i + 1}")
+                ends.add((path[0], i))
+                extend(path + (i,))
+
+    for v in range(alg.r):
+        extend((v,))
+    return arrows
+
+
+def string_walks(alg: Algebra) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every string of the algebra, once together with its inverse, as its
+    vertices and its letters ((i, j), direct).  The direct letter of the
+    arrow (i, j) walks from vertex j to vertex i, its inverse back.
+
+    A string is a walk with no letter followed by its inverse and no zero
+    path in a run of letters of one direction.  After the premise of
+    `_certified_arrows`, all strings are listed, whatever their length: a
+    string that uses one letter twice in the same direction raises, because
+    a nonzero path never returns to its vertex here (the radical of each
+    End(t_i) is zero), so the repeated piece has mixed directions and is a
+    band.  Without a repeat there are finitely many strings.
+    """
+    arrows = _certified_arrows(alg)
+    letters = [(a, d) for d in (True, False) for a in arrows]
+    out = [((v,), ()) for v in range(alg.r)]
+
+    def extend(verts, word, run):
+        # run: the first vertex of the last run of letters of one direction
+        for (i, j), direct in letters:
+            src, tgt = (j, i) if direct else (i, j)
+            if src != verts[-1] or (word and word[-1] == ((i, j), not direct)):
+                continue
+            same = bool(word) and word[-1][1] == direct
+            if same and not alg.mult.get((tgt, src, run) if direct
+                                         else (run, src, tgt)):
+                continue
+            if ((i, j), direct) in word:
+                raise InternalConsistencyError(
+                    "string algebra with a band: a string uses the arrow "
+                    f"{j + 1} -> {i + 1} twice in the same direction")
+            longer = (verts + (tgt,), word + (((i, j), direct),))
+            inverse = tuple((a, not d) for a, d in reversed(longer[1]))
+            if longer[1] < inverse:
+                out.append(longer)
+            extend(*longer, run if same else src)
+
+    for v in range(alg.r):
+        extend((v,), (), v)
+    return out
 
 
 def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
-    """All isomorphism classes of indecomposables of total dimension <= bound.
+    """All isomorphism classes of indecomposables of total dimension <= bound,
+    as the string modules of the algebra.
 
-    Dimension vectors are enumerated outright, skipping those whose support
-    is not connected along the arrows.  For each, the matrices on the
-    Gabriel arrows range over {0, +-1} (the structure constants here are all
-    0 or +-1, and every indecomposable over these dissection algebras is
-    realizable with such matrices) whose nonzero entries connect every basis
-    vector, one candidate per sign orbit (see `_candidates`).  Every other
-    radical basis element is c b_(i,j) b_(j,k) (`Algebra.composites`), so its
-    action is forced.  Candidates are filtered by the structure constants and
-    indecomposability, then deduplicated by `indec_isomorphic`.  The class
-    list is that of an unrestricted loop, but a class's representative may
-    differ.  Raises ValueError when a dimension vector has more than
-    CANDIDATE_LIMIT arrow candidates, counted before any is dropped.
+    `string_walks` certifies that the algebra is a string algebra without
+    bands, and over such an algebra the string modules, one per string up to
+    inversion, are the complete list of indecomposables, pairwise
+    non-isomorphic (Butler-Ringel, Comm. Algebra 15, 1987).  The module of a
+    string has one basis vector per vertex of the walk and a 1 on each arrow
+    entry that joins two consecutive ones; every other radical basis element
+    is c b_(i,j) b_(j,k) (`Algebra.composites`), so its action is forced.
+    Every module is checked against the structure constants and for
+    indecomposability, and either failure raises.  The classes come by total
+    dimension, then by dimension vector in lexicographic order.
     """
-    if dim_bound > 8:
-        raise ValueError("enumeration is a desk-scale oracle; bound <= 8")
-    if dim_bound < 1:
-        return []
-    found: list[LambdaModule] = []
-    arrows, composites = alg.arrow_pairs(), alg.composites()
-    for total in range(1, dim_bound + 1):
-        for dims in _compositions(total, alg.r):
-            support = [i for i in range(alg.r) if dims[i]]
-            if len(_component(support, arrows)) != len(support):
-                continue
-            slots = [(i, j) for (i, j) in arrows if dims[i] and dims[j]]
-            count = 3 ** sum(dims[i] * dims[j] for (i, j) in slots)
-            if count > CANDIDATE_LIMIT:
-                raise ValueError(
-                    f"candidate space too large ({count}) for dims {dims}; "
-                    "reduce the bound")
-            forced = [(i, j, k, c) for (i, j, k, c) in composites
-                      if dims[i] and dims[j] and dims[k]]
-            classes: list[LambdaModule] = []
-            for mats in _candidates(dims, slots):
-                m = LambdaModule(alg, dims, dict(zip(slots, mats)))
-                for (i, j, k, c) in forced:
-                    m.act[(i, k)] = (m.act[(i, j)] * m.act[(j, k)]).scale(c)
-                try:
-                    m.validate()
-                except ValueError:
-                    continue
-                if not is_indecomposable(m):
-                    continue
-                if any(indec_isomorphic(m, c) for c in classes):
-                    continue
-                classes.append(m)
-            found.extend(classes)
-    return found
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _component(support: list[int], edges) -> set[int]:
-    """The vertices of the support reachable from its first vertex along
-    the given (i, j) edges, in either direction."""
-    adj = {}
-    for (i, j) in edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    if not support:
-        return set()
-    seen = {support[0]}
-    stack = [support[0]]
-    sup = set(support)
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w in sup and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _candidates(dims, slots):
-    """One {0, +-1} matrix tuple on the slots per orbit of the diagonal sign
-    changes A_(i,j) -> D_i A_(i,j) D_j, over the connected zero patterns.
-
-    The nodes are the basis vectors (i, a), and each nonzero entry
-    A_(i,j)[a, b] is an edge (i, a) - (j, b).  A disconnected pattern is
-    skipped: every forced composite entry follows a path of nonzero entries,
-    so the module splits along the components.  D keeps the zero pattern.
-    The entries that join two components of the graph so far, visited in
-    slot order and row-major, form a spanning tree; these entries are +1,
-    and every other nonzero entry takes both signs.  A sign change
-    propagated from the root turns any orbit member into one with +1 on the
-    tree, and a D fixing the tree's signs is constant, so it fixes every
-    entry too.  Hence exactly one tuple per orbit.
-    """
-    offs = list(itertools.accumulate(dims, initial=0))
-    cells = [(offs[i] + p // dims[j], offs[j] + p % dims[j])
-             for (i, j) in slots for p in range(dims[i] * dims[j])]
-
-    def find(u):
-        while parent[u] != u:
-            u = parent[u]
-        return u
-
-    for pattern in itertools.product((F0, F1), repeat=len(cells)):
-        parent = list(range(offs[-1]))
-        joins, free = 0, []
-        for e, (a, b) in enumerate(cells):
-            if pattern[e]:
-                u, v = find(a), find(b)
-                if u != v:
-                    parent[u] = v
-                    joins += 1
-                else:
-                    free.append(e)
-        if joins != offs[-1] - 1:
+    composites = alg.composites()
+    found = []
+    for verts, word in string_walks(alg):
+        if len(verts) > dim_bound:
             continue
-        for signs in itertools.product((F1, -F1), repeat=len(free)):
-            ents = list(pattern)
-            for e, x in zip(free, signs):
-                ents[e] = x
-            it = iter(ents)
-            yield tuple(Mat(dims[i], dims[j], tuple(itertools.islice(
-                it, dims[i] * dims[j]))) for (i, j) in slots)
+        dims = tuple(verts.count(v) for v in range(alg.r))
+        index = [verts[:p].count(v) for p, v in enumerate(verts)]
+        ents = {a: [[F0] * dims[a[1]] for _ in range(dims[a[0]])]
+                for a, _ in word}
+        for p, ((i, j), direct) in enumerate(word):
+            # the letter joins positions p and p + 1; the arrow maps M_j -> M_i
+            at_i, at_j = (p + 1, p) if direct else (p, p + 1)
+            ents[(i, j)][index[at_i]][index[at_j]] = F1
+        m = LambdaModule(alg, dims, {a: Mat.from_rows(rows)
+                                     for a, rows in ents.items()})
+        for (i, j, k, c) in composites:
+            m.act[(i, k)] = (m.act[(i, j)] * m.act[(j, k)]).scale(c)
+        try:
+            m.validate()
+        except ValueError as exc:
+            raise InternalConsistencyError(
+                f"string module of {verts} violates the structure constants"
+            ) from exc
+        if not is_indecomposable(m):
+            raise InternalConsistencyError(
+                f"string module of {verts} is decomposable")
+        found.append((len(verts), dims, word, m))
+    found.sort(key=lambda entry: entry[:3])
+    return [m for *_, m in found]
 
 
 # -- density: lifting modules into the category ------------------------------

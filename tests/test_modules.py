@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_loc import modules
+import candidate_reference
+from candidate_reference import (candidate_enumeration, candidates,
+                                 component, compositions)
 from cluster_loc.linalg import Mat, rank
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
@@ -17,12 +19,11 @@ from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
                                  simple_module, solve_H_preimage, top_dims,
                                  zero_module)
 from cluster_loc.category import InternalConsistencyError
-from cluster_loc.modules import (Algebra, _candidates, _component,
-                                 _compositions, _end_radical_dim_drop,
+from cluster_loc.modules import (Algebra, _end_radical_dim_drop,
                                  _split_simple_summand)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
-from cluster_loc.suites import cached_category
+from cluster_loc.suites import InstanceConfig, cached_category, image_table
 from conftest import sample_rigid
 
 
@@ -191,12 +192,90 @@ def test_enumerate_indecs_raises_past_the_candidate_limit(cat4, example_T,
     alg = algebra_of(cat4, example_T)
     # the first dimension vector with an arrow in its support has 3
     # candidates, one per value for the arrow's 1 x 1 matrix
-    monkeypatch.setattr(modules, "CANDIDATE_LIMIT", 2)
+    monkeypatch.setattr(candidate_reference, "CANDIDATE_LIMIT", 2)
     with pytest.raises(ValueError,
                        match=r"too large \(3\) for dims \(0, 1, 1\)"):
+        candidate_enumeration(alg, 2)
+    monkeypatch.setattr(candidate_reference, "CANDIDATE_LIMIT", 3)
+    assert len(candidate_enumeration(alg, 2)) == 5
+
+
+def _square(mult):
+    """Four vertices with arrows 0 -> 1 -> 3 and 0 -> 2 -> 3 (the pair (i, j)
+    acts M_j -> M_i), and the radical pair (3, 0) when a composite is
+    nonzero."""
+    pairs = ((1, 0), (2, 0), (3, 1), (3, 2))
+    pairs += ((3, 0),) if any(mult.values()) else ()
+    return Algebra((0, 1, 2, 3), ("a", "b", "c", "d"), pairs, mult,
+                   4 + len(pairs))
+
+
+@pytest.mark.parametrize("alg, condition", [
+    # a commutativity square: two nonzero paths from 1 to 4
+    (_square({(3, 1, 0): 1, (3, 2, 0): 1}), "not a monomial algebra"),
+    (Algebra((0, 1, 2, 3), ("a", "b", "c", "d"), ((1, 0), (2, 0), (3, 0)),
+             {}, 7), "3 arrows start at vertex 1"),
+    # the arrow 1 -> 2 composes nonzero with both arrows out of 2
+    (Algebra((0, 1, 2, 3), ("a", "b", "c", "d"),
+             ((1, 0), (2, 1), (3, 1), (2, 0), (3, 0)),
+             {(2, 1, 0): 1, (3, 1, 0): 1}, 9),
+     "arrow 1 -> 2 has more than one nonzero composite"),
+    # the square 0 -> 1 <- 2 -> 3 <- 0 has no path of length two: the
+    # hereditary algebra of type A3-tilde, gentle, with a band around it
+    (Algebra((0, 1, 2, 3), ("a", "b", "c", "d"),
+             ((1, 0), (1, 2), (3, 2), (3, 0)), {}, 8), "with a band"),
+], ids=["commutativity", "three-arrows-out", "two-composites", "band"])
+def test_string_premise_raises_naming_the_condition(alg, condition):
+    with pytest.raises(InternalConsistencyError, match=condition):
         enumerate_indec_modules(alg, 2)
-    monkeypatch.setattr(modules, "CANDIDATE_LIMIT", 3)
-    assert len(enumerate_indec_modules(alg, 2)) == 5
+
+
+@pytest.mark.parametrize("alg, count", [
+    # both paths of the square 0 -> 1 -> 3, 0 -> 2 -> 3 are zero, so no
+    # string runs around it: no band
+    (_square({(3, 1, 0): 0, (3, 2, 0): 0}), 10),
+    # 0 -> 1 -> 2 -> 3 with the one relation of length three: every interval
+    # but the whole line
+    (Algebra((0, 1, 2, 3), ("a", "b", "c", "d"),
+             ((1, 0), (2, 1), (3, 2), (2, 0), (3, 1)),
+             {(2, 1, 0): 1, (3, 2, 1): 1, (3, 2, 0): 0, (3, 1, 0): 0}, 9), 9),
+], ids=["square-with-two-zero-relations", "relation-of-length-three"])
+def test_monomial_algebras_match_the_candidate_reference(alg, count):
+    classes = enumerate_indec_modules(alg, 5)
+    assert len(classes) == count
+    _assert_same_classes(classes, candidate_enumeration(alg, 5))
+
+
+def _assert_same_classes(got, ref):
+    """The same dimension vectors in the same order, and each class
+    isomorphic to exactly one class of the other list, both ways."""
+    assert [m.dims for m in got] == [m.dims for m in ref]
+    for a, b in ((got, ref), (ref, got)):
+        for m in a:
+            assert sum(1 for c in b if modules_isomorphic(m, c)) == 1
+
+
+def _image_bound(cat, alg):
+    """The largest total dimension of H(x) over the indecomposables x, at
+    least 2: every indecomposable module is some H(x) with x in C(T)."""
+    return max(2, max(H_obj(cat, alg, cat.obj([i])).total_dim
+                      for i in range(cat.N)))
+
+
+def test_enumerate_indecs_matches_candidate_reference():
+    """On every basic rigid object of rank <= 4, the string modules are the
+    classes of the {0, +-1} candidate enumeration, in the same order."""
+    objects = 0
+    for n in range(1, 5):
+        cat = cached_category(n)
+        for t in enumerate_basic_rigid(cat):
+            alg = algebra_of(cat, t)
+            bound = _image_bound(cat, alg)
+            assert bound <= 5
+            _assert_same_classes(enumerate_indec_modules(alg, bound),
+                                 candidate_enumeration(alg, bound))
+            objects += 1
+    assert objects == 252
 
 
 def test_projectives_yoneda(cat4, example_T):
@@ -277,6 +356,7 @@ def test_enumerate_indecs_example(cat4, example_T):
     for bound in range(2, 5):
         smaller = enumerate_indec_modules(alg, bound)
         assert [m.to_dict() for m in smaller] == [m.to_dict() for m in classes]
+    _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
 
 def _assert_interval_classes(classes, r):
@@ -287,18 +367,37 @@ def _assert_interval_classes(classes, r):
         assert sum(1 for c in classes if modules_isomorphic(m, c)) == 1
 
 
+def _fan(n):
+    """The fan at vertex 0 of the (n + 3)-gon: the linear A_n quiver with
+    all paths nonzero, one indecomposable per interval of vertices."""
+    return InstanceConfig(n=n, T=[f"0-{k}" for k in range(2, n + 2)])
+
+
 def test_enumerate_indecs_fan(cat4, fan_T):
-    # the heptagon fan gives the linear A4 quiver with all paths nonzero:
-    # one indecomposable per interval of vertices
     alg = algebra_of(cat4, fan_T)
-    _assert_interval_classes(enumerate_indec_modules(alg, 4), 4)
+    classes = enumerate_indec_modules(alg, 5)
+    _assert_interval_classes(classes, 4)
+    _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
 
 def test_enumerate_indecs_fan_n5():
-    # the octagon fan: linear A5 with all paths nonzero, 15 intervals
     cat = cached_category(5)
-    alg = algebra_of(cat, rigid_object(cat, [f"0-{k}" for k in range(2, 7)]))
-    _assert_interval_classes(enumerate_indec_modules(alg, 5), 5)
+    alg = algebra_of(cat, rigid_object(cat, _fan(5).T))
+    classes = enumerate_indec_modules(alg, 5)
+    _assert_interval_classes(classes, 5)
+    _assert_same_classes(classes, candidate_enumeration(alg, 5))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_image_table_of_the_fan_up_to_rank_12(n):
+    """n(n + 1)/2 interval classes, and every image H(x) is a sum of them."""
+    cat = cached_category(n)
+    alg = algebra_of(cat, rigid_object(cat, _fan(n).T))
+    _assert_interval_classes(enumerate_indec_modules(alg, n), n)
+    rows = image_table(_fan(n), cat)
+    assert len(rows) == cat.N
+    assert not [p for row in rows for p in row["decomposition"]
+                if p.startswith("?")]
 
 
 def _raw_tuples(dims, slots):
@@ -329,7 +428,7 @@ def _basis_graph_connected(dims, slots, mats):
     edges = [((i, p // m.cols), (j, p % m.cols))
              for (i, j), m in zip(slots, mats)
              for p, x in enumerate(m.entries) if x]
-    return len(_component(nodes, edges)) == len(nodes)
+    return len(component(nodes, edges)) == len(nodes)
 
 
 def _small_algebras(cat4, example_T, fan_T, cat2):
@@ -339,17 +438,17 @@ def _small_algebras(cat4, example_T, fan_T, cat2):
 
 def test_sign_filter_keeps_one_candidate_per_orbit(cat4, example_T, fan_T,
                                                    cat2):
-    """_candidates on the arrow slots meets every orbit of the raw tuples
+    """candidates on the arrow slots meets every orbit of the raw tuples
     whose basis graph is connected once, and yields nothing else.  Total
     dimension 4 is included: below it no graph of basis vectors has a
     cycle, so no entry would take both signs."""
     orbits = negative = 0
     for alg in _small_algebras(cat4, example_T, fan_T, cat2):
         for total in range(1, 5):
-            for dims in _compositions(total, alg.r):
+            for dims in compositions(total, alg.r):
                 slots = [(i, j) for (i, j) in alg.arrow_pairs()
                          if dims[i] and dims[j]]
-                cands = list(_candidates(dims, slots))
+                cands = list(candidates(dims, slots))
                 got = [_sign_orbit_key(dims, slots, mats) for mats in cands]
                 assert len(got) == len(set(got)), dims
                 assert set(got) == {_sign_orbit_key(dims, slots, mats)
@@ -366,12 +465,12 @@ def test_disconnected_candidates_are_decomposable(cat4, example_T, fan_T,
                                                   cat2):
     """Every raw arrow tuple of total dimension <= 4 whose basis graph is
     disconnected, with its composites forced, fails validation or is
-    decomposable, so `_candidates` drops no indecomposable."""
+    decomposable, so `candidates` drops no indecomposable."""
     checked = 0
     for alg in _small_algebras(cat4, example_T, fan_T, cat2):
         composites = alg.composites()
         for total in range(2, 5):
-            for dims in _compositions(total, alg.r):
+            for dims in compositions(total, alg.r):
                 slots = [(i, j) for (i, j) in alg.arrow_pairs()
                          if dims[i] and dims[j]]
                 for mats in _raw_tuples(dims, slots):
@@ -396,9 +495,9 @@ def _unpruned_enumeration(alg, dim_bound):
     arrows or not, with no sign orbits."""
     found = []
     for total in range(1, dim_bound + 1):
-        for dims in _compositions(total, alg.r):
+        for dims in compositions(total, alg.r):
             support = [i for i in range(alg.r) if dims[i]]
-            if len(_component(support, alg.radical_pairs)) != len(support):
+            if len(component(support, alg.radical_pairs)) != len(support):
                 continue
             slots = [(i, j) for (i, j) in alg.radical_pairs
                      if dims[i] and dims[j]]
@@ -419,25 +518,24 @@ def _unpruned_enumeration(alg, dim_bound):
 
 
 def test_enumerate_indecs_matches_unpruned_reference():
-    """On every basic rigid object of rank <= 4, the arrow candidates with
-    forced composites keep the classes: the same dimension vectors, and each
-    class is isomorphic to exactly one class of the unrestricted loop, both
-    ways."""
+    """On one basic rigid object of rank <= 4 per orbit of the suspension,
+    which is an autoequivalence and so keeps the algebra up to the order of
+    its vertices, the string modules are the classes of the loop over every
+    {0, +-1} matrix on every radical pair."""
     objects = 0
     for n in range(1, 5):
         cat = cached_category(n)
         for t in enumerate_basic_rigid(cat):
+            arcs = cat.obj(t.arcs)
+            if any(cat.suspend_obj(arcs, k).summands < arcs.summands
+                   for k in range(1, n + 3)):
+                continue
             alg = algebra_of(cat, t)
-            bound = max(H_obj(cat, alg, cat.obj([i])).total_dim
-                        for i in range(cat.N))
-            got = enumerate_indec_modules(alg, max(2, bound))
-            ref = _unpruned_enumeration(alg, max(2, bound))
-            assert sorted(m.dims for m in got) == sorted(m.dims for m in ref)
-            for a, b in ((got, ref), (ref, got)):
-                for m in a:
-                    assert sum(1 for c in b if modules_isomorphic(m, c)) == 1
+            bound = _image_bound(cat, alg)
+            _assert_same_classes(enumerate_indec_modules(alg, bound),
+                                 _unpruned_enumeration(alg, bound))
             objects += 1
-    assert objects == 252
+    assert objects == 41
 
 
 def _module(alg, dims, act):
@@ -495,7 +593,7 @@ def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
     for t in (example_T, fan_T):
         alg = algebra_of(cat4, t)
         for total in range(1, 4):
-            for dims in _compositions(total, alg.r):
+            for dims in compositions(total, alg.r):
                 slots = [(i, j) for (i, j) in alg.radical_pairs
                          if dims[i] and dims[j]]
                 for mats in _raw_tuples(dims, slots):

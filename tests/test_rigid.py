@@ -40,8 +40,10 @@ def test_rigid_object_rejects_summands_that_are_not_arcs(cat4, example_T):
     for summands in ([0, -14], [-1], [14]):
         with pytest.raises(ValueError, match="out of range"):
             rigid_object(cat4, summands)
-    with pytest.raises(ValueError, match="bad summand"):
-        rigid_object(cat4, [1.0])
+    # bool is an int subclass, but True and False are no arc indices
+    for summands in ([1.0], [True], [False]):
+        with pytest.raises(ValueError, match="bad summand"):
+            rigid_object(cat4, summands)
     arcs = tuple(reversed(example_T.arcs))
     assert rigid_object(cat4, list(arcs)).arcs == arcs
 
