@@ -99,12 +99,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return Mat(self.rows, self.cols,
-                   tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, c) -> "Mat":
         c = _frac(c)
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
@@ -285,15 +279,6 @@ def kernel_basis(m: Mat) -> Mat:
         return Mat.zeros(m.cols, 0)
     return Mat(m.cols, len(cols),
                tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols))))
-
-
-def mat_from_cols(cols: Sequence[Sequence], nrows: int) -> Mat:
-    """Matrix with the given columns; shape is explicit so empty dimensions
-    survive (from_rows would collapse a 0-row matrix to 0 columns)."""
-    ncols = len(cols)
-    return Mat(nrows, ncols,
-               tuple(_frac(cols[c][r]) for r in range(nrows)
-                     for c in range(ncols)))
 
 
 def column_space_basis(m: Mat) -> Mat:

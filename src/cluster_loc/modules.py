@@ -15,16 +15,16 @@ add T with those summands.  Density (`lift_module_to_CT`) reads T1 and T0 off
 a minimal projective presentation P1 -> P0, takes the preimage of the map
 under H, which is bijective on maps in add T, and cones it.
 
-Indecomposability is decided in three exact steps, cheapest first: a
-certified split that needs no endomorphism ring (a simple summand S_i
-sitting in the socle but not the radical at vertex i), then the
-characteristic-zero trace form of End(M), which certifies a local ring, then
-a Fitting splitting along a rational eigenvalue, one vertex block at a
-time since End(M) acts vertex by vertex.  Every split is returned as
-explicit, action-stable, complementary submodules.  Isomorphism testing
-between indecomposables (`indec_isomorphic`) uses the unit-composite
-criterion.  Both are guarded by internal-consistency errors in the (here
-unreachable) ambiguous cases.
+Decompositions are read off one exact invariant, the trace-pairing rank
+r(A, B): the rank of (f, g) -> tr(g f) over bases of Hom(A, B) and
+Hom(B, A).  In characteristic 0 it is sum_X mu_X(A) mu_X(B) over the
+indecomposables X, provided End(X)/rad = Q for each X; this holds over the
+string algebras here, and the enumeration certifies it per class as
+r(X, X) = 1.  It has three uses, none of which searches or splits a module
+explicitly: M is indecomposable iff r(M, M) = 1; M1 and M2 are isomorphic
+iff their dimension vectors agree and r(M1, M2) = r(M1, M1) = r(M2, M2)
+(by Cauchy-Schwarz, equal multiplicity vectors); and the multiplicity of a
+listed class X in M is r(X, M) (`split_module`).
 
 The indecomposables are listed as string modules.  The enumeration first
 certifies that End(T) is a string algebra: at most two arrows start and end
@@ -39,14 +39,13 @@ category, so the module side stays an independent decision.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import (Mat, column_space_basis, complement_coords, integer_row,
-                     inverse, kernel_basis, mat_from_cols, rank, solve_right)
+from .linalg import (Mat, column_space_basis, complement_coords, inverse,
+                     kernel_basis, rank, solve_right)
 from .rigid import RigidObject, hom_functor_matrix, in_CT
 from .triangles import complete_triangle
 
@@ -229,15 +228,6 @@ class ModuleHom:
                          [a * b for a, b in zip(self.comps, other.comps)],
                          check=False)
 
-    def add(self, other: "ModuleHom") -> "ModuleHom":
-        return ModuleHom(self.src, self.tgt,
-                         [a + b for a, b in zip(self.comps, other.comps)],
-                         check=False)
-
-    def scale(self, c) -> "ModuleHom":
-        return ModuleHom(self.src, self.tgt,
-                         [m.scale(c) for m in self.comps], check=False)
-
 
 def zero_module(alg: Algebra) -> LambdaModule:
     return LambdaModule(alg, [0] * alg.r, {})
@@ -375,6 +365,23 @@ def projective_cover(m: LambdaModule) -> ModuleHom:
     return hom
 
 
+def _restrict_to(m: LambdaModule,
+                 spans: list[Mat]) -> tuple[LambdaModule, list[Mat]]:
+    """Submodule spanned at each vertex i by the columns of spans[i], with
+    the per-vertex bases chosen for it; raises if it is not action-stable."""
+    alg = m.alg
+    per_vertex = [column_space_basis(s) for s in spans]
+    dims = [b.cols for b in per_vertex]
+    act = {}
+    for (i, j) in alg.radical_pairs:
+        rhs = m.act[(i, j)] * per_vertex[j]
+        sol = solve_right(per_vertex[i], rhs)
+        if sol is None:
+            raise InternalConsistencyError("subspace is not action-stable")
+        act[(i, j)] = sol
+    return LambdaModule(alg, dims, act), per_vertex
+
+
 def kernel_module(f: ModuleHom) -> ModuleHom:
     """The kernel with its inclusion map."""
     k, kers = _restrict_to(f.src, [kernel_basis(m) for m in f.comps])
@@ -394,7 +401,7 @@ def min_proj_presentation(m: LambdaModule):
     return p1, cover
 
 
-# -- endomorphisms, radical, splitting --------------------------------------
+# -- hom spaces and the trace pairing --------------------------------------
 
 
 def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
@@ -441,275 +448,75 @@ def hom_dim_modules(m1: LambdaModule, m2: LambdaModule) -> int:
     return len(module_hom_basis(m1, m2))
 
 
-def _min_poly(a: Mat) -> list[Fraction]:
-    """Coefficients (low to high, monic) of the minimal polynomial."""
-    n = a.rows
-    if n == 0:
-        return [F1]
-    vecs = [Mat.identity(n)]
-    while True:
-        vecs.append(a * vecs[-1])
-        k = len(vecs) - 1
-        cols = [v.entries for v in vecs]
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-        kb = kernel_basis(Mat.from_rows(rows))
-        if kb.cols:
-            for c in range(kb.cols):
-                if kb.at(k, c) != 0:
-                    lead = kb.at(k, c)
-                    return [kb.at(r, c) / lead for r in range(k + 1)]
-        if k > n:
-            raise InternalConsistencyError(
-                "minimal polynomial search exceeded degree bound")
+def pairing_rank(a: LambdaModule, b: LambdaModule) -> int:
+    """r(A, B), the rank of the trace pairing (f, g) -> tr(g f) between
+    Hom(A, B) and Hom(B, A).
 
-
-def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
-    """All rational roots, by the rational root theorem after clearing
-    denominators."""
-    ints = integer_row(poly)
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(F0)
-    a0, an = abs(ints[shift]), abs(ints[-1])
-
-    def divisors(v):
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.extend((d, v // d))
-            d += 1
-        return sorted(set(out))
-
-    def ev(x: Fraction) -> Fraction:
-        acc = F0
-        for c in reversed(ints):
-            acc = acc * x + c
-        return acc
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if ev(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _split_along(f: ModuleHom, r: Fraction):
-    """Fitting decomposition of the source along the eigenvalue r of f,
-    or None if it is trivial.  f acts vertex by vertex, so the kernel and
-    image of (f - r)^n are those of (f_i - r)^(d_i) on each block."""
-    m = f.src
-    kers, imgs = [], []
-    for c, d in zip(f.comps, m.dims):
-        shifted = c - Mat.identity(d).scale(r)
-        power = Mat.identity(d)
-        for _ in range(d):
-            power = shifted * power
-        kers.append(kernel_basis(power))
-        imgs.append(column_space_basis(power))
-    if sum(k.cols for k in kers) in (0, m.total_dim):
-        return None
-    return _split_into(m, kers, imgs)
-
-
-def _restrict_to(m: LambdaModule,
-                 spans: list[Mat]) -> tuple[LambdaModule, list[Mat]]:
-    """Submodule spanned at each vertex i by the columns of spans[i], with
-    the per-vertex bases chosen for it; raises if it is not action-stable."""
-    alg = m.alg
-    per_vertex = [column_space_basis(s) for s in spans]
-    dims = [b.cols for b in per_vertex]
-    act = {}
-    for (i, j) in alg.radical_pairs:
-        rhs = m.act[(i, j)] * per_vertex[j]
-        sol = solve_right(per_vertex[i], rhs)
-        if sol is None:
-            raise InternalConsistencyError("subspace is not action-stable")
-        act[(i, j)] = sol
-    return LambdaModule(alg, dims, act), per_vertex
-
-
-def _split_into(m: LambdaModule, spans_a: list[Mat],
-                spans_b: list[Mat]) -> tuple[LambdaModule, LambdaModule]:
-    """M = A + B for two vertex-wise spanning sets; raises unless both are
-    action-stable, nonzero and complementary at every vertex."""
-    a, basis_a = _restrict_to(m, spans_a)
-    b, basis_b = _restrict_to(m, spans_b)
-    for i, d in enumerate(m.dims):
-        if (a.dims[i] + b.dims[i] != d
-                or rank(basis_a[i].hstack(basis_b[i])) != d):
-            raise InternalConsistencyError(
-                f"split summands are not complementary at vertex {i}")
-    if a.is_zero() or b.is_zero():
-        raise InternalConsistencyError("split has a zero summand")
-    return a, b
-
-
-def _split_simple_summand(m: LambdaModule):
-    """Split off S_i.v for a vector v at vertex i in soc_i (killed by every
-    arrow leaving i) but outside rad_i (the images of the arrows entering i),
-    or None.  The other summand is rad_i extended to a complement of v at
-    vertex i, and everything at the other vertices."""
-    rads = radical_subspaces(m)
-    for i, d in enumerate(m.dims):
-        if not d:
-            continue
-        leaving = [row for (k, j) in m.alg.radical_pairs if j == i
-                   for row in m.act[(k, j)].to_rows()]
-        soc = (kernel_basis(Mat.from_rows(leaving)) if leaving
-               else Mat.identity(d))
-        rad = rads[i]
-        for c in range(soc.cols):
-            v = Mat.column(soc.col(c))
-            with_v = rad.hstack(v)
-            if rank(with_v) == rad.cols:
-                continue
-            units = [[F1 if r == e else F0 for r in range(d)]
-                     for e in complement_coords(with_v)]
-            rest = rad.hstack(mat_from_cols(units, d))
-            return _split_into(
-                m, [v if k == i else Mat.zeros(dk, 0)
-                    for k, dk in enumerate(m.dims)],
-                [rest if k == i else Mat.identity(dk)
-                 for k, dk in enumerate(m.dims)])
-    return None
-
-
-def _end_radical_dim_drop(m: LambdaModule, basis: list[ModuleHom]) -> int:
-    """dim End(M)/rad End(M) via the characteristic-zero trace form.
-
-    Endomorphisms act vertex by vertex, so tr(fg) is the sum over vertex
-    blocks and rows k of row_k(f_i).col_k(g_i); no product is formed, and
-    only the upper triangle of the symmetric Gram matrix is computed.
+    In characteristic 0 a map in the radical of the module category pairs
+    to zero with everything (g f is then nilpotent), and the pairing left
+    over is nondegenerate, so r(A, B) = sum over the indecomposables X of
+    mu_X(A) mu_X(B) dim End(X)/rad End(X).  Maps act vertex by vertex, so
+    tr(g f) is the sum over vertex blocks and rows k of row_k(f_i).col_k(g_i);
+    no product is formed.
     """
-    d = len(basis)
-    if not d:
+    fwd = module_hom_basis(a, b)
+    if not fwd:
+        return 0
+    bwd = fwd if a is b else module_hom_basis(b, a)
+    if not bwd:
         return 0
     rows = [[(p, x) for p, x in enumerate(
                 x for c in f.comps for x in c.entries) if x]
-            for f in basis]
+            for f in fwd]
     cols = [tuple(x for c in g.comps for k in range(c.cols) for x in c.col(k))
-            for g in basis]
-    gram = [[F0] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a, d):
-            cb = cols[b]
-            gram[a][b] = gram[b][a] = sum((x * cb[p] for p, x in rows[a]), F0)
-    return rank(Mat.from_rows(gram))
-
-
-def _split_candidates(basis: list[ModuleHom], rng: random.Random, tries: int):
-    for b in basis:
-        yield b
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield basis[i].add(basis[j])
-    for _ in range(tries):
-        acc = None
-        for b in basis:
-            t = b.scale(rng.randint(-3, 3))
-            acc = t if acc is None else acc.add(t)
-        if acc is not None:
-            yield acc
-
-
-def split_module(m: LambdaModule) -> Optional[tuple[LambdaModule, LambdaModule]]:
-    """A nontrivial direct-sum decomposition, or None if indecomposable.
-
-    The tests run cheapest first.  A simple summand (socle outside the
-    radical at some vertex) is a certified split that needs no endomorphism
-    ring.  Otherwise the trace form of End(M) decides: a local ring
-    (semisimple quotient of dimension 1) certifies indecomposability, and a
-    non-local one, a disconnected module among them, is split by a Fitting
-    decomposition along a rational eigenvalue, whose search raises if it
-    fails.
-    """
-    if m.total_dim <= 1:
-        return None
-    got = _split_simple_summand(m)
-    if got is not None:
-        return got
-    basis = module_hom_basis(m, m)
-    if _end_radical_dim_drop(m, basis) == 1:
-        return None
-    rng = random.Random(7)
-    for cand in _split_candidates(basis, rng, tries=60):
-        roots = set().union(*(_rational_roots(_min_poly(c))
-                              for c in cand.comps))
-        for root in sorted(roots):
-            got = _split_along(cand, root)
-            if got is not None:
-                return got
-    raise InternalConsistencyError(
-        "endomorphism ring is not local but no rational Fitting splitting "
-        "was found")
+            for g in bwd]
+    return rank(Mat.from_rows([[sum((x * col[p] for p, x in row), F0)
+                                for col in cols] for row in rows]))
 
 
 def is_indecomposable(m: LambdaModule) -> bool:
-    if m.total_dim == 0:
-        return False
-    return split_module(m) is None
-
-
-def decompose_module(m: LambdaModule) -> list[LambdaModule]:
-    """Indecomposable summands (order deterministic)."""
-    if m.total_dim == 0:
-        return []
-    got = split_module(m)
-    if got is None:
-        return [m]
-    a, b = got
-    return decompose_module(a) + decompose_module(b)
+    """r(M, M) = 1, given End(X)/rad = Q for every indecomposable X."""
+    return pairing_rank(m, m) == 1
 
 
 def modules_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
-    """Exact isomorphism test.
+    """Equal dimension vectors and r(M1, M2) = r(M1, M1) = r(M2, M2).
 
-    Indecomposables: some composite of hom-basis elements both ways is
-    invertible iff the modules are isomorphic (unit-composite criterion).
-    General modules are decomposed first and matched piecewise.
+    r is an inner product of multiplicity vectors with positive weights
+    dim End(X)/rad End(X), so by Cauchy-Schwarz the three agree exactly when
+    the multiplicity vectors are equal; nothing is decomposed.
     """
     if m1.dims != m2.dims:
         return False
-    if m1.total_dim == 0:
-        return True
-    d1 = decompose_module(m1)
-    d2 = decompose_module(m2)
-    if len(d1) != len(d2):
-        return False
-    used = [False] * len(d2)
-    for a in d1:
-        found = False
-        for k, b in enumerate(d2):
-            if not used[k] and indec_isomorphic(a, b):
-                used[k] = True
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    r = pairing_rank(m1, m2)
+    return pairing_rank(m1, m1) == r == pairing_rank(m2, m2)
 
 
-def indec_isomorphic(m1: LambdaModule, m2: LambdaModule) -> bool:
-    """Isomorphism of two indecomposables (unit-composite criterion)."""
-    if m1.dims != m2.dims:
-        return False
-    fwd = module_hom_basis(m1, m2)
-    bwd = module_hom_basis(m2, m1)
-    for f in fwd:
-        for g in bwd:
-            comp = g.compose(f)
-            if all(rank(c) == c.rows == c.cols for c in comp.comps):
-                return True
-    return False
+def split_module(m: LambdaModule, classes: Sequence[LambdaModule]
+                 ) -> tuple[list[int], tuple[int, ...]]:
+    """The multiplicity of each listed class as a summand of m, and the
+    dimension vector that the listed summands leave over.
+
+    The multiplicity of X is r(X, m), since r(X, X) = 1 (the enumeration
+    certifies it per class).  Classes are read from the largest total
+    dimension down; one that does not fit in what is left cannot be a
+    summand and is skipped, and reading stops once nothing is left.  A
+    leftover that goes negative raises.
+    """
+    mults = [0] * len(classes)
+    left = m.dims
+    for k in sorted(range(len(classes)), key=lambda i: -classes[i].total_dim):
+        if not any(left):
+            break
+        x = classes[k]
+        if any(d > e for d, e in zip(x.dims, left)):
+            continue
+        mults[k] = pairing_rank(x, m)
+        left = tuple(e - mults[k] * d for d, e in zip(x.dims, left))
+        if min(left) < 0:
+            raise InternalConsistencyError(
+                f"multiplicities of the listed classes exceed {m.dims}")
+    return mults, left
 
 
 # -- the string-module oracle -----------------------------------------------

@@ -26,9 +26,9 @@ from .category import (MAX_RANK, Category, InternalConsistencyError, Mor, Obj,
 from .localization import (Zigzag, algebra_of, classify, factor_through_s,
                            forward, inv, loc_hom, s_resolution, zigzag_equal,
                            zigzag_eval)
-from .modules import (H_mor, H_obj, decompose_module, direct_sum_modules,
+from .modules import (H_mor, H_obj, direct_sum_modules,
                       enumerate_indec_modules, hom_dim_modules,
-                      indec_isomorphic, modules_isomorphic, simple_module)
+                      modules_isomorphic, simple_module, split_module)
 from .rigid import (RigidObject, dim_factoring_through_add,
                     dim_hom_functor_kernel, factors_through_mor,
                     hom_functor_zero, in_CT, is_cluster_tilting, is_rigid,
@@ -652,30 +652,24 @@ def replay_failure(repro: dict) -> bool:
 
 def image_table(cfg: InstanceConfig, cat: Category | None = None) -> list[dict]:
     """Per indecomposable: the image module under Hom(T, -), its dimension
-    vector and its decomposition into enumerated indecomposables."""
+    vector and its decomposition into enumerated indecomposables, each
+    class as often as it occurs; a dimension vector that the classes leave
+    over is written as ?(...)."""
     cat = cat or cached_category(cfg.n)
     t = rigid_object(cat, cfg.T)
     alg = algebra_of(cat, t)
     images = [H_obj(cat, alg, cat.obj([i])) for i in range(cat.N)]
     bound = max(hm.total_dim for hm in images)
     classes = enumerate_indec_modules(alg, max(bound, 2))
-    names = {}
-    for m in classes:
-        if sum(m.dims) == 1:
-            names[id(m)] = f"S{m.dims.index(1) + 1}"
-        else:
-            names[id(m)] = "(" + ",".join(str(d) for d in m.dims) + ")"
+    names = [f"S{m.dims.index(1) + 1}" if m.total_dim == 1
+             else "(" + ",".join(str(d) for d in m.dims) + ")"
+             for m in classes]
     rows = []
     for i, hm in enumerate(images):
-        parts = decompose_module(hm)
-        decomp = []
-        for p in parts:
-            label = None
-            for m in classes:
-                if indec_isomorphic(p, m):
-                    label = names[id(m)]
-                    break
-            decomp.append(label or "?" + str(p.dims))
+        mults, left = split_module(hm, classes)
+        decomp = [name for name, mu in zip(names, mults) for _ in range(mu)]
+        if any(left):
+            decomp.append("?" + str(left))
         rows.append({"arc": str(cat.arcs[i]), "label": cat.labels[i],
                      "H_dims": list(hm.dims), "decomposition": sorted(decomp)})
     return rows

@@ -7,15 +7,15 @@ orbit and only over zero patterns that connect every basis vector
 (`candidates`).  Every other radical basis element is c b_(i,j) b_(j,k)
 (`Algebra.composites`), so its action is forced.  Candidates are filtered by
 the structure constants and indecomposability, then deduplicated by
-`indec_isomorphic`.
+`modules_isomorphic`.
 """
 
 import itertools
 from fractions import Fraction
 
 from cluster_loc.linalg import Mat
-from cluster_loc.modules import (Algebra, LambdaModule, indec_isomorphic,
-                                 is_indecomposable)
+from cluster_loc.modules import (Algebra, LambdaModule, is_indecomposable,
+                                 modules_isomorphic)
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -55,7 +55,7 @@ def candidate_enumeration(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
                     continue
                 if not is_indecomposable(m):
                     continue
-                if any(indec_isomorphic(m, c) for c in classes):
+                if any(modules_isomorphic(m, c) for c in classes):
                     continue
                 classes.append(m)
             found.extend(classes)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,13 @@ def is_isomorphism(cat: Category, f: Mor) -> bool:
         return False
     g = cat.mor_from_vec(Y, X, sol.col(0))
     return cat.compose(g, f).m == cat.identity(X).m
+
+
+def mat_from_cols(cols, nrows: int) -> Mat:
+    """Matrix with the given columns; shape is explicit so empty dimensions
+    survive (from_rows would collapse a 0-row matrix to 0 columns)."""
+    return Mat(nrows, len(cols),
+               tuple(Fraction(c[r]) for r in range(nrows) for c in cols))
 
 
 # -- right-minimal reduction: the reference for ``right_addT_approx`` ------

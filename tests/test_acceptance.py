@@ -24,8 +24,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import H_obj, hom_dim_modules
 from cluster_loc.rigid import (dim_factoring_through_add, enumerate_basic_rigid,
@@ -104,21 +102,6 @@ def test_ac2_lemma_suites_battery():
             f"{instances} instances, {checks} checks, "
             f"peak RSS {peak_mb:.0f} MB")
     _report("AC2 runtime", elapsed <= 600.0, f"{elapsed:.0f}s <= 600s")
-
-
-@pytest.mark.parametrize("n", [9, 11])
-def test_ac2_suites_where_ker_D_has_dimension_four(n):
-    """AC2's suites on one sampled rigid object at the only ranks where the
-    hom-dimension matrix D has a four-dimensional kernel, so that the cone
-    enumeration has four free coordinates."""
-    cat = cached_category(n)
-    t = sample_rigid(cat, random.Random(f"ac2:{n}"))
-    cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs], seed=7,
-                         suites=AC2_SUITES)
-    rep = run_suites(cfg, sample_maps=100, cat=cat)
-    checks = sum(s["checks"] for s in rep["suites"])
-    _report(f"AC2 rank {n} zero failures", rep["failures_total"] == 0,
-            f"T = {' + '.join(cfg.T)}, {checks} checks")
 
 
 # -- criterion 3 --------------------------------------------------------------

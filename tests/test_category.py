@@ -10,12 +10,12 @@ from cluster_loc.arcs import crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj,
                                   _associativity_chains, _quotient_1d,
                                   _unit_table, build_category, load_category)
-from cluster_loc.linalg import mat_from_cols, reduced_rows
+from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
-from conftest import (is_isomorphism, is_right_minimal, right_minimal_reduce,
-                      sample_rigid)
+from conftest import (is_isomorphism, is_right_minimal, mat_from_cols,
+                      right_minimal_reduce, sample_rigid)
 
 
 def test_build_guard():
@@ -171,7 +171,7 @@ def test_right_minimal_reduce_kills_iso_padding(cat4):
 
 def test_every_e_with_fe_f_is_iso_on_minimal(cat4):
     # the defining property, checked over the solution space of f.e = f
-    from cluster_loc.linalg import kernel_basis, mat_from_cols
+    from cluster_loc.linalg import kernel_basis
     rng = random.Random(4)
     for _ in range(40):
         x = cat4.random_obj(rng, 2)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc.linalg import (Mat, column_space_basis, complement_coords,
-                                inverse, kernel_basis, mat_from_cols, rank,
-                                rank_rows, reduced_rows, solve_right)
+                                inverse, kernel_basis, rank, rank_rows,
+                                reduced_rows, solve_right)
+from conftest import mat_from_cols
 
 
 def test_rank_examples():

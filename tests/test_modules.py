@@ -7,20 +7,18 @@ import pytest
 import candidate_reference
 from candidate_reference import (candidate_enumeration, candidates,
                                  component, compositions)
-from cluster_loc.linalg import Mat, rank
+from cluster_loc.linalg import Mat, inverse, rank
 from cluster_loc.localization import algebra_of
-from cluster_loc.modules import (H_mor, H_obj, LambdaModule, ModuleHom,
-                                 decompose_module, direct_sum_modules,
-                                 end_algebra, enumerate_indec_modules,
-                                 hom_dim_modules, is_indecomposable,
-                                 lift_module_to_CT, min_proj_presentation,
-                                 module_hom_basis, modules_isomorphic,
+from cluster_loc.modules import (H_mor, H_obj, Algebra, LambdaModule,
+                                 ModuleHom, direct_sum_modules, end_algebra,
+                                 enumerate_indec_modules, hom_dim_modules,
+                                 is_indecomposable, lift_module_to_CT,
+                                 min_proj_presentation, module_hom_basis,
+                                 modules_isomorphic, pairing_rank,
                                  projective_cover, projective_module,
-                                 simple_module, solve_H_preimage, top_dims,
-                                 zero_module)
+                                 simple_module, solve_H_preimage,
+                                 split_module, top_dims, zero_module)
 from cluster_loc.category import InternalConsistencyError
-from cluster_loc.modules import (Algebra, _end_radical_dim_drop,
-                                 _split_simple_summand)
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
 from cluster_loc.suites import InstanceConfig, cached_category, image_table
@@ -544,52 +542,52 @@ def _module(alg, dims, act):
     return m
 
 
-def _assert_certified_split(m, pieces):
-    a, b = pieces
-    for p in pieces:
-        p.validate()
-        assert not p.is_zero()
-    assert tuple(x + y for x, y in zip(a.dims, b.dims)) == m.dims
-    total, _ = direct_sum_modules([a, b])
-    assert modules_isomorphic(total, m)
+def _multiplicities(m, classes):
+    """split_module's verdict as {dimension vector: multiplicity} over the
+    classes that occur, and the leftover; the classes used here have
+    pairwise distinct dimension vectors."""
+    mults, left = split_module(m, classes)
+    return {c.dims: mu for c, mu in zip(classes, mults) if mu}, left
 
 
 def test_split_disconnected_on_zero_arrow(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    # full support, but the arrow 3 -> 2 acts by zero
+    classes = enumerate_indec_modules(alg, 3)
+    # full support, but the arrow 3 -> 2 acts by zero: (1,1,0) + S3
     m = _module(alg, (1, 1, 1), {(0, 1): [[1]], (1, 2): [[0]]})
-    pieces = decompose_module(m)
-    assert sorted(p.dims for p in pieces) == [(0, 0, 1), (1, 1, 0)]
-    _assert_certified_split(m, pieces)
+    assert not is_indecomposable(m)
+    assert _multiplicities(m, classes) == ({(1, 1, 0): 1, (0, 0, 1): 1},
+                                           (0, 0, 0))
     assert is_indecomposable(_module(alg, (1, 1, 0), {(0, 1): [[1]]}))
 
 
 def test_split_simple_summand(cat4, example_T):
     alg = algebra_of(cat4, example_T)
+    classes = enumerate_indec_modules(alg, 3)
     # M_2 = <e1, e2> with rad_2 = <e1> = image of the arrow from vertex 3:
-    # e2 spans a simple summand S2, and the arrow graph is connected
+    # e2 spans a simple summand S2 although the arrow graph is connected,
+    # and the rest is P3
     m = _module(alg, (0, 2, 1), {(1, 2): [[1], [0]]})
-    pieces = _split_simple_summand(m)
-    assert [p.dims for p in pieces] == [(0, 1, 0), (0, 1, 1)]
-    _assert_certified_split(m, pieces)
-    assert modules_isomorphic(pieces[1], projective_module(alg, 2))
-    assert _split_simple_summand(projective_module(alg, 2)) is None
+    assert _multiplicities(m, classes) == ({(0, 1, 0): 1, (0, 1, 1): 1},
+                                           (0, 0, 0))
+    total, _ = direct_sum_modules([simple_module(alg, 1),
+                                   projective_module(alg, 2)])
+    assert modules_isomorphic(total, m)
 
 
-def test_fitting_split_when_no_cheap_split(cat4, example_T):
+def test_split_square_of_a_projective(cat4, example_T):
     alg = algebra_of(cat4, example_T)
+    classes = enumerate_indec_modules(alg, 3)
     p3 = projective_module(alg, 2)
     square, _ = direct_sum_modules([p3, p3])
-    assert _split_simple_summand(square) is None
-    parts = decompose_module(square)
-    assert len(parts) == 2
-    assert all(modules_isomorphic(p, p3) for p in parts)
+    assert not is_indecomposable(square)
+    assert _multiplicities(square, classes) == ({(0, 1, 1): 2}, (0, 0, 0))
 
 
 def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
-    """On every validated candidate of total dimension <= 3, the verdict of
-    split_module (cheap splits first) equals the local-ring test, and the
-    Gram rank equals the one of the product-and-trace reference."""
+    """On every validated candidate of total dimension <= 3, r(M, M) equals
+    the Gram rank of the product-and-trace reference, and M is
+    indecomposable exactly when it is 1."""
     for t in (example_T, fan_T):
         alg = algebra_of(cat4, t)
         for total in range(1, 4):
@@ -608,9 +606,96 @@ def test_split_verdicts_match_trace_form(cat4, example_T, fan_T):
                                  for pi, qi in zip(p.comps, q.comps)
                                  for k in range(pi.rows))
                              for q in basis] for p in basis]
-                    drop = _end_radical_dim_drop(m, basis)
-                    assert drop == (rank(Mat.from_rows(gram)) if gram else 0)
-                    assert is_indecomposable(m) == (drop == 1)
+                    ref = rank(Mat.from_rows(gram)) if gram else 0
+                    assert pairing_rank(m, m) == ref
+                    assert is_indecomposable(m) == (ref == 1)
+
+
+def _random_invertible(rng, d):
+    while True:
+        g = Mat.from_rows([[rng.randint(-2, 2) for _ in range(d)]
+                           for _ in range(d)])
+        gi = inverse(g)
+        if gi is not None:
+            return g, gi
+
+
+def _base_changed_sum(rng, classes, mults):
+    """The direct sum with mults[k] copies of classes[k], in shuffled order,
+    conjugated by a random invertible matrix g_i at each vertex."""
+    parts = [c for c, mu in zip(classes, mults) for _ in range(mu)]
+    rng.shuffle(parts)
+    total, _ = direct_sum_modules(parts)
+    gs = [_random_invertible(rng, d) for d in total.dims]
+    m = LambdaModule(total.alg, total.dims,
+                     {(i, j): gs[i][0] * a * gs[j][1]
+                      for (i, j), a in total.act.items()})
+    m.validate()
+    return m
+
+
+def test_split_and_isomorphism_on_base_changed_sums():
+    """Seeded direct sums of string modules at n = 3..6, over the fan and
+    three sampled rigid objects of at least three summands per rank, each
+    sum base-changed at every vertex: split_module returns the
+    multiplicities each sum was built from, with nothing left over, and
+    modules_isomorphic holds exactly when two sums of equal dimension vector
+    have equal multiplicity vectors.  The non-isomorphic partner of a sum
+    trades one class for the simples of its dimension vector."""
+    sums = pairs = non_iso = 0
+    for n in range(3, 7):
+        cat = cached_category(n)
+        rng = random.Random(f"split:{n}")
+        ts = [rigid_object(cat, _fan(n).T)]
+        while len(ts) < 4:
+            t = sample_rigid(cat, rng)
+            if len(t.arcs) >= 3 and t not in ts:
+                ts.append(t)
+        for t in ts:
+            alg = algebra_of(cat, t)
+            classes = enumerate_indec_modules(alg, n)
+            simple = {c.dims.index(1): k for k, c in enumerate(classes)
+                      if c.total_dim == 1}
+            for _ in range(6):
+                mults = [0] * len(classes)
+                for _ in range(rng.randint(1, 4)):
+                    mults[rng.randrange(len(classes))] += 1
+                m = _base_changed_sum(rng, classes, mults)
+                assert split_module(m, classes) == (mults, (0,) * alg.r)
+                assert is_indecomposable(m) == (sum(mults) == 1)
+                sums += 1
+                partners = [list(mults)]
+                big = [k for k, mu in enumerate(mults)
+                       if mu and classes[k].total_dim > 1]
+                if big:
+                    other = list(mults)
+                    other[big[0]] -= 1
+                    for v, d in enumerate(classes[big[0]].dims):
+                        other[simple[v]] += d
+                    partners.append(other)
+                for other in partners:
+                    m2 = _base_changed_sum(rng, classes, other)
+                    assert m2.dims == m.dims
+                    assert modules_isomorphic(m, m2) == (other == mults)
+                    pairs += 1
+                    non_iso += other != mults
+    assert sums == 96 and non_iso > 50 and pairs == sums + non_iso
+
+
+def test_split_leaves_a_missing_class_over(cat4, fan_T):
+    """The sum of all ten classes of the heptagon fan, split over the list
+    without one class: every other class once, and exactly the missing
+    class's dimension vector left over.  A listed module that is not
+    indecomposable makes the leftover negative, which raises."""
+    alg = algebra_of(cat4, fan_T)
+    classes = enumerate_indec_modules(alg, 4)
+    total, _ = direct_sum_modules(classes)
+    for k, missing in enumerate(classes):
+        rest = classes[:k] + classes[k + 1:]
+        assert split_module(total, rest) == ([1] * len(rest), missing.dims)
+    square, _ = direct_sum_modules([classes[-1]] * 2)
+    with pytest.raises(InternalConsistencyError, match="exceed"):
+        split_module(square, [square])
 
 
 def test_enumerate_indecs_point_algebra(cat4):
@@ -631,18 +716,18 @@ def test_enumerate_indecs_a2_path_algebra(cat2):
 
 def test_indecomposability_and_decompose(cat4, example_T):
     alg = algebra_of(cat4, example_T)
+    classes = enumerate_indec_modules(alg, 3)
     s1 = simple_module(alg, 0)
     assert is_indecomposable(s1)
     assert not is_indecomposable(zero_module(alg))
     square, _ = direct_sum_modules([s1, s1])
     assert not is_indecomposable(square)
-    parts = decompose_module(square)
-    assert len(parts) == 2 and all(modules_isomorphic(p, s1) for p in parts)
+    assert _multiplicities(square, classes) == ({(1, 0, 0): 2}, (0, 0, 0))
     p3 = projective_module(alg, 2)
     assert is_indecomposable(p3)
     mixed, _ = direct_sum_modules([p3, s1, s1])
-    assert sorted(tuple(p.dims) for p in decompose_module(mixed)) == \
-        sorted([(0, 1, 1), (1, 0, 0), (1, 0, 0)])
+    assert _multiplicities(mixed, classes) == ({(0, 1, 1): 1, (1, 0, 0): 2},
+                                               (0, 0, 0))
 
 
 def test_iso_invariant_under_base_change(cat4, example_T):

@@ -16,7 +16,8 @@ from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (complete_triangle, mesh_map_into,
                                    pre_rank_table)
-from conftest import is_isomorphism, right_minimal_reduce, sample_rigid
+from conftest import (is_isomorphism, mat_from_cols, right_minimal_reduce,
+                      sample_rigid)
 
 
 def test_is_rigid_examples(cat4, example_T):
@@ -108,7 +109,7 @@ def test_example_minimal_approximation(cat4, example_T):
 
 
 def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
-    from cluster_loc.linalg import Mat, mat_from_cols, solve_right
+    from cluster_loc.linalg import Mat, solve_right
     rng = random.Random(6)
     for _ in range(10):
         x = cat4.random_obj(rng, 2)
