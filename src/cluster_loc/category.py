@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -392,11 +393,16 @@ class Category:
 
     # -- literals ----------------------------------------------------------
 
-    def parse_obj_tokens(self, text: str) -> Obj:
+    def _written_arcs(self, text: str) -> list[int]:
+        """Arc indices of comma-separated object tokens, in written order."""
         text = text.strip()
         if text in ("0", ""):
-            return self.zero_obj
-        return self.obj([tok for tok in text.split(",") if tok.strip()])
+            return []
+        return [self.arc_of_token(tok) for tok in text.split(",")
+                if tok.strip()]
+
+    def parse_obj_tokens(self, text: str) -> Obj:
+        return Obj(tuple(sorted(self._written_arcs(text))))
 
     def format_mor(self, f: Mor) -> str:
         """Literal form 'SRC -> TGT @ [[...]]' with rational entries."""
@@ -407,7 +413,9 @@ class Category:
         return f"{src} -> {tgt} @ [{rows}]"
 
     def parse_mor(self, text: str) -> Mor:
-        """Parse a morphism literal; a missing matrix means the all-ones
+        """Parse a morphism literal 'SRC -> TGT @ [[...],...]'.  Row i and
+        column j of the matrix belong to the i-th target and the j-th
+        source token as written; a missing matrix means the all-ones
         bundle of basis maps."""
         if "->" not in text:
             raise ValueError("morphism literal needs 'SRC -> TGT'")
@@ -416,35 +424,29 @@ class Category:
             tgtpart, matpart = rest.split("@", 1)
         else:
             tgtpart, matpart = rest, None
-        src = self.parse_obj_tokens(srcpart)
-        tgt = self.parse_obj_tokens(tgtpart)
+        src_arcs = self._written_arcs(srcpart)
+        tgt_arcs = self._written_arcs(tgtpart)
+        src = Obj(tuple(sorted(src_arcs)))
+        tgt = Obj(tuple(sorted(tgt_arcs)))
         if matpart is None:
             rows = [[F1 if self.hom1(xj, yi) else F0 for xj in src.summands]
                     for yi in tgt.summands]
             return self.mor(src, tgt, rows)
         body = matpart.strip()
-        if not (body.startswith("[") and body.endswith("]")):
+        if not _MATRIX_LITERAL.fullmatch(body):
             raise ValueError("matrix part must be [[...],[...]]")
-        body = body[1:-1].strip()
-        rows = []
-        if body:
-            depth = 0
-            cur = ""
-            parts = []
-            for ch in body:
-                if ch == "[":
-                    depth += 1
-                    cur = ""
-                elif ch == "]":
-                    depth -= 1
-                    parts.append(cur)
-                elif depth == 1:
-                    cur += ch
-            for p in parts:
-                rows.append([Fraction(tok.strip()) if tok.strip() else F0
-                             for tok in p.split(",")] if p.strip() else [])
-        if len(rows) != len(tgt.summands):
+        written = [[Fraction(tok) for tok in row.split(",")] if row.strip()
+                   else [] for row in _MATRIX_ROW.findall(body[1:-1])]
+        if len(written) != len(tgt_arcs):
             raise ValueError("matrix row count != target summands")
+        if any(len(row) != len(src_arcs) for row in written):
+            raise ValueError("col count != number of source summands")
+        # move the written rows and columns to the sorted summand order
+        ri, cj = _perm_to_sorted(tgt_arcs), _perm_to_sorted(src_arcs)
+        rows = [[F0] * len(src_arcs) for _ in tgt_arcs]
+        for i, row in enumerate(written):
+            for j, v in enumerate(row):
+                rows[ri[i]][cj[j]] = v
         return self.mor(src, tgt, rows)
 
     # -- serialization ----------------------------------------------------
@@ -465,6 +467,12 @@ class Category:
     def save(self, path: str):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+
+
+# a matrix literal: bracketed rows of comma-separated entries, nothing else
+_ROW = r"\[([^\[\]]*)\]"
+_MATRIX_ROW = re.compile(_ROW)
+_MATRIX_LITERAL = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
 
 
 def _merge_positions(first: tuple[int, ...], second: tuple[int, ...]):

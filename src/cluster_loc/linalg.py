@@ -93,12 +93,6 @@ class Mat:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Mat(self.rows, self.cols,
-                   tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, c) -> "Mat":
         c = _frac(c)
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))

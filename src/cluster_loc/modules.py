@@ -161,13 +161,15 @@ class LambdaModule:
             for (j2, k) in self.alg.radical_pairs:
                 if j2 != j:
                     continue
-                lhs = self.act[(i, j)] * self.act[(j, k)]
                 c = self.alg.mult.get((i, j, k), F0)
-                rhs = (self.act[(i, k)].scale(c)
-                       if (i, k) in self.act else Mat.zeros(self.dims[i], self.dims[k]))
                 if c and (i, k) not in self.act:
                     raise InternalConsistencyError(
                         "nonzero structure constant into a missing hom pair")
+                if not (self.dims[i] and self.dims[k]):
+                    continue    # both sides are empty matrices
+                lhs = self.act[(i, j)] * self.act[(j, k)]
+                rhs = (self.act[(i, k)].scale(c)
+                       if (i, k) in self.act else Mat.zeros(self.dims[i], self.dims[k]))
                 if lhs.entries != rhs.entries:
                     raise ValueError("action violates structure constants")
 

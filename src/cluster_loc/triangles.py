@@ -343,23 +343,13 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     # g candidates: g . f = 0
     kb_g = kernel_basis(cat.pre_matrix(f, Z))
 
-    into_y, from_y = cat.hom_vec_into(Y), cat.hom_vec_from(Y)
-    into_z = cat.hom_vec_into(Z)
     for g in generic_maps(cat, Y, Z, kb_g, rng):
-        rg = post_rank_table(cat, g)
-        if any(a + b != d for a, b, d in zip(rf, rg, into_y)):
-            continue
-        pg = pre_rank_table(cat, g)
-        if any(a + b != d for a, b, d in zip(pg, pf, from_y)):
-            continue
+        rg, pg = post_rank_table(cat, g), pre_rank_table(cat, g)
         # h candidates: h . g = 0 and Σf . h = 0
         kb_h = kernel_basis(cat.pre_matrix(g, sX).vstack(
             cat.post_matrix(sf, Z)))
         for h in generic_maps(cat, Z, sX, kb_h, rng):
-            rh = post_rank_table(cat, h)
-            if any(a + b != d for a, b, d in zip(rg, rh, into_z)):
-                continue
-            ph = pre_rank_table(cat, h)
+            rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
             cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,
                                           profile=profile,
                                           tables=(rf, rg, rh, pf, pg, ph))

@@ -267,6 +267,25 @@ def test_mor_literal_roundtrip(cat4):
         cat4.parse_mor("M44 M34")
 
 
+def test_mor_literal_matrix_follows_written_token_order(cat4):
+    # SM24 is SP2, which sorts before M44: the written columns are swapped
+    f = cat4.parse_mor("M44,SM24 -> M34 @ [[2,3]]")
+    assert cat4.format_mor(f) == "SP2,M44 -> M34 @ [[3,2]]"
+    g = cat4.parse_mor("M44,SP2 -> M44,SP2 @ [[1,0],[0,2]]")
+    assert cat4.format_mor(g) == "SP2,M44 -> SP2,M44 @ [[2,0],[0,1]]"
+    # repeated summands keep their written order
+    h = cat4.parse_mor("M44,SM24,M44 -> M34 @ [[1,2,3]]")
+    assert cat4.format_mor(h) == "SP2,M44,M44 -> M34 @ [[2,1,3]]"
+
+
+@pytest.mark.parametrize("matrix", ["[[1,1],junk]", "[x[1,1]]", "[[1,1]x]",
+                                    "[[1,1]][[1,1]]", "[[1,]]", "[[1,x]]",
+                                    "[[1]]", "[[1,1],[1,1]]"])
+def test_mor_literal_rejects_malformed_matrix(cat4, matrix):
+    with pytest.raises(ValueError):
+        cat4.parse_mor(f"M44,SM24 -> M34 @ {matrix}")
+
+
 # sha256 of json.dumps(build_category(n).to_dict(), sort_keys=True) and of
 # json.dumps(sorted(label_hom_matrix(n).items())), recorded from the Fraction
 # build that the integer build replaced

@@ -84,6 +84,23 @@ def test_composites_raise_without_a_factorization():
         alg.composites()
 
 
+def test_validate_checks_products_through_a_zero_vertex():
+    # the linear A3 path algebra: b_(0,2) = b_(0,1) b_(1,2)
+    alg = Algebra((0, 1, 2), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2)),
+                  {(0, 1, 2): 1}, 6)
+    # M_1 = 0 forces b_(0,2) to act by zero, though both sides are 1 x 1
+    bad = LambdaModule(alg, (1, 0, 1), {(0, 2): Mat(1, 1, (Fraction(1),))})
+    with pytest.raises(ValueError, match="structure constants"):
+        bad.validate()
+    LambdaModule(alg, (1, 0, 1), {}).validate()
+    LambdaModule(alg, (0, 1, 1), {(1, 2): Mat(1, 1, (Fraction(1),))}).validate()
+    # a nonzero constant into a pair that is not radical raises at any dims
+    broken = Algebra((0, 1, 2), ("a", "b", "c"), ((0, 1), (1, 2)),
+                     {(0, 1, 2): 1}, 5)
+    with pytest.raises(InternalConsistencyError, match="missing hom pair"):
+        LambdaModule(broken, (0, 1, 0), {}).validate()
+
+
 def test_H_of_example_object(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     m = H_obj(cat4, alg, cat4.obj(["M34"]))

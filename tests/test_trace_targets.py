@@ -35,3 +35,9 @@ def test_every_trace_target_resolves():
                 missing.append(f"{layer}.{name}")
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_suite_names_match_the_benchmark():
+    """The benchmark reads per-suite times by these names, in this order."""
+    from cluster_loc import suites
+    assert suites.SUITE_NAMES == _load_tracing().SUITE_NAMES
