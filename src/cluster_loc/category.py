@@ -29,8 +29,7 @@ On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
 suspension and direct sums.  The maps f
 induces on hom spaces are matrices on the slot bases (``hom_slots``), built
-directly: ``post_matrix`` (Hom(W, f)), ``pre_matrix`` (Hom(f, W)) and, in
-``rigid``, ``hom_functor_matrix`` (Hom(T, -) on a space Hom(x, y)).
+directly: ``post_matrix`` (Hom(W, f)) and ``pre_matrix`` (Hom(f, W)).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Iterable, Sequence
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    make_arc, parse_arc, rotate)
-from .linalg import Mat, reduced_rows
+from .linalg import Mat
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -169,7 +168,7 @@ class Category:
     def obj(self, summands: Iterable) -> Obj:
         idx = []
         for s in summands:
-            if isinstance(s, Arc):
+            if isinstance(s, Arc) and s in self.arc_index:
                 idx.append(self.arc_index[s])
             elif isinstance(s, int) and not isinstance(s, bool):
                 if not 0 <= s < self.N:
@@ -394,12 +393,12 @@ class Category:
     # -- literals ----------------------------------------------------------
 
     def _written_arcs(self, text: str) -> list[int]:
-        """Arc indices of comma-separated object tokens, in written order."""
+        """Arc indices of comma-separated object tokens, in written order;
+        "0" or nothing is the zero object, an empty token raises."""
         text = text.strip()
         if text in ("0", ""):
             return []
-        return [self.arc_of_token(tok) for tok in text.split(",")
-                if tok.strip()]
+        return [self.arc_of_token(tok) for tok in text.split(",")]
 
     def parse_obj_tokens(self, text: str) -> Obj:
         return Obj(tuple(sorted(self._written_arcs(text))))
@@ -517,7 +516,7 @@ def _mesh_at(p: Polygon, arcs, arc_index, z: int):
     return tz, tuple(sorted(mids))
 
 
-def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
+def build_category(p: Polygon | int) -> Category:
     """Build all tables for the rank-n category; deterministic in n.
 
     Every scalar of the build is an ``int``.  Raises BuildError whenever
@@ -563,11 +562,12 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
                 gen_map.setdefault((x, arrows[a_id][1]), []).append(a_id)
         for (x, z), gens in sorted(gen_map.items()):
             gens.sort()
-            rel_rows: list[list[int]] = []
+            # the mesh ending at z gives the one relation over the arrows
+            # into z, if the pair (x, tau z) is alive
+            rel_row = None
             tz, mids = mesh[z]
             if (x, tz) in alive_prev:
                 row = [0] * len(gens)
-                nonzero = False
                 for m in mids:
                     coeff = exp.get((arrow_idx[(tz, m)], x), 0)
                     if coeff == 0:
@@ -578,10 +578,8 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
                             f"mesh relation at {arcs[z]} hits a dead pair "
                             f"({arcs[x]}, {arcs[m]})")
                     row[gens.index(a_out)] += coeff
-                    nonzero = True
-                if nonzero:
-                    rel_rows.append(row)
-            dim, basis_col, reduction = _quotient_1d(rel_rows, len(gens))
+                    rel_row = row
+            dim, basis_col, reduction = _quotient_1d(rel_row, len(gens))
             if dim > 1:
                 raise BuildError(
                     f"hom space dimension exceeds 1 for pair "
@@ -634,9 +632,7 @@ def build_category(p: Polygon | int, with_labels: bool = True) -> Category:
 
     # -- checks and label bridge --------------------------------------------
 
-    labels, meta = (_bridge(p, arcs, arc_index, hom_deg)
-                    if with_labels else
-                    ([str(a) for a in arcs], {"bridge": None}))
+    labels, meta = _bridge(p, arcs, arc_index, hom_deg)
     cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
     _check_tables(cat)
     return cat
@@ -659,41 +655,32 @@ def _unit_table(name: str, table: dict) -> dict:
     return out
 
 
-def _quotient_1d(rel_rows: list[list[int]], ngens: int):
-    """Quotient of k^ngens by the row space of integer relations; expects
-    dim <= 1.
+def _quotient_1d(rel_row: list[int] | None, ngens: int):
+    """Quotient of k^ngens by the span of one integer relation (None for
+    none); expects dim <= 1.
 
     Returns (dim, basis column or None, reduction coefficient per generator).
     The coefficients are ``int``; one that is not an integer raises
-    BuildError.  A single nonzero relation is its own reduced form over the
+    BuildError.  A nonzero relation is its own reduced form over the
     absolute value of its leading entry, so it is read off the row.
     """
-    if ngens == 0:
-        return 0, None, []
-    if not rel_rows:
-        if ngens > 1:
-            return ngens, None, []
-        return 1, 0, [1]
-    if len(rel_rows) == 1 and any(rel_rows[0]):
-        row = rel_rows[0]
-        lead = next(v for v in row if v)
-        red, pivots, d = ([row if lead > 0 else [-v for v in row]],
-                          [row.index(lead)], abs(lead))
-    else:
-        red, pivots, d = reduced_rows(rel_rows)
-    free = [c for c in range(ngens) if c not in pivots]
-    dim = len(free)
-    if dim != 1:
-        return dim, None, ([0] * ngens if dim == 0 else [])
+    if rel_row is None or not any(rel_row):
+        if ngens == 1:
+            return 1, 0, [1]
+        return ngens, None, []
+    lead_col = next(c for c, v in enumerate(rel_row) if v)
+    d = abs(rel_row[lead_col])
+    red = rel_row if rel_row[lead_col] > 0 else [-v for v in rel_row]
+    free = [c for c in range(ngens) if c != lead_col]
+    if len(free) != 1:
+        return len(free), None, ([0] * ngens if not free else [])
     f0 = free[0]
+    q, rem = divmod(-red[f0], d)
+    if rem:
+        raise BuildError(f"mesh reduction coefficient {-red[f0]}/{d} "
+                         "is not an integer")
     reduction = [0] * ngens
-    reduction[f0] = 1
-    for rr, pc in enumerate(pivots):
-        q, rem = divmod(-red[rr][f0], d)
-        if rem:
-            raise BuildError(f"mesh reduction coefficient {-red[rr][f0]}/{d} "
-                             "is not an integer")
-        reduction[pc] = q
+    reduction[f0], reduction[lead_col] = 1, q
     return 1, f0, reduction
 
 
@@ -852,7 +839,7 @@ def load_category(data: dict | str) -> Category:
 
     The tables pass the build's checks again: the arcs and the suspension
     permutation, the crossing rule, the suspension constants, functoriality,
-    associativity and, for a labelled table, the label bridge.  Two checks
+    associativity and the label bridge.  Two checks
     are the loader's own: no key of ``hom``, ``comp`` or ``sigma`` is
     repeated, and every hom degree is the length of a shortest path in the
     arrow quiver.  Raises ValueError on a foreign schema or on a composition
@@ -878,11 +865,7 @@ def load_category(data: dict | str) -> Category:
                    data["labels"], data.get("meta", {}))
     _check_tables(cat)
     _check_degrees(cat)
-    if cat.meta.get("bridge") is None:
-        if cat.labels != [str(a) for a in arcs]:
-            raise BuildError("unlabelled table carries labels")
-    else:
-        label_bridge(cat)
+    label_bridge(cat)
     return cat
 
 

@@ -48,7 +48,7 @@ def _instance(args):
 
 
 def cmd_build(args) -> int:
-    cat = build_category(args.n, with_labels=not args.no_labels)
+    cat = build_category(args.n)
     if args.out:
         cat.save(args.out)
         print(f"wrote {args.out}: rank {cat.n}, {cat.N} indecomposables, "
@@ -215,7 +215,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="build and serialize a category")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run verification suites")

@@ -13,11 +13,13 @@ space between resolved objects modulo the kernel of the hom functor.
 Zigzags (formal composites with inverses of classified maps) are evaluated
 through the module side, which also decides zigzag equality.
 
-The linear systems read the induced-hom matrices of ``category`` and
-``rigid``: the resolution equation s . p = u reads ``pre_matrix(p, y)``,
-``factor_through_s`` (s . h = u) reads ``post_matrix(s, u.src)``, the
-localized hom space reads the kernel of ``hom_functor_matrix``, and the
-module side (``H_mor``) reads ``post_matrix`` at each summand of T.
+The linear systems read the induced-hom matrices of ``category``: the
+resolution equation s . p = u reads ``pre_matrix(p, y)``,
+``factor_through_s`` (s . h = u) reads ``post_matrix(s, u.src)``, and the
+module side (``H_mor``) reads ``post_matrix`` at each summand of T.  The
+localized hom space needs no system: the kernel of Hom(T, -) on
+Hom(x', y') is spanned by slots, and ``rigid.functor_slots`` lists the
+others, whose slot maps are the quotient basis.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, complement_coords, kernel_basis, solve_right
+from .linalg import Mat, kernel_basis, solve_right
 from .modules import Algebra, H_mor, ModuleHom, end_algebra
 from .rigid import (RigidObject, _rigid_memo, factors_through_subcat,
-                    hom_functor_matrix, in_CT, perp_view, right_addT_approx)
+                    functor_slots, in_CT, perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
 
 
@@ -186,11 +188,9 @@ def loc_hom(cat: Category, t: RigidObject, x: Obj, y: Obj,
 def _quotient_reps(cat, t, xp: Obj, yp: Obj):
     """dim of Hom(x', y') modulo the kernel of Hom(T, -), and slot maps
     whose classes are a basis of the quotient."""
-    slots = cat.hom_slots(xp, yp)
-    ker = kernel_basis(hom_functor_matrix(cat, algebra_of(cat, t).summands,
-                                          xp, yp))
-    reps = [cat.slot_mor(xp, yp, slots[c]) for c in complement_coords(ker)]
-    return len(slots) - ker.cols, reps
+    reps = [cat.slot_mor(xp, yp, s)
+            for s in functor_slots(cat, t.arcs, xp, yp)]
+    return len(reps), reps
 
 
 # -- zigzags -----------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import (Mat, column_space_basis, complement_coords, inverse,
                      kernel_basis, rank, solve_right)
-from .rigid import RigidObject, hom_functor_matrix, in_CT
+from .rigid import RigidObject, functor_slots, in_CT
 from .triangles import complete_triangle
 
 F0 = Fraction(0)
@@ -694,10 +694,18 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
 
 def solve_H_preimage(cat: Category, alg: Algebra, x: Obj, y: Obj,
                      target: ModuleHom) -> Optional[Mor]:
-    """Some f: x -> y with Hom(T, f) equal to the given module map."""
-    sol = solve_right(hom_functor_matrix(cat, alg.summands, x, y),
-                      Mat.column([v for comp in target.comps
-                                  for v in comp.entries]))
-    if sol is None:
-        return None
-    return cat.mor_from_vec(x, y, sol.col(0))
+    """Some f: x -> y with Hom(T, f) equal to the given module map, or None.
+    Hom(t, -) sends slot (i, j) of Hom(x, y) to the one entry (y_i, x_j) of
+    component t, times comp(t, x_j, y_i) = +-1, so f is read off there."""
+    comps = dict(zip(alg.summands, target.comps))
+    rows = [[F0] * len(x.summands) for _ in y.summands]
+    for i, j in functor_slots(cat, alg.summands, x, y):
+        c, t = next((c, t) for t in alg.summands
+                    if (c := cat.comp3(t, x.summands[j], y.summands[i])))
+        r = sum(cat.hom1(t, v) for v in y.summands[:i])   # the entry's row
+        k = sum(cat.hom1(t, v) for v in x.summands[:j])   # and column
+        rows[i][j] = c * comps[t].at(r, k)
+    f = Mor(x, y, tuple(map(tuple, rows)))
+    if all(cat.post_matrix(f, Obj((t,))) == comps[t] for t in alg.summands):
+        return f
+    return None

@@ -3,21 +3,20 @@
 A rigid object is a set of pairwise non-crossing arcs.  The four standard
 subcategory views are computed from hom dimensions.  The minimal right
 add T-approximation of x is written down directly as the lift of the
-projective cover of Hom(T, x): one basis map t_i -> x_j for each slot of a
-complement of the radical of Hom(t_i, x).  Its certified completion
-triangles drive the Wakamatsu check, membership in the presentation
-subcategory C(T), and the factoring tests.
+projective cover of Hom(T, x): one basis map t_i -> x_j for each slot of
+Hom(t_i, x) outside its radical.  Its certified completion triangles drive
+the Wakamatsu check, membership in the presentation subcategory C(T), and
+the factoring tests.
+
+Hom spaces between arcs are at most 1-dimensional, so composing with one
+basis map sends a slot to at most one slot, and the radical of Hom(t_i, x)
+and the kernel of Hom(T, -) on Hom(x, y) (``functor_slots``) are spanned
+by slots, read off the composition table without elimination.
 
 Wherever two independent decision procedures exist (the hom-functor kernel
 test against direct divisibility) both are run and a disagreement raises
-InternalConsistencyError rather than returning either verdict.
-
-Each test reads one matrix of an induced map on hom spaces (see
-``category``): the approximation's surjectivity check and the hom-functor
-kernel test read ``post_matrix`` at each summand of T; direct divisibility
-(``factors_through_mor``, ``dim_factoring_through_add``) reads
-``pre_matrix`` of the map divided through; ``dim_hom_functor_kernel`` reads
-``hom_functor_matrix``, defined here.
+InternalConsistencyError rather than returning either verdict.  Direct
+divisibility reads ``pre_matrix`` of the map divided through.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import reduce
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, complement_coords, rank, solve_right
+from .linalg import Mat, rank, solve_right
 from .triangles import Triangle, complete_triangle, pre_rank_table
 
 F0 = Fraction(0)
@@ -140,9 +139,10 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
 
     Hom(T, -) takes add T onto the projective End(T)-modules, so the
     minimal approximation lifts the projective cover of Hom(T, x): for each
-    summand t_i it keeps the basis maps whose slots extend the radical of
-    Hom(t_i, x), the images of Hom(t', x) under precomposition with
-    t_i -> t' for the other summands t', to a basis.  With ``minimal=False``
+    summand t_i it keeps the basis maps t_i -> x_j outside the radical of
+    Hom(t_i, x).  The radical is the span of the images of Hom(u, x) under
+    precomposition with t_i -> u, u another summand, and so of the slots j
+    with a nonzero composite t_i -> u -> x_j.  With ``minimal=False``
     every basis map is kept.  Surjectivity of Hom(t_i, -) onto Hom(t_i, x)
     is re-verified; the minimal form is unique up to isomorphism.
     """
@@ -150,17 +150,11 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     src: list[int] = []
     picks: list[int] = []    # target summand position of each source copy
     for ti in arcs:
-        slots = cat.hom_slots(Obj((ti,)), x)
-        keep = range(len(slots))
-        if minimal:
-            rad = reduce(Mat.hstack,
-                         (cat.pre_matrix(cat.basis_mor(ti, u), x)
-                          for u in arcs if u != ti and cat.hom1(ti, u)),
-                         Mat.zeros(len(slots), 0))
-            keep = complement_coords(rad)
-        for c in keep:
-            src.append(ti)
-            picks.append(slots[c][0])
+        for j, xj in enumerate(x.summands):
+            if cat.hom1(ti, xj) and not (minimal and any(
+                    cat.comp3(ti, u, xj) for u in arcs if u != ti)):
+                src.append(ti)
+                picks.append(j)
     rows = [[F0] * len(src) for _ in x.summands]
     for j, pos in enumerate(picks):
         rows[pos][j] = F1
@@ -228,9 +222,19 @@ def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:
 # -- factoring tests --------------------------------------------------------
 
 
+def functor_slots(cat: Category, arcs: tuple[int, ...], x: Obj,
+                  y: Obj) -> list[tuple[int, int]]:
+    """The slots (i, j) of Hom(x, y) that Hom(T, -) sees, T the sum of
+    ``arcs``: Hom(t, -) sends slot (i, j) to the one entry (y_i, x_j) of
+    block t, times comp(t, x_j, y_i), so the other slots span the kernel."""
+    return [(i, j) for (i, j) in cat.hom_slots(x, y)
+            if any(cat.comp3(t, x.summands[j], y.summands[i]) for t in arcs)]
+
+
 def hom_functor_zero(cat: Category, t: RigidObject, f: Mor) -> bool:
-    """Hom(T, f) = 0, componentwise on the summands of T."""
-    return all(cat.post_matrix(f, Obj((ti,))).is_zero() for ti in set(t.arcs))
+    """Hom(T, f) = 0: f vanishes on every slot Hom(T, -) sees."""
+    return not any(f.m[i][j]
+                   for i, j in functor_slots(cat, t.arcs, f.src, f.tgt))
 
 
 def factors_through_mor(cat: Category, f: Mor, through: Mor) -> bool:
@@ -280,37 +284,9 @@ def dim_factoring_through_add(cat: Category, x: Obj, y: Obj,
     return rank(cat.pre_matrix(bundle_left_approx(cat, x, w_arcs), y))
 
 
-def hom_functor_matrix(cat: Category, arcs: Iterable[int], x: Obj,
-                       y: Obj) -> Mat:
-    """Matrix of Hom(T, -) on Hom(x, y), T the sum of ``arcs``.
-
-    The column of each slot of Hom(x, y) is its image under Hom(t, -) for
-    each arc t in turn, each block flattened row-major as the components of
-    ``H_mor`` are: rows over the slots of Hom(t, y), columns over those of
-    Hom(t, x).  A slot (i, j) meets block t in the single entry
-    comp(t, x_j, y_i).
-    """
-    slots = cat.hom_slots(x, y)
-    col_of = {s: c for c, s in enumerate(slots)}
-    rows = []
-    for t in arcs:
-        into_x = [j for j, xj in enumerate(x.summands) if cat.hom1(t, xj)]
-        for i, yi in enumerate(y.summands):
-            if not cat.hom1(t, yi):
-                continue
-            for j in into_x:
-                row = [F0] * len(slots)
-                c = col_of.get((i, j))
-                if c is not None:
-                    row[c] = Fraction(cat.comp3(t, x.summands[j], yi))
-                rows.append(row)
-    return Mat(len(rows), len(slots), tuple(v for r in rows for v in r))
-
-
 def dim_hom_functor_kernel(cat: Category, t: RigidObject, x: Obj, y: Obj) -> int:
     """dim of the kernel of Hom(T, -) on Hom(x, y)."""
-    m = hom_functor_matrix(cat, sorted(set(t.arcs)), x, y)
-    return m.cols - rank(m)
+    return cat.dim_hom_obj(x, y) - len(functor_slots(cat, t.arcs, x, y))
 
 
 # -- enumeration -----------------------------------------------------------

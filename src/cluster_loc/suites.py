@@ -79,6 +79,12 @@ class InstanceConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "InstanceConfig":
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object, not "
+                             f"{type(d).__name__} {d!r}")
+        for key in ("n", "T"):
+            if key not in d:
+                raise ValueError(f"config lacks the key {key!r}")
         if d.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
             raise ValueError(f"unexpected config schema {d.get('schema')!r}")
         return InstanceConfig(n=d["n"], T=d["T"], type=d.get("type", "A"),

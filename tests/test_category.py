@@ -6,7 +6,7 @@ import re
 import pytest
 
 from cluster_loc import category
-from cluster_loc.arcs import crosses, rotate
+from cluster_loc.arcs import Arc, crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj,
                                   _associativity_chains, _quotient_1d,
                                   _unit_table, build_category, load_category)
@@ -256,6 +256,26 @@ def test_unit_tables_of_ints(cat4):
                      tables["sig"], cat4.sigma_arc, cat4.labels, cat4.meta)
 
 
+def test_obj_rejects_an_arc_of_another_polygon(cat4):
+    # the same ValueError as an int out of range, not a KeyError
+    for summand in (Arc(0, 20), Arc(1, 8), 14):
+        with pytest.raises(ValueError):
+            cat4.obj([summand])
+    assert cat4.obj([Arc(0, 2)]) == Obj((cat4.arc_index[Arc(0, 2)],))
+
+
+def test_object_tokens_reject_an_empty_token(cat4):
+    # an empty token is an error, not a token to skip
+    for text in ("M34,", "M34,,M13", ",M34", "M34, ,M13"):
+        with pytest.raises(ValueError):
+            cat4.parse_obj_tokens(text)
+        with pytest.raises(ValueError):
+            cat4.parse_mor(f"{text} -> M34")
+    for text in ("0", "", " 0 "):
+        assert cat4.parse_obj_tokens(text) == cat4.zero_obj
+    assert cat4.parse_obj_tokens("M34, M13") == cat4.obj(["M34", "M13"])
+
+
 def test_mor_literal_roundtrip(cat4):
     f = cat4.parse_mor("M44,SM24 -> M34")
     assert cat4.format_mor(f) == "SP2,M44 -> M34 @ [[1,1]]"
@@ -350,18 +370,19 @@ def test_tables_pinned(n):
 
 
 def test_quotient_rejects_non_integral_coefficient():
-    assert _quotient_1d([[1, 1]], 2) == (1, 1, [-1, 1])
+    assert _quotient_1d([1, 1], 2) == (1, 1, [-1, 1])
     with pytest.raises(BuildError, match="not an integer"):
-        _quotient_1d([[2, 1]], 2)
+        _quotient_1d([2, 1], 2)
     # the one-row path and the general path agree on the message
-    for quotient in (_quotient_1d, _quotient_1d_by_reduced_rows):
-        with pytest.raises(BuildError, match="coefficient 1/2 is not"):
-            quotient([[-2, 1]], 2)
+    with pytest.raises(BuildError, match="coefficient 1/2 is not"):
+        _quotient_1d([-2, 1], 2)
+    with pytest.raises(BuildError, match="coefficient 1/2 is not"):
+        _quotient_1d_by_reduced_rows([[-2, 1]], 2)
 
 
 def _quotient_1d_by_reduced_rows(rel_rows, ngens):
-    """``_quotient_1d`` with every relation set, one row or more, sent
-    through ``reduced_rows``: the reference for the one-row path."""
+    """The quotient by a list of relation rows, each set sent through
+    ``reduced_rows``: the reference for ``_quotient_1d``."""
     if ngens == 0:
         return 0, None, []
     if not rel_rows:
@@ -385,25 +406,32 @@ def _quotient_1d_by_reduced_rows(rel_rows, ngens):
     return 1, f0, reduction
 
 
+def _one_row_reference(rel_row, ngens):
+    """``_quotient_1d_by_reduced_rows`` for ``_quotient_1d``'s signature:
+    one relation row, or None for none."""
+    return _quotient_1d_by_reduced_rows(
+        [] if rel_row is None else [rel_row], ngens)
+
+
 def test_one_row_quotients_match_reduced_rows():
     rng = random.Random("quotient")
     for _ in range(300):
         ngens = rng.randint(1, 4)
         row = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(ngens)]
-        for rows in ([row], [row, [rng.randint(-1, 1) for _ in row]]):
+        for rel_row in (row, None):
             try:
-                want = _quotient_1d_by_reduced_rows(rows, ngens)
+                want = _one_row_reference(rel_row, ngens)
             except BuildError as err:
                 with pytest.raises(BuildError, match=re.escape(str(err))):
-                    _quotient_1d(rows, ngens)
+                    _quotient_1d(rel_row, ngens)
             else:
-                assert _quotient_1d(rows, ngens) == want
+                assert _quotient_1d(rel_row, ngens) == want
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_tables_match_the_reduced_rows_build(n, monkeypatch):
     fast = build_category(n).to_dict()
-    monkeypatch.setattr(category, "_quotient_1d", _quotient_1d_by_reduced_rows)
+    monkeypatch.setattr(category, "_quotient_1d", _one_row_reference)
     assert build_category(n).to_dict() == fast
 
 
@@ -486,13 +514,15 @@ def test_load_catches_every_sign_flip(n):
                 load_category(d)
 
 
-def test_load_unlabelled_table():
-    cat = build_category(3, with_labels=False)
-    loaded = load_category(cat.to_dict())
-    assert loaded.labels == cat.labels and loaded.comp == cat.comp
-    d = cat.to_dict()
-    d["labels"][0] = "M11"
-    with pytest.raises(BuildError, match="unlabelled"):
+def test_load_rejects_a_table_without_labels():
+    # every table passes the label bridge: arc strings as labels, with or
+    # without the bridge metadata, are rejected
+    d = cached_category(3).to_dict()
+    d["labels"] = list(d["arcs"])
+    with pytest.raises(BuildError, match="label bridge"):
+        load_category(d)
+    d["meta"] = {"bridge": None}
+    with pytest.raises(BuildError, match="label bridge"):
         load_category(d)
 
 
@@ -513,7 +543,7 @@ def _slot_pre_matrix(cat, f, W):
 
 def _slot_hom_functor_matrix(cat, arcs, x, y):
     """Hom(T, -) on Hom(x, y) one slot at a time, the image of each slot map
-    flattened over the arcs of T; the reference for hom_functor_matrix."""
+    flattened over the arcs of T; the reference for functor_slots."""
     cols = [[v for t in arcs
              for v in _slot_post_matrix(cat, cat.slot_mor(x, y, s),
                                         Obj((t,))).entries]
@@ -521,6 +551,43 @@ def _slot_hom_functor_matrix(cat, arcs, x, y):
     nrows = sum(cat.dim_hom_obj(Obj((t,)), y) * cat.dim_hom_obj(Obj((t,)), x)
                 for t in arcs)
     return mat_from_cols(cols, nrows)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_H_preimage_matches_the_slot_reference(n):
+    """solve_H_preimage finds a preimage exactly when the slot reference
+    matrix of Hom(T, -) has one, on images of seeded maps with one entry
+    perturbed or not, and the preimage maps onto the target."""
+    from cluster_loc.linalg import Mat, solve_right
+    from cluster_loc.localization import algebra_of
+    from cluster_loc.modules import H_mor, ModuleHom, solve_H_preimage
+    cat = cached_category(n)
+    rng = random.Random(f"H-preimage:{n}")
+    solved = unsolved = 0
+    for _ in range(6):
+        alg = algebra_of(cat, sample_rigid(cat, rng))
+        for _ in range(10):
+            x, y = cat.random_obj(rng, 3), cat.random_obj(rng, 3)
+            hf = H_mor(cat, alg, cat.random_mor(rng, x, y))
+            comps = list(hf.comps)
+            k = rng.randrange(len(comps))
+            if comps[k].entries and rng.random() < 0.5:
+                e = list(comps[k].entries)
+                e[rng.randrange(len(e))] += 1
+                comps[k] = Mat(comps[k].rows, comps[k].cols, tuple(e))
+            want = solve_right(
+                _slot_hom_functor_matrix(cat, alg.summands, x, y),
+                Mat.column([v for c in comps for v in c.entries]))
+            got = solve_H_preimage(cat, alg, x, y, ModuleHom(
+                hf.src, hf.tgt, comps, check=False))
+            assert (got is None) == (want is None)
+            if got is None:
+                unsolved += 1
+            else:
+                solved += 1
+                assert [cat.post_matrix(got, Obj((a,)))
+                        for a in alg.summands] == comps
+    assert solved and unsolved
 
 
 def _hom_matrix_maps(cat, rng):
@@ -542,7 +609,8 @@ def _hom_matrix_maps(cat, rng):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_hom_matrices_match_the_slot_reference(n):
-    from cluster_loc.rigid import hom_functor_matrix
+    from cluster_loc.linalg import kernel_basis
+    from cluster_loc.rigid import functor_slots
     cat = cached_category(n)
     rng = random.Random(f"hom-matrices:{n}")
     maps = _hom_matrix_maps(cat, rng)
@@ -558,9 +626,17 @@ def test_hom_matrices_match_the_slot_reference(n):
             shapes.update((m.rows > 0, m.cols > 0) for m in (post, pre))
         for arcs in (sample_rigid(cat, rng).arcs,
                      tuple(rng.randrange(cat.N) for _ in range(3))):
-            got = hom_functor_matrix(cat, arcs, f.src, f.tgt)
-            assert got == _slot_hom_functor_matrix(cat, arcs, f.src, f.tgt)
-            shapes.add((got.rows > 0, got.cols > 0))
+            ref = _slot_hom_functor_matrix(cat, arcs, f.src, f.tgt)
+            slots = cat.hom_slots(f.src, f.tgt)
+            seen = functor_slots(cat, arcs, f.src, f.tgt)
+            assert seen == [s for s in slots if s in seen]
+            # the kernel of the reference is spanned by the unit vectors of
+            # the slots outside functor_slots: it holds each of them (their
+            # columns vanish) and has their number as its dimension
+            assert all(not any(ref.col(c)) for c, s in enumerate(slots)
+                       if s not in seen)
+            assert kernel_basis(ref).cols == len(slots) - len(seen)
+            shapes.add((ref.rows > 0, ref.cols > 0))
     # every shape occurs: k x m, 0 x m, k x 0 and 0 x 0 with k, m > 0
     assert shapes == {(True, True), (False, True), (True, False),
                       (False, False)}

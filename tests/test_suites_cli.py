@@ -63,6 +63,20 @@ def test_config_rejects_fields_of_the_wrong_type(field, value):
         InstanceConfig.from_dict(d)
 
 
+def test_config_rejects_missing_keys_and_non_objects(tmp_path):
+    # a ValueError naming the key or the type, not KeyError or AttributeError
+    for key in ("n", "T"):
+        d = {"n": 4, "T": ["M44", "M14", "M11"], "seed": 7}
+        del d[key]
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            InstanceConfig.from_dict(d)
+    p = tmp_path / "cfg.json"
+    for data in ([4, ["M44"]], "n", None):
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            InstanceConfig.load(str(p))
+
+
 def test_config_roundtrip(tmp_path, example_cfg):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(example_cfg.to_dict()))
