@@ -79,13 +79,7 @@ def crosses(p: Polygon, x: Arc, y: Arc) -> bool:
     Endpoints must strictly interleave; equal arcs and arcs sharing an
     endpoint do not cross.
     """
-    if len({x.a, x.b, y.a, y.b}) < 4:
-        return False
-
-    def inside(v: int) -> bool:
-        return x.a < v < x.b
-
-    return inside(y.a) != inside(y.b)
+    return x.a < y.a < x.b < y.b or y.a < x.a < y.b < x.b
 
 
 def rotate(p: Polygon, x: Arc, k: int) -> Arc:

@@ -3,9 +3,11 @@
 Hom spaces are computed from the translation quiver on diagonals (arrows move
 one endpoint forward, the translate subtracts 1 from both endpoints) with its
 mesh relations, built degree by degree as a graded quotient of the path
-category.  Every hom space between arcs comes out 0- or 1-dimensional, each
-pair concentrated in a single path length; the build fails loudly if the
-computed dimensions ever disagree with the crossing rule
+category, once per source arc x: the quotient out of x reads only x's own
+earlier degrees, kept in rows indexed by arc and by arrow.  Every hom space
+between arcs comes out 0- or 1-dimensional, each pair concentrated in a
+single path length; the build fails loudly if the computed dimensions ever
+disagree with the crossing rule
 
     dim Hom(x, y) = [ x crosses rotate(y, -1) ]
 
@@ -20,10 +22,11 @@ integer raises BuildError), and the checks multiply ints.  The composition
 and suspension tables are filled in one pass over the hom pairs in degree
 order, each entry from one a degree lower.  Each category computes one
 crossing matrix of its arcs; the crossing-rule check reads it too.  The
-oracle solves the commutation equations of each interval pair once per
-rank.  ``load_category`` runs the same table checks, and the label bridge,
-on what it reads, and also rejects repeated keys and hom degrees that are
-not path lengths in the arrow quiver.
+oracle solves the commutation equations once per translation class of
+interval pairs and takes each orbit hom dimension (``oracle._orbit_sum``)
+by index off its Hom and Ext^1 tables.  ``load_category`` runs the same
+table checks, and the label bridge, on what it reads, and also rejects
+repeated keys and hom degrees that are not path lengths in the arrow quiver.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -523,12 +526,10 @@ def build_category(p: Polygon | int) -> Category:
     an internal cross-check fails: the label bridge (mesh dimensions vs the
     representation oracle) first, then the table checks of
     ``_check_tables``, which name the offending pair; also when a mesh
-    reduction coefficient is not an integer.
+    reduction coefficient is not an integer.  Raises ValueError for a rank
+    that is not an int in 1..MAX_RANK (a bool included).
     """
-    if isinstance(p, int):
-        p = Polygon(p)
-    if not 1 <= p.n <= MAX_RANK:
-        raise ValueError(f"rank out of supported range 1..{MAX_RANK}")
+    p = Polygon(_supported_rank(p.n if isinstance(p, Polygon) else p))
     arcs = enumerate_arcs(p)
     arc_index = {a: i for i, a in enumerate(arcs)}
     N = len(arcs)
@@ -539,63 +540,68 @@ def build_category(p: Polygon | int) -> Category:
         arrows_out[w].append(k)
     mesh = [_mesh_at(p, arcs, arc_index, z) for z in range(N)]
 
-    hom_deg: dict[tuple[int, int], int] = {(x, x): 0 for x in range(N)}
-    def_pair: dict[tuple[int, int], tuple[int, int]] = {}
-    exp: dict[tuple[int, int], int] = {}
-
-    alive_prev: set[tuple[int, int]] = set()
-    alive_cur: set[tuple[int, int]] = {(x, x) for x in range(N)}
-    degree = 0
-    max_degree = 3 * (p.n + 3) + 3
-    while alive_cur:
-        degree += 1
-        if degree > max_degree:
-            raise BuildError("mesh category failed to terminate; "
-                             "path quotient still alive at degree "
-                             f"{degree}")
-        alive_next: set[tuple[int, int]] = set()
-        # generators of the next degree: arrow a: w -> z applied to a basis
-        # element of the current degree at (x, w)
-        gen_map: dict[tuple[int, int], list[int]] = {}
-        for (x, w) in alive_cur:
-            for a_id in arrows_out[w]:
-                gen_map.setdefault((x, arrows[a_id][1]), []).append(a_id)
-        for (x, z), gens in sorted(gen_map.items()):
-            gens.sort()
-            # the mesh ending at z gives the one relation over the arrows
-            # into z, if the pair (x, tau z) is alive
-            rel_row = None
-            tz, mids = mesh[z]
-            if (x, tz) in alive_prev:
-                row = [0] * len(gens)
-                for m in mids:
-                    coeff = exp.get((arrow_idx[(tz, m)], x), 0)
-                    if coeff == 0:
-                        continue
-                    a_out = arrow_idx[(m, z)]
-                    if a_out not in gens:
-                        raise BuildError(
-                            f"mesh relation at {arcs[z]} hits a dead pair "
-                            f"({arcs[x]}, {arcs[m]})")
-                    row[gens.index(a_out)] += coeff
-                    rel_row = row
-            dim, basis_col, reduction = _quotient_1d(rel_row, len(gens))
-            if dim > 1:
-                raise BuildError(
-                    f"hom space dimension exceeds 1 for pair "
-                    f"({arcs[x]}, {arcs[z]}) at degree {degree}")
-            if dim == 1:
-                if (x, z) in hom_deg:
+    # the quotient for a source x reads only x's own earlier degrees, so it
+    # runs once per x, on rows by arc (hom degree, None for a zero space;
+    # defining arrow) and by arrow id (the reduction coefficient at x)
+    deg_rows = [[0 if z == x else None for z in range(N)] for x in range(N)]
+    def_rows = [[None] * N for _ in range(N)]
+    exp_rows = [[0] * len(arrows) for _ in range(N)]
+    for x in range(N):
+        deg, exp, def_arrow = deg_rows[x], exp_rows[x], def_rows[x]
+        cur, degree = [x], 0
+        while cur:
+            degree += 1
+            if degree > 3 * (p.n + 3) + 3:
+                raise BuildError("mesh category failed to terminate; "
+                                 "path quotient still alive at degree "
+                                 f"{degree}")
+            # generators of the next degree: arrow a: w -> z applied to
+            # the basis element at (x, w) of the current degree
+            gen_map: dict[int, list[int]] = {}
+            for w in cur:
+                for a_id in arrows_out[w]:
+                    gen_map.setdefault(arrows[a_id][1], []).append(a_id)
+            nxt = []
+            for z in sorted(gen_map):
+                gens = sorted(gen_map[z])
+                # the mesh ending at z gives the one relation over the
+                # arrows into z, if (x, tau z) was alive two degrees down
+                rel_row = None
+                tz, mids = mesh[z]
+                if deg[tz] == degree - 2:
+                    row = [0] * len(gens)
+                    for m in mids:
+                        coeff = exp[arrow_idx[(tz, m)]]
+                        if coeff == 0:
+                            continue
+                        a_out = arrow_idx[(m, z)]
+                        if a_out not in gens:
+                            raise BuildError(
+                                f"mesh relation at {arcs[z]} hits a dead "
+                                f"pair ({arcs[x]}, {arcs[m]})")
+                        row[gens.index(a_out)] += coeff
+                        rel_row = row
+                dim, basis_col, reduction = _quotient_1d(rel_row, len(gens))
+                if dim > 1:
                     raise BuildError(
-                        f"hom space for ({arcs[x]}, {arcs[z]}) alive in two "
-                        f"degrees ({hom_deg[(x, z)]} and {degree})")
-                hom_deg[(x, z)] = degree
-                a_b = gens[basis_col]
-                def_pair[(x, z)] = (a_b, arrows[a_b][0])
-                alive_next.add((x, z))
-            for col, a_id in enumerate(gens):
-                exp[(a_id, x)] = reduction[col]
-        alive_prev, alive_cur = alive_cur, alive_next
+                        f"hom space dimension exceeds 1 for pair "
+                        f"({arcs[x]}, {arcs[z]}) at degree {degree}")
+                if dim == 1:
+                    if deg[z] is not None:
+                        raise BuildError(
+                            f"hom space for ({arcs[x]}, {arcs[z]}) alive in "
+                            f"two degrees ({deg[z]} and {degree})")
+                    deg[z] = degree
+                    def_arrow[z] = gens[basis_col]
+                    nxt.append(z)
+                for col, a_id in enumerate(gens):
+                    exp[a_id] = reduction[col]
+            cur = nxt
+    # in build order: by degree, identities first, then by pair (the sort
+    # is stable and the pairs come in (x, z) order)
+    hom_deg = dict(sorted((((x, z), d) for x, row in enumerate(deg_rows)
+                           for z, d in enumerate(row) if d is not None),
+                          key=lambda kv: kv[1]))
 
     # -- composition and suspension scalars -----------------------------
     # one pass over the hom pairs (y, z) by degree: with (a, w) the
@@ -603,30 +609,31 @@ def build_category(p: Polygon | int) -> Category:
     # sits one degree lower, so its entries are already known
 
     sigma_arc = [arc_index[rotate(p, a, 1)] for a in arcs]
+    arrow_shift = [arrow_idx[(sigma_arc[w], sigma_arc[z])] for w, z in arrows]
     comp: dict[tuple[int, int, int], int] = {}
     sig: dict[tuple[int, int], int] = {}
     hom_to: list[list[int]] = [[] for _ in range(N)]
     for (x, y) in sorted(hom_deg):
         hom_to[y].append(x)
-    for (y, z) in sorted(hom_deg, key=lambda k: (hom_deg[k], k)):
+    for (y, z) in hom_deg:
         if y == z:
             sig[(y, y)] = 1
             for x in hom_to[y]:
                 comp[(x, y, y)] = 1
             continue
-        a_id, w = def_pair[(y, z)]
-        ws, zs = arrows[a_id]
-        a_shift = arrow_idx[(sigma_arc[ws], sigma_arc[zs])]
-        sig[(y, z)] = sig[(y, w)] * exp.get((a_shift, sigma_arc[y]), 0)
+        a_id = def_rows[y][z]
+        w = arrows[a_id][0]
+        sig[(y, z)] = sig[(y, w)] * exp_rows[sigma_arc[y]][arrow_shift[a_id]]
         # comp[(x, y, z)]: coefficient of basis(x, z) in
         # basis(y, z) . basis(x, y), for every composable triple
         for x in hom_to[y]:
-            if (x, z) not in hom_deg:
+            row = deg_rows[x]
+            if row[z] is None:
                 continue
             if x == y:
                 comp[(x, y, z)] = 1
-            elif (x, w) in hom_deg:
-                comp[(x, y, z)] = comp[(x, y, w)] * exp.get((a_id, x), 0)
+            elif row[w] is not None:
+                comp[(x, y, z)] = comp[(x, y, w)] * exp_rows[x][a_id]
             else:
                 comp[(x, y, z)] = 0
 
@@ -636,6 +643,15 @@ def build_category(p: Polygon | int) -> Category:
     cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
     _check_tables(cat)
     return cat
+
+
+def _supported_rank(n) -> int:
+    """n if it is an int (not a bool) in 1..MAX_RANK, else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"rank must be an int, not {n!r}")
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank out of supported range 1..{MAX_RANK}")
+    return n
 
 
 def _unit_table(name: str, table: dict) -> dict:
@@ -842,16 +858,23 @@ def load_category(data: dict | str) -> Category:
     associativity and the label bridge.  Two checks
     are the loader's own: no key of ``hom``, ``comp`` or ``sigma`` is
     repeated, and every hom degree is the length of a shortest path in the
-    arrow quiver.  Raises ValueError on a foreign schema or on a composition
-    or suspension constant outside {-1, 0, 1}, and BuildError when a check
-    fails.
+    arrow quiver.  Raises ValueError on data that is not an object, on a
+    foreign schema, a missing table, a rank that ``build_category`` rejects
+    or a composition or suspension constant outside {-1, 0, 1}, and
+    BuildError when a check fails.
     """
     if isinstance(data, str):
         with open(data) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"category table is a {type(data).__name__}")
     if data.get("schema") != CAT_SCHEMA:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    p = Polygon(data["n"])
+    missing = [k for k in ("n", "arcs", "hom", "comp", "sigma", "sigma_arc",
+                           "labels") if k not in data]
+    if missing:
+        raise ValueError(f"category table lacks {', '.join(missing)}")
+    p = Polygon(_supported_rank(data["n"]))
     arcs = [parse_arc(p, t) for t in data["arcs"]]
     if arcs != enumerate_arcs(p):
         raise BuildError("arcs are not the rank's arcs in canonical order")

@@ -104,7 +104,7 @@ def cmd_cone(args) -> int:
     if args.config:
         cfg = InstanceConfig.load(args.config)
         cat = cached_category(cfg.n)
-    elif args.n:
+    elif args.n is not None:
         cat = cached_category(args.n)
     else:
         raise SystemExit("need --config or --n")

@@ -4,15 +4,18 @@ The linear quiver 1 -> 2 -> ... -> n is fixed once.  Representations carry a
 vector space at every vertex and a map *along* each arrow (V_i -> V_{i+1});
 with this orientation P_i = M_{i..n} and I_i = M_{1..i}.  Interval modules
 M_{ij} are built implicitly (all spaces are 0- or 1-dimensional) and Hom
-spaces are computed by solving the arrow-commutation equations, Ext^1 via the
-two-term projective resolution 0 -> P_{j+1} -> P_i -> M_{ij} -> 0.
+spaces are computed by solving the arrow-commutation equations, once per
+translation class of interval pairs (``_hom_dim_class``), into one table
+indexed by interval; Ext^1 is read off that table via the two-term
+projective resolution 0 -> P_{j+1} -> P_i -> M_{ij} -> 0.
 
 On top of mod kQ sits a stalk model of the orbit construction: objects are
 pairs (interval, shift), the inverse translate of an injective stalk jumps
 the shift by one, and hom spaces between orbit representatives are the sums
 over twists sum_k Hom_D(X, F^k Y) with F = inverse-translate-then-shift.
 The twists F^k Y are computed once per label (``twists``), and every orbit
-hom dimension is the same sum over them (``_orbit_sum``).
+hom dimension is the same sum over them (``_orbit_sum``), taken by interval
+index off the Hom and Ext^1 tables.
 Everything here is deliberately independent of the mesh category so the two
 sides can be compared as separate computations.
 """
@@ -41,43 +44,41 @@ class Stalk:
     shift: int
 
 
-@lru_cache(maxsize=None)
 def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
-    """dim Hom_kQ(x, y) by solving the arrow-commutation equations, once
-    per interval pair.
+    """dim Hom_kQ(x, y) for intervals inside 1..n, solved once per
+    translation class (``_hom_dim_class``)."""
+    s = min(x.i, y.i) - 1
+    return _hom_dim_class(x.i - s, x.j - s, y.i - s, y.j - s)
+
+
+@lru_cache(maxsize=None)
+def _hom_dim_class(xi: int, xj: int, yi: int, yj: int) -> int:
+    """dim Hom_kQ(M_{xi..xj}, M_{yi..yj}) by solving the arrow-commutation
+    equations.
 
     Unknowns are the vertex components f_v (one scalar per vertex where both
     intervals are supported); the arrow v -> v+1 contributes the equation
     f_{v+1} . x_arrow = y_arrow . f_v whenever its domain and codomain spaces
-    are nonzero.
+    are nonzero.  For intervals inside 1..n those arrows are
+    max(xi, yi-1)..min(xj, yj-1), whatever n is, so translating both
+    intervals translates the system: callers shift min(xi, yi) to 1.
     """
-    lo, hi = max(x.i, y.i), min(x.j, y.j)   # the slots are f_lo .. f_hi
+    lo, hi = max(xi, yi), min(xj, yj)   # the slots are f_lo .. f_hi
     if lo > hi:
         return 0
     rows = []
     # the arrows v -> v+1 with x supported at v and y at v+1
-    for v in range(max(1, x.i, y.i - 1), min(n - 1, x.j, y.j - 1) + 1):
+    for v in range(max(xi, yi - 1), min(xj, yj - 1) + 1):
         row = [0] * (hi - lo + 1)
-        if v + 1 <= x.j:    # x's arrow map is the identity, f_{v+1} exists
+        if v + 1 <= xj:     # x's arrow map is the identity, f_{v+1} exists
             row[v + 1 - lo] += 1
-        if y.i <= v:        # y's arrow map is the identity, f_v exists
+        if yi <= v:         # y's arrow map is the identity, f_v exists
             row[v - lo] -= 1
         if any(row):
             rows.append(row)
     if not rows:
         return hi - lo + 1
     return hi - lo + 1 - rank_rows(rows)
-
-
-def ext1_dim_mod(n: int, x: Interval, y: Interval) -> int:
-    """dim Ext^1_kQ(x, y) via 0 -> P_{j+1} -> P_i -> x -> 0."""
-    if x.j == n:  # x projective
-        return 0
-    p0 = Interval(x.i, n)
-    p1 = Interval(x.j + 1, n)
-    # 0 -> Hom(x,y) -> Hom(P0,y) -> Hom(P1,y) -> Ext1(x,y) -> 0
-    return (hom_dim_mod(n, p1, y) - hom_dim_mod(n, p0, y)
-            + hom_dim_mod(n, x, y))
 
 
 def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
@@ -98,15 +99,18 @@ def twists(n: int, y: Stalk) -> list[Stalk]:
     return out
 
 
-def _orbit_sum(n: int, x: Stalk, ys: list[Stalk]) -> int:
-    """Sum of Hom_D(x, F^k y) over the twists ``ys = twists(n, y)``."""
+def _orbit_sum(hom: list[list[int]], ext: list[list[int]],
+               x: tuple[int, int], ys: list[tuple[int, int]]) -> int:
+    """Sum of Hom_D(x, F^k y) over the twists ``ys`` of y; x and each twist
+    are (interval index, shift) pairs into the tables ``hom`` and ``ext``."""
+    k, shift = x
     total = 0
-    for cur in ys:
-        d = cur.shift - x.shift
+    for t, s in ys:
+        d = s - shift
         if d == 0:
-            total += hom_dim_mod(n, x.mod, cur.mod)
+            total += hom[k][t]
         elif d == 1:
-            total += ext1_dim_mod(n, x.mod, cur.mod)
+            total += ext[k][t]
         elif d > 1:
             break  # shifts only grow from here, no further contributions
     return total
@@ -151,8 +155,17 @@ def label_to_stalk(n: int, label: str) -> Stalk:
 @lru_cache(maxsize=None)
 def label_hom_matrix(n: int) -> dict[tuple[str, str], int]:
     """All orbit hom dimensions between canonical labels."""
+    ivs = [Interval(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    at = {(x.i, x.j): k for k, x in enumerate(ivs)}
+    hom = [[hom_dim_mod(n, x, y) for y in ivs] for x in ivs]
+    # 0 -> Hom(x,y) -> Hom(P_i,y) -> Hom(P_{j+1},y) -> Ext1(x,y) -> 0
+    ext = [[0] * len(ivs) if x.j == n else   # x projective
+           [h + p1 - p0 for h, p1, p0 in zip(row, hom[at[(x.j + 1, n)]],
+                                             hom[at[(x.i, n)]])]
+           for x, row in zip(ivs, hom)]
     labs = labels(n)
-    stalks = {lab: label_to_stalk(n, lab) for lab in labs}
-    tw = {lab: twists(n, s) for lab, s in stalks.items()}
-    return {(a, b): _orbit_sum(n, stalks[a], tw[b])
-            for a in labs for b in labs}
+    # each label's twists as (interval index, shift), its own stalk first
+    tw = [[(at[(t.mod.i, t.mod.j)], t.shift)
+           for t in twists(n, label_to_stalk(n, lab))] for lab in labs]
+    return {(a, b): _orbit_sum(hom, ext, xs[0], ys)
+            for a, xs in zip(labs, tw) for b, ys in zip(labs, tw)}

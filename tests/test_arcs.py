@@ -49,6 +49,26 @@ def test_crosses_symmetric_irreflexive_rotation_invariant():
         assert not crosses(p, x, x)
 
 
+def _crosses_by_endpoint_set(x, y):
+    """Four distinct endpoints, exactly one of y's strictly inside x: the
+    reference for the interleaving test ``crosses`` makes."""
+    if len({x.a, x.b, y.a, y.b}) < 4:
+        return False
+
+    def inside(v):
+        return x.a < v < x.b
+
+    return inside(y.a) != inside(y.b)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_crosses_matches_the_endpoint_set_reference(n):
+    p = Polygon(n)
+    arcs = enumerate_arcs(p)
+    for x, y in itertools.product(arcs, repeat=2):
+        assert crosses(p, x, y) == _crosses_by_endpoint_set(x, y)
+
+
 def test_rotate_examples():
     sq = Polygon(1)
     assert rotate(sq, Arc(1, 3), 1) == Arc(0, 2)

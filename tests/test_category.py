@@ -23,6 +23,10 @@ def test_build_guard():
         build_category(0)
     with pytest.raises(ValueError):
         build_category(13)
+    # a bool is not rank 1, and a float or a string is not a rank at all
+    for rank in (True, False, 4.0, "4", None):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build_category(rank)
 
 
 def test_n1_category():
@@ -448,6 +452,28 @@ def test_label_bridge_names_the_first_pair_that_disagrees(cat4):
     labels, meta = category._bridge(cat4.polygon, cat4.arcs, cat4.arc_index,
                                     cat4.hom_deg)
     assert labels == cat4.labels and meta == cat4.meta
+
+
+def test_load_rejects_a_malformed_table(cat4, monkeypatch):
+    with pytest.raises(ValueError, match="category table is a list"):
+        load_category([cat4.to_dict()])
+    d = cat4.to_dict()
+    del d["sigma_arc"]
+    with pytest.raises(ValueError, match="lacks sigma_arc"):
+        load_category(d)
+    for rank in ("2", True):
+        d = cat4.to_dict()
+        d["n"] = rank
+        with pytest.raises(ValueError, match="rank must be an int"):
+            load_category(d)
+    # a consistent table of a rank the build does not support
+    monkeypatch.setattr(category, "MAX_RANK", 13)
+    d = build_category(13).to_dict()
+    assert load_category(d).n == 13
+    monkeypatch.undo()
+    with pytest.raises(ValueError,
+                       match=re.escape("rank out of supported range 1..12")):
+        load_category(d)
 
 
 def test_load_reruns_the_build_checks(cat4):

@@ -320,6 +320,9 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     assert capsys.readouterr().out == out
     with pytest.raises(SystemExit, match="need --config or --n"):
         main(["cone", "--map", "M44,SM24 -> M34"])
+    # rank 0 is a rank the build rejects, not a missing rank
+    with pytest.raises(ValueError, match="rank out of supported range"):
+        main(["cone", "--n", "0", "--map", "M44,SM24 -> M34"])
     assert main(["loc-hom", "--config", cfg, "--x", "M34", "--y", "M34"]) == 0
     out = capsys.readouterr().out
     assert "dimension 2" in out
