@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .category import build_category
+from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
                            zigzag_equal, zigzag_eval)
 from .rigid import (is_cluster_tilting, perp_view, right_addT_approx,
@@ -283,7 +283,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_export_dot)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BuildError) as e:
+        print(f"cluster-loc {args.cmd}: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ the long-exact-sequence profile
 
     dim Hom(W, z) = dim coker Hom(W, f) + dim ker Hom(W, Σf)
 
-solved in nonnegative integer multiplicities against the hom-dimension matrix
-D of the category (D is singular at some ranks, so a profile can allow more
-than one cone, each tried in turn); the connecting maps (g, h) are then a
-seeded generic draw from the solution spaces of the zero-composite
+solved in nonnegative integer multiplicities m of D.m = profile, D the
+hom-dimension matrix.  No elimination of D is needed: the almost split
+triangles give the mesh identity Aᵀ.D = P_σ + P_σ², which ties the
+multiplicities of neighbours on each σ-orbit, and is checked once per
+category on its own hom lists.  D is singular at some ranks, so a profile can
+allow more than one cone, each tried in turn.  The connecting maps (g, h) are
+then a seeded generic draw from the solution spaces of the zero-composite
 constraints, gated by the full hom-exactness certificate.  Every exactness
 condition is a maximal-rank condition on such a linear family, so one
 generic member passes unless no member does.
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import Category, Mor, Obj, _mesh_at
-from .linalg import Mat, eliminate, integer_row, kernel_basis, reduced_rows
+from .linalg import Mat, eliminate, integer_row, kernel_basis
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -139,76 +143,84 @@ def _profile_from_ranks(cat: Category, f: Mor, rf: list[int]) -> list[int]:
             for w, wm in enumerate(cat.sigma_arc_inv)]
 
 
-def hom_dim_matrix(cat: Category) -> Mat:
-    """D with D[w][v] = dim Hom(w, v) over the indecomposables."""
-    return Mat.from_rows([[1 if cat.hom1(w, v) else 0 for v in range(cat.N)]
-                          for w in range(cat.N)])
+def _sigma_orbits(cat: Category) -> list[list[tuple]]:
+    """The σ-orbits, once per category, each as its positions (u, σ⁻¹u,
+    the mesh middles E_σ⁻¹u) along u -> σu.
 
-
-def _reduced_hom_dim_system(cat: Category):
-    """[D | I] in reduced row echelon form, once per category.
-
-    Every row of the form is (E.D, E) for the recorded row operations E, so
-    the reduced right-hand side of D.m = profile is E.profile.  Returns
-    (pivot columns inside D, free columns, the nonzero entries of each column
-    of E as (row, value), the nonzero free-column entries of each pivot row
-    as (free position, value), common denominator d > 0); rows from
-    len(pivots) on have a zero D part and pin the profile.
+    First the mesh identity that ``profile_candidates`` rests on is checked
+    on the hom lists, raising TriangleError where it fails: with A the mesh
+    matrix, whose column W is e_W + e_σW - Σ_{m in E_W} e_m for the almost
+    split triangle σW -> E_W -> W -> σ²W, row W of Aᵀ.D is e_σW + e_σ²W.
     """
-    got = cat._memo.get("Dred")
+    got = cat._memo.get("sigma_orbits")
     if got is None:
-        n = cat.N
-        aug = hom_dim_matrix(cat).hstack(Mat.identity(n))
-        red, pivots, d = reduced_rows(aug.to_rows())
-        pivots = [p for p in pivots if p < n]
-        free = [c for c in range(n) if c not in pivots]
-        by_profile = [[(r, red[r][n + u]) for r in range(n) if red[r][n + u]]
-                      for u in range(n)]
-        by_free = [[(k, red[r][c]) for k, c in enumerate(free) if red[r][c]]
-                   for r in range(len(pivots))]
-        got = cat._memo["Dred"] = (pivots, free, by_profile, by_free, d)
+        sig, out = cat.sigma_arc, cat.hom_out
+        mids = [mesh_middle(cat, w) for w in range(cat.N)]
+        for w in range(cat.N):
+            row = Counter(out[w])
+            row.update(out[sig[w]])
+            for m in mids[w]:
+                row.subtract(out[m])
+            row.subtract((sig[w], sig[sig[w]]))
+            if any(row.values()):
+                raise TriangleError("hom table breaks the mesh identity at "
+                                    f"{cat.labels[w]}")
+        got, seen = [], set()
+        for u in range(cat.N):
+            orbit = []
+            while u not in seen:
+                seen.add(u)
+                orbit.append((u, cat.sigma_arc_inv[u],
+                              mids[cat.sigma_arc_inv[u]]))
+                u = sig[u]
+            if orbit:
+                got.append(orbit)
+        cat._memo["sigma_orbits"] = got
     return got
 
 
 def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
-    """All nonnegative-integer multiplicity solutions of D.m = profile.
+    """All nonnegative-integer multiplicity solutions m of D.m = profile,
+    D the hom-dimension matrix, in the order of (sum(m), m).
 
-    D is the hom-dimension matrix.  Its kernel is 0 except at n = 5 and 7,
-    where it has dimension 2, and at n = 9 and 11, where it has dimension 4.
-    The free coordinates of the reduced system are enumerated outright:
-    each multiplicity m_v is bounded by profile[v] because
-    dim Hom(v, v) = 1, so the enumeration is finite and complete, and with
-    no free coordinate it is the single solution.  Candidates are returned
-    in a deterministic order; the caller certifies each.
+    By the mesh identity Aᵀ.D = P_σ + P_σ² (``_sigma_orbits``) a solution
+    has m_u + m_σu = (Aᵀ.profile)_σ⁻¹u, so round each σ-orbit m is
+    offset + t and offset - t in turn.  An odd orbit pins t; an even one
+    needs a zero alternating sum and leaves t free where m >= 0.  A choice
+    of the t is kept only if its hom vector is the profile, so the list is
+    complete and sound.  The caller certifies each.
     """
-    pivots, free, by_profile, by_free, d = _reduced_hom_dim_system(cat)
-    rhs = [0] * cat.N
-    for u, pu in enumerate(profile):
-        if pu:
-            for r, c in by_profile[u]:
-                rhs[r] += c * pu
-    if any(rhs[len(pivots):]):
-        raise TriangleError("profile is not in the image of the "
-                            "hom-dimension matrix")
+    profile = list(profile)
+    orbits = _sigma_orbits(cat)
+    offsets, choices = [], []
+    for orbit in orbits:
+        s, offs = 0, []
+        for u, w, mids in orbit:
+            offs.append(s)
+            s = profile[w] + profile[u] - sum(profile[m] for m in mids) - s
+        # going round the orbit must give t back: s - t = t or s + t = t
+        lo, hi = max(-o for o in offs[::2]), min(offs[1::2])
+        if len(orbit) % 2:
+            if s % 2:
+                raise TriangleError("profile admits no integer solution")
+            lo, hi = max(lo, s // 2), min(hi, s // 2)
+        elif s:
+            raise TriangleError("profile is not in the image of the "
+                                "hom-dimension matrix")
+        offsets.append(offs)
+        choices.append(range(lo, hi + 1))
     found = []
-    for assign in itertools.product(*(range(profile[c] + 1) for c in free)):
+    for ts in itertools.product(*choices):
         mults = [0] * cat.N
-        for c, v in zip(free, assign):
-            mults[c] = v
-        for r, pc in enumerate(pivots):
-            val = rhs[r]
-            for k, c in by_free[r]:
-                val -= c * assign[k]
-            q, rem = divmod(val, d)
-            if rem or q < 0:
-                break
-            mults[pc] = q
-        else:
-            found.append(tuple(mults))
-    found.sort(key=lambda m: (sum(m), m))
+        for orbit, offs, t in zip(orbits, offsets, ts):
+            for k, (u, _, _) in enumerate(orbit):
+                mults[u] = offs[k] - t if k % 2 else offs[k] + t
+        z = _mults_to_obj(mults)
+        if cat.hom_vec_into(z) == profile:
+            found.append((sum(mults), mults, z))
     if not found:
         raise TriangleError("profile admits no nonnegative integer solution")
-    return [_mults_to_obj(m) for m in found]
+    return [z for _, _, z in sorted(found, key=lambda c: c[:2])]
 
 
 def _mults_to_obj(mults) -> Obj:

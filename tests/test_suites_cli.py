@@ -107,17 +107,17 @@ def test_reports_deterministic(example_cfg, example_report):
 
 def test_battery_memo_keeps_no_entry_per_object_pair():
     """After a seeded AC2 instance the category's memo holds the kept kinds
-    only: triangles per map, the hom vectors per object, the reduced
-    hom-dimension matrix, the per-T memos and the map pool.  Hom slot lists
-    are built on demand, so nothing is stored per (X, Y) pair."""
+    only: triangles per map, the hom vectors per object, the sigma-orbits
+    that solve cone profiles, the per-T memos and the map pool.  Hom slot
+    lists are built on demand, so nothing is stored per (X, Y) pair."""
     cat = build_category(6)
     t = sample_rigid(cat, random.Random("ac2:6"))
     cfg = InstanceConfig(n=6, T=[cat.labels[a] for a in t.arcs], seed=7,
                          suites=["kernel", "stilde", "doubleperp", "wakamatsu",
                                  "identify", "factoring-surjection"])
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
-    assert set(cat._memo) == {"triangles", "vec_into", "vec_from", "Dred",
-                              "rigid", ("map_pool", 7, 100)}
+    assert set(cat._memo) == {"triangles", "vec_into", "vec_from",
+                              "sigma_orbits", "rigid", ("map_pool", 7, 100)}
     for kind in ("vec_into", "vec_from"):
         assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
 
@@ -321,11 +321,36 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     with pytest.raises(SystemExit, match="need --config or --n"):
         main(["cone", "--map", "M44,SM24 -> M34"])
     # rank 0 is a rank the build rejects, not a missing rank
-    with pytest.raises(ValueError, match="rank out of supported range"):
-        main(["cone", "--n", "0", "--map", "M44,SM24 -> M34"])
+    assert main(["cone", "--n", "0", "--map", "M44,SM24 -> M34"]) == 2
+    assert "rank out of supported range" in capsys.readouterr().err
     assert main(["loc-hom", "--config", cfg, "--x", "M34", "--y", "M34"]) == 0
     out = capsys.readouterr().out
     assert "dimension 2" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--n", "13"], "rank out of supported range"),
+    (["cone", "--n", "0", "--map", "M34 -> M34"],
+     "rank out of supported range"),
+    (["cone", "--n", "4", "--map", "M44 M34"], "needs 'SRC -> TGT'"),
+    (["cone", "--n", "4", "--map", "M44 -> M34 @ [[1,2]]"],
+     "col count"),
+    (["cone", "--n", "4", "--map", "M99 -> M34"], "cannot resolve"),
+    (["verify", "--config", "{cfg}.bad"], "Expecting"),
+    (["verify", "--config", "{cfg}.empty"], "must be a JSON object"),
+])
+def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
+                                                    message):
+    cfg = _write_cfg(tmp_path)
+    with open(cfg + ".bad", "w") as fh:
+        fh.write('{"n": 4, "T": [')
+    with open(cfg + ".empty", "w") as fh:
+        fh.write("[]")
+    assert main([a.format(cfg=cfg) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"cluster-loc {argv[0]}: error: ")
+    assert message in err and err.count("\n") == 1
 
 
 def test_cli_resolve_zigzag(tmp_path, capsys):

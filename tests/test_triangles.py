@@ -4,14 +4,16 @@ import pytest
 
 from cluster_loc import triangles
 from cluster_loc.arcs import smooth_crossing
-from cluster_loc.category import Obj, build_category
-from cluster_loc.linalg import eliminate, integer_row, rank
+from cluster_loc.category import Category, Obj, build_category
+from cluster_loc.linalg import eliminate, integer_row, kernel_basis, rank
 from cluster_loc.suites import cached_category
-from cluster_loc.triangles import (Triangle, certify_triangle,
+from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
-                                   cone_profile, hom_dim_matrix,
-                                   mesh_map_into, mesh_map_out_of,
+                                   cone_profile, mesh_map_into,
+                                   mesh_map_out_of, mesh_middle,
                                    profile_candidates)
+from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
+                               reference_candidates)
 
 
 def ar_triangle(cat, x: int) -> Triangle:
@@ -65,6 +67,94 @@ def test_hom_dim_matrix_invertibility_pattern(n, nullity):
     # bounded enumeration of free coordinates in profile_candidates
     cat = cached_category(n)
     assert cat.N - rank(hom_dim_matrix(cat)) == nullity
+
+
+def _mesh_matrix(cat) -> list[list[int]]:
+    """A with column W equal to e_W + e_σW - Σ_{m in E_W} e_m."""
+    a = [[0] * cat.N for _ in range(cat.N)]
+    for w in range(cat.N):
+        a[w][w] += 1
+        a[cat.sigma_arc[w]][w] += 1
+        for m in mesh_middle(cat, w):
+            a[m][w] -= 1
+    return a
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mesh_identity_on_the_built_tables(n):
+    # Aᵀ.D = P_σ + P_σ² and D.A = I + P_σ⁻¹, written out entry by entry:
+    # (Aᵀ.D)[w][v] = [v = σw] + [v = σ²w], (D.A)[w][v] = [v = w] + [v = σw]
+    cat = cached_category(n)
+    d, a, sig = hom_dim_matrix(cat).to_rows(), _mesh_matrix(cat), \
+        cat.sigma_arc
+    rng = range(cat.N)
+    col = [[k for k in rng if a[k][w]] for w in rng]   # A is sparse
+    assert all(sum(a[k][w] * d[k][v] for k in col[w])
+               == (v == sig[w]) + (v == sig[sig[w]]) for w in rng for v in rng)
+    assert all(sum(d[w][k] * a[k][v] for k in col[v])
+               == (v == w) + (v == sig[w]) for w in rng for v in rng)
+
+
+def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
+    cat = cached_category(6)
+    profile = cone_profile(cat, mesh_map_into(cat, 0))
+    for pair in ((0, cat.hom_out[0][-1]),
+                 next((x, y) for x in range(cat.N) for y in range(cat.N)
+                      if not cat.hom1(x, y))):
+        hom_deg = dict(cat.hom_deg)
+        if hom_deg.pop(pair, None) is None:
+            hom_deg[pair] = 1
+        bad = Category(cat.polygon, cat.arcs, hom_deg, cat.comp, cat.sig,
+                       cat.sigma_arc, cat.labels, cat.meta)
+        with pytest.raises(TriangleError, match="mesh identity"):
+            profile_candidates(bad, profile)
+        assert "sigma_orbits" not in bad._memo
+
+
+def _reference_profiles(cat, rng: random.Random) -> list[list[int]]:
+    """Cones of random maps, hom vectors of random objects with up to eight
+    summands, the cones of all mesh maps, the hom vectors of the positive
+    and negative parts of each kernel vector of D (each has at least two
+    solutions), and each of these with one entry moved by one."""
+    profiles = [cone_profile(cat, cat.random_mor(
+        rng, cat.random_obj(rng, 3), cat.random_obj(rng, 3)))
+        for _ in range(25)]
+    profiles += [list(cat.hom_vec_into(cat.random_obj(rng, 8)))
+                 for _ in range(25)]
+    profiles += [cone_profile(cat, mesh_map_into(cat, x))
+                 for x in range(cat.N)]
+    kb = kernel_basis(hom_dim_matrix(cat))
+    for c in range(kb.cols):
+        k = integer_row([kb.row(r)[c] for r in range(kb.rows)])
+        plus = Obj(tuple(i for i, x in enumerate(k) for _ in range(max(x, 0))))
+        profiles.append(list(cat.hom_vec_into(plus)))
+    perturbed = []
+    for p in profiles:
+        q = list(p)
+        i = rng.randrange(cat.N)
+        q[i] += rng.choice((-1, 1)) if q[i] else 1
+        perturbed.append(q)
+    return profiles + perturbed
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_profile_candidates_match_the_elimination_reference(n):
+    # the same cones in the same order, or a raise exactly where the
+    # [D | I] elimination finds no nonnegative integer solution
+    cat = cached_category(n)
+    system = reduced_hom_dim_system(cat)
+    multiple = 0
+    for p in _reference_profiles(cat, random.Random(f"profiles:{n}")):
+        try:
+            want = [Obj(tuple(i for i, k in enumerate(m) for _ in range(k)))
+                    for m in reference_candidates(cat, p, system)]
+        except TriangleError:
+            with pytest.raises(TriangleError):
+                profile_candidates(cat, p)
+            continue
+        assert profile_candidates(cat, p) == want
+        multiple += len(want) > 1
+    assert (multiple > 0) == (n in (5, 7, 9, 11))
 
 
 def test_profile_candidates_solve_the_profile():
