@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
@@ -62,15 +63,17 @@ def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
     if args.suite:
         cfg.suites = [args.suite]
-    report = run_suites(cfg)
-    for s in report["suites"]:
-        status = "ok" if not s["failures"] else f"{len(s['failures'])} FAILED"
-        print(f"{s['name']:22s} checks={s['checks']:<6d} {status}")
-    print(f"total failures: {report['failures_total']}")
-    if args.report:
-        with open(args.report, "w") as fh:
+    # opened before the run, so that a bad path fails at once
+    with open(args.report, "w") if args.report else nullcontext() as fh:
+        report = run_suites(cfg)
+        for s in report["suites"]:
+            status = ("ok" if not s["failures"]
+                      else f"{len(s['failures'])} FAILED")
+            print(f"{s['name']:22s} checks={s['checks']:<6d} {status}")
+        print(f"total failures: {report['failures_total']}")
+        if fh:
             json.dump(report, fh, indent=1, sort_keys=True)
-        print(f"wrote {args.report}")
+            print(f"wrote {args.report}")
     return 0 if report["failures_total"] == 0 else 1
 
 
@@ -285,7 +288,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BuildError) as e:
+    except (ValueError, BuildError, OSError) as e:
         print(f"cluster-loc {args.cmd}: error: {e}", file=sys.stderr)
         return 2
 

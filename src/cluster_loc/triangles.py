@@ -22,11 +22,19 @@ triangle over one full suspension period, exactness of Hom(W, -) and
 Hom(-, W) at the middle term.  Because the suspension is an autoequivalence,
 rank Hom(W, Σ^k u) = rank Hom(Σ^{-k} W, u), so the (W, rotation) grid folds
 into six rank tables indexed by the indecomposables; the folded check covers
-exactly the same equations without re-suspending the maps.  A table ranks
-only the live observers: Hom(W, f) has no row or no column unless W maps to
-both ends of f (for Hom(f, W), both ends map to W), so every other entry is
-0.  The hom dimensions the check compares against are memoised vectors per
-object (``Category.hom_vec_into`` / ``hom_vec_from``).
+exactly the same equations without re-suspending the maps.
+
+A table is built from the nonzero entries of f.  Every hom space between
+arcs is at most 1-dimensional, so an entry f_ij from x to y reaches
+Hom(W, f) only for the W that map to x with comp(W, x, y) != 0, and
+Hom(f, W) only for the W that y maps to with comp(x, y, W) != 0, each time
+as the product of f_ij and that constant.  An observer that collects no
+product has rank 0, one whose products lie in one row or one column has
+rank 1, and only the rest are eliminated.  When all of f's nonzero entries
+lie in one row or one column, no products are kept at all.  The tables keep
+no per-category cache, which a cold query would pay to fill.  The hom
+dimensions the check compares against are memoised vectors per object
+(``Category.hom_vec_into`` / ``hom_vec_from``).
 """
 
 from __future__ import annotations
@@ -80,49 +88,81 @@ class Triangle:
 
 
 def post_rank_table(cat: Category, f: Mor) -> list[int]:
-    """rank of Hom(w, f) for every indecomposable w; only the w with a hom
-    into both f.src and f.tgt are ranked, the others have an empty block."""
-    fm = [integer_row(row) for row in f.m]
-    src = f.src.summands
-    tgt = f.tgt.summands
-    comp = cat.comp
-    hom1 = cat.hom1
-    into_src, into_tgt = cat.hom_vec_into(f.src), cat.hom_vec_into(f.tgt)
+    """rank of Hom(w, f) for every indecomposable w.
+
+    Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
+    w in ``hom_in[x]`` with comp(w, x, y) != 0, where it is the product
+    f_ij·comp(w, x, y); row i of the block of w is f.tgt[i].
+    """
+    comp, hom_in = cat.comp, cat.hom_in
+    src, tgt = f.src.summands, f.tgt.summands
+    ents, line = _nonzero_entries(f)
     out = [0] * cat.N
-    for w in range(cat.N):
-        if into_src[w] and into_tgt[w]:
-            cols = [j for j, xj in enumerate(src) if hom1(w, xj)]
-            out[w] = _block_rank(
-                [[fm[i][j] * comp.get((w, src[j], yi), 0) for j in cols]
-                 for i, yi in enumerate(tgt) if hom1(w, yi)])
-    return out
+    blocks: dict[int, list] = {}
+    for i, j, a in ents:
+        x, y = src[j], tgt[i]
+        for w in hom_in[x]:
+            c = comp.get((w, x, y))
+            if c:
+                if line:
+                    out[w] = 1
+                else:
+                    blocks.setdefault(w, []).append((i, j, a * c))
+    return _block_ranks(out, blocks)
 
 
 def pre_rank_table(cat: Category, f: Mor) -> list[int]:
-    """rank of Hom(f, w) for every indecomposable w; only the w with a hom
-    out of both f.tgt and f.src are ranked, the others have an empty block."""
-    fm = [integer_row(row) for row in f.m]
-    src = f.src.summands
-    tgt = f.tgt.summands
-    comp = cat.comp
-    hom1 = cat.hom1
-    from_src, from_tgt = cat.hom_vec_from(f.src), cat.hom_vec_from(f.tgt)
+    """rank of Hom(f, w) for every indecomposable w.
+
+    Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
+    w in ``hom_out[y]`` with comp(x, y, w) != 0, where it is the product
+    f_ij·comp(x, y, w); row j of the block of w is f.src[j].
+    """
+    comp, hom_out = cat.comp, cat.hom_out
+    src, tgt = f.src.summands, f.tgt.summands
+    ents, line = _nonzero_entries(f)
     out = [0] * cat.N
-    for w in range(cat.N):
-        if from_tgt[w] and from_src[w]:
-            cols = [i for i, yi in enumerate(tgt) if hom1(yi, w)]
-            out[w] = _block_rank(
-                [[fm[i][j] * comp.get((xj, tgt[i], w), 0) for i in cols]
-                 for j, xj in enumerate(src) if hom1(xj, w)])
+    blocks: dict[int, list] = {}
+    for i, j, a in ents:
+        x, y = src[j], tgt[i]
+        for w in hom_out[y]:
+            c = comp.get((x, y, w))
+            if c:
+                if line:
+                    out[w] = 1
+                else:
+                    blocks.setdefault(w, []).append((j, i, a * c))
+    return _block_ranks(out, blocks)
+
+
+def _nonzero_entries(f: Mor) -> tuple[list, bool]:
+    """The nonzero entries (i, j, f_ij) of f, each row scaled to integers
+    (``integer_row``, which changes no rank), and whether they all lie in
+    one row or one column.  If they do, so does every block built from
+    them, and each block that is not empty has rank 1."""
+    ents = [(i, j, a) for i, row in enumerate(f.m)
+            for j, a in enumerate(integer_row(row)) if a]
+    return ents, (len({i for i, _, _ in ents}) < 2
+                  or len({j for _, j, _ in ents}) < 2)
+
+
+def _block_ranks(out: list[int], blocks: dict[int, list]) -> list[int]:
+    """out with the rank of each block, given by its nonzero entries (row,
+    column, value), written at its observer.  Entries all in one row or
+    all in one column have rank 1; only the rest are eliminated, on their
+    distinct rows and columns."""
+    for w, ents in blocks.items():
+        if len(ents) > 1:
+            rows = {r for r, _, _ in ents}
+            cols = {c: k for k, c in enumerate({c for _, c, _ in ents})}
+            if len(rows) > 1 and len(cols) > 1:
+                mat = {r: [0] * len(cols) for r in rows}
+                for r, c, v in ents:
+                    mat[r][cols[c]] = v
+                out[w] = len(eliminate(list(mat.values()))[0])
+                continue
+        out[w] = 1
     return out
-
-
-def _block_rank(mat: list[list[int]]) -> int:
-    """Rank of a nonempty integer block; a single row or column is read off,
-    only larger blocks are eliminated."""
-    if len(mat) == 1 or len(mat[0]) == 1:
-        return 1 if any(map(any, mat)) else 0
-    return len(eliminate(mat)[0])
 
 
 def cone_profile(cat: Category, f: Mor) -> list[int]:

@@ -338,6 +338,10 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     (["cone", "--n", "4", "--map", "M99 -> M34"], "cannot resolve"),
     (["verify", "--config", "{cfg}.bad"], "Expecting"),
     (["verify", "--config", "{cfg}.empty"], "must be a JSON object"),
+    (["verify", "--config", "{cfg}.missing"], "No such file or directory"),
+    (["verify", "--config", "{dir}"], "Is a directory"),
+    (["verify", "--config", "{cfg}", "--report", "{dir}/no/report.json"],
+     "No such file or directory"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):
@@ -346,7 +350,7 @@ def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
         fh.write('{"n": 4, "T": [')
     with open(cfg + ".empty", "w") as fh:
         fh.write("[]")
-    assert main([a.format(cfg=cfg) for a in argv]) == 2
+    assert main([a.format(cfg=cfg, dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"cluster-loc {argv[0]}: error: ")

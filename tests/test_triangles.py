@@ -377,19 +377,30 @@ def _dense_pre_rank_table(cat, f):
 def _table_maps(n):
     """Seeded maps at rank n with entries in -3..3: random, zero, between
     single summands, to and from an object with a repeated summand, and to
-    and from the zero object."""
+    and from the zero object.  Also rational maps whose entries have
+    denominators that differ within and between rows, and composites
+    through one indecomposable z, whose blocks have rank at most 1 (every
+    hom space between arcs is at most 1-dimensional)."""
     cat = cached_category(n)
-    rng = random.Random(f"tables:{n}")
+    rng, via = random.Random(f"tables:{n}"), random.Random(f"tables:via:{n}")
     maps = []
     for _ in range(8):
         x, y = cat.random_obj(rng, 4), cat.random_obj(rng, 4)
         a = rng.randrange(cat.N)
         b = rng.choice(cat.hom_out[a])
         rep = Obj(tuple(sorted((a, a, b))))
-        maps += [cat.random_mor(rng, x, y), cat.zero_mor(x, y),
+        f = cat.random_mor(rng, x, y)
+        maps += [f, cat.zero_mor(x, y),
                  cat.random_mor(rng, Obj((a,)), Obj((b,))),
                  cat.random_mor(rng, rep, y), cat.random_mor(rng, x, rep),
-                 cat.zero_mor(cat.zero_obj, x), cat.zero_mor(y, cat.zero_obj)]
+                 cat.zero_mor(cat.zero_obj, x), cat.zero_mor(y, cat.zero_obj),
+                 cat.mor(x, y, [[v / (2 + i + j) for j, v in enumerate(row)]
+                                for i, row in enumerate(f.m)])]
+        z = via.randrange(cat.N)
+        into = Obj(tuple(sorted(via.choices(cat.hom_in[z], k=4))))
+        out = Obj(tuple(sorted(via.choices(cat.hom_out[z], k=4))))
+        maps.append(cat.compose(cat.random_mor(via, Obj((z,)), out),
+                                cat.random_mor(via, into, Obj((z,)))))
     return cat, maps
 
 
@@ -409,6 +420,25 @@ def test_rank_tables_match_the_dense_reference(n, monkeypatch):
         assert triangles.pre_rank_table(cat, f) == _dense_pre_rank_table(cat, f)
     # one-row and one-column blocks are read off, never eliminated
     assert all(r >= 2 and c >= 2 for r, c in shapes)
+
+
+def test_rank_tables_add_nothing_to_the_memo():
+    """The tables keep no per-category cache: a cold query would pay for
+    filling it."""
+    cat = build_category(6)
+    rng = random.Random("tables:memo")
+    maps = [cat.random_mor(rng, cat.random_obj(rng, 4), cat.random_obj(rng, 4))
+            for _ in range(20)]
+
+    def keys():
+        return {k: set(v) if isinstance(v, dict) else None
+                for k, v in cat._memo.items()}
+
+    before = keys()
+    for f in maps:
+        triangles.post_rank_table(cat, f)
+        triangles.pre_rank_table(cat, f)
+    assert keys() == before
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -15,7 +15,7 @@ ALLOWED = {
     "load_category": "README API: reads a serialized category back and "
                      "re-runs the build's table checks",
     "lift_module_to_CT": "the density lift that a density suite (ROADMAP "
-                         "item 2) is to call; bench/tracing.py times it and "
+                         "item 5) is to call; bench/tracing.py times it and "
                          "tests/test_modules.py checks it meanwhile",
     "enumerate_basic_rigid": "the exhaustive loop over basic rigid objects "
                              "of the acceptance and module tests",
