@@ -99,7 +99,9 @@ class Category:
     """Built hom/composition/suspension tables plus the additive layer.
 
     Composition and suspension constants are stored as ``int``; a constant
-    outside {-1, 0, 1} raises ValueError naming its key.
+    outside {-1, 0, 1} raises ValueError naming its key.  A built or loaded
+    category stores the nonzero constants only, so ``(x, y, z) in comp``
+    means that basis(y, z) . basis(x, y) is nonzero.
     """
 
     def __init__(self, polygon: Polygon, arcs: list[Arc],
@@ -294,15 +296,14 @@ class Category:
         src = self.obj(list(f.src.summands) + list(g.src.summands))
         tgt = self.obj(list(f.tgt.summands) + list(g.tgt.summands))
         # positions of the f/g summands inside the sorted sums
-        sj = _merge_positions(f.src.summands, g.src.summands)
-        ti = _merge_positions(f.tgt.summands, g.tgt.summands)
+        sj = _perm_to_sorted(f.src.summands + g.src.summands)
+        ti = _perm_to_sorted(f.tgt.summands + g.tgt.summands)
         rows = [[F0] * len(src.summands) for _ in range(len(tgt.summands))]
-        for i, row in enumerate(f.m):
-            for j, v in enumerate(row):
-                rows[ti[0][i]][sj[0][j]] = v
-        for i, row in enumerate(g.m):
-            for j, v in enumerate(row):
-                rows[ti[1][i]][sj[1][j]] = v
+        for m, di, dj in ((f.m, 0, 0),
+                          (g.m, len(f.tgt.summands), len(f.src.summands))):
+            for i, row in enumerate(m):
+                for j, v in enumerate(row):
+                    rows[ti[di + i]][sj[dj + j]] = v
         return Mor(src, tgt, tuple(tuple(r) for r in rows))
 
     def suspend_mor(self, f: Mor, k: int = 1) -> Mor:
@@ -477,16 +478,7 @@ _MATRIX_ROW = re.compile(_ROW)
 _MATRIX_LITERAL = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
 
 
-def _merge_positions(first: tuple[int, ...], second: tuple[int, ...]):
-    combined = sorted(range(len(first) + len(second)),
-                      key=lambda t: ((first + second)[t], t))
-    where = [0] * (len(first) + len(second))
-    for pos, orig in enumerate(combined):
-        where[orig] = pos
-    return where[:len(first)], where[len(first):]
-
-
-def _perm_to_sorted(values: list[int]) -> list[int]:
+def _perm_to_sorted(values: Sequence[int]) -> list[int]:
     order = sorted(range(len(values)), key=lambda i: (values[i], i))
     out = [0] * len(values)
     for new_pos, old_pos in enumerate(order):
@@ -625,17 +617,13 @@ def build_category(p: Polygon | int) -> Category:
         w = arrows[a_id][0]
         sig[(y, z)] = sig[(y, w)] * exp_rows[sigma_arc[y]][arrow_shift[a_id]]
         # comp[(x, y, z)]: coefficient of basis(x, z) in
-        # basis(y, z) . basis(x, y), for every composable triple
+        # basis(y, z) . basis(x, y), kept only where it is nonzero
         for x in hom_to[y]:
-            row = deg_rows[x]
-            if row[z] is None:
+            if deg_rows[x][z] is None:
                 continue
-            if x == y:
-                comp[(x, y, z)] = 1
-            elif row[w] is not None:
-                comp[(x, y, z)] = comp[(x, y, w)] * exp_rows[x][a_id]
-            else:
-                comp[(x, y, z)] = 0
+            c = 1 if x == y else comp.get((x, y, w), 0) * exp_rows[x][a_id]
+            if c:
+                comp[(x, y, z)] = c
 
     # -- checks and label bridge --------------------------------------------
 
@@ -741,6 +729,10 @@ def _check_tables(cat: Category):
 
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
+    """sig(x, z) c(x, y, z) = c(Sx, Sy, Sz) sig(x, y) sig(y, z) on every
+    stored (so nonzero) constant off the identities.  The unstored zeros need
+    no pass: the suspension permutes the finite set of triples, so "nonzero
+    has a nonzero image" forces "zero has a zero image"."""
     for (x, y, z), c in comp.items():
         if x == y or y == z:
             continue
@@ -912,10 +904,12 @@ _UNIT_LITERALS = {"-1": -1, "0": 0, "1": 1}
 
 def _read_constants(name: str, rows: list, arity: int) -> dict:
     """A composition or suspension table as ``_read_table`` reads it, each
-    value parsed as a ``Fraction``; the literals "-1", "0" and "1" (all
-    that ``to_dict`` writes) are read straight to ``int``."""
-    return {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else Fraction(c)
-            for k, c in _read_table(name, rows, arity).items()}
+    value parsed as a ``Fraction``; the literals "-1", "0" and "1" are read
+    straight to ``int``.  Zero entries are dropped, so that a key of a
+    loaded table, as of a built one, names a nonzero constant."""
+    values = {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else Fraction(c)
+              for k, c in _read_table(name, rows, arity).items()}
+    return {k: v for k, v in values.items() if v}
 
 
 def _check_degrees(cat: Category):

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
@@ -62,7 +63,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
     if args.suite:
-        cfg.suites = [args.suite]
+        cfg = replace(cfg, suites=[args.suite])   # validated like the file
     # opened before the run, so that a bad path fails at once
     with open(args.report, "w") if args.report else nullcontext() as fh:
         report = run_suites(cfg)
@@ -110,7 +111,7 @@ def cmd_cone(args) -> int:
     elif args.n is not None:
         cat = cached_category(args.n)
     else:
-        raise SystemExit("need --config or --n")
+        raise ValueError("need --config or --n")
     f = cat.parse_mor(args.map)
     tri = complete_triangle(cat, f)
     print(f"{cat.obj_label(tri.x)} -> {cat.obj_label(tri.y)} -> "

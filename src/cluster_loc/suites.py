@@ -8,10 +8,13 @@ come from a single code path where an independent one is available; the
 suites are exactly the cross-checking loops, so a failure message names the
 fact the implementation would be falsifying.
 
-Coverage policy: exhaustive over basis maps and object pairs for n <= 5,
-seeded sampling (shared map pool per rank) beyond.  Reports are
-deterministic for a fixed config and seed once the timing section is
-stripped.
+Coverage policy: the map suites run on every basis map, and from n = 5 on
+also on a seeded pool of matrix maps shared per rank.  The suites on objects
+run on every indecomposable, and the module suites (``equivalence``,
+``chain``, ``kz``) on every ordered pair of indecomposables, at every rank;
+each builds the image module of every indecomposable it needs once, before
+its pair loop.  Reports are deterministic for a fixed config and seed once
+the timing section is stripped.
 """
 
 from __future__ import annotations
@@ -63,9 +66,14 @@ class InstanceConfig:
         if not isinstance(self.suites, list):
             raise ValueError("suites must be a list of suite names, not "
                              f"{type(self.suites).__name__} {self.suites!r}")
-        for s in self.resolved_suites():
+        if not self.suites:
+            raise ValueError("suites is empty: name at least one suite")
+        names = self.resolved_suites()
+        for k, s in enumerate(names):
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
+            if s in names[:k]:
+                raise ValueError(f"suite {s!r} is named more than once")
 
     def resolved_suites(self) -> list[str]:
         if self.suites == ["all"]:
@@ -324,28 +332,19 @@ def suite_factoring(cat, t, cfg, maps, rec):
     rec.coverage("factoring-surjection", maps=count, mode="exhaustive")
 
 
-def _pair_sample(cat, cfg):
-    if cat.n <= 5:
-        return [(i, j) for i in range(cat.N) for j in range(cat.N)], "exhaustive"
-    rng = random.Random(f"pairs:{cfg.seed}")
-    pairs = sorted({(rng.randrange(cat.N), rng.randrange(cat.N))
-                    for _ in range(60)})
-    return pairs, "sampled"
-
-
 def suite_equivalence(cat, t, cfg, maps, rec):
     """Localized hom dimensions against module hom dimensions."""
     alg = algebra_of(cat, t)
-    mods = {i: H_obj(cat, alg, cat.obj([i])) for i in range(cat.N)}
-    pairs, mode = _pair_sample(cat, cfg)
-    for (i, j) in pairs:
-        def dims():
-            lh = loc_hom(cat, t, cat.obj([i]), cat.obj([j]),
-                         verify=(i + j) % 5 == 0)
-            dm = hom_dim_modules(mods[i], mods[j])
-            return lh.dim == dm, {"loc": lh.dim, "mod": dm}
-        rec.check("equivalence", "loc-hom-dimension", dims,
-                  {"x": cat.labels[i], "y": cat.labels[j]})
+    mods = [H_obj(cat, alg, cat.obj([i])) for i in range(cat.N)]
+    for i in range(cat.N):
+        for j in range(cat.N):
+            def dims():
+                lh = loc_hom(cat, t, cat.obj([i]), cat.obj([j]),
+                             verify=(i + j) % 5 == 0)
+                dm = hom_dim_modules(mods[i], mods[j])
+                return lh.dim == dm, {"loc": lh.dim, "mod": dm}
+            rec.check("equivalence", "loc-hom-dimension", dims,
+                      {"x": cat.labels[i], "y": cat.labels[j]})
     # naturality spot-check: lifts through resolutions commute with H
     for f in maps[:5]:
         def natural():
@@ -358,7 +357,7 @@ def suite_equivalence(cat, t, cfg, maps, rec):
                        for a, b in zip(lhs.comps, rhs.comps))
         rec.check("equivalence", "naturality-through-resolutions", natural,
                   {"map": cat.format_mor(f)})
-    rec.coverage("equivalence", pairs=len(pairs), mode=mode)
+    rec.coverage("equivalence", pairs=cat.N ** 2, mode="exhaustive")
 
 
 def suite_chain(cat, t, cfg, maps, rec):
@@ -366,25 +365,25 @@ def suite_chain(cat, t, cfg, maps, rec):
     functor = maps through add Sigma T, and the localized dimension equals
     the plain hom dimension minus either."""
     sigma_t = [cat.shift_arc(a) for a in set(t.arcs)]
-    ct_indecs = [i for i in range(cat.N) if in_CT(cat, t, cat.obj([i]))]
-    pairs, mode = _pair_sample(cat, cfg)
-    pairs = [(i, j) for (i, j) in pairs if i in ct_indecs and j in ct_indecs]
     alg = algebra_of(cat, t)
-    for (i, j) in pairs:
-        x, y = cat.obj([i]), cat.obj([j])
+    ct_indecs = [i for i in range(cat.N) if in_CT(cat, t, cat.obj([i]))]
+    mods = {i: H_obj(cat, alg, cat.obj([i])) for i in ct_indecs}
+    for i in ct_indecs:
+        for j in ct_indecs:
+            x, y = cat.obj([i]), cat.obj([j])
 
-        def chain():
-            dk = dim_hom_functor_kernel(cat, t, x, y)
-            da = dim_factoring_through_add(cat, x, y, sigma_t)
-            total = cat.dim_hom_obj(x, y)
-            lh = loc_hom(cat, t, x, y)
-            dm = hom_dim_modules(H_obj(cat, alg, x), H_obj(cat, alg, y))
-            ok = (dk == da) and (lh.dim == total - dk == total - da == dm)
-            return ok, {"kernel": dk, "through_sigma_t": da, "total": total,
-                        "loc": lh.dim, "mod": dm}
-        rec.check("chain", "quotient-dimension-chain", chain,
-                  {"x": cat.labels[i], "y": cat.labels[j]})
-    rec.coverage("chain", pairs=len(pairs), mode=mode)
+            def chain():
+                dk = dim_hom_functor_kernel(cat, t, x, y)
+                da = dim_factoring_through_add(cat, x, y, sigma_t)
+                total = cat.dim_hom_obj(x, y)
+                lh = loc_hom(cat, t, x, y)
+                dm = hom_dim_modules(mods[i], mods[j])
+                ok = (dk == da) and (lh.dim == total - dk == total - da == dm)
+                return ok, {"kernel": dk, "through_sigma_t": da,
+                            "total": total, "loc": lh.dim, "mod": dm}
+            rec.check("chain", "quotient-dimension-chain", chain,
+                      {"x": cat.labels[i], "y": cat.labels[j]})
+    rec.coverage("chain", pairs=len(ct_indecs) ** 2, mode="exhaustive")
 
 
 def suite_kz(cat, t, cfg, maps, rec):
@@ -397,20 +396,21 @@ def suite_kz(cat, t, cfg, maps, rec):
     sigma_t = [cat.shift_arc(a) for a in set(t.arcs)]
     rec.check("kz", "everything-presented",
               lambda: all(in_CT(cat, t, cat.obj([i])) for i in range(cat.N)))
-    pairs, mode = _pair_sample(cat, cfg)
-    for (i, j) in pairs:
-        x, y = cat.obj([i]), cat.obj([j])
-        rec.check("kz", "quotient-equals-module-dimension",
-                  lambda: cat.dim_hom_obj(x, y)
-                  - dim_factoring_through_add(cat, x, y, sigma_t)
-                  == hom_dim_modules(H_obj(cat, alg, x), H_obj(cat, alg, y)),
-                  {"x": cat.labels[i], "y": cat.labels[j]})
+    mods = [H_obj(cat, alg, cat.obj([i])) for i in range(cat.N)]
+    for i in range(cat.N):
+        for j in range(cat.N):
+            x, y = cat.obj([i]), cat.obj([j])
+            rec.check("kz", "quotient-equals-module-dimension",
+                      lambda: cat.dim_hom_obj(x, y)
+                      - dim_factoring_through_add(cat, x, y, sigma_t)
+                      == hom_dim_modules(mods[i], mods[j]),
+                      {"x": cat.labels[i], "y": cat.labels[j]})
     nonzero = sum(1 for i in range(cat.N)
                   if any(cat.hom1(a, i) for a in t.arcs))
     rec.check("kz", "nonzero-image-count",
               lambda: nonzero == cat.N - len(set(t.arcs)),
               {"nonzero": nonzero})
-    rec.coverage("kz", pairs=len(pairs), mode=mode)
+    rec.coverage("kz", pairs=cat.N ** 2, mode="exhaustive")
 
 
 def suite_elementary(cat, t, cfg, maps, rec):

@@ -11,7 +11,9 @@ integers or of rational matrices.
        peak RSS in the report line;
     3. the localization/module dimension equalities on all indecomposable
        pairs, for the worked example and every basic rigid object of rank
-       <= 4, including the quotient chain on presented pairs;
+       <= 4, including the quotient chain on presented pairs, and on all
+       pairs again for five seeded rigid objects and the fan at each rank
+       5..12;
     4. the cluster-tilting comparison on the heptagon fan;
     5. internal-oracle agreements (crossing rule, smoothing, kernel tests);
     6. report determinism for a fixed seed.
@@ -125,11 +127,11 @@ def test_ac3_equivalence_dimensions():
 
 
 def test_ac3_module_suites_beyond_rank_four():
-    """The module-side suites at ranks 5-8, where the object pairs are
-    sampled from rank 6 on: five seeded rigid objects and the fan per
-    rank."""
-    checks = failures = 0
-    for n in range(5, 9):
+    """The module-side suites at ranks 5-12 on every object pair: five
+    seeded rigid objects and the fan per rank."""
+    start = time.perf_counter()
+    checks = failures = instances = 0
+    for n in range(5, 13):
         cat = cached_category(n)
         fan = rigid_object(cat, [f"0-{k}" for k in range(2, n + 2)])
         for t in _five_rigid(cat, random.Random(f"ac3:{n}")) + [fan]:
@@ -139,10 +141,13 @@ def test_ac3_module_suites_beyond_rank_four():
             rep = run_suites(cfg, sample_maps=0, cat=cat)
             failures += rep["failures_total"]
             checks += sum(s["checks"] for s in rep["suites"])
+            instances += 1
             modes = {s["coverage"].get("mode") for s in rep["suites"]}
-            assert modes - {None} == {"sampled" if n >= 6 else "exhaustive"}
-    _report("AC3 module suites at ranks 5-8", failures == 0,
-            f"24 instances, {checks} checks")
+            assert modes - {None} == {"exhaustive"}
+    elapsed = time.perf_counter() - start
+    _report("AC3 module suites at ranks 5-12", failures == 0,
+            f"{instances} instances, all indecomposable pairs, "
+            f"{checks} checks, {elapsed:.0f}s")
 
 
 # -- criterion 4 --------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -244,6 +245,20 @@ def test_load_parses_other_constants_as_fractions(cat4):
     assert load_category(d).to_dict() == cat4.to_dict()
 
 
+def test_tables_store_nonzero_constants_and_load_drops_zeros():
+    """A built table keeps no zero composition constant; a table with "0"
+    rows (as written before that) loads to the same category."""
+    cat = cached_category(8)
+    assert all(cat.comp.values())
+    zeros = [(x, y, z) for (x, y) in cat.hom_deg for z in cat.hom_out[y]
+             if cat.hom1(x, z) and (x, y, z) not in cat.comp]
+    assert len(zeros) == 308
+    d = cat.to_dict()
+    d["comp"] += [[*k, spelled] for k, spelled in
+                  zip(zeros, ("0", " 0 ", "0/3", "-0") * len(zeros))]
+    assert load_category(d).comp == cat.comp
+
+
 def test_unit_tables_of_ints(cat4):
     # an int table with values in {-1, 0, 1} is kept as it is
     table = dict(cat4.comp)
@@ -280,6 +295,47 @@ def test_object_tokens_reject_an_empty_token(cat4):
     assert cat4.parse_obj_tokens("M34, M13") == cat4.obj(["M34", "M13"])
 
 
+def _direct_sum_reference(f, g):
+    """The entries of f + g: the block-diagonal matrix on f's summands
+    followed by g's, whose sorted position p reads the written position
+    order[p], ties in written order."""
+    src = f.src.summands + g.src.summands
+    tgt = f.tgt.summands + g.tgt.summands
+    dense = [[0] * len(src) for _ in tgt]
+    for m, di, dj in ((f.m, 0, 0),
+                      (g.m, len(f.tgt.summands), len(f.src.summands))):
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                dense[di + i][dj + j] = v
+    cols = sorted(range(len(src)), key=lambda k: (src[k], k))
+    rows = sorted(range(len(tgt)), key=lambda k: (tgt[k], k))
+    return tuple(tuple(dense[a][b] for b in cols) for a in rows)
+
+
+def test_direct_sum_mor_entries(cat4):
+    # summands drawn with repeats from an arc and three arcs it maps to, so
+    # the two sides interleave and tie; entries are distinct, so a block
+    # written to the wrong position shows
+    x = next(a for a in range(cat4.N) if len(cat4.hom_out[a]) >= 4)
+    pool = cat4.hom_out[x][:4]
+    rng = random.Random("direct-sum")
+    nonzero = 0
+    for _ in range(60):
+        objs = [Obj(tuple(sorted(rng.choice(pool)
+                                 for _ in range(rng.randint(0, 3)))))
+                for _ in range(4)]
+        f, g = (cat4.mor_from_vec(X, Y, [Fraction(base + k) for k in
+                                         range(cat4.dim_hom_obj(X, Y))])
+                for X, Y, base in ((objs[0], objs[1], 1),
+                                   (objs[2], objs[3], 101)))
+        fs = cat4.direct_sum_mor(f, g)
+        assert fs.src == Obj(tuple(sorted(f.src.summands + g.src.summands)))
+        assert fs.tgt == Obj(tuple(sorted(f.tgt.summands + g.tgt.summands)))
+        assert fs.m == _direct_sum_reference(f, g)
+        nonzero += sum(1 for row in fs.m for v in row if v)
+    assert nonzero > 100
+
+
 def test_mor_literal_roundtrip(cat4):
     f = cat4.parse_mor("M44,SM24 -> M34")
     assert cat4.format_mor(f) == "SP2,M44 -> M34 @ [[1,1]]"
@@ -312,7 +368,10 @@ def test_mor_literal_rejects_malformed_matrix(cat4, matrix):
 
 # sha256 of json.dumps(build_category(n).to_dict(), sort_keys=True) and of
 # json.dumps(sorted(label_hom_matrix(n).items())), recorded from the Fraction
-# build that the integer build replaced
+# build that the integer build replaced; the table hashes of n = 5..12 were
+# re-recorded when zero composition constants stopped being stored, each
+# equal to the hash of the earlier table with its "0" comp rows removed
+# (n <= 4 has no zero constant)
 PINNED_TABLES = {
     1: ("3d4d1812b8518411bff8963f83355766765d8e78f41f81332381eb91052aa5cd",
         "d6ce02f28f35653f3bf8f8c976226afaac0a35bbb680b5b83880e8eb47121b52"),
@@ -322,21 +381,21 @@ PINNED_TABLES = {
         "7127e5732caed4a900d84a3aed9d87fc1cdce2e491125cc298aabc50368963a1"),
     4: ("90261d336427397cbb4baeea0873abaabf5b2ab8a85b23b8c35dee51255efd41",
         "e1b9614b05a3506ba0582886824b45ca6a0f9b20fb6770c330196561add99396"),
-    5: ("0e46ddbf4d49d030cf057c82eb838f78ffd42df1d309de0a0f651d4a28f1f45a",
+    5: ("4fb5452d09da6bce26194b33aa3fbc3ec9f809b241415820825e86aad4e2818b",
         "b0b2110a75124bfc89152bd5a74d485610b82d939d11a7f4e55cb12cdbb7b0c1"),
-    6: ("f619e2ef27028f2d6e975deb1afd7093d4327699b9b83d0bb913e1a31d3dee66",
+    6: ("759f7df3e49baff1bfd84acbf470f9de08f19a02054e209f38c5cca4dd730596",
         "d7fe0cd1e5c9c84a88f00959e79ddeb931a8258c29151426e8bc9cf3b109eccd"),
-    7: ("11fc42271a172baabd51196e361d510dcdabe53269ea2e0d294f87a67dff2aa8",
+    7: ("04ab22b4d53837750c2316f8dac19322bc5c351db9940ecac83d6c05d12356a8",
         "e485a80b5261cfb1f786c256177a6ddd4e5b4567391340ce194e6131e40873de"),
-    8: ("d4c0029d0c70a89f6f4ba44d07f8c9106b2e21d61db74a820d8b6c0ccaf8dc70",
+    8: ("32bf955cbd7d35a349bd142f1e8624f7c0f87260425a79fe8ddf33a765b60cc4",
         "e4d35f62cf81e764b4f221cc0fcc65ebe12f527dca2cedca5c3b7b232536eb3c"),
-    9: ("d0c4facd786329221a7e2d52b180b39251115f8e411fcc190643bd09ae6ba8d6",
+    9: ("0b104b8c6ad32d12f74933919d25504eed74970d0ab3c2cc7cbaaef93b26bb01",
         "33d63be6bb518e5a19bf9cbf47ce937b9634e94cefd07c01bb95c23a59174b5b"),
-    10: ("f324acbe815dfc21a028a958c28e5dc0000dff920ba2628ad54450f26dcd9837",
+    10: ("68f1c2f1ac9f284891a72df4174f0539aae3ce27252d8d9785c6c99efe9f66d9",
         "d9ee0305b1fc70dc528745cd65301222074be5c5560e2b33be393c694985eebb"),
-    11: ("de134d8e1cbb6822aa8c25a1d65b6c5c53a546cff0e4e844d164d9d29c5ab66f",
+    11: ("2502f36d921b213868c161adc8b3c00cf16297d5c905f6dfaa1c6c22f142b342",
         "eba6554b2d3d42120f379072c4a2e0d01f3c30db25c86dc8e11e7e820ce42e4c"),
-    12: ("3cccdb2c5f8b0e45785cfdcefda22ef94a3a01ecf6e2c228d4178761abbcfd23",
+    12: ("353907192cced459faf6371e8127d82bffcefd15b234ee617935e5f0663363f1",
         "399ec7939a5daa7030127d7458b1e44a13dcd7b15079c732d86ebecc0c862aea"),
 }
 

@@ -31,6 +31,14 @@ def test_config_validation():
         InstanceConfig(n=4, T=["M11"], suites=["bogus"])
     with pytest.raises(ValueError):
         InstanceConfig(n=4, T=["M11"], type="D")
+    # an empty list would run nothing and report no failures; a repeated
+    # name would run its suite twice into one record
+    with pytest.raises(ValueError, match="suites is empty"):
+        InstanceConfig(n=4, T=["M11"], suites=[])
+    for names in (["kernel", "kernel"], ["kernel", "chain", "kernel"]):
+        with pytest.raises(ValueError,
+                           match="suite 'kernel' is named more than once"):
+            InstanceConfig.from_dict({"n": 4, "T": ["M11"], "suites": names})
     cfg = InstanceConfig.from_dict({"schema": "cluster-loc/config/v1",
                                     "n": 2, "T": ["M11"], "seed": 3})
     assert cfg.resolved_suites() == list(suites.SUITE_NAMES)
@@ -129,6 +137,32 @@ def test_kz_suite_on_fan():
     assert rep["failures_total"] == 0
     kz = next(s for s in rep["suites"] if s["name"] == "kz")
     assert kz["checks"] >= 14 * 14 + 2
+
+
+def test_module_suites_build_each_image_once(monkeypatch):
+    """equivalence, chain and kz build the image module of an
+    indecomposable once per run, before their pair loops, and check every
+    pair: at most N builds each on the rank-4 fan, where kz runs."""
+    real = suites.H_obj
+    calls = []
+
+    def counting(cat, alg, x):
+        calls.append(x)
+        return real(cat, alg, x)
+
+    monkeypatch.setattr(suites, "H_obj", counting)
+    cat = suites.cached_category(4)
+    for suite in ("equivalence", "chain", "kz"):
+        calls.clear()
+        cfg = InstanceConfig(n=4, T=["0-2", "0-3", "0-4", "0-5"], seed=7,
+                             suites=[suite])
+        rep = run_suites(cfg)
+        (record,) = rep["suites"]
+        assert rep["failures_total"] == 0
+        # the fan is cluster-tilting, so every pair is a presented pair
+        assert record["coverage"] == {"pairs": cat.N ** 2,
+                                      "mode": "exhaustive"}
+        assert 0 < len(calls) <= cat.N
 
 
 def test_replay_failure_mechanism(monkeypatch, example_cfg):
@@ -318,8 +352,6 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     # the README's form: a rank instead of a config
     assert main(["cone", "--n", "4", "--map", "M44,SM24 -> M34"]) == 0
     assert capsys.readouterr().out == out
-    with pytest.raises(SystemExit, match="need --config or --n"):
-        main(["cone", "--map", "M44,SM24 -> M34"])
     # rank 0 is a rank the build rejects, not a missing rank
     assert main(["cone", "--n", "0", "--map", "M44,SM24 -> M34"]) == 2
     assert "rank out of supported range" in capsys.readouterr().err
@@ -342,6 +374,12 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     (["verify", "--config", "{dir}"], "Is a directory"),
     (["verify", "--config", "{cfg}", "--report", "{dir}/no/report.json"],
      "No such file or directory"),
+    (["cone", "--map", "M44,SM24 -> M34"], "need --config or --n"),
+    (["verify", "--config", "{cfg}", "--suite", "bogus"],
+     "unknown suite 'bogus'"),
+    (["verify", "--config", "{cfg}.nosuites"], "suites is empty"),
+    (["verify", "--config", "{cfg}.twice"],
+     "suite 'kernel' is named more than once"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):
@@ -350,6 +388,8 @@ def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
         fh.write('{"n": 4, "T": [')
     with open(cfg + ".empty", "w") as fh:
         fh.write("[]")
+    for ext, names in (("nosuites", []), ("twice", ["kernel", "kernel"])):
+        _write_cfg(tmp_path, f"cfg.json.{ext}", suites=names)
     assert main([a.format(cfg=cfg, dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
