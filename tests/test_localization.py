@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from cluster_loc.category import build_category
+from cluster_loc import localization
+from cluster_loc.category import InternalConsistencyError, build_category
 from cluster_loc.localization import (LocHom, Zigzag, algebra_of, classify,
                                       factor_through_s, forward, inv, loc_hom,
                                       s_resolution, zigzag_equal, zigzag_eval)
@@ -143,6 +144,45 @@ def test_loc_hom_matches_module_dimension_all_pairs(cat4, example_T):
             assert isinstance(lh, LocHom)
 
 
+def test_loc_hom_verify_catches_a_wrong_dimension(cat4, example_T,
+                                                 monkeypatch):
+    """verify=True decides the dimension a second time on the module side,
+    so a quotient off by one raises on every pair, and without verify on
+    none."""
+    real = localization._quotient_reps
+
+    def off_by_one(*args):
+        dim, reps = real(*args)
+        return dim + 1, reps
+
+    monkeypatch.setattr(localization, "_quotient_reps", off_by_one)
+    objs = [cat4.obj([i]) for i in range(cat4.N)]
+    assert len(objs) ** 2 == 196
+    for x in objs:
+        for y in objs:
+            assert loc_hom(cat4, example_T, x, y).dim >= 1
+            with pytest.raises(InternalConsistencyError,
+                               match="differs from the module hom dimension"):
+                loc_hom(cat4, example_T, x, y, verify=True)
+
+
+def test_loc_hom_verify_on_repeated_summands_and_zero(cat4, example_T):
+    rng = random.Random("loc-hom-sums")
+    objs = [cat4.zero_obj, cat4.obj(["M34", "M34"]),
+            cat4.obj(["M13", "M44", "M13"])]
+    objs += [cat4.random_obj(rng, 3) for _ in range(6)]
+    for x in objs:
+        for y in objs:
+            lh = loc_hom(cat4, example_T, x, y, verify=True)
+            assert len(lh.reps) == lh.dim
+            if x.is_zero() or y.is_zero():
+                assert lh.dim == 0
+    m34, doubled = cat4.obj(["M34"]), cat4.obj(["M34", "M34"])
+    one = loc_hom(cat4, example_T, m34, m34, verify=True).dim
+    assert loc_hom(cat4, example_T, doubled, doubled,
+                   verify=True).dim == 4 * one == 8
+
+
 def test_zigzag_eval_and_equal(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     m34 = cat4.arc_of_token("M34")
@@ -217,15 +257,6 @@ def test_elementary_identities(cat4, cat2):
         assert rep["failures"] == []
         assert rep["checks"] > 10
         assert rep["coverage"] == {"checks": rep["checks"]}
-
-
-def test_resolution_variant_agrees(cat4, example_T):
-    for i in range(cat4.N):
-        xp0, _ = s_resolution(cat4, example_T, cat4.obj([i]), variant=0)
-        xp1, _ = s_resolution(cat4, example_T, cat4.obj([i]), variant=1)
-        alg = algebra_of(cat4, example_T)
-        assert modules_isomorphic(H_obj(cat4, alg, xp0),
-                                  H_obj(cat4, alg, xp1))
 
 
 def test_built_category_shared_across_threads():

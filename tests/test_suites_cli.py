@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cluster_loc import suites
+from cluster_loc import rigid, suites
 from cluster_loc.category import build_category
 from cluster_loc.cli import main
 from cluster_loc.suites import (InstanceConfig, export_dot, image_table,
@@ -39,6 +39,10 @@ def test_config_validation():
         with pytest.raises(ValueError,
                            match="suite 'kernel' is named more than once"):
             InstanceConfig.from_dict({"n": 4, "T": ["M11"], "suites": names})
+    # 'all' is a valid name, so listing it with others is not "unknown"
+    for names in (["all", "kernel"], ["kernel", "all"]):
+        with pytest.raises(ValueError, match="'all' must stand alone"):
+            InstanceConfig(n=4, T=["M11"], suites=names)
     cfg = InstanceConfig.from_dict({"schema": "cluster-loc/config/v1",
                                     "n": 2, "T": ["M11"], "seed": 3})
     assert cfg.resolved_suites() == list(suites.SUITE_NAMES)
@@ -130,6 +134,22 @@ def test_battery_memo_keeps_no_entry_per_object_pair():
         assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
 
 
+def test_map_suite_mode_follows_the_drawn_pool():
+    """The map suites are 'sampled' exactly when run_suites drew the seeded
+    matrix-map pool, whatever the rank."""
+    for n, T, sample_maps, mode in ((5, ["M11", "M15"], 0, "exhaustive"),
+                                    (4, ["M44", "M14", "M11"], 30, "sampled")):
+        cat = suites.cached_category(n)
+        cfg = InstanceConfig(n=n, T=T, seed=7, suites=["kernel", "stilde"])
+        rep = run_suites(cfg, sample_maps=sample_maps, cat=cat)
+        assert rep["failures_total"] == 0
+        maps = len(suites.basis_maps(cat)) + sample_maps
+        stilde = next(s for s in rep["suites"] if s["name"] == "stilde")
+        assert stilde["coverage"]["maps"] == maps
+        for s in rep["suites"]:
+            assert s["coverage"]["mode"] == mode
+
+
 def test_kz_suite_on_fan():
     cfg = InstanceConfig(n=4, T=["0-2", "0-3", "0-4", "0-5"], seed=7,
                          suites=["kz", "doubleperp"])
@@ -171,12 +191,19 @@ def test_replay_failure_mechanism(monkeypatch, example_cfg):
            "T": ["M44", "M14", "M11"], "seed": 7,
            "detail": {"map": "M44 -> M34"}}
     assert replay_failure(rep) is False
-    # sabotage one verdict: the same reproducer now fails deterministically
-    import cluster_loc.suites as suites_mod
-    real = suites_mod.hom_functor_zero
-    monkeypatch.setattr(suites_mod, "hom_functor_zero",
+    # sabotage one verdict: the same reproducer now fails deterministically,
+    # and the record names the disagreement that factors_through_subcat
+    # raised
+    real = rigid.hom_functor_zero
+    monkeypatch.setattr(rigid, "hom_functor_zero",
                         lambda cat, t, f: not real(cat, t, f))
     assert replay_failure(rep) is True
+    cfg = InstanceConfig(n=4, T=rep["T"], seed=7, suites=["kernel"])
+    (record,) = run_suites(cfg, sample_maps=0)["suites"]
+    assert record["failures"]
+    for f in record["failures"]:
+        assert f["error"].startswith("InternalConsistencyError: hom-functor "
+                                     "kernel test disagrees")
 
 
 def test_suite_exception_is_a_replayable_failure(tmp_path, monkeypatch,
@@ -207,7 +234,7 @@ def test_suite_exception_is_a_replayable_failure(tmp_path, monkeypatch,
 
 # per suite, a library call it makes; two are made in the suite's set-up
 RAISING_CALL = {
-    "kernel": "hom_functor_zero",
+    "kernel": "factors_through_subcat",
     "stilde": "classify",
     "doubleperp": "perp_view",
     "wakamatsu": "wakamatsu_check",
@@ -380,6 +407,7 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     (["verify", "--config", "{cfg}.nosuites"], "suites is empty"),
     (["verify", "--config", "{cfg}.twice"],
      "suite 'kernel' is named more than once"),
+    (["verify", "--config", "{cfg}.repeated"], "T repeats the summand M11"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):
@@ -390,6 +418,7 @@ def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
         fh.write("[]")
     for ext, names in (("nosuites", []), ("twice", ["kernel", "kernel"])):
         _write_cfg(tmp_path, f"cfg.json.{ext}", suites=names)
+    _write_cfg(tmp_path, "cfg.json.repeated", T=["M11", "M11"])
     assert main([a.format(cfg=cfg, dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
