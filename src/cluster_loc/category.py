@@ -307,36 +307,25 @@ class Category:
         return Mor(src, tgt, tuple(tuple(r) for r in rows))
 
     def suspend_mor(self, f: Mor, k: int = 1) -> Mor:
-        cur = f
-        while k > 0:
-            src = self.suspend_obj(cur.src)
-            tgt = self.suspend_obj(cur.tgt)
-            cur = self._shift_once(cur, src, tgt, +1)
-            k -= 1
-        while k < 0:
-            src = self.suspend_obj(cur.src, -1)
-            tgt = self.suspend_obj(cur.tgt, -1)
-            cur = self._shift_once(cur, src, tgt, -1)
-            k += 1
-        return cur
+        for _ in range(abs(k)):
+            f = self._shift_once(f, 1 if k > 0 else -1)
+        return f
 
-    def _shift_once(self, f: Mor, src: Obj, tgt: Obj, direction: int) -> Mor:
-        # summand order is preserved by rotation (it is order-preserving on
-        # sorted tuples only up to wrap-around), so recompute positions.
-        src_map = _perm_to_sorted([self.shift_arc(s, direction) for s in f.src.summands])
-        tgt_map = _perm_to_sorted([self.shift_arc(s, direction) for s in f.tgt.summands])
-        rows = [[F0] * len(src.summands) for _ in range(len(tgt.summands))]
+    def _shift_once(self, f: Mor, direction: int) -> Mor:
+        # rotation keeps sorted order only up to wrap-around, so the shifted
+        # summands are re-sorted; sig scales Hom(a, b) -> Hom(Sa, Sb)
+        xs = [self.shift_arc(s, direction) for s in f.src.summands]
+        ys = [self.shift_arc(s, direction) for s in f.tgt.summands]
+        src_map, tgt_map = _perm_to_sorted(xs), _perm_to_sorted(ys)
+        rows = [[F0] * len(xs) for _ in ys]
         for i, yi in enumerate(f.tgt.summands):
             for j, xj in enumerate(f.src.summands):
-                v = f.m[i][j]
-                if v == 0:
-                    continue
-                if direction > 0:
-                    v = v * self.sig[(xj, yi)]
-                else:
-                    v = v / self.sig[(self.shift_arc(xj, -1), self.shift_arc(yi, -1))]
-                rows[tgt_map[i]][src_map[j]] = v
-        return Mor(src, tgt, tuple(tuple(r) for r in rows))
+                if f.m[i][j]:
+                    rows[tgt_map[i]][src_map[j]] = (
+                        f.m[i][j] * self.sig[(xj, yi)] if direction > 0
+                        else f.m[i][j] / self.sig[(xs[j], ys[i])])
+        return Mor(Obj(tuple(sorted(xs))), Obj(tuple(sorted(ys))),
+                   tuple(tuple(r) for r in rows))
 
     # -- linear maps induced on hom spaces -------------------------------
 

@@ -39,7 +39,7 @@ category, so the module side stays an independent decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -66,6 +66,9 @@ class Algebra:
     radical_pairs: tuple[tuple[int, int], ...]   # (i, j) with Hom(t_i,t_j) != 0
     mult: dict                            # (i,j,k) -> scalar of composite
     dim: int
+    # arc -> H(arc), written once by H_obj
+    images: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def r(self) -> int:
@@ -286,7 +289,18 @@ def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list
 def H_obj(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
     """Hom(T, x) as a module; the basis of the i-th space runs over the
     summands of x in order, and the basis element of Hom(t_i, t_j) acts as
-    Hom(t_j, x) -> Hom(t_i, x), precomposition with it."""
+    Hom(t_j, x) -> Hom(t_i, x), precomposition with it.  The module of an
+    indecomposable is built once and kept in ``alg.images``, so callers must
+    not mutate it; sums and the zero object are built on every call."""
+    if len(x.summands) != 1:
+        return _hom_module(cat, alg, x)
+    if x.summands[0] not in alg.images:
+        # threads racing on one arc may each build it; all get the one stored
+        alg.images.setdefault(x.summands[0], _hom_module(cat, alg, x))
+    return alg.images[x.summands[0]]
+
+
+def _hom_module(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
     vec, ts = cat.hom_vec_into(x), alg.summands
     return LambdaModule(alg, [vec[t] for t in ts], {
         (i, j): cat.pre_matrix(cat.basis_mor(ts[i], ts[j]), x)

@@ -13,7 +13,7 @@ from cluster_loc.modules import (H_mor, H_obj, direct_sum_modules,
                                  hom_dim_modules, modules_isomorphic,
                                  simple_module)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
-from cluster_loc.suites import InstanceConfig, run_suites
+from cluster_loc.suites import InstanceConfig, replay_failure, run_suites
 from cluster_loc.triangles import mesh_map_into, mesh_map_out_of
 
 
@@ -166,6 +166,30 @@ def test_loc_hom_verify_catches_a_wrong_dimension(cat4, example_T,
                 loc_hom(cat4, example_T, x, y, verify=True)
 
 
+def test_module_suites_record_a_wrong_localized_dimension(monkeypatch):
+    """equivalence and chain decide the dimension through
+    loc_hom(verify=True), so a quotient off by one is a failure record with
+    the error on every checked pair, and its reproducer fails again."""
+    real = localization._quotient_reps
+
+    def off_by_one(*args):
+        dim, reps = real(*args)
+        return dim + 1, reps
+
+    monkeypatch.setattr(localization, "_quotient_reps", off_by_one)
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["equivalence", "chain"])
+    rep = run_suites(cfg)
+    for suite, check in (("equivalence", "loc-hom-dimension"),
+                         ("chain", "quotient-dimension-chain")):
+        (record,) = [s for s in rep["suites"] if s["name"] == suite]
+        failed = [f for f in record["failures"] if f["check"] == check]
+        assert len(failed) == record["coverage"]["pairs"] > 0
+        for f in failed:
+            assert "differs from the module hom dimension" in f["error"]
+        assert replay_failure(failed[0]) is True
+
+
 def test_loc_hom_verify_on_repeated_summands_and_zero(cat4, example_T):
     rng = random.Random("loc-hom-sums")
     objs = [cat4.zero_obj, cat4.obj(["M34", "M34"]),
@@ -261,7 +285,8 @@ def test_elementary_identities(cat4, cat2):
 
 def test_built_category_shared_across_threads():
     """Threads classifying maps on one shared, freshly built category (cold
-    memos, so they fill the memos concurrently) get the serial verdicts."""
+    memos, so they fill the memos concurrently) get the serial verdicts and
+    keep the serial image modules."""
 
     def verdicts(cat, order):
         t = rigid_object(cat, ["M55", "M25", "M22"])
@@ -275,7 +300,8 @@ def test_built_category_shared_across_threads():
         return out
 
     maps = list(range(24))
-    serial = verdicts(build_category(5), maps)
+    serial_cat = build_category(5)
+    serial = verdicts(serial_cat, maps)
     shared = build_category(5)
     results = [None] * 4
     errors = []
@@ -299,3 +325,9 @@ def test_built_category_shared_across_threads():
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert all(r == serial for r in results)
+    # the image modules the threads kept are the serial ones
+    mine, theirs = (
+        algebra_of(c, rigid_object(c, ["M55", "M25", "M22"])).images
+        for c in (shared, serial_cat))
+    assert mine and mine.keys() == theirs.keys()
+    assert all(mine[a].act == theirs[a].act for a in mine)

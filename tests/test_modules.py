@@ -18,10 +18,11 @@ from cluster_loc.modules import (H_mor, H_obj, Algebra, LambdaModule,
                                  projective_cover, projective_module,
                                  simple_module, solve_H_preimage,
                                  split_module, top_dims, zero_module)
-from cluster_loc.category import InternalConsistencyError
+from cluster_loc.category import InternalConsistencyError, build_category
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
-from cluster_loc.suites import InstanceConfig, cached_category, image_table
+from cluster_loc.suites import (InstanceConfig, cached_category, image_table,
+                                run_suites)
 from conftest import sample_rigid
 
 
@@ -182,7 +183,10 @@ def _H_obj_reference(cat, alg, x):
 def test_H_obj_matches_the_entrywise_reference():
     """Every basic rigid object of rank <= 3 and sampled ones at ranks 4-6,
     on every indecomposable, random objects, repeated summands and the zero
-    object: the same dimensions, shapes and entries."""
+    object: the same dimensions, shapes and entries.  An indecomposable's
+    module is kept with the algebra and handed out again; a sum or the zero
+    object is built afresh and not kept, so a seeded AC2 instance leaves at
+    most N modules per T."""
     rng = random.Random(24)
     cases = 0
     for n in range(1, 7):
@@ -198,8 +202,22 @@ def test_H_obj_matches_the_entrywise_reference():
                 got, ref = H_obj(cat, alg, x), _H_obj_reference(cat, alg, x)
                 # Mat equality compares the shape and the entries
                 assert got.dims == ref.dims and got.act == ref.act
+                again = H_obj(cat, alg, x)
+                assert (again is got) == (len(x.summands) == 1)
+                assert again.dims == ref.dims and again.act == ref.act
                 cases += 1
+            assert sorted(alg.images) == list(range(cat.N))
     assert cases > 1500
+    # after every suite on a seeded AC2 object, at most one module per
+    # indecomposable
+    cat = build_category(5)
+    t = sample_rigid(cat, random.Random("ac2:5"))
+    cfg = InstanceConfig(n=5, T=[cat.labels[a] for a in t.arcs], seed=7)
+    assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
+    algs = [m["algebra"] for m in cat._memo["rigid"].values()
+            if "algebra" in m]
+    assert algs and all(len(alg.images) <= cat.N for alg in algs)
+    assert all(a in range(cat.N) for alg in algs for a in alg.images)
 
 
 def test_enumerate_indecs_raises_past_the_candidate_limit(cat4, example_T,

@@ -2,12 +2,16 @@ import json
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from cluster_loc import rigid, suites
+from cluster_loc import modules, rigid, suites
 from cluster_loc.category import build_category
 from cluster_loc.cli import main
+from cluster_loc.localization import algebra_of
+from cluster_loc.modules import H_obj
+from cluster_loc.rigid import rigid_object
 from cluster_loc.suites import (InstanceConfig, export_dot, image_table,
                                 replay_failure, run_suites, strip_timing)
 from conftest import sample_rigid
@@ -160,29 +164,34 @@ def test_kz_suite_on_fan():
 
 
 def test_module_suites_build_each_image_once(monkeypatch):
-    """equivalence, chain and kz build the image module of an
-    indecomposable once per run, before their pair loops, and check every
-    pair: at most N builds each on the rank-4 fan, where kz runs."""
-    real = suites.H_obj
-    calls = []
+    """equivalence, chain, kz and the image table take the image module of
+    an indecomposable from H_obj, which builds it once for the algebra and
+    hands out that module after: on a fresh rank-4 fan, where kz runs and
+    every pair is presented, no indecomposable is built twice in all four."""
+    real = modules._hom_module
+    builds = Counter()
 
     def counting(cat, alg, x):
-        calls.append(x)
+        if len(x.summands) == 1:
+            builds[x.summands] += 1
         return real(cat, alg, x)
 
-    monkeypatch.setattr(suites, "H_obj", counting)
-    cat = suites.cached_category(4)
+    monkeypatch.setattr(modules, "_hom_module", counting)
+    cat = build_category(4)
+    T = ["0-2", "0-3", "0-4", "0-5"]
     for suite in ("equivalence", "chain", "kz"):
-        calls.clear()
-        cfg = InstanceConfig(n=4, T=["0-2", "0-3", "0-4", "0-5"], seed=7,
-                             suites=[suite])
-        rep = run_suites(cfg)
+        cfg = InstanceConfig(n=4, T=T, seed=7, suites=[suite])
+        rep = run_suites(cfg, cat=cat)
         (record,) = rep["suites"]
         assert rep["failures_total"] == 0
-        # the fan is cluster-tilting, so every pair is a presented pair
         assert record["coverage"] == {"pairs": cat.N ** 2,
                                       "mode": "exhaustive"}
-        assert 0 < len(calls) <= cat.N
+    assert len(image_table(InstanceConfig(n=4, T=T), cat)) == cat.N
+    assert len(builds) == cat.N and max(builds.values()) == 1
+    alg = algebra_of(cat, rigid_object(cat, T))
+    for i in range(cat.N):
+        assert H_obj(cat, alg, cat.obj([i])) is H_obj(cat, alg, cat.obj([i]))
+    assert max(builds.values()) == 1
 
 
 def test_replay_failure_mechanism(monkeypatch, example_cfg):
