@@ -41,9 +41,11 @@ from .triangles import Triangle, complete_triangle, generic_maps
 
 def algebra_of(cat: Category, t: RigidObject) -> Algebra:
     memo = _rigid_memo(cat, t)
-    if "algebra" not in memo:
-        memo["algebra"] = end_algebra(cat, t)
-    return memo["algebra"]
+    alg = memo.get("algebra")
+    if alg is None:
+        # threads racing on one T may each build it; all get the one stored
+        alg = memo.setdefault("algebra", end_algebra(cat, t))
+    return alg
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
+from associativity_reference import all_chains, chains_reading, sides
 from conftest import (is_isomorphism, is_right_minimal, mat_from_cols,
                       right_minimal_reduce, sample_rigid)
 
@@ -400,16 +401,18 @@ PINNED_TABLES = {
 }
 
 # (count, sha256 of json.dumps(list of chains)) of the associativity chains
-# the build checks, recorded from the same earlier build
+# the build checks: for n <= 8 the chains with a nonzero side, read off the
+# stored constants; for n >= 9 the 10,000 draws, recorded from an earlier
+# build that drew them at n >= 6
 PINNED_CHAINS = {
     1: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    2: (5, "bb3f1c823990ad0824d14375fbed556355c567fd37ad5e49eb1b5d1d0cb4a899"),
-    3: (123, "83db08425e2a06926a4b70ed4f956ac812056ca7b904ed676de97e7936b1a267"),
-    4: (1008, "e198ac2168a67640705a2a26f5935e43821d78fe8d03c39434746e43f1ff3b4c"),
-    5: (5016, "75c39516b7eefa7035761a4d0435fd75004a6c67275c1dc625a800bc89ee9d38"),
-    6: (10000, "609378ca8e4fc363ca1392635b8b8349ce7adba2e6efb07c69d218122923490f"),
-    7: (10000, "c0d28529fdbd8975a4ebdf1c544c76ca0e5c90be5c91e429db46de4f17d99497"),
-    8: (10000, "e1c893005433e75d3ac9e1ded745a853aa08023370f25b0d12a235263ed1a661"),
+    2: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    3: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    4: (28, "86ac400ec0cef46347fde7aaaaa1283d91d4254c22dc811c94527638244faaa0"),
+    5: (208, "ee1750f2e0fd3433c7ce6ed66f51f3198ba76dd95f93ca90bc7df73bcd9d49fb"),
+    6: (891, "bbd361b33525c1b2b1169b11a420423ec92877937a68439bb8b9807f067de4cf"),
+    7: (2875, "2e9d0382062940ce0d212e8771aca1819f3db4d56559ab17ad2e2f981f657269"),
+    8: (7744, "6d02f42d29f8ed9882817b038af3c3645755201be7ca17de14ad82793fde63f1"),
     9: (10000, "d77f67b2ac84d583ee196d5e38fb8c1370f2a665ac9ca97e47b3f5900441b3fd"),
     10: (10000, "ec47bf4c5ed941c1ed8cfd2bf2aa6e59031c982184f825dc76141c25e9316287"),
     11: (10000, "bf4e4c5d45f04caa6574e993a91ad1a17d80d3a91a3f10855c5dd61304a80523"),
@@ -428,8 +431,67 @@ def test_tables_pinned(n):
     assert all(type(c) is int for c in cat.sig.values())
     assert (_sha(cat.to_dict()), _sha(sorted(label_hom_matrix(n).items()))) \
         == PINNED_TABLES[n]
-    chains = list(_associativity_chains(n, cat.hom_deg))
+    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
     assert (len(chains), _sha(chains)) == PINNED_CHAINS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_associativity_checks_every_chain_with_a_nonzero_side(n):
+    cat = cached_category(n)
+    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
+    assert len(set(chains)) == len(chains) <= 10_000
+    assert set(chains) == {c for c in all_chains(cat.hom_deg)
+                           if any(sides(cat.comp, c))}
+
+
+def _caught(cat, comp):
+    """The chain named by the associativity check on ``comp``, or None."""
+    try:
+        category._check_associativity(cat.n, cat.arcs, cat.hom_deg, comp)
+    except BuildError as err:
+        found = re.fullmatch(r"associativity fails on chain (\S+) -> (\S+) "
+                             r"-> (\S+) -> (\S+)", str(err))
+        assert found, err
+        return tuple(cat.arc_of_token(a) for a in found.groups())
+    return None
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
+                                       (6, None), (7, 80), (8, 80)])
+def test_associativity_catches_what_the_reference_catches(n, sample):
+    """One planted change at a time, a sign flip of a stored constant or an
+    extra constant where none is stored: the check rejects the table
+    exactly when some chain of the reference fails, and names a failing
+    chain.  Every flip and up to 300 seeded extra constants up to n = 6,
+    and seeded samples of ``sample`` of each above."""
+    cat = cached_category(n)
+    chains = all_chains(cat.hom_deg)
+    assert not any(lhs != rhs for lhs, rhs in
+                   (sides(cat.comp, c) for c in chains))
+    reading = chains_reading(chains)
+    rng = random.Random(f"assoc:{n}")
+    flips = sorted(cat.comp)
+    extras = sorted(k for k in reading if k not in cat.comp)
+    if sample is None:
+        extras = rng.sample(extras, min(len(extras), 300))
+    else:
+        flips, extras = rng.sample(flips, sample), rng.sample(extras, sample)
+    plants = [(k, -cat.comp[k]) for k in flips]
+    plants += [(k, rng.choice((-1, 1))) for k in extras]
+    by_right_side = 0
+    for k, v in plants:
+        comp = {**cat.comp, k: v}
+        chain = _caught(cat, comp)
+        # the unplanted table passes every chain, so only the chains that
+        # read the planted key can fail
+        by_reference = (sides(comp, c) for c in reading.get(k, ()))
+        assert (chain is not None) == any(a != b for a, b in by_reference)
+        if chain is not None:
+            lhs, rhs = sides(comp, chain)
+            assert lhs != rhs
+            by_right_side += lhs == 0
+    # the counting step, not only the walk over nonzero left sides, is hit
+    assert by_right_side or n == 3
 
 
 def test_quotient_rejects_non_integral_coefficient():

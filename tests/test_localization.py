@@ -331,3 +331,42 @@ def test_built_category_shared_across_threads():
         for c in (shared, serial_cat))
     assert mine and mine.keys() == theirs.keys()
     assert all(mine[a].act == theirs[a].act for a in mine)
+
+
+def test_algebra_of_hands_racing_threads_the_stored_algebra(monkeypatch):
+    """Two threads that both miss the memo both build End(T); the second
+    stores after the first has returned, and both hold the stored one."""
+    real = localization.end_algebra
+    cat = build_category(3)
+    t = rigid_object(cat, ["0-2", "0-3"])
+    both_in = threading.Barrier(2, timeout=60)
+    first_back = threading.Event()
+    lock = threading.Lock()
+    entered = []
+
+    def racing(cat, t):
+        alg = real(cat, t)
+        both_in.wait()
+        with lock:
+            entered.append(alg)
+            second = len(entered) == 2
+        if second and not first_back.wait(timeout=60):
+            raise RuntimeError("the first thread never returned")
+        return alg
+
+    monkeypatch.setattr(localization, "end_algebra", racing)
+    got = [None, None]
+
+    def work(i):
+        got[i] = algebra_of(cat, t)
+        first_back.set()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    assert len(entered) == 2 and entered[0] is not entered[1]
+    stored = algebra_of(cat, t)
+    assert got[0] is stored and got[1] is stored

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import threading
@@ -152,6 +153,56 @@ def test_map_suite_mode_follows_the_drawn_pool():
         assert stilde["coverage"]["maps"] == maps
         for s in rep["suites"]:
             assert s["coverage"]["mode"] == mode
+
+
+def test_stilde_classifies_each_basis_map_once_at_seed_zero(monkeypatch):
+    """The permuted-completion check takes seed 0's verdict from the first
+    loop, matched by map: each basis map is classified once per seed.  A
+    map whose first classify raised is one failure, and its permuted check
+    is not run; a replay of a permuted-check failure, whose map list is that
+    one map, classifies the other basis maps at seed 0 itself."""
+    real = suites.classify
+    calls = Counter()
+    cat = suites.cached_category(4)
+    basis = suites.basis_maps(cat)
+    bad = basis[3]
+
+    def counted(cat, t, f, seed=0):
+        calls[seed] += 1
+        return real(cat, t, f, seed=seed)
+
+    monkeypatch.setattr(suites, "classify", counted)
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["stilde"])
+    (rec,) = run_suites(cfg)["suites"]
+    assert rec["failures"] == [] and rec["checks"] == 2 * len(basis)
+    assert calls == {0: len(basis), 1: len(basis)}
+
+    def raising(cat, t, f, seed=0):
+        if f == bad and seed == 0:
+            raise RuntimeError("boom")
+        return real(cat, t, f, seed=seed)
+
+    monkeypatch.setattr(suites, "classify", raising)
+    (rec,) = run_suites(cfg)["suites"]
+    assert rec["checks"] == 2 * len(basis) - 1
+    assert [(f["check"], f["detail"], f["error"]) for f in rec["failures"]] \
+        == [("two-verdicts-agree", {"map": cat.format_mor(bad)},
+             "RuntimeError: boom")]
+
+    def permuted(cat, t, f, seed=0):
+        c = counted(cat, t, f, seed)
+        return dataclasses.replace(c, in_S=not c.in_S) \
+            if f == bad and seed == 1 else c
+
+    monkeypatch.setattr(suites, "classify", permuted)
+    (rec,) = run_suites(cfg)["suites"]
+    (failure,) = rec["failures"]
+    assert failure["check"] == "well-defined-under-permuted-completion"
+    assert failure["detail"] == {"map": cat.format_mor(bad)}
+    calls.clear()
+    assert replay_failure(failure) is True
+    assert calls == {0: len(basis), 1: len(basis)}
 
 
 def test_kz_suite_on_fan():
