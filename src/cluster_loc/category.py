@@ -22,9 +22,9 @@ integer raises BuildError), and the checks multiply ints.  The composition
 and suspension tables are filled in one pass over the hom pairs in degree
 order, each entry from one a degree lower.  Each category computes one
 crossing matrix of its arcs; the crossing-rule check reads it too.  The
-oracle solves the commutation equations once per translation class of
-interval pairs and takes each orbit hom dimension (``oracle._orbit_sum``)
-by index off its Hom and Ext^1 tables.  ``load_category`` runs the same
+oracle solves the commutation equations once per clamped class of interval
+pairs (84 at n = 7) and hands the bridge one table by label index, which
+it checks one row per arc.  ``load_category`` runs the same
 table checks, and the label bridge, on what it reads, and also rejects
 repeated keys and hom degrees that are not path lengths in the arrow quiver.
 
@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
-                   make_arc, parse_arc, rotate)
+                   parse_arc, rotate)
 from .linalg import Mat
 
 F0 = Fraction(0)
@@ -99,9 +99,9 @@ class Category:
     """Built hom/composition/suspension tables plus the additive layer.
 
     Composition and suspension constants are stored as ``int``; a constant
-    outside {-1, 0, 1} raises ValueError naming its key.  A built or loaded
-    category stores the nonzero constants only, so ``(x, y, z) in comp``
-    means that basis(y, z) . basis(x, y) is nonzero.
+    outside {-1, 0, 1} raises ValueError naming its key, a hom pair off the
+    arcs BuildError.  A built or loaded category stores the nonzero
+    constants only: ``(x, y, z) in comp`` iff basis(y, z) . basis(x, y) != 0.
     """
 
     def __init__(self, polygon: Polygon, arcs: list[Arc],
@@ -130,6 +130,8 @@ class Category:
         self.hom_out = [[] for _ in range(self.N)]
         self.hom_in = [[] for _ in range(self.N)]
         for (x, y) in sorted(hom_deg):
+            if not (0 <= x < self.N and 0 <= y < self.N):
+                raise BuildError(f"hom pair ({x}, {y}) is not a pair of arcs")
             self.hom_out[x].append(y)
             self.hom_in[y].append(x)
         self._memo: dict = {}
@@ -616,7 +618,7 @@ def build_category(p: Polygon | int) -> Category:
 
     # -- checks and label bridge --------------------------------------------
 
-    labels, meta = _bridge(p, arcs, arc_index, hom_deg)
+    labels, meta = _bridge(p, arcs, hom_deg)
     cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
     _check_tables(cat)
     return cat
@@ -697,8 +699,6 @@ def _check_tables(cat: Category):
                  if cross[x][inv[y]]}
     for x, y in sorted(predicted.symmetric_difference(hom_deg),
                        key=lambda k: (k[1], k[0])):
-        if not (0 <= x < N and 0 <= y < N):
-            raise BuildError(f"hom pair ({x}, {y}) is not a pair of arcs")
         raise BuildError(
             f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): crossing rule "
             f"{int((x, y) in predicted)}, mesh {int((x, y) in hom_deg)}")
@@ -720,34 +720,41 @@ def _check_tables(cat: Category):
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
     """sig(x, z) c(x, y, z) = c(Sx, Sy, Sz) sig(x, y) sig(y, z) on every
-    stored (so nonzero) constant off the identities.  The unstored zeros need
-    no pass: the suspension permutes the finite set of triples, so "nonzero
-    has a nonzero image" forces "zero has a zero image"."""
+    stored (so nonzero) constant off the identities, whose (x, y), (y, z)
+    and (x, z) must be hom pairs, the keys of ``sig``.  The unstored zeros
+    need no pass: the suspension permutes the finite set of triples, so
+    "nonzero has a nonzero image" forces "zero has a zero image"."""
     for (x, y, z), c in comp.items():
-        if x == y or y == z:
-            continue
-        lhs = sig[(x, z)] * c
-        rhs = comp.get((sigma_arc[x], sigma_arc[y], sigma_arc[z]), 0) \
-            * sig[(x, y)] * sig[(y, z)]
-        if lhs != rhs:
+        try:
+            sxz = sig[(x, z)]
+            if x == y or y == z:
+                continue    # the other step is an arc's identity
+            sxy, syz = sig[(x, y)], sig[(y, z)]
+        except KeyError:
+            raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
+                             "chain of hom pairs") from None
+        rhs = comp.get((sigma_arc[x], sigma_arc[y], sigma_arc[z]), 0)
+        if sxz * c != rhs * sxy * syz:
             raise BuildError(
                 f"suspension not functorial on ({arcs[x]}, {arcs[y]}, {arcs[z]})")
 
 
 def _check_associativity(n: int, arcs, hom_deg, comp):
     """c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w) on the chains of
-    ``_associativity_chains``: at n <= 8 on every chain where it can fail."""
-    for x, y, z, w in _associativity_chains(n, hom_deg, comp):
-        lhs = comp.get((x, y, z), 0) * comp.get((x, z, w), 0)
-        rhs = comp.get((y, z, w), 0) * comp.get((x, y, w), 0)
+    ``_associativity_chains``, which hands over both sides of each chain:
+    at n <= 8 on every chain where it can fail."""
+    for x, y, z, w, lhs, rhs in _associativity_chains(n, hom_deg, comp,
+                                                      sides=True):
         if lhs != rhs:
             raise BuildError(
                 f"associativity fails on chain {arcs[x]} -> {arcs[y]} -> "
                 f"{arcs[z]} -> {arcs[w]}")
 
 
-def _associativity_chains(n: int, hom_deg, comp):
-    """Chains x -> y -> z -> w of non-identity hom pairs (x = z allowed).
+def _associativity_chains(n: int, hom_deg, comp, sides: bool = False):
+    """Chains x -> y -> z -> w of non-identity hom pairs (x = z allowed),
+    each as (x, y, z, w), or with ``sides`` as (x, y, z, w, left side,
+    right side).
 
     For n <= 8, every chain on which a side of the identity is nonzero,
     each once, read off the stored (so nonzero) constants: the chains with
@@ -757,29 +764,40 @@ def _associativity_chains(n: int, hom_deg, comp):
     its right side, equal counts leave no chain of the second kind.  For
     n >= 9, 10,000 draws from Random(0), whatever the constants."""
     if n <= 8:
-        # a stored (a, b, c) is the first factor of a side, c(x, y, z) or
-        # c(y, z, w), when both of its steps are non-identity hom pairs; it
-        # is the second factor c(x, z, w) when its step b -> c is one, and
-        # c(x, y, w) when its step a -> b is one
-        firsts, after, before = [], {}, {}
-        for key in comp:
+        # succ[a]: the b with a -> b a non-identity hom pair.  One pass keeps
+        # every c(a, b, c) at rows[(a, b)][c], the a of an a -> b in succ at
+        # before[(b, c)], and as firsts the keys with both steps in succ
+        succ: dict[int, set[int]] = {}
+        for a, b in hom_deg:
+            if a != b:
+                succ.setdefault(a, set()).add(b)
+        rows, firsts, before = {}, [], {}
+        for key, v in comp.items():
             a, b, c = key
-            first_step = a != b and (a, b) in hom_deg
-            if b != c and (b, c) in hom_deg:
-                after.setdefault((a, b), []).append(c)
-                if first_step:
-                    firsts.append(key)
-            if first_step:
+            row = rows.get((a, b))
+            if row is None:
+                row = rows[(a, b)] = {}
+            row[c] = v
+            if b in succ.get(a, ()):
                 before.setdefault((b, c), []).append(a)
-        for x, y, z in firsts:
-            for w in after.get((x, z), ()):
-                yield x, y, z, w
-        if (sum(len(after.get((x, z), ())) for x, _, z in firsts)
-                != sum(len(before.get((y, w), ())) for y, _, w in firsts)):
-            for y, z, w in firsts:
+                if c in succ.get(b, ()):
+                    firsts.append((key, v, row))
+        left = right = 0
+        for (x, y, z), v, xy in firsts:
+            yz, ws = rows.get((y, z), {}), succ.get(z, ())
+            right += len(before.get((x, z), ()))
+            for w, c in rows.get((x, z), {}).items():
+                if w in ws:
+                    left += 1
+                    yield ((x, y, z, w, v * c, yz.get(w, 0) * xy.get(w, 0))
+                           if sides else (x, y, z, w))
+        if left != right:
+            for (y, z, w), v, _ in firsts:
                 for x in before.get((y, w), ()):
-                    if (x, y, z) not in comp or (x, z, w) not in comp:
-                        yield x, y, z, w
+                    xy = rows[(x, y)]
+                    if z not in xy or w not in rows.get((x, z), {}):
+                        yield ((x, y, z, w, 0, v * xy[w])
+                               if sides else (x, y, z, w))
         return
     # pairs in build order (by degree, then pair), whatever order the table
     # came in, so that a loaded table draws the same chains as its build
@@ -811,39 +829,38 @@ def _associativity_chains(n: int, hom_deg, comp):
         ws = out.get(z)
         if not ws:
             continue
-        yield x, y, z, ws[below(len(ws))]
+        w = ws[below(len(ws))]
+        yield ((x, y, z, w, comp.get((x, y, z), 0) * comp.get((x, z, w), 0),
+                comp.get((y, z, w), 0) * comp.get((x, y, w), 0))
+               if sides else (x, y, z, w))
 
 
-def _base_labeling(p: Polygon, arc_index) -> dict[int, str]:
-    """Derived assignment: M_ij at {n+3-i, n+1-j}, SP_i at {0, n+2-i}."""
-    n = p.n
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            arc = make_arc(p, n + 3 - i, n + 1 - j)
-            out[arc_index[arc]] = oracle.format_module_label(i, j)
-    for i in range(1, n + 1):
-        arc = make_arc(p, 0, n + 2 - i)
-        out[arc_index[arc]] = f"SP{i}"
-    return out
-
-
-def _bridge(p: Polygon, arcs, arc_index, hom_deg):
+def _bridge(p: Polygon, arcs, hom_deg):
     """Label arcs with interval modules / shifted projectives by the derived
-    assignment (``_base_labeling``) and check that the mesh hom dimensions
-    match the quiver-representation oracle on every pair; raises BuildError
-    at the first pair that disagrees."""
-    n = p.n
+    assignment, M_ij at {n+3-i, n+1-j} and SP_i at {0, n+2-i}, and check
+    that the mesh hom dimensions match the quiver-representation oracle on
+    every pair, one row per arc against the oracle's row by label index;
+    raises BuildError at the first pair that disagrees."""
+    n, N = p.n, len(arcs)
     want = oracle.label_hom_matrix(n)
-    base = _base_labeling(p, arc_index)
-    labels = [base[i] for i in range(len(arcs))]
-    for x, lx in enumerate(labels):
-        for y, ly in enumerate(labels):
-            mesh_dim = 1 if (x, y) in hom_deg else 0
-            if want[(lx, ly)] != mesh_dim:
-                raise BuildError(
-                    f"label bridge fails at ({arcs[x]}, {arcs[y]}): oracle "
-                    f"dim Hom({lx}, {ly}) = {want[(lx, ly)]}, mesh {mesh_dim}")
+    names = oracle.labels(n)
+    # the derived assignment, as the endpoints (a < b) of each label's arc
+    ends = {oracle.format_module_label(i, j): (n + 1 - j, n + 3 - i)
+            for i in range(1, n + 1) for j in range(i, n + 1)}
+    ends.update((f"SP{i}", (0, n + 2 - i)) for i in range(1, n + 1))
+    at = {ends[lab]: k for k, lab in enumerate(names)}
+    li = [at[(a.a, a.b)] for a in arcs]     # the label index of each arc
+    labels = [names[k] for k in li]
+    mesh = [[0] * N for _ in range(N)]  # row by arc, column by label index
+    for x, y in hom_deg:
+        mesh[x][li[y]] = 1
+    for x, row in enumerate(mesh):
+        if tuple(row) != want[li[x]]:
+            y = next(y for y in range(N) if row[li[y]] != want[li[x]][li[y]])
+            raise BuildError(
+                f"label bridge fails at ({arcs[x]}, {arcs[y]}): oracle dim "
+                f"Hom({labels[x]}, {labels[y]}) = {want[li[x]][li[y]]}, "
+                f"mesh {row[li[y]]}")
     # the reflection and rotation of the derived assignment, both 0
     meta = {"bridge": {"reflection": 0, "rotation": 0,
                        "projective_slice":
@@ -854,7 +871,7 @@ def _bridge(p: Polygon, arcs, arc_index, hom_deg):
 def label_bridge(cat: Category) -> list[str]:
     """Recompute and re-validate the arc/label assignment against the
     representation oracle; must reproduce the stored labels."""
-    labels, _ = _bridge(cat.polygon, cat.arcs, cat.arc_index, cat.hom_deg)
+    labels, _ = _bridge(cat.polygon, cat.arcs, cat.hom_deg)
     if labels != cat.labels:
         raise BuildError("label bridge is not reproducible")
     return labels

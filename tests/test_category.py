@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_loc import category
+from cluster_loc import category, oracle
 from cluster_loc.arcs import Arc, crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj,
                                   _associativity_chains, _quotient_1d,
                                   _unit_table, build_category, load_category)
 from cluster_loc.linalg import reduced_rows
-from cluster_loc.oracle import label_hom_matrix
+from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
 from associativity_reference import all_chains, chains_reading, sides
@@ -53,10 +53,17 @@ def test_mesh_dimensions_match_crossing_rule(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mesh_dimensions_match_oracle(n):
     cat = cached_category(n)
-    want = label_hom_matrix(n)
+    want = oracle_by_label(n)
     for x in range(cat.N):
         for y in range(cat.N):
             assert int(cat.hom1(x, y)) == want[(cat.labels[x], cat.labels[y])]
+
+
+def oracle_by_label(n):
+    """The oracle's table as {(label, label): dim}."""
+    labs = labels(n)
+    return {(a, b): v for a, row in zip(labs, label_hom_matrix(n))
+            for b, v in zip(labs, row)}
 
 
 def test_identity_unit_and_zero(cat4):
@@ -368,7 +375,7 @@ def test_mor_literal_rejects_malformed_matrix(cat4, matrix):
 
 
 # sha256 of json.dumps(build_category(n).to_dict(), sort_keys=True) and of
-# json.dumps(sorted(label_hom_matrix(n).items())), recorded from the Fraction
+# json.dumps(sorted(oracle_by_label(n).items())), recorded from the Fraction
 # build that the integer build replaced; the table hashes of n = 5..12 were
 # re-recorded when zero composition constants stopped being stored, each
 # equal to the hash of the earlier table with its "0" comp rows removed
@@ -429,7 +436,7 @@ def test_tables_pinned(n):
     cat = build_category(n)
     assert all(type(c) is int for c in cat.comp.values())
     assert all(type(c) is int for c in cat.sig.values())
-    assert (_sha(cat.to_dict()), _sha(sorted(label_hom_matrix(n).items()))) \
+    assert (_sha(cat.to_dict()), _sha(sorted(oracle_by_label(n).items()))) \
         == PINNED_TABLES[n]
     chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
     assert (len(chains), _sha(chains)) == PINNED_CHAINS[n]
@@ -569,9 +576,8 @@ def test_label_bridge_names_the_first_pair_that_disagrees(cat4):
     with pytest.raises(BuildError,
                        match=rf"label bridge fails at \({x}, {y}\): oracle "
                              r"dim Hom\(\w+, \w+\) = 1, mesh 0"):
-        category._bridge(cat4.polygon, cat4.arcs, cat4.arc_index, hom_deg)
-    labels, meta = category._bridge(cat4.polygon, cat4.arcs, cat4.arc_index,
-                                    cat4.hom_deg)
+        category._bridge(cat4.polygon, cat4.arcs, hom_deg)
+    labels, meta = category._bridge(cat4.polygon, cat4.arcs, cat4.hom_deg)
     assert labels == cat4.labels and meta == cat4.meta
 
 
@@ -787,3 +793,91 @@ def test_hom_matrices_match_the_slot_reference(n):
     # every shape occurs: k x m, 0 x m, k x 0 and 0 x 0 with k, m > 0
     assert shapes == {(True, True), (False, True), (True, False),
                       (False, False)}
+
+
+def test_load_rejects_composition_keys_off_the_hom_pairs(cat4):
+    # at rank 4, (0, 1) and (1, 4) are hom pairs and (0, 4) is not; (13, 0)
+    # is not either, so the two constants on an identity step are off too
+    for key in ((0, 1, 4), (13, 13, 0), (13, 0, 0)):
+        d = cat4.to_dict()
+        d["comp"].append([*key, "1"])
+        with pytest.raises(BuildError, match=re.escape(
+                f"composition key {key} is not a chain of hom pairs")):
+            load_category(d)
+
+
+def test_load_rejects_a_hom_pair_off_the_arcs(cat4):
+    d = cat4.to_dict()
+    d["hom"].append([0, 99, 1])
+    with pytest.raises(BuildError, match=re.escape(
+            "hom pair (0, 99) is not a pair of arcs")):
+        load_category(d)
+
+
+def test_a_wrong_oracle_class_fails_the_label_bridge(monkeypatch):
+    """Each clamped class of rank 5 in turn solved wrong (0 and 1 swapped):
+    the rank-5 build then fails at the label bridge."""
+    n, solve = 5, oracle._hom_dim_class
+    classes = [(1, xj, yi, yj) for yj in range(1, n + 1)
+               for xj in range(1, yj + 1) for yi in range(1, xj + 1)]
+    assert len(classes) == 35
+    try:
+        for planted in classes:
+            monkeypatch.setattr(oracle, "_hom_dim_class", lambda *key: (
+                1 - solve(*key) if key == planted else solve(*key)))
+            label_hom_matrix.cache_clear()
+            with pytest.raises(BuildError, match=r"label bridge fails at \("):
+                build_category(n)
+    finally:
+        monkeypatch.undo()
+        label_hom_matrix.cache_clear()
+    build_category(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_associativity_check_evaluates_every_chain(n, monkeypatch):
+    """The check takes every chain of the chain set, with its true sides:
+    a faster check cannot quietly cover less."""
+    cat = cached_category(n)
+    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
+    assert len(chains) == {4: 28, 5: 208, 6: 891, 7: 2875,
+                           8: 7744}.get(n, 0)
+    taken = []
+
+    def counted(*args, **kwargs):
+        for item in _associativity_chains(*args, **kwargs):
+            taken.append(item)
+            yield item
+
+    monkeypatch.setattr(category, "_associativity_chains", counted)
+    category._check_associativity(n, cat.arcs, cat.hom_deg, cat.comp)
+    assert [item[:4] for item in taken] == chains
+    assert all(item[4:] == sides(cat.comp, item[:4]) for item in taken)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_label_bridge_compares_every_pair(n, monkeypatch):
+    """One oracle entry flipped at a time, over all N^2 pairs: the bridge
+    fails, naming exactly the flipped pair."""
+    cat = cached_category(n)
+    table = label_hom_matrix(n)
+    at = {lab: k for k, lab in enumerate(labels(n))}
+    current = [table]
+    monkeypatch.setattr(oracle, "label_hom_matrix", lambda n: current[0])
+    for x in range(cat.N):
+        a = at[cat.labels[x]]
+        for y in range(cat.N):
+            b = at[cat.labels[y]]
+            row = list(table[a])
+            row[b] = 1 - row[b]
+            current[0] = table[:a] + (tuple(row),) + table[a + 1:]
+            try:
+                category._bridge(cat.polygon, cat.arcs, cat.hom_deg)
+            except BuildError as err:
+                assert str(err).startswith(f"label bridge fails at "
+                                           f"({cat.arcs[x]}, {cat.arcs[y]}):")
+            else:
+                raise AssertionError(f"flip at ({x}, {y}) not caught")
+    current[0] = table
+    assert category._bridge(cat.polygon, cat.arcs,
+                            cat.hom_deg)[0] == cat.labels

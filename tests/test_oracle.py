@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cluster_loc import oracle
@@ -51,11 +53,18 @@ def test_orbit_homs_match_frozen_counts():
     # total hom dimension over all ordered pairs of the fundamental domain
     expected = {1: 2, 2: 10, 3: 30, 4: 70}
     for n, want in expected.items():
-        assert sum(label_hom_matrix(n).values()) == want
+        assert sum(map(sum, label_hom_matrix(n))) == want
+
+
+def by_label(n):
+    """The oracle's table as {(label, label): dim}."""
+    labs = labels(n)
+    return {(a, b): v for a, row in zip(labs, label_hom_matrix(n))
+            for b, v in zip(labs, row)}
 
 
 def test_orbit_homs_example_facts():
-    m = label_hom_matrix(4)
+    m = by_label(4)
     assert m[("M44", "M14")] == 1
     assert m[("M14", "M44")] == 0
     assert m[("M44", "M34")] == 1
@@ -70,7 +79,7 @@ def test_orbit_homs_example_facts():
 
 def test_orbit_homs_shifted_projectives():
     n = 3
-    m = label_hom_matrix(n)
+    m = by_label(n)
     # suspension is hom-preserving on the projective slice:
     # Hom(SPi, SPj) = Hom(Pi, Pj)
     for i in range(1, n + 1):
@@ -119,22 +128,35 @@ def _ref_hom_dim_orbit(n, x, y):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_orbit_homs_match_the_per_pair_reference(n):
+    """Every interval pair: its hom dimension, and the value of the clamped
+    class that a pair with overlapping supports goes to (y's start raised
+    to x's, x's end lowered to y's, x moved to start at 1), is the direct
+    solve of the pair's own system; there are C(n+2, 3) classes.  Every
+    label pair: the orbit table entry is the per-pair reference."""
     intervals = [Interval(i, j) for i in range(1, n + 1)
                  for j in range(i, n + 1)]
+    keys = set()
     for x in intervals:
         for y in intervals:
-            assert hom_dim_mod(n, x, y) == _ref_hom_dim_mod(n, x, y)
-    m = label_hom_matrix(n)
-    stalks = {lab: label_to_stalk(n, lab) for lab in labels(n)}
-    for a, x in stalks.items():
-        for b, y in stalks.items():
-            assert m[(a, b)] == _ref_hom_dim_orbit(n, x, y)
+            want = _ref_hom_dim_mod(n, x, y)
+            assert hom_dim_mod(n, x, y) == want
+            if max(x.i, y.i) <= min(x.j, y.j):
+                s = x.i - 1
+                key = (1, min(x.j, y.j) - s, max(x.i, y.i) - s, y.j - s)
+                assert oracle._hom_dim_class(*key) == want
+                keys.add(key)
+    assert len(keys) == math.comb(n + 2, 3)
+    stalks = [label_to_stalk(n, lab) for lab in labels(n)]
+    assert label_hom_matrix(n) == tuple(tuple(_ref_hom_dim_orbit(n, x, y)
+                                              for y in stalks)
+                                        for x in stalks)
 
 
 def test_cold_oracle_solves_once_per_translation_class(monkeypatch):
-    # the interval pairs at n = 12 fall into 12^3 = 1,728 classes under
-    # translation, against 78^2 = 6,084 pairs; a class without equations
-    # makes no rank_rows call
+    # the interval pairs at n = 12 with overlapping supports fall into
+    # C(14, 3) = 364 clamped classes (translation alone leaves 12^3 =
+    # 1,728 classes), against 78^2 = 6,084 pairs; a class without
+    # equations makes no rank_rows call
     want = label_hom_matrix(12)
     label_hom_matrix.cache_clear()
     oracle._hom_dim_class.cache_clear()
@@ -142,5 +164,5 @@ def test_cold_oracle_solves_once_per_translation_class(monkeypatch):
     monkeypatch.setattr(oracle, "rank_rows",
                         lambda rows: calls.append(rows) or rank_rows(rows))
     assert label_hom_matrix(12) == want
-    assert oracle._hom_dim_class.cache_info().currsize == 12 ** 3
-    assert 0 < len(calls) <= 12 ** 3
+    assert oracle._hom_dim_class.cache_info().currsize == 364
+    assert 0 < len(calls) <= 364
