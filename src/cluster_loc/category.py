@@ -741,20 +741,18 @@ def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
 
 def _check_associativity(n: int, arcs, hom_deg, comp):
     """c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w) on the chains of
-    ``_associativity_chains``, which hands over both sides of each chain:
-    at n <= 8 on every chain where it can fail."""
-    for x, y, z, w, lhs, rhs in _associativity_chains(n, hom_deg, comp,
-                                                      sides=True):
+    ``_associativity_chains``: at n <= 8 on every chain where it can fail."""
+    for x, y, z, w in _associativity_chains(n, hom_deg, comp):
+        lhs = comp.get((x, y, z), 0) * comp.get((x, z, w), 0)
+        rhs = comp.get((y, z, w), 0) * comp.get((x, y, w), 0)
         if lhs != rhs:
             raise BuildError(
                 f"associativity fails on chain {arcs[x]} -> {arcs[y]} -> "
                 f"{arcs[z]} -> {arcs[w]}")
 
 
-def _associativity_chains(n: int, hom_deg, comp, sides: bool = False):
-    """Chains x -> y -> z -> w of non-identity hom pairs (x = z allowed),
-    each as (x, y, z, w), or with ``sides`` as (x, y, z, w, left side,
-    right side).
+def _associativity_chains(n: int, hom_deg, comp):
+    """Chains x -> y -> z -> w of non-identity hom pairs (x = z allowed).
 
     For n <= 8, every chain on which a side of the identity is nonzero,
     each once, read off the stored (so nonzero) constants: the chains with
@@ -764,40 +762,29 @@ def _associativity_chains(n: int, hom_deg, comp, sides: bool = False):
     its right side, equal counts leave no chain of the second kind.  For
     n >= 9, 10,000 draws from Random(0), whatever the constants."""
     if n <= 8:
-        # succ[a]: the b with a -> b a non-identity hom pair.  One pass keeps
-        # every c(a, b, c) at rows[(a, b)][c], the a of an a -> b in succ at
-        # before[(b, c)], and as firsts the keys with both steps in succ
-        succ: dict[int, set[int]] = {}
-        for a, b in hom_deg:
-            if a != b:
-                succ.setdefault(a, set()).add(b)
-        rows, firsts, before = {}, [], {}
-        for key, v in comp.items():
+        # a stored (a, b, c) is the first factor of a side, c(x, y, z) or
+        # c(y, z, w), when both of its steps are non-identity hom pairs; it
+        # is the second factor c(x, z, w) when its step b -> c is one, and
+        # c(x, y, w) when its step a -> b is one
+        firsts, after, before = [], {}, {}
+        for key in comp:
             a, b, c = key
-            row = rows.get((a, b))
-            if row is None:
-                row = rows[(a, b)] = {}
-            row[c] = v
-            if b in succ.get(a, ()):
+            first_step = a != b and (a, b) in hom_deg
+            if b != c and (b, c) in hom_deg:
+                after.setdefault((a, b), []).append(c)
+                if first_step:
+                    firsts.append(key)
+            if first_step:
                 before.setdefault((b, c), []).append(a)
-                if c in succ.get(b, ()):
-                    firsts.append((key, v, row))
-        left = right = 0
-        for (x, y, z), v, xy in firsts:
-            yz, ws = rows.get((y, z), {}), succ.get(z, ())
-            right += len(before.get((x, z), ()))
-            for w, c in rows.get((x, z), {}).items():
-                if w in ws:
-                    left += 1
-                    yield ((x, y, z, w, v * c, yz.get(w, 0) * xy.get(w, 0))
-                           if sides else (x, y, z, w))
-        if left != right:
-            for (y, z, w), v, _ in firsts:
+        for x, y, z in firsts:
+            for w in after.get((x, z), ()):
+                yield x, y, z, w
+        if (sum(len(after.get((x, z), ())) for x, _, z in firsts)
+                != sum(len(before.get((y, w), ())) for y, _, w in firsts)):
+            for y, z, w in firsts:
                 for x in before.get((y, w), ()):
-                    xy = rows[(x, y)]
-                    if z not in xy or w not in rows.get((x, z), {}):
-                        yield ((x, y, z, w, 0, v * xy[w])
-                               if sides else (x, y, z, w))
+                    if (x, y, z) not in comp or (x, z, w) not in comp:
+                        yield x, y, z, w
         return
     # pairs in build order (by degree, then pair), whatever order the table
     # came in, so that a loaded table draws the same chains as its build
@@ -829,10 +816,7 @@ def _associativity_chains(n: int, hom_deg, comp, sides: bool = False):
         ws = out.get(z)
         if not ws:
             continue
-        w = ws[below(len(ws))]
-        yield ((x, y, z, w, comp.get((x, y, z), 0) * comp.get((x, z, w), 0),
-                comp.get((y, z, w), 0) * comp.get((x, y, w), 0))
-               if sides else (x, y, z, w))
+        yield x, y, z, ws[below(len(ws))]
 
 
 def _bridge(p: Polygon, arcs, hom_deg):
