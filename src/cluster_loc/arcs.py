@@ -10,28 +10,46 @@ The suspension acts on arcs by subtracting 1 from both endpoints mod n+3;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
+
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Value):
     """Rank-n model polygon with n+3 cyclically ordered vertices."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("polygon rank must be >= 1")
+        setfield(self, "n", n)
 
     @property
     def vertex_count(self) -> int:
         return self.n + 3
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    a: int
-    b: int
+@total_ordering
+class Arc(Value):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not Arc:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __lt__(self, other):
+        if other.__class__ is not Arc:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
 
     def __str__(self) -> str:
         return f"{self.a}-{self.b}"

@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -48,6 +47,7 @@ from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    parse_arc, rotate)
 from .linalg import Mat
+from .values import Value, setfield
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -66,11 +66,21 @@ class InternalConsistencyError(RuntimeError):
     the implementation would otherwise falsify on the instance."""
 
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(Value):
     """Formal direct sum of arcs, given by sorted arc indices (with multiplicity)."""
 
-    summands: tuple[int, ...]
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[int, ...]):
+        setfield(self, "summands", summands)
+
+    def __eq__(self, other):
+        if other.__class__ is not Obj:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self):
+        return hash((self.summands,))
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -79,14 +89,26 @@ class Obj:
         return len(self.summands)
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(Value):
     """Block morphism; m[i][j] is the coefficient on the basis map
     source summand j -> target summand i (zero where the hom space is zero)."""
 
-    src: Obj
-    tgt: Obj
-    m: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("src", "tgt", "m")
+
+    def __init__(self, src: Obj, tgt: Obj,
+                 m: tuple[tuple[Fraction, ...], ...]):
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
+        setfield(self, "m", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mor:
+            return NotImplemented
+        return (self.src == other.src and self.tgt == other.tgt
+                and self.m == other.m)
+
+    def __hash__(self):
+        return hash((self.src, self.tgt, self.m))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.m for x in row)

@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
@@ -38,7 +37,7 @@ from .triangles import complete_triangle
 def _load_cfg(args) -> InstanceConfig:
     cfg = InstanceConfig.load(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = InstanceConfig(cfg.n, cfg.T, cfg.type, args.seed, cfg.suites)
     return cfg
 
 
@@ -63,7 +62,8 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
     if args.suite:
-        cfg = replace(cfg, suites=[args.suite])   # validated like the file
+        cfg = InstanceConfig(cfg.n, cfg.T, cfg.type, cfg.seed,
+                             [args.suite])   # validated like the file
     # opened before the run, so that a bad path fails at once
     with open(args.report, "w") if args.report else nullcontext() as fh:
         report = run_suites(cfg)

@@ -18,10 +18,11 @@ and kernel bases are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
+
+from .values import Value, setfield
 
 Scalar = Fraction
 
@@ -33,21 +34,19 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Value):
     """Dense rational matrix; ``entries`` is row-major and immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
 
     # -- constructors -------------------------------------------------
 

@@ -37,6 +37,7 @@ from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
 from .rigid import (RigidObject, _rigid_memo, factors_through_subcat,
                     functor_slots, in_CT, perp_view, right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
+from .values import Value
 
 
 def algebra_of(cat: Category, t: RigidObject) -> Algebra:
@@ -155,14 +156,11 @@ def factor_through_s(cat: Category, t: RigidObject, u: Mor, s: Mor) -> Mor:
 # -- localized hom spaces ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocHom:
-    x: Obj
-    y: Obj
-    x_res: tuple[Obj, Mor]
-    y_res: tuple[Obj, Mor]
-    reps: tuple[Mor, ...]     # coset representatives of the quotient basis
-    dim: int
+class LocHom(Value):
+    """x_res, y_res are S-resolutions (x', x' -> x); reps are the coset
+    representatives of the quotient basis."""
+
+    __slots__ = ("x", "y", "x_res", "y_res", "reps", "dim")
 
 
 def loc_hom(cat: Category, t: RigidObject, x: Obj, y: Obj,
@@ -197,12 +195,11 @@ def _quotient_reps(cat, t, xp: Obj, yp: Obj):
 # -- zigzags -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zigzag:
+class Zigzag(Value):
     """Alternating formal composite; steps run left to right, an inverse step
     being traversed against its arrow."""
 
-    steps: tuple[tuple[Mor, bool], ...]   # (map, is_formal_inverse)
+    __slots__ = ("steps",)   # tuple of (map, is_formal_inverse)
 
     def start(self) -> Obj:
         f, inv = self.steps[0]

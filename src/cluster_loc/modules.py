@@ -39,7 +39,6 @@ category, so the module side stays an independent decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,6 +47,7 @@ from .linalg import (Mat, column_space_basis, complement_coords, inverse,
                      kernel_basis, rank, solve_right)
 from .rigid import RigidObject, functor_slots, in_CT
 from .triangles import complete_triangle
+from .values import Value
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -57,18 +57,28 @@ MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
                   "the basis element of Hom(t_i, t_j) acts M_j -> M_i")
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """End(T)^op for a basic rigid object, by basis and structure constants."""
+class Algebra(Value):
+    """End(T)^op for a basic rigid object, by basis and structure constants.
+    ``algebra_of`` hands out one object per rigid object, so two algebras
+    are equal only if they are the same object."""
 
-    summands: tuple[int, ...]            # arc indices, order fixes vertices
-    vertex_labels: tuple[str, ...]
-    radical_pairs: tuple[tuple[int, int], ...]   # (i, j) with Hom(t_i,t_j) != 0
-    mult: dict                            # (i,j,k) -> scalar of composite
-    dim: int
-    # arc -> H(arc), written once by H_obj
-    images: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    __slots__ = ("summands", "vertex_labels", "radical_pairs", "mult", "dim",
+                 "images")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, summands: tuple[int, ...],   # order fixes vertices
+                 vertex_labels: tuple[str, ...],
+                 radical_pairs: tuple[tuple[int, int], ...],  # Hom != 0
+                 mult: dict,                      # (i,j,k) -> scalar
+                 dim: int):
+        # images: arc -> H(arc), written once by H_obj
+        super().__init__(summands, vertex_labels, radical_pairs, mult, dim, {})
+
+    def __repr__(self) -> str:   # without the images
+        return (f"Algebra(summands={self.summands!r}, vertex_labels="
+                f"{self.vertex_labels!r}, radical_pairs={self.radical_pairs!r}"
+                f", mult={self.mult!r}, dim={self.dim!r})")
 
     @property
     def r(self) -> int:

@@ -22,26 +22,30 @@ sides can be compared as separate computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import rank_rows
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """The indecomposable kQ-module supported on i..j (1-based, i <= j <= n)."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        setfield(self, "i", i)
+        setfield(self, "j", j)
 
 
-@dataclass(frozen=True)
-class Stalk:
+class Stalk(Value):
     """An interval placed in a single cohomological degree."""
 
-    mod: Interval
-    shift: int
+    __slots__ = ("mod", "shift")
+
+    def __init__(self, mod: Interval, shift: int):
+        setfield(self, "mod", mod)
+        setfield(self, "shift", shift)
 
 
 def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:

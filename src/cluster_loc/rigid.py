@@ -21,7 +21,6 @@ divisibility reads ``pre_matrix`` of the map divided through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable
@@ -29,6 +28,7 @@ from typing import Iterable
 from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, rank, solve_right
 from .triangles import Triangle, complete_triangle, pre_rank_table
+from .values import Value
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -36,22 +36,18 @@ F1 = Fraction(1)
 VIEW_KINDS = ("addT", "Tperp", "SigmaTperp", "perpT")
 
 
-@dataclass(frozen=True)
-class RigidObject:
+class RigidObject(Value):
     """A rigid object, summand order preserved (it fixes vertex numbering
     of the endomorphism algebra)."""
 
-    arcs: tuple[int, ...]
-    basic: bool
+    __slots__ = ("arcs", "basic")   # tuple of arc indices, bool
 
     def key(self):
         return self.arcs
 
 
-@dataclass(frozen=True)
-class SubcatView:
-    kind: str
-    members: frozenset[int]
+class SubcatView(Value):
+    __slots__ = ("kind", "members")   # a VIEW_KINDS name, frozenset of arcs
 
 
 def is_rigid(cat: Category, x: Obj | Iterable[int]) -> bool:

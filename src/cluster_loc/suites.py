@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .category import MAX_RANK, Category, Mor, Obj, build_category
@@ -39,38 +38,34 @@ from .rigid import (RigidObject, dim_factoring_through_add,
                     wakamatsu_check)
 from .triangles import (complete_triangle, mesh_map_into, mesh_map_out_of,
                         mesh_middle)
+from .values import Value
 
 CONFIG_SCHEMA = "cluster-loc/config/v1"
 REPORT_SCHEMA = "cluster-loc/report/v1"
 
-@dataclass
-class InstanceConfig:
-    n: int
-    T: list[str]
-    type: str = "A"
-    seed: int = 0
-    suites: list[str] = field(default_factory=lambda: ["all"])
+class InstanceConfig(Value):
+    __slots__ = ("n", "T", "type", "seed", "suites")
 
-    def __post_init__(self):
-        for name, v in (("n", self.n), ("seed", self.seed)):
+    def __init__(self, n: int, T: list[str], type: str = "A", seed: int = 0,
+                 suites: list[str] = ["all"]):   # stored as a copy
+        for name, v in (("n", n), ("seed", seed)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an int, not {v!r}")
-        if not (isinstance(self.T, list)
-                and all(isinstance(x, str) for x in self.T)):
-            raise ValueError(
-                f"T must be a list of object tokens, not {self.T!r}")
-        if self.type != "A":
+        if not (isinstance(T, list) and all(isinstance(x, str) for x in T)):
+            raise ValueError(f"T must be a list of object tokens, not {T!r}")
+        if type != "A":
             raise ValueError("only type A instances are supported")
-        if not 1 <= self.n <= MAX_RANK:
+        if not 1 <= n <= MAX_RANK:
             raise ValueError(f"instance rank must be in 1..{MAX_RANK}")
-        if not isinstance(self.suites, list):
+        if not isinstance(suites, list):
             raise ValueError("suites must be a list of suite names, not "
-                             f"{type(self.suites).__name__} {self.suites!r}")
-        if not self.suites:
+                             f"{suites.__class__.__name__} {suites!r}")
+        if not suites:
             raise ValueError("suites is empty: name at least one suite")
-        if "all" in self.suites and self.suites != ["all"]:
+        if "all" in suites and suites != ["all"]:
             raise ValueError("suite 'all' must stand alone, not be listed "
                              "with other suites")
+        super().__init__(n, T, type, seed, list(suites))
         names = self.resolved_suites()
         for k, s in enumerate(names):
             if s not in SUITE_NAMES:

@@ -42,11 +42,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import Category, Mor, Obj, _mesh_at
 from .linalg import Mat, eliminate, integer_row, kernel_basis
+from .values import Value
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -62,26 +62,20 @@ class TriangleError(RuntimeError):
     """No certified completion found; internal-consistency failure."""
 
 
-@dataclass(frozen=True)
-class CertReport:
-    homdim_match: bool
-    left_exactness_failures: tuple    # Hom(W, -) failures: (arc label, node)
-    right_exactness_failures: tuple   # Hom(-, W) failures: (arc label, node)
+class CertReport(Value):
+    # exactness failures: (arc label, node) of Hom(W, -) / of Hom(-, W)
+    __slots__ = ("homdim_match", "left_exactness_failures",
+                 "right_exactness_failures")
 
     def is_valid(self) -> bool:
         return (self.homdim_match and not self.left_exactness_failures
                 and not self.right_exactness_failures)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    x: Obj
-    y: Obj
-    z: Obj
-    f: Mor
-    g: Mor
-    h: Mor
-    cert: CertReport
+class Triangle(Value):
+    """x -f-> y -g-> z -h-> Sigma x with its CertReport."""
+
+    __slots__ = ("x", "y", "z", "f", "g", "h", "cert")
 
 
 # -- rank tables -------------------------------------------------------------
