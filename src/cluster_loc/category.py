@@ -20,13 +20,15 @@ integer relations, every reduction coefficient, composition constant and
 suspension constant is an ``int`` (a reduction coefficient that is not an
 integer raises BuildError), and the checks multiply ints.  The composition
 and suspension tables are filled in one pass over the hom pairs in degree
-order, each entry from one a degree lower.  Each category computes one
-crossing matrix of its arcs; the crossing-rule check reads it too.  The
-oracle solves the commutation equations once per clamped class of interval
-pairs (84 at n = 7) and hands the bridge one table by label index, which
-it checks one row per arc.  ``load_category`` runs the same
-table checks, and the label bridge, on what it reads, and also rejects
-repeated keys and hom degrees that are not path lengths in the arrow quiver.
+order, each entry from one a degree lower; the oracle solves the
+commutation equations once per clamped class of interval pairs (84 at
+n = 7).  At n <= 9 the table checks prove associativity and suspension
+functoriality from the chains that end in an arrow (6,720 at n = 9), by
+induction on the last step's degree, once every step of degree d >= 2
+factors through an arrow and the suspension keeps degrees; at n >= 10
+they check the suspension on every constant and associativity on 10,000
+drawn chains.  ``load_category`` also runs them, the bridge, and checks
+for repeated keys and hom degrees that are not path lengths.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -707,12 +709,21 @@ def _check_tables(cat: Category):
 
     Hom pairs exactly the pairs of arcs the crossing rule predicts
     (Hom(x, y) != 0 iff x crosses sigma^-1 y, read off the category's
-    crossing matrix), identities as units of the composition and fixed by
-    the suspension, suspension constants on exactly the hom pairs, nonzero and
-    hom-preserving, suspension functorial on compositions, composition
-    associative (on every chain where it can fail at n <= 8, on sampled
-    chains above).  Together these catch the sign flip of any nonzero
-    composition or suspension constant (tested at n = 3 and 4).
+    crossing matrix); identities units and fixed by the suspension; its
+    constants nonzero on exactly the hom pairs; every step (non-identity
+    hom pair) of a degree >= 1 that the suspension keeps (checked here,
+    before ``load_category`` checks path lengths); composition keys on hom
+    pairs; suspension functorial; composition associative.  At n <= 9 the
+    last two are proved from the arrows (steps of degree 1), given (F):
+    each step (z, w) of degree d >= 2 has an arrow (v, w) with deg(z, v) =
+    d - 1 and c(z, v, w) != 0.  Associativity on the chains x -> y -> z -> w
+    whose last step is an arrow gives it on all, by induction on deg(z, w),
+    as e_zw = c(z, v, w)^-1 e_vw . e_zv; so does functoriality on the
+    constants whose step (y, z) is an arrow, as the suspension permutes
+    those triples.  That is 28, 160, 549, 1,460, 3,311 and 6,720 chains
+    with a nonzero side at n = 4..9.  At n >= 10, where that walk costs
+    more than sampling, the suspension is checked on every stored constant
+    and associativity on 10,000 chains from Random(0).
     """
     arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
                                            cat.sig, cat.sigma_arc)
@@ -724,20 +735,74 @@ def _check_tables(cat: Category):
         raise BuildError(
             f"mesh/crossing mismatch at ({arcs[x]}, {arcs[y]}): crossing rule "
             f"{int((x, y) in predicted)}, mesh {int((x, y) in hom_deg)}")
-    for (x, y) in hom_deg:
-        if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
-            raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")
     if sig.keys() != hom_deg.keys():
         raise BuildError("suspension table does not cover exactly the hom pairs")
-    if any(sig[(x, x)] != 1 for x in range(N)):
-        raise BuildError("suspension does not preserve an identity")
-    for (x, y), v in sig.items():
-        if v == 0:
-            raise BuildError(f"suspension scalar vanishes at ({arcs[x]}, {arcs[y]})")
-        if (sigma_arc[x], sigma_arc[y]) not in hom_deg:
-            raise BuildError(f"suspension not hom-preserving at ({arcs[x]}, {arcs[y]})")
-    _check_sigma_functorial(arcs, comp, sig, sigma_arc)
-    _check_associativity(cat.n, arcs, hom_deg, comp)
+    for (x, y), d in hom_deg.items():
+        if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
+            raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")
+        if sig[(x, y)] == 0 or x == y and sig[(x, y)] != 1:
+            raise BuildError(f"suspension scalar at ({arcs[x]}, {arcs[y]}) "
+                             f"is {sig[(x, y)]}")
+        if (hom_deg.get((sigma_arc[x], sigma_arc[y])) != d
+                or x != y and not (isinstance(d, int) and d >= 1)):
+            raise BuildError(f"hom degree {d!r} at ({arcs[x]}, {arcs[y]}) is "
+                             "not a positive integer that the suspension keeps")
+    if cat.n <= 9:
+        _check_on_arrows(arcs, hom_deg, comp, sig, sigma_arc)
+    else:
+        _check_sigma_functorial(arcs, comp, sig, sigma_arc)
+        _check_associativity(arcs, comp, _associativity_chains(hom_deg))
+
+
+def _check_on_arrows(arcs, hom_deg, comp, sig, sigma_arc) -> int:
+    """(F), then the one pass over ``comp`` of ``_check_tables``, with
+    (x, z) looked up in ``sig``; returns the number of chains found equal."""
+    arrows_out, arrows_in = [[] for _ in arcs], [[] for _ in arcs]
+    for (v, w), d in hom_deg.items():
+        if d == 1 and v != w:
+            arrows_out[v].append(w)
+            arrows_in[w].append(v)
+    for (z, w), d in hom_deg.items():
+        if d > 1:
+            for v in arrows_in[w]:
+                if hom_deg.get((z, v)) == d - 1 and (z, v, w) in comp:
+                    break
+            else:
+                raise BuildError(f"hom pair ({arcs[z]}, {arcs[w]}) of degree "
+                                 f"{d} does not factor through an arrow")
+    get, sa = comp.get, sigma_arc
+    checked, failed, ends, seconds = 0, None, {}, {}
+    for (x, y, z), c in comp.items():
+        yz = (y, z)
+        dyz = hom_deg.get(yz)
+        if dyz is None or x != y and ((x, y) not in hom_deg or (x, z) not in sig):
+            raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
+                             "chain of hom pairs")
+        if x == y:
+            continue
+        seconds[yz] = seconds.get(yz, 0) + 1
+        if y == z:
+            continue
+        for w in arrows_out[z]:
+            lhs = c * get((x, z, w), 0)
+            if lhs != get((y, z, w), 0) * get((x, y, w), 0):
+                failed = failed or (x, y, z, w)
+            elif lhs:
+                checked += 1
+        if dyz == 1:
+            ends[x, z] = ends.get((x, z), 0) + 1
+            if sig[x, z] * c != get((sa[x], sa[y], sa[z]), 0) * sig[x, y] * sig[yz]:
+                raise BuildError(f"suspension not functorial on ({arcs[x]}, "
+                                 f"{arcs[y]}, {arcs[z]})")
+    # as many nonzero right sides as left ones, unless one has c(x, y, z) = 0
+    if not failed and checked != sum(k * seconds.get(p, 0)
+                                     for p, k in ends.items()):
+        for x, y, w in comp:
+            for z in arrows_in[w]:
+                if x != y != z and (y, z, w) in comp and (x, y, z) not in comp:
+                    failed = failed or (x, y, z, w)
+    _check_associativity(arcs, comp, [failed] if failed else ())
+    return checked
 
 
 def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
@@ -761,10 +826,9 @@ def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
                 f"suspension not functorial on ({arcs[x]}, {arcs[y]}, {arcs[z]})")
 
 
-def _check_associativity(n: int, arcs, hom_deg, comp):
-    """c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w) on the chains of
-    ``_associativity_chains``: at n <= 8 on every chain where it can fail."""
-    for x, y, z, w in _associativity_chains(n, hom_deg, comp):
+def _check_associativity(arcs, comp, chains):
+    """c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w) on each of ``chains``."""
+    for x, y, z, w in chains:
         lhs = comp.get((x, y, z), 0) * comp.get((x, z, w), 0)
         rhs = comp.get((y, z, w), 0) * comp.get((x, y, w), 0)
         if lhs != rhs:
@@ -773,41 +837,8 @@ def _check_associativity(n: int, arcs, hom_deg, comp):
                 f"{arcs[z]} -> {arcs[w]}")
 
 
-def _associativity_chains(n: int, hom_deg, comp):
-    """Chains x -> y -> z -> w of non-identity hom pairs (x = z allowed).
-
-    For n <= 8, every chain on which a side of the identity is nonzero,
-    each once, read off the stored (so nonzero) constants: the chains with
-    a nonzero left side, then, only if fewer of them than of the chains
-    with a nonzero right side, the chains with a nonzero right side and a
-    zero left side.  Once every chain of the first kind is found equal to
-    its right side, equal counts leave no chain of the second kind.  For
-    n >= 9, 10,000 draws from Random(0), whatever the constants."""
-    if n <= 8:
-        # a stored (a, b, c) is the first factor of a side, c(x, y, z) or
-        # c(y, z, w), when both of its steps are non-identity hom pairs; it
-        # is the second factor c(x, z, w) when its step b -> c is one, and
-        # c(x, y, w) when its step a -> b is one
-        firsts, after, before = [], {}, {}
-        for key in comp:
-            a, b, c = key
-            first_step = a != b and (a, b) in hom_deg
-            if b != c and (b, c) in hom_deg:
-                after.setdefault((a, b), []).append(c)
-                if first_step:
-                    firsts.append(key)
-            if first_step:
-                before.setdefault((b, c), []).append(a)
-        for x, y, z in firsts:
-            for w in after.get((x, z), ()):
-                yield x, y, z, w
-        if (sum(len(after.get((x, z), ())) for x, _, z in firsts)
-                != sum(len(before.get((y, w), ())) for y, _, w in firsts)):
-            for y, z, w in firsts:
-                for x in before.get((y, w), ()):
-                    if (x, y, z) not in comp or (x, z, w) not in comp:
-                        yield x, y, z, w
-        return
+def _associativity_chains(hom_deg):
+    """10,000 chains of non-identity hom pairs drawn from Random(0)."""
     # pairs in build order (by degree, then pair), whatever order the table
     # came in, so that a loaded table draws the same chains as its build
     pairs = sorted((k for k in hom_deg if k[0] != k[1]),
@@ -816,8 +847,6 @@ def _associativity_chains(n: int, hom_deg, comp):
     for (x, y) in pairs:
         out.setdefault(x, []).append(y)
     # out[y] never holds y itself: identities are not in pairs
-    if not pairs:
-        return   # no chains, and below(0) would never return
     bits = random.Random(0).getrandbits
 
     def below(k: int) -> int:
@@ -887,14 +916,15 @@ def load_category(data: dict | str) -> Category:
     """Rebuild a Category from its serialized table form.
 
     The tables pass the build's checks again: the arcs and the suspension
-    permutation, the crossing rule, the suspension constants, functoriality,
-    associativity and the label bridge.  Two checks
-    are the loader's own: no key of ``hom``, ``comp`` or ``sigma`` is
-    repeated, and every hom degree is the length of a shortest path in the
-    arrow quiver.  Raises ValueError on data that is not an object, on a
-    foreign schema, a missing table, a rank that ``build_category`` rejects
-    or a composition or suspension constant outside {-1, 0, 1}, and
-    BuildError when a check fails.
+    permutation, the crossing rule, the suspension constants, the degree
+    premises, functoriality and associativity (proved from the chains that
+    end in an arrow at n <= 9, sampled above) and the label bridge.  Two
+    checks are the loader's own: no key of ``hom``, ``comp`` or ``sigma``
+    is repeated, and, after the table checks, every hom degree is a
+    shortest path length in the arrow quiver.  Raises ValueError on data
+    that is not an object, on a foreign schema, a missing table, a rank
+    that ``build_category`` rejects or a composition or suspension constant
+    outside {-1, 0, 1}, and BuildError when a check fails.
     """
     if isinstance(data, str):
         with open(data) as fh:

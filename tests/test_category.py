@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -15,7 +16,8 @@ from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
-from associativity_reference import all_chains, chains_reading, sides
+from associativity_reference import (all_chains, arrow_chains,
+                                     chains_reading, sides, sigma_functorial)
 from conftest import (is_isomorphism, is_right_minimal, mat_from_cols,
                       right_minimal_reduce, sample_rigid)
 
@@ -408,19 +410,19 @@ PINNED_TABLES = {
 }
 
 # (count, sha256 of json.dumps(list of chains)) of the associativity chains
-# the build checks: for n <= 8 the chains with a nonzero side, read off the
-# stored constants; for n >= 9 the 10,000 draws, recorded from an earlier
-# build that drew them at n >= 6
+# the build checks: for n <= 9 the chains with a nonzero side whose last
+# step is an arrow, in reference order; for n >= 10 the 10,000 draws,
+# recorded from an earlier build that drew them at n >= 6
 PINNED_CHAINS = {
     1: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     2: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     3: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    4: (28, "86ac400ec0cef46347fde7aaaaa1283d91d4254c22dc811c94527638244faaa0"),
-    5: (208, "ee1750f2e0fd3433c7ce6ed66f51f3198ba76dd95f93ca90bc7df73bcd9d49fb"),
-    6: (891, "bbd361b33525c1b2b1169b11a420423ec92877937a68439bb8b9807f067de4cf"),
-    7: (2875, "2e9d0382062940ce0d212e8771aca1819f3db4d56559ab17ad2e2f981f657269"),
-    8: (7744, "6d02f42d29f8ed9882817b038af3c3645755201be7ca17de14ad82793fde63f1"),
-    9: (10000, "d77f67b2ac84d583ee196d5e38fb8c1370f2a665ac9ca97e47b3f5900441b3fd"),
+    4: (28, "3ba3c4bbc3e1daab6ba5c329329404732d03ed03c022cdc8652eb275908fc8b7"),
+    5: (160, "903db001fc1d9a930ef87258d499a0380d1467c98dc5bb6774fd618f0976c127"),
+    6: (549, "4c077eb51edcb7bc4724c1b44ab0c429a45289ec420b5b519adb452d8cbdd82d"),
+    7: (1460, "9772aadabd1968ed86979ad3dbd246b5f22ec65876b12cde7619a309e2aec5e0"),
+    8: (3311, "02b14c00455db6fc95fcf920a1011dd504ad538027617fe9511762f43940f7cb"),
+    9: (6720, "d5908b2b3ae915304dd5393a701f3146f593c47b2349dffa19f813f76287221b"),
     10: (10000, "ec47bf4c5ed941c1ed8cfd2bf2aa6e59031c982184f825dc76141c25e9316287"),
     11: (10000, "bf4e4c5d45f04caa6574e993a91ad1a17d80d3a91a3f10855c5dd61304a80523"),
     12: (10000, "a73815a4b5aa7c59e4771b3924bff92291aa834c7bfa8da7bbecdad3f9154ad4"),
@@ -438,24 +440,49 @@ def test_tables_pinned(n):
     assert all(type(c) is int for c in cat.sig.values())
     assert (_sha(cat.to_dict()), _sha(sorted(oracle_by_label(n).items()))) \
         == PINNED_TABLES[n]
-    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
+    if n <= 9:
+        chains = [c for c in arrow_chains(cat.hom_deg)
+                  if any(sides(cat.comp, c))]
+        assert _arrow_check(cat) == len(chains)
+    else:
+        chains = list(_associativity_chains(cat.hom_deg))
     assert (len(chains), _sha(chains)) == PINNED_CHAINS[n]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def _arrow_check(cat):
+    """The number of chains the n <= 9 check finds equal on ``cat``."""
+    return category._check_on_arrows(cat.arcs, cat.hom_deg, cat.comp,
+                                     cat.sig, cat.sigma_arc)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_associativity_checks_every_chain_with_a_nonzero_side(n):
+    """The arrow-ended chains with a nonzero side: each holds, each has a
+    nonzero left side (so the right sides count the same chains), and the
+    check finds exactly as many equal; no more than the 10,000 draws."""
     cat = cached_category(n)
-    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
+    chains = [c for c in arrow_chains(cat.hom_deg) if any(sides(cat.comp, c))]
     assert len(set(chains)) == len(chains) <= 10_000
-    assert set(chains) == {c for c in all_chains(cat.hom_deg)
-                           if any(sides(cat.comp, c))}
+    assert all(lhs == rhs != 0 for lhs, rhs in
+               (sides(cat.comp, c) for c in chains))
+    assert _arrow_check(cat) == len(chains)
 
 
 def _caught(cat, comp):
-    """The chain named by the associativity check on ``comp``, or None."""
+    """The chain named by the n <= 9 check on ``comp``, or None.
+
+    The suspension is the identity, with constant 1 on every pair of arcs,
+    so that neither it nor a key's (x, z) can fail.  A key whose (x, y) or
+    (y, z) is not a hom pair is read as zero by every chain (its other
+    factor would need that pair), so the check's rejection of it counts as
+    no chain caught."""
+    ones = {(x, y): 1 for x in range(cat.N) for y in range(cat.N)}
     try:
-        category._check_associativity(cat.n, cat.arcs, cat.hom_deg, comp)
+        category._check_on_arrows(cat.arcs, cat.hom_deg, comp, ones,
+                                  list(range(cat.N)))
     except BuildError as err:
+        if str(err).endswith("is not a chain of hom pairs"):
+            return None
         found = re.fullmatch(r"associativity fails on chain (\S+) -> (\S+) "
                              r"-> (\S+) -> (\S+)", str(err))
         assert found, err
@@ -464,7 +491,7 @@ def _caught(cat, comp):
 
 
 @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
-                                       (6, None), (7, 80), (8, 80)])
+                                       (6, None), (7, 80), (8, 80), (9, 40)])
 def test_associativity_catches_what_the_reference_catches(n, sample):
     """One planted change at a time, a sign flip of a stored constant or an
     extra constant where none is stored: the check rejects the table
@@ -499,6 +526,80 @@ def test_associativity_catches_what_the_reference_catches(n, sample):
             by_right_side += lhs == 0
     # the counting step, not only the walk over nonzero left sides, is hit
     assert by_right_side or n == 3
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_suspension_check_catches_what_the_reference_catches(n):
+    """One planted change at a time, a sign flip of a suspension constant
+    or of the composition constant at the suspension's image of a stored
+    key: the table checks reject the table exactly when the reference
+    does, that is the suspension checked on every stored constant, an
+    identity's constant other than 1, or a chain that reads the planted
+    key.  Every plant of both kinds up to n = 5, 40 seeded ones of each
+    above."""
+    cat = cached_category(n)
+    reading = chains_reading(all_chains(cat.hom_deg))
+    sa = cat.sigma_arc
+    flips, keys = sorted(cat.sig), sorted(cat.comp)
+    if n >= 6:
+        rng = random.Random(f"sigma:{n}")
+        flips, keys = rng.sample(flips, 40), rng.sample(keys, 40)
+    plants = [({**cat.sig, k: -cat.sig[k]}, cat.comp, None) for k in flips]
+    for x, y, z in keys:
+        k = (sa[x], sa[y], sa[z])
+        plants.append((cat.sig, {**cat.comp, k: -cat.comp[k]}, k))
+    for sig, comp, k in plants:
+        planted = copy.copy(cat)
+        planted.sig, planted.comp = sig, comp
+        try:
+            category._check_tables(planted)
+            caught = False
+        except BuildError:
+            caught = True
+        assert caught == (
+            not sigma_functorial(comp, sig, sa)
+            or any(sig[(x, x)] != 1 for x in range(cat.N))
+            or any(comp[(x, x, y)] != 1 or comp[(x, y, y)] != 1
+                   for x, y in cat.hom_deg)
+            or any(a != b for a, b in (sides(comp, c)
+                                       for c in reading.get(k, ()))))
+
+
+def test_load_checks_the_degree_premises(cat4):
+    """The premises the n <= 9 check rests on, each broken in a loaded
+    rank-4 table, fail inside the table checks, naming the pair: a
+    degree-2 step without its constants over the arrows into its target,
+    steps of degree 0, and a step whose degree its suspension does not
+    keep."""
+    arcs, hom = cat4.arcs, cat4.hom_deg
+    z, w = next(k for k, d in hom.items() if d == 2)
+    d = cat4.to_dict()
+    d["comp"] = [e for e in d["comp"] if not (
+        e[0] == z and e[2] == w and hom.get((e[1], w)) == 1)]
+    assert len(d["comp"]) < len(cat4.comp)
+    with pytest.raises(BuildError, match=re.escape(
+            f"hom pair ({arcs[z]}, {arcs[w]}) of degree 2 does not factor "
+            "through an arrow")):
+        load_category(d)
+    # degree 0 on a whole suspension orbit of an arrow, which the
+    # suspension keeps, so only the steps' degree is wrong; degree 2 on the
+    # orbit's first pair in table order, which comes before its preimage
+    sa = cat4.sigma_arc
+    x, y = next((x, y) for x, y, e in cat4.to_dict()["hom"] if x != y and e == 1)
+    orbit = {(x, y)}
+    while (sa[x], sa[y]) not in orbit:
+        x, y = sa[x], sa[y]
+        orbit.add((x, y))
+    for degree, changed in ((0, orbit), (2, {min(orbit)})):
+        d = cat4.to_dict()
+        for row in d["hom"]:
+            if tuple(row[:2]) in changed:
+                row[2] = degree
+        x, y = min(changed)
+        with pytest.raises(BuildError, match=re.escape(
+                f"hom degree {degree} at ({arcs[x]}, {arcs[y]}) is not a "
+                "positive integer that the suspension keeps")):
+            load_category(d)
 
 
 def test_quotient_rejects_non_integral_coefficient():
@@ -834,24 +935,21 @@ def test_a_wrong_oracle_class_fails_the_label_bridge(monkeypatch):
     build_category(n)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_associativity_check_evaluates_every_chain(n, monkeypatch):
-    """The check takes every chain of the chain set: a faster check cannot
-    quietly cover less."""
+    """The build's table check finds every arrow-ended chain with a
+    nonzero side equal: a faster check cannot quietly cover less."""
     cat = cached_category(n)
-    chains = list(_associativity_chains(n, cat.hom_deg, cat.comp))
-    assert len(chains) == {4: 28, 5: 208, 6: 891, 7: 2875,
-                           8: 7744}.get(n, 0)
-    taken = []
+    counts = []
 
-    def counted(*args, **kwargs):
-        for item in _associativity_chains(*args, **kwargs):
-            taken.append(item)
-            yield item
+    def counted(*args):
+        counts.append(check(*args))
 
-    monkeypatch.setattr(category, "_associativity_chains", counted)
-    category._check_associativity(n, cat.arcs, cat.hom_deg, cat.comp)
-    assert taken == chains
+    check = category._check_on_arrows
+    monkeypatch.setattr(category, "_check_on_arrows", counted)
+    category._check_tables(cat)
+    assert counts == [{4: 28, 5: 160, 6: 549, 7: 1460, 8: 3311,
+                       9: 6720}.get(n, 0)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
