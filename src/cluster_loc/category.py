@@ -22,13 +22,14 @@ integer raises BuildError), and the checks multiply ints.  The composition
 and suspension tables are filled in one pass over the hom pairs in degree
 order, each entry from one a degree lower; the oracle solves the
 commutation equations once per clamped class of interval pairs (84 at
-n = 7).  At n <= 9 the table checks prove associativity and suspension
-functoriality from the chains that end in an arrow (6,720 at n = 9), by
-induction on the last step's degree, once every step of degree d >= 2
-factors through an arrow and the suspension keeps degrees; at n >= 10
-they check the suspension on every constant and associativity on 10,000
-drawn chains.  ``load_category`` also runs them, the bridge, and checks
-for repeated keys and hom degrees that are not path lengths.
+n = 7).  The table checks take one path at every rank: they check the
+suspension on every stored constant and associativity on the chains that
+end in an arrow and start at the least arc of a suspension orbit (2,442
+at n = 12), which proves both everywhere, by transport along the
+suspension and induction on the last step's degree, once every step of
+degree d >= 2 factors through an arrow and the suspension keeps degrees.
+``load_category`` also runs them, the bridge, and checks for keys off the
+arcs, repeated keys and hom degrees that are not path lengths.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -712,18 +713,34 @@ def _check_tables(cat: Category):
     crossing matrix); identities units and fixed by the suspension; its
     constants nonzero on exactly the hom pairs; every step (non-identity
     hom pair) of a degree >= 1 that the suspension keeps (checked here,
-    before ``load_category`` checks path lengths); composition keys on hom
-    pairs; suspension functorial; composition associative.  At n <= 9 the
-    last two are proved from the arrows (steps of degree 1), given (F):
-    each step (z, w) of degree d >= 2 has an arrow (v, w) with deg(z, v) =
-    d - 1 and c(z, v, w) != 0.  Associativity on the chains x -> y -> z -> w
-    whose last step is an arrow gives it on all, by induction on deg(z, w),
-    as e_zw = c(z, v, w)^-1 e_vw . e_zv; so does functoriality on the
-    constants whose step (y, z) is an arrow, as the suspension permutes
-    those triples.  That is 28, 160, 549, 1,460, 3,311 and 6,720 chains
-    with a nonzero side at n = 4..9.  At n >= 10, where that walk costs
-    more than sampling, the suspension is checked on every stored constant
-    and associativity on 10,000 chains from Random(0).
+    before ``load_category`` checks path lengths).  Then, in
+    ``_check_constants``: (F), each step (z, w) of degree d >= 2 has an
+    arrow (a step of degree 1) (v, w) with deg(z, v) = d - 1 and
+    c(z, v, w) != 0; composition keys on hom pairs; the suspension
+    functorial on every stored constant, sig(x, z) c(x, y, z) =
+    c(Sx, Sy, Sz) sig(x, y) sig(y, z); and associativity,
+    c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w), on the chains
+    x -> y -> z -> w whose last step is an arrow and whose first arc x is
+    the least index of its suspension orbit.  These prove functoriality
+    and associativity everywhere, at every rank:
+
+    - the suspension permutes the finite set of triples, so "nonzero has a
+      nonzero image" forces "zero has a zero image", and it is functorial
+      on every constant;
+    - so, reading sig as 1 off the hom pairs (where both constants are 0),
+      associativity on a chain and on its image under the suspension is
+      the same equation up to the nonzero factor
+      sig(x, w) / (sig(x, y) sig(y, z) sig(z, w)); as the suspension keeps
+      degrees, every chain whose last step is an arrow is the image of one
+      from its first arc's orbit representative;
+    - associativity on the chains whose last step is an arrow gives it on
+      every chain, by induction on deg(z, w), as
+      e_zw = c(z, v, w)^-1 e_vw . e_zv by (F).
+
+    That is 0, 0, 0, 4, 27, 61, 183, 301, 671, 966, 1,828 and 2,442
+    chains with a nonzero side at n = 1..12.  Composition keys must be
+    triples of arc indices, as a build makes them and ``load_category``
+    checks.
     """
     arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
                                            cat.sig, cat.sigma_arc)
@@ -737,26 +754,31 @@ def _check_tables(cat: Category):
             f"{int((x, y) in predicted)}, mesh {int((x, y) in hom_deg)}")
     if sig.keys() != hom_deg.keys():
         raise BuildError("suspension table does not cover exactly the hom pairs")
+    # the degrees and suspension constants by row, for the pass over comp
+    degs, sigs = [[None] * N for _ in arcs], [[0] * N for _ in arcs]
     for (x, y), d in hom_deg.items():
+        s = sig[(x, y)]
         if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
             raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")
-        if sig[(x, y)] == 0 or x == y and sig[(x, y)] != 1:
+        if s == 0 or x == y and s != 1:
             raise BuildError(f"suspension scalar at ({arcs[x]}, {arcs[y]}) "
-                             f"is {sig[(x, y)]}")
+                             f"is {s}")
         if (hom_deg.get((sigma_arc[x], sigma_arc[y])) != d
                 or x != y and not (isinstance(d, int) and d >= 1)):
             raise BuildError(f"hom degree {d!r} at ({arcs[x]}, {arcs[y]}) is "
                              "not a positive integer that the suspension keeps")
-    if cat.n <= 9:
-        _check_on_arrows(arcs, hom_deg, comp, sig, sigma_arc)
-    else:
-        _check_sigma_functorial(arcs, comp, sig, sigma_arc)
-        _check_associativity(arcs, comp, _associativity_chains(hom_deg))
+        degs[x][y], sigs[x][y] = d, s
+    _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc)
 
 
-def _check_on_arrows(arcs, hom_deg, comp, sig, sigma_arc) -> int:
-    """(F), then the one pass over ``comp`` of ``_check_tables``, with
-    (x, z) looked up in ``sig``; returns the number of chains found equal."""
+def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
+    """(F) and the one pass over ``comp`` of ``_check_tables``; returns the
+    number of chains it finds equal with a nonzero side.
+
+    ``degs[x][y]`` is the degree of the hom pair (x, y), None off the hom
+    pairs, and ``sigs[x][y]`` its suspension constant; a key's (y, z) and
+    (x, y) must be hom pairs by ``degs``, its (x, z) by a nonzero
+    ``sigs`` entry."""
     arrows_out, arrows_in = [[] for _ in arcs], [[] for _ in arcs]
     for (v, w), d in hom_deg.items():
         if d == 1 and v != w:
@@ -764,110 +786,54 @@ def _check_on_arrows(arcs, hom_deg, comp, sig, sigma_arc) -> int:
             arrows_in[w].append(v)
     for (z, w), d in hom_deg.items():
         if d > 1:
+            dz = degs[z]
             for v in arrows_in[w]:
-                if hom_deg.get((z, v)) == d - 1 and (z, v, w) in comp:
+                if dz[v] == d - 1 and (z, v, w) in comp:
                     break
             else:
                 raise BuildError(f"hom pair ({arcs[z]}, {arcs[w]}) of degree "
                                  f"{d} does not factor through an arrow")
+    # the least index of each suspension orbit
+    first = [True] * len(arcs)
+    for x in range(len(arcs)):
+        if first[x]:
+            y = sigma_arc[x]
+            while y != x:
+                first[y], y = False, sigma_arc[y]
     get, sa = comp.get, sigma_arc
-    checked, failed, ends, seconds = 0, None, {}, {}
+    checked, failed = 0, None
     for (x, y, z), c in comp.items():
-        yz = (y, z)
-        dyz = hom_deg.get(yz)
-        if dyz is None or x != y and ((x, y) not in hom_deg or (x, z) not in sig):
+        if degs[y][z] is None or x != y and (degs[x][y] is None
+                                             or not sigs[x][z]):
             raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
                              "chain of hom pairs")
         if x == y:
             continue
-        seconds[yz] = seconds.get(yz, 0) + 1
-        if y == z:
-            continue
-        for w in arrows_out[z]:
-            lhs = c * get((x, z, w), 0)
-            if lhs != get((y, z, w), 0) * get((x, y, w), 0):
-                failed = failed or (x, y, z, w)
-            elif lhs:
-                checked += 1
-        if dyz == 1:
-            ends[x, z] = ends.get((x, z), 0) + 1
-            if sig[x, z] * c != get((sa[x], sa[y], sa[z]), 0) * sig[x, y] * sig[yz]:
+        if y != z:
+            sx = sigs[x]
+            if sx[z] * c != get((sa[x], sa[y], sa[z]), 0) * sx[y] * sigs[y][z]:
                 raise BuildError(f"suspension not functorial on ({arcs[x]}, "
                                  f"{arcs[y]}, {arcs[z]})")
-    # as many nonzero right sides as left ones, unless one has c(x, y, z) = 0
-    if not failed and checked != sum(k * seconds.get(p, 0)
-                                     for p, k in ends.items()):
-        for x, y, w in comp:
-            for z in arrows_in[w]:
-                if x != y != z and (y, z, w) in comp and (x, y, z) not in comp:
+        if not first[x]:
+            continue
+        # chains from an orbit's least arc x whose last step is an arrow:
+        # x -> y -> z -> w compared on both sides, and x -> y -> v -> z,
+        # whose right side reads this constant, failed where that side is
+        # nonzero and the left side's c(x, y, v) is not stored
+        if y != z:
+            for w in arrows_out[z]:
+                lhs = c * get((x, z, w), 0)
+                if lhs != get((y, z, w), 0) * get((x, y, w), 0):
                     failed = failed or (x, y, z, w)
-    _check_associativity(arcs, comp, [failed] if failed else ())
+                elif lhs:
+                    checked += 1
+        for v in arrows_in[z]:
+            if v != y and (y, v, z) in comp and (x, y, v) not in comp:
+                failed = failed or (x, y, v, z)
+    if failed:
+        raise BuildError("associativity fails on chain "
+                         + " -> ".join(str(arcs[a]) for a in failed))
     return checked
-
-
-def _check_sigma_functorial(arcs, comp, sig, sigma_arc):
-    """sig(x, z) c(x, y, z) = c(Sx, Sy, Sz) sig(x, y) sig(y, z) on every
-    stored (so nonzero) constant off the identities, whose (x, y), (y, z)
-    and (x, z) must be hom pairs, the keys of ``sig``.  The unstored zeros
-    need no pass: the suspension permutes the finite set of triples, so
-    "nonzero has a nonzero image" forces "zero has a zero image"."""
-    for (x, y, z), c in comp.items():
-        try:
-            sxz = sig[(x, z)]
-            if x == y or y == z:
-                continue    # the other step is an arc's identity
-            sxy, syz = sig[(x, y)], sig[(y, z)]
-        except KeyError:
-            raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
-                             "chain of hom pairs") from None
-        rhs = comp.get((sigma_arc[x], sigma_arc[y], sigma_arc[z]), 0)
-        if sxz * c != rhs * sxy * syz:
-            raise BuildError(
-                f"suspension not functorial on ({arcs[x]}, {arcs[y]}, {arcs[z]})")
-
-
-def _check_associativity(arcs, comp, chains):
-    """c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w) on each of ``chains``."""
-    for x, y, z, w in chains:
-        lhs = comp.get((x, y, z), 0) * comp.get((x, z, w), 0)
-        rhs = comp.get((y, z, w), 0) * comp.get((x, y, w), 0)
-        if lhs != rhs:
-            raise BuildError(
-                f"associativity fails on chain {arcs[x]} -> {arcs[y]} -> "
-                f"{arcs[z]} -> {arcs[w]}")
-
-
-def _associativity_chains(hom_deg):
-    """10,000 chains of non-identity hom pairs drawn from Random(0)."""
-    # pairs in build order (by degree, then pair), whatever order the table
-    # came in, so that a loaded table draws the same chains as its build
-    pairs = sorted((k for k in hom_deg if k[0] != k[1]),
-                   key=lambda k: (hom_deg[k], k))
-    out: dict[int, list[int]] = {}
-    for (x, y) in pairs:
-        out.setdefault(x, []).append(y)
-    # out[y] never holds y itself: identities are not in pairs
-    bits = random.Random(0).getrandbits
-
-    def below(k: int) -> int:
-        # random.Random.randrange(k) for k > 0: the same getrandbits calls,
-        # without its argument handling
-        b = k.bit_length()
-        r = bits(b)
-        while r >= k:
-            r = bits(b)
-        return r
-
-    for _ in range(10_000):
-        x, y = pairs[below(len(pairs))]
-        zs = out.get(y)
-        if not zs:
-            continue
-        z = zs[below(len(zs))]
-        ws = out.get(z)
-        if not ws:
-            continue
-        yield x, y, z, ws[below(len(ws))]
 
 
 def _bridge(p: Polygon, arcs, hom_deg):
@@ -917,11 +883,12 @@ def load_category(data: dict | str) -> Category:
 
     The tables pass the build's checks again: the arcs and the suspension
     permutation, the crossing rule, the suspension constants, the degree
-    premises, functoriality and associativity (proved from the chains that
-    end in an arrow at n <= 9, sampled above) and the label bridge.  Two
-    checks are the loader's own: no key of ``hom``, ``comp`` or ``sigma``
-    is repeated, and, after the table checks, every hom degree is a
-    shortest path length in the arrow quiver.  Raises ValueError on data
+    premises, functoriality and associativity (proved at every rank from
+    the chains that end in an arrow and start at an orbit representative)
+    and the label bridge.  Three checks are the loader's own: every key of
+    ``comp`` is a triple of arc indices, no key of ``hom``, ``comp`` or
+    ``sigma`` is repeated, and, after the table checks, every hom degree is
+    a shortest path length in the arrow quiver.  Raises ValueError on data
     that is not an object, on a foreign schema, a missing table, a rank
     that ``build_category`` rejects or a composition or suspension constant
     outside {-1, 0, 1}, and BuildError when a check fails.
@@ -949,6 +916,10 @@ def load_category(data: dict | str) -> Category:
     sig = _read_constants("sigma", data["sigma"], 2)
     cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
                    data["labels"], data.get("meta", {}))
+    for key in comp:
+        if not all(type(v) is int and 0 <= v < len(arcs) for v in key):
+            raise BuildError(f"composition key {key} is not a chain of hom "
+                             "pairs")
     _check_tables(cat)
     _check_degrees(cat)
     label_bridge(cat)

@@ -5,9 +5,10 @@ suspension checks are checked against.
 This is the enumeration the build ran at n <= 5 before it read the chains
 off the stored constants.  A chain x -> y -> z -> w (x = z allowed) reads
 the four constants c(x, y, z), c(x, z, w), c(y, z, w) and c(x, y, w), and
-holds when c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w).  The suspension
-pass is the one the build ran at every rank before it checked the
-suspension only on the constants whose second step is an arrow.
+holds when c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w).  Every chain
+numbers about 3 million at n = 12, so above n = 9 the tests read the
+chains through one key (``chains_through``) instead.  The suspension pass
+checks every stored constant on its own, as a plain loop.
 """
 
 
@@ -22,10 +23,55 @@ def all_chains(hom_deg) -> list[tuple[int, int, int, int]]:
             for w in out.get(z, ())]
 
 
-def arrow_chains(hom_deg) -> list[tuple[int, int, int, int]]:
+def arrow_chains(hom_deg, firsts=None) -> list[tuple[int, int, int, int]]:
     """The chains of ``all_chains`` whose last step (z, w) is an arrow, a
-    hom pair of degree 1, in the same order."""
-    return [c for c in all_chains(hom_deg) if hom_deg[c[2], c[3]] == 1]
+    hom pair of degree 1, in the same order; only those whose first arc is
+    in ``firsts``, unless it is None."""
+    pairs = sorted(k for k in hom_deg if k[0] != k[1])
+    out: dict[int, list[int]] = {}
+    for (x, y) in pairs:
+        out.setdefault(x, []).append(y)
+    return [(x, y, z, w) for (x, y) in pairs
+            if firsts is None or x in firsts for z in out.get(y, ())
+            for w in out.get(z, ()) if hom_deg[z, w] == 1]
+
+
+def orbit_firsts(sigma_arc) -> set[int]:
+    """The least arc index of each orbit of the suspension."""
+    out = set()
+    for x in range(len(sigma_arc)):
+        orbit, y = [x], sigma_arc[x]
+        while y != x:
+            orbit.append(y)
+            y = sigma_arc[y]
+        out.add(min(orbit))
+    return out
+
+
+def chains_through(hom_deg, key) -> set[tuple[int, int, int, int]]:
+    """The chains of ``all_chains`` that read the constant at ``key``,
+    found from the key instead of from every chain."""
+    steps = {k for k in hom_deg if k[0] != k[1]}
+    out: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
+    for (x, y) in steps:
+        out.setdefault(x, []).append(y)
+        into.setdefault(y, []).append(x)
+    a, b, c = key
+    found = set()
+    if (a, b) in steps and (b, c) in steps:
+        # key as c(x, y, z) and as c(y, z, w)
+        found.update((a, b, c, w) for w in out.get(c, ()))
+        found.update((x, a, b, c) for x in into.get(a, ()))
+    if (b, c) in steps:
+        # key as c(x, z, w): a -> y -> b -> c
+        found.update((a, y, b, c) for y in out.get(a, ())
+                     if (y, b) in steps)
+    if (a, b) in steps:
+        # key as c(x, y, w): a -> b -> z -> c
+        found.update((a, b, z, c) for z in out.get(b, ())
+                     if (z, c) in steps)
+    return found
 
 
 def sigma_functorial(comp, sig, sigma_arc) -> bool:

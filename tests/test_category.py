@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -9,15 +10,15 @@ import pytest
 
 from cluster_loc import category, oracle
 from cluster_loc.arcs import Arc, crosses, rotate
-from cluster_loc.category import (BuildError, Category, Obj,
-                                  _associativity_chains, _quotient_1d,
+from cluster_loc.category import (BuildError, Category, Obj, _quotient_1d,
                                   _unit_table, build_category, load_category)
 from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import mesh_middle
-from associativity_reference import (all_chains, arrow_chains,
-                                     chains_reading, sides, sigma_functorial)
+from associativity_reference import (all_chains, arrow_chains, chain_keys,
+                                     chains_reading, chains_through,
+                                     orbit_firsts, sides, sigma_functorial)
 from conftest import (is_isomorphism, is_right_minimal, mat_from_cols,
                       right_minimal_reduce, sample_rigid)
 
@@ -410,27 +411,33 @@ PINNED_TABLES = {
 }
 
 # (count, sha256 of json.dumps(list of chains)) of the associativity chains
-# the build checks: for n <= 9 the chains with a nonzero side whose last
-# step is an arrow, in reference order; for n >= 10 the 10,000 draws,
-# recorded from an earlier build that drew them at n >= 6
+# the build checks: the chains with a nonzero side whose last step is an
+# arrow and whose first arc is the least index of its suspension orbit, in
+# reference order
 PINNED_CHAINS = {
     1: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     2: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     3: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    4: (28, "3ba3c4bbc3e1daab6ba5c329329404732d03ed03c022cdc8652eb275908fc8b7"),
-    5: (160, "903db001fc1d9a930ef87258d499a0380d1467c98dc5bb6774fd618f0976c127"),
-    6: (549, "4c077eb51edcb7bc4724c1b44ab0c429a45289ec420b5b519adb452d8cbdd82d"),
-    7: (1460, "9772aadabd1968ed86979ad3dbd246b5f22ec65876b12cde7619a309e2aec5e0"),
-    8: (3311, "02b14c00455db6fc95fcf920a1011dd504ad538027617fe9511762f43940f7cb"),
-    9: (6720, "d5908b2b3ae915304dd5393a701f3146f593c47b2349dffa19f813f76287221b"),
-    10: (10000, "ec47bf4c5ed941c1ed8cfd2bf2aa6e59031c982184f825dc76141c25e9316287"),
-    11: (10000, "bf4e4c5d45f04caa6574e993a91ad1a17d80d3a91a3f10855c5dd61304a80523"),
-    12: (10000, "a73815a4b5aa7c59e4771b3924bff92291aa834c7bfa8da7bbecdad3f9154ad4"),
+    4: (4, "c7a32dea95dbcd43972c9a73e2a22d6f199ac56625ebcdd3c873109cec972b13"),
+    5: (27, "ba9fc3b0226892c747e7d9c0057e8afe15747be0e436f2cb63b2b3c932f07142"),
+    6: (61, "f0e2b5858be5626ab677cba6dad6079d43b637d86bec2df94a251f30cc72f9ff"),
+    7: (183, "114e2b4263baa4fbe415f6bb4f659a401221692241e686b61ebabfb79d1032b8"),
+    8: (301, "932980316177f82a905c2c83db6a533bb5111eae9cee8a06440f8cd9bbe9781a"),
+    9: (671, "15bcb6a940691bcdafcdeead21ed5a75a2134d9974b8826a8c90b5ec2a6f496a"),
+    10: (966, "50543faeeb6f4840aea367f06fcf33ba1d3b864c9c55b63dbb85cbd85085d132"),
+    11: (1828, "6a288fc3cf0e9200aee78993b4825841bc0c0657dac86468847f97bc7755fcf7"),
+    12: (2442, "754d95822cc6442a3be9da83eb9c1bdefa402ca52c3908667621a8329b85b365"),
 }
 
 
 def _sha(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _orbit_chains(cat):
+    """The chains the table check compares, by the reference."""
+    return [c for c in arrow_chains(cat.hom_deg, orbit_firsts(cat.sigma_arc))
+            if any(sides(cat.comp, c))]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -440,76 +447,123 @@ def test_tables_pinned(n):
     assert all(type(c) is int for c in cat.sig.values())
     assert (_sha(cat.to_dict()), _sha(sorted(oracle_by_label(n).items()))) \
         == PINNED_TABLES[n]
-    if n <= 9:
-        chains = [c for c in arrow_chains(cat.hom_deg)
-                  if any(sides(cat.comp, c))]
-        assert _arrow_check(cat) == len(chains)
-    else:
-        chains = list(_associativity_chains(cat.hom_deg))
+    chains = _orbit_chains(cat)
+    assert _constants_check(cat, cat.comp, cat.sig, cat.sigma_arc) \
+        == len(chains)
     assert (len(chains), _sha(chains)) == PINNED_CHAINS[n]
 
 
-def _arrow_check(cat):
-    """The number of chains the n <= 9 check finds equal on ``cat``."""
-    return category._check_on_arrows(cat.arcs, cat.hom_deg, cat.comp,
-                                     cat.sig, cat.sigma_arc)
+def _rows(N, table, fill):
+    """table[(x, y)] as rows[x][y], ``fill`` off its keys."""
+    return [[table.get((x, y), fill) for y in range(N)] for x in range(N)]
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+def _constants_check(cat, comp, sig, sigma_arc):
+    """``_check_constants`` on ``comp`` with ``cat``'s hom degrees and the
+    suspension ``sig`` on ``sigma_arc``; the number of chains it finds
+    equal."""
+    return category._check_constants(
+        cat.arcs, cat.hom_deg, comp, _rows(cat.N, cat.hom_deg, None),
+        _rows(cat.N, sig, 0), sigma_arc)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_associativity_checks_every_chain_with_a_nonzero_side(n):
-    """The arrow-ended chains with a nonzero side: each holds, each has a
-    nonzero left side (so the right sides count the same chains), and the
-    check finds exactly as many equal; no more than the 10,000 draws."""
+    """The chains with a nonzero side that end in an arrow and start at an
+    orbit's least arc: each holds, each has a nonzero left side (so the
+    right sides count the same chains), and the check finds exactly as
+    many equal, at most 10,000."""
     cat = cached_category(n)
-    chains = [c for c in arrow_chains(cat.hom_deg) if any(sides(cat.comp, c))]
+    chains = _orbit_chains(cat)
     assert len(set(chains)) == len(chains) <= 10_000
     assert all(lhs == rhs != 0 for lhs, rhs in
                (sides(cat.comp, c) for c in chains))
-    assert _arrow_check(cat) == len(chains)
+    assert _constants_check(cat, cat.comp, cat.sig, cat.sigma_arc) \
+        == len(chains)
 
 
 def _caught(cat, comp):
-    """The chain named by the n <= 9 check on ``comp``, or None.
+    """The chain named by the table check on ``comp``, or None.
 
     The suspension is the identity, with constant 1 on every pair of arcs,
-    so that neither it nor a key's (x, z) can fail.  A key whose (x, y) or
-    (y, z) is not a hom pair is read as zero by every chain (its other
-    factor would need that pair), so the check's rejection of it counts as
-    no chain caught."""
+    so that neither it nor a key's (x, z) can fail, and every arc is the
+    least of its orbit, so that every chain ending in an arrow is walked.
+    A key whose (x, y) or (y, z) is not a hom pair is read as zero by
+    every chain (its other factor would need that pair), so the check's
+    rejection of it counts as no chain caught."""
     ones = {(x, y): 1 for x in range(cat.N) for y in range(cat.N)}
     try:
-        category._check_on_arrows(cat.arcs, cat.hom_deg, comp, ones,
-                                  list(range(cat.N)))
+        _constants_check(cat, comp, ones, list(range(cat.N)))
     except BuildError as err:
         if str(err).endswith("is not a chain of hom pairs"):
             return None
-        found = re.fullmatch(r"associativity fails on chain (\S+) -> (\S+) "
-                             r"-> (\S+) -> (\S+)", str(err))
-        assert found, err
-        return tuple(cat.arc_of_token(a) for a in found.groups())
+        return _named_chain(cat, err)
     return None
 
 
+def _named_chain(cat, err):
+    """The chain an associativity failure names."""
+    found = re.fullmatch(r"associativity fails on chain (\S+) -> (\S+) "
+                         r"-> (\S+) -> (\S+)", str(err))
+    assert found, err
+    return tuple(cat.arc_of_token(a) for a in found.groups())
+
+
+def _on_hom_pairs(cat, key):
+    x, y, z = key
+    return all(p in cat.hom_deg for p in ((x, y), (y, z), (x, z)))
+
+
+def _drawn_extras(cat, rng, count):
+    """``count`` unstored keys on hom pairs and ``count`` off them, each
+    read by a seeded chain (one of its four keys, drawn)."""
+    steps = sorted(k for k in cat.hom_deg if k[0] != k[1])
+    out: dict[int, list[int]] = {}
+    for (x, y) in steps:
+        out.setdefault(x, []).append(y)
+    on, off = set(), set()
+    while len(on) < count or len(off) < count:
+        x, y = rng.choice(steps)
+        z = rng.choice(out[y])
+        if z in out:
+            key = rng.choice(chain_keys((x, y, z, rng.choice(out[z]))))
+            if key not in cat.comp:
+                kind = on if _on_hom_pairs(cat, key) else off
+                if len(kind) < count:
+                    kind.add(key)
+    return sorted(on) + sorted(off)
+
+
 @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
-                                       (6, None), (7, 80), (8, 80), (9, 40)])
+                                       (6, None), (7, 80), (8, 80), (9, 40),
+                                       (10, 20), (11, 20), (12, 20)])
 def test_associativity_catches_what_the_reference_catches(n, sample):
     """One planted change at a time, a sign flip of a stored constant or an
     extra constant where none is stored: the check rejects the table
     exactly when some chain of the reference fails, and names a failing
-    chain.  Every flip and up to 300 seeded extra constants up to n = 6,
-    and seeded samples of ``sample`` of each above."""
+    chain.  Up to n = 6 every flip, every extra constant on hom pairs and
+    up to 300 other seeded extra constants; above, seeded samples of
+    ``sample`` flips, ``sample`` extras on hom pairs and ``sample`` off
+    them.  Up to n = 9 the extras are drawn from every key some chain
+    reads, above from the keys of seeded chains."""
     cat = cached_category(n)
-    chains = all_chains(cat.hom_deg)
-    assert not any(lhs != rhs for lhs, rhs in
-                   (sides(cat.comp, c) for c in chains))
-    reading = chains_reading(chains)
     rng = random.Random(f"assoc:{n}")
     flips = sorted(cat.comp)
-    extras = sorted(k for k in reading if k not in cat.comp)
-    if sample is None:
-        extras = rng.sample(extras, min(len(extras), 300))
+    if n <= 9:
+        chains = all_chains(cat.hom_deg)
+        assert not any(lhs != rhs for lhs, rhs in
+                       (sides(cat.comp, c) for c in chains))
+        reading = chains_reading(chains)
+        extras = sorted(k for k in reading if k not in cat.comp)
+        on_pairs = [k for k in extras if _on_hom_pairs(cat, k)]
+        if sample is None:
+            extras = rng.sample(extras, min(len(extras), 300)) + on_pairs
+        else:
+            flips, extras = rng.sample(flips, sample), rng.sample(extras, sample)
+            extras += rng.sample(on_pairs, min(len(on_pairs), sample))
     else:
-        flips, extras = rng.sample(flips, sample), rng.sample(extras, sample)
+        flips = rng.sample(flips, sample)
+        extras = _drawn_extras(cat, rng, sample)
     plants = [(k, -cat.comp[k]) for k in flips]
     plants += [(k, rng.choice((-1, 1))) for k in extras]
     by_right_side = 0
@@ -517,18 +571,45 @@ def test_associativity_catches_what_the_reference_catches(n, sample):
         comp = {**cat.comp, k: v}
         chain = _caught(cat, comp)
         # the unplanted table passes every chain, so only the chains that
-        # read the planted key can fail
-        by_reference = (sides(comp, c) for c in reading.get(k, ()))
+        # read the planted key can fail; above n = 9 those are checked on
+        # the unplanted table here
+        through = (reading.get(k, ()) if n <= 9
+                   else chains_through(cat.hom_deg, k))
+        if n > 9:
+            assert all(lhs == rhs for lhs, rhs in
+                       (sides(cat.comp, c) for c in through))
+        by_reference = (sides(comp, c) for c in through)
         assert (chain is not None) == any(a != b for a, b in by_reference)
         if chain is not None:
             lhs, rhs = sides(comp, chain)
             assert lhs != rhs
             by_right_side += lhs == 0
-    # the counting step, not only the walk over nonzero left sides, is hit
+    # the backward step, not only the walk over nonzero left sides, is hit
     assert by_right_side or n == 3
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 6))
+def test_chains_through_a_key_are_the_chains_that_read_it(n):
+    """The reference's chains through one key, found from the key, are
+    the chains of every chain that read it, for every key of a triple of
+    arcs."""
+    cat = cached_category(n)
+    reading = chains_reading(all_chains(cat.hom_deg))
+    for key in itertools.product(range(cat.N), repeat=3):
+        assert chains_through(cat.hom_deg, key) == set(reading.get(key, ()))
+
+
+def _table_check_rejects(cat, sig, comp) -> bool:
+    planted = copy.copy(cat)
+    planted.sig, planted.comp = sig, comp
+    try:
+        category._check_tables(planted)
+    except BuildError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(3, 13))
 def test_suspension_check_catches_what_the_reference_catches(n):
     """One planted change at a time, a sign flip of a suspension constant
     or of the composition constant at the suspension's image of a stored
@@ -538,7 +619,6 @@ def test_suspension_check_catches_what_the_reference_catches(n):
     key.  Every plant of both kinds up to n = 5, 40 seeded ones of each
     above."""
     cat = cached_category(n)
-    reading = chains_reading(all_chains(cat.hom_deg))
     sa = cat.sigma_arc
     flips, keys = sorted(cat.sig), sorted(cat.comp)
     if n >= 6:
@@ -549,24 +629,83 @@ def test_suspension_check_catches_what_the_reference_catches(n):
         k = (sa[x], sa[y], sa[z])
         plants.append((cat.sig, {**cat.comp, k: -cat.comp[k]}, k))
     for sig, comp, k in plants:
-        planted = copy.copy(cat)
-        planted.sig, planted.comp = sig, comp
-        try:
-            category._check_tables(planted)
-            caught = False
-        except BuildError:
-            caught = True
-        assert caught == (
+        assert _table_check_rejects(cat, sig, comp) == (
             not sigma_functorial(comp, sig, sa)
             or any(sig[(x, x)] != 1 for x in range(cat.N))
             or any(comp[(x, x, y)] != 1 or comp[(x, y, y)] != 1
                    for x, y in cat.hom_deg)
-            or any(a != b for a, b in (sides(comp, c)
-                                       for c in reading.get(k, ()))))
+            or k is not None
+            and any(a != b for a, b in (sides(comp, c) for c in
+                                        chains_through(cat.hom_deg, k))))
+
+
+def _key_orbit(sigma_arc, key):
+    orbit, k = [key], tuple(sigma_arc[v] for v in key)
+    while k != key:
+        orbit.append(k)
+        k = tuple(sigma_arc[v] for v in k)
+    return orbit
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_associativity_check_transports_along_the_suspension(n):
+    """One suspension-equivariant plant at a time: a stored constant with
+    two non-identity steps flipped together with every constant on its
+    suspension orbit of keys, which the suspension check cannot see.  The
+    table checks reject the table exactly when some chain of the reference
+    reading a flipped key fails, and then name a failing chain, though
+    they compare only the chains from each orbit's least arc.  Every orbit
+    up to n = 5, 20 seeded ones above."""
+    cat = cached_category(n)
+    sa = cat.sigma_arc
+    orbits = {min(_key_orbit(sa, k)) for k in cat.comp
+              if k[0] != k[1] != k[2]}
+    orbits = sorted(orbits)
+    if n >= 6:
+        orbits = random.Random(f"orbit:{n}").sample(orbits, 20)
+    caught = 0
+    for key in orbits:
+        flipped = _key_orbit(sa, key)
+        comp = {**cat.comp, **{k: -cat.comp[k] for k in flipped}}
+        assert sigma_functorial(comp, cat.sig, sa)
+        through = set().union(*(chains_through(cat.hom_deg, k)
+                                for k in flipped))
+        fails = any(a != b for a, b in (sides(comp, c) for c in through))
+        planted = copy.copy(cat)
+        planted.comp = comp
+        try:
+            category._check_tables(planted)
+        except BuildError as err:
+            lhs, rhs = sides(comp, _named_chain(cat, err))
+            assert fails and lhs != rhs
+            caught += 1
+        else:
+            assert not fails
+    assert caught
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_table_checks_reject_seeded_sign_flips(n):
+    """200 seeded sign flips of stored constants with two non-identity
+    steps, one at a time: the table checks, which every build and load
+    runs, reject each; so does ``load_category`` on the first 5."""
+    cat = cached_category(n)
+    keys = sorted(k for k in cat.comp if k[0] != k[1] != k[2])
+    rng = random.Random(f"flip:{n}")
+    d = cat.to_dict()
+    row = {tuple(entry[:3]): entry for entry in d["comp"]}
+    for i, k in enumerate(rng.sample(keys, 200)):
+        comp = {**cat.comp, k: -cat.comp[k]}
+        assert _table_check_rejects(cat, cat.sig, comp), k
+        if i < 5:
+            row[k][3] = str(-cat.comp[k])
+            with pytest.raises(BuildError):
+                load_category(d)
+            row[k][3] = str(cat.comp[k])
 
 
 def test_load_checks_the_degree_premises(cat4):
-    """The premises the n <= 9 check rests on, each broken in a loaded
+    """The premises the table check rests on, each broken in a loaded
     rank-4 table, fail inside the table checks, naming the pair: a
     degree-2 step without its constants over the arrows into its target,
     steps of degree 0, and a step whose degree its suspension does not
@@ -898,8 +1037,12 @@ def test_hom_matrices_match_the_slot_reference(n):
 
 def test_load_rejects_composition_keys_off_the_hom_pairs(cat4):
     # at rank 4, (0, 1) and (1, 4) are hom pairs and (0, 4) is not; (13, 0)
-    # is not either, so the two constants on an identity step are off too
-    for key in ((0, 1, 4), (13, 13, 0), (13, 0, 0)):
+    # is not either, so the two constants on an identity step are off too;
+    # the last three are off the arcs, a stored key shifted by N = 14 or
+    # with a string for an index, which must not read as the stored key
+    x, y, z = next(k for k in sorted(cat4.comp) if k[0] != k[1] != k[2])
+    for key in ((0, 1, 4), (13, 13, 0), (13, 0, 0), (x - 14, y, z),
+                (x, y, z + 14), (x, str(y), z)):
         d = cat4.to_dict()
         d["comp"].append([*key, "1"])
         with pytest.raises(BuildError, match=re.escape(
@@ -935,21 +1078,22 @@ def test_a_wrong_oracle_class_fails_the_label_bridge(monkeypatch):
     build_category(n)
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_associativity_check_evaluates_every_chain(n, monkeypatch):
-    """The build's table check finds every arrow-ended chain with a
-    nonzero side equal: a faster check cannot quietly cover less."""
+    """The build's table check finds every chain with a nonzero side that
+    ends in an arrow and starts at an orbit's least arc equal: a faster
+    check cannot quietly cover less."""
     cat = cached_category(n)
     counts = []
 
     def counted(*args):
         counts.append(check(*args))
 
-    check = category._check_on_arrows
-    monkeypatch.setattr(category, "_check_on_arrows", counted)
+    check = category._check_constants
+    monkeypatch.setattr(category, "_check_constants", counted)
     category._check_tables(cat)
-    assert counts == [{4: 28, 5: 160, 6: 549, 7: 1460, 8: 3311,
-                       9: 6720}.get(n, 0)]
+    assert counts == [{4: 4, 5: 27, 6: 61, 7: 183, 8: 301, 9: 671, 10: 966,
+                       11: 1828, 12: 2442}.get(n, 0)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
