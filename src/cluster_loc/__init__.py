@@ -9,7 +9,7 @@ zigzag evaluation.  ``cluster_loc.suites`` bundles the verification suites
 behind the ``cluster-loc`` command line tool.
 """
 
-from .arcs import Arc, Polygon, crosses, enumerate_arcs, rotate, smooth_crossing
+from .arcs import Arc, Polygon, crosses, enumerate_arcs, rotate
 from .category import (BuildError, Category, InternalConsistencyError, Mor,
                        Obj, build_category, label_bridge, load_category)
 from .linalg import Mat, Scalar, kernel_basis, rank, solve_right

@@ -105,26 +105,3 @@ def rotate(p: Polygon, x: Arc, k: int) -> Arc:
     arc = arc_or_none(p, x.a - k, x.b - k)
     assert arc is not None  # rotation preserves the cyclic gap pattern
     return arc
-
-
-def smooth_crossing(p: Polygon, x: Arc, y: Arc) -> list[Arc]:
-    """Resolve the crossing of x and y; 0, 1 or 2 diagonals.
-
-    Each endpoint of x is joined to the endpoint of y that follows it
-    clockwise (labels increase clockwise).  Boundary edges are dropped.
-    With this orientation the output E fits in a triangle y -> E -> x -> Σy
-    of the ambient category; the triangle engine certifies that fact.
-    """
-    if not crosses(p, x, y):
-        raise ValueError(f"arcs {x} and {y} do not cross")
-    m = p.vertex_count
-    ys = {y.a, y.b}
-    out = []
-    for e in (x.a, x.b):
-        v = (e + 1) % m
-        while v not in ys:
-            v = (v + 1) % m
-        arc = arc_or_none(p, e, v)
-        if arc is not None:
-            out.append(arc)
-    return sorted(out)

@@ -43,17 +43,13 @@ from __future__ import annotations
 import json
 import random
 import re
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import oracle
 from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
                    parse_arc, rotate)
-from .linalg import Mat
+from .linalg import Mat, Scalar, scalar
 from .values import Value, setfield
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 CAT_SCHEMA = "cluster-loc/cat/v1"
 
@@ -99,7 +95,7 @@ class Mor(Value):
     __slots__ = ("src", "tgt", "m")
 
     def __init__(self, src: Obj, tgt: Obj,
-                 m: tuple[tuple[Fraction, ...], ...]):
+                 m: tuple[tuple[Scalar, ...], ...]):
         setfield(self, "src", src)
         setfield(self, "tgt", tgt)
         setfield(self, "m", m)
@@ -131,8 +127,8 @@ class Category:
 
     def __init__(self, polygon: Polygon, arcs: list[Arc],
                  hom_deg: dict[tuple[int, int], int],
-                 comp: dict[tuple[int, int, int], Fraction | int],
-                 sig: dict[tuple[int, int], Fraction | int],
+                 comp: dict[tuple[int, int, int], Scalar],
+                 sig: dict[tuple[int, int], Scalar],
                  sigma_arc: list[int],
                  labels: list[str],
                  meta: dict):
@@ -235,7 +231,7 @@ class Category:
                 raise ValueError("col count != number of source summands")
             out = []
             for j, v in enumerate(row):
-                v = v if isinstance(v, Fraction) else Fraction(v)
+                v = scalar(v)
                 if v != 0 and not self.hom1(src.summands[j], tgt.summands[i]):
                     raise ValueError(
                         f"nonzero coefficient in a zero hom space: "
@@ -246,18 +242,18 @@ class Category:
         return Mor(src, tgt, tuple(ent))
 
     def zero_mor(self, src: Obj, tgt: Obj) -> Mor:
-        return Mor(src, tgt, tuple((F0,) * len(src.summands)
+        return Mor(src, tgt, tuple((0,) * len(src.summands)
                                    for _ in range(len(tgt.summands))))
 
     def identity(self, X: Obj) -> Mor:
         k = len(X.summands)
-        return Mor(X, X, tuple(tuple(F1 if i == j else F0 for j in range(k))
+        return Mor(X, X, tuple(tuple(1 if i == j else 0 for j in range(k))
                                for i in range(k)))
 
     def basis_mor(self, x: int, y: int) -> Mor:
         if not self.hom1(x, y):
             raise ValueError(f"hom space {self.labels[x]} -> {self.labels[y]} is zero")
-        return Mor(Obj((x,)), Obj((y,)), ((F1,),))
+        return Mor(Obj((x,)), Obj((y,)), ((1,),))
 
     def hom_slots(self, X: Obj, Y: Obj) -> list[tuple[int, int]]:
         """(target index, source index) pairs carrying a basis map, row-major.
@@ -271,21 +267,21 @@ class Category:
     def dim_hom_obj(self, X: Obj, Y: Obj) -> int:
         return len(self.hom_slots(X, Y))
 
-    def vectorize(self, f: Mor) -> tuple[Fraction, ...]:
+    def vectorize(self, f: Mor) -> tuple[Scalar, ...]:
         return tuple(f.m[i][j] for (i, j) in self.hom_slots(f.src, f.tgt))
 
-    def mor_from_vec(self, X: Obj, Y: Obj, vec: Sequence[Fraction]) -> Mor:
+    def mor_from_vec(self, X: Obj, Y: Obj, vec: Sequence) -> Mor:
         slots = self.hom_slots(X, Y)
         if len(vec) != len(slots):
             raise ValueError("vector length != hom dimension")
-        rows = [[F0] * len(X.summands) for _ in range(len(Y.summands))]
+        rows = [[0] * len(X.summands) for _ in range(len(Y.summands))]
         for (i, j), v in zip(slots, vec):
-            rows[i][j] = v if isinstance(v, Fraction) else Fraction(v)
+            rows[i][j] = scalar(v)
         return Mor(X, Y, tuple(tuple(r) for r in rows))
 
     def slot_mor(self, X: Obj, Y: Obj, slot: tuple[int, int]) -> Mor:
-        rows = [[F0] * len(X.summands) for _ in range(len(Y.summands))]
-        rows[slot[0]][slot[1]] = F1
+        rows = [[0] * len(X.summands) for _ in range(len(Y.summands))]
+        rows[slot[0]][slot[1]] = 1
         return Mor(X, Y, tuple(tuple(r) for r in rows))
 
     def compose(self, g: Mor, f: Mor) -> Mor:
@@ -293,7 +289,7 @@ class Category:
         if f.tgt != g.src:
             raise ValueError("objects do not match in composition")
         X, Y, Z = f.src, f.tgt, g.tgt
-        rows = [[F0] * len(X.summands) for _ in range(len(Z.summands))]
+        rows = [[0] * len(X.summands) for _ in range(len(Z.summands))]
         for j, yj in enumerate(Y.summands):
             for i, zi in enumerate(Z.summands):
                 gij = g.m[i][j]
@@ -315,7 +311,7 @@ class Category:
                                        for r1, r2 in zip(f.m, g.m)))
 
     def scale_mor(self, c, f: Mor) -> Mor:
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        c = scalar(c)
         return Mor(f.src, f.tgt, tuple(tuple(c * x for x in r) for r in f.m))
 
     def direct_sum_mor(self, f: Mor, g: Mor) -> Mor:
@@ -325,7 +321,7 @@ class Category:
         # positions of the f/g summands inside the sorted sums
         sj = _perm_to_sorted(f.src.summands + g.src.summands)
         ti = _perm_to_sorted(f.tgt.summands + g.tgt.summands)
-        rows = [[F0] * len(src.summands) for _ in range(len(tgt.summands))]
+        rows = [[0] * len(src.summands) for _ in range(len(tgt.summands))]
         for m, di, dj in ((f.m, 0, 0),
                           (g.m, len(f.tgt.summands), len(f.src.summands))):
             for i, row in enumerate(m):
@@ -340,17 +336,20 @@ class Category:
 
     def _shift_once(self, f: Mor, direction: int) -> Mor:
         # rotation keeps sorted order only up to wrap-around, so the shifted
-        # summands are re-sorted; sig scales Hom(a, b) -> Hom(Sa, Sb)
+        # summands are re-sorted; sig(a, b) scales Hom(a, b) -> Hom(Sa, Sb),
+        # and as it is +-1 the inverse scales by it too, read at the
+        # shifted pair
         xs = [self.shift_arc(s, direction) for s in f.src.summands]
         ys = [self.shift_arc(s, direction) for s in f.tgt.summands]
         src_map, tgt_map = _perm_to_sorted(xs), _perm_to_sorted(ys)
-        rows = [[F0] * len(xs) for _ in ys]
-        for i, yi in enumerate(f.tgt.summands):
-            for j, xj in enumerate(f.src.summands):
+        at_x, at_y = ((f.src.summands, f.tgt.summands) if direction > 0
+                      else (xs, ys))
+        rows = [[0] * len(xs) for _ in ys]
+        for i, yi in enumerate(at_y):
+            for j, xj in enumerate(at_x):
                 if f.m[i][j]:
-                    rows[tgt_map[i]][src_map[j]] = (
-                        f.m[i][j] * self.sig[(xj, yi)] if direction > 0
-                        else f.m[i][j] / self.sig[(xs[j], ys[i])])
+                    rows[tgt_map[i]][src_map[j]] = (f.m[i][j]
+                                                    * self.sig[(xj, yi)])
         return Mor(Obj(tuple(sorted(xs))), Obj(tuple(sorted(ys))),
                    tuple(tuple(r) for r in rows))
 
@@ -363,7 +362,7 @@ class Category:
         rows, cols = self.hom_slots(W, f.tgt), self.hom_slots(W, f.src)
         comp = self.comp
         return Mat(len(rows), len(cols), tuple(
-            f.m[i][j] * comp.get((V[w], X[j], Y[i]), 0) if w == v else F0
+            f.m[i][j] * comp.get((V[w], X[j], Y[i]), 0) if w == v else 0
             for i, w in rows for j, v in cols))
 
     def pre_matrix(self, f: Mor, W: Obj) -> Mat:
@@ -373,7 +372,7 @@ class Category:
         rows, cols = self.hom_slots(f.src, W), self.hom_slots(f.tgt, W)
         comp = self.comp
         return Mat(len(rows), len(cols), tuple(
-            f.m[i][j] * comp.get((X[j], Y[i], V[w]), 0) if w == v else F0
+            f.m[i][j] * comp.get((X[j], Y[i], V[w]), 0) if w == v else 0
             for w, j in rows for v, i in cols))
 
     def hom_vec_into(self, X: Obj) -> list[int]:
@@ -407,7 +406,7 @@ class Category:
 
     def random_mor(self, rng: random.Random, X: Obj, Y: Obj) -> Mor:
         slots = self.hom_slots(X, Y)
-        vec = [Fraction(rng.randint(-3, 3)) for _ in slots]
+        vec = [rng.randint(-3, 3) for _ in slots]
         return self.mor_from_vec(X, Y, vec)
 
     # -- literals ----------------------------------------------------------
@@ -448,13 +447,13 @@ class Category:
         src = Obj(tuple(sorted(src_arcs)))
         tgt = Obj(tuple(sorted(tgt_arcs)))
         if matpart is None:
-            rows = [[F1 if self.hom1(xj, yi) else F0 for xj in src.summands]
+            rows = [[1 if self.hom1(xj, yi) else 0 for xj in src.summands]
                     for yi in tgt.summands]
             return self.mor(src, tgt, rows)
         body = matpart.strip()
         if not _MATRIX_LITERAL.fullmatch(body):
             raise ValueError("matrix part must be [[...],[...]]")
-        written = [[Fraction(tok) for tok in row.split(",")] if row.strip()
+        written = [[scalar(tok) for tok in row.split(",")] if row.strip()
                    else [] for row in _MATRIX_ROW.findall(body[1:-1])]
         if len(written) != len(tgt_arcs):
             raise ValueError("matrix row count != target summands")
@@ -462,7 +461,7 @@ class Category:
             raise ValueError("col count != number of source summands")
         # move the written rows and columns to the sorted summand order
         ri, cj = _perm_to_sorted(tgt_arcs), _perm_to_sorted(src_arcs)
-        rows = [[F0] * len(src_arcs) for _ in tgt_arcs]
+        rows = [[0] * len(src_arcs) for _ in tgt_arcs]
         for i, row in enumerate(written):
             for j, v in enumerate(row):
                 rows[ri[i]][cj[j]] = v
@@ -886,7 +885,8 @@ def load_category(data: dict | str) -> Category:
     premises, functoriality and associativity (proved at every rank from
     the chains that end in an arrow and start at an orbit representative)
     and the label bridge.  Three checks are the loader's own: every key of
-    ``comp`` is a triple of arc indices, no key of ``hom``, ``comp`` or
+    ``hom`` and ``comp`` and every entry of ``sigma_arc`` is an ``int``
+    arc index, no key of ``hom``, ``comp`` or
     ``sigma`` is repeated, and, after the table checks, every hom degree is
     a shortest path length in the arrow quiver.  Raises ValueError on data
     that is not an object, on a foreign schema, a missing table, a rank
@@ -909,9 +909,13 @@ def load_category(data: dict | str) -> Category:
     if arcs != enumerate_arcs(p):
         raise BuildError("arcs are not the rank's arcs in canonical order")
     arc_index = {a: i for i, a in enumerate(arcs)}
-    if data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]:
+    if (data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]
+            or any(type(v) is not int for v in data["sigma_arc"])):
         raise BuildError("sigma_arc is not the rotation of the arcs")
     hom_deg = _read_table("hom", data["hom"], 2)
+    for key in hom_deg:
+        if not all(type(v) is int for v in key):
+            raise BuildError(f"hom key {key} is not a pair of arc indices")
     comp = _read_constants("comp", data["comp"], 3)
     sig = _read_constants("sigma", data["sigma"], 2)
     cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
@@ -946,10 +950,10 @@ _UNIT_LITERALS = {"-1": -1, "0": 0, "1": 1}
 
 def _read_constants(name: str, rows: list, arity: int) -> dict:
     """A composition or suspension table as ``_read_table`` reads it, each
-    value parsed as a ``Fraction``; the literals "-1", "0" and "1" are read
-    straight to ``int``.  Zero entries are dropped, so that a key of a
+    value parsed by ``linalg.scalar``; the literals "-1", "0" and "1" are
+    read straight to ``int``.  Zero entries are dropped, so that a key of a
     loaded table, as of a built one, names a nonzero constant."""
-    values = {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else Fraction(c)
+    values = {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else scalar(c)
               for k, c in _read_table(name, rows, arity).items()}
     return {k: v for k, v in values.items() if v}
 

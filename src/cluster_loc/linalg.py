@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package reduces to small dense systems over Q, so the
-representation is deliberately plain: a matrix is a row-major tuple of
-``fractions.Fraction`` entries.  ``Fraction`` already guarantees the scalar
-invariants (lowest terms, positive denominator, arbitrary-precision integer
-parts), and all arithmetic is exact.
+representation is deliberately plain: a matrix is a row-major tuple of exact
+scalars.  A scalar is an ``int`` when it is integral and a
+``fractions.Fraction`` (lowest terms, positive denominator) otherwise;
+``scalar`` normalises a value to that form, and the constructors apply it.
+Arithmetic mixes the two exactly, and ``int`` arithmetic, the common case in
+this package, is the cheaper.  No code divides with ``/``, which on two
+``int`` gives a float; quotients go through ``_ratio``.
 
 One elimination core, ``eliminate``, serves every operation.  It works on
 integer rows, whose denominators ``integer_row`` clears once per row, and
 never divides inexactly: forward Bareiss elimination gives ranks and pivot
 columns, and fraction-free Gauss-Jordan gives the reduced row echelon form
 over one shared denominator, the last pivot.  Solutions and kernel bases are
-read off that form and become ``Fraction`` again only there.  Pivoting takes
+read off that form and become scalars again only there.  Pivoting takes
 the first nonzero entry, and the reduced form is unique, so ranks, solutions
 and kernel bases are reproducible across runs.
 """
@@ -24,22 +27,27 @@ from typing import Optional, Sequence
 
 from .values import Value, setfield
 
-Scalar = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Scalar = int | Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def scalar(x) -> Scalar:
+    """x as an exact scalar: an ``int`` when its value is integral, else a
+    ``Fraction``.  Accepts whatever ``Fraction`` does (int, Fraction, str,
+    float)."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Mat(Value):
-    """Dense rational matrix; ``entries`` is row-major and immutable."""
+    """Dense rational matrix; ``entries`` is row-major and immutable, and
+    ``from_rows``, ``column`` and ``scale`` normalise them with ``scalar``."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
+    def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...]):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(entries) != rows * cols:
@@ -57,34 +65,34 @@ class Mat(Value):
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-        return Mat(r, c, tuple(_frac(x) for row in rows for x in row))
+        return Mat(r, c, tuple(scalar(x) for row in rows for x in row))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (_ZERO,) * (rows * cols))
+        return Mat(rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(_ONE if i == j else _ZERO
+        return Mat(n, n, tuple(1 if i == j else 0
                                for i in range(n) for j in range(n)))
 
     @staticmethod
     def column(values: Sequence) -> "Mat":
-        vals = [_frac(v) for v in values]
+        vals = [scalar(v) for v in values]
         return Mat(len(vals), 1, tuple(vals))
 
     # -- access --------------------------------------------------------
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
+    def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
@@ -93,7 +101,7 @@ class Mat(Value):
     # -- arithmetic ----------------------------------------------------
 
     def scale(self, c) -> "Mat":
-        c = _frac(c)
+        c = scalar(c)
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
 
     def __mul__(self, other: "Mat") -> "Mat":
@@ -105,7 +113,7 @@ class Mat(Value):
         orows = other.to_rows()
         for i in range(self.rows):
             srow = self.row(i)
-            acc = [_ZERO] * other.cols
+            acc = [0] * other.cols
             for k, a in enumerate(srow):
                 if a == 0:
                     continue
@@ -214,8 +222,10 @@ def reduced_rows(rows: Sequence[Sequence]
     return ints, pivots, d
 
 
-def _ratio(a: int, d: int) -> Fraction:
-    return Fraction(a, d) if a else _ZERO
+def _ratio(a: int, d: int) -> Scalar:
+    """a / d as a scalar, d > 0: an ``int`` when d divides a."""
+    q, r = divmod(a, d)
+    return Fraction(a, d) if r else q
 
 
 # -- public operations ---------------------------------------------------
@@ -246,7 +256,7 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
                                    for i in range(a.rows)])
     if pivots and pivots[-1] >= a.cols:
         return None  # pivot in the rhs block: inconsistent
-    sol = [(_ZERO,) * b.cols] * a.cols
+    sol = [(0,) * b.cols] * a.cols
     for r, col in enumerate(pivots):
         sol[col] = tuple(_ratio(x, d) for x in red[r][a.cols:])
     return Mat(a.cols, b.cols, tuple(x for row in sol for x in row))
@@ -263,8 +273,8 @@ def kernel_basis(m: Mat) -> Mat:
     free = [j for j in range(m.cols) if j not in pivset]
     cols = []
     for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = 1
         for r, pc in enumerate(pivots):
             v[pc] = _ratio(-red[r][f], d)
         cols.append(v)

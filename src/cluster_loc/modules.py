@@ -39,7 +39,6 @@ category, so the module side stays an independent decision.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .category import Category, InternalConsistencyError, Mor, Obj
@@ -48,9 +47,6 @@ from .linalg import (Mat, column_space_basis, complement_coords, inverse,
 from .rigid import RigidObject, functor_slots, in_CT
 from .triangles import complete_triangle
 from .values import Value
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 MOD_SCHEMA = "cluster-loc/mod/v1"
 MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
@@ -174,7 +170,7 @@ class LambdaModule:
             for (j2, k) in self.alg.radical_pairs:
                 if j2 != j:
                     continue
-                c = self.alg.mult.get((i, j, k), F0)
+                c = self.alg.mult.get((i, j, k), 0)
                 if c and (i, k) not in self.act:
                     raise InternalConsistencyError(
                         "nonzero structure constant into a missing hom pair")
@@ -262,9 +258,9 @@ def projective_module(alg: Algebra, i: int) -> LambdaModule:
     for (j, k) in alg.radical_pairs:
         if dims[j] and dims[k]:
             if k == i:
-                c = F1  # x = e_i: a.e_i is the basis element of Hom(t_j, t_i)
+                c = 1  # x = e_i: a.e_i is the basis element of Hom(t_j, t_i)
             else:
-                c = alg.mult.get((j, k, i), F0)
+                c = alg.mult.get((j, k, i), 0)
             act[(j, k)] = Mat.from_rows([[c]])
     return LambdaModule(alg, dims, act)
 
@@ -283,7 +279,7 @@ def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list
             run[i] += m.dims[i]
     act = {}
     for (i, j) in alg.radical_pairs:
-        rows = [[F0] * dims[j] for _ in range(dims[i])]
+        rows = [[0] * dims[j] for _ in range(dims[i])]
         for m, off in zip(mods, offsets):
             blk = m.act[(i, j)]
             for a in range(blk.rows):
@@ -359,8 +355,8 @@ def projective_cover(m: LambdaModule) -> ModuleHom:
     lifts: list[tuple[int, Mat]] = []   # (vertex, column vector in M_i)
     for i in sorted(range(alg.r), key=alg.summands.__getitem__):
         for c in complement_coords(rads[i]):
-            vec = [F0] * m.dims[i]
-            vec[c] = F1
+            vec = [0] * m.dims[i]
+            vec[c] = 1
             factors.append(projective_module(alg, i))
             lifts.append((i, Mat.column(vec)))
     if not factors:
@@ -368,7 +364,7 @@ def projective_cover(m: LambdaModule) -> ModuleHom:
         return ModuleHom(z, m, [Mat.zeros(m.dims[i], 0) for i in range(alg.r)],
                          check=False)
     p0, offsets = direct_sum_modules(factors)
-    comps = [[[F0] * p0.dims[i] for _ in range(m.dims[i])] for i in range(alg.r)]
+    comps = [[[0] * p0.dims[i] for _ in range(m.dims[i])] for i in range(alg.r)]
     for k, ((iv, v), off) in enumerate(zip(lifts, offsets)):
         pk = factors[k]
         # basis of (P_iv)_j is the single hom basis element; its image is the
@@ -448,7 +444,7 @@ def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
         # f_i . a = b . f_j : one equation per (row of m2_i, col of m1_j)
         for ri in range(m2.dims[i]):
             for cj in range(m1.dims[j]):
-                row = [F0] * nvars
+                row = [0] * nvars
                 for k in range(m1.dims[i]):
                     row[offs[i] + ri * m1.dims[i] + k] += a.at(k, cj)
                 for k in range(m2.dims[j]):
@@ -496,7 +492,7 @@ def pairing_rank(a: LambdaModule, b: LambdaModule) -> int:
             for f in fwd]
     cols = [tuple(x for c in g.comps for k in range(c.cols) for x in c.col(k))
             for g in bwd]
-    return rank(Mat.from_rows([[sum((x * col[p] for p, x in row), F0)
+    return rank(Mat.from_rows([[sum(x * col[p] for p, x in row)
                                 for col in cols] for row in rows]))
 
 
@@ -656,12 +652,12 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
             continue
         dims = tuple(verts.count(v) for v in range(alg.r))
         index = [verts[:p].count(v) for p, v in enumerate(verts)]
-        ents = {a: [[F0] * dims[a[1]] for _ in range(dims[a[0]])]
+        ents = {a: [[0] * dims[a[1]] for _ in range(dims[a[0]])]
                 for a, _ in word}
         for p, ((i, j), direct) in enumerate(word):
             # the letter joins positions p and p + 1; the arrow maps M_j -> M_i
             at_i, at_j = (p + 1, p) if direct else (p, p + 1)
-            ents[(i, j)][index[at_i]][index[at_j]] = F1
+            ents[(i, j)][index[at_i]][index[at_j]] = 1
         m = LambdaModule(alg, dims, {a: Mat.from_rows(rows)
                                      for a, rows in ents.items()})
         for (i, j, k, c) in composites:
@@ -722,7 +718,7 @@ def solve_H_preimage(cat: Category, alg: Algebra, x: Obj, y: Obj,
     Hom(t, -) sends slot (i, j) of Hom(x, y) to the one entry (y_i, x_j) of
     component t, times comp(t, x_j, y_i) = +-1, so f is read off there."""
     comps = dict(zip(alg.summands, target.comps))
-    rows = [[F0] * len(x.summands) for _ in y.summands]
+    rows = [[0] * len(x.summands) for _ in y.summands]
     for i, j in functor_slots(cat, alg.summands, x, y):
         c, t = next((c, t) for t in alg.summands
                     if (c := cat.comp3(t, x.summands[j], y.summands[i])))

@@ -16,12 +16,15 @@ by slots, read off the composition table without elimination.
 Wherever two independent decision procedures exist (the hom-functor kernel
 test against direct divisibility) both are run and a disagreement raises
 InternalConsistencyError rather than returning either verdict.  Direct
-divisibility reads ``pre_matrix`` of the map divided through.
+divisibility through the left Sigma T-perp-approximation is decided entry
+by entry: that approximation is block diagonal, one block l_a: a -> Z_a
+per source summand, and Hom(a, y) is at most 1-dimensional, so a map f
+factors through it exactly when every nonzero entry f_ya has
+rank Hom(l_a, y) = 1, read off one memoised rank table per arc.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable
 
@@ -29,9 +32,6 @@ from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, rank, solve_right
 from .triangles import Triangle, complete_triangle, pre_rank_table
 from .values import Value
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 VIEW_KINDS = ("addT", "Tperp", "SigmaTperp", "perpT")
 
@@ -122,9 +122,9 @@ def bundle_left_approx(cat: Category, x: Obj, members: Iterable[int]) -> Mor:
                 tgt_arcs.append(m)
                 picks.append((m, pos))
     tgt = Obj(tuple(tgt_arcs))
-    rows = [[F0] * len(x.summands) for _ in tgt_arcs]
+    rows = [[0] * len(x.summands) for _ in tgt_arcs]
     for i, (m, pos) in enumerate(picks):
-        rows[i][pos] = F1
+        rows[i][pos] = 1
     return cat.mor(x, tgt, rows)
 
 
@@ -151,9 +151,9 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
                     cat.comp3(ti, u, xj) for u in arcs if u != ti)):
                 src.append(ti)
                 picks.append(j)
-    rows = [[F0] * len(src) for _ in x.summands]
+    rows = [[0] * len(src) for _ in x.summands]
     for j, pos in enumerate(picks):
-        rows[pos][j] = F1
+        rows[pos][j] = 1
     f = cat.mor(Obj(tuple(src)), x, rows)
     for ti in arcs:
         got = rank(cat.post_matrix(f, Obj((ti,))))
@@ -256,15 +256,35 @@ def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:
     return reduce(cat.direct_sum_mor, parts) if parts else cat.zero_mor(x, x)
 
 
+def _sigma_perp_ranks(cat: Category, t: RigidObject, a: int) -> list[int]:
+    """rank Hom(l_a, w) for every indecomposable w, l_a: a -> Z_a the left
+    Sigma T-perp-approximation of the arc a; memoised per T and arc.  l_a
+    has one source summand, so the table needs no elimination."""
+    memo = _rigid_memo(cat, t).setdefault("sigma_perp_ranks", {})
+    got = memo.get(a)
+    if got is None:
+        got = memo[a] = pre_rank_table(
+            cat, left_sigma_perp_approx(cat, t, Obj((a,))))
+    return got
+
+
 def factors_through_subcat(cat: Category, t: RigidObject, f: Mor) -> bool:
     """Does f factor through Sigma T-perp?
 
     The hom-functor kernel criterion and direct divisibility through the
-    left Sigma T-perp-approximation of f's source are both evaluated and
-    must agree.
+    left Sigma T-perp-approximation l of f's source are both evaluated and
+    must agree.  l is the direct sum of the maps l_a: a -> Z_a of the
+    source summands a, so it is block diagonal and v.l = f splits into one
+    equation v_ia.l_a = f_ia per target summand y_i and source summand a.
+    Hom(a, y_i) has dimension at most 1, so that equation is solvable
+    exactly when f_ia = 0 or rank Hom(l_a, y_i) = 1: f factors through
+    Sigma T-perp iff every nonzero entry passes this test
+    (``_sigma_perp_ranks``), and no system is solved.
     """
     by_functor = hom_functor_zero(cat, t, f)
-    direct = factors_through_mor(cat, f, left_sigma_perp_approx(cat, t, f.src))
+    ranks = [_sigma_perp_ranks(cat, t, a) for a in f.src.summands]
+    direct = all(ranks[j][y] for y, row in zip(f.tgt.summands, f.m)
+                 for j, v in enumerate(row) if v)
     if by_functor != direct:
         raise InternalConsistencyError(
             "hom-functor kernel test disagrees with direct factoring "

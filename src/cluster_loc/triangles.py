@@ -42,14 +42,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 
 from .category import Category, Mor, Obj, _mesh_at
 from .linalg import Mat, eliminate, integer_row, kernel_basis
 from .values import Value
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 # Bounds of generic_maps.  Its coefficients are positive because a signed
 # range also draws zeros: on the same inputs, draws from -3..3 needed up to
@@ -340,7 +336,7 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
     so by the Schwartz–Zippel lemma a draw fails them with probability at
     most (their degree)/DRAW_RANGE unless every member fails.
     """
-    base = [F0] * kb.rows if base is None else base
+    base = [0] * kb.rows if base is None else base
     if kb.cols == 0:
         yield cat.mor_from_vec(X, Y, base)
         return
@@ -417,7 +413,7 @@ def mesh_map_into(cat: Category, x: int) -> Mor:
     mids = mesh_middle(cat, x)
     E = Obj(tuple(mids))
     X = Obj((x,))
-    return cat.mor(E, X, [[F1] * len(mids)])
+    return cat.mor(E, X, [[1] * len(mids)])
 
 
 def mesh_map_out_of(cat: Category, x: int) -> Mor:
@@ -426,4 +422,4 @@ def mesh_map_out_of(cat: Category, x: int) -> Mor:
     mids = mesh_middle(cat, y)
     X = Obj((x,))
     E = Obj(tuple(mids))
-    return cat.mor(X, E, [[F1] for _ in mids])
+    return cat.mor(X, E, [[1] for _ in mids])

@@ -5,9 +5,9 @@ see them live).  All tolerances are exact: every comparison is equality of
 integers or of rational matrices.
 
     1. full reproduction of the rank-4 worked example (a-f, under 30 s);
-    2. lemma suites: exhaustive over every basic rigid object for n <= 4,
+    2. lemma suites: exhaustive over every basic rigid object for n <= 5,
        seeded sampling (>= 10^3 maps, >= 5 rigid objects per rank) for
-       n = 5..12, zero failures, within 10 minutes, with the process's
+       n = 6..12, zero failures, within 10 minutes, with the process's
        peak RSS in the report line;
     3. the localization/module dimension equalities on all indecomposable
        pairs, for the worked example and every basic rigid object of rank
@@ -76,7 +76,7 @@ def test_ac2_lemma_suites_battery():
     failures = 0
     instances = 0
     checks = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         cat = cached_category(n)
         for t in enumerate_basic_rigid(cat):
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
@@ -85,11 +85,13 @@ def test_ac2_lemma_suites_battery():
             failures += rep["failures_total"]
             checks += sum(s["checks"] for s in rep["suites"])
             instances += 1
+            modes = {s["coverage"].get("mode") for s in rep["suites"]}
+            assert modes - {None} == {"exhaustive"}
     exhaustive_done = time.perf_counter() - start
     print(f"AC2 exhaustive: {instances} instances, {checks} checks, "
           f"{failures} failures ({exhaustive_done:.0f}s)")
-    assert instances == 2 + 10 + 44 + 196
-    for n in range(5, 13):
+    assert instances == 2 + 10 + 44 + 196 + 902
+    for n in range(6, 13):
         cat = cached_category(n)
         for t in _five_rigid(cat, random.Random(f"ac2:{n}")):
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
@@ -192,7 +194,7 @@ def test_ac5_mesh_vs_crossing_rule():
 
 
 def test_ac5_cone_vs_smoothing():
-    from cluster_loc.arcs import smooth_crossing
+    from smoothing_reference import smooth_crossing
     bad = 0
     pairs = 0
     for n in range(1, 7):

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from cluster_loc.arcs import (Arc, Polygon, crosses, enumerate_arcs, make_arc,
-                              parse_arc, rotate, smooth_crossing)
+                              parse_arc, rotate)
+from smoothing_reference import smooth_crossing
 
 
 def test_enumerate_counts():

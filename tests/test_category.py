@@ -1050,6 +1050,26 @@ def test_load_rejects_composition_keys_off_the_hom_pairs(cat4):
             load_category(d)
 
 
+def test_load_rejects_hom_and_sigma_arc_indices_that_are_not_ints(cat4):
+    # 0.0 and True compare equal to the ints they stand for, so they pass
+    # every range and equality check and would fail only as list indices
+    k = next(i for i, (x, y, _) in enumerate(cat4.to_dict()["hom"]) if x != y)
+    for bad in (float, str, bool):
+        d = cat4.to_dict()
+        x, y, deg = d["hom"][k]
+        key = (x, bad(y)) if bad is str else (bad(x), y)
+        d["hom"][k] = [*key, deg]
+        with pytest.raises(BuildError, match=re.escape(
+                f"hom key {key} is not a pair of arc indices")):
+            load_category(d)
+    for bad in (float, bool):
+        d = cat4.to_dict()
+        j = d["sigma_arc"].index(1)
+        d["sigma_arc"][j] = bad(1)
+        with pytest.raises(BuildError, match="rotation"):
+            load_category(d)
+
+
 def test_load_rejects_a_hom_pair_off_the_arcs(cat4):
     d = cat4.to_dict()
     d["hom"].append([0, 99, 1])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cluster_loc.category import Obj, build_category
+from cluster_loc.category import InternalConsistencyError, Obj, build_category
 from cluster_loc.localization import classify
 from cluster_loc.modules import H_obj, end_algebra, top_dims
 from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
@@ -18,6 +18,7 @@ from cluster_loc.triangles import (complete_triangle, mesh_map_into,
                                    pre_rank_table)
 from conftest import (is_isomorphism, mat_from_cols, right_minimal_reduce,
                       sample_rigid)
+from factoring_reference import factors_through_sigma_perp
 
 
 def test_is_rigid_examples(cat4, example_T):
@@ -251,6 +252,60 @@ def test_kernel_criterion_random_maps(cat4, example_T):
                             cat4.random_obj(rng, 2))
         assert hom_functor_zero(cat4, example_T, f) == \
             factors_through_subcat(cat4, example_T, f)
+
+
+def _factoring_objects(n):
+    """Every basic rigid object at n <= 4, six seeded ones above."""
+    cat = cached_category(n)
+    if n <= 4:
+        return cat, enumerate_basic_rigid(cat)
+    rng = random.Random(f"factoring:{n}")
+    return cat, [sample_rigid(cat, rng) for _ in range(6)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_entrywise_factoring_verdict_matches_the_solve(n):
+    """factors_through_subcat, read entry-wise off the per-arc rank tables,
+    against one linear solve through the assembled approximation: on every
+    basis map and on seeded maps between objects of up to three summands,
+    half of them composites v.l through the approximation l."""
+    cat, objects = _factoring_objects(n)
+    rng = random.Random(f"entrywise:{n}")
+    basis = [cat.basis_mor(x, y) for (x, y) in sorted(cat.hom_deg)]
+    verdicts = set()
+    for t in objects:
+        maps = list(basis)
+        for _ in range(12):
+            x = cat.random_obj(rng, 3)
+            maps.append(cat.random_mor(rng, x, cat.random_obj(rng, 3)))
+            ell = left_sigma_perp_approx(cat, t, x)
+            v = cat.random_mor(rng, ell.tgt, cat.random_obj(rng, 3))
+            maps.append(cat.compose(v, ell))
+        for f in maps:
+            direct = factors_through_subcat(cat, t, f)
+            assert direct == factors_through_sigma_perp(cat, t, f)
+            if not f.is_zero():
+                verdicts.add(direct)
+    assert verdicts == {True, False}
+
+
+def test_planted_rank_fault_is_caught():
+    """Flipping one entry of the per-arc rank memo makes the entry-wise
+    verdict disagree with the hom-functor criterion on the basis map that
+    reads it."""
+    cat = build_category(4)
+    t = rigid_object(cat, ["M44", "M14", "M11"])
+    for (a, y) in sorted(cat.hom_deg):
+        f = cat.basis_mor(a, y)
+        factors_through_subcat(cat, t, f)
+        ranks = _rigid_memo(cat, t)["sigma_perp_ranks"][a]
+        ranks[y] = 1 - ranks[y]
+        with pytest.raises(InternalConsistencyError,
+                           match="disagrees with direct factoring"):
+            factors_through_subcat(cat, t, f)
+        ranks[y] = 1 - ranks[y]
+        assert factors_through_subcat(cat, t, f) == \
+            factors_through_sigma_perp(cat, t, f)
 
 
 def test_smaller_kernel_on_presented_objects(cat4, example_T):

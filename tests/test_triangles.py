@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cluster_loc import triangles
-from cluster_loc.arcs import smooth_crossing
 from cluster_loc.category import Category, Obj, build_category
 from cluster_loc.linalg import eliminate, integer_row, kernel_basis, rank
 from cluster_loc.suites import cached_category
@@ -14,6 +13,7 @@ from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
                                    profile_candidates)
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
+from smoothing_reference import smooth_crossing
 
 
 def ar_triangle(cat, x: int) -> Triangle:

@@ -9,9 +9,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cluster_loc"
 ALLOWED = {
     "strip_timing": "the report normaliser that bench/ and the determinism "
                     "tests apply to run_suites reports",
-    "smooth_crossing": "the arc model's crossing resolution, the reference "
-                       "that tests/test_arcs.py, test_triangles.py and "
-                       "test_acceptance.py check certified cones against",
     "load_category": "README API: reads a serialized category back and "
                      "re-runs the build's table checks",
     "lift_module_to_CT": "the density lift that a density suite (ROADMAP "
@@ -21,6 +18,9 @@ ALLOWED = {
                              "of the acceptance and module tests",
     "replay_failure": "re-runs a failure from the reproducer that README "
                       "says every report record carries",
+    "factors_through_mor": "direct divisibility through a given map, by "
+                           "one linear solve: the kernel verdict that "
+                           "bench/ decides and the factoring tests use",
     "certify_triangle": "the whole-triangle certificate that bench's "
                         "map-battery and tests/test_triangles.py apply",
 }
