@@ -18,8 +18,7 @@ from .localization import (LocHom, MorClassification, Zigzag, classify,
                            zigzag_equal, zigzag_eval)
 from .modules import (Algebra, LambdaModule, ModuleHom, H_mor, H_obj,
                       end_algebra, enumerate_indec_modules,
-                      lift_module_to_CT, min_proj_presentation,
-                      module_hom_basis)
+                      lift_module_to_CT, module_hom_basis)
 from .rigid import (RigidObject, SubcatView, enumerate_basic_rigid, in_CT,
                     is_cluster_tilting, is_rigid, perp_view, rigid_object,
                     right_addT_approx, wakamatsu_check)

@@ -125,15 +125,6 @@ class Mat(Value):
             out.extend(acc)
         return Mat(self.rows, other.cols, tuple(out))
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Mat(self.rows, self.cols + other.cols, tuple(ent))
-
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
@@ -248,10 +239,6 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
     """
     if a.rows != b.rows:
         raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
-    if a.cols == 0:
-        return Mat.zeros(0, b.cols) if b.is_zero() else None
-    if a.rows == 0:
-        return Mat.zeros(a.cols, b.cols)
     red, pivots, d = reduced_rows([a.row(i) + b.row(i)
                                    for i in range(a.rows)])
     if pivots and pivots[-1] >= a.cols:
@@ -264,10 +251,6 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
 
 def kernel_basis(m: Mat) -> Mat:
     """Matrix whose columns form a basis of ker(m); cols = cols(m) - rank(m)."""
-    if m.cols == 0:
-        return Mat.zeros(0, 0)
-    if m.rows == 0:
-        return Mat.identity(m.cols)
     red, pivots, d = reduced_rows([m.row(i) for i in range(m.rows)])
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
@@ -278,37 +261,14 @@ def kernel_basis(m: Mat) -> Mat:
         for r, pc in enumerate(pivots):
             v[pc] = _ratio(-red[r][f], d)
         cols.append(v)
-    if not cols:
-        return Mat.zeros(m.cols, 0)
     return Mat(m.cols, len(cols),
                tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols))))
-
-
-def column_space_basis(m: Mat) -> Mat:
-    """Matrix whose columns are the pivot columns of m (a basis of im m)."""
-    pivots, _ = eliminate([integer_row(m.row(i)) for i in range(m.rows)])
-    if not pivots:
-        return Mat.zeros(m.rows, 0)
-    return Mat(m.rows, len(pivots),
-               tuple(m.at(i, j) for i in range(m.rows) for j in pivots))
-
-
-def complement_coords(basis: Mat) -> list[int]:
-    """Standard coordinates extending the columns of ``basis`` to a basis of
-    the ambient space (pivot positions of the identity block)."""
-    n, k = basis.rows, basis.cols
-    pivots, _ = eliminate([integer_row(basis.row(i) + (0,) * i + (1,)
-                                       + (0,) * (n - 1 - i))
-                           for i in range(n)])
-    return [p - k for p in pivots if p >= k]
 
 
 def inverse(m: Mat) -> Optional[Mat]:
     """Exact inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
-    if m.rows == 0:
-        return m
     x = solve_right(m, Mat.identity(m.rows))
     if x is None:
         return None

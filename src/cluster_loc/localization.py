@@ -34,8 +34,9 @@ from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import Mat, kernel_basis, solve_right
 from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
                       hom_dim_modules)
-from .rigid import (RigidObject, _rigid_memo, factors_through_subcat,
-                    functor_slots, in_CT, perp_view, right_addT_approx)
+from .rigid import (RigidObject, _rigid_memo, approx_triangle,
+                    factors_through_subcat, functor_slots, in_CT, perp_view,
+                    right_addT_approx)
 from .triangles import Triangle, complete_triangle, generic_maps
 from .values import Value
 
@@ -106,7 +107,7 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj) -> tuple[Obj, Mor]:
         s = cat.zero_mor(cat.zero_obj, y)
         memo[y.summands] = (cat.zero_obj, s)
         return memo[y.summands]
-    tri1 = complete_triangle(cat, right_addT_approx(cat, t, y))
+    tri1 = approx_triangle(cat, t, y)
     u = tri1.f
     v = cat.scale_mor(-1, cat.suspend_mor(tri1.h, -1))   # Z -> T0
     z_obj = v.src

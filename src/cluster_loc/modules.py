@@ -9,11 +9,11 @@ linear map M_j -> M_i (precomposition).  With this bookkeeping
 H(x) = Hom(T, x) carries spaces Hom(t_i, x) and H(t_i) is the i-th
 indecomposable projective, which is the Yoneda check pinning the convention.
 
-A projective cover lists its factors P_i in the order of the arcs t_i, so a
-sum of projectives it builds is, entry for entry, H(T0) for the object T0 of
-add T with those summands.  Density (`lift_module_to_CT`) reads T1 and T0 off
-a minimal projective presentation P1 -> P0, takes the preimage of the map
-under H, which is bijective on maps in add T, and cones it.
+Density (`lift_module_to_CT`) reads a minimal projective presentation
+H(T1) -> H(T0) -> M -> 0 off vectors, by Yoneda: H(t_i) is the projective
+P_i, and a map P_i -> N is a vector of N_i.  T0 and T1 are lists of summands
+of T, the map T1 -> T0 is a list of kernel vectors, and no module is built
+and no preimage solved for; the cone of that map is the lift.
 
 Decompositions are read off one exact invariant, the trace-pairing rank
 r(A, B): the rank of (f, g) -> tr(g f) over bases of Hom(A, B) and
@@ -39,12 +39,11 @@ category, so the module side stays an independent decision.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import (Mat, column_space_basis, complement_coords, inverse,
-                     kernel_basis, rank, solve_right)
-from .rigid import RigidObject, functor_slots, in_CT
+from .linalg import Mat, inverse, kernel_basis, rank, rank_rows
+from .rigid import RigidObject, in_CT
 from .triangles import complete_triangle
 from .values import Value
 
@@ -240,35 +239,16 @@ class ModuleHom:
                          check=False)
 
 
-def zero_module(alg: Algebra) -> LambdaModule:
-    return LambdaModule(alg, [0] * alg.r, {})
-
-
 def simple_module(alg: Algebra, i: int) -> LambdaModule:
     dims = [0] * alg.r
     dims[i] = 1
     return LambdaModule(alg, dims, {})
 
 
-def projective_module(alg: Algebra, i: int) -> LambdaModule:
-    """P_i, with (P_i)_j = Hom(t_j, t_i) and action by composition."""
-    dims = [1 if (j == i or (j, i) in set(alg.radical_pairs)) else 0
-            for j in range(alg.r)]
-    act = {}
-    for (j, k) in alg.radical_pairs:
-        if dims[j] and dims[k]:
-            if k == i:
-                c = 1  # x = e_i: a.e_i is the basis element of Hom(t_j, t_i)
-            else:
-                c = alg.mult.get((j, k, i), 0)
-            act[(j, k)] = Mat.from_rows([[c]])
-    return LambdaModule(alg, dims, act)
-
-
 def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list[list[int]]]:
     """Direct sum plus, per factor, the offset of its block at each vertex."""
     if not mods:
-        raise ValueError("empty direct sum needs an algebra; use zero_module")
+        raise ValueError("empty direct sum: no algebra to build it over")
     alg = mods[0].alg
     dims = [sum(m.dims[i] for m in mods) for i in range(alg.r)]
     offsets = []
@@ -317,110 +297,6 @@ def H_mor(cat: Category, alg: Algebra, f: Mor) -> ModuleHom:
     """Hom(T, f); component i is the matrix of Hom(t_i, f)."""
     return ModuleHom(H_obj(cat, alg, f.src), H_obj(cat, alg, f.tgt),
                      [cat.post_matrix(f, Obj((t,))) for t in alg.summands])
-
-
-# -- structure of modules ---------------------------------------------------
-
-
-def radical_subspaces(m: LambdaModule) -> list[Mat]:
-    """Per-vertex bases of rad(M) = sum of images of the radical action."""
-    out = []
-    for i in range(m.alg.r):
-        pieces = [m.act[(i, j)] for (i2, j) in m.alg.radical_pairs if i2 == i]
-        pieces = [p for p in pieces if p.cols]
-        if not pieces:
-            out.append(Mat.zeros(m.dims[i], 0))
-            continue
-        stacked = pieces[0]
-        for p in pieces[1:]:
-            stacked = stacked.hstack(p)
-        out.append(column_space_basis(stacked))
-    return out
-
-
-def top_dims(m: LambdaModule) -> tuple[int, ...]:
-    rads = radical_subspaces(m)
-    return tuple(m.dims[i] - rads[i].cols for i in range(m.alg.r))
-
-
-def projective_cover(m: LambdaModule) -> ModuleHom:
-    """P(top M) -> M, lifting a complement of the radical at each vertex.
-
-    The factors P_i come in the order of the arcs t_i, not of the vertices,
-    so the sum is, entry for entry, H(T0) for the object T0 of add T with
-    those summands (H(t_i) = P_i)."""
-    alg = m.alg
-    rads = radical_subspaces(m)
-    factors = []
-    lifts: list[tuple[int, Mat]] = []   # (vertex, column vector in M_i)
-    for i in sorted(range(alg.r), key=alg.summands.__getitem__):
-        for c in complement_coords(rads[i]):
-            vec = [0] * m.dims[i]
-            vec[c] = 1
-            factors.append(projective_module(alg, i))
-            lifts.append((i, Mat.column(vec)))
-    if not factors:
-        z = zero_module(alg)
-        return ModuleHom(z, m, [Mat.zeros(m.dims[i], 0) for i in range(alg.r)],
-                         check=False)
-    p0, offsets = direct_sum_modules(factors)
-    comps = [[[0] * p0.dims[i] for _ in range(m.dims[i])] for i in range(alg.r)]
-    for k, ((iv, v), off) in enumerate(zip(lifts, offsets)):
-        pk = factors[k]
-        # basis of (P_iv)_j is the single hom basis element; its image is the
-        # action of that element on the lift vector
-        for j in range(alg.r):
-            if pk.dims[j] == 0:
-                continue
-            if j == iv:
-                img = v
-            else:
-                img = m.act[(j, iv)] * v
-            col = off[j]  # single basis vector of this factor at vertex j
-            for a in range(m.dims[j]):
-                comps[j][a][col] = img.at(a, 0)
-    hom = ModuleHom(p0, m, [Mat.from_rows(c) if m.dims[i] else
-                            Mat.zeros(0, p0.dims[i])
-                            for i, c in enumerate(comps)])
-    if not hom.is_epi():
-        raise InternalConsistencyError("projective cover failed to surject")
-    return hom
-
-
-def _restrict_to(m: LambdaModule,
-                 spans: list[Mat]) -> tuple[LambdaModule, list[Mat]]:
-    """Submodule spanned at each vertex i by the columns of spans[i], with
-    the per-vertex bases chosen for it; raises if it is not action-stable."""
-    alg = m.alg
-    per_vertex = [column_space_basis(s) for s in spans]
-    dims = [b.cols for b in per_vertex]
-    act = {}
-    for (i, j) in alg.radical_pairs:
-        rhs = m.act[(i, j)] * per_vertex[j]
-        sol = solve_right(per_vertex[i], rhs)
-        if sol is None:
-            raise InternalConsistencyError("subspace is not action-stable")
-        act[(i, j)] = sol
-    return LambdaModule(alg, dims, act), per_vertex
-
-
-def kernel_module(f: ModuleHom) -> ModuleHom:
-    """The kernel with its inclusion map."""
-    k, kers = _restrict_to(f.src, [kernel_basis(m) for m in f.comps])
-    return ModuleHom(k, f.src, kers)
-
-
-def min_proj_presentation(m: LambdaModule):
-    """Minimal projective presentation P1 -> P0 -> M -> 0.
-
-    Returns (p1, cover) where cover: P0 -> M is the projective cover and
-    p1: P1 -> P0 covers its kernel (so the image of p1 lies in rad P0).
-    """
-    cover = projective_cover(m)
-    incl = kernel_module(cover)
-    cover1 = projective_cover(incl.src)
-    p1 = incl.compose(cover1)
-    return p1, cover
 
 
 # -- hom spaces and the trace pairing --------------------------------------
@@ -683,25 +559,39 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
                       m: LambdaModule) -> Obj:
     """An object of C(T) whose image under Hom(T, -) is isomorphic to m.
 
-    The minimal projective presentation P1 -> P0 of m is Hom(T, -) of a map
-    phi: T1 -> T0 in add T, because its projectives come in arc order and
-    Hom(T, -) is bijective on maps in add T.  The cone of phi is the lift;
-    the postconditions H(x) = m and x in C(T) are verified and failure
-    raises.
+    A minimal projective presentation H(T1) -> H(T0) -> m -> 0 is read off
+    vectors by Yoneda: P_i = H(t_i), and a map P_i -> N is a vector of N_i.
+    T0 has one copy (i, g) of t_i per vector g of a basis of m_i modulo
+    rad m_i, and the cover sends the slot of (i, g) in Hom(t_a, T0) to
+    b_(a,i) g, or to g when a = i.  T1 has one copy of t_a per vector u of a
+    basis of the cover's kernel K_a modulo rad K_a, the images of the K_b
+    under the action of H(T0).  u lies in Hom(t_a, T0), so it is the column
+    of phi: T1 -> T0 at that copy.  The cone of phi is the lift; the
+    postconditions H(x) = m and x in C(T) are verified and failure raises.
     """
     if m.is_zero():
         return cat.zero_obj
-    p1, cover = min_proj_presentation(m)
-
-    def add_t(p: LambdaModule) -> Obj:
-        """The object of add T whose image is p, a sum of projectives."""
-        return Obj(tuple(sorted(a for a, k in zip(alg.summands, top_dims(p))
-                                for _ in range(k))))
-
-    phi = solve_H_preimage(cat, alg, add_t(p1.src), add_t(cover.src), p1)
-    if phi is None:
-        raise InternalConsistencyError(
-            "presentation map has no preimage in add T")
+    arcs, pairs = alg.summands, alg.radical_pairs
+    order = sorted(range(alg.r), key=arcs.__getitem__)
+    gens = [(i, g) for i in order for g in _independent(
+        [m.act[(i2, j)] for (i2, j) in pairs if i2 == i], Mat.identity(m.dims[i]))]
+    t0 = Obj(tuple(arcs[i] for i, _ in gens))
+    kers = []
+    for a in range(alg.r):
+        imgs = [g if i == a else (m.act[(a, i)] * Mat.column(g)).entries
+                for i, g in gens if cat.hom1(arcs[a], arcs[i])]
+        kers.append(kernel_basis(Mat(m.dims[a], len(imgs), tuple(
+            v[r] for r in range(m.dims[a]) for v in imgs))))
+    h0 = H_obj(cat, alg, t0)
+    rels = [(a, u) for a in order for u in _independent(
+        [h0.act[(a, b)] * kers[b] for (a2, b) in pairs if a2 == a], kers[a])]
+    cols = []
+    for a, u in rels:
+        entries = iter(u)
+        cols.append([next(entries) if cat.hom1(arcs[a], s) else 0
+                     for s in t0.summands])
+    phi = cat.mor(Obj(tuple(arcs[a] for a, _ in rels)), t0,
+                  [[c[k] for c in cols] for k in range(len(t0))])
     x = complete_triangle(cat, phi).z
     hx = H_obj(cat, alg, x)
     if not modules_isomorphic(hx, m):
@@ -712,20 +602,14 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
     return x
 
 
-def solve_H_preimage(cat: Category, alg: Algebra, x: Obj, y: Obj,
-                     target: ModuleHom) -> Optional[Mor]:
-    """Some f: x -> y with Hom(T, f) equal to the given module map, or None.
-    Hom(t, -) sends slot (i, j) of Hom(x, y) to the one entry (y_i, x_j) of
-    component t, times comp(t, x_j, y_i) = +-1, so f is read off there."""
-    comps = dict(zip(alg.summands, target.comps))
-    rows = [[0] * len(x.summands) for _ in y.summands]
-    for i, j in functor_slots(cat, alg.summands, x, y):
-        c, t = next((c, t) for t in alg.summands
-                    if (c := cat.comp3(t, x.summands[j], y.summands[i])))
-        r = sum(cat.hom1(t, v) for v in y.summands[:i])   # the entry's row
-        k = sum(cat.hom1(t, v) for v in x.summands[:j])   # and column
-        rows[i][j] = c * comps[t].at(r, k)
-    f = Mor(x, y, tuple(map(tuple, rows)))
-    if all(cat.post_matrix(f, Obj((t,))) == comps[t] for t in alg.summands):
-        return f
-    return None
+def _independent(spans: Sequence[Mat], m: Mat) -> list[tuple]:
+    """The columns of m, in order, that lie outside the span of the columns
+    of ``spans`` and of the columns of m kept before them."""
+    rows = [s.col(c) for s in spans for c in range(s.cols)]
+    kept, r = [], rank_rows(rows)
+    for v in map(m.col, range(m.cols)):
+        if rank_rows(rows + [v]) > r:
+            rows.append(v)
+            kept.append(v)
+            r += 1
+    return kept

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc.category import Category, Mor, Obj
-from cluster_loc.linalg import Mat, kernel_basis, solve_right
+from cluster_loc.linalg import Mat, kernel_basis, rank_rows, solve_right
+from cluster_loc.modules import Algebra, LambdaModule
 from cluster_loc.rigid import RigidObject, rigid_object
 from cluster_loc.suites import cached_category
 
@@ -20,6 +21,17 @@ def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
             if rng.random() < 0.35:
                 break
     return RigidObject(tuple(sorted(acc)), True)
+
+
+def five_rigid(cat: Category, rng: random.Random) -> list[RigidObject]:
+    """Five distinct basic rigid objects, drawn in turn from the seeded
+    sampler."""
+    seen: list[RigidObject] = []
+    while len(seen) < 5:
+        t = sample_rigid(cat, rng)
+        if t not in seen:
+            seen.append(t)
+    return seen
 
 
 def is_isomorphism(cat: Category, f: Mor) -> bool:
@@ -41,6 +53,68 @@ def mat_from_cols(cols, nrows: int) -> Mat:
     survive (from_rows would collapse a 0-row matrix to 0 columns)."""
     return Mat(nrows, len(cols),
                tuple(Fraction(c[r]) for r in range(nrows) for c in cols))
+
+
+def hstack(a: Mat, b: Mat) -> Mat:
+    """[a | b], the columns of a followed by those of b."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    return Mat(a.rows, a.cols + b.cols,
+               tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))
+
+
+# -- module references -----------------------------------------------------
+
+
+def zero_module(alg: Algebra) -> LambdaModule:
+    return LambdaModule(alg, [0] * alg.r, {})
+
+
+def projective_module(alg: Algebra, i: int) -> LambdaModule:
+    """P_i, with (P_i)_j = Hom(t_j, t_i) and action by composition, built
+    from the structure constants alone."""
+    dims = [1 if (j == i or (j, i) in set(alg.radical_pairs)) else 0
+            for j in range(alg.r)]
+    act = {}
+    for (j, k) in alg.radical_pairs:
+        if dims[j] and dims[k]:
+            if k == i:
+                c = 1  # x = e_i: a.e_i is the basis element of Hom(t_j, t_i)
+            else:
+                c = alg.mult.get((j, k, i), 0)
+            act[(j, k)] = Mat.from_rows([[c]])
+    return LambdaModule(alg, dims, act)
+
+
+def top_dims(m: LambdaModule) -> tuple[int, ...]:
+    """dim of M_i / rad M_i at each vertex i, rad M_i being spanned by the
+    columns of the action matrices into M_i."""
+    return tuple(m.dims[i] - rank_rows([
+        a.col(c) for (i2, _), a in m.act.items() if i2 == i
+        for c in range(a.cols)]) for i in range(m.alg.r))
+
+
+# -- slot references for the induced-hom matrices ---------------------------
+
+
+def slot_post_matrix(cat: Category, f: Mor, W: Obj) -> Mat:
+    """Hom(W, f) one slot at a time: f composed with each basis map of
+    Hom(W, f.src); the reference for Category.post_matrix."""
+    cols = [cat.vectorize(cat.compose(f, cat.slot_mor(W, f.src, s)))
+            for s in cat.hom_slots(W, f.src)]
+    return mat_from_cols(cols, cat.dim_hom_obj(W, f.tgt))
+
+
+def slot_hom_functor_matrix(cat: Category, arcs, x: Obj, y: Obj) -> Mat:
+    """Hom(T, -) on Hom(x, y) one slot at a time, the image of each slot map
+    flattened over the arcs of T; the reference for functor_slots."""
+    cols = [[v for t in arcs
+             for v in slot_post_matrix(cat, cat.slot_mor(x, y, s),
+                                       Obj((t,))).entries]
+            for s in cat.hom_slots(x, y)]
+    nrows = sum(cat.dim_hom_obj(Obj((t,)), y) * cat.dim_hom_obj(Obj((t,)), x)
+                for t in arcs)
+    return mat_from_cols(cols, nrows)
 
 
 # -- right-minimal reduction: the reference for ``right_addT_approx`` ------

@@ -12,6 +12,7 @@ import itertools
 
 from cluster_loc.linalg import Mat, reduced_rows
 from cluster_loc.triangles import TriangleError
+from conftest import hstack
 
 
 def hom_dim_matrix(cat) -> Mat:
@@ -31,7 +32,7 @@ def reduced_hom_dim_system(cat):
     len(pivots) on have a zero D part and pin the profile.
     """
     n = cat.N
-    aug = hom_dim_matrix(cat).hstack(Mat.identity(n))
+    aug = hstack(hom_dim_matrix(cat), Mat.identity(n))
     red, pivots, d = reduced_rows(aug.to_rows())
     pivots = [p for p in pivots if p < n]
     free = [c for c in range(n) if c not in pivots]

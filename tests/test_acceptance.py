@@ -34,7 +34,7 @@ from cluster_loc.rigid import (dim_factoring_through_add, enumerate_basic_rigid,
 from cluster_loc.suites import (InstanceConfig, cached_category, basis_maps,
                                 example71_checks, run_suites, strip_timing)
 from cluster_loc.triangles import complete_triangle
-from conftest import sample_rigid
+from conftest import five_rigid
 
 AC2_SUITES = ["kernel", "stilde", "doubleperp", "wakamatsu", "identify",
               "factoring-surjection"]
@@ -60,17 +60,6 @@ def test_ac1_example_reproduction(cat4, example_T):
 # -- criterion 2 --------------------------------------------------------------
 
 
-def _five_rigid(cat, rng):
-    """Five distinct basic rigid objects, drawn in turn from the seeded
-    sampler."""
-    seen = []
-    while len(seen) < 5:
-        t = sample_rigid(cat, rng)
-        if t not in seen:
-            seen.append(t)
-    return seen
-
-
 def test_ac2_lemma_suites_battery():
     start = time.perf_counter()
     failures = 0
@@ -93,7 +82,7 @@ def test_ac2_lemma_suites_battery():
     assert instances == 2 + 10 + 44 + 196 + 902
     for n in range(6, 13):
         cat = cached_category(n)
-        for t in _five_rigid(cat, random.Random(f"ac2:{n}")):
+        for t in five_rigid(cat, random.Random(f"ac2:{n}")):
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
                                  seed=7, suites=AC2_SUITES)
             rep = run_suites(cfg, sample_maps=1000, cat=cat)
@@ -136,7 +125,7 @@ def test_ac3_module_suites_beyond_rank_four():
     for n in range(5, 13):
         cat = cached_category(n)
         fan = rigid_object(cat, [f"0-{k}" for k in range(2, n + 2)])
-        for t in _five_rigid(cat, random.Random(f"ac3:{n}")) + [fan]:
+        for t in five_rigid(cat, random.Random(f"ac3:{n}")) + [fan]:
             cfg = InstanceConfig(n=n, T=[cat.labels[a] for a in t.arcs],
                                  seed=7, suites=["equivalence", "chain", "kz",
                                                  "elementary"])

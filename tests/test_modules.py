@@ -7,23 +7,21 @@ import pytest
 import candidate_reference
 from candidate_reference import (candidate_enumeration, candidates,
                                  component, compositions)
-from cluster_loc.linalg import Mat, inverse, rank
+from cluster_loc.linalg import Mat, inverse, rank, solve_right
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import (H_mor, H_obj, Algebra, LambdaModule,
                                  ModuleHom, direct_sum_modules, end_algebra,
                                  enumerate_indec_modules, hom_dim_modules,
                                  is_indecomposable, lift_module_to_CT,
-                                 min_proj_presentation, module_hom_basis,
-                                 modules_isomorphic, pairing_rank,
-                                 projective_cover, projective_module,
-                                 simple_module, solve_H_preimage,
-                                 split_module, top_dims, zero_module)
+                                 module_hom_basis, modules_isomorphic,
+                                 pairing_rank, simple_module, split_module)
 from cluster_loc.category import InternalConsistencyError, build_category
 from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
                                rigid_object)
 from cluster_loc.suites import (InstanceConfig, cached_category, image_table,
                                 run_suites)
-from conftest import sample_rigid
+from conftest import (five_rigid, projective_module, sample_rigid,
+                      slot_hom_functor_matrix, zero_module)
 
 
 def test_end_algebra_example(cat4, example_T):
@@ -332,50 +330,6 @@ def test_module_hom_examples(cat4, example_T):
     assert hom_dim_modules(s1, s1) == 1
     p2 = projective_module(alg, 1)
     assert hom_dim_modules(p2, p2) == 1
-
-
-def test_min_proj_presentation(cat4, example_T):
-    alg = algebra_of(cat4, example_T)
-    # projective module: P1 part vanishes
-    p = projective_module(alg, 1)
-    p1_map, cover = min_proj_presentation(p)
-    assert p1_map.src.is_zero()
-    assert cover.is_iso()
-    # S2: cover P2, kernel covered by P1
-    s2 = simple_module(alg, 1)
-    p1_map, cover = min_proj_presentation(s2)
-    assert top_dims(cover.src) == (0, 1, 0)
-    assert top_dims(p1_map.src) == (1, 0, 0)
-    # exactness: im(p1) = ker(cover), and minimality: im(p1) inside rad P0
-    from cluster_loc.modules import kernel_module
-    incl = kernel_module(cover)
-    assert incl.src.dims == p1_map.src.dims  # P1 covers the kernel 1-1 here
-    # zero module
-    p1z, coverz = min_proj_presentation(zero_module(alg))
-    assert p1z.src.is_zero() and coverz.src.is_zero()
-
-
-@pytest.mark.parametrize("tokens", [["M11", "M14", "M44"],
-                                    ["0-5", "0-4", "0-3", "0-2"]])
-def test_projective_cover_is_H_of_an_object_of_add_T(cat4, tokens):
-    """With T's summands out of arc order, the cover of the sum of all
-    projectives is H(T) entry for entry: its factors come in arc order."""
-    t = rigid_object(cat4, tokens)
-    alg = algebra_of(cat4, t)
-    assert list(t.arcs) != sorted(t.arcs)
-    total, _ = direct_sum_modules([projective_module(alg, i)
-                                   for i in range(alg.r)])
-    got = projective_cover(total).src
-    want = H_obj(cat4, alg, cat4.obj(t.arcs))
-    assert got.dims == want.dims and got.act == want.act
-
-
-def test_projective_cover_surjects_with_minimal_top(cat4, example_T):
-    alg = algebra_of(cat4, example_T)
-    m = H_obj(cat4, alg, cat4.obj(["M34", "M14"]))
-    cover = projective_cover(m)
-    assert cover.is_epi()
-    assert top_dims(cover.src) == top_dims(m)
 
 
 def test_enumerate_indecs_example(cat4, example_T):
@@ -799,6 +753,37 @@ def test_lift_every_class_of_every_small_rigid_object():
     assert len(instances) == 2 + 10 + 44 + 6 and lifts == 205
 
 
+def test_lift_at_every_rank():
+    """Every enumerated class of every basic rigid object of rank <= 4, and
+    of AC3's objects at ranks 5..12 (five seeded ones and the fan), lifts to
+    one arc, and three seeded sums of two classes per object lift to the sum
+    of the two lifts, so the lift adds no summand of Sigma T."""
+    instances = [(cached_category(n), t) for n in range(1, 5)
+                 for t in enumerate_basic_rigid(cached_category(n))]
+    for n in range(5, 13):
+        cat = cached_category(n)
+        fan = rigid_object(cat, [f"0-{k}" for k in range(2, n + 2)])
+        instances += [(cat, t) for t in
+                      five_rigid(cat, random.Random(f"ac3:{n}")) + [fan]]
+    lifts = 0
+    for cat, t in instances:
+        alg = algebra_of(cat, t)
+        classes = enumerate_indec_modules(alg, _image_bound(cat, alg))
+        arcs = []
+        for m in classes:
+            x = lift_module_to_CT(cat, t, alg, m)
+            assert len(x.summands) == 1
+            arcs.append(x.summands[0])
+        rng = random.Random(f"lift-sums:{cat.n}:{t.arcs}")
+        for _ in range(3):
+            a, b = rng.randrange(len(classes)), rng.randrange(len(classes))
+            m, _ = direct_sum_modules([classes[a], classes[b]])
+            x = lift_module_to_CT(cat, t, alg, m)
+            assert x.summands == tuple(sorted((arcs[a], arcs[b])))
+        lifts += len(classes) + 3
+    assert len(instances) == 252 + 48 and lifts == 2752
+
+
 def test_density_round_trip(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     classes = enumerate_indec_modules(alg, 3)
@@ -806,12 +791,16 @@ def test_density_round_trip(cat4, example_T):
     images = {}
     for i in range(cat4.N):
         images[i] = H_obj(cat4, alg, cat4.obj([i]))
+    lifts = {}
     for m in classes:
         x = lift_module_to_CT(cat4, example_T, alg, m)
         assert in_CT(cat4, example_T, x)
         assert modules_isomorphic(H_obj(cat4, alg, x), m)
+        lifts[m.dims] = cat4.obj_label(x)
         # the class is realized by some indecomposable as well
         assert any(modules_isomorphic(images[i], m) for i in range(cat4.N))
+    assert lifts == {(1, 0, 0): "M44", (0, 1, 0): "M13", (0, 0, 1): "SP2",
+                     (1, 1, 0): "M14", (0, 1, 1): "M11"}
     zero_images = sum(1 for i in range(cat4.N) if images[i].is_zero())
     assert zero_images == len(sperp)
 
@@ -823,10 +812,12 @@ def test_fullness_on_presented_objects(cat4, example_T):
         for j in ct:
             x, y = cat4.obj([i]), cat4.obj([j])
             hx, hy = H_obj(cat4, alg, x), H_obj(cat4, alg, y)
+            ref = slot_hom_functor_matrix(cat4, alg.summands, x, y)
             for alpha in module_hom_basis(hx, hy):
-                f = solve_H_preimage(cat4, alg, x, y, alpha)
-                assert f is not None
-                hf = H_mor(cat4, alg, f)
+                sol = solve_right(ref, Mat.column(
+                    [v for c in alpha.comps for v in c.entries]))
+                assert sol is not None
+                hf = H_mor(cat4, alg, cat4.mor_from_vec(x, y, sol.col(0)))
                 assert all(a.entries == b.entries
                            for a, b in zip(hf.comps, alpha.comps))
 

@@ -4,7 +4,7 @@ import pytest
 
 from cluster_loc.category import InternalConsistencyError, Obj, build_category
 from cluster_loc.localization import classify
-from cluster_loc.modules import H_obj, end_algebra, top_dims
+from cluster_loc.modules import H_obj, end_algebra
 from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
                                dim_factoring_through_add,
                                dim_hom_functor_kernel, enumerate_basic_rigid,
@@ -17,7 +17,7 @@ from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (complete_triangle, mesh_map_into,
                                    pre_rank_table)
 from conftest import (is_isomorphism, mat_from_cols, right_minimal_reduce,
-                      sample_rigid)
+                      sample_rigid, top_dims)
 from factoring_reference import factors_through_sigma_perp
 
 

@@ -11,9 +11,10 @@ ALLOWED = {
                     "tests apply to run_suites reports",
     "load_category": "README API: reads a serialized category back and "
                      "re-runs the build's table checks",
-    "lift_module_to_CT": "the density lift that a density suite (ROADMAP "
+    "lift_module_to_CT": "the density lift, with no helper beyond one "
+                         "independence filter, that a density suite (ROADMAP "
                          "item 5) is to call; bench/tracing.py times it and "
-                         "tests/test_modules.py checks it meanwhile",
+                         "tests/test_modules.py checks it at every rank",
     "enumerate_basic_rigid": "the exhaustive loop over basic rigid objects "
                              "of the acceptance and module tests",
     "replay_failure": "re-runs a failure from the reproducer that README "
