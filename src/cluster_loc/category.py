@@ -4,7 +4,8 @@ Hom spaces are computed from the translation quiver on diagonals (arrows move
 one endpoint forward, the translate subtracts 1 from both endpoints) with its
 mesh relations, built degree by degree as a graded quotient of the path
 category, once per source arc x: the quotient out of x reads only x's own
-earlier degrees, kept in rows indexed by arc and by arrow.  Every hom space
+earlier degrees, kept in rows indexed by arc and by arrow, and reads the
+at most two arrows into each arc off per-arc lists.  Every hom space
 between arcs comes out 0- or 1-dimensional, each pair concentrated in a
 single path length; the build fails loudly if the computed dimensions ever
 disagree with the crossing rule
@@ -21,13 +22,14 @@ suspension constant is an ``int`` (a reduction coefficient that is not an
 integer raises BuildError), and the checks multiply ints.  The composition
 and suspension tables are filled in one pass over the hom pairs in degree
 order, each entry from one a degree lower; the oracle solves the
-commutation equations once per clamped class of interval pairs (84 at
-n = 7).  The table checks take one path at every rank: they check the
-suspension on every stored constant and associativity on the chains that
-end in an arrow and start at the least arc of a suspension orbit (2,442
-at n = 12), which proves both everywhere, by transport along the
-suspension and induction on the last step's degree, once every step of
-degree d >= 2 factors through an arrow and the suspension keeps degrees.
+commutation equations once per clamped class of interval pairs (n^2, 49 at
+n = 7 and 144 at n = 12).  The table checks take one path at every rank:
+they check the suspension on every stored constant and associativity on
+the chains that end in an arrow and start at the least arc of a
+suspension orbit (2,442 at n = 12), which proves both everywhere, by
+transport along the suspension and induction on the last step's degree,
+once every step of degree d >= 2 factors through an arrow and the
+suspension keeps degrees.
 ``load_category`` also runs them, the bridge, and checks for keys off the
 arcs, repeated keys and hom degrees that are not path lengths.
 
@@ -542,10 +544,14 @@ def build_category(p: Polygon | int) -> Category:
     N = len(arcs)
     arrows = _arrows(p, arcs, arc_index)
     arrow_idx = {st: k for k, st in enumerate(arrows)}
-    arrows_out: list[list[int]] = [[] for _ in range(N)]
-    for k, (w, z) in enumerate(arrows):
-        arrows_out[w].append(k)
+    succ: list[list[int]] = [[] for _ in range(N)]
+    for w, z in arrows:
+        succ[w].append(z)
     mesh = [_mesh_at(p, arcs, arc_index, z) for z in range(N)]
+    # the arrows into each arc z, one per middle m of the mesh ending at z,
+    # in the order of m: (arrow m -> z, m, arrow tau z -> m)
+    into = [[(arrow_idx[(m, z)], m, arrow_idx[(tz, m)]) for m in mids]
+            for z, (tz, mids) in enumerate(mesh)]
 
     # the quotient for a source x reads only x's own earlier degrees, so it
     # runs once per x, on rows by arc (hom degree, None for a zero space;
@@ -562,31 +568,28 @@ def build_category(p: Polygon | int) -> Category:
                 raise BuildError("mesh category failed to terminate; "
                                  "path quotient still alive at degree "
                                  f"{degree}")
-            # generators of the next degree: arrow a: w -> z applied to
-            # the basis element at (x, w) of the current degree
-            gen_map: dict[int, list[int]] = {}
-            for w in cur:
-                for a_id in arrows_out[w]:
-                    gen_map.setdefault(arrows[a_id][1], []).append(a_id)
+            # generators of the next degree at z: the arrows m -> z applied
+            # to the basis element at (x, m) of the current degree
             nxt = []
-            for z in sorted(gen_map):
-                gens = sorted(gen_map[z])
+            for z in sorted({t for w in cur for t in succ[w]}):
+                gens = []
+                for a_id, m, _ in into[z]:
+                    if deg[m] == degree - 1:
+                        gens.append(a_id)
                 # the mesh ending at z gives the one relation over the
                 # arrows into z, if (x, tau z) was alive two degrees down
                 rel_row = None
-                tz, mids = mesh[z]
-                if deg[tz] == degree - 2:
+                if deg[mesh[z][0]] == degree - 2:
                     row = [0] * len(gens)
-                    for m in mids:
-                        coeff = exp[arrow_idx[(tz, m)]]
+                    for a_id, m, a_in in into[z]:
+                        coeff = exp[a_in]
                         if coeff == 0:
                             continue
-                        a_out = arrow_idx[(m, z)]
-                        if a_out not in gens:
+                        if a_id not in gens:
                             raise BuildError(
                                 f"mesh relation at {arcs[z]} hits a dead "
                                 f"pair ({arcs[x]}, {arcs[m]})")
-                        row[gens.index(a_out)] += coeff
+                        row[gens.index(a_id)] += coeff
                         rel_row = row
                 dim, basis_col, reduction = _quotient_1d(rel_row, len(gens))
                 if dim > 1:
@@ -687,18 +690,19 @@ def _quotient_1d(rel_row: list[int] | None, ngens: int):
         if ngens == 1:
             return 1, 0, [1]
         return ngens, None, []
-    lead_col = next(c for c, v in enumerate(rel_row) if v)
-    d = abs(rel_row[lead_col])
-    red = rel_row if rel_row[lead_col] > 0 else [-v for v in rel_row]
-    free = [c for c in range(ngens) if c != lead_col]
-    if len(free) != 1:
-        return len(free), None, ([0] * ngens if not free else [])
-    f0 = free[0]
-    q, rem = divmod(-red[f0], d)
+    # every column but the leading one is free
+    if ngens != 2:
+        return ngens - 1, None, ([0] if ngens == 1 else [])
+    lead_col = 0 if rel_row[0] else 1
+    f0 = 1 - lead_col
+    d, num = rel_row[lead_col], -rel_row[f0]
+    if d < 0:
+        d, num = -d, -num
+    q, rem = divmod(num, d)
     if rem:
-        raise BuildError(f"mesh reduction coefficient {-red[f0]}/{d} "
+        raise BuildError(f"mesh reduction coefficient {num}/{d} "
                          "is not an integer")
-    reduction = [0] * ngens
+    reduction = [0, 0]
     reduction[f0], reduction[lead_col] = 1, q
     return 1, f0, reduction
 

@@ -5,17 +5,20 @@ vector space at every vertex and a map *along* each arrow (V_i -> V_{i+1});
 with this orientation P_i = M_{i..n} and I_i = M_{1..i}.  Interval modules
 M_{ij} are built implicitly (all spaces are 0- or 1-dimensional) and Hom
 spaces are computed by solving the arrow-commutation equations once per
-clamped class of overlapping interval pairs (``_hom_dim_class``; 84 classes
-at n = 7, 364 at n = 12), into one table indexed by interval; Ext^1 is read
-off it via the projective resolution 0 -> P_{j+1} -> P_i -> M_{ij} -> 0.
+clamped class of overlapping interval pairs (``_hom_dim_class``; n^2
+classes, 49 at n = 7 and 144 at n = 12), into one table indexed by
+interval; Ext^1 is read off it via the projective resolution
+0 -> P_{j+1} -> P_i -> M_{ij} -> 0.
 
 On top of mod kQ sits a stalk model of the orbit construction: objects are
 pairs (interval, shift), the inverse translate of an injective stalk jumps
 the shift by one, and hom spaces between orbit representatives are the sums
 over twists sum_k Hom_D(X, F^k Y) with F = inverse-translate-then-shift.
-The twists F^k Y are computed once per label (``twists``), and every orbit
-hom dimension is the same sum over them (``_orbit_sum``), taken by interval
-index off the Hom and Ext^1 tables into one table by label index.
+The twists F^k Y are computed once per label, as (interval index, shift)
+pairs; the shifts only grow along them, so for a source X at shift s the
+sum is one Hom entry at the twist of shift s plus one Ext^1 entry at the
+twist of shift s + 1, read off the Hom and Ext^1 tables into one table by
+label index.
 Everything here is deliberately independent of the mesh category so the two
 sides can be compared as separate computations.
 """
@@ -25,36 +28,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linalg import rank_rows
-from .values import Value, setfield
-
-
-class Interval(Value):
-    """The indecomposable kQ-module supported on i..j (1-based, i <= j <= n)."""
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        setfield(self, "i", i)
-        setfield(self, "j", j)
-
-
-class Stalk(Value):
-    """An interval placed in a single cohomological degree."""
-
-    __slots__ = ("mod", "shift")
-
-    def __init__(self, mod: Interval, shift: int):
-        setfield(self, "mod", mod)
-        setfield(self, "shift", shift)
-
-
-def hom_dim_mod(n: int, x: Interval, y: Interval) -> int:
-    """dim Hom_kQ(x, y) for intervals inside 1..n: 0 when the supports miss,
-    else solved once per clamped class, x moved to start at 1."""
-    if y.i > x.j or x.i > y.j:
-        return 0
-    s = x.i - 1
-    return _hom_dim_class(1, min(x.j, y.j) - s, max(x.i, y.i) - s, y.j - s)
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +43,9 @@ def _hom_dim_class(xi: int, xj: int, yi: int, yj: int) -> int:
     intervals translates the system.  It reads yi only through
     max(xi, yi-1) and yi <= v, the same for every yi <= xi as v >= xi, and
     xj only through min(xj, yj-1) and v+1 <= xj, true for every xj >= yj;
-    so callers raise yi to xi and lower xj to yj: C(n+2, 3) classes in 1..n.
+    once xj <= yj it reads yj only through min(xj, yj) and
+    min(xj, yj-1), both xj for every yj >= xj + 1.  So callers raise yi to
+    xi, lower xj to yj and then yj to xj + 1: n^2 classes in 1..n.
     """
     lo, hi = max(xi, yi), min(xj, yj)   # the slots are f_lo .. f_hi
     rows = []
@@ -88,41 +63,6 @@ def _hom_dim_class(xi: int, xj: int, yi: int, yj: int) -> int:
     return hi - lo + 1 - rank_rows(rows)
 
 
-def tau_inv_stalk(n: int, s: Stalk) -> Stalk:
-    """Inverse translate in the derived category; injectives jump one shift."""
-    m = s.mod
-    if m.i > 1:
-        return Stalk(Interval(m.i - 1, m.j - 1), s.shift)
-    return Stalk(Interval(m.j, n), s.shift + 1)   # inverse translate of I_j is P_j[1]
-
-
-def twists(n: int, y: Stalk) -> list[Stalk]:
-    """F^k y for k = 0..3, F = inverse translate then shift; the shifts
-    only grow along the list."""
-    out = [y]
-    for _ in range(3):
-        t = tau_inv_stalk(n, out[-1])
-        out.append(Stalk(t.mod, t.shift + 1))
-    return out
-
-
-def _orbit_sum(hom: list[list[int]], ext: list[list[int]],
-               x: tuple[int, int], ys: list[tuple[int, int]]) -> int:
-    """Sum of Hom_D(x, F^k y) over the twists ``ys`` of y; x and each twist
-    are (interval index, shift) pairs into the tables ``hom`` and ``ext``."""
-    k, shift = x
-    total = 0
-    for t, s in ys:
-        d = s - shift
-        if d == 0:
-            total += hom[k][t]
-        elif d == 1:
-            total += ext[k][t]
-        elif d > 1:
-            break  # shifts only grow from here, no further contributions
-    return total
-
-
 # -- labelled fundamental domain -----------------------------------------
 
 
@@ -138,41 +78,44 @@ def labels(n: int) -> list[str]:
     return out
 
 
-def label_to_stalk(n: int, label: str) -> Stalk:
-    if label.startswith("SP"):
-        i = int(label[2:])
-        if not 1 <= i <= n:
-            raise ValueError(f"bad projective index in {label!r}")
-        return Stalk(Interval(i, n), 1)
-    if label.startswith("M"):
-        body = label[1:]
-        if "," in body:
-            si, sj = body.split(",")
-        elif len(body) == 2:
-            si, sj = body[0], body[1]
-        else:
-            raise ValueError(f"ambiguous module label {label!r}; use Mi,j")
-        i, j = int(si), int(sj)
-        if not 1 <= i <= j <= n:
-            raise ValueError(f"bad interval in {label!r}")
-        return Stalk(Interval(i, j), 0)
-    raise ValueError(f"unknown label {label!r}")
-
-
 @lru_cache(maxsize=None)
 def label_hom_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """All orbit hom dimensions between canonical labels, by label index:
     row a, column b for labels(n)[a] -> labels(n)[b]."""
-    ivs = [Interval(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    at = {(x.i, x.j): k for k, x in enumerate(ivs)}
-    hom = [[hom_dim_mod(n, x, y) for y in ivs] for x in ivs]
+    ivs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    at = {iv: k for k, iv in enumerate(ivs)}
+    # the clamped classes with x moved to start at 1: solve[e - 1][b - 1][c]
+    # is the class (1, e, b, e + c), y ending past x's end e when c = 1
+    solve = [[[_hom_dim_class(1, e, b, e + c) for c in range(1 + (e < n))]
+              for b in range(1, e + 1)] for e in range(1, n + 1)]
+    hom = [[solve[min(xj, yj) - xi][max(yi - xi, 0)][yj > xj]
+            if yi <= xj and xi <= yj else 0 for yi, yj in ivs]
+           for xi, xj in ivs]
     # 0 -> Hom(x,y) -> Hom(P_i,y) -> Hom(P_{j+1},y) -> Ext1(x,y) -> 0
-    ext = [[0] * len(ivs) if x.j == n else   # x projective
-           [h + p1 - p0 for h, p1, p0 in zip(row, hom[at[(x.j + 1, n)]],
-                                             hom[at[(x.i, n)]])]
-           for x, row in zip(ivs, hom)]
-    # each label's twists as (interval index, shift), its own stalk first
-    tw = [[(at[(t.mod.i, t.mod.j)], t.shift)
-           for t in twists(n, label_to_stalk(n, lab))] for lab in labels(n)]
-    return tuple(tuple(_orbit_sum(hom, ext, xs[0], ys) for ys in tw)
-                 for xs in tw)
+    ext = [[0] * len(ivs) if xj == n else   # x projective
+           [h + p1 - p0 for h, p1, p0 in zip(row, hom[at[(xj + 1, n)]],
+                                             hom[at[(xi, n)]])]
+           for (xi, xj), row in zip(ivs, hom)]
+    # the labels as (interval index, shift): the intervals, then SP_i = P_i[1]
+    stalks = [(k, 0) for k in range(len(ivs))]
+    stalks += [(at[(i, n)], 1) for i in range(1, n + 1)]
+    # F raises the shift by 1 or 2, so a source at shift s meets at most
+    # one twist F^k y (k = 0..3) at shift s, read in hom, and one at s + 1,
+    # read in ext: per label y and s, those two columns, or that of a zero
+    # appended to each row
+    zero = len(ivs)
+    cols: tuple[list, list] = ([], [])
+    for k, s in stalks:
+        (i, j), at_shift = ivs[k], {}
+        for _ in range(4):
+            at_shift[s] = at[(i, j)]
+            # F: inverse translate, injectives I_j to P_j[1], then shift
+            i, j, s = (i - 1, j - 1, s + 1) if i > 1 else (j, n, s + 2)
+        for sx in (0, 1):
+            cols[sx].append((at_shift.get(sx, zero),
+                             at_shift.get(sx + 1, zero)))
+    out = []
+    for k, s in stalks:
+        h, e = hom[k] + [0], ext[k] + [0]
+        out.append(tuple([h[a] + e[b] for a, b in cols[s]]))
+    return tuple(out)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 
 from .category import Category, Mor, Obj, _mesh_at
 from .linalg import Mat, eliminate, integer_row, kernel_basis
@@ -186,13 +185,18 @@ def _sigma_orbits(cat: Category) -> list[list[tuple]]:
     if got is None:
         sig, out = cat.sigma_arc, cat.hom_out
         mids = [mesh_middle(cat, w) for w in range(cat.N)]
+        row = [0] * cat.N   # row w of Aᵀ.D - P_σ - P_σ², 0 between rows
         for w in range(cat.N):
-            row = Counter(out[w])
-            row.update(out[sig[w]])
+            for y in out[w]:
+                row[y] += 1
+            for y in out[sig[w]]:
+                row[y] += 1
             for m in mids[w]:
-                row.subtract(out[m])
-            row.subtract((sig[w], sig[sig[w]]))
-            if any(row.values()):
+                for y in out[m]:
+                    row[y] -= 1
+            row[sig[w]] -= 1
+            row[sig[sig[w]]] -= 1
+            if any(row):
                 raise TriangleError("hom table breaks the mesh identity at "
                                     f"{cat.labels[w]}")
         got, seen = [], set()

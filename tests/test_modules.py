@@ -732,34 +732,17 @@ def test_iso_invariant_under_base_change(cat4, example_T):
     assert not modules_isomorphic(p3, simple_module(alg, 2))
 
 
-def test_lift_every_class_of_every_small_rigid_object():
-    """Every enumerated class of every basic rigid object of rank <= 3, and
-    of the rank-4 example with its summands in every order, lifts to C(T)
-    (lift_module_to_CT checks H(x) = M and x in C(T) itself)."""
-    cat4 = cached_category(4)
-    instances = [(cached_category(n), t) for n in range(1, 4)
-                 for t in enumerate_basic_rigid(cached_category(n))]
-    instances += [(cat4, rigid_object(cat4, order)) for order in
-                  itertools.permutations(["M44", "M14", "M11"])]
-    lifts = 0
-    for cat, t in instances:
-        alg = algebra_of(cat, t)
-        bound = max(H_obj(cat, alg, cat.obj([i])).total_dim
-                    for i in range(cat.N))
-        for m in enumerate_indec_modules(alg, max(2, bound)):
-            x = lift_module_to_CT(cat, t, alg, m)
-            assert in_CT(cat, t, x) and not x.is_zero()
-            lifts += 1
-    assert len(instances) == 2 + 10 + 44 + 6 and lifts == 205
-
-
 def test_lift_at_every_rank():
-    """Every enumerated class of every basic rigid object of rank <= 4, and
-    of AC3's objects at ranks 5..12 (five seeded ones and the fan), lifts to
-    one arc, and three seeded sums of two classes per object lift to the sum
+    """Every enumerated class of every basic rigid object of rank <= 4, of
+    the rank-4 example with its summands in every order, and of AC3's
+    objects at ranks 5..12 (five seeded ones and the fan), lifts to one
+    arc, and three seeded sums of two classes per object lift to the sum
     of the two lifts, so the lift adds no summand of Sigma T."""
     instances = [(cached_category(n), t) for n in range(1, 5)
                  for t in enumerate_basic_rigid(cached_category(n))]
+    cat4 = cached_category(4)
+    instances += [(cat4, rigid_object(cat4, order)) for order in
+                  itertools.permutations(["M44", "M14", "M11"])]
     for n in range(5, 13):
         cat = cached_category(n)
         fan = rigid_object(cat, [f"0-{k}" for k in range(2, n + 2)])
@@ -781,7 +764,7 @@ def test_lift_at_every_rank():
             x = lift_module_to_CT(cat, t, alg, m)
             assert x.summands == tuple(sorted((arcs[a], arcs[b])))
         lifts += len(classes) + 3
-    assert len(instances) == 252 + 48 and lifts == 2752
+    assert len(instances) == 252 + 6 + 48 and lifts == 2800
 
 
 def test_density_round_trip(cat4, example_T):

@@ -1,12 +1,11 @@
-import math
-
 import pytest
 
 from cluster_loc import oracle
 from cluster_loc.linalg import rank_rows
-from cluster_loc.oracle import (Interval, Stalk, hom_dim_mod,
-                                label_hom_matrix, label_to_stalk, labels,
-                                tau_inv_stalk)
+from cluster_loc.oracle import label_hom_matrix, labels
+from oracle_reference import (Interval, Stalk, hom_dim_mod,
+                              label_to_stalk, reference_label_hom_matrix,
+                              tau_inv_stalk)
 
 
 def ext1_dim_mod(n, x, y):
@@ -130,9 +129,11 @@ def _ref_hom_dim_orbit(n, x, y):
 def test_orbit_homs_match_the_per_pair_reference(n):
     """Every interval pair: its hom dimension, and the value of the clamped
     class that a pair with overlapping supports goes to (y's start raised
-    to x's, x's end lowered to y's, x moved to start at 1), is the direct
-    solve of the pair's own system; there are C(n+2, 3) classes.  Every
-    label pair: the orbit table entry is the per-pair reference."""
+    to x's, x's end lowered to y's, y's end lowered to x's end plus one,
+    x moved to start at 1), is the direct solve of the pair's own system;
+    there are n^2 classes.  Every label pair: the orbit table entry is the
+    per-pair reference, and the table is the one built from interval and
+    stalk objects."""
     intervals = [Interval(i, j) for i in range(1, n + 1)
                  for j in range(i, n + 1)]
     keys = set()
@@ -141,22 +142,23 @@ def test_orbit_homs_match_the_per_pair_reference(n):
             want = _ref_hom_dim_mod(n, x, y)
             assert hom_dim_mod(n, x, y) == want
             if max(x.i, y.i) <= min(x.j, y.j):
-                s = x.i - 1
-                key = (1, min(x.j, y.j) - s, max(x.i, y.i) - s, y.j - s)
+                s, xj = x.i - 1, min(x.j, y.j)
+                key = (1, xj - s, max(x.i, y.i) - s, min(y.j, xj + 1) - s)
                 assert oracle._hom_dim_class(*key) == want
                 keys.add(key)
-    assert len(keys) == math.comb(n + 2, 3)
+    assert len(keys) == n * n
     stalks = [label_to_stalk(n, lab) for lab in labels(n)]
     assert label_hom_matrix(n) == tuple(tuple(_ref_hom_dim_orbit(n, x, y)
                                               for y in stalks)
                                         for x in stalks)
+    assert label_hom_matrix(n) == reference_label_hom_matrix(n)
 
 
-def test_cold_oracle_solves_once_per_translation_class(monkeypatch):
+def test_cold_oracle_solves_once_per_clamped_class(monkeypatch):
     # the interval pairs at n = 12 with overlapping supports fall into
-    # C(14, 3) = 364 clamped classes (translation alone leaves 12^3 =
-    # 1,728 classes), against 78^2 = 6,084 pairs; a class without
-    # equations makes no rank_rows call
+    # 12^2 = 144 clamped classes (translation alone leaves 12^3 = 1,728
+    # classes), against 78^2 = 6,084 pairs; a class without equations
+    # makes no rank_rows call
     want = label_hom_matrix(12)
     label_hom_matrix.cache_clear()
     oracle._hom_dim_class.cache_clear()
@@ -164,5 +166,5 @@ def test_cold_oracle_solves_once_per_translation_class(monkeypatch):
     monkeypatch.setattr(oracle, "rank_rows",
                         lambda rows: calls.append(rows) or rank_rows(rows))
     assert label_hom_matrix(12) == want
-    assert oracle._hom_dim_class.cache_info().currsize == 364
-    assert 0 < len(calls) <= 364
+    assert oracle._hom_dim_class.cache_info().currsize == 144
+    assert 0 < len(calls) <= 144

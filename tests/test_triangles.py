@@ -96,6 +96,8 @@ def test_mesh_identity_on_the_built_tables(n):
 
 
 def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
+    # both flips change the hom list of arc 0 (0-2, labelled SP6), the
+    # first arc whose mesh-identity row then fails
     cat = cached_category(6)
     profile = cone_profile(cat, mesh_map_into(cat, 0))
     for pair in ((0, cat.hom_out[0][-1]),
@@ -106,7 +108,8 @@ def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
             hom_deg[pair] = 1
         bad = Category(cat.polygon, cat.arcs, hom_deg, cat.comp, cat.sig,
                        cat.sigma_arc, cat.labels, cat.meta)
-        with pytest.raises(TriangleError, match="mesh identity"):
+        with pytest.raises(TriangleError, match="^hom table breaks the "
+                                                "mesh identity at SP6$"):
             profile_candidates(bad, profile)
         assert "sigma_orbits" not in bad._memo
 

@@ -1,7 +1,8 @@
-"""The package's value types are immutable after construction and behave as
-the frozen dataclasses they replace: equality needs the same type and equal
-fields, the hash agrees with equality, and the repr is
-``Name(field=value, ...)``."""
+"""The package's value types, and the oracle reference's ``Interval`` and
+``Stalk`` built on the same ``Value`` base, are immutable after
+construction and behave as the frozen dataclasses they replace: equality
+needs the same type and equal fields, the hash agrees with equality, and
+the repr is ``Name(field=value, ...)``."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from cluster_loc import (Algebra, Arc, CertReport, InstanceConfig, LocHom,
                          Mat, Mor, Obj, Polygon, RigidObject, SubcatView,
                          Triangle, Zigzag, build_category, rigid_object)
 from cluster_loc.localization import algebra_of
-from cluster_loc.oracle import Interval, Stalk
+from oracle_reference import Interval, Stalk
 
 
 def _mor():
