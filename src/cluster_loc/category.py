@@ -5,10 +5,11 @@ one endpoint forward, the translate subtracts 1 from both endpoints) with its
 mesh relations, built degree by degree as a graded quotient of the path
 category, once per source arc x: the quotient out of x reads only x's own
 earlier degrees, kept in rows indexed by arc and by arrow, and reads the
-at most two arrows into each arc off per-arc lists.  Every hom space
-between arcs comes out 0- or 1-dimensional, each pair concentrated in a
-single path length; the build fails loudly if the computed dimensions ever
-disagree with the crossing rule
+at most two arrows into each arc off per-arc lists.  The quiver, with the
+crossings, is computed once per rank (``_quiver``) and shared by the rank's
+categories.  Every hom space between arcs comes out 0- or 1-dimensional,
+each pair concentrated in a single path length; the build fails loudly if
+the computed dimensions ever disagree with the crossing rule
 
     dim Hom(x, y) = [ x crosses rotate(y, -1) ]
 
@@ -45,6 +46,8 @@ from __future__ import annotations
 import json
 import random
 import re
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from . import oracle
@@ -119,7 +122,9 @@ class Mor(Value):
 
 
 class Category:
-    """Built hom/composition/suspension tables plus the additive layer.
+    """Built hom/composition/suspension tables plus the additive layer, on
+    the rank's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and its
+    inverse, ``arrows_in`` (the sorted sources of the arrows into each arc).
 
     Composition and suspension constants are stored as ``int``; a constant
     outside {-1, 0, 1} raises ValueError naming its key, a hom pair off the
@@ -127,29 +132,23 @@ class Category:
     constants only: ``(x, y, z) in comp`` iff basis(y, z) . basis(x, y) != 0.
     """
 
-    def __init__(self, polygon: Polygon, arcs: list[Arc],
+    def __init__(self, polygon: Polygon,
                  hom_deg: dict[tuple[int, int], int],
                  comp: dict[tuple[int, int, int], Scalar],
                  sig: dict[tuple[int, int], Scalar],
-                 sigma_arc: list[int],
                  labels: list[str],
                  meta: dict):
         self.polygon = polygon
         self.n = polygon.n
-        self.arcs = arcs
-        self.N = len(arcs)
-        self.arc_index = {a: i for i, a in enumerate(arcs)}
+        (self.arcs, self.arc_index, self.sigma_arc, self.sigma_arc_inv,
+         self.arrows_in, self._cross) = _quiver(polygon.n)
+        self.N = len(self.arcs)
         self.hom_deg = hom_deg
         self.comp = _unit_table("composition", comp)
         self.sig = _unit_table("suspension", sig)
-        self.sigma_arc = sigma_arc
-        self.sigma_arc_inv = [0] * self.N
-        for i, j in enumerate(sigma_arc):
-            self.sigma_arc_inv[j] = i
         self.labels = labels
         self.label_to_arc = {lab: i for i, lab in enumerate(labels)}
         self.meta = meta
-        self._cross = [[crosses(polygon, x, y) for y in arcs] for x in arcs]
         self.hom_out = [[] for _ in range(self.N)]
         self.hom_in = [[] for _ in range(self.N)]
         for (x, y) in sorted(hom_deg):
@@ -508,27 +507,26 @@ def _perm_to_sorted(values: Sequence[int]) -> list[int]:
 # ======================================================================
 
 
-def _arrows(p: Polygon, arcs: list[Arc], arc_index) -> list[tuple[int, int]]:
-    out = []
-    for i, a in enumerate(arcs):
-        for cand in (arc_or_none(p, a.a, a.b + 1), arc_or_none(p, a.a + 1, a.b)):
-            if cand is not None:
-                out.append((i, arc_index[cand]))
-    return sorted(out)
+@lru_cache(maxsize=None)
+def _quiver(n: int):
+    """(arcs, arc index, sigma, sigma^-1, arrows in, crossing matrix) of
+    rank n; arrows in[z] are the sorted sources of the arrows into z, the
+    middles of the mesh from sigma(z) to z.  The cache shares every field
+    among the rank's categories, so each is a tuple, the index read-only."""
+    p = Polygon(n)
+    arcs = tuple(enumerate_arcs(p))
+    index = {a: i for i, a in enumerate(arcs)}
+    sigma = tuple(index[rotate(p, a, 1)] for a in arcs)
+    arrows_in = tuple(tuple(sorted(index[c] for c in (
+        arc_or_none(p, a.a - 1, a.b), arc_or_none(p, a.a, a.b - 1))
+        if c is not None)) for a in arcs)
+    cross = [[crosses(p, x, y) for y in arcs] for x in arcs]
+    return (arcs, MappingProxyType(index), sigma,
+            tuple(sorted(range(len(arcs)), key=sigma.__getitem__)), arrows_in,
+            tuple(map(tuple, cross)))
 
 
-def _mesh_at(p: Polygon, arcs, arc_index, z: int):
-    """(translate of z, middle terms of the mesh ending at z)."""
-    a = arcs[z]
-    tz = arc_index[rotate(p, a, 1)]
-    mids = []
-    for cand in (arc_or_none(p, a.a - 1, a.b), arc_or_none(p, a.a, a.b - 1)):
-        if cand is not None:
-            mids.append(arc_index[cand])
-    return tz, tuple(sorted(mids))
-
-
-def build_category(p: Polygon | int) -> Category:
+def build_category(n: int) -> Category:
     """Build all tables for the rank-n category; deterministic in n.
 
     Every scalar of the build is an ``int``.  Raises BuildError whenever
@@ -538,20 +536,18 @@ def build_category(p: Polygon | int) -> Category:
     reduction coefficient is not an integer.  Raises ValueError for a rank
     that is not an int in 1..MAX_RANK (a bool included).
     """
-    p = Polygon(_supported_rank(p.n if isinstance(p, Polygon) else p))
-    arcs = enumerate_arcs(p)
-    arc_index = {a: i for i, a in enumerate(arcs)}
+    p = Polygon(supported_rank(n))
+    arcs, _, sigma_arc, _, arrows_in, _ = _quiver(p.n)
     N = len(arcs)
-    arrows = _arrows(p, arcs, arc_index)
+    arrows = sorted((m, z) for z, mids in enumerate(arrows_in) for m in mids)
     arrow_idx = {st: k for k, st in enumerate(arrows)}
     succ: list[list[int]] = [[] for _ in range(N)]
     for w, z in arrows:
         succ[w].append(z)
-    mesh = [_mesh_at(p, arcs, arc_index, z) for z in range(N)]
     # the arrows into each arc z, one per middle m of the mesh ending at z,
-    # in the order of m: (arrow m -> z, m, arrow tau z -> m)
-    into = [[(arrow_idx[(m, z)], m, arrow_idx[(tz, m)]) for m in mids]
-            for z, (tz, mids) in enumerate(mesh)]
+    # in the order of m: (arrow m -> z, m, arrow sigma z -> m)
+    into = [[(arrow_idx[(m, z)], m, arrow_idx[(sigma_arc[z], m)])
+             for m in mids] for z, mids in enumerate(arrows_in)]
 
     # the quotient for a source x reads only x's own earlier degrees, so it
     # runs once per x, on rows by arc (hom degree, None for a zero space;
@@ -577,9 +573,9 @@ def build_category(p: Polygon | int) -> Category:
                     if deg[m] == degree - 1:
                         gens.append(a_id)
                 # the mesh ending at z gives the one relation over the
-                # arrows into z, if (x, tau z) was alive two degrees down
+                # arrows into z, if (x, sigma z) was alive two degrees down
                 rel_row = None
-                if deg[mesh[z][0]] == degree - 2:
+                if deg[sigma_arc[z]] == degree - 2:
                     row = [0] * len(gens)
                     for a_id, m, a_in in into[z]:
                         coeff = exp[a_in]
@@ -618,7 +614,6 @@ def build_category(p: Polygon | int) -> Category:
     # defining pair of (y, z), basis(y, z) = a . basis(y, w), and (y, w)
     # sits one degree lower, so its entries are already known
 
-    sigma_arc = [arc_index[rotate(p, a, 1)] for a in arcs]
     arrow_shift = [arrow_idx[(sigma_arc[w], sigma_arc[z])] for w, z in arrows]
     comp: dict[tuple[int, int, int], int] = {}
     sig: dict[tuple[int, int], int] = {}
@@ -646,12 +641,12 @@ def build_category(p: Polygon | int) -> Category:
     # -- checks and label bridge --------------------------------------------
 
     labels, meta = _bridge(p, arcs, hom_deg)
-    cat = Category(p, arcs, hom_deg, comp, sig, sigma_arc, labels, meta)
+    cat = Category(p, hom_deg, comp, sig, labels, meta)
     _check_tables(cat)
     return cat
 
 
-def _supported_rank(n) -> int:
+def supported_rank(n) -> int:
     """n if it is an int (not a bool) in 1..MAX_RANK, else ValueError."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"rank must be an int, not {n!r}")
@@ -894,8 +889,10 @@ def load_category(data: dict | str) -> Category:
     ``sigma`` is repeated, and, after the table checks, every hom degree is
     a shortest path length in the arrow quiver.  Raises ValueError on data
     that is not an object, on a foreign schema, a missing table, a rank
-    that ``build_category`` rejects or a composition or suspension constant
-    outside {-1, 0, 1}, and BuildError when a check fails.
+    that ``build_category`` rejects, a table of the wrong shape (``arcs``
+    or ``labels`` not a list of strings, a table or row not a list, a
+    field that is a list or an object), a constant that is not a scalar or
+    lies outside {-1, 0, 1}, and BuildError when a check fails.
     """
     if isinstance(data, str):
         with open(data) as fh:
@@ -908,12 +905,15 @@ def load_category(data: dict | str) -> Category:
                            "labels") if k not in data]
     if missing:
         raise ValueError(f"category table lacks {', '.join(missing)}")
-    p = Polygon(_supported_rank(data["n"]))
-    arcs = [parse_arc(p, t) for t in data["arcs"]]
-    if arcs != enumerate_arcs(p):
+    p = Polygon(supported_rank(data["n"]))
+    for key in ("arcs", "labels"):
+        if not (isinstance(data[key], list)
+                and all(isinstance(t, str) for t in data[key])):
+            raise ValueError(f"{key} is not a list of strings")
+    arcs, _, sigma, *_ = _quiver(p.n)
+    if [parse_arc(p, t) for t in data["arcs"]] != list(arcs):
         raise BuildError("arcs are not the rank's arcs in canonical order")
-    arc_index = {a: i for i, a in enumerate(arcs)}
-    if (data["sigma_arc"] != [arc_index[rotate(p, a, 1)] for a in arcs]
+    if (data["sigma_arc"] != list(sigma)
             or any(type(v) is not int for v in data["sigma_arc"])):
         raise BuildError("sigma_arc is not the rotation of the arcs")
     hom_deg = _read_table("hom", data["hom"], 2)
@@ -922,8 +922,7 @@ def load_category(data: dict | str) -> Category:
             raise BuildError(f"hom key {key} is not a pair of arc indices")
     comp = _read_constants("comp", data["comp"], 3)
     sig = _read_constants("sigma", data["sigma"], 2)
-    cat = Category(p, arcs, hom_deg, comp, sig, data["sigma_arc"],
-                   data["labels"], data.get("meta", {}))
+    cat = Category(p, hom_deg, comp, sig, data["labels"], data.get("meta", {}))
     for key in comp:
         if not all(type(v) is int and 0 <= v < len(arcs) for v in key):
             raise BuildError(f"composition key {key} is not a chain of hom "
@@ -936,12 +935,17 @@ def load_category(data: dict | str) -> Category:
 
 def _read_table(name: str, rows: list, arity: int) -> dict:
     """{key: value} from serialized rows [*key, value]; a repeated key
-    raises BuildError naming it."""
+    raises BuildError naming it, a table or row that is not a list, or a
+    field that is a list or an object, ValueError."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{name} table is a {type(rows).__name__}, "
+                         "not a list")
     out = {}
     for row in rows:
-        if len(row) != arity + 1:
-            raise ValueError(f"{name} entry {row} does not have "
-                             f"{arity + 1} fields")
+        if (not isinstance(row, list) or len(row) != arity + 1
+                or any(isinstance(v, (list, dict)) for v in row)):
+            raise ValueError(f"{name} entry {row!r} is not a list of "
+                             f"{arity + 1} numbers or strings")
         key = tuple(row[:arity])
         if key in out:
             raise BuildError(f"{name} table repeats the key {key}")
@@ -968,8 +972,9 @@ def _check_degrees(cat: Category):
     first pair that disagrees.  Expects hom pairs of arcs, as
     ``_check_tables`` makes sure."""
     succ: list[list[int]] = [[] for _ in range(cat.N)]
-    for w, z in _arrows(cat.polygon, cat.arcs, cat.arc_index):
-        succ[w].append(z)
+    for z, mids in enumerate(cat.arrows_in):
+        for m in mids:
+            succ[m].append(z)
     for x in range(cat.N):
         dist = {x: 0}
         frontier = [x]

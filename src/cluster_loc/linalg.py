@@ -33,11 +33,15 @@ Scalar = int | Fraction
 def scalar(x) -> Scalar:
     """x as an exact scalar: an ``int`` when its value is integral, else a
     ``Fraction``.  Accepts whatever ``Fraction`` does (int, Fraction, str,
-    float)."""
+    float); raises ValueError naming x for anything else, "1/0" and None
+    included."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ArithmeticError, TypeError):
+            raise ValueError(f"not a scalar: {x!r}") from None
     return x.numerator if x.denominator == 1 else x
 
 

@@ -245,8 +245,8 @@ def simple_module(alg: Algebra, i: int) -> LambdaModule:
     return LambdaModule(alg, dims, {})
 
 
-def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list[list[int]]]:
-    """Direct sum plus, per factor, the offset of its block at each vertex."""
+def direct_sum_modules(mods: Sequence[LambdaModule]) -> LambdaModule:
+    """Direct sum, the factors' blocks placed in order at each vertex."""
     if not mods:
         raise ValueError("empty direct sum: no algebra to build it over")
     alg = mods[0].alg
@@ -266,7 +266,7 @@ def direct_sum_modules(mods: Sequence[LambdaModule]) -> tuple[LambdaModule, list
                 for b in range(blk.cols):
                     rows[off[i] + a][off[j] + b] = blk.at(a, b)
         act[(i, j)] = Mat.from_rows(rows) if dims[i] else Mat.zeros(0, dims[j])
-    return LambdaModule(alg, dims, act), offsets
+    return LambdaModule(alg, dims, act)
 
 
 # -- the hom functor -------------------------------------------------------

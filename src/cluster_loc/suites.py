@@ -24,7 +24,7 @@ import json
 import random
 import time
 
-from .category import MAX_RANK, Category, Mor, Obj, build_category
+from .category import Category, Mor, Obj, build_category, supported_rank
 from .localization import (Zigzag, algebra_of, classify, factor_through_s,
                            forward, inv, loc_hom, s_resolution, zigzag_equal,
                            zigzag_eval)
@@ -35,8 +35,7 @@ from .rigid import (RigidObject, dim_factoring_through_add,
                     dim_hom_functor_kernel, factors_through_subcat, in_CT,
                     is_cluster_tilting, is_rigid, perp_view, rigid_object,
                     wakamatsu_check)
-from .triangles import (complete_triangle, mesh_map_into, mesh_map_out_of,
-                        mesh_middle)
+from .triangles import complete_triangle, mesh_map_into, mesh_map_out_of
 from .values import Value
 
 CONFIG_SCHEMA = "cluster-loc/config/v1"
@@ -47,15 +46,13 @@ class InstanceConfig(Value):
 
     def __init__(self, n: int, T: list[str], type: str = "A", seed: int = 0,
                  suites: list[str] = ["all"]):   # stored as a copy
-        for name, v in (("n", n), ("seed", seed)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an int, not {v!r}")
+        supported_rank(n)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an int, not {seed!r}")
         if not (isinstance(T, list) and all(isinstance(x, str) for x in T)):
             raise ValueError(f"T must be a list of object tokens, not {T!r}")
         if type != "A":
             raise ValueError("only type A instances are supported")
-        if not 1 <= n <= MAX_RANK:
-            raise ValueError(f"instance rank must be in 1..{MAX_RANK}")
         if not isinstance(suites, list):
             raise ValueError("suites must be a list of suite names, not "
                              f"{suites.__class__.__name__} {suites!r}")
@@ -516,8 +513,7 @@ def example71_checks(cat: Category, t: RigidObject):
 
     cls = classify(cat, t, s)
     ev = zigzag_eval(cat, t, Zigzag((inv(s),)))
-    s1s3, _ = direct_sum_modules([simple_module(alg, 0),
-                                  simple_module(alg, 2)])
+    s1s3 = direct_sum_modules([simple_module(alg, 0), simple_module(alg, 2)])
     out.append(("e-s-in-S-and-inverted",
                 cls.in_S and ev.is_iso()
                 and modules_isomorphic(ev.src, s1s3),
@@ -655,7 +651,7 @@ def export_dot(cfg: InstanceConfig, what: str,
             lab += f"\\nH={annotate.get(cat.labels[i], '0')}"
         lines.append(f'  n{i} [label="{lab}"];')
     for z in range(cat.N):
-        for m in mesh_middle(cat, z):
+        for m in cat.arrows_in[z]:
             lines.append(f"  n{m} -> n{z};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,9 @@ solved in nonnegative integer multiplicities m of D.m = profile, D the
 hom-dimension matrix.  No elimination of D is needed: the almost split
 triangles give the mesh identity Aᵀ.D = P_σ + P_σ², which ties the
 multiplicities of neighbours on each σ-orbit, and is checked once per
-category on its own hom lists.  D is singular at some ranks, so a profile can
+category on its own hom lists.  The meshes and σ are read off the rank's
+translation quiver, which ``category`` computes once per rank
+(``Category.arrows_in`` and ``sigma_arc``).  D is singular at some ranks, so a profile can
 allow more than one cone, each tried in turn.  The connecting maps (g, h) are
 then a seeded generic draw from the solution spaces of the zero-composite
 constraints, gated by the full hom-exactness certificate.  Every exactness
@@ -42,7 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .category import Category, Mor, Obj, _mesh_at
+from .category import Category, Mor, Obj
 from .linalg import Mat, eliminate, integer_row, kernel_basis
 from .values import Value
 
@@ -183,8 +185,7 @@ def _sigma_orbits(cat: Category) -> list[list[tuple]]:
     """
     got = cat._memo.get("sigma_orbits")
     if got is None:
-        sig, out = cat.sigma_arc, cat.hom_out
-        mids = [mesh_middle(cat, w) for w in range(cat.N)]
+        sig, out, mids = cat.sigma_arc, cat.hom_out, cat.arrows_in
         row = [0] * cat.N   # row w of Aᵀ.D - P_σ - P_σ², 0 between rows
         for w in range(cat.N):
             for y in out[w]:
@@ -407,23 +408,13 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
 # -- meshes as almost split triangles ------------------------------------
 
 
-def mesh_middle(cat: Category, x: int) -> list[int]:
-    """Middle terms of the mesh ending at x (sources of arrows into x)."""
-    return list(_mesh_at(cat.polygon, cat.arcs, cat.arc_index, x)[1])
-
-
 def mesh_map_into(cat: Category, x: int) -> Mor:
     """The right minimal almost split map E -> x (mesh middles bundled)."""
-    mids = mesh_middle(cat, x)
-    E = Obj(tuple(mids))
-    X = Obj((x,))
-    return cat.mor(E, X, [[1] * len(mids)])
+    mids = cat.arrows_in[x]
+    return cat.mor(Obj(mids), Obj((x,)), [[1] * len(mids)])
 
 
 def mesh_map_out_of(cat: Category, x: int) -> Mor:
     """The left minimal almost split map x -> E' (mesh at the cosuspension)."""
-    y = cat.shift_arc(x, -1)
-    mids = mesh_middle(cat, y)
-    X = Obj((x,))
-    E = Obj(tuple(mids))
-    return cat.mor(X, E, [[1] for _ in mids])
+    mids = cat.arrows_in[cat.shift_arc(x, -1)]
+    return cat.mor(Obj((x,)), Obj(mids), [[1] for _ in mids])

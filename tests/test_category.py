@@ -15,7 +15,6 @@ from cluster_loc.category import (BuildError, Category, Obj, _quotient_1d,
 from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
-from cluster_loc.triangles import mesh_middle
 from associativity_reference import (all_chains, arrow_chains, chain_keys,
                                      chains_reading, chains_through,
                                      orbit_firsts, sides, sigma_functorial)
@@ -84,7 +83,7 @@ def test_mesh_composite_vanishes(cat4):
     for z in range(cat4.N):
         tz = cat4.shift_arc(z)
         acc = None
-        for m in mesh_middle(cat4, z):
+        for m in cat4.arrows_in[z]:
             term = cat4.compose(cat4.basis_mor(m, z), cat4.basis_mor(tz, m))
             acc = term if acc is None else cat4.add_mor(acc, term)
         assert acc is not None and acc.is_zero()
@@ -283,8 +282,8 @@ def test_unit_tables_of_ints(cat4):
         tables = {"comp": dict(cat4.comp), "sig": dict(cat4.sig)}
         tables[name][key] = bad
         with pytest.raises(ValueError, match=re.escape(str(key))):
-            Category(cat4.polygon, cat4.arcs, cat4.hom_deg, tables["comp"],
-                     tables["sig"], cat4.sigma_arc, cat4.labels, cat4.meta)
+            Category(cat4.polygon, cat4.hom_deg, tables["comp"],
+                     tables["sig"], cat4.labels, cat4.meta)
 
 
 def test_obj_rejects_an_arc_of_another_polygon(cat4):
@@ -867,6 +866,10 @@ def test_load_reruns_the_build_checks(cat4):
     d["sigma_arc"] = d["sigma_arc"][1:] + d["sigma_arc"][:1]
     with pytest.raises(BuildError, match="rotation"):
         load_category(d)
+    d = cat4.to_dict()
+    d["arcs"][0], d["arcs"][1] = d["arcs"][1], d["arcs"][0]
+    with pytest.raises(BuildError, match="canonical order"):
+        load_category(d)
 
 
 def test_load_rejects_repeated_keys_and_shifted_degrees(cat4):
@@ -1011,6 +1014,50 @@ def test_load_rejects_hom_and_sigma_arc_indices_that_are_not_ints(cat4):
         d["sigma_arc"][j] = bad(1)
         with pytest.raises(BuildError, match="rotation"):
             load_category(d)
+
+
+@pytest.mark.parametrize("path,value,match", [
+    (("arcs", 0), 0, "arcs is not a list of strings"),
+    (("labels",), None, "labels is not a list of strings"),
+    (("hom",), 7, "hom table is a int, not a list"),
+    (("hom", 0), 7, "hom entry 7 is not a list of 3 numbers or strings"),
+    (("hom", 0, 0), [0], re.escape("hom entry [[0], 0, 0] is not a list")),
+    (("sigma", 0, 2), ["1"], re.escape("sigma entry [0, 0, ['1']] is not")),
+    (("comp", 0, 3), "1/0", "not a scalar: '1/0'"),
+    (("comp", 0, 3), None, "not a scalar: None"),
+], ids=["int-arc", "null-labels", "int-hom", "int-hom-row", "list-hom-key",
+        "list-sigma-value", "zero-denominator", "null-constant"])
+def test_load_rejects_tables_of_the_wrong_shape(path, value, match):
+    d = cached_category(3).to_dict()
+    target = d
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=match):
+        load_category(d)
+
+
+def test_categories_of_one_rank_share_an_immutable_quiver():
+    # the translation quiver is computed once per rank and shared, so a
+    # mutable field would let one category corrupt every other of its rank
+    built, loaded = build_category(4), load_category(cached_category(4).to_dict())
+    tuples = ("arcs", "sigma_arc", "sigma_arc_inv", "arrows_in", "_cross")
+    for name in tuples + ("arc_index",):
+        assert getattr(built, name) is getattr(loaded, name)
+    for name in tuples:
+        assert type(getattr(built, name)) is tuple
+    assert all(type(row) is tuple for row in built.arrows_in + built._cross)
+    with pytest.raises(TypeError):
+        built.arc_index[Arc(0, 2)] = 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quiver_arrows_are_the_hom_pairs_of_degree_1(n):
+    # the arrows into z, read off the arcs, against the mesh build's tables
+    cat = cached_category(n)
+    assert [list(mids) for mids in cat.arrows_in] == \
+        [[y for y in cat.hom_in[z] if cat.hom_deg[(y, z)] == 1]
+         for z in range(cat.N)]
 
 
 def test_load_rejects_a_hom_pair_off_the_arcs(cat4):

@@ -107,7 +107,7 @@ def test_H_of_example_object(cat4, example_T):
     assert m.dims == (1, 0, 1)
     s1 = simple_module(alg, 0)
     s3 = simple_module(alg, 2)
-    s13, _ = direct_sum_modules([s1, s3])
+    s13 = direct_sum_modules([s1, s3])
     assert modules_isomorphic(m, s13)
 
 
@@ -133,7 +133,7 @@ def test_H_functorial_and_additive(cat4, example_T):
     x = cat4.obj(["M34"])
     y = cat4.obj(["M14"])
     both = cat4.obj(["M34", "M14"])
-    hsum, _ = direct_sum_modules([H_obj(cat4, alg, x), H_obj(cat4, alg, y)])
+    hsum = direct_sum_modules([H_obj(cat4, alg, x), H_obj(cat4, alg, y)])
     assert modules_isomorphic(H_obj(cat4, alg, both), hsum)
 
 
@@ -559,8 +559,8 @@ def test_split_simple_summand(cat4, example_T):
     m = _module(alg, (0, 2, 1), {(1, 2): [[1], [0]]})
     assert _multiplicities(m, classes) == ({(0, 1, 0): 1, (0, 1, 1): 1},
                                            (0, 0, 0))
-    total, _ = direct_sum_modules([simple_module(alg, 1),
-                                   projective_module(alg, 2)])
+    total = direct_sum_modules([simple_module(alg, 1),
+                                projective_module(alg, 2)])
     assert modules_isomorphic(total, m)
 
 
@@ -568,7 +568,7 @@ def test_split_square_of_a_projective(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     classes = enumerate_indec_modules(alg, 3)
     p3 = projective_module(alg, 2)
-    square, _ = direct_sum_modules([p3, p3])
+    square = direct_sum_modules([p3, p3])
     assert not is_indecomposable(square)
     assert _multiplicities(square, classes) == ({(0, 1, 1): 2}, (0, 0, 0))
 
@@ -614,7 +614,7 @@ def _base_changed_sum(rng, classes, mults):
     conjugated by a random invertible matrix g_i at each vertex."""
     parts = [c for c, mu in zip(classes, mults) for _ in range(mu)]
     rng.shuffle(parts)
-    total, _ = direct_sum_modules(parts)
+    total = direct_sum_modules(parts)
     gs = [_random_invertible(rng, d) for d in total.dims]
     m = LambdaModule(total.alg, total.dims,
                      {(i, j): gs[i][0] * a * gs[j][1]
@@ -678,11 +678,11 @@ def test_split_leaves_a_missing_class_over(cat4, fan_T):
     indecomposable makes the leftover negative, which raises."""
     alg = algebra_of(cat4, fan_T)
     classes = enumerate_indec_modules(alg, 4)
-    total, _ = direct_sum_modules(classes)
+    total = direct_sum_modules(classes)
     for k, missing in enumerate(classes):
         rest = classes[:k] + classes[k + 1:]
         assert split_module(total, rest) == ([1] * len(rest), missing.dims)
-    square, _ = direct_sum_modules([classes[-1]] * 2)
+    square = direct_sum_modules([classes[-1]] * 2)
     with pytest.raises(InternalConsistencyError, match="exceed"):
         split_module(square, [square])
 
@@ -709,12 +709,12 @@ def test_indecomposability_and_decompose(cat4, example_T):
     s1 = simple_module(alg, 0)
     assert is_indecomposable(s1)
     assert not is_indecomposable(zero_module(alg))
-    square, _ = direct_sum_modules([s1, s1])
+    square = direct_sum_modules([s1, s1])
     assert not is_indecomposable(square)
     assert _multiplicities(square, classes) == ({(1, 0, 0): 2}, (0, 0, 0))
     p3 = projective_module(alg, 2)
     assert is_indecomposable(p3)
-    mixed, _ = direct_sum_modules([p3, s1, s1])
+    mixed = direct_sum_modules([p3, s1, s1])
     assert _multiplicities(mixed, classes) == ({(0, 1, 1): 1, (1, 0, 0): 2},
                                                (0, 0, 0))
 
@@ -760,7 +760,7 @@ def test_lift_at_every_rank():
         rng = random.Random(f"lift-sums:{cat.n}:{t.arcs}")
         for _ in range(3):
             a, b = rng.randrange(len(classes)), rng.randrange(len(classes))
-            m, _ = direct_sum_modules([classes[a], classes[b]])
+            m = direct_sum_modules([classes[a], classes[b]])
             x = lift_module_to_CT(cat, t, alg, m)
             assert x.summands == tuple(sorted((arcs[a], arcs[b])))
         lifts += len(classes) + 3

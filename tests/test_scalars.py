@@ -3,6 +3,7 @@ never a float, through the constructors and the operations that build new
 entries (suspension both ways, composition, solving, kernels, inverses)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ def test_scalar_keeps_integral_values_as_int():
     for value in (Fraction(1, 2), "1/2", 0.5, Fraction(-3, 6)):
         got = scalar(value)
         assert type(got) is Fraction and abs(got) == Fraction(1, 2)
+
+
+def test_scalar_rejects_what_is_not_a_number():
+    # what Fraction rejects with ZeroDivisionError or TypeError is a
+    # ValueError here, as for a string that is not a number
+    for value in ("1/0", None, [1], {}, "abc"):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            scalar(value)
 
 
 def test_constructors_normalise(cat4):

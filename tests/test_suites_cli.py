@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from cluster_loc import modules, rigid, suites
+from cluster_loc import category, modules, rigid, suites
 from cluster_loc.category import build_category
 from cluster_loc.cli import main
 from cluster_loc.localization import algebra_of
@@ -76,8 +76,18 @@ def test_config_rejects_suites_that_are_not_a_list(tmp_path):
 def test_config_rejects_fields_of_the_wrong_type(field, value):
     d = {"n": 4, "T": ["M44", "M14", "M11"], "seed": 7}
     d[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    # n is checked by the category's own rank check, which names the rank
+    name = "rank" if field == "n" else field
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         InstanceConfig.from_dict(d)
+
+
+def test_config_ranks_are_the_category_ranks(monkeypatch):
+    # one rank check for builds and configs, read at call time
+    with pytest.raises(ValueError, match="rank out of supported range 1..12"):
+        InstanceConfig(n=13, T=["M44"])
+    monkeypatch.setattr(category, "MAX_RANK", 13)
+    assert InstanceConfig(n=13, T=["M44"]).n == 13
 
 
 def test_config_rejects_missing_keys_and_non_objects(tmp_path):
@@ -468,6 +478,8 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     (["verify", "--config", "{cfg}.twice"],
      "suite 'kernel' is named more than once"),
     (["verify", "--config", "{cfg}.repeated"], "T repeats the summand M11"),
+    (["classify", "--config", "{cfg}", "--map", "M44 -> M34 @ [[1/0]]"],
+     "not a scalar: '1/0'"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):

@@ -9,8 +9,7 @@ from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
                                    cone_profile, mesh_map_into,
-                                   mesh_map_out_of, mesh_middle,
-                                   profile_candidates)
+                                   mesh_map_out_of, profile_candidates)
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
 from smoothing_reference import smooth_crossing
@@ -75,7 +74,7 @@ def _mesh_matrix(cat) -> list[list[int]]:
     for w in range(cat.N):
         a[w][w] += 1
         a[cat.sigma_arc[w]][w] += 1
-        for m in mesh_middle(cat, w):
+        for m in cat.arrows_in[w]:
             a[m][w] -= 1
     return a
 
@@ -106,8 +105,8 @@ def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
         hom_deg = dict(cat.hom_deg)
         if hom_deg.pop(pair, None) is None:
             hom_deg[pair] = 1
-        bad = Category(cat.polygon, cat.arcs, hom_deg, cat.comp, cat.sig,
-                       cat.sigma_arc, cat.labels, cat.meta)
+        bad = Category(cat.polygon, hom_deg, cat.comp, cat.sig, cat.labels,
+                       cat.meta)
         with pytest.raises(TriangleError, match="^hom table breaks the "
                                                 "mesh identity at SP6$"):
             profile_candidates(bad, profile)
