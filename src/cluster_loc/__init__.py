@@ -9,9 +9,9 @@ zigzag evaluation.  ``cluster_loc.suites`` bundles the verification suites
 behind the ``cluster-loc`` command line tool.
 """
 
-from .arcs import Arc, Polygon, crosses, enumerate_arcs, rotate
+from .arcs import Arc, crosses, enumerate_arcs, rotate
 from .category import (BuildError, Category, InternalConsistencyError, Mor,
-                       Obj, build_category, label_bridge, load_category)
+                       Obj, build_category, load_category)
 from .linalg import Mat, Scalar, kernel_basis, rank, solve_right
 from .localization import (LocHom, MorClassification, Zigzag, classify,
                            factor_through_s, loc_hom, s_resolution,

@@ -1,11 +1,12 @@
 """Diagonals of a convex polygon: the object-level combinatorics.
 
-Vertices of the (n+3)-gon are labelled 0..n+2 clockwise.  A diagonal (``Arc``)
-is stored with ``a < b`` and ``2 <= b - a <= n + 1``; boundary edges are not
-arcs and play the role of the zero object wherever a smoothing produces them.
+The rank-n model polygon has n+3 vertices, labelled 0..n+2 clockwise; every
+function here takes the rank n.  A diagonal (``Arc``) is stored with
+``a < b`` and ``2 <= b - a <= n + 1``; boundary edges are not arcs and play
+the role of the zero object wherever a smoothing produces them.
 
 The suspension acts on arcs by subtracting 1 from both endpoints mod n+3;
-``rotate(p, x, k)`` applies that shift k times.
+``rotate(n, x, k)`` applies that shift k times.
 """
 
 from __future__ import annotations
@@ -13,21 +14,6 @@ from __future__ import annotations
 from functools import total_ordering
 
 from .values import Value, setfield
-
-
-class Polygon(Value):
-    """Rank-n model polygon with n+3 cyclically ordered vertices."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("polygon rank must be >= 1")
-        setfield(self, "n", n)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n + 3
 
 
 @total_ordering
@@ -55,43 +41,42 @@ class Arc(Value):
         return f"{self.a}-{self.b}"
 
 
-def make_arc(p: Polygon, a: int, b: int) -> Arc:
+def make_arc(n: int, a: int, b: int) -> Arc:
     """Canonical arc with endpoints a, b (mod n+3); raises on boundary edges."""
-    arc = arc_or_none(p, a, b)
+    arc = arc_or_none(n, a, b)
     if arc is None:
-        raise ValueError(f"({a},{b}) is not a diagonal of the {p.vertex_count}-gon")
+        raise ValueError(f"({a},{b}) is not a diagonal of the {n + 3}-gon")
     return arc
 
 
-def arc_or_none(p: Polygon, a: int, b: int) -> Arc | None:
-    m = p.vertex_count
-    a %= m
-    b %= m
+def arc_or_none(n: int, a: int, b: int) -> Arc | None:
+    a %= n + 3
+    b %= n + 3
     if a > b:
         a, b = b, a
-    if not (2 <= b - a <= p.n + 1):
+    if not (2 <= b - a <= n + 1):
         return None
     return Arc(a, b)
 
 
-def parse_arc(p: Polygon, text: str) -> Arc:
+def parse_arc(n: int, text: str) -> Arc:
     parts = text.split("-")
     if len(parts) != 2:
         raise ValueError(f"bad arc literal {text!r}; expected 'a-b'")
-    return make_arc(p, int(parts[0]), int(parts[1]))
+    return make_arc(n, int(parts[0]), int(parts[1]))
 
 
-def enumerate_arcs(p: Polygon) -> list[Arc]:
+def enumerate_arcs(n: int) -> list[Arc]:
     """All (n+3)n/2 diagonals, lexicographic in (a, b)."""
     out = []
-    for a in range(p.vertex_count):
-        for b in range(a + 2, p.vertex_count):
-            if b - a <= p.n + 1:
+    for a in range(n + 3):
+        for b in range(a + 2, n + 3):
+            if b - a <= n + 1:
                 out.append(Arc(a, b))
     return out
 
 
-def crosses(p: Polygon, x: Arc, y: Arc) -> bool:
+def crosses(x: Arc, y: Arc) -> bool:
     """True iff x and y intersect in the polygon interior.
 
     Endpoints must strictly interleave; equal arcs and arcs sharing an
@@ -100,8 +85,8 @@ def crosses(p: Polygon, x: Arc, y: Arc) -> bool:
     return x.a < y.a < x.b < y.b or y.a < x.a < y.b < x.b
 
 
-def rotate(p: Polygon, x: Arc, k: int) -> Arc:
+def rotate(n: int, x: Arc, k: int) -> Arc:
     """Shift both endpoints by -k mod n+3 (k = 1 is one suspension step)."""
-    arc = arc_or_none(p, x.a - k, x.b - k)
+    arc = arc_or_none(n, x.a - k, x.b - k)
     assert arc is not None  # rotation preserves the cyclic gap pattern
     return arc

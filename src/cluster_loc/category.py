@@ -30,9 +30,9 @@ the chains that end in an arrow and start at the least arc of a
 suspension orbit (2,442 at n = 12), which proves both everywhere, by
 transport along the suspension and induction on the last step's degree,
 once every step of degree d >= 2 factors through an arrow and the
-suspension keeps degrees.
-``load_category`` also runs them, the bridge, and checks for keys off the
-arcs, repeated keys and hom degrees that are not path lengths.
+suspension keeps degrees.  ``load_category`` accepts a serialized table
+only when it equals the rank's build, so every loaded category is a
+checked build.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -51,8 +51,7 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from . import oracle
-from .arcs import (Arc, Polygon, arc_or_none, crosses, enumerate_arcs,
-                   parse_arc, rotate)
+from .arcs import Arc, arc_or_none, crosses, enumerate_arcs, parse_arc, rotate
 from .linalg import Mat, Scalar, scalar
 from .values import Value, setfield
 
@@ -123,25 +122,25 @@ class Mor(Value):
 
 class Category:
     """Built hom/composition/suspension tables plus the additive layer, on
-    the rank's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and its
-    inverse, ``arrows_in`` (the sorted sources of the arrows into each arc).
+    the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and
+    its inverse, ``arrows_in`` (the sorted sources of the arrows into each
+    arc).
 
     Composition and suspension constants are stored as ``int``; a constant
     outside {-1, 0, 1} raises ValueError naming its key, a hom pair off the
-    arcs BuildError.  A built or loaded category stores the nonzero
+    arcs BuildError.  A built (or loaded) category stores the nonzero
     constants only: ``(x, y, z) in comp`` iff basis(y, z) . basis(x, y) != 0.
     """
 
-    def __init__(self, polygon: Polygon,
+    def __init__(self, n: int,
                  hom_deg: dict[tuple[int, int], int],
                  comp: dict[tuple[int, int, int], Scalar],
                  sig: dict[tuple[int, int], Scalar],
                  labels: list[str],
                  meta: dict):
-        self.polygon = polygon
-        self.n = polygon.n
+        self.n = n
         (self.arcs, self.arc_index, self.sigma_arc, self.sigma_arc_inv,
-         self.arrows_in, self._cross) = _quiver(polygon.n)
+         self.arrows_in, self._cross) = _quiver(n)
         self.N = len(self.arcs)
         self.hom_deg = hom_deg
         self.comp = _unit_table("composition", comp)
@@ -188,7 +187,7 @@ class Category:
         if token in self.label_to_arc:
             return self.shift_arc(self.label_to_arc[token], shifts)
         if "-" in token:
-            arc = parse_arc(self.polygon, token)
+            arc = parse_arc(self.n, token)
             return self.shift_arc(self.arc_index[arc], shifts)
         raise ValueError(f"cannot resolve object token {token!r}")
 
@@ -513,14 +512,13 @@ def _quiver(n: int):
     rank n; arrows in[z] are the sorted sources of the arrows into z, the
     middles of the mesh from sigma(z) to z.  The cache shares every field
     among the rank's categories, so each is a tuple, the index read-only."""
-    p = Polygon(n)
-    arcs = tuple(enumerate_arcs(p))
+    arcs = tuple(enumerate_arcs(n))
     index = {a: i for i, a in enumerate(arcs)}
-    sigma = tuple(index[rotate(p, a, 1)] for a in arcs)
+    sigma = tuple(index[rotate(n, a, 1)] for a in arcs)
     arrows_in = tuple(tuple(sorted(index[c] for c in (
-        arc_or_none(p, a.a - 1, a.b), arc_or_none(p, a.a, a.b - 1))
+        arc_or_none(n, a.a - 1, a.b), arc_or_none(n, a.a, a.b - 1))
         if c is not None)) for a in arcs)
-    cross = [[crosses(p, x, y) for y in arcs] for x in arcs]
+    cross = [[crosses(x, y) for y in arcs] for x in arcs]
     return (arcs, MappingProxyType(index), sigma,
             tuple(sorted(range(len(arcs)), key=sigma.__getitem__)), arrows_in,
             tuple(map(tuple, cross)))
@@ -536,8 +534,7 @@ def build_category(n: int) -> Category:
     reduction coefficient is not an integer.  Raises ValueError for a rank
     that is not an int in 1..MAX_RANK (a bool included).
     """
-    p = Polygon(supported_rank(n))
-    arcs, _, sigma_arc, _, arrows_in, _ = _quiver(p.n)
+    arcs, _, sigma_arc, _, arrows_in, _ = _quiver(supported_rank(n))
     N = len(arcs)
     arrows = sorted((m, z) for z, mids in enumerate(arrows_in) for m in mids)
     arrow_idx = {st: k for k, st in enumerate(arrows)}
@@ -560,7 +557,7 @@ def build_category(n: int) -> Category:
         cur, degree = [x], 0
         while cur:
             degree += 1
-            if degree > 3 * (p.n + 3) + 3:
+            if degree > 3 * (n + 3) + 3:
                 raise BuildError("mesh category failed to terminate; "
                                  "path quotient still alive at degree "
                                  f"{degree}")
@@ -640,8 +637,8 @@ def build_category(n: int) -> Category:
 
     # -- checks and label bridge --------------------------------------------
 
-    labels, meta = _bridge(p, arcs, hom_deg)
-    cat = Category(p, hom_deg, comp, sig, labels, meta)
+    labels, meta = _bridge(n, arcs, hom_deg)
+    cat = Category(n, hom_deg, comp, sig, labels, meta)
     _check_tables(cat)
     return cat
 
@@ -703,15 +700,14 @@ def _quotient_1d(rel_row: list[int] | None, ngens: int):
 
 
 def _check_tables(cat: Category):
-    """The cross-checks every built or loaded table passes; raises
+    """The cross-checks every built table passes; raises
     BuildError naming the first failure.
 
     Hom pairs exactly the pairs of arcs the crossing rule predicts
     (Hom(x, y) != 0 iff x crosses sigma^-1 y, read off the category's
     crossing matrix); identities units and fixed by the suspension; its
     constants nonzero on exactly the hom pairs; every step (non-identity
-    hom pair) of a degree >= 1 that the suspension keeps (checked here,
-    before ``load_category`` checks path lengths).  Then, in
+    hom pair) of a degree >= 1 that the suspension keeps.  Then, in
     ``_check_constants``: (F), each step (z, w) of degree d >= 2 has an
     arrow (a step of degree 1) (v, w) with deg(z, v) = d - 1 and
     c(z, v, w) != 0; composition keys on hom pairs; the suspension
@@ -737,8 +733,7 @@ def _check_tables(cat: Category):
 
     That is 0, 0, 0, 4, 27, 61, 183, 301, 671, 966, 1,828 and 2,442
     chains with a nonzero side at n = 1..12.  Composition keys must be
-    triples of arc indices, as a build makes them and ``load_category``
-    checks.
+    triples of arc indices, as a build makes them.
     """
     arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
                                            cat.sig, cat.sigma_arc)
@@ -834,13 +829,13 @@ def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
     return checked
 
 
-def _bridge(p: Polygon, arcs, hom_deg):
+def _bridge(n: int, arcs, hom_deg):
     """Label arcs with interval modules / shifted projectives by the derived
     assignment, M_ij at {n+3-i, n+1-j} and SP_i at {0, n+2-i}, and check
     that the mesh hom dimensions match the quiver-representation oracle on
     every pair, one row per arc against the oracle's row by label index;
     raises BuildError at the first pair that disagrees."""
-    n, N = p.n, len(arcs)
+    N = len(arcs)
     want = oracle.label_hom_matrix(n)
     names = oracle.labels(n)
     # the derived assignment, as the endpoints (a < b) of each label's arc
@@ -867,32 +862,21 @@ def _bridge(p: Polygon, arcs, hom_deg):
     return labels, meta
 
 
-def label_bridge(cat: Category) -> list[str]:
-    """Recompute and re-validate the arc/label assignment against the
-    representation oracle; must reproduce the stored labels."""
-    labels, _ = _bridge(cat.polygon, cat.arcs, cat.hom_deg)
-    if labels != cat.labels:
-        raise BuildError("label bridge is not reproducible")
-    return labels
-
-
 def load_category(data: dict | str) -> Category:
-    """Rebuild a Category from its serialized table form.
+    """The rank's build, read back from its serialized table form.
 
-    The tables pass the build's checks again: the arcs and the suspension
-    permutation, the crossing rule, the suspension constants, the degree
-    premises, functoriality and associativity (proved at every rank from
-    the chains that end in an arrow and start at an orbit representative)
-    and the label bridge.  Three checks are the loader's own: every key of
-    ``hom`` and ``comp`` and every entry of ``sigma_arc`` is an ``int``
-    arc index, no key of ``hom``, ``comp`` or
-    ``sigma`` is repeated, and, after the table checks, every hom degree is
-    a shortest path length in the arrow quiver.  Raises ValueError on data
-    that is not an object, on a foreign schema, a missing table, a rank
-    that ``build_category`` rejects, a table of the wrong shape (``arcs``
-    or ``labels`` not a list of strings, a table or row not a list, a
-    field that is a list or an object), a constant that is not a scalar or
-    lies outside {-1, 0, 1}, and BuildError when a check fails.
+    ``data`` (or the JSON file it names) is accepted only when its tables
+    equal those of ``build_category(data["n"])``, which runs every build
+    check: ``arcs``, ``sigma_arc``, ``labels``, ``hom``, ``comp``,
+    ``sigma`` and, when present, ``meta``.  Keys of arc indices, hom
+    degrees and ``sigma_arc`` entries must be ``int``s; constants may be
+    spelled in any form ``linalg.scalar`` reads, and "0" rows are dropped.
+    Raises ValueError on data that is not an object, on a foreign schema, a
+    missing table, a rank that ``build_category`` rejects and a table of
+    the wrong shape (``arcs`` or ``labels`` not a list of strings, a table
+    or row not a list, ``meta`` not an object, a field that is a list or an
+    object, a constant that is not a scalar); BuildError on a repeated key,
+    and naming the first table and key that differ from the build's.
     """
     if isinstance(data, str):
         with open(data) as fh:
@@ -905,31 +889,34 @@ def load_category(data: dict | str) -> Category:
                            "labels") if k not in data]
     if missing:
         raise ValueError(f"category table lacks {', '.join(missing)}")
-    p = Polygon(supported_rank(data["n"]))
+    cat = build_category(data["n"])
     for key in ("arcs", "labels"):
         if not (isinstance(data[key], list)
                 and all(isinstance(t, str) for t in data[key])):
             raise ValueError(f"{key} is not a list of strings")
-    arcs, _, sigma, *_ = _quiver(p.n)
-    if [parse_arc(p, t) for t in data["arcs"]] != list(arcs):
-        raise BuildError("arcs are not the rank's arcs in canonical order")
-    if (data["sigma_arc"] != list(sigma)
-            or any(type(v) is not int for v in data["sigma_arc"])):
-        raise BuildError("sigma_arc is not the rotation of the arcs")
-    hom_deg = _read_table("hom", data["hom"], 2)
-    for key in hom_deg:
-        if not all(type(v) is int for v in key):
-            raise BuildError(f"hom key {key} is not a pair of arc indices")
-    comp = _read_constants("comp", data["comp"], 3)
-    sig = _read_constants("sigma", data["sigma"], 2)
-    cat = Category(p, hom_deg, comp, sig, data["labels"], data.get("meta", {}))
-    for key in comp:
-        if not all(type(v) is int and 0 <= v < len(arcs) for v in key):
-            raise BuildError(f"composition key {key} is not a chain of hom "
-                             "pairs")
-    _check_tables(cat)
-    _check_degrees(cat)
-    label_bridge(cat)
+    tables = {
+        "arcs": ([parse_arc(cat.n, t) for t in data["arcs"]], cat.arcs),
+        "sigma_arc": (data["sigma_arc"], cat.sigma_arc),
+        "labels": (data["labels"], cat.labels),
+        "hom": (_read_table("hom", data["hom"], 2), cat.hom_deg),
+        "comp": (_read_constants("comp", data["comp"], 3), cat.comp),
+        "sigma": (_read_constants("sigma", data["sigma"], 2), cat.sig),
+        "meta": (data.get("meta", cat.meta), cat.meta)}
+    for name, (got, want) in tables.items():
+        if isinstance(want, (list, tuple)):
+            if not isinstance(got, list):
+                raise ValueError(f"{name} is not a list")
+            got, want = dict(enumerate(got)), dict(enumerate(want))
+        elif not isinstance(got, dict):
+            raise ValueError(f"{name} is not an object")
+        # the first key of got, then of want, whose entries differ; 0.0,
+        # True and 2.0 equal the ints 0, 1 and 2, so types are compared too
+        for k in [*got, *want]:
+            if (k not in got or k not in want
+                    or type(got[k]) is not type(want[k]) or got[k] != want[k]
+                    or type(k) is tuple and any(type(v) is not int for v in k)):
+                raise BuildError(f"{name} differs from the rank's build at "
+                                 f"{k!r}")
     return cat
 
 
@@ -964,32 +951,3 @@ def _read_constants(name: str, rows: list, arity: int) -> dict:
     values = {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else scalar(c)
               for k, c in _read_table(name, rows, arity).items()}
     return {k: v for k, v in values.items() if v}
-
-
-def _check_degrees(cat: Category):
-    """Every hom degree is the length of a shortest path in the arrow
-    quiver (breadth-first from each arc); raises BuildError naming the
-    first pair that disagrees.  Expects hom pairs of arcs, as
-    ``_check_tables`` makes sure."""
-    succ: list[list[int]] = [[] for _ in range(cat.N)]
-    for z, mids in enumerate(cat.arrows_in):
-        for m in mids:
-            succ[m].append(z)
-    for x in range(cat.N):
-        dist = {x: 0}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for z in succ[w]:
-                    if z not in dist:
-                        dist[z] = dist[w] + 1
-                        nxt.append(z)
-            frontier = nxt
-        for y in cat.hom_out[x]:
-            d = cat.hom_deg[(x, y)]
-            if d != dist.get(y):
-                raise BuildError(
-                    f"hom degree {d} at ({cat.arcs[x]}, {cat.arcs[y]}) is "
-                    f"not the shortest path length {dist.get(y)} in the "
-                    "arrow quiver")

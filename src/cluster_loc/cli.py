@@ -160,11 +160,13 @@ def cmd_zigzag(args) -> int:
     cfg, cat, t = _instance(args)
     z1 = _parse_zigzag(cat, args.path)
     ev = zigzag_eval(cat, t, z1)
+    # both verdicts before any output, so bad input prints one error only
+    equal = (zigzag_equal(cat, t, z1, _parse_zigzag(cat, args.path2))
+             if args.path2 else None)
     print(f"evaluation: module map with component dimensions "
           f"{[(m.rows, m.cols) for m in ev.comps]}; iso: {ev.is_iso()}")
-    if args.path2:
-        z2 = _parse_zigzag(cat, args.path2)
-        print(f"equal: {zigzag_equal(cat, t, z1, z2)}")
+    if equal is not None:
+        print(f"equal: {equal}")
     return 0
 
 

@@ -241,6 +241,8 @@ def zigzag_eval(cat: Category, t: RigidObject, z: Zigzag) -> ModuleHom:
 
 def zigzag_equal(cat: Category, t: RigidObject, z1: Zigzag, z2: Zigzag) -> bool:
     """Equality of localized maps, decided through the module side."""
+    z1.validate()
+    z2.validate()
     if z1.start() != z2.start() or z1.end() != z2.end():
         raise ValueError("zigzags do not share endpoints")
     e1 = zigzag_eval(cat, t, z1)

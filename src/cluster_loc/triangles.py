@@ -385,8 +385,10 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     X, Y = f.src, f.tgt
     sX = cat.suspend_obj(X)
     sf = cat.suspend_mor(f)
-    rng = random.Random((seed, 0xC0FFEE, f.key(), Z.summands)
-                        .__hash__() & 0xFFFFFFFF)
+    # seeded from a string, which seeds alike in every Python; str() of
+    # each entry, so that int and integral Fraction entries draw alike
+    rng = random.Random(f"{seed}:{X.summands}:{Y.summands}:{Z.summands}:"
+                        + ",".join(str(v) for row in f.m for v in row))
     # g candidates: g . f = 0
     kb_g = kernel_basis(cat.pre_matrix(f, Z))
 

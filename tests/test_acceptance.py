@@ -172,11 +172,10 @@ def test_ac5_mesh_vs_crossing_rule():
     pairs = 0
     for n in range(1, 13):
         cat = cached_category(n)
-        p = cat.polygon
         for x in range(cat.N):
             for y in range(cat.N):
                 pairs += 1
-                want = crosses(p, cat.arcs[x], rotate(p, cat.arcs[y], -1))
+                want = crosses(cat.arcs[x], rotate(n, cat.arcs[y], -1))
                 bad += want != cat.hom1(x, y)
     _report("AC5 mesh dimensions = crossing rule", bad == 0,
             f"exhaustive n<=12, {pairs} pairs")
@@ -196,7 +195,7 @@ def test_ac5_cone_vs_smoothing():
                 sy = cat.shift_arc(y)
                 tri = complete_triangle(cat, cat.basis_mor(x, sy))
                 want = sorted(cat.shift_arc(cat.arc_index[a]) for a in
-                              smooth_crossing(cat.polygon, cat.arcs[x],
+                              smooth_crossing(n, cat.arcs[x],
                                               cat.arcs[y]))
                 bad += sorted(tri.z.summands) != want
     _report("AC5 cone by profile = cone by smoothing", bad == 0,

@@ -46,10 +46,9 @@ def test_n1_category():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mesh_dimensions_match_crossing_rule(n):
     cat = cached_category(n)
-    p = cat.polygon
     for x in range(cat.N):
         for y in range(cat.N):
-            predicted = crosses(p, cat.arcs[x], rotate(p, cat.arcs[y], -1))
+            predicted = crosses(cat.arcs[x], rotate(n, cat.arcs[y], -1))
             assert cat.hom1(x, y) == predicted
 
 
@@ -227,7 +226,8 @@ def test_load_rejects_non_unit_constants(cat4):
         entry = d[table][0]
         entry[at] = "1/2"
         key = tuple(entry[:at])
-        with pytest.raises(ValueError, match=re.escape(str(key))):
+        with pytest.raises(BuildError, match=re.escape(
+                f"{table} differs from the rank's build at {key}")):
             load_category(d)
 
 
@@ -246,7 +246,7 @@ def test_load_parses_other_constants_as_fractions(cat4):
             d = cat4.to_dict()
             entry = next(e for e in d[table] if e[at] == "1")
             entry[at] = value
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(BuildError, match="differs from the rank's"):
                 load_category(d)
     # equal values in another spelling are read as the constants they are
     d = cat4.to_dict()
@@ -282,7 +282,7 @@ def test_unit_tables_of_ints(cat4):
         tables = {"comp": dict(cat4.comp), "sig": dict(cat4.sig)}
         tables[name][key] = bad
         with pytest.raises(ValueError, match=re.escape(str(key))):
-            Category(cat4.polygon, cat4.hom_deg, tables["comp"],
+            Category(cat4.n, cat4.hom_deg, tables["comp"],
                      tables["sig"], cat4.labels, cat4.meta)
 
 
@@ -599,11 +599,18 @@ def test_chains_through_a_key_are_the_chains_that_read_it(n):
         assert chains_through(cat.hom_deg, key) == set(reading.get(key, ()))
 
 
-def _table_check_rejects(cat, sig, comp) -> bool:
+def _planted(cat, **tables):
+    """A copy of ``cat`` with the named tables replaced, for the table
+    checks."""
     planted = copy.copy(cat)
-    planted.sig, planted.comp = sig, comp
+    for name, table in tables.items():
+        setattr(planted, name, table)
+    return planted
+
+
+def _table_check_rejects(cat, sig, comp) -> bool:
     try:
-        category._check_tables(planted)
+        category._check_tables(_planted(cat, sig=sig, comp=comp))
     except BuildError:
         return True
     return False
@@ -671,10 +678,8 @@ def test_associativity_check_transports_along_the_suspension(n):
         through = set().union(*(chains_through(cat.hom_deg, k)
                                 for k in flipped))
         fails = any(a != b for a, b in (sides(comp, c) for c in through))
-        planted = copy.copy(cat)
-        planted.comp = comp
         try:
-            category._check_tables(planted)
+            category._check_tables(_planted(cat, comp=comp))
         except BuildError as err:
             lhs, rhs = sides(comp, _named_chain(cat, err))
             assert fails and lhs != rhs
@@ -705,21 +710,23 @@ def test_table_checks_reject_seeded_sign_flips(n):
 
 
 def test_load_checks_the_degree_premises(cat4):
-    """The premises the table check rests on, each broken in a loaded
-    rank-4 table, fail inside the table checks, naming the pair: a
-    degree-2 step without its constants over the arrows into its target,
-    steps of degree 0, and a step whose degree its suspension does not
-    keep."""
+    """The premises the table check rests on, each broken in a rank-4
+    table, fail inside the table checks, naming the pair: a degree-2 step
+    without its constants over the arrows into its target, steps of
+    degree 0, and a step whose degree its suspension does not keep.  The
+    loader rejects each, as it differs from the build."""
     arcs, hom = cat4.arcs, cat4.hom_deg
     z, w = next(k for k, d in hom.items() if d == 2)
-    d = cat4.to_dict()
-    d["comp"] = [e for e in d["comp"] if not (
-        e[0] == z and e[2] == w and hom.get((e[1], w)) == 1)]
-    assert len(d["comp"]) < len(cat4.comp)
+    comp = {k: c for k, c in cat4.comp.items() if not (
+        k[0] == z and k[2] == w and hom.get((k[1], w)) == 1)}
+    assert len(comp) < len(cat4.comp)
+    planted = _planted(cat4, comp=comp)
     with pytest.raises(BuildError, match=re.escape(
             f"hom pair ({arcs[z]}, {arcs[w]}) of degree 2 does not factor "
             "through an arrow")):
-        load_category(d)
+        category._check_tables(planted)
+    with pytest.raises(BuildError, match="comp differs from the rank's"):
+        load_category(planted.to_dict())
     # degree 0 on a whole suspension orbit of an arrow, which the
     # suspension keeps, so only the steps' degree is wrong; degree 2 on the
     # orbit's first pair in table order, which comes before its preimage
@@ -730,15 +737,17 @@ def test_load_checks_the_degree_premises(cat4):
         x, y = sa[x], sa[y]
         orbit.add((x, y))
     for degree, changed in ((0, orbit), (2, {min(orbit)})):
-        d = cat4.to_dict()
-        for row in d["hom"]:
-            if tuple(row[:2]) in changed:
-                row[2] = degree
+        # in table order, as the check meets the pairs
+        planted = _planted(cat4, hom_deg={
+            k: degree if k in changed else e for k, e in sorted(hom.items())})
         x, y = min(changed)
         with pytest.raises(BuildError, match=re.escape(
                 f"hom degree {degree} at ({arcs[x]}, {arcs[y]}) is not a "
                 "positive integer that the suspension keeps")):
-            load_category(d)
+            category._check_tables(planted)
+        with pytest.raises(BuildError, match=re.escape(
+                f"hom differs from the rank's build at {(x, y)}")):
+            load_category(planted.to_dict())
 
 
 def test_quotient_rejects_non_integral_coefficient():
@@ -815,8 +824,8 @@ def test_label_bridge_names_the_first_pair_that_disagrees(cat4):
     with pytest.raises(BuildError,
                        match=rf"label bridge fails at \({x}, {y}\): oracle "
                              r"dim Hom\(\w+, \w+\) = 1, mesh 0"):
-        category._bridge(cat4.polygon, cat4.arcs, hom_deg)
-    labels, meta = category._bridge(cat4.polygon, cat4.arcs, cat4.hom_deg)
+        category._bridge(cat4.n, cat4.arcs, hom_deg)
+    labels, meta = category._bridge(cat4.n, cat4.arcs, cat4.hom_deg)
     assert labels == cat4.labels and meta == cat4.meta
 
 
@@ -843,11 +852,18 @@ def test_load_rejects_a_malformed_table(cat4, monkeypatch):
 
 
 def test_load_reruns_the_build_checks(cat4):
+    """Each table the loader compares, changed, is rejected at its first
+    differing key; a missing hom pair also fails the crossing check and a
+    pair off the arcs the constructor, as a build's table would."""
     d = cat4.to_dict()
     k = next(i for i, (x, y, _) in enumerate(d["hom"]) if x != y)
-    del d["hom"][k]
-    with pytest.raises(BuildError, match="crossing"):
+    x, y, _ = d["hom"].pop(k)
+    with pytest.raises(BuildError, match=re.escape(
+            f"hom differs from the rank's build at {(x, y)}")):
         load_category(d)
+    hom_deg = {p: e for p, e in cat4.hom_deg.items() if p != (x, y)}
+    with pytest.raises(BuildError, match="crossing"):
+        category._check_tables(_planted(cat4, hom_deg=hom_deg))
     # an extra pair outside the arcs, with sigma and identity entries that
     # negative indexing would otherwise make look consistent
     d = cat4.to_dict()
@@ -856,19 +872,22 @@ def test_load_reruns_the_build_checks(cat4):
     d["hom"].append([-1, y, deg])
     d["sigma"].append([-1, y, "1"])
     d["comp"] += [[-1, -1, y, "1"], [-1, y, y, "1"]]
+    with pytest.raises(BuildError, match=re.escape(
+            f"hom differs from the rank's build at {(-1, y)}")):
+        load_category(d)
     with pytest.raises(BuildError, match="not a pair of arcs"):
-        load_category(d)
-    d = cat4.to_dict()
-    d["labels"][0], d["labels"][1] = d["labels"][1], d["labels"][0]
-    with pytest.raises(BuildError, match="label bridge"):
-        load_category(d)
+        Category(cat4.n, {**cat4.hom_deg, (-1, y): deg},
+                 {**cat4.comp, (-1, -1, y): 1, (-1, y, y): 1},
+                 {**cat4.sig, (-1, y): 1}, cat4.labels, cat4.meta)
+    for table in ("labels", "sigma_arc", "arcs"):
+        d = cat4.to_dict()
+        d[table][0], d[table][1] = d[table][1], d[table][0]
+        with pytest.raises(BuildError, match=re.escape(
+                f"{table} differs from the rank's build at 0")):
+            load_category(d)
     d = cat4.to_dict()
     d["sigma_arc"] = d["sigma_arc"][1:] + d["sigma_arc"][:1]
-    with pytest.raises(BuildError, match="rotation"):
-        load_category(d)
-    d = cat4.to_dict()
-    d["arcs"][0], d["arcs"][1] = d["arcs"][1], d["arcs"][0]
-    with pytest.raises(BuildError, match="canonical order"):
+    with pytest.raises(BuildError, match="sigma_arc differs"):
         load_category(d)
 
 
@@ -891,9 +910,9 @@ def test_load_rejects_repeated_keys_and_shifted_degrees(cat4):
     d = cat4.to_dict()
     k = next(i for i, (x, y, _) in enumerate(d["hom"]) if x != y)
     d["hom"][k][2] += 3
-    x, y, deg = d["hom"][k]
+    x, y, _ = d["hom"][k]
     with pytest.raises(BuildError, match=re.escape(
-            f"hom degree {deg} at ({d['arcs'][x]}, {d['arcs'][y]})")):
+            f"hom differs from the rank's build at {(x, y)}")):
         load_category(d)
 
 
@@ -910,16 +929,47 @@ def test_load_catches_every_sign_flip(n):
                 load_category(d)
 
 
+def test_load_rejects_a_consistently_rescaled_table(cat4):
+    """Negating one non-identity basis map e_ab rescales every constant
+    that reads it: c(x, y, z) by s(x, y) s(y, z) s(x, z) and sig(x, y) by
+    s(x, y) s(Sx, Sy), with s = -1 at (a, b) only.  The table checks
+    accept that table, as it is as consistent as the build's; the loader
+    rejects it at the first constant that differs."""
+    sa = cat4.sigma_arc
+    a, b = next(k for k in sorted(cat4.hom_deg) if k[0] != k[1])
+
+    def s(*pair):
+        return -1 if pair == (a, b) else 1
+
+    comp = {(x, y, z): c * s(x, y) * s(y, z) * s(x, z)
+            for (x, y, z), c in cat4.comp.items()}
+    sig = {(x, y): c * s(x, y) * s(sa[x], sa[y])
+           for (x, y), c in cat4.sig.items()}
+    assert comp != cat4.comp and sig != cat4.sig
+    planted = _planted(cat4, comp=comp, sig=sig)
+    category._check_tables(planted)
+    first = min(k for k in comp if comp[k] != cat4.comp[k])
+    with pytest.raises(BuildError, match=re.escape(
+            f"comp differs from the rank's build at {first}")):
+        load_category(json.loads(json.dumps(planted.to_dict())))
+
+
 def test_load_rejects_a_table_without_labels():
-    # every table passes the label bridge: arc strings as labels, with or
-    # without the bridge metadata, are rejected
+    # arc strings as labels, with or without the bridge metadata, are
+    # rejected, and so is the metadata alone when present
     d = cached_category(3).to_dict()
     d["labels"] = list(d["arcs"])
-    with pytest.raises(BuildError, match="label bridge"):
+    with pytest.raises(BuildError, match="labels differs from the rank's"):
         load_category(d)
     d["meta"] = {"bridge": None}
-    with pytest.raises(BuildError, match="label bridge"):
+    with pytest.raises(BuildError, match="labels differs from the rank's"):
         load_category(d)
+    d["labels"] = list(cached_category(3).labels)
+    with pytest.raises(BuildError, match=re.escape(
+            "meta differs from the rank's build at 'bridge'")):
+        load_category(d)
+    del d["meta"]
+    assert load_category(d).meta == cached_category(3).meta
 
 
 def _slot_pre_matrix(cat, f, W):
@@ -987,13 +1037,18 @@ def test_load_rejects_composition_keys_off_the_hom_pairs(cat4):
     # the last three are off the arcs, a stored key shifted by N = 14 or
     # with a string for an index, which must not read as the stored key
     x, y, z = next(k for k in sorted(cat4.comp) if k[0] != k[1] != k[2])
-    for key in ((0, 1, 4), (13, 13, 0), (13, 0, 0), (x - 14, y, z),
-                (x, y, z + 14), (x, str(y), z)):
+    on_arcs = ((0, 1, 4), (13, 13, 0), (13, 0, 0))
+    for key in on_arcs + ((x - 14, y, z), (x, y, z + 14), (x, str(y), z)):
         d = cat4.to_dict()
         d["comp"].append([*key, "1"])
         with pytest.raises(BuildError, match=re.escape(
-                f"composition key {key} is not a chain of hom pairs")):
+                f"comp differs from the rank's build at {key}")):
             load_category(d)
+        if key in on_arcs:
+            with pytest.raises(BuildError, match=re.escape(
+                    f"composition key {key} is not a chain of hom pairs")):
+                category._check_tables(
+                    _planted(cat4, comp={**cat4.comp, key: 1}))
 
 
 def test_load_rejects_hom_and_sigma_arc_indices_that_are_not_ints(cat4):
@@ -1006,13 +1061,20 @@ def test_load_rejects_hom_and_sigma_arc_indices_that_are_not_ints(cat4):
         key = (x, bad(y)) if bad is str else (bad(x), y)
         d["hom"][k] = [*key, deg]
         with pytest.raises(BuildError, match=re.escape(
-                f"hom key {key} is not a pair of arc indices")):
+                f"hom differs from the rank's build at {key}")):
             load_category(d)
     for bad in (float, bool):
         d = cat4.to_dict()
         j = d["sigma_arc"].index(1)
         d["sigma_arc"][j] = bad(1)
-        with pytest.raises(BuildError, match="rotation"):
+        with pytest.raises(BuildError, match=re.escape(
+                f"sigma_arc differs from the rank's build at {j}")):
+            load_category(d)
+        # a degree, like an index, must be an int
+        d = cat4.to_dict()
+        d["hom"][k][2] = bad(d["hom"][k][2])
+        with pytest.raises(BuildError, match=re.escape(
+                f"hom differs from the rank's build at {(x, y)}")):
             load_category(d)
 
 
@@ -1025,8 +1087,11 @@ def test_load_rejects_hom_and_sigma_arc_indices_that_are_not_ints(cat4):
     (("sigma", 0, 2), ["1"], re.escape("sigma entry [0, 0, ['1']] is not")),
     (("comp", 0, 3), "1/0", "not a scalar: '1/0'"),
     (("comp", 0, 3), None, "not a scalar: None"),
+    (("sigma_arc",), 5, "sigma_arc is not a list"),
+    (("meta",), None, "meta is not an object"),
 ], ids=["int-arc", "null-labels", "int-hom", "int-hom-row", "list-hom-key",
-        "list-sigma-value", "zero-denominator", "null-constant"])
+        "list-sigma-value", "zero-denominator", "null-constant",
+        "int-sigma-arc", "null-meta"])
 def test_load_rejects_tables_of_the_wrong_shape(path, value, match):
     d = cached_category(3).to_dict()
     target = d
@@ -1064,8 +1129,12 @@ def test_load_rejects_a_hom_pair_off_the_arcs(cat4):
     d = cat4.to_dict()
     d["hom"].append([0, 99, 1])
     with pytest.raises(BuildError, match=re.escape(
-            "hom pair (0, 99) is not a pair of arcs")):
+            "hom differs from the rank's build at (0, 99)")):
         load_category(d)
+    with pytest.raises(BuildError, match=re.escape(
+            "hom pair (0, 99) is not a pair of arcs")):
+        Category(cat4.n, {**cat4.hom_deg, (0, 99): 1}, cat4.comp, cat4.sig,
+                 cat4.labels, cat4.meta)
 
 
 def test_a_wrong_oracle_class_fails_the_label_bridge(monkeypatch):
@@ -1126,12 +1195,11 @@ def test_label_bridge_compares_every_pair(n, monkeypatch):
             row[b] = 1 - row[b]
             current[0] = table[:a] + (tuple(row),) + table[a + 1:]
             try:
-                category._bridge(cat.polygon, cat.arcs, cat.hom_deg)
+                category._bridge(n, cat.arcs, cat.hom_deg)
             except BuildError as err:
                 assert str(err).startswith(f"label bridge fails at "
                                            f"({cat.arcs[x]}, {cat.arcs[y]}):")
             else:
                 raise AssertionError(f"flip at ({x}, {y}) not caught")
     current[0] = table
-    assert category._bridge(cat.polygon, cat.arcs,
-                            cat.hom_deg)[0] == cat.labels
+    assert category._bridge(n, cat.arcs, cat.hom_deg)[0] == cat.labels

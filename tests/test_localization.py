@@ -264,6 +264,12 @@ def test_zigzag_validation(cat4, example_T):
     with pytest.raises(ValueError):
         zigzag_equal(cat4, example_T, Zigzag((forward(s),)),
                      Zigzag((forward(t),)))
+    # an empty zigzag is rejected on either side, before the endpoints
+    # are compared
+    for pair in ((Zigzag(()), Zigzag((forward(s),))),
+                 (Zigzag((forward(s),)), Zigzag(()))):
+        with pytest.raises(ValueError, match="^empty zigzag$"):
+            zigzag_equal(cat4, example_T, *pair)
     # inverting a map outside the inverted class is rejected
     f = cat4.basis_mor(cat4.arc_of_token("M44"), m34)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import threading
@@ -130,6 +131,19 @@ def test_full_battery_on_example(example_report):
 def test_reports_deterministic(example_cfg, example_report):
     rep2 = run_suites(example_cfg)
     assert strip_timing(rep2) == strip_timing(example_report)
+
+
+# sha256 of the stripped rank-4 report, sorted keys; a change that moves
+# a verdict, a count or a field re-pins it on purpose
+RANK4_REPORT_SHA256 = ("bf73d35de1e113518a709aaa70bd562d"
+                       "176dfd3314669126815a6839f495df90")
+
+
+def test_rank4_report_is_pinned():
+    rep = run_suites(InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7))
+    assert rep["failures_total"] == 0
+    text = json.dumps(strip_timing(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANK4_REPORT_SHA256
 
 
 def test_battery_memo_keeps_no_entry_per_object_pair():
@@ -480,6 +494,8 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     (["verify", "--config", "{cfg}.repeated"], "T repeats the summand M11"),
     (["classify", "--config", "{cfg}", "--map", "M44 -> M34 @ [[1/0]]"],
      "not a scalar: '1/0'"),
+    (["zigzag", "--config", "{cfg}", "--path", "M44,SM24 -> M34",
+      "--path2", ";"], "empty zigzag"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):

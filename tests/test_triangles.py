@@ -105,7 +105,7 @@ def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
         hom_deg = dict(cat.hom_deg)
         if hom_deg.pop(pair, None) is None:
             hom_deg[pair] = 1
-        bad = Category(cat.polygon, hom_deg, cat.comp, cat.sig, cat.labels,
+        bad = Category(cat.n, hom_deg, cat.comp, cat.sig, cat.labels,
                        cat.meta)
         with pytest.raises(TriangleError, match="^hom table breaks the "
                                                 "mesh identity at SP6$"):
@@ -326,7 +326,6 @@ def test_smoothing_matches_cone(n):
     suspension of the smoothing resolution (exhaustive for small ranks; the
     acceptance suite extends this to rank 6)."""
     cat = cached_category(n)
-    p = cat.polygon
     for x in range(cat.N):
         for y in range(cat.N):
             if not cat.crosses_idx(x, y):
@@ -335,7 +334,7 @@ def test_smoothing_matches_cone(n):
             assert cat.hom1(x, sy)
             tri = complete_triangle(cat, cat.basis_mor(x, sy))
             want = sorted(cat.shift_arc(cat.arc_index[a])
-                          for a in smooth_crossing(p, cat.arcs[x], cat.arcs[y]))
+                          for a in smooth_crossing(n, cat.arcs[x], cat.arcs[y]))
             assert sorted(tri.z.summands) == want
 
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc import (Algebra, Arc, CertReport, InstanceConfig, LocHom,
-                         Mat, Mor, Obj, Polygon, RigidObject, SubcatView,
-                         Triangle, Zigzag, build_category, rigid_object)
+                         Mat, Mor, Obj, RigidObject, SubcatView, Triangle,
+                         Zigzag, build_category, rigid_object)
 from cluster_loc.localization import algebra_of
 from oracle_reference import Interval, Stalk
 
@@ -22,7 +22,6 @@ def _mor():
 # each factory builds a fresh, equal value on every call; the tuple is its
 # fields in declaration order
 SAMPLES = {
-    "Polygon": (lambda: Polygon(3), (3,)),
     "Arc": (lambda: Arc(0, 2), (0, 2)),
     "Obj": (lambda: Obj((1, 1, 4)), ((1, 1, 4),)),
     "Mor": (_mor, (Obj((0,)), Obj((1, 2)),
@@ -50,8 +49,8 @@ SAMPLES = {
 }
 
 FIELDS = {
-    "Polygon": ("n",), "Arc": ("a", "b"), "Obj": ("summands",),
-    "Mor": ("src", "tgt", "m"), "Mat": ("rows", "cols", "entries"),
+    "Arc": ("a", "b"), "Obj": ("summands",), "Mor": ("src", "tgt", "m"),
+    "Mat": ("rows", "cols", "entries"),
     "Interval": ("i", "j"), "Stalk": ("mod", "shift"),
     "RigidObject": ("arcs", "basic"), "SubcatView": ("kind", "members"),
     "CertReport": ("homdim_match", "left_exactness_failures",
@@ -157,8 +156,6 @@ def test_fields_bind_by_position_or_by_name():
 
 
 def test_constructors_still_check_their_arguments():
-    with pytest.raises(ValueError, match="rank must be >= 1"):
-        Polygon(0)
     with pytest.raises(ValueError, match="entry count 3 != 2x2"):
         Mat(2, 2, (Fraction(1),) * 3)
     with pytest.raises(ValueError, match="negative matrix dimensions"):
