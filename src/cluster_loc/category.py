@@ -120,6 +120,29 @@ class Mor(Value):
         return (self.src.summands, self.tgt.summands, self.m)
 
 
+class ObserverIndex(dict):
+    """Per arc pair (x, y): every w with comp(w, x, y) != 0 (``into``) or
+    with comp(x, y, w) != 0 (not ``into``), each followed by that constant,
+    in one flat tuple of ints.  An entry is filled on its pair's first
+    read, so a cold query pays only for the pairs it touches; a fill is
+    write-once and idempotent, so threads that race on it store equal
+    tuples."""
+
+    def __init__(self, comp: dict, hom: list[list[int]], into: bool):
+        super().__init__()
+        self.comp, self.hom, self.into = comp, hom, into
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        x, y = pair
+        comp, out = self.comp, []
+        for w in self.hom[x if self.into else y]:
+            c = comp.get((w, x, y) if self.into else (x, y, w))
+            if c:
+                out += (w, c)
+        got = self[pair] = tuple(out)
+        return got
+
+
 class Category:
     """Built hom/composition/suspension tables plus the additive layer, on
     the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and
@@ -150,17 +173,22 @@ class Category:
         self.meta = meta
         self.hom_out = [[] for _ in range(self.N)]
         self.hom_in = [[] for _ in range(self.N)]
+        homs = [[False] * self.N for _ in range(self.N)]
         for (x, y) in sorted(hom_deg):
             if not (0 <= x < self.N and 0 <= y < self.N):
                 raise BuildError(f"hom pair ({x}, {y}) is not a pair of arcs")
             self.hom_out[x].append(y)
             self.hom_in[y].append(x)
+            homs[x][y] = True
+        self._homs = tuple(map(tuple, homs))    # row x: Hom(x, y) != 0
+        self.observers_into = ObserverIndex(self.comp, self.hom_in, True)
+        self.observers_from = ObserverIndex(self.comp, self.hom_out, False)
         self._memo: dict = {}
 
     # -- arc level -----------------------------------------------------
 
     def hom1(self, x: int, y: int) -> bool:
-        return (x, y) in self.hom_deg
+        return self._homs[x][y]
 
     def comp3(self, x: int, y: int, z: int) -> int:
         return self.comp.get((x, y, z), 0)
@@ -258,11 +286,13 @@ class Category:
     def hom_slots(self, X: Obj, Y: Obj) -> list[tuple[int, int]]:
         """(target index, source index) pairs carrying a basis map, row-major.
 
-        Built on each call: a list of a few pairs costs about as much as a
-        memo lookup keyed on both summand tuples, and a memo would hold one
-        entry per object pair the caller ever met."""
+        Built on each call from the per-arc hom rows: a list of a few pairs
+        costs about as much as a memo lookup keyed on both summand tuples,
+        and a memo would hold one entry per object pair the caller ever
+        met."""
+        homs = self._homs
         return [(i, j) for i, yi in enumerate(Y.summands)
-                for j, xj in enumerate(X.summands) if self.hom1(xj, yi)]
+                for j, xj in enumerate(X.summands) if homs[xj][yi]]
 
     def dim_hom_obj(self, X: Obj, Y: Obj) -> int:
         return len(self.hom_slots(X, Y))
@@ -339,8 +369,9 @@ class Category:
         # summands are re-sorted; sig(a, b) scales Hom(a, b) -> Hom(Sa, Sb),
         # and as it is +-1 the inverse scales by it too, read at the
         # shifted pair
-        xs = [self.shift_arc(s, direction) for s in f.src.summands]
-        ys = [self.shift_arc(s, direction) for s in f.tgt.summands]
+        sig = self.sigma_arc if direction > 0 else self.sigma_arc_inv
+        xs = [sig[s] for s in f.src.summands]
+        ys = [sig[s] for s in f.tgt.summands]
         src_map, tgt_map = _perm_to_sorted(xs), _perm_to_sorted(ys)
         at_x, at_y = ((f.src.summands, f.tgt.summands) if direction > 0
                       else (xs, ys))
@@ -494,7 +525,7 @@ _MATRIX_LITERAL = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
 
 
 def _perm_to_sorted(values: Sequence[int]) -> list[int]:
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    order = sorted(range(len(values)), key=values.__getitem__)  # stable
     out = [0] * len(values)
     for new_pos, old_pos in enumerate(order):
         out[old_pos] = new_pos

@@ -30,13 +30,16 @@ A table is built from the nonzero entries of f.  Every hom space between
 arcs is at most 1-dimensional, so an entry f_ij from x to y reaches
 Hom(W, f) only for the W that map to x with comp(W, x, y) != 0, and
 Hom(f, W) only for the W that y maps to with comp(x, y, W) != 0, each time
-as the product of f_ij and that constant.  An observer that collects no
-product has rank 0, one whose products lie in one row or one column has
-rank 1, and only the rest are eliminated.  When all of f's nonzero entries
-lie in one row or one column, no products are kept at all.  The tables keep
-no per-category cache, which a cold query would pay to fill.  The hom
-dimensions the check compares against are memoised vectors per object
-(``Category.hom_vec_into`` / ``hom_vec_from``).
+as the product of f_ij and that constant.  Those W, with their constants,
+are read from the category's two observer indexes keyed by arc pair
+(``Category.observers_into`` / ``observers_from``), each entry filled on
+its pair's first read, so a cold query pays only for the pairs it
+touches.  An observer that collects no product has rank 0; one entry, two
+entries and blocks of two rows or two columns have closed-form ranks, and
+only blocks of at least three rows and three columns are eliminated.  When
+all of f's nonzero entries lie in one row or one column, no products are
+kept at all.  The hom dimensions the check compares against are memoised
+vectors per object (``Category.hom_vec_into`` / ``hom_vec_from``).
 """
 
 from __future__ import annotations
@@ -82,78 +85,82 @@ def post_rank_table(cat: Category, f: Mor) -> list[int]:
     """rank of Hom(w, f) for every indecomposable w.
 
     Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
-    w in ``hom_in[x]`` with comp(w, x, y) != 0, where it is the product
+    w of ``cat.observers_into[x, y]``, where it is the product
     f_ij·comp(w, x, y); row i of the block of w is f.tgt[i].
     """
-    comp, hom_in = cat.comp, cat.hom_in
-    src, tgt = f.src.summands, f.tgt.summands
-    ents, line = _nonzero_entries(f)
-    out = [0] * cat.N
-    blocks: dict[int, list] = {}
-    for i, j, a in ents:
-        x, y = src[j], tgt[i]
-        for w in hom_in[x]:
-            c = comp.get((w, x, y))
-            if c:
-                if line:
-                    out[w] = 1
-                else:
-                    blocks.setdefault(w, []).append((i, j, a * c))
-    return _block_ranks(out, blocks)
+    src, tgt, obs = f.src.summands, f.tgt.summands, cat.observers_into
+    return _rank_table(cat.N, [(i, j, a, obs[src[j], tgt[i]])
+                               for i, j, a in _nonzero_entries(f)])
 
 
 def pre_rank_table(cat: Category, f: Mor) -> list[int]:
     """rank of Hom(f, w) for every indecomposable w.
 
     Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
-    w in ``hom_out[y]`` with comp(x, y, w) != 0, where it is the product
+    w of ``cat.observers_from[x, y]``, where it is the product
     f_ij·comp(x, y, w); row j of the block of w is f.src[j].
     """
-    comp, hom_out = cat.comp, cat.hom_out
-    src, tgt = f.src.summands, f.tgt.summands
-    ents, line = _nonzero_entries(f)
-    out = [0] * cat.N
-    blocks: dict[int, list] = {}
-    for i, j, a in ents:
-        x, y = src[j], tgt[i]
-        for w in hom_out[y]:
-            c = comp.get((x, y, w))
-            if c:
-                if line:
-                    out[w] = 1
-                else:
-                    blocks.setdefault(w, []).append((j, i, a * c))
-    return _block_ranks(out, blocks)
+    src, tgt, obs = f.src.summands, f.tgt.summands, cat.observers_from
+    return _rank_table(cat.N, [(j, i, a, obs[src[j], tgt[i]])
+                               for i, j, a in _nonzero_entries(f)])
 
 
-def _nonzero_entries(f: Mor) -> tuple[list, bool]:
+def _nonzero_entries(f: Mor) -> list[tuple]:
     """The nonzero entries (i, j, f_ij) of f, each row scaled to integers
-    (``integer_row``, which changes no rank), and whether they all lie in
-    one row or one column.  If they do, so does every block built from
-    them, and each block that is not empty has rank 1."""
-    ents = [(i, j, a) for i, row in enumerate(f.m)
+    (``integer_row``, which changes no rank)."""
+    return [(i, j, a) for i, row in enumerate(f.m)
             for j, a in enumerate(integer_row(row)) if a]
-    return ents, (len({i for i, _, _ in ents}) < 2
-                  or len({j for _, j, _ in ents}) < 2)
 
 
-def _block_ranks(out: list[int], blocks: dict[int, list]) -> list[int]:
-    """out with the rank of each block, given by its nonzero entries (row,
-    column, value), written at its observer.  Entries all in one row or
-    all in one column have rank 1; only the rest are eliminated, on their
-    distinct rows and columns."""
-    for w, ents in blocks.items():
-        if len(ents) > 1:
-            rows = {r for r, _, _ in ents}
-            cols = {c: k for k, c in enumerate({c for _, c, _ in ents})}
-            if len(rows) > 1 and len(cols) > 1:
-                mat = {r: [0] * len(cols) for r in rows}
-                for r, c, v in ents:
-                    mat[r][cols[c]] = v
-                out[w] = len(eliminate(list(mat.values()))[0])
-                continue
-        out[w] = 1
+def _rank_table(n: int, ents: list[tuple]) -> list[int]:
+    """The rank of each of the n observers' blocks, from the entries (row,
+    column, value, flat observer tuple of (w, constant)) of the map.  When
+    the entries all lie in one row or one column, so does every block, and
+    each block that is not empty has rank 1 with no product kept."""
+    out = [0] * n
+    if (len({r for r, _, _, _ in ents}) < 2
+            or len({c for _, c, _, _ in ents}) < 2):
+        for *_, obs in ents:
+            for w in obs[::2]:
+                out[w] = 1
+        return out
+    blocks: dict[int, list] = {}
+    for r, c, a, obs in ents:
+        it = iter(obs)
+        for w, k in zip(it, it):
+            blocks.setdefault(w, []).append((r, c, a * k))
+    for w, block in blocks.items():
+        out[w] = _block_rank(block)
     return out
+
+
+def _block_rank(ents: list[tuple]) -> int:
+    """The rank of a block from its nonzero entries (row, column, value),
+    each at a position of its own.  One entry has rank 1, and two have
+    rank 2 exactly when they share neither row nor column.  A block of two
+    rows (or two columns) has rank 2 exactly when they are not
+    proportional; only blocks of at least three rows and three columns are
+    eliminated."""
+    if len(ents) == 1:
+        return 1
+    if len(ents) == 2:
+        (r, c, _), (s, d, _) = ents
+        return 2 if r != s and c != d else 1
+    rows: dict[int, dict] = {}
+    cols: dict[int, dict] = {}
+    for r, c, v in ents:
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = v
+    lines = rows if len(rows) < len(cols) else cols
+    if len(lines) == 1:
+        return 1
+    if len(lines) == 2:
+        a, b = lines.values()
+        k = next(iter(a))
+        return 1 if a.keys() == b.keys() and all(
+            a[c] * b[k] == b[c] * a[k] for c in a) else 2
+    return len(eliminate([[row.get(c, 0) for c in cols]
+                          for row in rows.values()])[0])
 
 
 def cone_profile(cat: Category, f: Mor) -> list[int]:
@@ -232,9 +239,11 @@ def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
         s, offs = 0, []
         for u, w, mids in orbit:
             offs.append(s)
-            s = profile[w] + profile[u] - sum(profile[m] for m in mids) - s
+            s = profile[w] + profile[u] - s
+            for m in mids:
+                s -= profile[m]
         # going round the orbit must give t back: s - t = t or s + t = t
-        lo, hi = max(-o for o in offs[::2]), min(offs[1::2])
+        lo, hi = -min(offs[::2]), min(offs[1::2])
         if len(orbit) % 2:
             if s % 2:
                 raise TriangleError("profile admits no integer solution")
@@ -261,7 +270,8 @@ def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
 def _mults_to_obj(mults) -> Obj:
     summands = []
     for i, k in enumerate(mults):
-        summands.extend([i] * k)
+        if k:
+            summands.extend([i] * k)
     return Obj(tuple(summands))
 
 
@@ -298,18 +308,38 @@ def _exactness_failures(cat: Category, X, Y, Z, rf, rg, rh,
     return tuple(left), tuple(right)
 
 
+def _composes_to_zero(cat: Category, g: Mor, f: Mor) -> bool:
+    """Whether g.f = 0, read entry by entry up to the first nonzero one;
+    ValueError, as from ``Category.compose``, if the objects do not
+    match."""
+    if f.tgt != g.src:
+        raise ValueError("objects do not match in composition")
+    comp, X, Y = cat.comp, f.src.summands, f.tgt.summands
+    for zi, grow in zip(g.tgt.summands, g.m):
+        for k, xk in enumerate(X):
+            s = 0
+            for yj, gij, frow in zip(Y, grow, f.m):
+                if gij and frow[k]:
+                    s += gij * frow[k] * comp.get((xk, yj, zi), 0)
+            if s:
+                return False
+    return True
+
+
 def certify_triangle_parts(cat: Category, X: Obj, Y: Obj, Z: Obj,
                            f: Mor, g: Mor, h: Mor,
                            profile: list[int] | None = None,
-                           tables=None) -> CertReport:
+                           tables=None, sf: Mor | None = None) -> CertReport:
     """Hom-exactness certificate (both variances, full rotation period, all
-    indecomposable observers) plus zero composites and the cone profile."""
+    indecomposable observers) plus zero composites and the cone profile.
+    A caller that holds Σf passes it as ``sf``."""
     left_extra = []
-    if not cat.compose(g, f).is_zero():
+    if not _composes_to_zero(cat, g, f):
         left_extra.append(("composite", "g.f"))
-    if not cat.compose(h, g).is_zero():
+    if not _composes_to_zero(cat, h, g):
         left_extra.append(("composite", "h.g"))
-    if not cat.compose(cat.suspend_mor(f), h).is_zero():
+    if not _composes_to_zero(cat, cat.suspend_mor(f) if sf is None else sf,
+                             h):
         left_extra.append(("composite", "Sf.h"))
     if profile is None:
         profile = cone_profile(cat, f)
@@ -335,7 +365,9 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
                  rng: random.Random, base=None):
     """Generic members base + kb.c of an affine family of maps X -> Y.
 
-    Each coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
+    Each column of kb is first scaled to integers (``integer_row``), which
+    keeps the family, so an integer base gives integer maps.  Each
+    coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
     DRAW_LIMIT times; base defaults to zero, and an empty basis gives base
     alone.  The callers' gates are maximal-rank conditions on the family,
     so by the Schwartz–Zippel lemma a draw fails them with probability at
@@ -345,11 +377,13 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
     if kb.cols == 0:
         yield cat.mor_from_vec(X, Y, base)
         return
+    rows = list(zip(*(integer_row(kb.entries[k::kb.cols])
+                      for k in range(kb.cols))))
     for _ in range(DRAW_LIMIT):
         c = [rng.randint(1, DRAW_RANGE) for _ in range(kb.cols)]
         yield cat.mor_from_vec(X, Y, [b + sum(ci * x for ci, x in
-                                              zip(c, kb.row(r)) if x)
-                                      for r, b in enumerate(base)])
+                                              zip(c, row) if x)
+                                      for b, row in zip(base, rows)])
 
 
 def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
@@ -401,7 +435,8 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
             rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
             cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,
                                           profile=profile,
-                                          tables=(rf, rg, rh, pf, pg, ph))
+                                          tables=(rf, rg, rh, pf, pg, ph),
+                                          sf=sf)
             if cert.is_valid():
                 return Triangle(X, Y, Z, f, g, h, cert)
     return None

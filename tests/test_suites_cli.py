@@ -163,6 +163,25 @@ def test_battery_memo_keeps_no_entry_per_object_pair():
         assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
 
 
+def test_battery_observer_indexes_stay_within_the_hom_pairs():
+    """After the same seeded AC2 instance each observer index of the rank
+    tables holds at most one entry per hom pair, keyed by a pair of arc
+    indices that is a hom pair, and each entry is a flat tuple of ints."""
+    cat = build_category(6)
+    t = sample_rigid(cat, random.Random("ac2:6"))
+    cfg = InstanceConfig(n=6, T=[cat.labels[a] for a in t.arcs], seed=7,
+                         suites=["kernel", "stilde", "doubleperp", "wakamatsu",
+                                 "identify", "factoring-surjection"])
+    assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
+    for index in (cat.observers_into, cat.observers_from):
+        assert 0 < len(index) <= len(cat.hom_deg)
+        for key, obs in index.items():
+            assert len(key) == 2
+            assert all(type(a) is int for a in key) and key in cat.hom_deg
+            assert type(obs) is tuple and len(obs) % 2 == 0
+            assert all(type(v) is int for v in obs)
+
+
 def test_map_suite_mode_follows_the_drawn_pool():
     """The map suites are 'sampled' exactly when run_suites drew the seeded
     matrix-map pool, whatever the rank."""

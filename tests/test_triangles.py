@@ -375,13 +375,37 @@ def _dense_pre_rank_table(cat, f):
     return out
 
 
+def _closed_form_maps(cat):
+    """Maps whose blocks reach each closed-form rank.  On copies of one arc
+    a every entry is a -> a, whose constants are 1, so every observer's
+    block is the matrix itself (transposed for Hom(f, w)): two entries in
+    one row, in one column and on a diagonal, two proportional rows, two
+    rows of one support that are not proportional, a 2x3 block with a
+    cancelling minor and a 3x3 block of rank 2.  On (a, a) -> (a, b), the
+    observers w with comp(w, a, b) = 0 see only the two entries of row a,
+    and those of Hom(f, w) with comp(a, b, w) = 0 only the two of column
+    a."""
+    a = 0
+    aa, aaa = Obj((a, a)), Obj((a, a, a))
+    maps = [cat.mor(aa, aa, m) for m in (
+        [[1, 2], [0, 0]], [[1, 0], [2, 0]], [[1, 0], [0, 2]],
+        [[1, 2], [2, 4]], [[1, 2], [2, 3]])]
+    maps += [cat.mor(aaa, aa, [[1, 2, 3], [2, 4, 5]]),
+             cat.mor(aaa, aaa, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])]
+    b = next((y for y in cat.hom_out[a] if y > a), None)
+    if b is not None:
+        maps.append(cat.mor(aa, Obj((a, b)), [[1, 2], [3, 0]]))
+    return maps
+
+
 def _table_maps(n):
     """Seeded maps at rank n with entries in -3..3: random, zero, between
     single summands, to and from an object with a repeated summand, and to
     and from the zero object.  Also rational maps whose entries have
-    denominators that differ within and between rows, and composites
-    through one indecomposable z, whose blocks have rank at most 1 (every
-    hom space between arcs is at most 1-dimensional)."""
+    denominators that differ within and between rows, composites through
+    one indecomposable z, whose blocks have rank at most 1 (every hom
+    space between arcs is at most 1-dimensional), and the maps of
+    ``_closed_form_maps``."""
     cat = cached_category(n)
     rng, via = random.Random(f"tables:{n}"), random.Random(f"tables:via:{n}")
     maps = []
@@ -402,7 +426,7 @@ def _table_maps(n):
         out = Obj(tuple(sorted(via.choices(cat.hom_out[z], k=4))))
         maps.append(cat.compose(cat.random_mor(via, Obj((z,)), out),
                                 cat.random_mor(via, into, Obj((z,)))))
-    return cat, maps
+    return cat, maps + _closed_form_maps(cat)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -419,13 +443,31 @@ def test_rank_tables_match_the_dense_reference(n, monkeypatch):
         post = triangles.post_rank_table(cat, f)
         assert post == _dense_post_rank_table(cat, f)
         assert triangles.pre_rank_table(cat, f) == _dense_pre_rank_table(cat, f)
-    # one-row and one-column blocks are read off, never eliminated
-    assert all(r >= 2 and c >= 2 for r, c in shapes)
+    # blocks of at most two rows or two columns are read off, never
+    # eliminated
+    assert shapes
+    assert all(r >= 3 and c >= 3 for r, c in shapes)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_completions_of_integer_maps_are_integral(n):
+    # the draws scale each kernel-basis column to integers, so no Fraction
+    # reaches g, h or their rank tables
+    cat, maps = _table_maps(n)
+    ints = [f for f in maps
+            if all(type(v) is int for row in f.m for v in row)]
+    assert len(ints) > len(maps) // 2
+    for f in ints:
+        tri = complete_triangle(cat, f)
+        assert all(type(v) is int for m in (tri.g, tri.h)
+                   for row in m.m for v in row)
 
 
 def test_rank_tables_add_nothing_to_the_memo():
-    """The tables keep no per-category cache: a cold query would pay for
-    filling it."""
+    """The tables add nothing to the category's memo: the observers they
+    read per entry come from the two observer indexes keyed by arc pair
+    (``Category.observers_into`` / ``observers_from``), which sit beside
+    it and are filled pair by pair on first read."""
     cat = build_category(6)
     rng = random.Random("tables:memo")
     maps = [cat.random_mor(rng, cat.random_obj(rng, 4), cat.random_obj(rng, 4))
