@@ -6,16 +6,17 @@ mesh relations, built degree by degree as a graded quotient of the path
 category, once per source arc x: the quotient out of x reads only x's own
 earlier degrees, kept in rows indexed by arc and by arrow, and reads the
 at most two arrows into each arc off per-arc lists.  The quiver, with the
-crossings, is computed once per rank (``_quiver``) and shared by the rank's
-categories.  Every hom space between arcs comes out 0- or 1-dimensional,
-each pair concentrated in a single path length; the build fails loudly if
-the computed dimensions ever disagree with the crossing rule
+crossings, the labels and the sigma-orbits, is computed once per rank
+(``_quiver``) and shared by the rank's categories.  Every hom space between
+arcs comes out 0- or 1-dimensional, each pair concentrated in a single path
+length.  A ``Category`` stores the rank and the build's three tables as
+given; ``_check_tables``, the one place they are checked, fails the build
+loudly if the computed dimensions ever disagree with the independent
+quiver-representation oracle through the label bridge, which checks the
+labelling of the arcs by interval modules and shifted projectives against
+the oracle on every pair, or with the crossing rule
 
     dim Hom(x, y) = [ x crosses rotate(y, -1) ]
-
-or with the independent quiver-representation oracle through the label
-bridge, which checks one derived labelling of the arcs by interval modules
-and shifted projectives against the oracle on every pair.
 
 The build is exact-integer from start to finish: the mesh quotient reduces
 integer relations, every reduction coefficient, composition constant and
@@ -30,15 +31,16 @@ the chains that end in an arrow and start at the least arc of a
 suspension orbit (2,442 at n = 12), which proves both everywhere, by
 transport along the suspension and induction on the last step's degree,
 once every step of degree d >= 2 factors through an arrow and the
-suspension keeps degrees.  ``load_category`` accepts a serialized table
+suspension keeps degrees; last comes the mesh identity that cone profiles
+are solved by.  ``load_category`` accepts a serialized table
 only when it equals the rank's build, so every loaded category is a
 checked build.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
-suspension and direct sums.  The maps f
-induces on hom spaces are matrices on the slot bases (``hom_slots``), built
-directly: ``post_matrix`` (Hom(W, f)) and ``pre_matrix`` (Hom(f, W)).
+suspension and direct sums.  The maps f induces on hom spaces are matrices
+on the slot bases (``hom_slots``), built directly: ``post_matrix``
+(Hom(W, f)) and ``pre_matrix`` (Hom(f, W)).
 """
 
 from __future__ import annotations
@@ -147,30 +149,25 @@ class Category:
     """Built hom/composition/suspension tables plus the additive layer, on
     the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and
     its inverse, ``arrows_in`` (the sorted sources of the arrows into each
-    arc).
+    arc), ``labels``, ``label_to_arc`` and ``sigma_orbits``.
 
-    Composition and suspension constants are stored as ``int``; a constant
-    outside {-1, 0, 1} raises ValueError naming its key, a hom pair off the
-    arcs BuildError.  A built (or loaded) category stores the nonzero
-    constants only: ``(x, y, z) in comp`` iff basis(y, z) . basis(x, y) != 0.
+    Only ``build_category`` makes one, from its four tables, which
+    ``_check_tables`` then checks; the constructor stores them as given.
+    Composition and suspension constants are ``int``s in {-1, 1}, and only
+    the nonzero constants are stored: ``(x, y, z) in comp`` iff
+    basis(y, z) . basis(x, y) != 0.
     """
 
     def __init__(self, n: int,
                  hom_deg: dict[tuple[int, int], int],
-                 comp: dict[tuple[int, int, int], Scalar],
-                 sig: dict[tuple[int, int], Scalar],
-                 labels: list[str],
-                 meta: dict):
+                 comp: dict[tuple[int, int, int], int],
+                 sig: dict[tuple[int, int], int]):
         self.n = n
         (self.arcs, self.arc_index, self.sigma_arc, self.sigma_arc_inv,
-         self.arrows_in, self._cross) = _quiver(n)
+         self.arrows_in, self._cross, self.labels, self.label_to_arc,
+         self.sigma_orbits) = _quiver(n)
         self.N = len(self.arcs)
-        self.hom_deg = hom_deg
-        self.comp = _unit_table("composition", comp)
-        self.sig = _unit_table("suspension", sig)
-        self.labels = labels
-        self.label_to_arc = {lab: i for i, lab in enumerate(labels)}
-        self.meta = meta
+        self.hom_deg, self.comp, self.sig = hom_deg, comp, sig
         self.hom_out = [[] for _ in range(self.N)]
         self.hom_in = [[] for _ in range(self.N)]
         homs = [[False] * self.N for _ in range(self.N)]
@@ -181,9 +178,16 @@ class Category:
             self.hom_in[y].append(x)
             homs[x][y] = True
         self._homs = tuple(map(tuple, homs))    # row x: Hom(x, y) != 0
-        self.observers_into = ObserverIndex(self.comp, self.hom_in, True)
-        self.observers_from = ObserverIndex(self.comp, self.hom_out, False)
+        self.observers_into = ObserverIndex(comp, self.hom_in, True)
+        self.observers_from = ObserverIndex(comp, self.hom_out, False)
         self._memo: dict = {}
+
+    @property
+    def meta(self) -> dict:
+        """The labels' metadata: not reflected, not rotated, SPi's arcs."""
+        sp = [self.label_to_arc[f"SP{i}"] for i in range(1, self.n + 1)]
+        return {"bridge": {"reflection": 0, "rotation": 0,
+                           "projective_slice": sp}}
 
     # -- arc level -----------------------------------------------------
 
@@ -197,12 +201,9 @@ class Category:
         return self._cross[x][y]
 
     def shift_arc(self, x: int, k: int = 1) -> int:
-        while k > 0:
-            x = self.sigma_arc[x]
-            k -= 1
-        while k < 0:
-            x = self.sigma_arc_inv[x]
-            k += 1
+        sig = self.sigma_arc if k > 0 else self.sigma_arc_inv
+        for _ in range(abs(k)):
+            x = sig[x]
         return x
 
     def arc_of_token(self, token: str) -> int:
@@ -539,33 +540,51 @@ def _perm_to_sorted(values: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _quiver(n: int):
-    """(arcs, arc index, sigma, sigma^-1, arrows in, crossing matrix) of
-    rank n; arrows in[z] are the sorted sources of the arrows into z, the
-    middles of the mesh from sigma(z) to z.  The cache shares every field
-    among the rank's categories, so each is a tuple, the index read-only."""
+    """(arcs, arc index, sigma, sigma^-1, arrows in, crossing matrix,
+    labels, label index, sigma-orbits) of rank n.  Arrows in[z] are the
+    sorted sources of the arrows into z, the middles of the mesh from
+    sigma(z) to z; the labels are the derived assignment, M_ij at
+    {n+3-i, n+1-j} and SP_i at {0, n+2-i}; each sigma-orbit lists (u,
+    sigma^-1 u, arrows in[sigma^-1 u]) along u -> sigma u.  The cache
+    shares every field among the rank's categories, so each is a tuple,
+    each index read-only."""
     arcs = tuple(enumerate_arcs(n))
     index = {a: i for i, a in enumerate(arcs)}
     sigma = tuple(index[rotate(n, a, 1)] for a in arcs)
+    inv = tuple(sorted(range(len(arcs)), key=sigma.__getitem__))
     arrows_in = tuple(tuple(sorted(index[c] for c in (
         arc_or_none(n, a.a - 1, a.b), arc_or_none(n, a.a, a.b - 1))
         if c is not None)) for a in arcs)
     cross = [[crosses(x, y) for y in arcs] for x in arcs]
-    return (arcs, MappingProxyType(index), sigma,
-            tuple(sorted(range(len(arcs)), key=sigma.__getitem__)), arrows_in,
-            tuple(map(tuple, cross)))
+    labels = tuple(f"SP{n + 2 - a.b}" if a.a == 0 else
+                   oracle.format_module_label(n + 3 - a.b, n + 1 - a.a)
+                   for a in arcs)
+    orbits, seen = [], set()
+    for u in range(len(arcs)):
+        orbit = []
+        while u not in seen:
+            seen.add(u)
+            orbit.append((u, inv[u], arrows_in[inv[u]]))
+            u = sigma[u]
+        if orbit:
+            orbits.append(tuple(orbit))
+    return (arcs, MappingProxyType(index), sigma, inv, arrows_in,
+            tuple(map(tuple, cross)), labels,
+            MappingProxyType({lab: i for i, lab in enumerate(labels)}),
+            tuple(orbits))
 
 
 def build_category(n: int) -> Category:
     """Build all tables for the rank-n category; deterministic in n.
 
     Every scalar of the build is an ``int``.  Raises BuildError whenever
-    an internal cross-check fails: the label bridge (mesh dimensions vs the
-    representation oracle) first, then the table checks of
-    ``_check_tables``, which name the offending pair; also when a mesh
-    reduction coefficient is not an integer.  Raises ValueError for a rank
-    that is not an int in 1..MAX_RANK (a bool included).
+    a check of ``_check_tables`` fails (the label bridge, mesh dimensions
+    vs the representation oracle, first), naming the offending pair or
+    key; also when a mesh reduction coefficient is not an integer.  Raises
+    ValueError for a rank that is not an int in 1..MAX_RANK (a bool
+    included).
     """
-    arcs, _, sigma_arc, _, arrows_in, _ = _quiver(supported_rank(n))
+    arcs, _, sigma_arc, _, arrows_in = _quiver(supported_rank(n))[:5]
     N = len(arcs)
     arrows = sorted((m, z) for z, mids in enumerate(arrows_in) for m in mids)
     arrow_idx = {st: k for k, st in enumerate(arrows)}
@@ -666,10 +685,7 @@ def build_category(n: int) -> Category:
             if c:
                 comp[(x, y, z)] = c
 
-    # -- checks and label bridge --------------------------------------------
-
-    labels, meta = _bridge(n, arcs, hom_deg)
-    cat = Category(n, hom_deg, comp, sig, labels, meta)
+    cat = Category(n, hom_deg, comp, sig)
     _check_tables(cat)
     return cat
 
@@ -681,23 +697,6 @@ def supported_rank(n) -> int:
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank out of supported range 1..{MAX_RANK}")
     return n
-
-
-def _unit_table(name: str, table: dict) -> dict:
-    """The table with ``int`` values; every value must lie in {-1, 0, 1}.
-
-    A table whose values are all ``int`` in {-1, 0, 1} (every built table)
-    is returned as it is, not copied."""
-    values = table.values()
-    if set(map(type, values)) <= {int} and set(values) <= {-1, 0, 1}:
-        return table
-    out = {}
-    for key, v in table.items():
-        if v != 0 and v != 1 and v != -1:
-            raise ValueError(f"{name} constant at {key} is {v}, "
-                             "outside {-1, 0, 1}")
-        out[key] = int(v)
-    return out
 
 
 def _quotient_1d(rel_row: list[int] | None, ngens: int):
@@ -734,20 +733,23 @@ def _check_tables(cat: Category):
     """The cross-checks every built table passes; raises
     BuildError naming the first failure.
 
-    Hom pairs exactly the pairs of arcs the crossing rule predicts
-    (Hom(x, y) != 0 iff x crosses sigma^-1 y, read off the category's
-    crossing matrix); identities units and fixed by the suspension; its
-    constants nonzero on exactly the hom pairs; every step (non-identity
+    First the label bridge: the mesh hom dimensions match the
+    quiver-representation oracle on every pair under the quiver's labels,
+    one row per arc against the oracle's row by label index.  Then hom
+    pairs exactly the pairs of arcs the crossing rule predicts (Hom(x, y)
+    != 0 iff x crosses sigma^-1 y, read off the category's crossing
+    matrix); identities units and fixed by the suspension; its constants
+    ``int``s in {-1, 1} on exactly the hom pairs; every step (non-identity
     hom pair) of a degree >= 1 that the suspension keeps.  Then, in
     ``_check_constants``: (F), each step (z, w) of degree d >= 2 has an
     arrow (a step of degree 1) (v, w) with deg(z, v) = d - 1 and
-    c(z, v, w) != 0; composition keys on hom pairs; the suspension
-    functorial on every stored constant, sig(x, z) c(x, y, z) =
-    c(Sx, Sy, Sz) sig(x, y) sig(y, z); and associativity,
-    c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w), on the chains
-    x -> y -> z -> w whose last step is an arrow and whose first arc x is
-    the least index of its suspension orbit.  These prove functoriality
-    and associativity everywhere, at every rank:
+    c(z, v, w) != 0; composition keys on hom pairs with ``int``
+    constants in {-1, 1}; the suspension functorial on every stored
+    constant, sig(x, z) c(x, y, z) = c(Sx, Sy, Sz) sig(x, y) sig(y, z);
+    and associativity, c(x, y, z) c(x, z, w) = c(y, z, w) c(x, y, w), on
+    the chains x -> y -> z -> w whose last step is an arrow and whose first
+    arc x is the least index of its suspension orbit.  These prove
+    functoriality and associativity everywhere, at every rank:
 
     - the suspension permutes the finite set of triples, so "nonzero has a
       nonzero image" forces "zero has a zero image", and it is functorial
@@ -764,11 +766,24 @@ def _check_tables(cat: Category):
 
     That is 0, 0, 0, 4, 27, 61, 183, 301, 671, 966, 1,828 and 2,442
     chains with a nonzero side at n = 1..12.  Composition keys must be
-    triples of arc indices, as a build makes them.
+    triples of arc indices, as a build makes them.  Last, the mesh
+    identity that cone profiles are solved by (``_check_mesh_identity``).
     """
     arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
                                            cat.sig, cat.sigma_arc)
     N, cross, inv = cat.N, cat._cross, cat.sigma_arc_inv
+    want, names = oracle.label_hom_matrix(cat.n), oracle.labels(cat.n)
+    li = [names.index(lab) for lab in cat.labels]   # each arc's label index
+    mesh = [[0] * N for _ in range(N)]  # row by arc, column by label index
+    for x, y in hom_deg:
+        mesh[x][li[y]] = 1
+    for x, row in enumerate(mesh):
+        if tuple(row) != want[li[x]]:
+            y = next(y for y in range(N) if row[li[y]] != want[li[x]][li[y]])
+            raise BuildError(
+                f"label bridge fails at ({arcs[x]}, {arcs[y]}): oracle dim "
+                f"Hom({cat.labels[x]}, {cat.labels[y]}) = "
+                f"{want[li[x]][li[y]]}, mesh {row[li[y]]}")
     predicted = {(x, y) for y in range(N) for x in range(N)
                  if cross[x][inv[y]]}
     for x, y in sorted(predicted.symmetric_difference(hom_deg),
@@ -787,12 +802,16 @@ def _check_tables(cat: Category):
         if s == 0 or x == y and s != 1:
             raise BuildError(f"suspension scalar at ({arcs[x]}, {arcs[y]}) "
                              f"is {s}")
+        if type(s) is not int or s not in (-1, 1):
+            raise BuildError(f"suspension constant at {(x, y)} is {s!r}, "
+                             "not an int in {-1, 1}")
         if (hom_deg.get((sigma_arc[x], sigma_arc[y])) != d
                 or x != y and not (isinstance(d, int) and d >= 1)):
             raise BuildError(f"hom degree {d!r} at ({arcs[x]}, {arcs[y]}) is "
                              "not a positive integer that the suspension keeps")
         degs[x][y], sigs[x][y] = d, s
     _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc)
+    _check_mesh_identity(cat)
 
 
 def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
@@ -831,6 +850,9 @@ def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
                                              or not sigs[x][z]):
             raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
                              "chain of hom pairs")
+        if type(c) is not int or c not in (-1, 1):
+            raise BuildError(f"composition constant at {(x, y, z)} is "
+                             f"{c!r}, not an int in {{-1, 1}}")
         if x == y:
             continue
         if y != z:
@@ -860,37 +882,26 @@ def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
     return checked
 
 
-def _bridge(n: int, arcs, hom_deg):
-    """Label arcs with interval modules / shifted projectives by the derived
-    assignment, M_ij at {n+3-i, n+1-j} and SP_i at {0, n+2-i}, and check
-    that the mesh hom dimensions match the quiver-representation oracle on
-    every pair, one row per arc against the oracle's row by label index;
-    raises BuildError at the first pair that disagrees."""
-    N = len(arcs)
-    want = oracle.label_hom_matrix(n)
-    names = oracle.labels(n)
-    # the derived assignment, as the endpoints (a < b) of each label's arc
-    ends = {oracle.format_module_label(i, j): (n + 1 - j, n + 3 - i)
-            for i in range(1, n + 1) for j in range(i, n + 1)}
-    ends.update((f"SP{i}", (0, n + 2 - i)) for i in range(1, n + 1))
-    at = {ends[lab]: k for k, lab in enumerate(names)}
-    li = [at[(a.a, a.b)] for a in arcs]     # the label index of each arc
-    labels = [names[k] for k in li]
-    mesh = [[0] * N for _ in range(N)]  # row by arc, column by label index
-    for x, y in hom_deg:
-        mesh[x][li[y]] = 1
-    for x, row in enumerate(mesh):
-        if tuple(row) != want[li[x]]:
-            y = next(y for y in range(N) if row[li[y]] != want[li[x]][li[y]])
-            raise BuildError(
-                f"label bridge fails at ({arcs[x]}, {arcs[y]}): oracle dim "
-                f"Hom({labels[x]}, {labels[y]}) = {want[li[x]][li[y]]}, "
-                f"mesh {row[li[y]]}")
-    # the reflection and rotation of the derived assignment, both 0
-    meta = {"bridge": {"reflection": 0, "rotation": 0,
-                       "projective_slice":
-                       [labels.index(f"SP{i}") for i in range(1, n + 1)]}}
-    return labels, meta
+def _check_mesh_identity(cat: Category):
+    """The mesh identity Aᵀ.D = P_σ + P_σ², by which cone profiles are
+    solved, on the hom lists; BuildError at the first arc whose row fails.
+    Column W of the mesh matrix A is e_W + e_σW - Σ_{m in E_W} e_m for the
+    almost split triangle σW -> E_W -> W -> σ²W."""
+    sig, out, mids = cat.sigma_arc, cat.hom_out, cat.arrows_in
+    row = [0] * cat.N   # row w of Aᵀ.D - P_σ - P_σ², 0 between rows
+    for w in range(cat.N):
+        for y in out[w]:
+            row[y] += 1
+        for y in out[sig[w]]:
+            row[y] += 1
+        for m in mids[w]:
+            for y in out[m]:
+                row[y] -= 1
+        row[sig[w]] -= 1
+        row[sig[sig[w]]] -= 1
+        if any(row):
+            raise BuildError("hom table breaks the mesh identity at "
+                             f"{cat.labels[w]}")
 
 
 def load_category(data: dict | str) -> Category:

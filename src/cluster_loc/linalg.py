@@ -13,8 +13,9 @@ One elimination core, ``eliminate``, serves every operation.  It works on
 integer rows, whose denominators ``integer_row`` clears once per row, and
 never divides inexactly: forward Bareiss elimination gives ranks and pivot
 columns, and fraction-free Gauss-Jordan gives the reduced row echelon form
-over one shared denominator, the last pivot.  Solutions and kernel bases are
-read off that form and become scalars again only there.  Pivoting takes
+over one shared denominator, the last pivot.  Solutions are read off that
+form and become scalars again only there; kernel bases are read off it as
+primitive integer columns.  Pivoting takes
 the first nonzero entry, and the reduced form is unique, so ranks, solutions
 and kernel bases are reproducible across runs.
 """
@@ -254,19 +255,22 @@ def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Matrix whose columns form a basis of ker(m); cols = cols(m) - rank(m)."""
+    """Matrix whose columns form a basis of ker(m); cols = cols(m) - rank(m).
+
+    Column k is the primitive vector of ker(m) (``int`` entries, gcd 1)
+    that is positive at the k-th free column and 0 at the others."""
     red, pivots, d = reduced_rows([m.row(i) for i in range(m.rows)])
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     cols = []
     for f in free:
         v = [0] * m.cols
-        v[f] = 1
+        v[f] = d
         for r, pc in enumerate(pivots):
-            v[pc] = _ratio(-red[r][f], d)
-        cols.append(v)
-    return Mat(m.cols, len(cols),
-               tuple(cols[j][i] for i in range(m.cols) for j in range(len(cols))))
+            v[pc] = -red[r][f]
+        g = gcd(*v)
+        cols.append([x // g for x in v])
+    return Mat(m.cols, len(cols), tuple(x for row in zip(*cols) for x in row))
 
 
 def inverse(m: Mat) -> Optional[Mat]:

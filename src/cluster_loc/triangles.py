@@ -9,10 +9,10 @@ the long-exact-sequence profile
 solved in nonnegative integer multiplicities m of D.m = profile, D the
 hom-dimension matrix.  No elimination of D is needed: the almost split
 triangles give the mesh identity Aᵀ.D = P_σ + P_σ², which ties the
-multiplicities of neighbours on each σ-orbit, and is checked once per
-category on its own hom lists.  The meshes and σ are read off the rank's
-translation quiver, which ``category`` computes once per rank
-(``Category.arrows_in`` and ``sigma_arc``).  D is singular at some ranks, so a profile can
+multiplicities of neighbours on each σ-orbit, and is checked by every
+build (``category._check_tables``).  The σ-orbits with their meshes are read
+off the rank's translation quiver, which ``category`` computes once per rank
+(``Category.sigma_orbits``).  D is singular at some ranks, so a profile can
 allow more than one cone, each tried in turn.  The connecting maps (g, h) are
 then a seeded generic draw from the solution spaces of the zero-composite
 constraints, gated by the full hom-exactness certificate.  Every exactness
@@ -181,59 +181,19 @@ def _profile_from_ranks(cat: Category, f: Mor, rf: list[int]) -> list[int]:
             for w, wm in enumerate(cat.sigma_arc_inv)]
 
 
-def _sigma_orbits(cat: Category) -> list[list[tuple]]:
-    """The σ-orbits, once per category, each as its positions (u, σ⁻¹u,
-    the mesh middles E_σ⁻¹u) along u -> σu.
-
-    First the mesh identity that ``profile_candidates`` rests on is checked
-    on the hom lists, raising TriangleError where it fails: with A the mesh
-    matrix, whose column W is e_W + e_σW - Σ_{m in E_W} e_m for the almost
-    split triangle σW -> E_W -> W -> σ²W, row W of Aᵀ.D is e_σW + e_σ²W.
-    """
-    got = cat._memo.get("sigma_orbits")
-    if got is None:
-        sig, out, mids = cat.sigma_arc, cat.hom_out, cat.arrows_in
-        row = [0] * cat.N   # row w of Aᵀ.D - P_σ - P_σ², 0 between rows
-        for w in range(cat.N):
-            for y in out[w]:
-                row[y] += 1
-            for y in out[sig[w]]:
-                row[y] += 1
-            for m in mids[w]:
-                for y in out[m]:
-                    row[y] -= 1
-            row[sig[w]] -= 1
-            row[sig[sig[w]]] -= 1
-            if any(row):
-                raise TriangleError("hom table breaks the mesh identity at "
-                                    f"{cat.labels[w]}")
-        got, seen = [], set()
-        for u in range(cat.N):
-            orbit = []
-            while u not in seen:
-                seen.add(u)
-                orbit.append((u, cat.sigma_arc_inv[u],
-                              mids[cat.sigma_arc_inv[u]]))
-                u = sig[u]
-            if orbit:
-                got.append(orbit)
-        cat._memo["sigma_orbits"] = got
-    return got
-
-
 def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
     """All nonnegative-integer multiplicity solutions m of D.m = profile,
     D the hom-dimension matrix, in the order of (sum(m), m).
 
-    By the mesh identity Aᵀ.D = P_σ + P_σ² (``_sigma_orbits``) a solution
-    has m_u + m_σu = (Aᵀ.profile)_σ⁻¹u, so round each σ-orbit m is
-    offset + t and offset - t in turn.  An odd orbit pins t; an even one
-    needs a zero alternating sum and leaves t free where m >= 0.  A choice
+    By the mesh identity Aᵀ.D = P_σ + P_σ², which every build checks, a
+    solution has m_u + m_σu = (Aᵀ.profile)_σ⁻¹u, so round each σ-orbit
+    (``cat.sigma_orbits``) m is offset + t and offset - t in turn.  An odd
+    orbit pins t; an even one needs a zero alternating sum and leaves t
+    free where m >= 0.  A choice
     of the t is kept only if its hom vector is the profile, so the list is
     complete and sound.  The caller certifies each.
     """
-    profile = list(profile)
-    orbits = _sigma_orbits(cat)
+    profile, orbits = list(profile), cat.sigma_orbits
     offsets, choices = [], []
     for orbit in orbits:
         s, offs = 0, []
@@ -365,9 +325,8 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
                  rng: random.Random, base=None):
     """Generic members base + kb.c of an affine family of maps X -> Y.
 
-    Each column of kb is first scaled to integers (``integer_row``), which
-    keeps the family, so an integer base gives integer maps.  Each
-    coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
+    The columns of kb are integer (``kernel_basis``), so an integer base
+    gives integer maps.  Each coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
     DRAW_LIMIT times; base defaults to zero, and an empty basis gives base
     alone.  The callers' gates are maximal-rank conditions on the family,
     so by the Schwartz–Zippel lemma a draw fails them with probability at
@@ -377,8 +336,7 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
     if kb.cols == 0:
         yield cat.mor_from_vec(X, Y, base)
         return
-    rows = list(zip(*(integer_row(kb.entries[k::kb.cols])
-                      for k in range(kb.cols))))
+    rows = [kb.row(i) for i in range(kb.rows)]
     for _ in range(DRAW_LIMIT):
         c = [rng.randint(1, DRAW_RANGE) for _ in range(kb.cols)]
         yield cat.mor_from_vec(X, Y, [b + sum(ci * x for ci, x in

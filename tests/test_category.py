@@ -11,7 +11,7 @@ import pytest
 from cluster_loc import category, oracle
 from cluster_loc.arcs import Arc, crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj, _quotient_1d,
-                                  _unit_table, build_category, load_category)
+                                  build_category, load_category)
 from cluster_loc.linalg import reduced_rows
 from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
@@ -271,19 +271,28 @@ def test_tables_store_nonzero_constants_and_load_drops_zeros():
 
 
 def test_unit_tables_of_ints(cat4):
-    # an int table with values in {-1, 0, 1} is kept as it is
-    table = dict(cat4.comp)
-    assert _unit_table("composition", table) is table
-    # int values outside {-1, 0, 1} leave the fast path and raise
+    # every built constant is an int in {-1, 1}
+    assert all(type(c) is int and c in (-1, 1)
+               for table in (cat4.comp, cat4.sig) for c in table.values())
+    # values outside {-1, 1}, or not ints, fail the table checks by key
     key3 = next(k for k, c in cat4.comp.items() if c and k[0] != k[1] != k[2])
     key2 = next(k for k in cat4.sig if k[0] != k[1])
     for name, key, bad in (("comp", key3, 2), ("comp", key3, -2),
-                           ("sig", key2, 2)):
+                           ("sig", key2, 2),
+                           ("comp", key3, float(cat4.comp[key3])),
+                           ("sig", key2, Fraction(cat4.sig[key2]))):
         tables = {"comp": dict(cat4.comp), "sig": dict(cat4.sig)}
         tables[name][key] = bad
-        with pytest.raises(ValueError, match=re.escape(str(key))):
-            Category(cat4.n, cat4.hom_deg, tables["comp"],
-                     tables["sig"], cat4.labels, cat4.meta)
+        with pytest.raises(BuildError, match=re.escape(f"at {key} is")):
+            category._check_tables(_planted(cat4, **tables))
+
+
+def test_suspension_table_must_cover_the_hom_pairs(cat4):
+    key = next(k for k in cat4.sig if k[0] != k[1])
+    sig = {k: c for k, c in cat4.sig.items() if k != key}
+    with pytest.raises(BuildError, match="^suspension table does not cover "
+                                         "exactly the hom pairs$"):
+        category._check_tables(_planted(cat4, sig=sig))
 
 
 def test_obj_rejects_an_arc_of_another_polygon(cat4):
@@ -816,17 +825,19 @@ def test_tables_match_the_reduced_rows_build(n, monkeypatch):
 
 
 def test_label_bridge_names_the_first_pair_that_disagrees(cat4):
-    # the bridge on its own, with one mesh pair dropped: the crossing check
-    # of _check_tables would otherwise catch it first
+    # one mesh pair dropped: the bridge, the first table check, names it
     pair = next(k for k in sorted(cat4.hom_deg) if k[0] != k[1])
     hom_deg = {k: d for k, d in cat4.hom_deg.items() if k != pair}
     x, y = (cat4.arcs[i] for i in pair)
     with pytest.raises(BuildError,
                        match=rf"label bridge fails at \({x}, {y}\): oracle "
                              r"dim Hom\(\w+, \w+\) = 1, mesh 0"):
-        category._bridge(cat4.n, cat4.arcs, hom_deg)
-    labels, meta = category._bridge(cat4.n, cat4.arcs, cat4.hom_deg)
-    assert labels == cat4.labels and meta == cat4.meta
+        category._check_tables(_planted(cat4, hom_deg=hom_deg))
+    category._check_tables(cat4)
+    assert cat4.meta == {"bridge": {"reflection": 0, "rotation": 0,
+                                    "projective_slice": [
+                                        cat4.labels.index(f"SP{i}")
+                                        for i in range(1, 5)]}}
 
 
 def test_load_rejects_a_malformed_table(cat4, monkeypatch):
@@ -851,10 +862,11 @@ def test_load_rejects_a_malformed_table(cat4, monkeypatch):
         load_category(d)
 
 
-def test_load_reruns_the_build_checks(cat4):
+def test_load_reruns_the_build_checks(cat4, monkeypatch):
     """Each table the loader compares, changed, is rejected at its first
-    differing key; a missing hom pair also fails the crossing check and a
-    pair off the arcs the constructor, as a build's table would."""
+    differing key; a missing hom pair also fails the label bridge, or with
+    an oracle that agrees with it the crossing check, and a pair off the
+    arcs the constructor, as a build's table would."""
     d = cat4.to_dict()
     k = next(i for i, (x, y, _) in enumerate(d["hom"]) if x != y)
     x, y, _ = d["hom"].pop(k)
@@ -862,8 +874,18 @@ def test_load_reruns_the_build_checks(cat4):
             f"hom differs from the rank's build at {(x, y)}")):
         load_category(d)
     hom_deg = {p: e for p, e in cat4.hom_deg.items() if p != (x, y)}
-    with pytest.raises(BuildError, match="crossing"):
-        category._check_tables(_planted(cat4, hom_deg=hom_deg))
+    planted = _planted(cat4, hom_deg=hom_deg)
+    with pytest.raises(BuildError, match="label bridge fails"):
+        category._check_tables(planted)
+    at = {lab: k for k, lab in enumerate(labels(cat4.n))}
+    a, b = at[cat4.labels[x]], at[cat4.labels[y]]
+    table = [list(row) for row in label_hom_matrix(cat4.n)]
+    table[a][b] = 0
+    monkeypatch.setattr(oracle, "label_hom_matrix",
+                        lambda n: tuple(map(tuple, table)))
+    with pytest.raises(BuildError, match="mesh/crossing mismatch"):
+        category._check_tables(planted)
+    monkeypatch.undo()
     # an extra pair outside the arcs, with sigma and identity entries that
     # negative indexing would otherwise make look consistent
     d = cat4.to_dict()
@@ -878,7 +900,7 @@ def test_load_reruns_the_build_checks(cat4):
     with pytest.raises(BuildError, match="not a pair of arcs"):
         Category(cat4.n, {**cat4.hom_deg, (-1, y): deg},
                  {**cat4.comp, (-1, -1, y): 1, (-1, y, y): 1},
-                 {**cat4.sig, (-1, y): 1}, cat4.labels, cat4.meta)
+                 {**cat4.sig, (-1, y): 1})
     for table in ("labels", "sigma_arc", "arcs"):
         d = cat4.to_dict()
         d[table][0], d[table][1] = d[table][1], d[table][0]
@@ -1106,14 +1128,20 @@ def test_categories_of_one_rank_share_an_immutable_quiver():
     # the translation quiver is computed once per rank and shared, so a
     # mutable field would let one category corrupt every other of its rank
     built, loaded = build_category(4), load_category(cached_category(4).to_dict())
-    tuples = ("arcs", "sigma_arc", "sigma_arc_inv", "arrows_in", "_cross")
-    for name in tuples + ("arc_index",):
+    tuples = ("arcs", "sigma_arc", "sigma_arc_inv", "arrows_in", "_cross",
+              "labels", "sigma_orbits")
+    for name in tuples + ("arc_index", "label_to_arc"):
         assert getattr(built, name) is getattr(loaded, name)
     for name in tuples:
         assert type(getattr(built, name)) is tuple
-    assert all(type(row) is tuple for row in built.arrows_in + built._cross)
+    assert all(type(row) is tuple for row in built.arrows_in + built._cross
+               + built.sigma_orbits)
+    assert all(type(pos) is tuple and type(pos[2]) is tuple
+               for orbit in built.sigma_orbits for pos in orbit)
     with pytest.raises(TypeError):
         built.arc_index[Arc(0, 2)] = 1
+    with pytest.raises(TypeError):
+        built.label_to_arc["M11"] = 0
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -1133,8 +1161,7 @@ def test_load_rejects_a_hom_pair_off_the_arcs(cat4):
         load_category(d)
     with pytest.raises(BuildError, match=re.escape(
             "hom pair (0, 99) is not a pair of arcs")):
-        Category(cat4.n, {**cat4.hom_deg, (0, 99): 1}, cat4.comp, cat4.sig,
-                 cat4.labels, cat4.meta)
+        Category(cat4.n, {**cat4.hom_deg, (0, 99): 1}, cat4.comp, cat4.sig)
 
 
 def test_a_wrong_oracle_class_fails_the_label_bridge(monkeypatch):
@@ -1195,11 +1222,11 @@ def test_label_bridge_compares_every_pair(n, monkeypatch):
             row[b] = 1 - row[b]
             current[0] = table[:a] + (tuple(row),) + table[a + 1:]
             try:
-                category._bridge(n, cat.arcs, cat.hom_deg)
+                category._check_tables(cat)
             except BuildError as err:
                 assert str(err).startswith(f"label bridge fails at "
                                            f"({cat.arcs[x]}, {cat.arcs[y]}):")
             else:
                 raise AssertionError(f"flip at ({x}, {y}) not caught")
     current[0] = table
-    assert category._bridge(n, cat.arcs, cat.hom_deg)[0] == cat.labels
+    category._check_tables(cat)

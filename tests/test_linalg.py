@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -163,6 +164,14 @@ def _ref_kernel(m):
     return cols
 
 
+def _primitive(v):
+    """The rational vector v scaled to integers with gcd 1, keeping signs."""
+    mult = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * mult) for x in v]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
 def _ref_solve(a, b):
     red, pivots = _ref_rref([list(a.row(i)) + list(b.row(i))
                              for i in range(a.rows)])
@@ -213,7 +222,11 @@ def test_core_matches_fraction_reference(shape):
         assert rank(m) == rank_rows(m.to_rows()) == len(ref_pivots)
         k = kernel_basis(m)
         if cols:
-            assert [list(k.col(j)) for j in range(k.cols)] == _ref_kernel(m)
+            # the reference columns are 1 at their free column, so their
+            # primitive multiples are positive there
+            assert [list(k.col(j)) for j in range(k.cols)] == \
+                [_primitive(v) for v in _ref_kernel(m)]
+            assert all(type(x) is int for x in k.entries)
         if rows and cols:
             for b in (_shaped_random_mat(rng, rows, 2),
                       m * _shaped_random_mat(rng, cols, 1)):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cluster_loc import triangles
-from cluster_loc.category import Category, Obj, build_category
+from cluster_loc import category, triangles
+from cluster_loc.category import BuildError, Category, Obj, build_category
 from cluster_loc.linalg import eliminate, integer_row, kernel_basis, rank
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
@@ -98,19 +98,19 @@ def test_mesh_identity_guard_rejects_a_flipped_hom_pair():
     # both flips change the hom list of arc 0 (0-2, labelled SP6), the
     # first arc whose mesh-identity row then fails
     cat = cached_category(6)
-    profile = cone_profile(cat, mesh_map_into(cat, 0))
     for pair in ((0, cat.hom_out[0][-1]),
                  next((x, y) for x in range(cat.N) for y in range(cat.N)
                       if not cat.hom1(x, y))):
         hom_deg = dict(cat.hom_deg)
         if hom_deg.pop(pair, None) is None:
             hom_deg[pair] = 1
-        bad = Category(cat.n, hom_deg, cat.comp, cat.sig, cat.labels,
-                       cat.meta)
-        with pytest.raises(TriangleError, match="^hom table breaks the "
-                                                "mesh identity at SP6$"):
-            profile_candidates(bad, profile)
-        assert "sigma_orbits" not in bad._memo
+        bad = Category(cat.n, hom_deg, cat.comp, cat.sig)
+        with pytest.raises(BuildError, match="^hom table breaks the "
+                                             "mesh identity at SP6$"):
+            category._check_mesh_identity(bad)
+        # in the table checks, the label bridge fires first
+        with pytest.raises(BuildError, match="^label bridge fails at "):
+            category._check_tables(bad)
 
 
 def _reference_profiles(cat, rng: random.Random) -> list[list[int]]:
