@@ -11,7 +11,7 @@ behind the ``cluster-loc`` command line tool.
 
 from .arcs import Arc, crosses, enumerate_arcs, rotate
 from .category import (BuildError, Category, InternalConsistencyError, Mor,
-                       Obj, build_category, load_category)
+                       Obj, build_category)
 from .linalg import Mat, Scalar, kernel_basis, rank, solve_right
 from .localization import (LocHom, MorClassification, Zigzag, classify,
                            factor_through_s, loc_hom, s_resolution,
@@ -19,9 +19,9 @@ from .localization import (LocHom, MorClassification, Zigzag, classify,
 from .modules import (Algebra, LambdaModule, ModuleHom, H_mor, H_obj,
                       end_algebra, enumerate_indec_modules,
                       lift_module_to_CT, module_hom_basis)
-from .rigid import (RigidObject, SubcatView, enumerate_basic_rigid, in_CT,
-                    is_cluster_tilting, is_rigid, perp_view, rigid_object,
-                    right_addT_approx, wakamatsu_check)
+from .rigid import (RigidObject, SubcatView, in_CT, is_cluster_tilting,
+                    is_rigid, perp_view, rigid_object, right_addT_approx,
+                    wakamatsu_check)
 from .suites import (InstanceConfig, export_dot, image_table, replay_failure,
                      run_suites)
 from .triangles import (CertReport, Triangle, certify_triangle,

@@ -32,9 +32,7 @@ suspension orbit (2,442 at n = 12), which proves both everywhere, by
 transport along the suspension and induction on the last step's degree,
 once every step of degree d >= 2 factors through an arrow and the
 suspension keeps degrees; last comes the mesh identity that cone profiles
-are solved by.  ``load_category`` accepts a serialized table
-only when it equals the rank's build, so every loaded category is a
-checked build.
+are solved by.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -851,13 +849,17 @@ def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
             raise BuildError(f"composition key ({x}, {y}, {z}) is not a "
                              "chain of hom pairs")
         if type(c) is not int or c not in (-1, 1):
-            raise BuildError(f"composition constant at {(x, y, z)} is "
-                             f"{c!r}, not an int in {{-1, 1}}")
+            raise _not_a_unit((x, y, z), c)
         if x == y:
             continue
         if y != z:
-            sx = sigs[x]
-            if sx[z] * c != get((sa[x], sa[y], sa[z]), 0) * sx[y] * sigs[y][z]:
+            sx, image = sigs[x], (sa[x], sa[y], sa[z])
+            if sx[z] * c != get(image, 0) * sx[y] * sigs[y][z]:
+                # a failure at a key whose image comes later in ``comp``
+                # names the image's constant when that is the fault
+                d = get(image, 1)
+                if type(d) is not int or d not in (-1, 1):
+                    raise _not_a_unit(image, d)
                 raise BuildError(f"suspension not functorial on ({arcs[x]}, "
                                  f"{arcs[y]}, {arcs[z]})")
         if not first[x]:
@@ -882,6 +884,11 @@ def _check_constants(arcs, hom_deg, comp, degs, sigs, sigma_arc) -> int:
     return checked
 
 
+def _not_a_unit(key: tuple, c) -> BuildError:
+    return BuildError(f"composition constant at {key} is {c!r}, "
+                      "not an int in {-1, 1}")
+
+
 def _check_mesh_identity(cat: Category):
     """The mesh identity Aᵀ.D = P_σ + P_σ², by which cone profiles are
     solved, on the hom lists; BuildError at the first arc whose row fails.
@@ -903,93 +910,3 @@ def _check_mesh_identity(cat: Category):
             raise BuildError("hom table breaks the mesh identity at "
                              f"{cat.labels[w]}")
 
-
-def load_category(data: dict | str) -> Category:
-    """The rank's build, read back from its serialized table form.
-
-    ``data`` (or the JSON file it names) is accepted only when its tables
-    equal those of ``build_category(data["n"])``, which runs every build
-    check: ``arcs``, ``sigma_arc``, ``labels``, ``hom``, ``comp``,
-    ``sigma`` and, when present, ``meta``.  Keys of arc indices, hom
-    degrees and ``sigma_arc`` entries must be ``int``s; constants may be
-    spelled in any form ``linalg.scalar`` reads, and "0" rows are dropped.
-    Raises ValueError on data that is not an object, on a foreign schema, a
-    missing table, a rank that ``build_category`` rejects and a table of
-    the wrong shape (``arcs`` or ``labels`` not a list of strings, a table
-    or row not a list, ``meta`` not an object, a field that is a list or an
-    object, a constant that is not a scalar); BuildError on a repeated key,
-    and naming the first table and key that differ from the build's.
-    """
-    if isinstance(data, str):
-        with open(data) as fh:
-            data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"category table is a {type(data).__name__}")
-    if data.get("schema") != CAT_SCHEMA:
-        raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    missing = [k for k in ("n", "arcs", "hom", "comp", "sigma", "sigma_arc",
-                           "labels") if k not in data]
-    if missing:
-        raise ValueError(f"category table lacks {', '.join(missing)}")
-    cat = build_category(data["n"])
-    for key in ("arcs", "labels"):
-        if not (isinstance(data[key], list)
-                and all(isinstance(t, str) for t in data[key])):
-            raise ValueError(f"{key} is not a list of strings")
-    tables = {
-        "arcs": ([parse_arc(cat.n, t) for t in data["arcs"]], cat.arcs),
-        "sigma_arc": (data["sigma_arc"], cat.sigma_arc),
-        "labels": (data["labels"], cat.labels),
-        "hom": (_read_table("hom", data["hom"], 2), cat.hom_deg),
-        "comp": (_read_constants("comp", data["comp"], 3), cat.comp),
-        "sigma": (_read_constants("sigma", data["sigma"], 2), cat.sig),
-        "meta": (data.get("meta", cat.meta), cat.meta)}
-    for name, (got, want) in tables.items():
-        if isinstance(want, (list, tuple)):
-            if not isinstance(got, list):
-                raise ValueError(f"{name} is not a list")
-            got, want = dict(enumerate(got)), dict(enumerate(want))
-        elif not isinstance(got, dict):
-            raise ValueError(f"{name} is not an object")
-        # the first key of got, then of want, whose entries differ; 0.0,
-        # True and 2.0 equal the ints 0, 1 and 2, so types are compared too
-        for k in [*got, *want]:
-            if (k not in got or k not in want
-                    or type(got[k]) is not type(want[k]) or got[k] != want[k]
-                    or type(k) is tuple and any(type(v) is not int for v in k)):
-                raise BuildError(f"{name} differs from the rank's build at "
-                                 f"{k!r}")
-    return cat
-
-
-def _read_table(name: str, rows: list, arity: int) -> dict:
-    """{key: value} from serialized rows [*key, value]; a repeated key
-    raises BuildError naming it, a table or row that is not a list, or a
-    field that is a list or an object, ValueError."""
-    if not isinstance(rows, list):
-        raise ValueError(f"{name} table is a {type(rows).__name__}, "
-                         "not a list")
-    out = {}
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != arity + 1
-                or any(isinstance(v, (list, dict)) for v in row)):
-            raise ValueError(f"{name} entry {row!r} is not a list of "
-                             f"{arity + 1} numbers or strings")
-        key = tuple(row[:arity])
-        if key in out:
-            raise BuildError(f"{name} table repeats the key {key}")
-        out[key] = row[arity]
-    return out
-
-
-_UNIT_LITERALS = {"-1": -1, "0": 0, "1": 1}
-
-
-def _read_constants(name: str, rows: list, arity: int) -> dict:
-    """A composition or suspension table as ``_read_table`` reads it, each
-    value parsed by ``linalg.scalar``; the literals "-1", "0" and "1" are
-    read straight to ``int``.  Zero entries are dropped, so that a key of a
-    loaded table, as of a built one, names a nonzero constant."""
-    values = {k: _UNIT_LITERALS[c] if c in _UNIT_LITERALS else scalar(c)
-              for k, c in _read_table(name, rows, arity).items()}
-    return {k: v for k, v in values.items() if v}

@@ -1,11 +1,11 @@
 """The endomorphism algebra of a rigid object and its module category.
 
-Conventions, fixed once (and recorded in the serialization schema): the
-algebra of a basic rigid object T = t_1 + ... + t_r has one idempotent per
-summand and one basis element per nonzero hom space Hom(t_i, t_j); modules
-are the right modules over End(T) stored as left modules over the opposite
-algebra, i.e. the basis element a in Hom(t_i, t_j) acts on a module M as a
-linear map M_j -> M_i (precomposition).  With this bookkeeping
+Conventions, fixed once: the algebra of a basic rigid object
+T = t_1 + ... + t_r has one idempotent per summand and one basis element per
+nonzero hom space Hom(t_i, t_j); modules are the right modules over End(T)
+stored as left modules over the opposite algebra, i.e. the basis element a
+in Hom(t_i, t_j) acts on a module M as a linear map M_j -> M_i
+(precomposition).  With this bookkeeping
 H(x) = Hom(T, x) carries spaces Hom(t_i, x) and H(t_i) is the i-th
 indecomposable projective, which is the Yoneda check pinning the convention.
 
@@ -46,11 +46,6 @@ from .linalg import Mat, inverse, kernel_basis, rank, rank_rows
 from .rigid import RigidObject, in_CT
 from .triangles import complete_triangle
 from .values import Value
-
-MOD_SCHEMA = "cluster-loc/mod/v1"
-MOD_CONVENTION = ("left modules over the opposite endomorphism algebra; "
-                  "the basis element of Hom(t_i, t_j) acts M_j -> M_i")
-
 
 class Algebra(Value):
     """End(T)^op for a basic rigid object, by basis and structure constants.
@@ -180,17 +175,6 @@ class LambdaModule:
                        if (i, k) in self.act else Mat.zeros(self.dims[i], self.dims[k]))
                 if lhs.entries != rhs.entries:
                     raise ValueError("action violates structure constants")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": MOD_SCHEMA,
-            "convention": MOD_CONVENTION,
-            "vertices": list(self.alg.vertex_labels),
-            "dims": list(self.dims),
-            "action": {f"{i},{j}": [[str(m.at(a, b)) for b in range(m.cols)]
-                                    for a in range(m.rows)]
-                       for (i, j), m in self.act.items() if not m.is_zero()},
-        }
 
 
 class ModuleHom:
@@ -506,9 +490,9 @@ def string_walks(alg: Algebra) -> list[tuple[tuple[int, ...], tuple]]:
     return out
 
 
-def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
-    """All isomorphism classes of indecomposables of total dimension <= bound,
-    as the string modules of the algebra.
+def enumerate_indec_modules(alg: Algebra) -> list[LambdaModule]:
+    """All isomorphism classes of indecomposables, as the string modules of
+    the algebra.
 
     `string_walks` certifies that the algebra is a string algebra without
     bands, and over such an algebra the string modules, one per string up to
@@ -524,8 +508,6 @@ def enumerate_indec_modules(alg: Algebra, dim_bound: int) -> list[LambdaModule]:
     composites = alg.composites()
     found = []
     for verts, word in string_walks(alg):
-        if len(verts) > dim_bound:
-            continue
         dims = tuple(verts.count(v) for v in range(alg.r))
         index = [verts[:p].count(v) for p, v in enumerate(verts)]
         ents = {a: [[0] * dims[a[1]] for _ in range(dims[a[0]])]

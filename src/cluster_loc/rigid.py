@@ -58,10 +58,8 @@ def is_rigid(cat: Category, x: Obj | Iterable[int]) -> bool:
 
 
 def rigid_object(cat: Category, summands: Iterable) -> RigidObject:
-    if isinstance(summands, Obj):
-        arcs = summands.summands
-    else:   # each summand resolved and range-checked as Category.obj does
-        arcs = tuple(cat.obj([s]).summands[0] for s in summands)
+    # each summand resolved and range-checked as Category.obj does
+    arcs = tuple(cat.obj([s]).summands[0] for s in summands)
     if not arcs:
         raise ValueError("rigid object must have at least one summand")
     if not is_rigid(cat, arcs):
@@ -304,21 +302,3 @@ def dim_hom_functor_kernel(cat: Category, t: RigidObject, x: Obj, y: Obj) -> int
     """dim of the kernel of Hom(T, -) on Hom(x, y)."""
     return cat.dim_hom_obj(x, y) - len(functor_slots(cat, t.arcs, x, y))
 
-
-# -- enumeration -----------------------------------------------------------
-
-
-def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
-    """All nonempty sets of pairwise non-crossing arcs, by backtracking."""
-    out: list[RigidObject] = []
-
-    def rec(start: int, acc: list[int]):
-        for a in range(start, cat.N):
-            if all(not cat.crosses_idx(a, b) for b in acc):
-                acc.append(a)
-                out.append(RigidObject(tuple(acc), True))
-                rec(a + 1, acc)
-                acc.pop()
-
-    rec(0, [])
-    return out

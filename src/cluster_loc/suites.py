@@ -226,8 +226,6 @@ def through_perp_samples(cat: Category, t: RigidObject,
     attempts = 0
     while len(out) < count and attempts < count * 20:
         attempts += 1
-        if not sperp:
-            break
         u = cat.obj([rng.choice(sperp)])
         x = cat.random_obj(rng, 2)
         y = cat.random_obj(rng, 2)
@@ -491,7 +489,7 @@ def example71_checks(cat: Category, t: RigidObject):
                 alg.dim == 5 and arrows == [(2, 1), (3, 2)] and comp_zero,
                 {"dim": alg.dim, "arrows": arrows}))
 
-    indecs = enumerate_indec_modules(alg, 5)
+    indecs = enumerate_indec_modules(alg)
     dimvecs = sorted(m.dims for m in indecs)
     want = sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
     out.append(("c-five-indecomposable-modules", dimvecs == want,
@@ -616,8 +614,7 @@ def image_table(cfg: InstanceConfig, cat: Category | None = None) -> list[dict]:
     cat = cat or cached_category(cfg.n)
     t = rigid_object(cat, cfg.T)
     alg = algebra_of(cat, t)
-    bound = max(H_obj(cat, alg, cat.obj([i])).total_dim for i in range(cat.N))
-    classes = enumerate_indec_modules(alg, max(bound, 2))
+    classes = enumerate_indec_modules(alg)
     names = [f"S{m.dims.index(1) + 1}" if m.total_dim == 1
              else "(" + ",".join(str(d) for d in m.dims) + ")"
              for m in classes]

@@ -23,6 +23,22 @@ def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
     return RigidObject(tuple(sorted(acc)), True)
 
 
+def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
+    """All nonempty sets of pairwise non-crossing arcs, by backtracking."""
+    out: list[RigidObject] = []
+
+    def rec(start: int, acc: list[int]):
+        for a in range(start, cat.N):
+            if all(not cat.crosses_idx(a, b) for b in acc):
+                acc.append(a)
+                out.append(RigidObject(tuple(acc), True))
+                rec(a + 1, acc)
+                acc.pop()
+
+    rec(0, [])
+    return out
+
+
 def five_rigid(cat: Category, rng: random.Random) -> list[RigidObject]:
     """Five distinct basic rigid objects, drawn in turn from the seeded
     sampler."""

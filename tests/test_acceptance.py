@@ -28,13 +28,13 @@ import time
 
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import H_obj, hom_dim_modules
-from cluster_loc.rigid import (dim_factoring_through_add, enumerate_basic_rigid,
-                               factors_through_mor, hom_functor_zero, in_CT,
-                               left_sigma_perp_approx, rigid_object)
+from cluster_loc.rigid import (dim_factoring_through_add, factors_through_mor,
+                               hom_functor_zero, in_CT, left_sigma_perp_approx,
+                               rigid_object)
 from cluster_loc.suites import (InstanceConfig, cached_category, basis_maps,
                                 example71_checks, run_suites, strip_timing)
 from cluster_loc.triangles import complete_triangle
-from conftest import five_rigid
+from conftest import enumerate_basic_rigid, five_rigid
 
 AC2_SUITES = ["kernel", "stilde", "doubleperp", "wakamatsu", "identify",
               "factoring-surjection"]

@@ -95,6 +95,22 @@ def test_inverse():
     assert inverse(Mat.zeros(0, 0)) is not None
 
 
+def test_inverse_is_two_sided_on_seeded_invertible_matrices():
+    """An exact solution of m.x = I is the inverse: both products are I."""
+    rng = random.Random("inverse")
+    invertible = 0
+    while invertible < 40:
+        k = rng.randint(1, 5)
+        m = Mat.from_rows([[rng.randint(-3, 3) for _ in range(k)]
+                           for _ in range(k)])
+        mi = inverse(m)
+        if rank(m) < k:
+            assert mi is None
+            continue
+        assert (m * mi).entries == (mi * m).entries == Mat.identity(k).entries
+        invertible += 1
+
+
 def test_mat_from_cols_keeps_shape():
     m = mat_from_cols([(1, 2), (3, 4)], 2)
     assert (m.rows, m.cols) == (2, 2)

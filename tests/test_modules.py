@@ -16,12 +16,11 @@ from cluster_loc.modules import (H_mor, H_obj, Algebra, LambdaModule,
                                  module_hom_basis, modules_isomorphic,
                                  pairing_rank, simple_module, split_module)
 from cluster_loc.category import InternalConsistencyError, build_category
-from cluster_loc.rigid import (enumerate_basic_rigid, in_CT, perp_view,
-                               rigid_object)
+from cluster_loc.rigid import in_CT, perp_view, rigid_object
 from cluster_loc.suites import (InstanceConfig, cached_category, image_table,
                                 run_suites)
-from conftest import (five_rigid, projective_module, sample_rigid,
-                      slot_hom_functor_matrix, zero_module)
+from conftest import (enumerate_basic_rigid, five_rigid, projective_module,
+                      sample_rigid, slot_hom_functor_matrix, zero_module)
 
 
 def test_end_algebra_example(cat4, example_T):
@@ -258,7 +257,7 @@ def _square(mult):
 ], ids=["commutativity", "three-arrows-out", "two-composites", "band"])
 def test_string_premise_raises_naming_the_condition(alg, condition):
     with pytest.raises(InternalConsistencyError, match=condition):
-        enumerate_indec_modules(alg, 2)
+        enumerate_indec_modules(alg)
 
 
 @pytest.mark.parametrize("alg, count", [
@@ -272,7 +271,7 @@ def test_string_premise_raises_naming_the_condition(alg, condition):
              {(2, 1, 0): 1, (3, 2, 1): 1, (3, 2, 0): 0, (3, 1, 0): 0}, 9), 9),
 ], ids=["square-with-two-zero-relations", "relation-of-length-three"])
 def test_monomial_algebras_match_the_candidate_reference(alg, count):
-    classes = enumerate_indec_modules(alg, 5)
+    classes = enumerate_indec_modules(alg)
     assert len(classes) == count
     _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
@@ -303,7 +302,7 @@ def test_enumerate_indecs_matches_candidate_reference():
             alg = algebra_of(cat, t)
             bound = _image_bound(cat, alg)
             assert bound <= 5
-            _assert_same_classes(enumerate_indec_modules(alg, bound),
+            _assert_same_classes(enumerate_indec_modules(alg),
                                  candidate_enumeration(alg, bound))
             objects += 1
     assert objects == 252
@@ -334,15 +333,10 @@ def test_module_hom_examples(cat4, example_T):
 
 def test_enumerate_indecs_example(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 5)
+    classes = enumerate_indec_modules(alg)
     dimvecs = sorted(m.dims for m in classes)
     assert dimvecs == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                               (1, 1, 0), (0, 1, 1)])
-    # every class has total dimension <= 2, so each bound from 2 up returns
-    # the same representatives in the same order
-    for bound in range(2, 5):
-        smaller = enumerate_indec_modules(alg, bound)
-        assert [m.to_dict() for m in smaller] == [m.to_dict() for m in classes]
     _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
 
@@ -362,7 +356,7 @@ def _fan(n):
 
 def test_enumerate_indecs_fan(cat4, fan_T):
     alg = algebra_of(cat4, fan_T)
-    classes = enumerate_indec_modules(alg, 5)
+    classes = enumerate_indec_modules(alg)
     _assert_interval_classes(classes, 4)
     _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
@@ -370,7 +364,7 @@ def test_enumerate_indecs_fan(cat4, fan_T):
 def test_enumerate_indecs_fan_n5():
     cat = cached_category(5)
     alg = algebra_of(cat, rigid_object(cat, _fan(5).T))
-    classes = enumerate_indec_modules(alg, 5)
+    classes = enumerate_indec_modules(alg)
     _assert_interval_classes(classes, 5)
     _assert_same_classes(classes, candidate_enumeration(alg, 5))
 
@@ -380,7 +374,7 @@ def test_image_table_of_the_fan_up_to_rank_12(n):
     """n(n + 1)/2 interval classes, and every image H(x) is a sum of them."""
     cat = cached_category(n)
     alg = algebra_of(cat, rigid_object(cat, _fan(n).T))
-    _assert_interval_classes(enumerate_indec_modules(alg, n), n)
+    _assert_interval_classes(enumerate_indec_modules(alg), n)
     rows = image_table(_fan(n), cat)
     assert len(rows) == cat.N
     assert not [p for row in rows for p in row["decomposition"]
@@ -519,7 +513,7 @@ def test_enumerate_indecs_matches_unpruned_reference():
                 continue
             alg = algebra_of(cat, t)
             bound = _image_bound(cat, alg)
-            _assert_same_classes(enumerate_indec_modules(alg, bound),
+            _assert_same_classes(enumerate_indec_modules(alg),
                                  _unpruned_enumeration(alg, bound))
             objects += 1
     assert objects == 41
@@ -541,7 +535,7 @@ def _multiplicities(m, classes):
 
 def test_split_disconnected_on_zero_arrow(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 3)
+    classes = enumerate_indec_modules(alg)
     # full support, but the arrow 3 -> 2 acts by zero: (1,1,0) + S3
     m = _module(alg, (1, 1, 1), {(0, 1): [[1]], (1, 2): [[0]]})
     assert not is_indecomposable(m)
@@ -552,7 +546,7 @@ def test_split_disconnected_on_zero_arrow(cat4, example_T):
 
 def test_split_simple_summand(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 3)
+    classes = enumerate_indec_modules(alg)
     # M_2 = <e1, e2> with rad_2 = <e1> = image of the arrow from vertex 3:
     # e2 spans a simple summand S2 although the arrow graph is connected,
     # and the rest is P3
@@ -566,7 +560,7 @@ def test_split_simple_summand(cat4, example_T):
 
 def test_split_square_of_a_projective(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 3)
+    classes = enumerate_indec_modules(alg)
     p3 = projective_module(alg, 2)
     square = direct_sum_modules([p3, p3])
     assert not is_indecomposable(square)
@@ -642,7 +636,7 @@ def test_split_and_isomorphism_on_base_changed_sums():
                 ts.append(t)
         for t in ts:
             alg = algebra_of(cat, t)
-            classes = enumerate_indec_modules(alg, n)
+            classes = enumerate_indec_modules(alg)
             simple = {c.dims.index(1): k for k, c in enumerate(classes)
                       if c.total_dim == 1}
             for _ in range(6):
@@ -677,7 +671,7 @@ def test_split_leaves_a_missing_class_over(cat4, fan_T):
     class's dimension vector left over.  A listed module that is not
     indecomposable makes the leftover negative, which raises."""
     alg = algebra_of(cat4, fan_T)
-    classes = enumerate_indec_modules(alg, 4)
+    classes = enumerate_indec_modules(alg)
     total = direct_sum_modules(classes)
     for k, missing in enumerate(classes):
         rest = classes[:k] + classes[k + 1:]
@@ -689,7 +683,7 @@ def test_split_leaves_a_missing_class_over(cat4, fan_T):
 
 def test_enumerate_indecs_point_algebra(cat4):
     alg = algebra_of(cat4, rigid_object(cat4, ["M34"]))
-    classes = enumerate_indec_modules(alg, 4)
+    classes = enumerate_indec_modules(alg)
     assert [m.dims for m in classes] == [(1,)]
 
 
@@ -699,13 +693,13 @@ def test_enumerate_indecs_a2_path_algebra(cat2):
     t = rigid_object(cat2, ["M22", "M12"])
     alg = algebra_of(cat2, t)
     assert alg.dim == 3
-    classes = enumerate_indec_modules(alg, 4)
+    classes = enumerate_indec_modules(alg)
     assert sorted(m.dims for m in classes) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_indecomposability_and_decompose(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 3)
+    classes = enumerate_indec_modules(alg)
     s1 = simple_module(alg, 0)
     assert is_indecomposable(s1)
     assert not is_indecomposable(zero_module(alg))
@@ -751,7 +745,7 @@ def test_lift_at_every_rank():
     lifts = 0
     for cat, t in instances:
         alg = algebra_of(cat, t)
-        classes = enumerate_indec_modules(alg, _image_bound(cat, alg))
+        classes = enumerate_indec_modules(alg)
         arcs = []
         for m in classes:
             x = lift_module_to_CT(cat, t, alg, m)
@@ -769,7 +763,7 @@ def test_lift_at_every_rank():
 
 def test_density_round_trip(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    classes = enumerate_indec_modules(alg, 3)
+    classes = enumerate_indec_modules(alg)
     sperp = perp_view(cat4, example_T, "SigmaTperp").members
     images = {}
     for i in range(cat4.N):
@@ -815,15 +809,6 @@ def test_dimension_bookkeeping_on_presented_pairs(cat4, example_T):
             dm = hom_dim_modules(H_obj(cat4, alg, x), H_obj(cat4, alg, y))
             assert dm == cat4.dim_hom_obj(x, y) - \
                 dim_hom_functor_kernel(cat4, example_T, x, y)
-
-
-def test_module_serialization(cat4, example_T):
-    alg = algebra_of(cat4, example_T)
-    m = H_obj(cat4, alg, cat4.obj(["M34"]))
-    d = m.to_dict()
-    assert d["schema"] == "cluster-loc/mod/v1"
-    assert "opposite" in d["convention"]
-    assert d["dims"] == [1, 0, 1]
 
 
 def test_module_hom_validation(cat4, example_T):

@@ -7,7 +7,7 @@ from cluster_loc.localization import classify
 from cluster_loc.modules import H_obj, end_algebra
 from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
                                dim_factoring_through_add,
-                               dim_hom_functor_kernel, enumerate_basic_rigid,
+                               dim_hom_functor_kernel,
                                factors_through_mor, factors_through_subcat,
                                hom_functor_zero, in_CT, is_cluster_tilting,
                                is_rigid, left_sigma_perp_approx, perp_view,
@@ -16,8 +16,8 @@ from cluster_loc.rigid import (_rigid_memo, bundle_left_approx,
 from cluster_loc.suites import cached_category
 from cluster_loc.triangles import (complete_triangle, mesh_map_into,
                                    pre_rank_table)
-from conftest import (is_isomorphism, mat_from_cols, right_minimal_reduce,
-                      sample_rigid, top_dims)
+from conftest import (enumerate_basic_rigid, is_isomorphism, mat_from_cols,
+                      right_minimal_reduce, sample_rigid, top_dims)
 from factoring_reference import factors_through_sigma_perp
 
 

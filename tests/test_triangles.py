@@ -237,6 +237,62 @@ def test_negative_control_zero_g_fails(cat4):
     assert bad.left_exactness_failures or bad.right_exactness_failures
 
 
+def test_certificate_reports_each_planted_fault(cat4):
+    """A chain x -> y -> z of arcs with a nonzero composite, planted as
+    (f, g), as (g, h) and as (h, Sf) of a rank-4 sequence, fails the
+    composite check of that position; a certified triangle with h = 0
+    fails exactness at its node SX, in both variances."""
+    cat, inv = cat4, cat4.sigma_arc_inv
+    for x, y, z in [k for k in sorted(cat.comp) if k[0] != k[1] != k[2]][:5]:
+        fxy, gyz = cat.basis_mor(x, y), cat.basis_mor(y, z)
+        X, Y, Z = fxy.src, fxy.tgt, gyz.tgt
+        planted = {
+            "g.f": (X, Y, Z, fxy, gyz,
+                    cat.zero_mor(Z, cat.suspend_obj(X))),
+            "h.g": (Obj((inv[z],)), X, Y, cat.zero_mor(Obj((inv[z],)), X),
+                    fxy, gyz),
+            "Sf.h": (Obj((inv[y],)), Obj((inv[z],)), X,
+                     cat.basis_mor(inv[y], inv[z]),
+                     cat.zero_mor(Obj((inv[z],)), X), fxy)}
+        for name, parts in planted.items():
+            cert = certify_triangle_parts(cat, *parts)
+            assert ("composite", name) in cert.left_exactness_failures
+    tri = complete_triangle(cat, cat.basis_mor(*next(
+        k for k in sorted(cat.hom_deg) if k[0] != k[1])))
+    assert tri.cert.is_valid()
+    bad = certify_triangle_parts(cat, tri.x, tri.y, tri.z, tri.f, tri.g,
+                                 cat.zero_mor(tri.z, cat.suspend_obj(tri.x)))
+    for failures in (bad.left_exactness_failures,
+                     bad.right_exactness_failures):
+        assert any(node == "SX" for _, node in failures)
+
+
+def _two_cone_map(n: int):
+    """The zero map 0 -> Y for the Y = SP(n-1) + M2n + M12 + M34 + ... +
+    M(n-2)(n-1) of odd rank n, whose cone profile allows two cones."""
+    cat = cached_category(n)
+    Y = cat.obj([f"SP{n - 1}", f"M2{n}" if n < 10 else f"M2,{n}"]
+                + [f"M{k}{k + 1}" if k < 9 else f"M{k},{k + 1}"
+                   for k in range(1, n - 1, 2)])
+    return cat, cat.zero_mor(cat.obj([]), Y)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_completion_certifies_the_second_candidate_cone(n):
+    """The profile of 0 -> Y allows Y and a second cone, listed first; its
+    search draws every generic (g, h), none certifies, and the completion
+    goes on to Y."""
+    cat, f = _two_cone_map(n)
+    profile = cone_profile(cat, f)
+    first, second = profile_candidates(cat, profile)
+    assert second == f.tgt and first != f.tgt
+    rf, pf = triangles.post_rank_table(cat, f), triangles.pre_rank_table(cat, f)
+    assert triangles._search_completion(cat, f, first, profile, rf, pf,
+                                        0) is None
+    tri = complete_triangle(cat, f)
+    assert tri.z == f.tgt and tri.cert.is_valid()
+
+
 def test_rotation_closure(cat4):
     rng = random.Random(9)
     for _ in range(10):

@@ -9,14 +9,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cluster_loc"
 ALLOWED = {
     "strip_timing": "the report normaliser that bench/ and the determinism "
                     "tests apply to run_suites reports",
-    "load_category": "README API: reads a serialized category back and "
-                     "re-runs the build's table checks",
     "lift_module_to_CT": "the density lift, with no helper beyond one "
                          "independence filter, that a density suite (ROADMAP "
-                         "item 5) is to call; bench/tracing.py times it and "
+                         "item 4) is to call; bench/tracing.py times it and "
                          "tests/test_modules.py checks it at every rank",
-    "enumerate_basic_rigid": "the exhaustive loop over basic rigid objects "
-                             "of the acceptance and module tests",
     "replay_failure": "re-runs a failure from the reproducer that README "
                       "says every report record carries",
     "factors_through_mor": "direct divisibility through a given map, by "
