@@ -19,8 +19,8 @@ from .localization import (LocHom, MorClassification, Zigzag, classify,
 from .modules import (Algebra, LambdaModule, ModuleHom, H_mor, H_obj,
                       end_algebra, enumerate_indec_modules,
                       lift_module_to_CT, module_hom_basis)
-from .rigid import (RigidObject, SubcatView, in_CT, is_cluster_tilting,
-                    is_rigid, perp_view, rigid_object, right_addT_approx,
+from .rigid import (RigidObject, in_CT, is_cluster_tilting, is_rigid,
+                    perp_view, rigid_object, right_addT_approx,
                     wakamatsu_check)
 from .suites import (InstanceConfig, export_dot, image_table, replay_failure,
                      run_suites)

@@ -27,8 +27,8 @@ from contextlib import nullcontext
 from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
                            zigzag_equal, zigzag_eval)
-from .rigid import (is_cluster_tilting, perp_view, right_addT_approx,
-                    rigid_object)
+from .rigid import (VIEW_KINDS, is_cluster_tilting, perp_view,
+                    right_addT_approx, rigid_object)
 from .suites import (InstanceConfig, cached_category, export_dot, image_table,
                      run_suites)
 from .triangles import complete_triangle
@@ -185,8 +185,7 @@ def cmd_check_rigid(args) -> int:
 
 def cmd_perp(args) -> int:
     cfg, cat, t = _instance(args)
-    view = perp_view(cat, t, args.kind)
-    labs = sorted(cat.labels[a] for a in view.members)
+    labs = sorted(cat.labels[a] for a in perp_view(cat, t, args.kind))
     print(f"{args.kind}: {', '.join(labs) if labs else '(empty)'}")
     return 0
 
@@ -269,8 +268,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("perp", help="perpendicular subcategory members")
     p.add_argument("--config", required=True)
-    p.add_argument("--kind", default="Tperp",
-                   choices=["addT", "Tperp", "SigmaTperp", "perpT"])
+    p.add_argument("--kind", default="Tperp", choices=VIEW_KINDS)
     p.set_defaults(func=cmd_perp)
 
     p = sub.add_parser("approx", help="right add T-approximation")

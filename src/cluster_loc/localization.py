@@ -63,31 +63,27 @@ def classify(cat: Category, t: RigidObject, f: Mor,
              seed: int = 0) -> MorClassification:
     """Classify a map against the rigid object t.
 
-    The invertibility verdict from the module side must agree with the
-    triangle-factoring verdict, and the mono/epi flags must agree with the
-    factoring behaviour of the connecting maps; any disagreement raises.
+    The mono and epi flags of the module side must agree with the
+    factoring of the connecting maps h and g through Sigma T-perp, so the
+    invertibility verdicts of the two sides agree too; a disagreement
+    raises.
     """
     alg = algebra_of(cat, t)
     hf = H_mor(cat, alg, f)
     h_mono, h_epi = hf.is_mono(), hf.is_epi()
     tri = complete_triangle(cat, f, seed=seed)
-    sperp = perp_view(cat, t, "SigmaTperp")
     g_fac = factors_through_subcat(cat, t, tri.g)
     h_back = cat.suspend_mor(tri.h, -1)      # Sigma^{-1}z -> x
     h_fac = factors_through_subcat(cat, t, h_back)
-    tilde_by_triangle = g_fac and h_fac
-    tilde_by_functor = h_mono and h_epi
-    if tilde_by_triangle != tilde_by_functor:
-        raise InternalConsistencyError(
-            "triangle and hom-functor verdicts for invertibility disagree on "
-            f"{cat.obj_label(f.src)} -> {cat.obj_label(f.tgt)}")
-    if h_fac != h_mono or g_fac != h_epi:
+    if (h_mono, h_epi) != (h_fac, g_fac):
         raise InternalConsistencyError(
             "mono/epi flags disagree with connecting-map factoring on "
-            f"{cat.obj_label(f.src)} -> {cat.obj_label(f.tgt)}")
+            f"{cat.obj_label(f.src)} -> {cat.obj_label(f.tgt)}: "
+            f"H_mono={h_mono}, h_fac={h_fac}, H_epi={h_epi}, g_fac={g_fac}")
+    sperp = perp_view(cat, t, "SigmaTperp")
     cosusp_cone = cat.suspend_obj(tri.z, -1)
-    in_s = g_fac and all(s in sperp.members for s in cosusp_cone.summands)
-    return MorClassification(tilde_by_functor, in_s, h_mono, h_epi, tri)
+    in_s = g_fac and all(s in sperp for s in cosusp_cone.summands)
+    return MorClassification(h_mono and h_epi, in_s, h_mono, h_epi, tri)
 
 
 # -- resolutions -----------------------------------------------------------

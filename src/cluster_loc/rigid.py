@@ -9,8 +9,9 @@ the Wakamatsu check, membership in the presentation subcategory C(T), and
 the factoring tests.
 
 Hom spaces between arcs are at most 1-dimensional, so composing with one
-basis map sends a slot to at most one slot, and the radical of Hom(t_i, x)
-and the kernel of Hom(T, -) on Hom(x, y) (``functor_slots``) are spanned
+basis map sends a slot to at most one slot, and the radical of Hom(t_i, x),
+the kernel of Hom(T, -) on Hom(x, y) (``functor_slots``) and the maps
+x -> y factoring through add W (``dim_factoring_through_add``) are spanned
 by slots, read off the composition table without elimination.
 
 Wherever two independent decision procedures exist (the hom-functor kernel
@@ -42,13 +43,6 @@ class RigidObject(Value):
 
     __slots__ = ("arcs", "basic")   # tuple of arc indices, bool
 
-    def key(self):
-        return self.arcs
-
-
-class SubcatView(Value):
-    __slots__ = ("kind", "members")   # a VIEW_KINDS name, frozenset of arcs
-
 
 def is_rigid(cat: Category, x: Obj | Iterable[int]) -> bool:
     """No self-extensions: no two summand arcs cross."""
@@ -68,10 +62,10 @@ def rigid_object(cat: Category, summands: Iterable) -> RigidObject:
 
 
 def _rigid_memo(cat: Category, t: RigidObject) -> dict:
-    return cat._memo.setdefault("rigid", {}).setdefault(t.key(), {})
+    return cat._memo.setdefault("rigid", {}).setdefault(t.arcs, {})
 
 
-def perp_view(cat: Category, t: RigidObject, kind: str) -> SubcatView:
+def perp_view(cat: Category, t: RigidObject, kind: str) -> frozenset[int]:
     """Member indecomposables of add T, T-perp, Sigma T-perp or perp-T.
 
     The first computation for a given T also verifies the double-perpendicular
@@ -99,31 +93,12 @@ def perp_view(cat: Category, t: RigidObject, kind: str) -> SubcatView:
             raise InternalConsistencyError(
                 "double-perpendicular identity fails for T = "
                 f"{[cat.labels[a] for a in t.arcs]}")
-        memo["views"] = {"addT": SubcatView("addT", addT),
-                         "Tperp": SubcatView("Tperp", tperp),
-                         "SigmaTperp": SubcatView("SigmaTperp", sperp),
-                         "perpT": SubcatView("perpT", perpt)}
+        memo["views"] = {"addT": addT, "Tperp": tperp,
+                         "SigmaTperp": sperp, "perpT": perpt}
     return memo["views"][kind]
 
 
 # -- approximations --------------------------------------------------------
-
-
-def bundle_left_approx(cat: Category, x: Obj, members: Iterable[int]) -> Mor:
-    """Left approximation of x into the additive closure of ``members``."""
-    members = sorted(set(members))
-    tgt_arcs: list[int] = []
-    picks: list[tuple[int, int]] = []
-    for m in members:
-        for pos, s in enumerate(x.summands):
-            if cat.hom1(s, m):
-                tgt_arcs.append(m)
-                picks.append((m, pos))
-    tgt = Obj(tuple(tgt_arcs))
-    rows = [[0] * len(x.summands) for _ in tgt_arcs]
-    for i, (m, pos) in enumerate(picks):
-        rows[i][pos] = 1
-    return cat.mor(x, tgt, rows)
 
 
 def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
@@ -174,7 +149,7 @@ def wakamatsu_check(cat: Category, t: RigidObject, x: Obj) -> bool:
     """Cone of the right approximation lies in T-perp and the rotated
     connecting map is a left T-perp-approximation of the cosuspension of x."""
     tri = approx_triangle(cat, t, x)
-    tperp = perp_view(cat, t, "Tperp").members
+    tperp = perp_view(cat, t, "Tperp")
     u = cat.suspend_obj(tri.z, -1)
     if any(s not in tperp for s in u.summands):
         return False
@@ -202,7 +177,7 @@ def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:
 def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:
     """T-perp inside add T, cross-checked against the full-triangulation
     characterization (n pairwise non-crossing arcs)."""
-    tperp = perp_view(cat, t, "Tperp").members
+    tperp = perp_view(cat, t, "Tperp")
     addt = set(t.arcs)
     homological = tperp <= addt
     combinatorial = len(set(t.arcs)) == cat.n
@@ -293,9 +268,16 @@ def factors_through_subcat(cat: Category, t: RigidObject, f: Mor) -> bool:
 
 def dim_factoring_through_add(cat: Category, x: Obj, y: Obj,
                               w_arcs: Iterable[int]) -> int:
-    """Dimension of the subspace of Hom(x, y) factoring through add(w_arcs):
-    the rank of Hom(ell, y) for the left approximation ell of x."""
-    return rank(cat.pre_matrix(bundle_left_approx(cat, x, w_arcs), y))
+    """Dimension of the subspace of Hom(x, y) factoring through add(w_arcs).
+
+    The ideal [add W] splits by blocks, and Hom(x_j, y_i) is at most
+    1-dimensional, so the subspace is spanned by the slots (i, j) whose
+    basis map is a nonzero composite x_j -> w -> y_i for some w in W; the
+    table holds the identity composites, so w = x_j or y_i counts too."""
+    w_arcs = set(w_arcs)
+    return sum(1 for i, j in cat.hom_slots(x, y)
+               if any(cat.comp3(x.summands[j], w, y.summands[i])
+                      for w in w_arcs))
 
 
 def dim_hom_functor_kernel(cat: Category, t: RigidObject, x: Obj, y: Obj) -> int:

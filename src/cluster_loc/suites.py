@@ -221,7 +221,7 @@ def map_pool(cat: Category, seed: int, count: int) -> list[Mor]:
 def through_perp_samples(cat: Category, t: RigidObject,
                          rng: random.Random, count: int) -> list[Mor]:
     """Maps guaranteed to factor through Sigma T-perp (hom-functor kernel)."""
-    sperp = sorted(perp_view(cat, t, "SigmaTperp").members)
+    sperp = sorted(perp_view(cat, t, "SigmaTperp"))
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 20:
@@ -416,7 +416,7 @@ def suite_elementary(cat, t, cfg, maps, rec):
     projection's section and formal inverse cancel it, and maps through
     Sigma T-perp evaluate to zero and do not change localized classes."""
     rng = random.Random(f"elem:{cfg.seed}")
-    sperp = sorted(perp_view(cat, t, "SigmaTperp").members)
+    sperp = sorted(perp_view(cat, t, "SigmaTperp"))
     for u_arc in sperp:
         U = cat.obj([u_arc])
         rec.check("elementary", "zero-map-to-zero-in-S",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc.category import Category, Mor, Obj
-from cluster_loc.linalg import Mat, kernel_basis, rank_rows, solve_right
+from cluster_loc.linalg import Mat, kernel_basis, rank, rank_rows, solve_right
 from cluster_loc.modules import Algebra, LambdaModule
 from cluster_loc.rigid import RigidObject, rigid_object
 from cluster_loc.suites import cached_category
@@ -131,6 +131,32 @@ def slot_hom_functor_matrix(cat: Category, arcs, x: Obj, y: Obj) -> Mat:
     nrows = sum(cat.dim_hom_obj(Obj((t,)), y) * cat.dim_hom_obj(Obj((t,)), x)
                 for t in arcs)
     return mat_from_cols(cols, nrows)
+
+
+# -- factoring through add W: the reference for the slot count ------------
+
+
+def bundle_left_approx(cat: Category, x: Obj, members) -> Mor:
+    """Left approximation of x into the additive closure of ``members``:
+    one copy of m per basis map x_j -> m, each row picking its x_j."""
+    tgt_arcs: list[int] = []
+    picks: list[int] = []
+    for m in sorted(set(members)):
+        for pos, s in enumerate(x.summands):
+            if cat.hom1(s, m):
+                tgt_arcs.append(m)
+                picks.append(pos)
+    rows = [[0] * len(x.summands) for _ in tgt_arcs]
+    for i, pos in enumerate(picks):
+        rows[i][pos] = 1
+    return cat.mor(x, Obj(tuple(tgt_arcs)), rows)
+
+
+def rank_factoring_through_add(cat: Category, x: Obj, y: Obj, members) -> int:
+    """Dimension of the maps x -> y factoring through add(members), as the
+    rank of Hom(ell, y) for the left approximation ell of x; the reference
+    for ``rigid.dim_factoring_through_add``."""
+    return rank(cat.pre_matrix(bundle_left_approx(cat, x, members), y))
 
 
 # -- right-minimal reduction: the reference for ``right_addT_approx`` ------

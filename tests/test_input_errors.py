@@ -10,7 +10,8 @@ from cluster_loc.arcs import parse_arc
 from cluster_loc.category import Obj
 from cluster_loc.cli import main
 from cluster_loc.linalg import Mat, inverse
-from cluster_loc.modules import ModuleHom, end_algebra, simple_module
+from cluster_loc.modules import (LambdaModule, ModuleHom, direct_sum_modules,
+                                 end_algebra, simple_module)
 from cluster_loc.suites import InstanceConfig
 
 
@@ -30,6 +31,11 @@ def _unmatched(cat):
 def _not_invertible(cat, t):
     s = simple_module(end_algebra(cat, t), 0)
     return ModuleHom(s, s, [Mat.zeros(d, d) for d in s.dims])
+
+
+def _identity_of_simple(cat, t, i):
+    s = simple_module(end_algebra(cat, t), i)
+    return ModuleHom(s, s, [Mat.identity(d) for d in s.dims])
 
 
 CASES = {
@@ -58,6 +64,18 @@ CASES = {
         "unexpected config schema 'other/v0'"),
     "module inverse": (lambda cat, t: _not_invertible(cat, t).inverse(),
                        "module map is not invertible"),
+    "module action": (lambda cat, t: LambdaModule(
+        end_algebra(cat, t), [1, 1, 0], {(0, 1): Mat.zeros(2, 1)}),
+        "action shape mismatch at (0, 1)"),
+    "module map component": (lambda cat, t: ModuleHom(
+        simple_module(end_algebra(cat, t), 0),
+        simple_module(end_algebra(cat, t), 0),
+        [Mat.identity(1), Mat.zeros(1, 0), Mat.zeros(0, 0)]),
+        "component shape mismatch at vertex 1"),
+    "module compose": (lambda cat, t: _identity_of_simple(cat, t, 0).compose(
+        _identity_of_simple(cat, t, 1)), "module maps not composable"),
+    "empty module sum": (lambda cat, t: direct_sum_modules([]),
+                         "empty direct sum: no algebra to build it over"),
 }
 
 

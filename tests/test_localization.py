@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import sys
 import threading
 
@@ -13,7 +15,8 @@ from cluster_loc.modules import (H_mor, H_obj, direct_sum_modules,
                                  hom_dim_modules, modules_isomorphic,
                                  simple_module)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
-from cluster_loc.suites import InstanceConfig, replay_failure, run_suites
+from cluster_loc.suites import (InstanceConfig, basis_maps, replay_failure,
+                                run_suites)
 from cluster_loc.triangles import mesh_map_into, mesh_map_out_of
 
 
@@ -47,9 +50,58 @@ def test_classify_flags_track_mono_epi(cat4, example_T):
     assert not cz.H_mono and not cz.H_epi
 
 
+def _flip_connecting_map_verdict(monkeypatch, which):
+    """Flip factors_through_subcat's verdict on classify's connecting map
+    ``which``: classify asks about g first, then about h."""
+    real = localization.factors_through_subcat
+    calls = itertools.count()
+
+    def flipped(cat, t, f):
+        got = real(cat, t, f)
+        asks_g = next(calls) % 2 == 0
+        return not got if asks_g == (which == "g") else got
+
+    monkeypatch.setattr(localization, "factors_through_subcat", flipped)
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+def test_classify_flag_check_catches_a_flipped_connecting_map(
+        cat4, example_T, monkeypatch, which):
+    """The mono/epi flags of H(f) and the factoring of the connecting maps
+    are two decisions of one fact.  Flipping the factoring verdict on g (on
+    h) makes classify raise on every basis map, naming H_epi and g_fac
+    (H_mono and h_fac) as the pair that disagrees; the stilde suite records
+    that error under two-verdicts-agree, and the unpatched run is clean."""
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["stilde"])
+    assert run_suites(cfg)["failures_total"] == 0
+    flags = {cat4.format_mor(f): classify(cat4, example_T, f)
+             for f in basis_maps(cat4)}
+
+    def pairs(c):
+        mono = f"H_mono={c.H_mono}, h_fac={c.H_mono != (which == 'h')}"
+        epi = f"H_epi={c.H_epi}, g_fac={c.H_epi != (which == 'g')}"
+        return mono, epi
+
+    _flip_connecting_map_verdict(monkeypatch, which)
+    for text, c in flags.items():
+        mono, epi = pairs(c)
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape(f"{mono}, {epi}")):
+            classify(cat4, example_T, cat4.parse_mor(text))
+    (record,) = run_suites(cfg)["suites"]
+    assert len(record["failures"]) == record["checks"] == len(flags)
+    for failure in record["failures"]:
+        mono, epi = pairs(flags[failure["detail"]["map"]])
+        assert failure["check"] == "two-verdicts-agree"
+        assert failure["error"].startswith(
+            "InternalConsistencyError: mono/epi flags disagree")
+        assert failure["error"].endswith(f"{mono}, {epi}")
+
+
 def test_zero_map_to_zero_is_in_S(cat4, example_T):
     # elementary identity (a): U -> 0 for U in Sigma T-perp
-    for u in sorted(perp_view(cat4, example_T, "SigmaTperp").members):
+    for u in sorted(perp_view(cat4, example_T, "SigmaTperp")):
         f = cat4.zero_mor(cat4.obj([u]), cat4.zero_obj)
         assert classify(cat4, example_T, f).in_S
 
@@ -126,7 +178,7 @@ def test_loc_hom_summand_endomorphisms(cat4, example_T):
 
 
 def test_loc_hom_perp_source_vanishes(cat4, example_T):
-    for u in sorted(perp_view(cat4, example_T, "SigmaTperp").members):
+    for u in sorted(perp_view(cat4, example_T, "SigmaTperp")):
         for j in (0, 5, 9):
             lh = loc_hom(cat4, example_T, cat4.obj([u]), cat4.obj([j % cat4.N]))
             assert lh.dim == 0

@@ -112,7 +112,7 @@ def test_H_of_example_object(cat4, example_T):
 
 def test_H_vanishes_exactly_on_perp(cat4, example_T):
     alg = algebra_of(cat4, example_T)
-    sperp = perp_view(cat4, example_T, "SigmaTperp").members
+    sperp = perp_view(cat4, example_T, "SigmaTperp")
     for i in range(cat4.N):
         hm = H_obj(cat4, alg, cat4.obj([i]))
         assert hm.is_zero() == (i in sperp)
@@ -761,10 +761,16 @@ def test_lift_at_every_rank():
     assert len(instances) == 252 + 6 + 48 and lifts == 2800
 
 
+def test_lift_of_the_zero_module_is_the_zero_object(cat4, example_T):
+    alg = algebra_of(cat4, example_T)
+    assert lift_module_to_CT(cat4, example_T, alg,
+                             zero_module(alg)) == cat4.zero_obj
+
+
 def test_density_round_trip(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     classes = enumerate_indec_modules(alg)
-    sperp = perp_view(cat4, example_T, "SigmaTperp").members
+    sperp = perp_view(cat4, example_T, "SigmaTperp")
     images = {}
     for i in range(cat4.N):
         images[i] = H_obj(cat4, alg, cat4.obj([i]))

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc import (Algebra, Arc, CertReport, InstanceConfig, LocHom,
-                         Mat, Mor, Obj, RigidObject, SubcatView, Triangle,
-                         Zigzag, build_category, rigid_object)
+                         Mat, Mor, Obj, RigidObject, Triangle, Zigzag,
+                         build_category, rigid_object)
 from cluster_loc.localization import algebra_of
 from oracle_reference import Interval, Stalk
 
@@ -31,8 +31,6 @@ SAMPLES = {
     "Interval": (lambda: Interval(2, 3), (2, 3)),
     "Stalk": (lambda: Stalk(Interval(2, 3), 1), (Interval(2, 3), 1)),
     "RigidObject": (lambda: RigidObject((0, 2), True), ((0, 2), True)),
-    "SubcatView": (lambda: SubcatView("addT", frozenset({0, 2})),
-                   ("addT", frozenset({0, 2}))),
     "CertReport": (lambda: CertReport(True, (), (("M11", 1),)),
                    (True, (), (("M11", 1),))),
     "Triangle": (lambda: Triangle(Obj((0,)), Obj((1, 2)), Obj(()), _mor(),
@@ -52,7 +50,7 @@ FIELDS = {
     "Arc": ("a", "b"), "Obj": ("summands",), "Mor": ("src", "tgt", "m"),
     "Mat": ("rows", "cols", "entries"),
     "Interval": ("i", "j"), "Stalk": ("mod", "shift"),
-    "RigidObject": ("arcs", "basic"), "SubcatView": ("kind", "members"),
+    "RigidObject": ("arcs", "basic"),
     "CertReport": ("homdim_match", "left_exactness_failures",
                    "right_exactness_failures"),
     "Triangle": ("x", "y", "z", "f", "g", "h", "cert"),
