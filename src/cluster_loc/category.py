@@ -38,11 +38,13 @@ On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
 suspension and direct sums.  The maps f induces on hom spaces are matrices
 on the slot bases (``hom_slots``), built directly: ``post_matrix``
-(Hom(W, f)) and ``pre_matrix`` (Hom(f, W)).
+(Hom(W, f)) and ``pre_matrix`` (Hom(f, W)), or as plain rows
+(``post_rows``, ``pre_rows``) for a caller that eliminates them at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -245,7 +247,7 @@ class Category:
         return " + ".join(self.labels[s] for s in X.summands)
 
     def suspend_obj(self, X: Obj, k: int = 1) -> Obj:
-        return Obj(tuple(sorted(self.shift_arc(s, k) for s in X.summands)))
+        return Obj(tuple(sorted([self.shift_arc(s, k) for s in X.summands])))
 
     # -- additive layer: morphisms ---------------------------------------
 
@@ -374,36 +376,54 @@ class Category:
         src_map, tgt_map = _perm_to_sorted(xs), _perm_to_sorted(ys)
         at_x, at_y = ((f.src.summands, f.tgt.summands) if direction > 0
                       else (xs, ys))
+        sg = self.sig
         rows = [[0] * len(xs) for _ in ys]
-        for i, yi in enumerate(at_y):
-            for j, xj in enumerate(at_x):
-                if f.m[i][j]:
-                    rows[tgt_map[i]][src_map[j]] = (f.m[i][j]
-                                                    * self.sig[(xj, yi)])
-        return Mor(Obj(tuple(sorted(xs))), Obj(tuple(sorted(ys))),
-                   tuple(tuple(r) for r in rows))
+        for yi, frow, ti in zip(at_y, f.m, tgt_map):
+            row = rows[ti]
+            for xj, v, sj in zip(at_x, frow, src_map):
+                if v:
+                    row[sj] = v * sg[(xj, yi)]
+        xs.sort()
+        ys.sort()
+        return Mor(Obj(tuple(xs)), Obj(tuple(ys)), tuple(map(tuple, rows)))
 
     # -- linear maps induced on hom spaces -------------------------------
 
     def post_matrix(self, f: Mor, W: Obj) -> Mat:
         """Matrix of Hom(W, f): Hom(W, src) -> Hom(W, tgt) on the slot bases,
         of shape dim Hom(W, tgt) x dim Hom(W, src) even when one is 0."""
-        X, Y, V = f.src.summands, f.tgt.summands, W.summands
-        rows, cols = self.hom_slots(W, f.tgt), self.hom_slots(W, f.src)
+        return _as_mat(*self.post_rows(f, W))
+
+    def post_rows(self, f: Mor, W: Obj) -> tuple[list[list], int]:
+        """The rows of ``post_matrix(f, W)`` as lists, and its column
+        count, for a caller that eliminates them at once."""
+        X, Y, V, m = f.src.summands, f.tgt.summands, W.summands, f.m
+        cols = self.hom_slots(W, f.src)
         comp = self.comp
-        return Mat(len(rows), len(cols), tuple(
-            f.m[i][j] * comp.get((V[w], X[j], Y[i]), 0) if w == v else 0
-            for i, w in rows for j, v in cols))
+        rows = []
+        for i, w in self.hom_slots(W, f.tgt):
+            vw, yi, mi = V[w], Y[i], m[i]
+            rows.append([mi[j] * comp.get((vw, X[j], yi), 0) if w == v else 0
+                         for j, v in cols])
+        return rows, len(cols)
 
     def pre_matrix(self, f: Mor, W: Obj) -> Mat:
         """Matrix of Hom(f, W): Hom(tgt, W) -> Hom(src, W) on the slot bases,
         of shape dim Hom(src, W) x dim Hom(tgt, W) even when one is 0."""
-        X, Y, V = f.src.summands, f.tgt.summands, W.summands
-        rows, cols = self.hom_slots(f.src, W), self.hom_slots(f.tgt, W)
+        return _as_mat(*self.pre_rows(f, W))
+
+    def pre_rows(self, f: Mor, W: Obj) -> tuple[list[list], int]:
+        """The rows of ``pre_matrix(f, W)`` as lists, and its column count,
+        for a caller that eliminates them at once."""
+        X, Y, V, m = f.src.summands, f.tgt.summands, W.summands, f.m
+        cols = self.hom_slots(f.tgt, W)
         comp = self.comp
-        return Mat(len(rows), len(cols), tuple(
-            f.m[i][j] * comp.get((X[j], Y[i], V[w]), 0) if w == v else 0
-            for w, j in rows for v, i in cols))
+        rows = []
+        for w, j in self.hom_slots(f.src, W):
+            xj, vw = X[j], V[w]
+            rows.append([m[i][j] * comp.get((xj, Y[i], vw), 0) if w == v
+                         else 0 for v, i in cols])
+        return rows, len(cols)
 
     def hom_vec_into(self, X: Obj) -> list[int]:
         """v with v[w] = dim Hom(w, X) for every indecomposable w, built once
@@ -523,7 +543,16 @@ _MATRIX_ROW = re.compile(_ROW)
 _MATRIX_LITERAL = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
 
 
-def _perm_to_sorted(values: Sequence[int]) -> list[int]:
+def _as_mat(rows: list[list], ncols: int) -> Mat:
+    return Mat(len(rows), ncols, tuple(itertools.chain.from_iterable(rows)))
+
+
+def _perm_to_sorted(values: Sequence[int]) -> Sequence[int]:
+    """out[i] = the position of values[i] in their stable sort; the
+    identity, with no order computed, when values is a list already in
+    order."""
+    if sorted(values) == values:
+        return range(len(values))
     order = sorted(range(len(values)), key=values.__getitem__)  # stable
     out = [0] * len(values)
     for new_pos, old_pos in enumerate(order):

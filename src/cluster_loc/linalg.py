@@ -130,12 +130,6 @@ class Mat(Value):
             out.extend(acc)
         return Mat(self.rows, other.cols, tuple(out))
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Mat(self.rows + other.rows, self.cols,
-                   self.entries + other.entries)
-
 
 # -- elimination core ---------------------------------------------------
 
@@ -145,7 +139,13 @@ def integer_row(row: Sequence) -> list[int]:
 
     Entries are ``int`` or ``Fraction``.  Scaling a row by a nonzero constant
     changes neither the row space nor the solutions nor any pivot column.
+    A row of ``int``s, the common case, is copied as it is.
     """
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
+        return list(row)
     mult = 1
     for x in row:
         d = x.denominator
@@ -259,18 +259,24 @@ def kernel_basis(m: Mat) -> Mat:
 
     Column k is the primitive vector of ker(m) (``int`` entries, gcd 1)
     that is positive at the k-th free column and 0 at the others."""
-    red, pivots, d = reduced_rows([m.row(i) for i in range(m.rows)])
+    return kernel_basis_rows([m.row(i) for i in range(m.rows)], m.cols)
+
+
+def kernel_basis_rows(rows: list[Sequence], ncols: int) -> Mat:
+    """``kernel_basis`` of the matrix with these rows and ncols columns,
+    with no ``Mat`` built for it."""
+    red, pivots, d = reduced_rows(rows)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = [j for j in range(ncols) if j not in pivset]
     cols = []
     for f in free:
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = d
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][f]
         g = gcd(*v)
         cols.append([x // g for x in v])
-    return Mat(m.cols, len(cols), tuple(x for row in zip(*cols) for x in row))
+    return Mat(ncols, len(cols), tuple(x for row in zip(*cols) for x in row))
 
 
 def inverse(m: Mat) -> Optional[Mat]:

@@ -26,7 +26,6 @@ others, whose slot maps are the quotient basis.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +36,8 @@ from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
 from .rigid import (RigidObject, _rigid_memo, approx_triangle,
                     factors_through_subcat, functor_slots, in_CT, perp_view,
                     right_addT_approx)
-from .triangles import Triangle, complete_triangle, generic_maps
+from .triangles import (Triangle, complete_triangle, draw_stream,
+                        generic_maps)
 from .values import Value
 
 
@@ -70,7 +70,7 @@ def classify(cat: Category, t: RigidObject, f: Mor,
     """
     alg = algebra_of(cat, t)
     hf = H_mor(cat, alg, f)
-    h_mono, h_epi = hf.is_mono(), hf.is_epi()
+    h_mono, h_epi = hf.mono_epi()
     tri = complete_triangle(cat, f, seed=seed)
     g_fac = factors_through_subcat(cat, t, tri.g)
     h_back = cat.suspend_mor(tri.h, -1)      # Sigma^{-1}z -> x
@@ -126,8 +126,8 @@ def _solve_resolution_map(cat, t, p, u, xprime, y) -> Mor:
     if sol is None:
         raise InternalConsistencyError(
             f"resolution edge equation unsolvable for {cat.obj_label(y)}")
-    rng = random.Random(101)
-    for s in generic_maps(cat, xprime, y, kernel_basis(a), rng, sol.col(0)):
+    for s in generic_maps(cat, xprime, y, kernel_basis(a), draw_stream(101),
+                          sol.col(0)):
         if classify(cat, t, s).in_S:
             return s
     raise InternalConsistencyError(

@@ -199,14 +199,16 @@ class ModuleHom:
         return all(m.is_zero() for m in self.comps)
 
     def is_iso(self) -> bool:
-        return (self.src.dims == self.tgt.dims
-                and all(rank(m) == m.rows == m.cols for m in self.comps))
+        return self.src.dims == self.tgt.dims and all(self.mono_epi())
 
-    def is_mono(self) -> bool:
-        return all(rank(m) == m.cols for m in self.comps)
-
-    def is_epi(self) -> bool:
-        return all(rank(m) == m.rows for m in self.comps)
+    def mono_epi(self) -> tuple[bool, bool]:
+        """(mono, epi), read off one rank per vertex component."""
+        mono = epi = True
+        for m in self.comps:
+            r = rank(m)
+            mono = mono and r == m.cols
+            epi = epi and r == m.rows
+        return mono, epi
 
     def inverse(self) -> "ModuleHom":
         if not self.is_iso():
@@ -286,31 +288,39 @@ def H_mor(cat: Category, alg: Algebra, f: Mor) -> ModuleHom:
 # -- hom spaces and the trace pairing --------------------------------------
 
 
-def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
-    """Basis of the solution space of the commuting equations."""
+def _commuting_rows(m1: LambdaModule, m2: LambdaModule
+                    ) -> tuple[list[int], int, list[list]]:
+    """(offsets, nvars, rows): the commuting equations f_i . a = b . f_j of
+    Hom(m1, m2), one nonzero row per (row of m2_i, column of m1_j) and
+    radical pair (i, j), over the entries of the f_i laid out block by
+    block, f_i row-major from offsets[i]."""
     alg = m1.alg
     offs = []
     run = 0
     for i in range(alg.r):
         offs.append(run)
         run += m2.dims[i] * m1.dims[i]
-    nvars = run
-    if nvars == 0:
-        return []
     rows = []
     for (i, j) in alg.radical_pairs:
         a = m1.act[(i, j)]     # m1_j -> m1_i
         b = m2.act[(i, j)]     # m2_j -> m2_i
-        # f_i . a = b . f_j : one equation per (row of m2_i, col of m1_j)
         for ri in range(m2.dims[i]):
             for cj in range(m1.dims[j]):
-                row = [0] * nvars
+                row = [0] * run
                 for k in range(m1.dims[i]):
                     row[offs[i] + ri * m1.dims[i] + k] += a.at(k, cj)
                 for k in range(m2.dims[j]):
                     row[offs[j] + k * m1.dims[j] + cj] -= b.at(ri, k)
                 if any(row):
                     rows.append(row)
+    return offs, run, rows
+
+
+def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
+    """Basis of the solution space of the commuting equations."""
+    offs, nvars, rows = _commuting_rows(m1, m2)
+    if nvars == 0:
+        return []
     if rows:
         kb = kernel_basis(Mat.from_rows(rows))
     else:
@@ -318,7 +328,7 @@ def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
     out = []
     for c in range(kb.cols):
         comps = []
-        for i in range(alg.r):
+        for i in range(m1.alg.r):
             ent = [kb.at(offs[i] + r2 * m1.dims[i] + c2, c)
                    for r2 in range(m2.dims[i]) for c2 in range(m1.dims[i])]
             comps.append(Mat(m2.dims[i], m1.dims[i], tuple(ent)))
@@ -327,7 +337,10 @@ def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
 
 
 def hom_dim_modules(m1: LambdaModule, m2: LambdaModule) -> int:
-    return len(module_hom_basis(m1, m2))
+    """dim Hom(m1, m2): the unknowns less the rank of the commuting
+    equations of ``module_hom_basis``, with no basis built."""
+    _, nvars, rows = _commuting_rows(m1, m2)
+    return nvars - rank_rows(rows)
 
 
 def pairing_rank(a: LambdaModule, b: LambdaModule) -> int:

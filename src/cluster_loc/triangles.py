@@ -13,8 +13,9 @@ multiplicities of neighbours on each σ-orbit, and is checked by every
 build (``category._check_tables``).  The σ-orbits with their meshes are read
 off the rank's translation quiver, which ``category`` computes once per rank
 (``Category.sigma_orbits``).  D is singular at some ranks, so a profile can
-allow more than one cone, each tried in turn.  The connecting maps (g, h) are
-then a seeded generic draw from the solution spaces of the zero-composite
+allow more than one cone, each tried in turn; the candidate list of each
+profile is memoised per category.  The connecting maps (g, h) are then a
+seeded generic draw from the solution spaces of the zero-composite
 constraints, gated by the full hom-exactness certificate.  Every exactness
 condition is a maximal-rank condition on such a linear family, so one
 generic member passes unless no member does.
@@ -45,10 +46,9 @@ vectors per object (``Category.hom_vec_into`` / ``hom_vec_from``).
 from __future__ import annotations
 
 import itertools
-import random
 
 from .category import Category, Mor, Obj
-from .linalg import Mat, eliminate, integer_row, kernel_basis
+from .linalg import Mat, eliminate, integer_row, kernel_basis_rows
 from .values import Value
 
 # Bounds of generic_maps.  Its coefficients are positive because a signed
@@ -56,6 +56,10 @@ from .values import Value
 # 11 tries per search where 1..7 needed at most 5.
 DRAW_RANGE = 100
 DRAW_LIMIT = 12
+
+_MASK64 = (1 << 64) - 1
+# splitmix64 outputs below this bound are uniform modulo DRAW_RANGE
+_DRAW_BOUND = (1 << 64) - (1 << 64) % DRAW_RANGE
 
 
 class TriangleError(RuntimeError):
@@ -192,8 +196,21 @@ def profile_candidates(cat: Category, profile: list[int]) -> list[Obj]:
     free where m >= 0.  A choice
     of the t is kept only if its hom vector is the profile, so the list is
     complete and sound.  The caller certifies each.
+
+    The list depends on the profile alone, so it is memoised per category
+    under ``tuple(profile)``; the fill is write-once and idempotent, like
+    the observer indexes, and callers must not mutate the list.
     """
-    profile, orbits = list(profile), cat.sigma_orbits
+    memo = cat._memo.setdefault("candidates", {})
+    key = tuple(profile)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _solve_profile(cat, list(key))
+    return got
+
+
+def _solve_profile(cat: Category, profile: list[int]) -> list[Obj]:
+    orbits = cat.sigma_orbits
     offsets, choices = [], []
     for orbit in orbits:
         s, offs = 0, []
@@ -238,7 +255,7 @@ def _mults_to_obj(mults) -> Obj:
 # -- certificate --------------------------------------------------------------
 
 
-def _exactness_failures(cat: Category, X, Y, Z, rf, rg, rh,
+def _exactness_failures(cat: Category, Y, Z, sX, rf, rg, rh,
                         pf, pg, ph):
     """Folded exactness check over one full rotation period.
 
@@ -246,7 +263,6 @@ def _exactness_failures(cat: Category, X, Y, Z, rf, rg, rh,
     rotated sequence; the Σ^k-rotated instance at observer W equals the
     unrotated instance at observer Σ^{-k}W.
     """
-    sX = cat.suspend_obj(X)
     into_y, into_z, into_sx = map(cat.hom_vec_into, (Y, Z, sX))
     from_y, from_z, from_sx = map(cat.hom_vec_from, (Y, Z, sX))
     left = []
@@ -292,24 +308,26 @@ def certify_triangle_parts(cat: Category, X: Obj, Y: Obj, Z: Obj,
                            tables=None, sf: Mor | None = None) -> CertReport:
     """Hom-exactness certificate (both variances, full rotation period, all
     indecomposable observers) plus zero composites and the cone profile.
-    A caller that holds Σf passes it as ``sf``."""
+    A caller that holds Σf passes it as ``sf``; ΣX is its source."""
+    if sf is None:
+        sf = cat.suspend_mor(f)
     left_extra = []
     if not _composes_to_zero(cat, g, f):
         left_extra.append(("composite", "g.f"))
     if not _composes_to_zero(cat, h, g):
         left_extra.append(("composite", "h.g"))
-    if not _composes_to_zero(cat, cat.suspend_mor(f) if sf is None else sf,
-                             h):
+    if not _composes_to_zero(cat, sf, h):
         left_extra.append(("composite", "Sf.h"))
     if profile is None:
         profile = cone_profile(cat, f)
-    homdim = cat.hom_vec_into(Z) == list(profile)
+    homdim = cat.hom_vec_into(Z) == profile
     if tables is None:
         tables = (post_rank_table(cat, f), post_rank_table(cat, g),
                   post_rank_table(cat, h), pre_rank_table(cat, f),
                   pre_rank_table(cat, g), pre_rank_table(cat, h))
     rf, rg, rh, pf, pg, ph = tables
-    left, right = _exactness_failures(cat, X, Y, Z, rf, rg, rh, pf, pg, ph)
+    left, right = _exactness_failures(cat, Y, Z, sf.src, rf, rg, rh,
+                                      pf, pg, ph)
     return CertReport(homdim, tuple(left_extra) + left, right)
 
 
@@ -321,16 +339,32 @@ def certify_triangle(cat: Category, tri: Triangle) -> CertReport:
 # -- completion ---------------------------------------------------------------
 
 
-def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
-                 rng: random.Random, base=None):
+def draw_stream(key: int):
+    """Coefficients drawn uniformly from 1..DRAW_RANGE by splitmix64 from
+    the integer key.  The stream is a function of the key alone, so a key
+    built from ints, tuples and ``Fraction``s, whose hashes Python does not
+    salt, draws alike in every process."""
+    state = key & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        if z < _DRAW_BOUND:
+            yield 1 + z % DRAW_RANGE
+
+
+def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat, draws,
+                 base=None):
     """Generic members base + kb.c of an affine family of maps X -> Y.
 
     The columns of kb are integer (``kernel_basis``), so an integer base
-    gives integer maps.  Each coefficient of c is drawn uniformly from 1..DRAW_RANGE, at most
-    DRAW_LIMIT times; base defaults to zero, and an empty basis gives base
-    alone.  The callers' gates are maximal-rank conditions on the family,
-    so by the Schwartz–Zippel lemma a draw fails them with probability at
-    most (their degree)/DRAW_RANGE unless every member fails.
+    gives integer maps.  The coefficients of c are taken from ``draws``
+    (``draw_stream``), uniform in 1..DRAW_RANGE, for at most DRAW_LIMIT
+    members; base defaults to zero, and an empty basis gives base alone.
+    The callers' gates are maximal-rank conditions on the family, so by
+    the Schwartz–Zippel lemma a draw fails them with probability at most
+    (their degree)/DRAW_RANGE unless every member fails.
     """
     base = [0] * kb.rows if base is None else base
     if kb.cols == 0:
@@ -338,7 +372,7 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat,
         return
     rows = [kb.row(i) for i in range(kb.rows)]
     for _ in range(DRAW_LIMIT):
-        c = [rng.randint(1, DRAW_RANGE) for _ in range(kb.cols)]
+        c = list(itertools.islice(draws, kb.cols))
         yield cat.mor_from_vec(X, Y, [b + sum(ci * x for ci, x in
                                               zip(c, row) if x)
                                       for b, row in zip(base, rows)])
@@ -374,22 +408,22 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
 
 def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
                        seed: int):
-    X, Y = f.src, f.tgt
-    sX = cat.suspend_obj(X)
     sf = cat.suspend_mor(f)
-    # seeded from a string, which seeds alike in every Python; str() of
-    # each entry, so that int and integral Fraction entries draw alike
-    rng = random.Random(f"{seed}:{X.summands}:{Y.summands}:{Z.summands}:"
-                        + ",".join(str(v) for row in f.m for v in row))
+    X, Y, sX = f.src, f.tgt, sf.src
+    # keyed by a hash of ints and tuples, which no Python salts; an
+    # integral Fraction entry hashes as the int it equals
+    draws = draw_stream(hash((seed, X.summands, Y.summands, Z.summands,
+                              f.m)))
     # g candidates: g . f = 0
-    kb_g = kernel_basis(cat.pre_matrix(f, Z))
+    kb_g = kernel_basis_rows(*cat.pre_rows(f, Z))
+    sf_rows = cat.post_rows(sf, Z)[0]
 
-    for g in generic_maps(cat, Y, Z, kb_g, rng):
+    for g in generic_maps(cat, Y, Z, kb_g, draws):
         rg, pg = post_rank_table(cat, g), pre_rank_table(cat, g)
         # h candidates: h . g = 0 and Σf . h = 0
-        kb_h = kernel_basis(cat.pre_matrix(g, sX).vstack(
-            cat.post_matrix(sf, Z)))
-        for h in generic_maps(cat, Z, sX, kb_h, rng):
+        g_rows, ncols = cat.pre_rows(g, sX)
+        kb_h = kernel_basis_rows(g_rows + sf_rows, ncols)
+        for h in generic_maps(cat, Z, sX, kb_h, draws):
             rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
             cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,
                                           profile=profile,

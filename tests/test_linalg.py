@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_loc.linalg import (Mat, inverse, kernel_basis, rank, rank_rows,
-                                reduced_rows, solve_right)
+from cluster_loc.linalg import (Mat, inverse, kernel_basis, kernel_basis_rows,
+                                rank, rank_rows, reduced_rows, solve_right)
 from conftest import hstack, mat_from_cols
 
 
@@ -119,14 +119,17 @@ def test_mat_from_cols_keeps_shape():
     assert kernel_basis(empty).cols == 2
 
 
-def test_vstack_keeps_shape():
-    a = Mat.from_rows([[1, 2]])
-    assert a.vstack(Mat.zeros(0, 2)) == a
-    assert Mat.zeros(0, 2).vstack(a).vstack(a) == Mat.from_rows([[1, 2],
-                                                                 [1, 2]])
-    assert Mat.zeros(2, 0).vstack(Mat.zeros(1, 0)) == Mat.zeros(3, 0)
-    with pytest.raises(ValueError):
-        a.vstack(Mat.zeros(1, 3))
+def test_kernel_basis_rows_keeps_shape():
+    """The kernel of stacked rows, with no Mat built for the system, is
+    kernel_basis of the stacked matrix, empty row lists included."""
+    assert kernel_basis_rows([], 2) == kernel_basis(Mat.zeros(0, 2))
+    assert kernel_basis_rows([], 2).cols == 2
+    assert kernel_basis_rows([[1, 2]] + [[2, 4]], 2) == kernel_basis(
+        Mat.from_rows([[1, 2], [2, 4]]))
+    assert kernel_basis_rows([], 0) == Mat.zeros(0, 0)
+    rows = [[Fraction(1, 2), 1, 0], [0, 0, 0]]
+    assert kernel_basis_rows(rows, 3) == kernel_basis(Mat.from_rows(rows))
+    assert rows == [[Fraction(1, 2), 1, 0], [0, 0, 0]]   # left as it was
 
 
 def test_rank_rows_mixed_entries():

@@ -8,6 +8,7 @@ import pytest
 
 from cluster_loc import localization
 from cluster_loc.category import InternalConsistencyError, build_category
+from cluster_loc.linalg import rank
 from cluster_loc.localization import (LocHom, Zigzag, algebra_of, classify,
                                       factor_through_s, forward, inv, loc_hom,
                                       s_resolution, zigzag_equal, zigzag_eval)
@@ -41,8 +42,9 @@ def test_classify_flags_track_mono_epi(cat4, example_T):
     f = cat4.basis_mor(cat4.arc_of_token("M44"), cat4.arc_of_token("M34"))
     c = classify(cat4, example_T, f)
     hf = H_mor(cat4, alg, f)
-    assert c.H_mono == hf.is_mono() is True
-    assert c.H_epi == hf.is_epi() is False
+    assert (c.H_mono, c.H_epi) == hf.mono_epi() == (
+        all(rank(m) == m.cols for m in hf.comps),
+        all(rank(m) == m.rows for m in hf.comps)) == (True, False)
     assert not c.in_S_tilde
     # the zero map out of a T-summand: neither mono nor epi
     z = cat4.zero_mor(cat4.obj(["M44"]), cat4.obj(["M34"]))

@@ -331,6 +331,31 @@ def test_module_hom_examples(cat4, example_T):
     assert hom_dim_modules(p2, p2) == 1
 
 
+def _image_hom_dims_match_the_basis(cat, t):
+    """hom_dim_modules, a rank count, against the basis that
+    module_hom_basis builds, on every pair of image modules H(x), H(y)."""
+    alg = algebra_of(cat, t)
+    images = [H_obj(cat, alg, cat.obj([x])) for x in range(cat.N)]
+    dims = [[hom_dim_modules(a, b) for b in images] for a in images]
+    assert dims == [[len(module_hom_basis(a, b)) for b in images]
+                    for a in images]
+    return dims
+
+
+def test_hom_dim_modules_counts_the_basis_on_images(cat4, example_T):
+    dims = _image_hom_dims_match_the_basis(cat4, example_T)
+    assert max(map(max, dims)) >= 1
+
+
+@pytest.mark.parametrize("seed", ["hom-dim:6:a", "hom-dim:6:b"])
+def test_hom_dim_modules_counts_the_basis_at_rank_6(seed):
+    cat = build_category(6)
+    t = sample_rigid(cat, random.Random(seed))
+    assert len(t.arcs) >= 2
+    dims = _image_hom_dims_match_the_basis(cat, t)
+    assert max(map(max, dims)) >= 1
+
+
 def test_enumerate_indecs_example(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     classes = enumerate_indec_modules(alg)

@@ -148,19 +148,24 @@ def test_rank4_report_is_pinned():
 
 def test_battery_memo_keeps_no_entry_per_object_pair():
     """After a seeded AC2 instance the category's memo holds the kept kinds
-    only: triangles per map, the hom vectors per object, the per-T memos
-    and the map pool.  Hom slot lists are built on demand, so nothing is
-    stored per (X, Y) pair."""
+    only: triangles per map, the candidate cones per cone profile, the hom
+    vectors per object, the per-T memos and the map pool.  Hom slot lists
+    are built on demand, so nothing is stored per (X, Y) pair."""
     cat = build_category(6)
     t = sample_rigid(cat, random.Random("ac2:6"))
     cfg = InstanceConfig(n=6, T=[cat.labels[a] for a in t.arcs], seed=7,
                          suites=["kernel", "stilde", "doubleperp", "wakamatsu",
                                  "identify", "factoring-surjection"])
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
-    assert set(cat._memo) == {"triangles", "vec_into", "vec_from", "rigid",
-                              ("map_pool", 7, 100)}
+    assert set(cat._memo) == {"triangles", "candidates", "vec_into",
+                              "vec_from", "rigid", ("map_pool", 7, 100)}
     for kind in ("vec_into", "vec_from"):
         assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
+    # keyed by profile, one int per indecomposable, not by object pair
+    assert cat._memo["candidates"]
+    assert all(type(key) is tuple and len(key) == cat.N
+               and all(type(a) is int for a in key)
+               for key in cat._memo["candidates"])
 
 
 def test_battery_observer_indexes_stay_within_the_hom_pairs():

@@ -1,11 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from cluster_loc import category, triangles
 from cluster_loc.category import BuildError, Category, Obj, build_category
 from cluster_loc.linalg import eliminate, integer_row, kernel_basis, rank
-from cluster_loc.suites import cached_category
+from cluster_loc.suites import (InstanceConfig, basis_maps, cached_category,
+                                run_suites)
 from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
                                    certify_triangle_parts, complete_triangle,
                                    cone_profile, mesh_map_into,
@@ -293,6 +298,60 @@ def test_completion_certifies_the_second_candidate_cone(n):
     assert tri.z == f.tgt and tri.cert.is_valid()
 
 
+def _with_extra_summand(z: Obj) -> Obj:
+    """The cone z plus one more summand, the arc of least index: a wrong
+    cone, whose hom vector differs from the profile."""
+    return Obj(tuple(sorted(z.summands + (0,))))
+
+
+def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
+    """Negative control of the candidate cones against the certificate, on
+    the rank-4 example.  A wrong cone (the true one plus a summand) listed
+    first is searched and refused, and the completion certifies the true
+    cone; listed alone, no completion certifies, and the stilde suite
+    records the TriangleError under two-verdicts-agree.  So the candidate
+    memo cannot stand in for the certificate.  The unpatched run is
+    clean."""
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["stilde"])
+    assert run_suites(cfg, cat=build_category(4))["failures_total"] == 0
+    rng = random.Random("wrong-cone")
+    ref = build_category(4)
+    maps = basis_maps(ref) + [
+        ref.random_mor(rng, ref.random_obj(rng, 2), ref.random_obj(rng, 2))
+        for _ in range(20)]
+    cones = [complete_triangle(ref, f).z for f in maps]
+    real = triangles.profile_candidates
+    searched = []
+
+    def wrong_first(cat, profile):
+        got = real(cat, profile)
+        searched.append(_with_extra_summand(got[0]))
+        return [searched[-1]] + got
+
+    monkeypatch.setattr(triangles, "profile_candidates", wrong_first)
+    cat = build_category(4)
+    for f, z in zip(maps, cones):
+        tri = complete_triangle(cat, f)
+        assert tri.z == z != searched[-1]
+        assert certify_triangle(cat, tri).is_valid()
+    assert len(searched) == len(maps)
+
+    monkeypatch.setattr(triangles, "profile_candidates", lambda cat, p: [
+        _with_extra_summand(real(cat, p)[0])])
+    cat = build_category(4)
+    for f in maps:
+        with pytest.raises(TriangleError, match="no certified completion"):
+            complete_triangle(cat, f)
+    (record,) = run_suites(cfg, cat=build_category(4))["suites"]
+    assert record["failures"]
+    assert len(record["failures"]) == record["checks"]
+    for failure in record["failures"]:
+        assert failure["check"] == "two-verdicts-agree"
+        assert failure["error"].startswith(
+            "TriangleError: no certified completion")
+
+
 def test_rotation_closure(cat4):
     rng = random.Random(9)
     for _ in range(10):
@@ -374,6 +433,44 @@ def test_generic_draw_needs_few_draws(drawn_pool):
     _, spaces = drawn_pool
     assert spaces
     assert max(draws for _, draws in spaces) <= 3
+
+
+_DRAWS_SCRIPT = """
+import json, random
+from fractions import Fraction
+from cluster_loc.category import build_category
+from cluster_loc.triangles import complete_triangle
+out = []
+for n in (5, 7):
+    cat = build_category(n)
+    rng = random.Random(f"draws:{n}")
+    for k in range(8):
+        f = cat.random_mor(rng, cat.random_obj(rng, 2), cat.random_obj(rng, 3))
+        if k % 2:
+            f = cat.scale_mor(Fraction(1, 2), f)
+        tri = complete_triangle(cat, f)
+        out.append([str(v) for m in (tri.g, tri.h) for row in m.m for v in row])
+print(json.dumps(out))
+"""
+
+
+def test_generic_draws_repeat_across_processes():
+    """The draws are keyed by hashes that Python does not salt, so two
+    fresh interpreters with different PYTHONHASHSEED complete the same
+    seeded maps, some with Fraction entries, with identical (g, h)."""
+    src = os.path.dirname(os.path.dirname(triangles.__file__))
+    outs = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", _DRAWS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        outs.append(json.loads(res.stdout))
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 16
+    assert any(v != "0" for row in outs[0] for v in row)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
