@@ -14,10 +14,11 @@ integer rows, whose denominators ``integer_row`` clears once per row, and
 never divides inexactly: forward Bareiss elimination gives ranks and pivot
 columns, and fraction-free Gauss-Jordan gives the reduced row echelon form
 over one shared denominator, the last pivot.  Solutions are read off that
-form and become scalars again only there; kernel bases are read off it as
-primitive integer columns.  Pivoting takes
-the first nonzero entry, and the reduced form is unique, so ranks, solutions
-and kernel bases are reproducible across runs.
+form, as scalars (``solve_right``) or as an integer vector over the shared
+denominator (``solve_rows``, which reads the kernel basis off the same
+form); kernel bases are read off it as primitive integer columns.  Pivoting
+takes the first nonzero entry, and the reduced form is unique, so ranks,
+solutions and kernel bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -265,7 +266,32 @@ def kernel_basis(m: Mat) -> Mat:
 def kernel_basis_rows(rows: list[Sequence], ncols: int) -> Mat:
     """``kernel_basis`` of the matrix with these rows and ncols columns,
     with no ``Mat`` built for it."""
-    red, pivots, d = reduced_rows(rows)
+    return _kernel_of_reduced(*reduced_rows(rows), ncols)
+
+
+def solve_rows(rows: Sequence[Sequence], rhs: Sequence, ncols: int
+               ) -> Optional[tuple[list[int], int, Mat]]:
+    """A x = b by one elimination of [A | b], A given by its rows and its
+    column count ncols, b by its entries.
+
+    Returns (v, d, kb): v / d is the solution whose free variables are
+    zero (v integer, d > 0), and kb is ``kernel_basis`` of A, read off the
+    same reduced form; None when the system is unsolvable.
+    """
+    red, pivots, d = reduced_rows([[*row, b] for row, b in
+                                   zip(rows, rhs, strict=True)])
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the rhs column: inconsistent
+    v = [0] * ncols
+    for r, col in enumerate(pivots):
+        v[col] = red[r][ncols]
+    return v, d, _kernel_of_reduced(red, pivots, d, ncols)
+
+
+def _kernel_of_reduced(red: list[list[int]], pivots: list[int], d: int,
+                       ncols: int) -> Mat:
+    """The primitive kernel columns of the first ncols columns of a
+    reduced form from ``reduced_rows``."""
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
     cols = []

@@ -15,22 +15,26 @@ of Hom(H(x), H(y)) over End(T).  Zigzags (formal composites with inverses
 of classified maps) are evaluated through the module side, which also
 decides zigzag equality.
 
-The linear systems read the induced-hom matrices of ``category``: the
-resolution equation s . p = u reads ``pre_matrix(p, y)``,
-``factor_through_s`` (s . h = u) reads ``post_matrix(s, u.src)``, and the
-module side (``H_mor``) reads ``post_matrix`` at each summand of T.  The
-localized hom space needs no system: the kernel of Hom(T, -) on
-Hom(x', y') is spanned by slots, and ``rigid.functor_slots`` lists the
-others, whose slot maps are the quotient basis.
+The linear systems read the induced-hom rows of ``category``: the
+resolution equation s . p = lambda u (lambda > 0 an integer) reads
+``pre_rows(p, y)``, ``factor_through_s`` (s . h = u) reads
+``post_rows(s, u.src)``, and ``classify``'s module flags read one rank of
+``post_rows(f, t)`` per summand t of T; ``H_mor`` builds the module map
+only for the callers that use it (zigzags and the suites).  The localized
+hom space needs no system: the kernel of Hom(T, -) on Hom(x', y') is
+spanned by slots, and ``rigid.functor_slots`` lists the others, whose slot
+maps are the quotient basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, kernel_basis, solve_right
+from .linalg import rank_rows, solve_rows
 from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
                       hom_dim_modules)
 from .rigid import (RigidObject, _rigid_memo, approx_triangle,
@@ -63,14 +67,20 @@ def classify(cat: Category, t: RigidObject, f: Mor,
              seed: int = 0) -> MorClassification:
     """Classify a map against the rigid object t.
 
-    The mono and epi flags of the module side must agree with the
-    factoring of the connecting maps h and g through Sigma T-perp, so the
-    invertibility verdicts of the two sides agree too; a disagreement
-    raises.
+    The module side reads H(f) = Hom(T, f) one summand t of T at a time:
+    Hom(t, f) is the matrix ``post_rows(f, t)``, and H(f) is mono (epi)
+    exactly when each such matrix has rank dim Hom(t, f.src) (dim
+    Hom(t, f.tgt)), its column (row) count.  These mono and epi flags must
+    agree with the factoring of the connecting maps h and g through
+    Sigma T-perp, so the invertibility verdicts of the two sides agree too;
+    a disagreement raises.
     """
-    alg = algebra_of(cat, t)
-    hf = H_mor(cat, alg, f)
-    h_mono, h_epi = hf.mono_epi()
+    h_mono = h_epi = True
+    for a in t.arcs:
+        rows, ncols = cat.post_rows(f, Obj((a,)))
+        r = rank_rows(rows)
+        h_mono = h_mono and r == ncols
+        h_epi = h_epi and r == len(rows)
     tri = complete_triangle(cat, f, seed=seed)
     g_fac = factors_through_subcat(cat, t, tri.g)
     h_back = cat.suspend_mor(tri.h, -1)      # Sigma^{-1}z -> x
@@ -94,7 +104,12 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj) -> tuple[Obj, Mor]:
 
     Built from the two approximation triangles of y and of the cosuspended
     cone, completing the composite map between the approximating objects;
-    s solves s . p = u over the completion edge p.  Memoized per object.
+    s solves s . p = lambda u over the completion edge p, u: T0 -> y the
+    approximation of y, for an integer lambda > 0.  A nonzero multiple of
+    an S-map is in S, so the scale is free, and s is the primitive integer
+    multiple of the solution whose free variables are zero, plus a generic
+    integer member of the kernel: every entry is an ``int``.  Memoized per
+    object.
     """
     memo = _rigid_memo(cat, t).setdefault("s_res", {})
     if y.summands in memo:
@@ -121,13 +136,15 @@ def _solve_resolution_map(cat, t, p, u, xprime, y) -> Mor:
     if not in_CT(cat, t, xprime):
         raise InternalConsistencyError(
             f"resolution cone of {cat.obj_label(y)} is not in C(T)")
-    a = cat.pre_matrix(p, y)           # s -> s . p on Hom(x', y)
-    sol = solve_right(a, Mat.column(cat.vectorize(u)))
+    rows, ncols = cat.pre_rows(p, y)   # s -> s . p on Hom(x', y)
+    sol = solve_rows(rows, cat.vectorize(u), ncols)
     if sol is None:
         raise InternalConsistencyError(
             f"resolution edge equation unsolvable for {cat.obj_label(y)}")
-    for s in generic_maps(cat, xprime, y, kernel_basis(a), draw_stream(101),
-                          sol.col(0)):
+    v, _, kb = sol
+    g = gcd(*v)
+    base = [a // g for a in v] if g else v
+    for s in generic_maps(cat, xprime, y, kb, draw_stream(101), base):
         if classify(cat, t, s).in_S:
             return s
     raise InternalConsistencyError(
@@ -141,13 +158,14 @@ def factor_through_s(cat: Category, t: RigidObject, u: Mor, s: Mor) -> Mor:
         raise ValueError("u and s must share their target")
     if not in_CT(cat, t, u.src):
         raise ValueError("source of u is not in C(T)")
-    sol = solve_right(cat.post_matrix(s, u.src),   # h -> s . h
-                      Mat.column(cat.vectorize(u)))
+    rows, ncols = cat.post_rows(s, u.src)   # h -> s . h
+    sol = solve_rows(rows, cat.vectorize(u), ncols)
     if sol is None:
         raise InternalConsistencyError(
             "map from a presented object does not factor through the S-map "
             f"{cat.obj_label(s.src)} -> {cat.obj_label(s.tgt)}")
-    return cat.mor_from_vec(u.src, s.src, sol.col(0))
+    v, d, _ = sol
+    return cat.mor_from_vec(u.src, s.src, [Fraction(a, d) for a in v])
 
 
 # -- localized hom spaces ----------------------------------------------------

@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import Mat, rank, solve_right
+from .linalg import rank_rows
 from .triangles import Triangle, complete_triangle, pre_rank_table
 from .values import Value
 
@@ -113,8 +113,14 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     precomposition with t_i -> u, u another summand, and so of the slots j
     with a nonzero composite t_i -> u -> x_j.  With ``minimal=False``
     every basis map is kept.  Surjectivity of Hom(t_i, -) onto Hom(t_i, x)
-    is re-verified; the minimal form is unique up to isomorphism.
+    is re-verified; the minimal form is unique up to isomorphism.  The map
+    is memoised per T, object and form, beside ``approx_triangle``'s
+    triangles, so a caller that needs only the map builds it once.
     """
+    memo = _rigid_memo(cat, t).setdefault("approx", {})
+    key = (x.summands, minimal)
+    if key in memo:
+        return memo[key]
     arcs = sorted(set(t.arcs))
     src: list[int] = []
     picks: list[int] = []    # target summand position of each source copy
@@ -129,11 +135,12 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
         rows[pos][j] = 1
     f = cat.mor(Obj(tuple(src)), x, rows)
     for ti in arcs:
-        got = rank(cat.post_matrix(f, Obj((ti,))))
-        if got != cat.dim_hom_obj(Obj((ti,)), x):
+        img, _ = cat.post_rows(f, Obj((ti,)))   # one row per Hom(ti, x) slot
+        if rank_rows(img) != len(img):
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
                 f"at {cat.labels[ti]}")
+    memo[key] = f
     return f
 
 
@@ -207,12 +214,14 @@ def hom_functor_zero(cat: Category, t: RigidObject, f: Mor) -> bool:
 
 
 def factors_through_mor(cat: Category, f: Mor, through: Mor) -> bool:
-    """Does f factor as v . through (through shares f's source)?  Solves
-    Hom(through, f.tgt) v = f."""
+    """Does f factor as v . through (through shares f's source)?  The
+    system Hom(through, f.tgt) v = f is solvable exactly when adding the
+    column f leaves its rank unchanged."""
     if through.src != f.src:
         raise ValueError("sources differ")
-    return solve_right(cat.pre_matrix(through, f.tgt),
-                       Mat.column(cat.vectorize(f))) is not None
+    rows, _ = cat.pre_rows(through, f.tgt)
+    return rank_rows(rows) == rank_rows(
+        [[*row, b] for row, b in zip(rows, cat.vectorize(f))])
 
 
 def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:

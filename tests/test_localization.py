@@ -6,19 +6,20 @@ import threading
 
 import pytest
 
-from cluster_loc import localization
+from cluster_loc import localization, modules
 from cluster_loc.category import InternalConsistencyError, build_category
-from cluster_loc.linalg import rank
+from cluster_loc.linalg import Mat, rank
 from cluster_loc.localization import (LocHom, Zigzag, algebra_of, classify,
                                       factor_through_s, forward, inv, loc_hom,
                                       s_resolution, zigzag_equal, zigzag_eval)
 from cluster_loc.modules import (H_mor, H_obj, direct_sum_modules,
-                                 hom_dim_modules, modules_isomorphic,
-                                 simple_module)
+                                 end_algebra, hom_dim_modules,
+                                 modules_isomorphic, simple_module)
 from cluster_loc.rigid import in_CT, perp_view, rigid_object
-from cluster_loc.suites import (InstanceConfig, basis_maps, replay_failure,
-                                run_suites)
+from cluster_loc.suites import (InstanceConfig, basis_maps, cached_category,
+                                map_pool, replay_failure, run_suites)
 from cluster_loc.triangles import mesh_map_into, mesh_map_out_of
+from conftest import enumerate_basic_rigid, five_rigid, sample_rigid
 
 
 def test_classify_example_maps(cat4, example_T):
@@ -101,6 +102,116 @@ def test_classify_flag_check_catches_a_flipped_connecting_map(
         assert failure["error"].endswith(f"{mono}, {epi}")
 
 
+def _flag_mismatches(cat, t, maps) -> list[tuple[str, str]]:
+    """(map, problem) wherever classify's mono and epi flags differ from
+    those of the module map H(f), or H_mor's commuting check raises.  The
+    algebra is built afresh, so its image modules come from this call."""
+    alg = end_algebra(cat, t)
+    out = []
+    for f in maps:
+        try:
+            want = H_mor(cat, alg, f).mono_epi()
+        except ValueError as exc:   # the commuting check of ModuleHom
+            out.append((cat.format_mor(f), str(exc)))
+            continue
+        c = classify(cat, t, f)
+        if (c.H_mono, c.H_epi) != want:
+            out.append((cat.format_mor(f), f"flags {c.H_mono, c.H_epi}, "
+                                           f"H(f) {want}"))
+    return out
+
+
+def _flag_instances():
+    """Every basic rigid T at n <= 4, and five seeded T at each of
+    n = 5..8, each with its rank's maps."""
+    for n in range(1, 9):
+        cat = cached_category(n)
+        maps = basis_maps(cat) + map_pool(cat, 7, 20)
+        ts = (enumerate_basic_rigid(cat) if n <= 4
+              else five_rigid(cat, random.Random(f"flags:{n}")))
+        for t in ts:
+            yield cat, t, maps
+
+
+def test_classify_flags_equal_the_module_map():
+    """classify reads H(f)'s mono and epi flags off one rank of Hom(t, f)
+    per summand t of T, without building the module map.  On every basis
+    map between indecomposables and 20 pool maps per rank, for every basic
+    rigid T at n <= 4 and five seeded T at n = 5..8, the flags equal
+    ``mono_epi()`` of H_mor's module map, whose commuting check runs on
+    every map here: 24,120 maps over 272 T, about 2 s on a shared 2-core
+    x86-64 host."""
+    checked = 0
+    for cat, t, maps in _flag_instances():
+        assert _flag_mismatches(cat, t, maps) == []
+        checked += len(maps)
+    assert checked == 24_120
+
+
+def test_flag_test_reports_a_wrong_action_entry(cat4, fan_T, monkeypatch):
+    """A wrong action entry planted in one image module (``_hom_module``)
+    is reported by the flag test: H_mor's commuting check rejects maps
+    into or out of that module.  The entry is the first nonzero one of the
+    first image with one, set to zero; T is the heptagon fan, whose images
+    are large enough for basis maps between them to see it (at the
+    example T no basis map sees any such entry).  The unpatched run is
+    clean."""
+    maps = basis_maps(cat4)
+    assert _flag_mismatches(cat4, fan_T, maps) == []
+    real = modules._hom_module
+    alg = end_algebra(cat4, fan_T)
+    x0, pair = next((x, p) for x in range(cat4.N)
+                    for p, m in real(cat4, alg, cat4.obj([x])).act.items()
+                    if any(m.entries))
+
+    def planted(cat, alg, x):
+        mod = real(cat, alg, x)
+        if x.summands == (x0,):
+            m = mod.act[pair]
+            k = next(k for k, e in enumerate(m.entries) if e)
+            mod.act[pair] = Mat(m.rows, m.cols, m.entries[:k] + (0,)
+                                + m.entries[k + 1:])
+        return mod
+
+    monkeypatch.setattr(modules, "_hom_module", planted)
+    bad = _flag_mismatches(cat4, fan_T, maps)
+    assert bad
+    assert all(problem == "components do not commute with action"
+               and cat4.labels[x0] in text for text, problem in bad)
+
+
+def test_classify_flag_check_catches_a_wrong_summand_rank(
+        cat4, example_T, monkeypatch):
+    """A rank of Hom(t, f) read one too high at the first summand t of T
+    changes classify's module flags on some basis maps, and classify
+    raises there; the stilde suite records each such error under
+    two-verdicts-agree, and the unpatched run is clean."""
+    cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
+                         suites=["stilde"])
+    assert run_suites(cfg)["failures_total"] == 0
+    real = localization.rank_rows
+    calls = itertools.count()
+    r = len(example_T.arcs)
+    monkeypatch.setattr(
+        localization, "rank_rows",
+        lambda rows: real(rows) + (next(calls) % r == 0))
+    raised = []
+    for f in basis_maps(cat4):
+        try:
+            classify(cat4, example_T, f)
+        except InternalConsistencyError as exc:
+            assert str(exc).startswith("mono/epi flags disagree")
+            raised.append(cat4.format_mor(f))
+    assert raised
+    (record,) = run_suites(cfg)["suites"]
+    assert sorted(f["detail"]["map"] for f in record["failures"]) == \
+        sorted(raised)
+    for failure in record["failures"]:
+        assert failure["check"] == "two-verdicts-agree"
+        assert failure["error"].startswith(
+            "InternalConsistencyError: mono/epi flags disagree")
+
+
 def test_zero_map_to_zero_is_in_S(cat4, example_T):
     # elementary identity (a): U -> 0 for U in Sigma T-perp
     for u in sorted(perp_view(cat4, example_T, "SigmaTperp")):
@@ -120,11 +231,27 @@ def test_zero_map_from_zero_not_always_in_S(cat4, example_T):
 
 
 def test_s_resolution_all_indecomposables(cat4, example_T):
-    for i in range(cat4.N):
-        xp, s = s_resolution(cat4, example_T, cat4.obj([i]))
-        assert in_CT(cat4, example_T, xp)
-        assert classify(cat4, example_T, s).in_S
-        assert s.src == xp and s.tgt.summands == (i,)
+    """On every indecomposable y of the rank-4 example and of one seeded T
+    at each of n = 5..7: s: x' -> y has only ``int`` entries, x' lies in
+    C(T), s is in S, and every basis map u: c -> y from a C(T)
+    indecomposable c factors through s exactly."""
+    instances = [(cat4, example_T)] + [
+        (cat, sample_rigid(cat, random.Random(f"resolve:{n}")))
+        for n in (5, 6, 7) for cat in [cached_category(n)]]
+    for cat, t in instances:
+        ct = [c for c in range(cat.N) if in_CT(cat, t, cat.obj([c]))]
+        for i in range(cat.N):
+            y = cat.obj([i])
+            xp, s = s_resolution(cat, t, y)
+            assert s.src == xp and s.tgt == y
+            assert all(type(v) is int for row in s.m for v in row)
+            assert in_CT(cat, t, xp)
+            assert classify(cat, t, s).in_S
+            for c in ct:
+                if cat.hom1(c, i):
+                    u = cat.basis_mor(c, i)
+                    h = factor_through_s(cat, t, u, s)
+                    assert cat.compose(s, h).m == u.m
 
 
 def test_s_resolution_example_image(cat4, example_T):
@@ -344,14 +471,19 @@ def test_elementary_identities(cat4, cat2):
 def test_built_category_shared_across_threads():
     """Threads classifying maps on one shared, freshly built category (cold
     memos, so they fill the memos concurrently) get the serial verdicts and
-    keep the serial image modules."""
+    keep the serial image modules.  classify reads no image module, so each
+    thread also asks for the image of every summand of each map's ends,
+    which fills ``Algebra.images`` concurrently."""
 
     def verdicts(cat, order):
         t = rigid_object(cat, ["M55", "M25", "M22"])
+        alg = algebra_of(cat, t)
         out = {}
         for k in order:
             rng = random.Random(k)
             x, y = cat.random_obj(rng, 2), cat.random_obj(rng, 2)
+            for a in x.summands + y.summands:
+                H_obj(cat, alg, cat.obj([a]))
             c = classify(cat, t, cat.random_mor(rng, x, y))
             out[k] = (c.in_S_tilde, c.in_S, c.H_mono, c.H_epi,
                       c.witness_triangle.z)
