@@ -278,14 +278,26 @@ def solve_rows(rows: Sequence[Sequence], rhs: Sequence, ncols: int
     zero (v integer, d > 0), and kb is ``kernel_basis`` of A, read off the
     same reduced form; None when the system is unsolvable.
     """
-    red, pivots, d = reduced_rows([[*row, b] for row, b in
-                                   zip(rows, rhs, strict=True)])
+    red, pivots, d = reduced_rows(_augmented(rows, rhs))
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the rhs column: inconsistent
     v = [0] * ncols
     for r, col in enumerate(pivots):
         v[col] = red[r][ncols]
     return v, d, _kernel_of_reduced(red, pivots, d, ncols)
+
+
+def solvable_rows(rows: Sequence[Sequence], rhs: Sequence, ncols: int
+                  ) -> bool:
+    """Is A x = b solvable?  One forward elimination of [A | b]; the
+    system is inconsistent exactly when a pivot lies in the rhs column."""
+    pivots, _ = eliminate([integer_row(row) for row in _augmented(rows, rhs)])
+    return not pivots or pivots[-1] != ncols
+
+
+def _augmented(rows: Sequence[Sequence], rhs: Sequence) -> list[list]:
+    """The rows of [A | b]."""
+    return [[*row, b] for row, b in zip(rows, rhs, strict=True)]
 
 
 def _kernel_of_reduced(red: list[list[int]], pivots: list[int], d: int,

@@ -75,6 +75,8 @@ def classify(cat: Category, t: RigidObject, f: Mor,
     Sigma T-perp, so the invertibility verdicts of the two sides agree too;
     a disagreement raises.
     """
+    if not t.basic:
+        raise ValueError("classify expects a basic rigid object")
     h_mono = h_epi = True
     for a in t.arcs:
         rows, ncols = cat.post_rows(f, Obj((a,)))

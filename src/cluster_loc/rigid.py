@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Iterable
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import rank_rows
+from .linalg import rank_rows, solvable_rows
 from .triangles import Triangle, complete_triangle, pre_rank_table
 from .values import Value
 
@@ -113,14 +113,8 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     precomposition with t_i -> u, u another summand, and so of the slots j
     with a nonzero composite t_i -> u -> x_j.  With ``minimal=False``
     every basis map is kept.  Surjectivity of Hom(t_i, -) onto Hom(t_i, x)
-    is re-verified; the minimal form is unique up to isomorphism.  The map
-    is memoised per T, object and form, beside ``approx_triangle``'s
-    triangles, so a caller that needs only the map builds it once.
+    is re-verified; the minimal form is unique up to isomorphism.
     """
-    memo = _rigid_memo(cat, t).setdefault("approx", {})
-    key = (x.summands, minimal)
-    if key in memo:
-        return memo[key]
     arcs = sorted(set(t.arcs))
     src: list[int] = []
     picks: list[int] = []    # target summand position of each source copy
@@ -140,7 +134,6 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
             raise InternalConsistencyError(
                 f"right approximation of {cat.obj_label(x)} lost surjectivity "
                 f"at {cat.labels[ti]}")
-    memo[key] = f
     return f
 
 
@@ -215,13 +208,12 @@ def hom_functor_zero(cat: Category, t: RigidObject, f: Mor) -> bool:
 
 def factors_through_mor(cat: Category, f: Mor, through: Mor) -> bool:
     """Does f factor as v . through (through shares f's source)?  The
-    system Hom(through, f.tgt) v = f is solvable exactly when adding the
-    column f leaves its rank unchanged."""
+    system Hom(through, f.tgt) v = f is solvable exactly when no pivot of
+    [A | f] lies in the column f."""
     if through.src != f.src:
         raise ValueError("sources differ")
-    rows, _ = cat.pre_rows(through, f.tgt)
-    return rank_rows(rows) == rank_rows(
-        [[*row, b] for row, b in zip(rows, cat.vectorize(f))])
+    rows, ncols = cat.pre_rows(through, f.tgt)
+    return solvable_rows(rows, cat.vectorize(f), ncols)
 
 
 def left_sigma_perp_approx(cat: Category, t: RigidObject, x: Obj) -> Mor:

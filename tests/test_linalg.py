@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc.linalg import (Mat, inverse, kernel_basis, kernel_basis_rows,
-                                rank, rank_rows, reduced_rows, solve_right)
+                                rank, rank_rows, reduced_rows, solvable_rows,
+                                solve_right, solve_rows)
 from conftest import hstack, mat_from_cols
 
 
@@ -71,6 +72,26 @@ def test_solve_iff_rank_condition():
         if solvable:
             x = solve_right(a, b)
             assert (a * x).entries == b.entries
+
+
+def test_solve_rows_matches_solve_right():
+    # one elimination of [A | b] decides solvability (solvable_rows) and
+    # gives solve_right's solution over a shared denominator plus A's kernel
+    rng = random.Random(17)
+    for _ in range(80):
+        a = _random_mat(rng, rng.randint(0, 4), rng.randint(0, 4))
+        b = _random_mat(rng, a.rows, 1)
+        rows = [a.row(i) for i in range(a.rows)]
+        x = solve_right(a, b)
+        assert solvable_rows(rows, b.col(0), a.cols) == (x is not None)
+        got = solve_rows(rows, b.col(0), a.cols)
+        if x is None:
+            assert got is None
+            continue
+        v, d, kb = got
+        assert d > 0 and all(type(e) is int for e in v)
+        assert tuple(Fraction(e, d) for e in v) == x.col(0)
+        assert kb == kernel_basis(a)
 
 
 def test_scalar_invariants_random():

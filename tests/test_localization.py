@@ -297,6 +297,15 @@ def test_factor_through_s_preconditions(cat4, example_T):
                          cat4.zero_mor(cat4.obj(["M44"]), cat4.obj(["M44"])), s)
 
 
+def test_classify_rejects_a_non_basic_T(cat4, example_T):
+    t = rigid_object(cat4, [*example_T.arcs, example_T.arcs[0]])
+    ident = cat4.identity(cat4.obj(["M34"]))
+    with pytest.raises(ValueError, match="basic rigid object"):
+        classify(cat4, t, ident)
+    with pytest.raises(ValueError, match="basic rigid object"):
+        s_resolution(cat4, t, cat4.obj(["M13"]))
+
+
 def test_loc_hom_summand_endomorphisms(cat4, example_T):
     alg = algebra_of(cat4, example_T)
     for i, a in enumerate(example_T.arcs):
