@@ -37,14 +37,15 @@ are solved by.
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
 suspension and direct sums.  The maps f induces on hom spaces are matrices
-on the slot bases (``hom_slots``), built directly: ``post_matrix``
-(Hom(W, f)) and ``pre_matrix`` (Hom(f, W)), or as plain rows
-(``post_rows``, ``pre_rows``) for a caller that eliminates them at once.
+on the slot bases (``hom_slots``), built directly as plain rows and a
+column count: ``post_rows`` (Hom(W, f)) and ``pre_rows`` (Hom(f, W)),
+which the linear algebra eliminates as they are.  Composites, sums and
+scalings keep the scalar form of ``linalg``: an integral entry is an
+``int``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import re
@@ -54,7 +55,7 @@ from typing import Iterable, Sequence
 
 from . import oracle
 from .arcs import Arc, arc_or_none, crosses, enumerate_arcs, parse_arc, rotate
-from .linalg import Mat, Scalar, scalar
+from .linalg import Scalar, normalised, scalar
 from .values import Value, setfield
 
 CAT_SCHEMA = "cluster-loc/cat/v1"
@@ -333,17 +334,19 @@ class Category:
                     c = self.comp.get((xk, yj, zi))
                     if c:
                         rows[i][k] += gij * fjk * c
-        return Mor(X, Z, tuple(tuple(r) for r in rows))
+        return Mor(X, Z, tuple(map(normalised, rows)))
 
     def add_mor(self, f: Mor, g: Mor) -> Mor:
         if f.src != g.src or f.tgt != g.tgt:
             raise ValueError("objects do not match in sum")
-        return Mor(f.src, f.tgt, tuple(tuple(a + b for a, b in zip(r1, r2))
-                                       for r1, r2 in zip(f.m, g.m)))
+        return Mor(f.src, f.tgt,
+                   tuple(normalised(a + b for a, b in zip(r1, r2))
+                         for r1, r2 in zip(f.m, g.m)))
 
     def scale_mor(self, c, f: Mor) -> Mor:
         c = scalar(c)
-        return Mor(f.src, f.tgt, tuple(tuple(c * x for x in r) for r in f.m))
+        return Mor(f.src, f.tgt, tuple(normalised(c * x for x in r)
+                                       for r in f.m))
 
     def direct_sum_mor(self, f: Mor, g: Mor) -> Mor:
         """Block-diagonal sum; summand order is re-sorted canonically."""
@@ -389,14 +392,10 @@ class Category:
 
     # -- linear maps induced on hom spaces -------------------------------
 
-    def post_matrix(self, f: Mor, W: Obj) -> Mat:
-        """Matrix of Hom(W, f): Hom(W, src) -> Hom(W, tgt) on the slot bases,
-        of shape dim Hom(W, tgt) x dim Hom(W, src) even when one is 0."""
-        return _as_mat(*self.post_rows(f, W))
-
     def post_rows(self, f: Mor, W: Obj) -> tuple[list[list], int]:
-        """The rows of ``post_matrix(f, W)`` as lists, and its column
-        count, for a caller that eliminates them at once."""
+        """The matrix of Hom(W, f): Hom(W, src) -> Hom(W, tgt) on the slot
+        bases, as its rows, one per slot of Hom(W, tgt), and its column
+        count dim Hom(W, src), which holds even when there are no rows."""
         X, Y, V, m = f.src.summands, f.tgt.summands, W.summands, f.m
         cols = self.hom_slots(W, f.src)
         comp = self.comp
@@ -407,14 +406,10 @@ class Category:
                          for j, v in cols])
         return rows, len(cols)
 
-    def pre_matrix(self, f: Mor, W: Obj) -> Mat:
-        """Matrix of Hom(f, W): Hom(tgt, W) -> Hom(src, W) on the slot bases,
-        of shape dim Hom(src, W) x dim Hom(tgt, W) even when one is 0."""
-        return _as_mat(*self.pre_rows(f, W))
-
     def pre_rows(self, f: Mor, W: Obj) -> tuple[list[list], int]:
-        """The rows of ``pre_matrix(f, W)`` as lists, and its column count,
-        for a caller that eliminates them at once."""
+        """The matrix of Hom(f, W): Hom(tgt, W) -> Hom(src, W) on the slot
+        bases, as its rows, one per slot of Hom(src, W), and its column
+        count dim Hom(tgt, W), which holds even when there are no rows."""
         X, Y, V, m = f.src.summands, f.tgt.summands, W.summands, f.m
         cols = self.hom_slots(f.tgt, W)
         comp = self.comp
@@ -541,10 +536,6 @@ class Category:
 _ROW = r"\[([^\[\]]*)\]"
 _MATRIX_ROW = re.compile(_ROW)
 _MATRIX_LITERAL = re.compile(rf"\[\s*(?:{_ROW}\s*(?:,\s*{_ROW}\s*)*)?\]")
-
-
-def _as_mat(rows: list[list], ncols: int) -> Mat:
-    return Mat(len(rows), ncols, tuple(itertools.chain.from_iterable(rows)))
 
 
 def _perm_to_sorted(values: Sequence[int]) -> Sequence[int]:

@@ -4,21 +4,24 @@ Everything in this package reduces to small dense systems over Q, so the
 representation is deliberately plain: a matrix is a row-major tuple of exact
 scalars.  A scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` (lowest terms, positive denominator) otherwise;
-``scalar`` normalises a value to that form, and the constructors apply it.
-Arithmetic mixes the two exactly, and ``int`` arithmetic, the common case in
-this package, is the cheaper.  No code divides with ``/``, which on two
-``int`` gives a float; quotients go through ``_ratio``.
+``scalar`` normalises a value to that form.  The constructors apply it, and
+products and scalings apply ``normalised``, which leaves ``int`` entries as
+they are.  Arithmetic mixes the two exactly, and ``int`` arithmetic, the
+common case in this package, is the cheaper.  No code divides with ``/``,
+which on two ``int`` gives a float; quotients go through ``_ratio``.
 
 One elimination core, ``eliminate``, serves every operation.  It works on
 integer rows, whose denominators ``integer_row`` clears once per row, and
 never divides inexactly: forward Bareiss elimination gives ranks and pivot
 columns, and fraction-free Gauss-Jordan gives the reduced row echelon form
-over one shared denominator, the last pivot.  Solutions are read off that
-form, as scalars (``solve_right``) or as an integer vector over the shared
-denominator (``solve_rows``, which reads the kernel basis off the same
-form); kernel bases are read off it as primitive integer columns.  Pivoting
-takes the first nonzero entry, and the reduced form is unique, so ranks,
-solutions and kernel bases are reproducible across runs.
+over one shared denominator, the last pivot.  A system is given as its rows
+and its column count, so an empty row list keeps its shape.  Kernel bases
+(``kernel_basis``) are read off the reduced form as primitive integer
+columns, and solutions (``solve_right``) as an integer vector over the
+shared denominator, with the kernel basis of the same form; ``inverse``
+reads the inverse off the reduced form of [m | I].  Pivoting takes the
+first nonzero entry, and the reduced form is unique, so ranks, solutions
+and kernel bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -47,9 +50,20 @@ def scalar(x) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
+def normalised(values) -> tuple[Scalar, ...]:
+    """The values as a tuple of scalars: as they are when every one is an
+    ``int``, else each through ``scalar``, so that an integral product or
+    sum of ``Fraction``s comes out an ``int``."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            return tuple(map(scalar, out))
+    return out
+
+
 class Mat(Value):
     """Dense rational matrix; ``entries`` is row-major and immutable, and
-    ``from_rows``, ``column`` and ``scale`` normalise them with ``scalar``."""
+    ``from_rows``, ``column``, ``scale`` and products normalise them."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -108,7 +122,8 @@ class Mat(Value):
 
     def scale(self, c) -> "Mat":
         c = scalar(c)
-        return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
+        return Mat(self.rows, self.cols,
+                   normalised(c * x for x in self.entries))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -129,7 +144,7 @@ class Mat(Value):
                     if b != 0:
                         acc[j] += a * b
             out.extend(acc)
-        return Mat(self.rows, other.cols, tuple(out))
+        return Mat(self.rows, other.cols, normalised(out))
 
 
 # -- elimination core ---------------------------------------------------
@@ -238,39 +253,18 @@ def rank_rows(rows: list[list]) -> int:
     return len(eliminate([integer_row(row) for row in rows])[0])
 
 
-def solve_right(a: Mat, b: Mat) -> Optional[Mat]:
-    """Some exact solution x of a*x = b, or None if the system is unsolvable.
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> Mat:
+    """Matrix whose columns form a basis of ker(A), A the matrix with these
+    rows and ncols columns; it has ncols - rank(A) columns.
 
-    Free variables are set to zero, so the solution is deterministic.
-    """
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: a has {a.rows}, b has {b.rows}")
-    red, pivots, d = reduced_rows([a.row(i) + b.row(i)
-                                   for i in range(a.rows)])
-    if pivots and pivots[-1] >= a.cols:
-        return None  # pivot in the rhs block: inconsistent
-    sol = [(0,) * b.cols] * a.cols
-    for r, col in enumerate(pivots):
-        sol[col] = tuple(_ratio(x, d) for x in red[r][a.cols:])
-    return Mat(a.cols, b.cols, tuple(x for row in sol for x in row))
-
-
-def kernel_basis(m: Mat) -> Mat:
-    """Matrix whose columns form a basis of ker(m); cols = cols(m) - rank(m).
-
-    Column k is the primitive vector of ker(m) (``int`` entries, gcd 1)
-    that is positive at the k-th free column and 0 at the others."""
-    return kernel_basis_rows([m.row(i) for i in range(m.rows)], m.cols)
-
-
-def kernel_basis_rows(rows: list[Sequence], ncols: int) -> Mat:
-    """``kernel_basis`` of the matrix with these rows and ncols columns,
-    with no ``Mat`` built for it."""
+    Column k is the primitive vector of ker(A) (``int`` entries, gcd 1)
+    that is positive at the k-th free column and 0 at the others.  With no
+    rows it is the ncols x ncols identity."""
     return _kernel_of_reduced(*reduced_rows(rows), ncols)
 
 
-def solve_rows(rows: Sequence[Sequence], rhs: Sequence, ncols: int
-               ) -> Optional[tuple[list[int], int, Mat]]:
+def solve_right(rows: Sequence[Sequence], rhs: Sequence, ncols: int
+                ) -> Optional[tuple[list[int], int, Mat]]:
     """A x = b by one elimination of [A | b], A given by its rows and its
     column count ncols, b by its entries.
 
@@ -318,8 +312,13 @@ def _kernel_of_reduced(red: list[list[int]], pivots: list[int], d: int,
 
 
 def inverse(m: Mat) -> Optional[Mat]:
-    """Exact inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
+    """Exact inverse of a square matrix, or None if it is singular or not
+    square: the right block of the reduced form of [m | I]."""
+    n = m.rows
+    if n != m.cols:
         return None
-    # an exact solution of m . x = I is also a left inverse, as m is square
-    return solve_right(m, Mat.identity(m.rows))
+    eye = Mat.identity(n)
+    red, pivots, d = reduced_rows([m.row(i) + eye.row(i) for i in range(n)])
+    if n and pivots[-1] >= n:
+        return None  # [m | I] has rank n, so a pivot in I: m is singular
+    return Mat(n, n, tuple(_ratio(x, d) for row in red for x in row[n:]))

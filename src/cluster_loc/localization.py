@@ -15,15 +15,16 @@ of Hom(H(x), H(y)) over End(T).  Zigzags (formal composites with inverses
 of classified maps) are evaluated through the module side, which also
 decides zigzag equality.
 
-The linear systems read the induced-hom rows of ``category``: the
-resolution equation s . p = lambda u (lambda > 0 an integer) reads
-``pre_rows(p, y)``, ``factor_through_s`` (s . h = u) reads
-``post_rows(s, u.src)``, and ``classify``'s module flags read one rank of
-``post_rows(f, t)`` per summand t of T; ``H_mor`` builds the module map
-only for the callers that use it (zigzags and the suites).  The localized
-hom space needs no system: the kernel of Hom(T, -) on Hom(x', y') is
-spanned by slots, and ``rigid.functor_slots`` lists the others, whose slot
-maps are the quotient basis.
+The linear systems read the induced-hom rows of ``category`` and go to
+``linalg`` as they are: the resolution equation s . p = lambda u
+(lambda > 0 an integer) is ``solve_right`` of ``pre_rows(p, y)``,
+``factor_through_s`` (s . h = u) is ``solve_right`` of
+``post_rows(s, u.src)``, and ``classify``'s module flags are one
+``rank_rows`` of ``post_rows(f, t)`` per summand t of T; ``H_mor`` builds
+the module map only for the callers that use it (zigzags and the suites).
+The localized hom space needs no system: the kernel of Hom(T, -) on
+Hom(x', y') is spanned by slots, and ``rigid.functor_slots`` lists the
+others, whose slot maps are the quotient basis.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import gcd
 from typing import Optional
 
 from .category import Category, InternalConsistencyError, Mor, Obj
-from .linalg import rank_rows, solve_rows
+from .linalg import rank_rows, solve_right
 from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
                       hom_dim_modules)
 from .rigid import (RigidObject, _rigid_memo, approx_triangle,
@@ -139,7 +140,7 @@ def _solve_resolution_map(cat, t, p, u, xprime, y) -> Mor:
         raise InternalConsistencyError(
             f"resolution cone of {cat.obj_label(y)} is not in C(T)")
     rows, ncols = cat.pre_rows(p, y)   # s -> s . p on Hom(x', y)
-    sol = solve_rows(rows, cat.vectorize(u), ncols)
+    sol = solve_right(rows, cat.vectorize(u), ncols)
     if sol is None:
         raise InternalConsistencyError(
             f"resolution edge equation unsolvable for {cat.obj_label(y)}")
@@ -161,7 +162,7 @@ def factor_through_s(cat: Category, t: RigidObject, u: Mor, s: Mor) -> Mor:
     if not in_CT(cat, t, u.src):
         raise ValueError("source of u is not in C(T)")
     rows, ncols = cat.post_rows(s, u.src)   # h -> s . h
-    sol = solve_rows(rows, cat.vectorize(u), ncols)
+    sol = solve_right(rows, cat.vectorize(u), ncols)
     if sol is None:
         raise InternalConsistencyError(
             "map from a presented object does not factor through the S-map "

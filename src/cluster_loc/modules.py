@@ -275,14 +275,22 @@ def H_obj(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
 def _hom_module(cat: Category, alg: Algebra, x: Obj) -> LambdaModule:
     vec, ts = cat.hom_vec_into(x), alg.summands
     return LambdaModule(alg, [vec[t] for t in ts], {
-        (i, j): cat.pre_matrix(cat.basis_mor(ts[i], ts[j]), x)
+        (i, j): _induced(*cat.pre_rows(cat.basis_mor(ts[i], ts[j]), x))
         for (i, j) in alg.radical_pairs})
 
 
 def H_mor(cat: Category, alg: Algebra, f: Mor) -> ModuleHom:
     """Hom(T, f); component i is the matrix of Hom(t_i, f)."""
     return ModuleHom(H_obj(cat, alg, f.src), H_obj(cat, alg, f.tgt),
-                     [cat.post_matrix(f, Obj((t,))) for t in alg.summands])
+                     [_induced(*cat.post_rows(f, Obj((t,))))
+                      for t in alg.summands])
+
+
+def _induced(rows: list[list], ncols: int) -> Mat:
+    """The matrix of an induced map on hom spaces, given as ``post_rows``
+    and ``pre_rows`` give it: its rows and its column count, which fixes
+    the shape when there are no rows."""
+    return Mat(len(rows), ncols, tuple(x for row in rows for x in row))
 
 
 # -- hom spaces and the trace pairing --------------------------------------
@@ -319,12 +327,7 @@ def _commuting_rows(m1: LambdaModule, m2: LambdaModule
 def module_hom_basis(m1: LambdaModule, m2: LambdaModule) -> list[ModuleHom]:
     """Basis of the solution space of the commuting equations."""
     offs, nvars, rows = _commuting_rows(m1, m2)
-    if nvars == 0:
-        return []
-    if rows:
-        kb = kernel_basis(Mat.from_rows(rows))
-    else:
-        kb = Mat.identity(nvars)
+    kb = kernel_basis(rows, nvars)
     out = []
     for c in range(kb.cols):
         comps = []
@@ -365,8 +368,8 @@ def pairing_rank(a: LambdaModule, b: LambdaModule) -> int:
             for f in fwd]
     cols = [tuple(x for c in g.comps for k in range(c.cols) for x in c.col(k))
             for g in bwd]
-    return rank(Mat.from_rows([[sum(x * col[p] for p, x in row)
-                                for col in cols] for row in rows]))
+    return rank_rows([[sum(x * col[p] for p, x in row) for col in cols]
+                      for row in rows])
 
 
 def is_indecomposable(m: LambdaModule) -> bool:
@@ -575,8 +578,8 @@ def lift_module_to_CT(cat: Category, t: RigidObject, alg: Algebra,
     for a in range(alg.r):
         imgs = [g if i == a else (m.act[(a, i)] * Mat.column(g)).entries
                 for i, g in gens if cat.hom1(arcs[a], arcs[i])]
-        kers.append(kernel_basis(Mat(m.dims[a], len(imgs), tuple(
-            v[r] for r in range(m.dims[a]) for v in imgs))))
+        kers.append(kernel_basis([[v[r] for v in imgs]
+                                  for r in range(m.dims[a])], len(imgs)))
     h0 = H_obj(cat, alg, t0)
     rels = [(a, u) for a in order for u in _independent(
         [h0.act[(a, b)] * kers[b] for (a2, b) in pairs if a2 == a], kers[a])]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 
 from .category import Category, Mor, Obj
-from .linalg import Mat, eliminate, integer_row, kernel_basis_rows
+from .linalg import Mat, eliminate, integer_row, kernel_basis
 from .values import Value
 
 # Bounds of generic_maps.  Its coefficients are positive because a signed
@@ -415,14 +415,14 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     draws = draw_stream(hash((seed, X.summands, Y.summands, Z.summands,
                               f.m)))
     # g candidates: g . f = 0
-    kb_g = kernel_basis_rows(*cat.pre_rows(f, Z))
+    kb_g = kernel_basis(*cat.pre_rows(f, Z))
     sf_rows = cat.post_rows(sf, Z)[0]
 
     for g in generic_maps(cat, Y, Z, kb_g, draws):
         rg, pg = post_rank_table(cat, g), pre_rank_table(cat, g)
         # h candidates: h . g = 0 and Σf . h = 0
         g_rows, ncols = cat.pre_rows(g, sX)
-        kb_h = kernel_basis_rows(g_rows + sf_rows, ncols)
+        kb_h = kernel_basis(g_rows + sf_rows, ncols)
         for h in generic_maps(cat, Z, sX, kb_h, draws):
             rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
             cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,

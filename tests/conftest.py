@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cluster_loc.category import Category, Mor, Obj
-from cluster_loc.linalg import Mat, kernel_basis, rank, rank_rows, solve_right
+from cluster_loc.linalg import Mat, kernel_basis, rank_rows, solve_right
 from cluster_loc.modules import Algebra, LambdaModule
 from cluster_loc.rigid import RigidObject, rigid_object
 from cluster_loc.suites import cached_category
@@ -56,11 +56,12 @@ def is_isomorphism(cat: Category, f: Mor) -> bool:
     When f is invertible, f.g = id pins g = f^-1, so the two-sided check
     can only fail for maps that are not invertible (split epis)."""
     X, Y = f.src, f.tgt
-    sol = solve_right(cat.post_matrix(f, Y),
-                      Mat.column(cat.vectorize(cat.identity(Y))))
+    rows, ncols = cat.post_rows(f, Y)
+    sol = solve_right(rows, cat.vectorize(cat.identity(Y)), ncols)
     if sol is None:
         return False
-    g = cat.mor_from_vec(Y, X, sol.col(0))
+    v, d, _ = sol
+    g = cat.mor_from_vec(Y, X, [Fraction(a, d) for a in v])
     return cat.compose(g, f).m == cat.identity(X).m
 
 
@@ -69,6 +70,12 @@ def mat_from_cols(cols, nrows: int) -> Mat:
     survive (from_rows would collapse a 0-row matrix to 0 columns)."""
     return Mat(nrows, len(cols),
                tuple(Fraction(c[r]) for r in range(nrows) for c in cols))
+
+
+def as_rows(m: Mat) -> tuple[list[list], int]:
+    """m as the rows and column count that ``kernel_basis`` and
+    ``solve_right`` take."""
+    return m.to_rows(), m.cols
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
@@ -115,7 +122,7 @@ def top_dims(m: LambdaModule) -> tuple[int, ...]:
 
 def slot_post_matrix(cat: Category, f: Mor, W: Obj) -> Mat:
     """Hom(W, f) one slot at a time: f composed with each basis map of
-    Hom(W, f.src); the reference for Category.post_matrix."""
+    Hom(W, f.src); the reference for Category.post_rows."""
     cols = [cat.vectorize(cat.compose(f, cat.slot_mor(W, f.src, s)))
             for s in cat.hom_slots(W, f.src)]
     return mat_from_cols(cols, cat.dim_hom_obj(W, f.tgt))
@@ -156,7 +163,7 @@ def rank_factoring_through_add(cat: Category, x: Obj, y: Obj, members) -> int:
     """Dimension of the maps x -> y factoring through add(members), as the
     rank of Hom(ell, y) for the left approximation ell of x; the reference
     for ``rigid.dim_factoring_through_add``."""
-    return rank(cat.pre_matrix(bundle_left_approx(cat, x, members), y))
+    return rank_rows(cat.pre_rows(bundle_left_approx(cat, x, members), y)[0])
 
 
 # -- right-minimal reduction: the reference for ``right_addT_approx`` ------
@@ -169,7 +176,7 @@ def find_split_column(cat: Category, f: Mor):
     for a in sorted(set(X.summands)):
         A = Obj((a,))
         slots = cat.hom_slots(A, X)       # (j, 0) pairs
-        ker = kernel_basis(cat.post_matrix(f, A))
+        ker = kernel_basis(*cat.post_rows(f, A))
         iso_positions = [k for k, (j, _) in enumerate(slots)
                          if X.summands[j] == a]
         for c in range(ker.cols):

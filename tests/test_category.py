@@ -13,13 +13,14 @@ from cluster_loc.arcs import Arc, crosses, rotate
 from cluster_loc.category import (BuildError, Category, Obj, _quotient_1d,
                                   build_category)
 from cluster_loc.linalg import reduced_rows
+from cluster_loc.modules import _induced
 from cluster_loc.oracle import label_hom_matrix, labels
 from cluster_loc.suites import cached_category
 from associativity_reference import (all_chains, arrow_chains, chain_keys,
                                      chains_reading, chains_through,
                                      orbit_firsts, sides, sigma_functorial)
-from conftest import (is_isomorphism, is_right_minimal, mat_from_cols,
-                      right_minimal_reduce, sample_rigid,
+from conftest import (as_rows, is_isomorphism, is_right_minimal,
+                      mat_from_cols, right_minimal_reduce, sample_rigid,
                       slot_hom_functor_matrix, slot_post_matrix)
 
 
@@ -197,7 +198,8 @@ def test_every_e_with_fe_f_is_iso_on_minimal(cat4):
         slots = cat4.hom_slots(X, X)
         cols = [cat4.vectorize(cat4.compose(f, cat4.slot_mor(X, X, s)))
                 for s in slots]
-        ker = kernel_basis(mat_from_cols(cols, cat4.dim_hom_obj(X, f.tgt)))
+        ker = kernel_basis(*as_rows(
+            mat_from_cols(cols, cat4.dim_hom_obj(X, f.tgt))))
         for c in range(ker.cols):
             u = cat4.mor_from_vec(X, X, [ker.at(r, c) for r in range(ker.rows)])
             e = cat4.add_mor(cat4.identity(X), u)
@@ -842,7 +844,7 @@ def test_table_checks_accept_a_consistently_rescaled_table(cat4):
 
 
 def _slot_pre_matrix(cat, f, W):
-    """Hom(f, W) one slot at a time; the reference for Category.pre_matrix."""
+    """Hom(f, W) one slot at a time; the reference for Category.pre_rows."""
     cols = [cat.vectorize(cat.compose(cat.slot_mor(f.tgt, W, s), f))
             for s in cat.hom_slots(f.tgt, W)]
     return mat_from_cols(cols, cat.dim_hom_obj(f.src, W))
@@ -878,7 +880,8 @@ def test_hom_matrices_match_the_slot_reference(n):
         observers = ([Obj((w,)) for w in range(cat.N)]
                      + [cat.random_obj(rng, 3), cat.zero_obj])
         for W in observers:
-            post, pre = cat.post_matrix(f, W), cat.pre_matrix(f, W)
+            post = _induced(*cat.post_rows(f, W))
+            pre = _induced(*cat.pre_rows(f, W))
             assert post == slot_post_matrix(cat, f, W)
             assert pre == _slot_pre_matrix(cat, f, W)
             shapes.update((m.rows > 0, m.cols > 0) for m in (post, pre))
@@ -893,7 +896,7 @@ def test_hom_matrices_match_the_slot_reference(n):
             # columns vanish) and has their number as its dimension
             assert all(not any(ref.col(c)) for c, s in enumerate(slots)
                        if s not in seen)
-            assert kernel_basis(ref).cols == len(slots) - len(seen)
+            assert kernel_basis(*as_rows(ref)).cols == len(slots) - len(seen)
             shapes.add((ref.rows > 0, ref.cols > 0))
     # every shape occurs: k x m, 0 x m, k x 0 and 0 x 0 with k, m > 0
     assert shapes == {(True, True), (False, True), (True, False),

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_loc.linalg import (Mat, inverse, kernel_basis, kernel_basis_rows,
-                                rank, rank_rows, reduced_rows, solvable_rows,
-                                solve_right, solve_rows)
-from conftest import hstack, mat_from_cols
+from cluster_loc.linalg import (Mat, inverse, kernel_basis, rank, rank_rows,
+                                reduced_rows, solvable_rows, solve_right)
+from conftest import as_rows, hstack, mat_from_cols
 
 
 def test_rank_examples():
@@ -21,30 +20,57 @@ def test_rank_empty_shapes():
     assert rank(Mat.zeros(3, 0)) == 0
 
 
+def _solve_columns(a: Mat, b: Mat):
+    """The rows of the solution x of a.x = b that ``solve_right`` gives,
+    one column of b at a time, or None when a column is unsolvable."""
+    cols = []
+    for j in range(b.cols):
+        sol = solve_right(a.to_rows(), b.col(j), a.cols)
+        if sol is None:
+            return None
+        v, d, _ = sol
+        cols.append([Fraction(e, d) for e in v])
+    return [list(row) for row in zip(*cols)]
+
+
 def test_solve_right_examples():
-    b = Mat.from_rows([[3], [4]])
-    x = solve_right(Mat.identity(2), b)
-    assert x.entries == b.entries
+    v, d, kb = solve_right([[1, 0], [0, 1]], [3, 4], 2)
+    assert (v, d, kb) == ([3, 4], 1, Mat.zeros(2, 0))
 
-    a = Mat.from_rows([[1], [0]])
-    assert solve_right(a, Mat.from_rows([[0], [1]])) is None
+    assert solve_right([[1], [0]], [0, 1], 1) is None
 
-    x = solve_right(Mat.from_rows([[2]]), Mat.from_rows([[1]]))
-    assert x.entries == (Fraction(1, 2),)
+    v, d, _ = solve_right([[2]], [1], 1)
+    assert (v, d) == ([1], 2)
+
+    # free variables are zero, and the kernel comes with the solution
+    v, d, kb = solve_right([[1, 1]], [Fraction(1, 2)], 2)
+    assert (v, d) == ([1, 0], 2) and kb == Mat.from_rows([[-1], [1]])
 
 
 def test_solve_right_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_right(Mat.identity(2), Mat.identity(3))
+        solve_right([[1, 0], [0, 1]], [1, 2, 3], 2)
 
 
 def test_kernel_examples():
-    assert kernel_basis(Mat.identity(3)).cols == 0
-    assert kernel_basis(Mat.zeros(2, 3)).cols == 3
-    k = kernel_basis(Mat.from_rows([[1, 1]]))
+    assert kernel_basis(*as_rows(Mat.identity(3))).cols == 0
+    assert kernel_basis(*as_rows(Mat.zeros(2, 3))).cols == 3
+    k = kernel_basis([[1, 1]], 2)
     assert k.cols == 1
     # spans (1, -1)
     assert k.at(0, 0) == -k.at(1, 0) != 0
+
+
+def test_kernel_basis_of_no_rows_is_the_identity():
+    """No equations leave every unknown free: the n x n identity, and 0 x 0
+    when there are no unknowns either."""
+    for n in range(5):
+        assert kernel_basis([], n) == Mat.identity(n)
+    assert kernel_basis([], 0) == Mat(0, 0, ())
+    assert kernel_basis([[0, 0, 0]], 3) == Mat.identity(3)
+    rows = [[Fraction(1, 2), 1, 0], [0, 0, 0]]
+    assert kernel_basis(rows, 3) == Mat.from_rows([[-2, 0], [1, 0], [0, 1]])
+    assert rows == [[Fraction(1, 2), 1, 0], [0, 0, 0]]   # left as it was
 
 
 def _random_mat(rng, rows, cols, den=3):
@@ -56,7 +82,7 @@ def test_rank_nullity_random():
     rng = random.Random(7)
     for _ in range(60):
         m = _random_mat(rng, rng.randint(0, 5), rng.randint(0, 5))
-        k = kernel_basis(m)
+        k = kernel_basis(*as_rows(m))
         assert rank(m) + k.cols == m.cols
         if m.cols and k.cols:
             assert (m * k).is_zero()
@@ -67,31 +93,39 @@ def test_solve_iff_rank_condition():
     for _ in range(60):
         a = _random_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
         b = _random_mat(rng, a.rows, rng.randint(1, 2))
-        solvable = solve_right(a, b) is not None
-        assert solvable == (rank(hstack(a, b)) == rank(a))
-        if solvable:
-            x = solve_right(a, b)
-            assert (a * x).entries == b.entries
+        x = _solve_columns(a, b)
+        assert (x is not None) == (rank(hstack(a, b)) == rank(a))
+        if x is not None:
+            assert (a * Mat.from_rows(x)).entries == b.entries
 
 
-def test_solve_rows_matches_solve_right():
-    # one elimination of [A | b] decides solvability (solvable_rows) and
-    # gives solve_right's solution over a shared denominator plus A's kernel
+def test_solve_right_solves_and_agrees_with_the_kernel():
+    """One elimination of [A | b] gives v / d with A.(v / d) = b, decides
+    solvability as ``solvable_rows`` does, and gives A's kernel basis; the
+    reference is the product A.x.  Half the right sides are in the image by
+    construction."""
     rng = random.Random(17)
-    for _ in range(80):
+    solved = unsolvable = 0
+    for k in range(80):
         a = _random_mat(rng, rng.randint(0, 4), rng.randint(0, 4))
-        b = _random_mat(rng, a.rows, 1)
-        rows = [a.row(i) for i in range(a.rows)]
-        x = solve_right(a, b)
-        assert solvable_rows(rows, b.col(0), a.cols) == (x is not None)
-        got = solve_rows(rows, b.col(0), a.cols)
-        if x is None:
-            assert got is None
+        b = (a * _random_mat(rng, a.cols, 1) if k % 2 and a.cols
+             else _random_mat(rng, a.rows, 1))
+        rows = a.to_rows()
+        got = solve_right(rows, b.col(0), a.cols)
+        assert rows == a.to_rows()   # left as it was
+        assert solvable_rows(rows, b.col(0), a.cols) == (got is not None)
+        assert (got is not None) == (rank(hstack(a, b)) == rank(a))
+        if got is None:
+            unsolvable += 1
             continue
+        solved += 1
         v, d, kb = got
-        assert d > 0 and all(type(e) is int for e in v)
-        assert tuple(Fraction(e, d) for e in v) == x.col(0)
-        assert kb == kernel_basis(a)
+        assert d > 0 and all(type(e) is int for e in (*v, d))
+        x = Mat.column([Fraction(e, d) for e in v])
+        assert (a * x).entries == b.entries
+        assert kb == kernel_basis(rows, a.cols)
+        assert (a * kb).is_zero()
+    assert solved > 20 and unsolvable > 5
 
 
 def test_scalar_invariants_random():
@@ -113,7 +147,14 @@ def test_inverse():
     mi = inverse(m)
     assert (m * mi).entries == Mat.identity(2).entries
     assert inverse(Mat.from_rows([[1, 2], [2, 4]])) is None
-    assert inverse(Mat.zeros(0, 0)) is not None
+    assert inverse(Mat.zeros(1, 1)) is None
+    assert inverse(Mat.zeros(0, 0)) == Mat(0, 0, ())
+    # not square: no inverse, however the rows stand
+    assert inverse(Mat.from_rows([[1, 0, 0], [0, 1, 0]])) is None
+    assert inverse(Mat.from_rows([[1, 0], [0, 1], [0, 0]])) is None
+    a = Mat.from_rows([[1, 0], [0, 2]])
+    assert inverse(a) == Mat.from_rows([[1, 0], [0, Fraction(1, 2)]])
+    assert inverse(a) * a == Mat.identity(2)
 
 
 def test_inverse_is_two_sided_on_seeded_invertible_matrices():
@@ -137,20 +178,7 @@ def test_mat_from_cols_keeps_shape():
     assert (m.rows, m.cols) == (2, 2)
     empty = mat_from_cols([(), ()], 0)
     assert (empty.rows, empty.cols) == (0, 2)
-    assert kernel_basis(empty).cols == 2
-
-
-def test_kernel_basis_rows_keeps_shape():
-    """The kernel of stacked rows, with no Mat built for the system, is
-    kernel_basis of the stacked matrix, empty row lists included."""
-    assert kernel_basis_rows([], 2) == kernel_basis(Mat.zeros(0, 2))
-    assert kernel_basis_rows([], 2).cols == 2
-    assert kernel_basis_rows([[1, 2]] + [[2, 4]], 2) == kernel_basis(
-        Mat.from_rows([[1, 2], [2, 4]]))
-    assert kernel_basis_rows([], 0) == Mat.zeros(0, 0)
-    rows = [[Fraction(1, 2), 1, 0], [0, 0, 0]]
-    assert kernel_basis_rows(rows, 3) == kernel_basis(Mat.from_rows(rows))
-    assert rows == [[Fraction(1, 2), 1, 0], [0, 0, 0]]   # left as it was
+    assert kernel_basis(*as_rows(empty)).cols == 2
 
 
 def test_rank_rows_mixed_entries():
@@ -260,7 +288,7 @@ def test_core_matches_fraction_reference(shape):
         assert not any(x for row in red[len(pivots):] for x in row)
 
         assert rank(m) == rank_rows(m.to_rows()) == len(ref_pivots)
-        k = kernel_basis(m)
+        k = kernel_basis(*as_rows(m))
         if cols:
             # the reference columns are 1 at their free column, so their
             # primitive multiples are positive there
@@ -270,9 +298,4 @@ def test_core_matches_fraction_reference(shape):
         if rows and cols:
             for b in (_shaped_random_mat(rng, rows, 2),
                       m * _shaped_random_mat(rng, cols, 1)):
-                x = solve_right(m, b)
-                want = _ref_solve(m, b)
-                if want is None:
-                    assert x is None
-                else:
-                    assert x.to_rows() == want
+                assert _solve_columns(m, b) == _ref_solve(m, b)

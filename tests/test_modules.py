@@ -822,10 +822,12 @@ def test_fullness_on_presented_objects(cat4, example_T):
             hx, hy = H_obj(cat4, alg, x), H_obj(cat4, alg, y)
             ref = slot_hom_functor_matrix(cat4, alg.summands, x, y)
             for alpha in module_hom_basis(hx, hy):
-                sol = solve_right(ref, Mat.column(
-                    [v for c in alpha.comps for v in c.entries]))
+                sol = solve_right(ref.to_rows(), [
+                    v for c in alpha.comps for v in c.entries], ref.cols)
                 assert sol is not None
-                hf = H_mor(cat4, alg, cat4.mor_from_vec(x, y, sol.col(0)))
+                v, d, _ = sol
+                hf = H_mor(cat4, alg, cat4.mor_from_vec(
+                    x, y, [Fraction(e, d) for e in v]))
                 assert all(a.entries == b.entries
                            for a, b in zip(hf.comps, alpha.comps))
 

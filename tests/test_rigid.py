@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -109,7 +110,7 @@ def test_example_minimal_approximation(cat4, example_T):
 
 
 def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
-    from cluster_loc.linalg import Mat, solve_right
+    from cluster_loc.linalg import solve_right
     rng = random.Random(6)
     for _ in range(10):
         x = cat4.random_obj(rng, 2)
@@ -123,10 +124,10 @@ def test_minimal_approximation_unique_up_to_iso(cat4, example_T):
         cols = [cat4.vectorize(cat4.compose(f2, cat4.slot_mor(f1.src, f2.src, s)))
                 for s in slots]
         a = mat_from_cols(cols, cat4.dim_hom_obj(f1.src, x))
-        sol = solve_right(a, Mat.column(cat4.vectorize(f1)))
+        sol = solve_right(a.to_rows(), cat4.vectorize(f1), a.cols)
         assert sol is not None
-        sigma = cat4.mor_from_vec(f1.src, f2.src,
-                                  [sol.at(i, 0) for i in range(sol.rows)])
+        v, d, _ = sol
+        sigma = cat4.mor_from_vec(f1.src, f2.src, [Fraction(e, d) for e in v])
         assert is_isomorphism(cat4, sigma)
 
 

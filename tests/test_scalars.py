@@ -10,8 +10,9 @@ import pytest
 
 from cluster_loc.category import Mor, build_category
 from cluster_loc.linalg import Mat, inverse, kernel_basis, scalar, solve_right
+from cluster_loc.localization import Zigzag, forward, inv, zigzag_eval
 from cluster_loc.suites import cached_category
-from cluster_loc.triangles import complete_triangle
+from cluster_loc.triangles import complete_triangle, mesh_map_into
 
 
 def _exact(values) -> bool:
@@ -88,16 +89,39 @@ def test_operations_never_produce_a_float(n):
                 assert cat.suspend_mor(s, -k) == f
             for g in (cat.random_mor(rng, Y, Z),
                       _fractional(cat, rng, cat.random_mor(rng, Y, Z))):
-                assert _exact(_entries(cat.compose(g, f)))
-            pre, post = cat.pre_matrix(f, Z), cat.post_matrix(f, X)
-            assert _normal(kernel_basis(pre).entries)
-            assert _normal(kernel_basis(post).entries)
+                assert _normal(_entries(cat.compose(g, f)))
+            pre, post = cat.pre_rows(f, Z), cat.post_rows(f, X)
+            assert _normal(kernel_basis(*pre).entries)
+            assert _normal(kernel_basis(*post).entries)
             # a right side in the image, so that a solution exists
-            rhs = post * Mat.column([rng.randint(-3, 3)
-                                     for _ in range(post.cols)])
-            sol = solve_right(post, rhs)
-            assert sol is not None and _normal(sol.entries)
+            rows, ncols = post
+            x = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            sol = solve_right(rows, rhs, ncols)
+            assert sol is not None
+            v, d, kb = sol
+            assert all(type(e) is int for e in (*v, d)) and d > 0
+            assert kb == kernel_basis(*post)
     assert kinds == {int, Fraction}
+
+
+def test_integral_results_of_the_additive_layer_are_int(cat4, example_T):
+    """Products, sums and scalings whose value is integral give ``int``
+    entries, also when their operands hold fractions."""
+    s = mesh_map_into(cat4, cat4.arc_of_token("M34"))
+    two = cat4.scale_mor(2, s)
+    half = cat4.scale_mor(Fraction(1, 2), s)
+    assert {type(v) for v in _entries(half)} == {Fraction}
+    ident = zigzag_eval(cat4, example_T, Zigzag((forward(two), inv(two))))
+    a = Mat.from_rows([[1, 0], [0, 2]])
+    results = [v for c in ident.comps for v in c.entries]
+    results += (inverse(a) * a).entries
+    results += _entries(cat4.scale_mor(Fraction(1, 2), two))
+    results += _entries(cat4.add_mor(half, half))
+    results += _entries(cat4.compose(
+        cat4.scale_mor(2, cat4.identity(s.tgt)), half))
+    results += Mat.identity(2).scale(Fraction(1, 2)).scale(2).entries
+    assert results and all(type(v) is int for v in results)
 
 
 @pytest.mark.parametrize("size", range(1, 6))

@@ -388,6 +388,90 @@ def test_a_raise_in_any_suite_is_a_replayable_failure(tmp_path, monkeypatch,
     assert f"total failures: {len(failures)}" in capsys.readouterr().out
 
 
+# -- planted faults in the verdict branches that a clean run never takes ------
+
+
+def test_wakamatsu_suite_records_a_cone_outside_Tperp(monkeypatch,
+                                                      example_cfg):
+    """With an empty T-perp, every approximation cone that is not zero lies
+    outside it, and wakamatsu_check's verdict is a recorded failure."""
+    cfg = InstanceConfig(n=4, T=example_cfg.T, seed=7, suites=["wakamatsu"])
+    (clean,) = run_suites(cfg, cat=build_category(4))["suites"]
+    assert clean["failures"] == [] and clean["checks"] > 0
+    monkeypatch.setattr(rigid, "perp_view", lambda cat, t, kind: frozenset())
+    (planted,) = run_suites(cfg, cat=build_category(4))["suites"]
+    assert planted["checks"] == clean["checks"]
+    failures = planted["failures"]
+    assert 0 < len(failures) < planted["checks"]
+    for f in failures:
+        assert f["check"] == "cone-perp-and-left-approximation"
+        assert "error" not in f and set(f["detail"]) == {"x"}
+
+
+def test_factoring_suite_skips_a_y_without_a_resolution(monkeypatch,
+                                                        example_cfg):
+    """A resolution that raises for one y is one ``resolution`` failure,
+    and no map into that y is factored."""
+    cat = build_category(4)
+    y_label = "M34"
+    targets = []
+    real_factor = suites.factor_through_s
+
+    def factor(cat, t, u, s):
+        targets.append(cat.obj_label(u.tgt))
+        return real_factor(cat, t, u, s)
+
+    monkeypatch.setattr(suites, "factor_through_s", factor)
+    cfg = InstanceConfig(n=4, T=example_cfg.T, seed=7,
+                         suites=["factoring-surjection"])
+    (clean,) = run_suites(cfg, cat=cat)["suites"]
+    assert clean["failures"] == [] and y_label in targets
+    into_y = targets.count(y_label)
+    real_resolution = suites.s_resolution
+
+    def resolution(cat, t, y):
+        if cat.obj_label(y) == y_label:
+            raise RuntimeError("planted")
+        return real_resolution(cat, t, y)
+
+    monkeypatch.setattr(suites, "s_resolution", resolution)
+    targets.clear()
+    (planted,) = run_suites(cfg, cat=cat)["suites"]
+    (failure,) = planted["failures"]
+    assert (failure["check"], failure["detail"]) == ("resolution",
+                                                     {"y": y_label})
+    assert failure["error"] == "RuntimeError: planted"
+    assert y_label not in targets
+    assert planted["checks"] == clean["checks"] - into_y + 1
+    assert (planted["coverage"]["maps"]
+            == clean["coverage"]["maps"] - into_y)
+
+
+def test_image_table_writes_what_the_classes_leave_over(monkeypatch,
+                                                        example_cfg):
+    """With one class missing from the enumeration, exactly the rows that
+    contain it get a ?(...) entry: its dimension vector times its
+    multiplicity."""
+    clean = image_table(example_cfg)
+    assert not any(d.startswith("?") for r in clean
+                   for d in r["decomposition"])
+    cat = suites.cached_category(example_cfg.n)
+    classes = suites.enumerate_indec_modules(
+        algebra_of(cat, rigid_object(cat, example_cfg.T)))
+    dropped = next(m for m in classes if m.dims == (1, 0, 0))
+    monkeypatch.setattr(suites, "enumerate_indec_modules",
+                        lambda alg: [m for m in classes if m is not dropped])
+    planted = image_table(example_cfg)
+    hit = 0
+    for before, after in zip(clean, planted, strict=True):
+        mu = before["decomposition"].count("S1")
+        rest = [d for d in before["decomposition"] if d != "S1"]
+        want = rest + [f"?{(mu, 0, 0)}"] if mu else rest
+        assert after["decomposition"] == sorted(want)
+        hit += bool(mu)
+    assert hit > 0
+
+
 def test_image_table_example(example_cfg):
     rows = image_table(example_cfg)
     assert len(rows) == 14

@@ -18,6 +18,7 @@ from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
 from smoothing_reference import smooth_crossing
+from conftest import as_rows
 
 
 def ar_triangle(cat, x: int) -> Triangle:
@@ -130,7 +131,7 @@ def _reference_profiles(cat, rng: random.Random) -> list[list[int]]:
                  for _ in range(25)]
     profiles += [cone_profile(cat, mesh_map_into(cat, x))
                  for x in range(cat.N)]
-    kb = kernel_basis(hom_dim_matrix(cat))
+    kb = kernel_basis(*as_rows(hom_dim_matrix(cat)))
     for c in range(kb.cols):
         k = integer_row([kb.row(r)[c] for r in range(kb.rows)])
         plus = Obj(tuple(i for i, x in enumerate(k) for _ in range(max(x, 0))))

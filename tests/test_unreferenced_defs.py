@@ -16,8 +16,9 @@ ALLOWED = {
     "replay_failure": "re-runs a failure from the reproducer that README "
                       "says every report record carries",
     "factors_through_mor": "direct divisibility through a given map, by "
-                           "one linear solve: the kernel verdict that "
-                           "bench/ decides and the factoring tests use",
+                           "one forward elimination of [A | b]: the kernel "
+                           "verdict that bench/ decides and the factoring "
+                           "tests use",
     "certify_triangle": "the whole-triangle certificate that bench's "
                         "map-battery and tests/test_triangles.py apply",
 }
