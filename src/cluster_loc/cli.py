@@ -27,7 +27,7 @@ from contextlib import nullcontext
 from .category import BuildError, build_category
 from .localization import (Zigzag, classify, loc_hom, s_resolution,
                            zigzag_equal, zigzag_eval)
-from .rigid import (VIEW_KINDS, is_cluster_tilting, perp_view,
+from .rigid import (VIEW_KINDS, is_cluster_tilting, is_rigid, perp_view,
                     right_addT_approx, rigid_object)
 from .suites import (InstanceConfig, cached_category, export_dot, image_table,
                      run_suites)
@@ -173,13 +173,12 @@ def cmd_zigzag(args) -> int:
 def cmd_check_rigid(args) -> int:
     cfg = _load_cfg(args)
     cat = cached_category(cfg.n)
-    try:
-        t = rigid_object(cat, cfg.T)
-    except ValueError as e:
-        print(f"not rigid: {e}")
+    # a bad token, an empty or a repeating T is bad input, not a verdict
+    if not is_rigid(cat, cat.obj(cfg.T)):
+        print("not rigid: summand arcs cross")
         return 1
-    print(f"rigid: True (basic: {t.basic}); "
-          f"cluster-tilting: {is_cluster_tilting(cat, t)}")
+    t = rigid_object(cat, cfg.T)
+    print(f"rigid: True; cluster-tilting: {is_cluster_tilting(cat, t)}")
     return 0
 
 

@@ -38,20 +38,18 @@ from .category import Category, InternalConsistencyError, Mor, Obj
 from .linalg import rank_rows, solve_right
 from .modules import (Algebra, H_mor, H_obj, ModuleHom, end_algebra,
                       hom_dim_modules)
-from .rigid import (RigidObject, _rigid_memo, approx_triangle,
-                    factors_through_subcat, functor_slots, in_CT, perp_view,
-                    right_addT_approx)
+from .rigid import (RigidObject, approx_triangle, factors_through_subcat,
+                    functor_slots, in_CT, perp_view, right_addT_approx)
 from .triangles import (Triangle, complete_triangle, draw_stream,
                         generic_maps)
 from .values import Value
 
 
 def algebra_of(cat: Category, t: RigidObject) -> Algebra:
-    memo = _rigid_memo(cat, t)
-    alg = memo.get("algebra")
+    alg = t.memo.get("algebra")
     if alg is None:
         # threads racing on one T may each build it; all get the one stored
-        alg = memo.setdefault("algebra", end_algebra(cat, t))
+        alg = t.memo.setdefault("algebra", end_algebra(cat, t))
     return alg
 
 
@@ -76,8 +74,6 @@ def classify(cat: Category, t: RigidObject, f: Mor,
     Sigma T-perp, so the invertibility verdicts of the two sides agree too;
     a disagreement raises.
     """
-    if not t.basic:
-        raise ValueError("classify expects a basic rigid object")
     h_mono = h_epi = True
     for a in t.arcs:
         rows, ncols = cat.post_rows(f, Obj((a,)))
@@ -114,7 +110,7 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj) -> tuple[Obj, Mor]:
     integer member of the kernel: every entry is an ``int``.  Memoized per
     object.
     """
-    memo = _rigid_memo(cat, t).setdefault("s_res", {})
+    memo = t.memo.setdefault("s_res", {})
     if y.summands in memo:
         return memo[y.summands]
     if y.is_zero():

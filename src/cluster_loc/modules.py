@@ -115,8 +115,6 @@ def end_algebra(cat: Category, t: RigidObject) -> Algebra:
     identity component, which in a category with one-dimensional hom spaces
     rules out unbounded nonzero products.
     """
-    if not t.basic:
-        raise ValueError("end_algebra expects a basic rigid object")
     r = len(t.arcs)
     pairs = tuple((i, j) for i in range(r) for j in range(r)
                   if i != j and cat.hom1(t.arcs[i], t.arcs[j]))

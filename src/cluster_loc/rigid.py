@@ -1,6 +1,7 @@
 """Rigid objects, perpendicular subcategories and approximations.
 
-A rigid object is a set of pairwise non-crossing arcs.  The four standard
+A rigid object is a set of pairwise non-crossing arcs, each arc once, and
+it carries the memos of what is computed for it.  The four standard
 subcategory views are computed from hom dimensions.  The minimal right
 add T-approximation of x is written down directly as the lift of the
 projective cover of Hom(T, x): one basis map t_i -> x_j for each slot of
@@ -38,10 +39,21 @@ VIEW_KINDS = ("addT", "Tperp", "SigmaTperp", "perpT")
 
 
 class RigidObject(Value):
-    """A rigid object, summand order preserved (it fixes vertex numbering
-    of the endomorphism algebra)."""
+    """A basic rigid object of the category it was made on, summand order
+    preserved (it fixes vertex numbering of the endomorphism algebra).
+    ``memo`` holds what has been computed for it, so those results live and
+    die with the object; equality, hash and repr read the arcs only."""
 
-    __slots__ = ("arcs", "basic")   # tuple of arc indices, bool
+    __slots__ = ("arcs", "memo")   # tuple of arc indices, dict
+
+    def __init__(self, arcs: tuple[int, ...]):
+        super().__init__(arcs, {})
+
+    def __repr__(self) -> str:   # without the memo
+        return f"RigidObject(arcs={self.arcs!r})"
+
+    def _fields(self) -> tuple:
+        return (self.arcs,)
 
 
 def is_rigid(cat: Category, x: Obj | Iterable[int]) -> bool:
@@ -58,11 +70,11 @@ def rigid_object(cat: Category, summands: Iterable) -> RigidObject:
         raise ValueError("rigid object must have at least one summand")
     if not is_rigid(cat, arcs):
         raise ValueError("summand arcs cross: object is not rigid")
-    return RigidObject(arcs, basic=len(set(arcs)) == len(arcs))
-
-
-def _rigid_memo(cat: Category, t: RigidObject) -> dict:
-    return cat._memo.setdefault("rigid", {}).setdefault(t.arcs, {})
+    for k, a in enumerate(arcs):
+        if a in arcs[:k]:
+            raise ValueError(f"T repeats the summand {cat.labels[a]}: a "
+                             "rigid object is basic")
+    return RigidObject(arcs)
 
 
 def perp_view(cat: Category, t: RigidObject, kind: str) -> frozenset[int]:
@@ -73,8 +85,7 @@ def perp_view(cat: Category, t: RigidObject, kind: str) -> frozenset[int]:
     """
     if kind not in VIEW_KINDS:
         raise ValueError(f"unknown view kind {kind!r}")
-    memo = _rigid_memo(cat, t)
-    if "views" not in memo:
+    if "views" not in t.memo:
         addT = frozenset(t.arcs)
         tperp = frozenset(y for y in range(cat.N)
                           if all(not cat.hom1(ti, cat.shift_arc(y))
@@ -93,9 +104,9 @@ def perp_view(cat: Category, t: RigidObject, kind: str) -> frozenset[int]:
             raise InternalConsistencyError(
                 "double-perpendicular identity fails for T = "
                 f"{[cat.labels[a] for a in t.arcs]}")
-        memo["views"] = {"addT": addT, "Tperp": tperp,
-                         "SigmaTperp": sperp, "perpT": perpt}
-    return memo["views"][kind]
+        t.memo["views"] = {"addT": addT, "Tperp": tperp,
+                           "SigmaTperp": sperp, "perpT": perpt}
+    return t.memo["views"][kind]
 
 
 # -- approximations --------------------------------------------------------
@@ -115,7 +126,7 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
     every basis map is kept.  Surjectivity of Hom(t_i, -) onto Hom(t_i, x)
     is re-verified; the minimal form is unique up to isomorphism.
     """
-    arcs = sorted(set(t.arcs))
+    arcs = sorted(t.arcs)
     src: list[int] = []
     picks: list[int] = []    # target summand position of each source copy
     for ti in arcs:
@@ -139,7 +150,7 @@ def right_addT_approx(cat: Category, t: RigidObject, x: Obj,
 
 def approx_triangle(cat: Category, t: RigidObject, x: Obj) -> Triangle:
     """Certified completion of the minimal right add T-approximation of x."""
-    memo = _rigid_memo(cat, t).setdefault("approx_tri", {})
+    memo = t.memo.setdefault("approx_tri", {})
     if x.summands not in memo:
         memo[x.summands] = complete_triangle(cat, right_addT_approx(cat, t, x))
     return memo[x.summands]
@@ -167,7 +178,7 @@ def in_CT(cat: Category, t: RigidObject, x: Obj) -> bool:
     closed under sums and summands: x lies in C(T) exactly when each of its
     indecomposable summands does.  The verdict is memoised per arc.
     """
-    memo = _rigid_memo(cat, t).setdefault("in_ct", {})
+    memo = t.memo.setdefault("in_ct", {})
     for a in set(x.summands) - memo.keys():
         u = cat.suspend_obj(approx_triangle(cat, t, Obj((a,))).z, -1)
         memo[a] = all(s in t.arcs for s in u.summands)
@@ -178,9 +189,8 @@ def is_cluster_tilting(cat: Category, t: RigidObject) -> bool:
     """T-perp inside add T, cross-checked against the full-triangulation
     characterization (n pairwise non-crossing arcs)."""
     tperp = perp_view(cat, t, "Tperp")
-    addt = set(t.arcs)
-    homological = tperp <= addt
-    combinatorial = len(set(t.arcs)) == cat.n
+    homological = tperp <= set(t.arcs)
+    combinatorial = len(t.arcs) == cat.n
     if homological != combinatorial:
         raise InternalConsistencyError(
             "cluster-tilting tests disagree for T = "
@@ -234,7 +244,7 @@ def _sigma_perp_ranks(cat: Category, t: RigidObject, a: int) -> list[int]:
     """rank Hom(l_a, w) for every indecomposable w, l_a: a -> Z_a the left
     Sigma T-perp-approximation of the arc a; memoised per T and arc.  l_a
     has one source summand, so the table needs no elimination."""
-    memo = _rigid_memo(cat, t).setdefault("sigma_perp_ranks", {})
+    memo = t.memo.setdefault("sigma_perp_ranks", {})
     got = memo.get(a)
     if got is None:
         got = memo[a] = pre_rank_table(

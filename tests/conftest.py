@@ -20,7 +20,7 @@ def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
             acc.append(a)
             if rng.random() < 0.35:
                 break
-    return RigidObject(tuple(sorted(acc)), True)
+    return RigidObject(tuple(sorted(acc)))
 
 
 def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
@@ -31,7 +31,7 @@ def enumerate_basic_rigid(cat: Category) -> list[RigidObject]:
         for a in range(start, cat.N):
             if all(not cat.crosses_idx(a, b) for b in acc):
                 acc.append(a)
-                out.append(RigidObject(tuple(acc), True))
+                out.append(RigidObject(tuple(acc)))
                 rec(a + 1, acc)
                 acc.pop()
 

@@ -298,12 +298,10 @@ def test_factor_through_s_preconditions(cat4, example_T):
 
 
 def test_classify_rejects_a_non_basic_T(cat4, example_T):
-    t = rigid_object(cat4, [*example_T.arcs, example_T.arcs[0]])
-    ident = cat4.identity(cat4.obj(["M34"]))
-    with pytest.raises(ValueError, match="basic rigid object"):
-        classify(cat4, t, ident)
-    with pytest.raises(ValueError, match="basic rigid object"):
-        s_resolution(cat4, t, cat4.obj(["M13"]))
+    """classify and s_resolution take T from rigid_object, which refuses a
+    repeated summand, so neither ever sees a non-basic T."""
+    with pytest.raises(ValueError, match="T repeats the summand M44"):
+        rigid_object(cat4, [*example_T.arcs, example_T.arcs[0]])
 
 
 def test_loc_hom_summand_endomorphisms(cat4, example_T):
@@ -478,14 +476,14 @@ def test_elementary_identities(cat4, cat2):
 
 
 def test_built_category_shared_across_threads():
-    """Threads classifying maps on one shared, freshly built category (cold
-    memos, so they fill the memos concurrently) get the serial verdicts and
-    keep the serial image modules.  classify reads no image module, so each
-    thread also asks for the image of every summand of each map's ends,
-    which fills ``Algebra.images`` concurrently."""
+    """Threads classifying maps on one shared, freshly built category and
+    one shared rigid object (cold memos, so they fill the per-rank and the
+    per-T memos concurrently) get the serial verdicts and keep the serial
+    image modules.  classify reads no image module, so each thread also asks
+    for the image of every summand of each map's ends, which fills
+    ``Algebra.images`` concurrently."""
 
-    def verdicts(cat, order):
-        t = rigid_object(cat, ["M55", "M25", "M22"])
+    def verdicts(cat, t, order):
         alg = algebra_of(cat, t)
         out = {}
         for k in order:
@@ -498,16 +496,20 @@ def test_built_category_shared_across_threads():
                       c.witness_triangle.z)
         return out
 
+    T = ["M55", "M25", "M22"]
     maps = list(range(24))
     serial_cat = build_category(5)
-    serial = verdicts(serial_cat, maps)
+    serial_t = rigid_object(serial_cat, T)
+    serial = verdicts(serial_cat, serial_t, maps)
     shared = build_category(5)
+    shared_t = rigid_object(shared, T)
     results = [None] * 4
     errors = []
 
     def work(i):
         try:
-            results[i] = verdicts(shared, maps[6 * i:] + maps[:6 * i])
+            results[i] = verdicts(shared, shared_t,
+                                  maps[6 * i:] + maps[:6 * i])
         except Exception as exc:   # reported by the assertion below
             errors.append(exc)
 
@@ -525,9 +527,8 @@ def test_built_category_shared_across_threads():
     assert errors == []
     assert all(r == serial for r in results)
     # the image modules the threads kept are the serial ones
-    mine, theirs = (
-        algebra_of(c, rigid_object(c, ["M55", "M25", "M22"])).images
-        for c in (shared, serial_cat))
+    mine, theirs = (algebra_of(c, t).images
+                    for c, t in ((shared, shared_t), (serial_cat, serial_t)))
     assert mine and mine.keys() == theirs.keys()
     assert all(mine[a].act == theirs[a].act for a in mine)
 

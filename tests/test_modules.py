@@ -7,6 +7,7 @@ import pytest
 import candidate_reference
 from candidate_reference import (candidate_enumeration, candidates,
                                  component, compositions)
+from cluster_loc import suites
 from cluster_loc.linalg import Mat, inverse, rank, solve_right
 from cluster_loc.localization import algebra_of
 from cluster_loc.modules import (H_mor, H_obj, Algebra, LambdaModule,
@@ -39,9 +40,10 @@ def test_end_algebra_single_arc(cat4):
 
 
 def test_end_algebra_requires_basic(cat4):
-    t = rigid_object(cat4, ["M44", "M44"])
-    with pytest.raises(ValueError):
-        end_algebra(cat4, t)
+    """end_algebra takes T from rigid_object, which refuses a repeated
+    summand, so every algebra has one vertex per distinct summand."""
+    with pytest.raises(ValueError, match="T repeats the summand M44"):
+        rigid_object(cat4, ["M44", "M44"])
 
 
 def test_composites_follow_their_factors():
@@ -177,7 +179,7 @@ def _H_obj_reference(cat, alg, x):
     return LambdaModule(alg, dims, act)
 
 
-def test_H_obj_matches_the_entrywise_reference():
+def test_H_obj_matches_the_entrywise_reference(monkeypatch):
     """Every basic rigid object of rank <= 3 and sampled ones at ranks 4-6,
     on every indecomposable, random objects, repeated summands and the zero
     object: the same dimensions, shapes and entries.  An indecomposable's
@@ -206,15 +208,21 @@ def test_H_obj_matches_the_entrywise_reference():
             assert sorted(alg.images) == list(range(cat.N))
     assert cases > 1500
     # after every suite on a seeded AC2 object, at most one module per
-    # indecomposable
+    # indecomposable on the rigid object the run made
     cat = build_category(5)
     t = sample_rigid(cat, random.Random("ac2:5"))
     cfg = InstanceConfig(n=5, T=[cat.labels[a] for a in t.arcs], seed=7)
+    made = []
+
+    def making(cat, summands):
+        made.append(rigid_object(cat, summands))
+        return made[-1]
+
+    monkeypatch.setattr(suites, "rigid_object", making)
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
-    algs = [m["algebra"] for m in cat._memo["rigid"].values()
-            if "algebra" in m]
-    assert algs and all(len(alg.images) <= cat.N for alg in algs)
-    assert all(a in range(cat.N) for alg in algs for a in alg.images)
+    (alg,) = [u.memo["algebra"] for u in made]
+    assert alg.images and len(alg.images) <= cat.N
+    assert all(a in range(cat.N) for a in alg.images)
 
 
 def test_enumerate_indecs_raises_past_the_candidate_limit(cat4, example_T,

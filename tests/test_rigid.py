@@ -6,7 +6,7 @@ import pytest
 from cluster_loc.category import InternalConsistencyError, Obj, build_category
 from cluster_loc.localization import classify
 from cluster_loc.modules import H_obj, end_algebra
-from cluster_loc.rigid import (_rigid_memo, dim_factoring_through_add,
+from cluster_loc.rigid import (dim_factoring_through_add,
                                dim_hom_functor_kernel,
                                factors_through_mor, factors_through_subcat,
                                hom_functor_zero, in_CT, is_cluster_tilting,
@@ -34,8 +34,16 @@ def test_rigid_object_validation(cat4):
         rigid_object(cat4, ["0-2", "1-3"])
     with pytest.raises(ValueError):
         rigid_object(cat4, [])
-    t = rigid_object(cat4, ["M44", "M44"])
-    assert not t.basic
+    # a rigid object is basic: a repeated summand is refused where the
+    # object is made, at rank 4 and on a seeded rank-5 sample
+    with pytest.raises(ValueError, match="T repeats the summand M44"):
+        rigid_object(cat4, ["M44", "M44"])
+    cat5 = cached_category(5)
+    arcs = sample_rigid(cat5, random.Random("assembly:non-basic-5")).arcs
+    assert rigid_object(cat5, arcs).arcs == arcs
+    with pytest.raises(ValueError, match="T repeats the summand "
+                       f"{cat5.labels[arcs[0]]}"):
+        rigid_object(cat5, arcs + arcs[:1])
 
 
 def test_rigid_object_rejects_summands_that_are_not_arcs(cat4, example_T):
@@ -298,7 +306,7 @@ def test_planted_rank_fault_is_caught():
     for (a, y) in sorted(cat.hom_deg):
         f = cat.basis_mor(a, y)
         factors_through_subcat(cat, t, f)
-        ranks = _rigid_memo(cat, t)["sigma_perp_ranks"][a]
+        ranks = t.memo["sigma_perp_ranks"][a]
         ranks[y] = 1 - ranks[y]
         with pytest.raises(InternalConsistencyError,
                            match="disagrees with direct factoring"):
@@ -363,24 +371,23 @@ def test_sample_rigid_seeded(cat4):
 
 # -- approximations assembled from one triangle per indecomposable ---------
 
-# (rank, summand tokens of T or None for a seeded sample, repeat a summand)
+# (rank, summand tokens of T or None for a seeded sample)
 ASSEMBLY_CASES = {
-    "example": (4, ["M44", "M14", "M11"], False),
-    "fan": (4, ["0-2", "0-3", "0-4", "0-5"], False),
-    "sampled-3": (3, None, False),
-    "non-basic-5": (5, None, True),
-    "sampled-6": (6, None, False),
-    "sampled-8": (8, None, False),
+    "example": (4, ["M44", "M14", "M11"]),
+    "fan": (4, ["0-2", "0-3", "0-4", "0-5"]),
+    "sampled-3": (3, None),
+    "sampled-6": (6, None),
+    "sampled-8": (8, None),
 }
 
 
 def _assembly_case(name):
-    n, tokens, repeat = ASSEMBLY_CASES[name]
+    n, tokens = ASSEMBLY_CASES[name]
     cat = cached_category(n)
     if tokens is not None:
         return cat, rigid_object(cat, tokens)
     arcs = sample_rigid(cat, random.Random(f"assembly:{name}")).arcs
-    return cat, rigid_object(cat, arcs + arcs[:1] if repeat else arcs)
+    return cat, rigid_object(cat, arcs)
 
 
 def _seeded_objects(cat, rng, count):
@@ -447,7 +454,7 @@ def test_factoring_memo_holds_one_triangle_per_indecomposable():
         classify(cat, t, cat.random_mor(rng, x, y))
         in_CT(cat, t, x)
         in_CT(cat, t, y)
-    memo = _rigid_memo(cat, t)
+    memo = t.memo
     assert memo["approx_tri"]
     assert all(len(key) <= 1 for key in memo["approx_tri"])
     assert set(memo["in_ct"]) <= set(range(cat.N))

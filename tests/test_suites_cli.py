@@ -16,6 +16,7 @@ from cluster_loc.modules import H_obj
 from cluster_loc.rigid import rigid_object
 from cluster_loc.suites import (InstanceConfig, export_dot, image_table,
                                 replay_failure, run_suites, strip_timing)
+from cluster_loc.values import setfield
 from conftest import sample_rigid
 
 
@@ -147,9 +148,10 @@ def test_rank4_report_is_pinned():
 
 
 def test_battery_memo_keeps_no_entry_per_object_pair():
-    """After a seeded AC2 instance the category's memo holds the kept kinds
-    only: triangles per map, the candidate cones per cone profile, the hom
-    vectors per object, the per-T memos and the map pool.  Hom slot lists
+    """After a seeded AC2 instance the category's memo holds the per-rank
+    kinds only: triangles per map, the candidate cones per cone profile,
+    the hom vectors per object and the map pool.  The per-T memos live on
+    the rigid object, so none is left on the category, and hom slot lists
     are built on demand, so nothing is stored per (X, Y) pair."""
     cat = build_category(6)
     t = sample_rigid(cat, random.Random("ac2:6"))
@@ -158,7 +160,7 @@ def test_battery_memo_keeps_no_entry_per_object_pair():
                                  "identify", "factoring-surjection"])
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
     assert set(cat._memo) == {"triangles", "candidates", "vec_into",
-                              "vec_from", "rigid", ("map_pool", 7, 100)}
+                              "vec_from", ("map_pool", 7, 100)}
     for kind in ("vec_into", "vec_from"):
         assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
     # keyed by profile, one int per indecomposable, not by object pair
@@ -166,6 +168,69 @@ def test_battery_memo_keeps_no_entry_per_object_pair():
     assert all(type(key) is tuple and len(key) == cat.N
                and all(type(a) is int for a in key)
                for key in cat._memo["candidates"])
+
+
+AC2_SUITES = ["kernel", "stilde", "doubleperp", "wakamatsu", "identify",
+              "factoring-surjection"]
+
+
+def _other_rigid(cat, rng, count, skip):
+    """``count`` seeded basic rigid objects with distinct sets of arcs,
+    none of them the set of an object in ``skip``."""
+    seen = {frozenset(t.arcs) for t in skip}
+    out = []
+    while len(out) < count:
+        t = sample_rigid(cat, rng)
+        if frozenset(t.arcs) not in seen:
+            seen.add(frozenset(t.arcs))
+            out.append(t)
+    return out
+
+
+def _history_mismatches() -> list[str]:
+    """The sampled instances whose stripped report on a fresh category is
+    not byte-identical to the one run on a shared category after a battery
+    of 20 other instances: the rank-4 example with all suites, and three
+    seeded basic rigid objects at n = 5 with AC2's six suites."""
+    rng = random.Random("history")
+    cat5 = build_category(5)
+    sample = {4: [InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7)],
+              5: [InstanceConfig(n=5, T=[cat5.labels[a] for a in t.arcs],
+                                 seed=7, suites=AC2_SUITES)
+                  for t in _other_rigid(cat5, rng, 3, ())]}
+    mismatched = []
+    for n, cfgs in sample.items():
+        shared = build_category(n)
+        mine = [rigid_object(shared, cfg.T) for cfg in cfgs]
+        for t in _other_rigid(shared, rng, 20, mine):
+            run_suites(InstanceConfig(n=n, T=[shared.labels[a]
+                                              for a in t.arcs],
+                                      seed=7, suites=AC2_SUITES),
+                       sample_maps=0, cat=shared)
+        for cfg in cfgs:
+            cold, warm = (json.dumps(strip_timing(run_suites(
+                cfg, sample_maps=0, cat=cat)), sort_keys=True)
+                for cat in (build_category(n), shared))
+            if cold != warm:
+                mismatched.append("+".join(cfg.T))
+    return mismatched
+
+
+def test_reports_do_not_depend_on_the_instances_run_before():
+    """A report is the same on a fresh category and after a battery of other
+    instances on one category; a planted memo keyed too coarsely, one memo
+    dict shared by every rigid object of a category, is caught."""
+    assert _history_mismatches() == []
+    memos = {}
+
+    def sharing(cat, summands):
+        t = rigid_object(cat, summands)
+        setfield(t, "memo", memos.setdefault(cat, {}))
+        return t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "rigid_object", sharing)
+        assert _history_mismatches()
 
 
 def test_battery_observer_indexes_stay_within_the_hom_pairs():
@@ -264,9 +329,11 @@ def test_kz_suite_on_fan():
 
 def test_module_suites_build_each_image_once(monkeypatch):
     """equivalence, chain, kz and the image table take the image module of
-    an indecomposable from H_obj, which builds it once for the algebra and
-    hands out that module after: on a fresh rank-4 fan, where kz runs and
-    every pair is presented, no indecomposable is built twice in all four."""
+    an indecomposable from H_obj, which builds it once for the algebra of
+    the instance's rigid object and hands out that module after: on a fresh
+    rank-4 fan, where kz runs and every pair is presented, no indecomposable
+    is built twice within one instance, neither by the three suites in one
+    run nor by the image table nor by a rigid object of one's own."""
     real = modules._hom_module
     builds = Counter()
 
@@ -278,19 +345,21 @@ def test_module_suites_build_each_image_once(monkeypatch):
     monkeypatch.setattr(modules, "_hom_module", counting)
     cat = build_category(4)
     T = ["0-2", "0-3", "0-4", "0-5"]
-    for suite in ("equivalence", "chain", "kz"):
-        cfg = InstanceConfig(n=4, T=T, seed=7, suites=[suite])
-        rep = run_suites(cfg, cat=cat)
-        (record,) = rep["suites"]
-        assert rep["failures_total"] == 0
-        assert record["coverage"] == {"pairs": cat.N ** 2,
-                                      "mode": "exhaustive"}
+    cfg = InstanceConfig(n=4, T=T, seed=7,
+                         suites=["equivalence", "chain", "kz"])
+    rep = run_suites(cfg, cat=cat)
+    assert rep["failures_total"] == 0
+    assert [r["coverage"] for r in rep["suites"]] == \
+        [{"pairs": cat.N ** 2, "mode": "exhaustive"}] * 3
+    assert len(builds) == cat.N and max(builds.values()) == 1
+    builds.clear()
     assert len(image_table(InstanceConfig(n=4, T=T), cat)) == cat.N
     assert len(builds) == cat.N and max(builds.values()) == 1
+    builds.clear()
     alg = algebra_of(cat, rigid_object(cat, T))
     for i in range(cat.N):
         assert H_obj(cat, alg, cat.obj([i])) is H_obj(cat, alg, cat.obj([i]))
-    assert max(builds.values()) == 1
+    assert len(builds) == cat.N and max(builds.values()) == 1
 
 
 def test_replay_failure_mechanism(monkeypatch, example_cfg):
@@ -604,6 +673,14 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
      "not a scalar: '1/0'"),
     (["zigzag", "--config", "{cfg}", "--path", "M44,SM24 -> M34",
       "--path2", ";"], "empty zigzag"),
+    (["check-rigid", "--config", "{cfg}.M99"],
+     "cannot resolve object token 'M99'"),
+    (["check-rigid", "--config", "{cfg}.noT"],
+     "rigid object must have at least one summand"),
+    (["check-rigid", "--config", "{cfg}.repeated"],
+     "T repeats the summand M11"),
+    (["classify", "--config", "{cfg}.repeated", "--map", "M44 -> M34"],
+     "T repeats the summand M11"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):
@@ -614,7 +691,9 @@ def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
         fh.write("[]")
     for ext, names in (("nosuites", []), ("twice", ["kernel", "kernel"])):
         _write_cfg(tmp_path, f"cfg.json.{ext}", suites=names)
-    _write_cfg(tmp_path, "cfg.json.repeated", T=["M11", "M11"])
+    for ext, T in (("repeated", ["M11", "M11"]), ("M99", ["M99"]),
+                   ("noT", [])):
+        _write_cfg(tmp_path, f"cfg.json.{ext}", T=T)
     assert main([a.format(cfg=cfg, dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -639,10 +718,10 @@ def test_cli_check_rigid_perp_approx(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["check-rigid", "--config", cfg]) == 0
     out = capsys.readouterr().out
-    assert "cluster-tilting: False" in out
+    assert out == "rigid: True; cluster-tilting: False\n"
     bad = _write_cfg(tmp_path, name="bad.json", T=["0-2", "1-3"], n=1)
     assert main(["check-rigid", "--config", bad]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().out == "not rigid: summand arcs cross\n"
     assert main(["perp", "--config", cfg, "--kind", "SigmaTperp"]) == 0
     out = capsys.readouterr().out
     assert "M23" in out

@@ -30,7 +30,7 @@ SAMPLES = {
             (1, 2, (Fraction(1), Fraction(2)))),
     "Interval": (lambda: Interval(2, 3), (2, 3)),
     "Stalk": (lambda: Stalk(Interval(2, 3), 1), (Interval(2, 3), 1)),
-    "RigidObject": (lambda: RigidObject((0, 2), True), ((0, 2), True)),
+    "RigidObject": (lambda: RigidObject((0, 2)), ((0, 2),)),
     "CertReport": (lambda: CertReport(True, (), (("M11", 1),)),
                    (True, (), (("M11", 1),))),
     "Triangle": (lambda: Triangle(Obj((0,)), Obj((1, 2)), Obj(()), _mor(),
@@ -50,7 +50,7 @@ FIELDS = {
     "Arc": ("a", "b"), "Obj": ("summands",), "Mor": ("src", "tgt", "m"),
     "Mat": ("rows", "cols", "entries"),
     "Interval": ("i", "j"), "Stalk": ("mod", "shift"),
-    "RigidObject": ("arcs", "basic"),
+    "RigidObject": ("arcs",),
     "CertReport": ("homdim_match", "left_exactness_failures",
                    "right_exactness_failures"),
     "Triangle": ("x", "y", "z", "f", "g", "h", "cert"),
@@ -142,15 +142,36 @@ def test_arcs_sort_by_endpoints():
 
 
 def test_fields_bind_by_position_or_by_name():
-    assert RigidObject(arcs=(0, 2), basic=True) == RigidObject((0, 2), True)
+    assert CertReport(homdim_match=True, left_exactness_failures=(),
+                      right_exactness_failures=()) == CertReport(True, (), ())
     assert CertReport(True, (), right_exactness_failures=()) == \
         CertReport(True, (), ())
-    for args, kwargs in [(((0, 2),), {}), (((0, 2), True, 1), {}),
-                         (((0, 2),), {"basic": True, "extra": 1}),
-                         (((0, 2), True), {"arcs": (0, 2)}),
-                         (((0, 2),), {"arcs": (0, 2)})]:
-        with pytest.raises(TypeError, match="takes the fields arcs, basic"):
-            RigidObject(*args, **kwargs)
+    for args, kwargs in [((True, ()), {}), ((True, (), (), 1), {}),
+                         ((True, ()), {"right_exactness_failures": (),
+                                       "extra": 1}),
+                         ((True, (), ()), {"homdim_match": True}),
+                         ((True, ()), {"homdim_match": True})]:
+        with pytest.raises(TypeError, match="takes the fields homdim_match, "
+                           "left_exactness_failures, right_exactness_failures"):
+            CertReport(*args, **kwargs)
+
+
+def test_rigid_object_memo_is_its_one_mutable_part():
+    """A rigid object's memo slot is written once, in ``__init__``, like
+    its arcs; the dict in it fills as results are computed.  Equality,
+    hash and repr read the arcs only, and each object has its own memo."""
+    t, u = RigidObject((0, 2)), RigidObject(arcs=(0, 2))
+    assert t.memo == {} and t.memo is not u.memo
+    memo = t.memo
+    with pytest.raises(AttributeError):
+        t.memo = {}
+    with pytest.raises(AttributeError):
+        del t.memo
+    assert t.memo is memo
+    t.memo["views"] = {}
+    assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+    with pytest.raises(TypeError):
+        RigidObject((0, 2), {})
 
 
 def test_constructors_still_check_their_arguments():
@@ -174,8 +195,15 @@ def test_algebra_equality_is_identity():
 
 
 def test_algebra_of_hands_out_one_object_per_rigid_object():
+    """The algebra is kept on the rigid object: the same object gets the
+    same algebra, an equal object made again gets its own."""
     cat = build_category(4)
     t = rigid_object(cat, ["M44", "M14", "M11"])
     alg = algebra_of(cat, t)
-    assert algebra_of(cat, rigid_object(cat, ["M44", "M14", "M11"])) is alg
+    assert algebra_of(cat, t) is alg
     assert {alg: 1}[algebra_of(cat, t)] == 1
+    again = rigid_object(cat, ["M44", "M14", "M11"])
+    assert again == t
+    other = algebra_of(cat, again)
+    assert other is not alg and other != alg
+    assert (other.summands, other.mult) == (alg.summands, alg.mult)
