@@ -146,6 +146,34 @@ class ObserverIndex(dict):
         return got
 
 
+class SuspensionIndex(dict):
+    """Per hom pair (x, y) of arcs: (k, signs), where Σ^k(x, y) is the
+    pair's Σ-orbit representative, the least pair of the orbit (least first
+    arc, then least second arc; k the least such shift in 0..m-1, with
+    m = n + 3), and signs[i] is the product of ``sig`` along the orbit's
+    first i steps, so that Σ^i b(x, y) = signs[i]·b(Σ^i x, Σ^i y) for
+    i = 0..2m-1.  Σ^m fixes every arc and scales b(x, y) by signs[m] = +-1,
+    so Σ^2m fixes every basis map, and Σ^i b(x, y) = signs[i mod 2m]·
+    b(Σ^i x, Σ^i y) for every integer i.  Filled like
+    ``ObserverIndex``: an entry on its pair's first read, write-once and
+    idempotent.  Few distinct entries occur (most orbits read sig = 1
+    throughout), so equal entries are stored once and shared."""
+
+    def __init__(self, sig: dict[tuple[int, int], int], n: int):
+        super().__init__()
+        self.sig, self.n, self.shared = sig, n, {}
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple:
+        x, y = pair
+        orbit = [(turn[x], turn[y]) for turn in _sigma_powers(self.n)]
+        sig, signs = self.sig, [1]
+        for step in orbit + orbit[:-1]:
+            signs.append(signs[-1] * sig[step])
+        entry = (orbit.index(min(orbit)), tuple(signs))
+        got = self[pair] = self.shared.setdefault(entry, entry)
+        return got
+
+
 class Category:
     """Built hom/composition/suspension tables plus the additive layer, on
     the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and
@@ -154,6 +182,7 @@ class Category:
 
     Only ``build_category`` makes one, from its four tables, which
     ``_check_tables`` then checks; the constructor stores them as given.
+    Σ on maps reads the per-pair ``suspension_index``, filled on demand.
     Composition and suspension constants are ``int``s in {-1, 1}, and only
     the nonzero constants are stored: ``(x, y, z) in comp`` iff
     basis(y, z) . basis(x, y) != 0.
@@ -181,6 +210,7 @@ class Category:
         self._homs = tuple(map(tuple, homs))    # row x: Hom(x, y) != 0
         self.observers_into = ObserverIndex(comp, self.hom_in, True)
         self.observers_from = ObserverIndex(comp, self.hom_out, False)
+        self.suspension_index = SuspensionIndex(sig, n)
         self._memo: dict = {}
 
     @property
@@ -202,10 +232,7 @@ class Category:
         return self._cross[x][y]
 
     def shift_arc(self, x: int, k: int = 1) -> int:
-        sig = self.sigma_arc if k > 0 else self.sigma_arc_inv
-        for _ in range(abs(k)):
-            x = sig[x]
-        return x
+        return _sigma_powers(self.n)[k % (self.n + 3)][x]
 
     def arc_of_token(self, token: str) -> int:
         """Resolve 'a-b', a canonical label, or S-prefixed labels."""
@@ -248,7 +275,8 @@ class Category:
         return " + ".join(self.labels[s] for s in X.summands)
 
     def suspend_obj(self, X: Obj, k: int = 1) -> Obj:
-        return Obj(tuple(sorted([self.shift_arc(s, k) for s in X.summands])))
+        turn = _sigma_powers(self.n)[k % (self.n + 3)]
+        return Obj(tuple(sorted([turn[s] for s in X.summands])))
 
     # -- additive layer: morphisms ---------------------------------------
 
@@ -364,31 +392,28 @@ class Category:
         return Mor(src, tgt, tuple(tuple(r) for r in rows))
 
     def suspend_mor(self, f: Mor, k: int = 1) -> Mor:
-        for _ in range(abs(k)):
-            f = self._shift_once(f, 1 if k > 0 else -1)
-        return f
-
-    def _shift_once(self, f: Mor, direction: int) -> Mor:
-        # rotation keeps sorted order only up to wrap-around, so the shifted
-        # summands are re-sorted; sig(a, b) scales Hom(a, b) -> Hom(Sa, Sb),
-        # and as it is +-1 the inverse scales by it too, read at the
-        # shifted pair
-        sig = self.sigma_arc if direction > 0 else self.sigma_arc_inv
-        xs = [sig[s] for s in f.src.summands]
-        ys = [sig[s] for s in f.tgt.summands]
-        src_map, tgt_map = _perm_to_sorted(xs), _perm_to_sorted(ys)
-        at_x, at_y = ((f.src.summands, f.tgt.summands) if direction > 0
-                      else (xs, ys))
-        sg = self.sig
-        rows = [[0] * len(xs) for _ in ys]
-        for yi, frow, ti in zip(at_y, f.m, tgt_map):
-            row = rows[ti]
-            for xj, v, sj in zip(at_x, frow, src_map):
-                if v:
-                    row[sj] = v * sg[(xj, yi)]
-        xs.sort()
-        ys.sort()
-        return Mor(Obj(tuple(xs)), Obj(tuple(ys)), tuple(map(tuple, rows)))
+        """Σ^k f, for any integer k, in one pass over f's entries: the arcs
+        move by the rank's σ^k table and each nonzero entry is scaled by
+        the product of ``sig`` along its pair's orbit, read from
+        ``suspension_index``.  Rotation keeps sorted order only up to
+        wrap-around, so the shifted summands are re-sorted."""
+        if not k:
+            return f
+        turn = _sigma_powers(self.n)[k % (self.n + 3)]
+        X, Y = f.src.summands, f.tgt.summands
+        xs, ys = [turn[s] for s in X], [turn[s] for s in Y]
+        index, e, rows = self.suspension_index, k % (2 * self.n + 6), []
+        for b, frow in zip(Y, f.m):
+            rows.append([v * index[a, b][1][e] if v else 0
+                         for a, v in zip(X, frow)])
+        src, tgt = sorted(xs), sorted(ys)
+        if src != xs:
+            order = sorted(range(len(xs)), key=xs.__getitem__)
+            rows = [[row[j] for j in order] for row in rows]
+        if tgt != ys:
+            rows = [rows[i] for i in sorted(range(len(ys)),
+                                            key=ys.__getitem__)]
+        return Mor(Obj(tuple(src)), Obj(tuple(tgt)), tuple(map(tuple, rows)))
 
     # -- linear maps induced on hom spaces -------------------------------
 
@@ -590,6 +615,18 @@ def _quiver(n: int):
             tuple(map(tuple, cross)), labels,
             MappingProxyType({lab: i for i, lab in enumerate(labels)}),
             tuple(orbits))
+
+
+@lru_cache(maxsize=None)
+def _sigma_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """σ^k of every arc of rank n for k = 0..n+2, the rotations of the
+    (n+3)-gon; the rotation by n + 3 vertices fixes every arc.  Computed on
+    first use, not by the build, and shared like ``_quiver``."""
+    sigma = _quiver(n)[2]
+    powers = [tuple(range(len(sigma)))]
+    for _ in range(n + 2):
+        powers.append(tuple(sigma[x] for x in powers[-1]))
+    return tuple(powers)
 
 
 def build_category(n: int) -> Category:

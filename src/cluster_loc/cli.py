@@ -106,8 +106,8 @@ def cmd_classify(args) -> int:
 
 def cmd_cone(args) -> int:
     if args.config:
-        cfg = InstanceConfig.load(args.config)
-        cat = cached_category(cfg.n)
+        # T is resolved, so a config with a bad T is bad input here too
+        _, cat, _ = _instance(args)
     elif args.n is not None:
         cat = cached_category(args.n)
     else:
@@ -200,7 +200,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    cfg = _load_cfg(args)
+    cfg, _, _ = _instance(args)
     text = export_dot(cfg, args.what)
     if args.out:
         with open(args.out, "w") as fh:

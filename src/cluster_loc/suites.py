@@ -255,7 +255,11 @@ def suite_stilde(cat, t, cfg, maps, rec):
     """Invertibility class: functor vs triangle verdicts, mono/epi flags,
     and independence of the completion search.  A basis map classified in
     the first loop keeps that seed-0 verdict for the second; one whose
-    first-loop ``classify`` raised (already a failure) is not run again."""
+    first-loop ``classify`` raised (already a failure) is not run again.
+    A basis map's triangle is transported from its Σ-orbit
+    representative's (``complete_triangle``), so the permuted-completion
+    check still compares two independent searches for every basis map:
+    the representative's at seeds 0 and 1."""
     seed0 = {}   # map -> its seed-0 verdict, None where classify raised
     for f in maps:
         seed0[f] = None

@@ -65,6 +65,23 @@ def is_isomorphism(cat: Category, f: Mor) -> bool:
     return cat.compose(g, f).m == cat.identity(X).m
 
 
+def shift_once(cat: Category, f: Mor, direction: int) -> Mor:
+    """Σf (direction 1) or Σ^{-1}f (direction -1), one step at a time: the
+    reference for the one-pass ``Category.suspend_mor``.  sig(a, b) scales
+    Hom(a, b) -> Hom(Sa, Sb), and as it is +-1 the inverse scales by it
+    too, read at the shifted pair."""
+    sig = cat.sigma_arc if direction > 0 else cat.sigma_arc_inv
+    xs = [sig[s] for s in f.src.summands]
+    ys = [sig[s] for s in f.tgt.summands]
+    at_x, at_y = ((f.src.summands, f.tgt.summands) if direction > 0
+                  else (xs, ys))
+    src = sorted(range(len(xs)), key=xs.__getitem__)
+    tgt = sorted(range(len(ys)), key=ys.__getitem__)
+    rows = tuple(tuple(f.m[i][j] * cat.sig[(at_x[j], at_y[i])]
+                       if f.m[i][j] else 0 for j in src) for i in tgt)
+    return Mor(Obj(tuple(sorted(xs))), Obj(tuple(sorted(ys))), rows)
+
+
 def mat_from_cols(cols, nrows: int) -> Mat:
     """Matrix with the given columns; shape is explicit so empty dimensions
     survive (from_rows would collapse a 0-row matrix to 0 columns)."""

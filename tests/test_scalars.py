@@ -146,7 +146,10 @@ def test_inverse_is_normalised(size):
 def test_normalised_keys_hash_as_fraction_keys():
     """Mor.key() of int entries equals and hashes like the key of the same
     entries held as Fraction, so the triangle memo and the seeded draws of
-    a completion see the same map."""
+    a completion see the same map: the second completion adds no memo
+    entry and returns the memoised triangle, or, for a map between two
+    arcs, the same triangle transported again from its orbit
+    representative's."""
     rng = random.Random("keys")
     cat_a, cat_b = build_category(5), build_category(5)
     for _ in range(20):
@@ -157,6 +160,9 @@ def test_normalised_keys_hash_as_fraction_keys():
         assert all(type(v) is int for v in _entries(f))
         assert old.key() == f.key() and hash(old.key()) == hash(f.key())
         tri = complete_triangle(cat_a, f)
-        assert complete_triangle(cat_a, old) is tri
+        entries = len(cat_a._memo["triangles"])
+        again = complete_triangle(cat_a, old)
+        assert len(cat_a._memo["triangles"]) == entries
+        assert again is tri if len(f.src) + len(f.tgt) > 2 else again == tri
         other = complete_triangle(cat_b, old)
         assert (other.z, other.g, other.h) == (tri.z, tri.g, tri.h)

@@ -681,6 +681,14 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
      "T repeats the summand M11"),
     (["classify", "--config", "{cfg}.repeated", "--map", "M44 -> M34"],
      "T repeats the summand M11"),
+    (["cone", "--config", "{cfg}.M99", "--map", "M44 -> M34"],
+     "cannot resolve object token 'M99'"),
+    (["cone", "--config", "{cfg}.repeated", "--map", "M44 -> M34"],
+     "T repeats the summand M11"),
+    (["export-dot", "--config", "{cfg}.M99", "--what", "ar-quiver"],
+     "cannot resolve object token 'M99'"),
+    (["export-dot", "--config", "{cfg}.repeated", "--what", "ar-quiver"],
+     "T repeats the summand M11"),
 ])
 def test_cli_bad_input_gives_one_line_and_status_2(tmp_path, capsys, argv,
                                                     message):

@@ -18,7 +18,7 @@ from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
 from smoothing_reference import smooth_crossing
-from conftest import as_rows
+from conftest import as_rows, shift_once
 
 
 def ar_triangle(cat, x: int) -> Triangle:
@@ -311,8 +311,10 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
     first is searched and refused, and the completion certifies the true
     cone; listed alone, no completion certifies, and the stilde suite
     records the TriangleError under two-verdicts-agree.  So the candidate
-    memo cannot stand in for the certificate.  The unpatched run is
-    clean."""
+    memo cannot stand in for the certificate.  A map between two arcs is
+    completed from its Σ-orbit representative's search, so both halves
+    drive the direct search on every map as well as ``complete_triangle``.
+    The unpatched run is clean."""
     cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
                          suites=["stilde"])
     assert run_suites(cfg, cat=build_category(4))["failures_total"] == 0
@@ -333,15 +335,20 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(triangles, "profile_candidates", wrong_first)
     cat = build_category(4)
     for f, z in zip(maps, cones):
-        tri = complete_triangle(cat, f)
+        tri = triangles._search_triangle(cat, f, 0)
         assert tri.z == z != searched[-1]
         assert certify_triangle(cat, tri).is_valid()
     assert len(searched) == len(maps)
+    for f, z in zip(maps, cones):
+        tri = complete_triangle(cat, f)
+        assert tri.z == z and certify_triangle(cat, tri).is_valid()
 
     monkeypatch.setattr(triangles, "profile_candidates", lambda cat, p: [
         _with_extra_summand(real(cat, p)[0])])
     cat = build_category(4)
     for f in maps:
+        with pytest.raises(TriangleError, match="no certified completion"):
+            triangles._search_triangle(cat, f, 0)
         with pytest.raises(TriangleError, match="no certified completion"):
             complete_triangle(cat, f)
     (record,) = run_suites(cfg, cat=build_category(4))["suites"]
@@ -351,6 +358,97 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
         assert failure["check"] == "two-verdicts-agree"
         assert failure["error"].startswith(
             "TriangleError: no certified completion")
+
+
+def _recertification_failures(n: int) -> list[str]:
+    """The re-certification sweep at rank n, as a list of failures.
+
+    - Every basis map f0 and its multiples f = c·f0 by 2 and -3, at seeds
+      0 and 1, completes to a triangle on f itself that the certificate
+      accepts, with the cone of a direct search on f;
+    - its connecting maps are Σ^{-k} of those of the representative b0,
+      applied stepwise (``shift_once``), the third times sign(c)·s·(-1)^k,
+      where Σ^k f0 = s·b0;
+    - Σ^k of each basis map and of seeded maps between sums
+      (``suspend_mor``) equals k single shifts for k in -m..m, m = n + 3;
+    - the suspension index names each hom pair's least orbit pair.
+    """
+    cat = build_category(n)
+    m, failures = n + 3, []
+    for f0 in basis_maps(cat):
+        k = cat.suspension_index[f0.src.summands[0], f0.tgt.summands[0]][0]
+        b0 = f0
+        for _ in range(k):
+            b0 = shift_once(cat, b0, 1)
+        s = b0.m[0][0]
+        b0 = cat.scale_mor(s, b0)
+        for seed in (0, 1):
+            rep = complete_triangle(cat, b0, seed)
+            g, h = rep.g, rep.h
+            for _ in range(k):
+                g, h = shift_once(cat, g, -1), shift_once(cat, h, -1)
+            for c in (1, 2, -3):
+                f = cat.scale_mor(c, f0)
+                tri = complete_triangle(cat, f, seed)
+                if not (tri.f == f and certify_triangle(cat, tri).is_valid()
+                        and tri.z == triangles._search_triangle(
+                            cat, f, seed).z):
+                    failures.append(f"completion {cat.format_mor(f)} "
+                                    f"seed {seed}")
+                sign = (1 if c > 0 else -1) * s * (-1) ** k
+                if (tri.g, tri.h) != (g, cat.scale_mor(sign, h)):
+                    failures.append(f"transport {cat.format_mor(f)} "
+                                    f"seed {seed}")
+    rng = random.Random(f"one-pass:{n}")
+    a = rng.randrange(cat.N)
+    maps = basis_maps(cat) + [
+        cat.random_mor(rng, cat.random_obj(rng, 3), cat.random_obj(rng, 3))
+        for _ in range(8)]
+    maps += [cat.random_mor(rng, Obj((a, a)), Obj((a, a))),
+             cat.zero_mor(cat.zero_obj, cat.random_obj(rng, 2))]
+    for f in maps:
+        for direction in (1, -1):
+            ref = f
+            for k in range(1, m + 1):
+                ref = shift_once(cat, ref, direction)
+                if cat.suspend_mor(f, direction * k) != ref:
+                    failures.append(f"suspension {cat.format_mor(f)} "
+                                    f"k {direction * k}")
+    for x, y in cat.hom_deg:
+        k, signs = cat.suspension_index[x, y]
+        orbit = [(cat.shift_arc(x, i), cat.shift_arc(y, i)) for i in range(m)]
+        if orbit.index(min(orbit)) != k or len(signs) != 2 * m:
+            failures.append(f"orbit index {(x, y)}")
+    return failures
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_arc_map_completions_recertify(n):
+    """Every completion of a map between two arcs, transported from its
+    orbit representative's triangle, passes the certificate and has the
+    direct search's cone, and the one-pass suspension it is transported by
+    is the stepwise one."""
+    assert _recertification_failures(n) == []
+
+
+def test_transport_without_the_suspension_signs_is_caught(monkeypatch):
+    """Negative control of the transport: with the products of ``sig``
+    dropped from the one-pass Σ^k (arcs rotated, signs not applied), the
+    re-certification sweep fails; the unpatched sweep is clean.  The
+    certificate alone does not see this plant: the composites of these
+    triangles with two terms read two keys whose constants the dropped
+    signs flip together.  The stepwise suspension catches it, both as Σ^k
+    of the maps and as the transported connecting maps."""
+    assert _recertification_failures(4) == []
+
+    def unsigned(index, pair):
+        got = index[pair] = (real(index, pair)[0], (1,) * (2 * index.n + 6))
+        return got
+
+    real = category.SuspensionIndex.__missing__
+    monkeypatch.setattr(category.SuspensionIndex, "__missing__", unsigned)
+    failures = _recertification_failures(4)
+    assert {f.split()[0] for f in failures} == {"suspension", "transport"}
 
 
 def test_rotation_closure(cat4):
