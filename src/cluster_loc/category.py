@@ -154,18 +154,19 @@ class SuspensionIndex(dict):
     first i steps, so that Σ^i b(x, y) = signs[i]·b(Σ^i x, Σ^i y) for
     i = 0..2m-1.  Σ^m fixes every arc and scales b(x, y) by signs[m] = +-1,
     so Σ^2m fixes every basis map, and Σ^i b(x, y) = signs[i mod 2m]·
-    b(Σ^i x, Σ^i y) for every integer i.  Filled like
-    ``ObserverIndex``: an entry on its pair's first read, write-once and
-    idempotent.  Few distinct entries occur (most orbits read sig = 1
+    b(Σ^i x, Σ^i y) for every integer i.  ``Category.suspend_mor`` is the
+    one reader of the signs; the completion search reads k only.  Filled
+    like ``ObserverIndex``: an entry on its pair's first read, write-once
+    and idempotent.  Few distinct entries occur (most orbits read sig = 1
     throughout), so equal entries are stored once and shared."""
 
-    def __init__(self, sig: dict[tuple[int, int], int], n: int):
+    def __init__(self, sig: dict[tuple[int, int], int], turns: tuple):
         super().__init__()
-        self.sig, self.n, self.shared = sig, n, {}
+        self.sig, self.turns, self.shared = sig, turns, {}
 
     def __missing__(self, pair: tuple[int, int]) -> tuple:
         x, y = pair
-        orbit = [(turn[x], turn[y]) for turn in _sigma_powers(self.n)]
+        orbit = [(turn[x], turn[y]) for turn in self.turns]
         sig, signs = self.sig, [1]
         for step in orbit + orbit[:-1]:
             signs.append(signs[-1] * sig[step])
@@ -176,9 +177,10 @@ class SuspensionIndex(dict):
 
 class Category:
     """Built hom/composition/suspension tables plus the additive layer, on
-    the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_arc`` and
-    its inverse, ``arrows_in`` (the sorted sources of the arrows into each
-    arc), ``labels``, ``label_to_arc`` and ``sigma_orbits``.
+    the rank n's shared quiver: ``arcs``, ``arc_index``, ``sigma_powers``
+    (σ^k of every arc, k = 0..n+2) with its rows ``sigma_arc`` and
+    ``sigma_arc_inv``, ``arrows_in`` (the sorted sources of the arrows into
+    each arc), ``labels``, ``label_to_arc`` and ``sigma_orbits``.
 
     Only ``build_category`` makes one, from its four tables, which
     ``_check_tables`` then checks; the constructor stores them as given.
@@ -193,9 +195,11 @@ class Category:
                  comp: dict[tuple[int, int, int], int],
                  sig: dict[tuple[int, int], int]):
         self.n = n
-        (self.arcs, self.arc_index, self.sigma_arc, self.sigma_arc_inv,
-         self.arrows_in, self._cross, self.labels, self.label_to_arc,
+        (self.arcs, self.arc_index, self.sigma_powers, self.arrows_in,
+         self._cross, self.labels, self.label_to_arc,
          self.sigma_orbits) = _quiver(n)
+        self.sigma_arc = self.sigma_powers[1]
+        self.sigma_arc_inv = self.sigma_powers[-1]
         self.N = len(self.arcs)
         self.hom_deg, self.comp, self.sig = hom_deg, comp, sig
         self.hom_out = [[] for _ in range(self.N)]
@@ -210,7 +214,7 @@ class Category:
         self._homs = tuple(map(tuple, homs))    # row x: Hom(x, y) != 0
         self.observers_into = ObserverIndex(comp, self.hom_in, True)
         self.observers_from = ObserverIndex(comp, self.hom_out, False)
-        self.suspension_index = SuspensionIndex(sig, n)
+        self.suspension_index = SuspensionIndex(sig, self.sigma_powers)
         self._memo: dict = {}
 
     @property
@@ -232,7 +236,7 @@ class Category:
         return self._cross[x][y]
 
     def shift_arc(self, x: int, k: int = 1) -> int:
-        return _sigma_powers(self.n)[k % (self.n + 3)][x]
+        return self.sigma_powers[k % (self.n + 3)][x]
 
     def arc_of_token(self, token: str) -> int:
         """Resolve 'a-b', a canonical label, or S-prefixed labels."""
@@ -275,7 +279,7 @@ class Category:
         return " + ".join(self.labels[s] for s in X.summands)
 
     def suspend_obj(self, X: Obj, k: int = 1) -> Obj:
-        turn = _sigma_powers(self.n)[k % (self.n + 3)]
+        turn = self.sigma_powers[k % (self.n + 3)]
         return Obj(tuple(sorted([turn[s] for s in X.summands])))
 
     # -- additive layer: morphisms ---------------------------------------
@@ -395,11 +399,12 @@ class Category:
         """Σ^k f, for any integer k, in one pass over f's entries: the arcs
         move by the rank's σ^k table and each nonzero entry is scaled by
         the product of ``sig`` along its pair's orbit, read from
-        ``suspension_index``.  Rotation keeps sorted order only up to
-        wrap-around, so the shifted summands are re-sorted."""
+        ``suspension_index``; no other code applies Σ's signs to a map.
+        Rotation keeps sorted order only up to wrap-around, so the shifted
+        summands are re-sorted."""
         if not k:
             return f
-        turn = _sigma_powers(self.n)[k % (self.n + 3)]
+        turn = self.sigma_powers[k % (self.n + 3)]
         X, Y = f.src.summands, f.tgt.summands
         xs, ys = [turn[s] for s in X], [turn[s] for s in Y]
         index, e, rows = self.suspension_index, k % (2 * self.n + 6), []
@@ -583,18 +588,22 @@ def _perm_to_sorted(values: Sequence[int]) -> Sequence[int]:
 
 @lru_cache(maxsize=None)
 def _quiver(n: int):
-    """(arcs, arc index, sigma, sigma^-1, arrows in, crossing matrix,
-    labels, label index, sigma-orbits) of rank n.  Arrows in[z] are the
-    sorted sources of the arrows into z, the middles of the mesh from
-    sigma(z) to z; the labels are the derived assignment, M_ij at
-    {n+3-i, n+1-j} and SP_i at {0, n+2-i}; each sigma-orbit lists (u,
-    sigma^-1 u, arrows in[sigma^-1 u]) along u -> sigma u.  The cache
+    """(arcs, arc index, sigma powers, arrows in, crossing matrix, labels,
+    label index, sigma-orbits) of rank n.  Sigma powers[k] is sigma^k of
+    every arc for k = 0..n+2, so rows 1 and -1 are sigma and its inverse.
+    Arrows in[z] are the sorted sources of the arrows into z, the middles
+    of the mesh from sigma(z) to z; the labels are the derived assignment,
+    M_ij at {n+3-i, n+1-j} and SP_i at {0, n+2-i}; each sigma-orbit lists
+    (u, sigma^-1 u, arrows in[sigma^-1 u]) along u -> sigma u.  The cache
     shares every field among the rank's categories, so each is a tuple,
     each index read-only."""
     arcs = tuple(enumerate_arcs(n))
     index = {a: i for i, a in enumerate(arcs)}
     sigma = tuple(index[rotate(n, a, 1)] for a in arcs)
-    inv = tuple(sorted(range(len(arcs)), key=sigma.__getitem__))
+    powers = [tuple(range(len(arcs)))]
+    for _ in range(n + 2):
+        powers.append(tuple(sigma[x] for x in powers[-1]))
+    inv = powers[-1]
     arrows_in = tuple(tuple(sorted(index[c] for c in (
         arc_or_none(n, a.a - 1, a.b), arc_or_none(n, a.a, a.b - 1))
         if c is not None)) for a in arcs)
@@ -611,22 +620,10 @@ def _quiver(n: int):
             u = sigma[u]
         if orbit:
             orbits.append(tuple(orbit))
-    return (arcs, MappingProxyType(index), sigma, inv, arrows_in,
+    return (arcs, MappingProxyType(index), tuple(powers), arrows_in,
             tuple(map(tuple, cross)), labels,
             MappingProxyType({lab: i for i, lab in enumerate(labels)}),
             tuple(orbits))
-
-
-@lru_cache(maxsize=None)
-def _sigma_powers(n: int) -> tuple[tuple[int, ...], ...]:
-    """σ^k of every arc of rank n for k = 0..n+2, the rotations of the
-    (n+3)-gon; the rotation by n + 3 vertices fixes every arc.  Computed on
-    first use, not by the build, and shared like ``_quiver``."""
-    sigma = _quiver(n)[2]
-    powers = [tuple(range(len(sigma)))]
-    for _ in range(n + 2):
-        powers.append(tuple(sigma[x] for x in powers[-1]))
-    return tuple(powers)
 
 
 def build_category(n: int) -> Category:
@@ -639,7 +636,8 @@ def build_category(n: int) -> Category:
     ValueError for a rank that is not an int in 1..MAX_RANK (a bool
     included).
     """
-    arcs, _, sigma_arc, _, arrows_in = _quiver(supported_rank(n))[:5]
+    arcs, _, powers, arrows_in = _quiver(supported_rank(n))[:4]
+    sigma_arc = powers[1]
     N = len(arcs)
     arrows = sorted((m, z) for z, mids in enumerate(arrows_in) for m in mids)
     arrow_idx = {st: k for k, st in enumerate(arrows)}

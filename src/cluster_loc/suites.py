@@ -256,7 +256,7 @@ def suite_stilde(cat, t, cfg, maps, rec):
     and independence of the completion search.  A basis map classified in
     the first loop keeps that seed-0 verdict for the second; one whose
     first-loop ``classify`` raised (already a failure) is not run again.
-    A basis map's triangle is transported from its Σ-orbit
+    A basis map's triangle is filled once from its Σ-orbit
     representative's (``complete_triangle``), so the permuted-completion
     check still compares two independent searches for every basis map:
     the representative's at seeds 0 and 1."""

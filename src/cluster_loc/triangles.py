@@ -42,21 +42,20 @@ all of f's nonzero entries lie in one row or one column, no products are
 kept at all.  The hom dimensions the check compares against are memoised
 vectors per object (``Category.hom_vec_into`` / ``hom_vec_from``).
 
-One search per Σ-orbit.  A map f = c·b(x, y) between two arcs is not
-searched: its pair is carried by Σ^k to the least pair (x0, y0) of its
-Σ-orbit (``Category.suspension_index``), the basis map b0 of that pair is
-searched once per seed, and f's triangle is the Σ^{-k}-image of b0's with
-the sign the axioms give.  Nothing the certificate checks is lost: Σ is a
-functor, which ``_check_tables`` proves on every constant, so Σ^{-k}
-keeps every zero composite, and since the certificate is already folded
-over the suspension period, the transported triangle's exactness
-equations at an observer W are those of b0's triangle at Σ^k W; a nonzero
-scalar changes no rank and no zero composite.  The completed triangles
-memo (``cat._memo["triangles"]``) keeps only the representative's
-triangle, so its entries for maps between arcs are bounded by the
-Σ-orbits of hom pairs times the seeds; every other map is searched and
-memoised per map and seed.  A result is a function of (f, seed) alone,
-whichever maps were completed before.
+One search per Σ-orbit.  The completed triangles memo
+(``cat._memo["triangles"]``) holds one entry per map and seed; a map
+c·b(x, y) between two arcs is stored under the basis map b(x, y), so
+those entries are bounded by the hom pairs times the seeds.  Only the
+least pair of each Σ-orbit is searched.  Any other pair's entry is
+filled once from the entry of Σ^k b(x, y), the least pair's basis map up
+to sign (k from ``Category.suspension_index``), by Σ^{-k}, which
+``Category.suspend_mor`` applies with Σ's signs.  Nothing the certificate
+checks is lost: Σ is a functor, which ``_check_tables`` proves on every
+constant, so Σ^{-k} keeps every zero composite, and as the certificate is
+folded over the suspension period, the filled triangle's exactness
+equations at an observer W are the representative's at Σ^k W.  Every
+other map is searched per map and seed.  A result is a function of
+(f, seed) alone, whichever maps were completed before.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import itertools
 
 from .category import Category, Mor, Obj
 from .linalg import Mat, eliminate, integer_row, kernel_basis
-from .values import Value, setfield
+from .values import Value
 
 # Bounds of generic_maps.  Its coefficients are positive because a signed
 # range also draws zeros: on the same inputs, draws from -3..3 needed up to
@@ -96,11 +95,6 @@ class Triangle(Value):
     """x -f-> y -g-> z -h-> Sigma x with its CertReport."""
 
     __slots__ = ("x", "y", "z", "f", "g", "h", "cert")
-
-    def __init__(self, x: Obj, y: Obj, z: Obj, f: Mor, g: Mor, h: Mor,
-                 cert: CertReport):
-        for name, v in zip(self.__slots__, (x, y, z, f, g, h, cert)):
-            setfield(self, name, v)
 
 
 # -- rank tables -------------------------------------------------------------
@@ -402,46 +396,50 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat, draws,
 def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
     """Certified completion of f to a triangle f.src -> f.tgt -> z -> Σf.src.
 
-    A map f = c·b(x, y) between two arcs (c != 0) is completed from the
-    triangle (b0, g0, h0) of the basis map b0 of its Σ-orbit
-    representative (x0, y0) = Σ^k(x, y) (``Category.suspension_index``):
-    with Σ^k b(x, y) = s·b0, the result is (f, Σ^{-k}g0, e·Σ^{-k}h0) with
-    e = sign(c)·s·(-1)^k.  Σ^{-k} of a distinguished triangle is
-    distinguished once its third map is multiplied by (-1)^k, and a
-    triangle stays distinguished when its first and third maps are both
-    multiplied by -1, so for c = +-1 the result is exactly the image of
-    b0's triangle; for other c the first map is a further nonzero multiple,
-    which changes no rank and no zero composite the certificate checks.
-    Only the representative's triangle is memoised, once per seed, so these
-    entries are bounded by the Σ-orbits of hom pairs.  Every other map
-    (more than one summand at either end, or zero) is searched and
-    memoised per map and seed.
+    Each map is completed once per seed and stored; a map f = c·b(x, y)
+    between two arcs (c != 0) is stored under the basis map b(x, y), and
+    for c != 1 that triangle is returned with f first and its third map
+    times sign(c): a triangle stays distinguished when its first and third
+    maps are both multiplied by -1, and a positive scalar changes no rank
+    and no zero composite.  The basis map of a pair that is not the least
+    of its Σ-orbit is filled by ``_transport``; any other map is searched.
 
     A search's connecting maps are a generic draw from their solution
     spaces, gated by the certificate; when the hom-dimension matrix is
     singular, the profile determines a finite candidate list of cones and
     each is certified in order.  The result is a function of (f, seed)
-    alone, whatever was memoised before.  The memo fills are write-once
-    and idempotent, so threads that race on one store equal triangles.
+    alone, whatever was stored before.  The memo fills are write-once and
+    idempotent, so threads that race on one store equal triangles.
     """
     memo = cat._memo.setdefault("triangles", {})
-    if len(f.src) == len(f.tgt) == 1 and f.m[0][0]:
-        # keyed by the basis map of the least pair of f's Σ-orbit
-        (x,), (y,) = f.src.summands, f.tgt.summands
-        k, signs = cat.suspension_index[x, y]
-        key = (cat.shift_arc(x, k),), (cat.shift_arc(y, k),), ((1,),)
-    else:
-        key = f.key()
+    arcs = len(f.src) == len(f.tgt) == 1 and f.m[0][0] != 0
+    key = (f.src.summands, f.tgt.summands, ((1,),)) if arcs else f.key()
     tri = memo.get((key, seed))
     if tri is None:
-        rep = Mor(Obj(key[0]), Obj(key[1]), key[2])
-        tri = memo[key, seed] = _search_triangle(cat, rep, seed)
-    if f == tri.f:
+        if arcs:
+            b = Mor(f.src, f.tgt, ((1,),))
+            k = cat.suspension_index[key[0][0], key[1][0]][0]
+            tri = _transport(cat, b, k, seed) if k else _search_triangle(
+                cat, b, seed)
+        else:
+            tri = _search_triangle(cat, f, seed)
+        memo[key, seed] = tri
+    if tri.f == f:
         return tri
+    h = tri.h if f.m[0][0] > 0 else cat.scale_mor(-1, tri.h)
+    return Triangle(f.src, f.tgt, tri.z, f, tri.g, h, tri.cert)
+
+
+def _transport(cat: Category, b: Mor, k: int, seed: int) -> Triangle:
+    """b's triangle (b, Σ^{-k}g, (-1)^k·Σ^{-k}h) from the entry
+    (Σ^k b, g, h) of the least pair of b's Σ-orbit: Σ^{-k} of a
+    distinguished triangle is one once its third map is multiplied by
+    (-1)^k, the one place that sign is applied."""
+    tri = complete_triangle(cat, cat.suspend_mor(b, k), seed)
     g, h = cat.suspend_mor(tri.g, -k), cat.suspend_mor(tri.h, -k)
-    if (f.m[0][0] < 0) ^ (signs[k] < 0) ^ (k % 2 == 1):
-        h = Mor(h.src, h.tgt, tuple(tuple([-v for v in row]) for row in h.m))
-    return Triangle(f.src, f.tgt, g.tgt, f, g, h, tri.cert)
+    if k % 2:
+        h = cat.scale_mor(-1, h)
+    return Triangle(b.src, b.tgt, g.tgt, b, g, h, tri.cert)
 
 
 def _search_triangle(cat: Category, f: Mor, seed: int) -> Triangle:

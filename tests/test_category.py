@@ -916,14 +916,14 @@ def test_categories_of_one_rank_share_an_immutable_quiver():
     # the translation quiver is computed once per rank and shared, so a
     # mutable field would let one category corrupt every other of its rank
     built, other = build_category(4), build_category(4)
-    tuples = ("arcs", "sigma_arc", "sigma_arc_inv", "arrows_in", "_cross",
-              "labels", "sigma_orbits")
+    tuples = ("arcs", "sigma_powers", "sigma_arc", "sigma_arc_inv",
+              "arrows_in", "_cross", "labels", "sigma_orbits")
     for name in tuples + ("arc_index", "label_to_arc"):
         assert getattr(built, name) is getattr(other, name)
     for name in tuples:
         assert type(getattr(built, name)) is tuple
     assert all(type(row) is tuple for row in built.arrows_in + built._cross
-               + built.sigma_orbits)
+               + built.sigma_orbits + built.sigma_powers)
     assert all(type(pos) is tuple and type(pos[2]) is tuple
                for orbit in built.sigma_orbits for pos in orbit)
     with pytest.raises(TypeError):

@@ -477,6 +477,31 @@ def test_wakamatsu_suite_records_a_cone_outside_Tperp(monkeypatch,
         assert "error" not in f and set(f["detail"]) == {"x"}
 
 
+@pytest.mark.parametrize("suite, T, side, check, failed", [
+    # the kernel dimension against the dimension through add ΣT
+    ("chain", ["M44", "M14", "M11"], "dim_hom_functor_kernel",
+     "quotient-dimension-chain", 64),
+    # the quotient dimension against the module dimension, on the heptagon
+    # fan, which is cluster-tilting
+    ("kz", ["0-2", "0-3", "0-4", "0-5"], "hom_dim_modules",
+     "quotient-equals-module-dimension", 196),
+], ids=["chain", "kz"])
+def test_a_dimension_one_too_high_fails_its_double_decision(
+        monkeypatch, suite, T, side, check, failed):
+    """Negative controls of two double decisions: with one side's
+    dimension read one too high, the suite reports a failure under its
+    check for every pair it compares; the unpatched run reads none."""
+    cfg = InstanceConfig(n=4, T=T, seed=7, suites=[suite])
+    (clean,) = run_suites(cfg, cat=build_category(4))["suites"]
+    assert clean["failures"] == [] and clean["checks"] >= failed
+    real = getattr(suites, side)
+    monkeypatch.setattr(suites, side, lambda *args: real(*args) + 1)
+    (planted,) = run_suites(cfg, cat=build_category(4))["suites"]
+    assert planted["checks"] == clean["checks"]
+    assert len(planted["failures"]) == failed
+    assert {f["check"] for f in planted["failures"]} == {check}
+
+
 def test_factoring_suite_skips_a_y_without_a_resolution(monkeypatch,
                                                         example_cfg):
     """A resolution that raises for one y is one ``resolution`` failure,

@@ -360,8 +360,9 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
             "TriangleError: no certified completion")
 
 
-def _recertification_failures(n: int) -> list[str]:
-    """The re-certification sweep at rank n, as a list of failures.
+def _recertification_failures(cat: Category) -> list[str]:
+    """The re-certification sweep on a fresh category, as a list of
+    failures.
 
     - Every basis map f0 and its multiples f = c·f0 by 2 and -3, at seeds
       0 and 1, completes to a triangle on f itself that the certificate
@@ -373,8 +374,7 @@ def _recertification_failures(n: int) -> list[str]:
       (``suspend_mor``) equals k single shifts for k in -m..m, m = n + 3;
     - the suspension index names each hom pair's least orbit pair.
     """
-    cat = build_category(n)
-    m, failures = n + 3, []
+    m, failures = cat.n + 3, []
     for f0 in basis_maps(cat):
         k = cat.suspension_index[f0.src.summands[0], f0.tgt.summands[0]][0]
         b0 = f0
@@ -399,7 +399,7 @@ def _recertification_failures(n: int) -> list[str]:
                 if (tri.g, tri.h) != (g, cat.scale_mor(sign, h)):
                     failures.append(f"transport {cat.format_mor(f)} "
                                     f"seed {seed}")
-    rng = random.Random(f"one-pass:{n}")
+    rng = random.Random(f"one-pass:{cat.n}")
     a = rng.randrange(cat.N)
     maps = basis_maps(cat) + [
         cat.random_mor(rng, cat.random_obj(rng, 3), cat.random_obj(rng, 3))
@@ -423,12 +423,25 @@ def _recertification_failures(n: int) -> list[str]:
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_arc_map_completions_recertify(n):
-    """Every completion of a map between two arcs, transported from its
-    orbit representative's triangle, passes the certificate and has the
-    direct search's cone, and the one-pass suspension it is transported by
-    is the stepwise one."""
-    assert _recertification_failures(n) == []
+def test_arc_map_completions_recertify(n, monkeypatch):
+    """Every completion of a map between two arcs, filled from its orbit
+    representative's triangle, passes the certificate and has the direct
+    search's cone, and the one-pass suspension it is transported by is the
+    stepwise one.  The memo then holds one entry per basis map and seed,
+    so the multiples add none, and a second completion of a basis map
+    returns the stored triangle with no suspension."""
+    cat = build_category(n)
+    assert _recertification_failures(cat) == []
+    memo = cat._memo.get("triangles", {})
+    assert len(memo) == 2 * len(basis_maps(cat))
+    calls = []
+    real = Category.suspend_mor
+    monkeypatch.setattr(Category, "suspend_mor",
+                        lambda *args: calls.append(args) or real(*args))
+    for f in basis_maps(cat):
+        for seed in (0, 1):
+            assert complete_triangle(cat, f, seed) is memo[f.key(), seed]
+    assert calls == []
 
 
 def test_transport_without_the_suspension_signs_is_caught(monkeypatch):
@@ -439,16 +452,38 @@ def test_transport_without_the_suspension_signs_is_caught(monkeypatch):
     triangles with two terms read two keys whose constants the dropped
     signs flip together.  The stepwise suspension catches it, both as Σ^k
     of the maps and as the transported connecting maps."""
-    assert _recertification_failures(4) == []
+    assert _recertification_failures(build_category(4)) == []
 
     def unsigned(index, pair):
-        got = index[pair] = (real(index, pair)[0], (1,) * (2 * index.n + 6))
+        k, signs = real(index, pair)
+        got = index[pair] = (k, (1,) * len(signs))
         return got
 
     real = category.SuspensionIndex.__missing__
     monkeypatch.setattr(category.SuspensionIndex, "__missing__", unsigned)
-    failures = _recertification_failures(4)
+    failures = _recertification_failures(build_category(4))
     assert {f.split()[0] for f in failures} == {"suspension", "transport"}
+
+
+def test_transport_without_the_rotation_sign_is_caught(monkeypatch):
+    """Negative control of the transport: with the rotation sign (-1)^k
+    dropped from the filled third map, planted in ``_transport``, the one
+    place that applies it, the certificate still accepts every triangle
+    (it checks ranks and zero composites only), so the sweep reports no
+    ``completion`` row; its stepwise comparison reports the connecting
+    maps as ``transport`` rows.  The unpatched sweep is clean."""
+    assert _recertification_failures(build_category(4)) == []
+    real = triangles._transport
+
+    def unrotated(cat, b, k, seed):
+        tri = real(cat, b, k, seed)
+        return Triangle(tri.x, tri.y, tri.z, tri.f, tri.g,
+                        cat.scale_mor((-1) ** k, tri.h), tri.cert)
+
+    monkeypatch.setattr(triangles, "_transport", unrotated)
+    failures = _recertification_failures(build_category(4))
+    assert failures
+    assert {f.split()[0] for f in failures} == {"transport"}
 
 
 def test_rotation_closure(cat4):
