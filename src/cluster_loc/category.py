@@ -402,8 +402,6 @@ class Category:
         ``suspension_index``; no other code applies Σ's signs to a map.
         Rotation keeps sorted order only up to wrap-around, so the shifted
         summands are re-sorted."""
-        if not k:
-            return f
         turn = self.sigma_powers[k % (self.n + 3)]
         X, Y = f.src.summands, f.tgt.summands
         xs, ys = [turn[s] for s in X], [turn[s] for s in Y]

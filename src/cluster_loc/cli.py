@@ -31,7 +31,7 @@ from .rigid import (VIEW_KINDS, is_cluster_tilting, is_rigid, perp_view,
                     right_addT_approx, rigid_object)
 from .suites import (InstanceConfig, cached_category, export_dot, image_table,
                      run_suites)
-from .triangles import complete_triangle
+from .triangles import certify_triangle, complete_triangle
 
 
 def _load_cfg(args) -> InstanceConfig:
@@ -114,9 +114,10 @@ def cmd_cone(args) -> int:
         raise ValueError("need --config or --n")
     f = cat.parse_mor(args.map)
     tri = complete_triangle(cat, f)
-    print(f"{cat.obj_label(tri.x)} -> {cat.obj_label(tri.y)} -> "
-          f"{cat.obj_label(tri.z)} -> S({cat.obj_label(tri.x)})")
-    print(f"certificate valid: {tri.cert.is_valid()}")
+    x = cat.obj_label(f.src)
+    print(f"{x} -> {cat.obj_label(f.tgt)} -> {cat.obj_label(tri.z)} -> "
+          f"S({x})")
+    print(f"certificate valid: {certify_triangle(cat, tri).is_valid()}")
     return 0
 
 

@@ -113,7 +113,9 @@ def cached_category(n: int) -> Category:
 class Recorder:
     """Collects a report's checks and failure records.  A check runs through
     ``attempt``, so a raise anywhere in it, or in a suite's set-up, is
-    recorded as one failure with the error and the reproducer."""
+    recorded as one failure with the error and the reproducer.  A detail
+    may hold a ``Mor`` or an ``Obj`` itself; only a failure record renders
+    it, as ``format_mor`` or ``obj_label``."""
 
     def __init__(self, cat: Category, t: RigidObject, cfg: InstanceConfig,
                  maps_mode: str = "exhaustive"):
@@ -159,10 +161,16 @@ class Recorder:
                "falsifies": (f"implementation falsifies {SUITES[suite][1]} "
                              f"on instance (n={self.cfg.n}, "
                              f"T={'+'.join(t_labels)})"),
-               "detail": detail if detail is not None else {}}
+               "detail": {k: self._render(v)
+                          for k, v in (detail or {}).items()}}
         if exc is not None:
             rep["error"] = f"{type(exc).__name__}: {exc}"
         s["failures"].append(rep)
+
+    def _render(self, v):
+        if isinstance(v, Mor):
+            return self.cat.format_mor(v)
+        return self.cat.obj_label(v) if isinstance(v, Obj) else v
 
     def run_suite(self, suite: str, maps: list[Mor]):
         """Run one suite; a raise outside its checks is one failure of it."""
@@ -247,7 +255,7 @@ def suite_kernel(cat, t, cfg, maps, rec):
         # factors_through_subcat raises when its two verdicts disagree
         rec.check("kernel", "kernel-criterion",
                   lambda: factors_through_subcat(cat, t, f) is not None,
-                  {"map": cat.format_mor(f)})
+                  {"map": f})
     rec.coverage("kernel", maps=len(sample), mode=rec.maps_mode)
 
 
@@ -268,8 +276,7 @@ def suite_stilde(cat, t, cfg, maps, rec):
             # classify raises when its two verdicts disagree
             seed0[f] = classify(cat, t, f)
             return True
-        rec.check("stilde", "two-verdicts-agree", first,
-                  {"map": cat.format_mor(f)})
+        rec.check("stilde", "two-verdicts-agree", first, {"map": f})
     fresh = basis_maps(cat)
     for f in fresh:
         if f in seed0 and seed0[f] is None:
@@ -279,7 +286,7 @@ def suite_stilde(cat, t, cfg, maps, rec):
             c1 = classify(cat, t, f, seed=1)
             return (c0.in_S_tilde, c0.in_S) == (c1.in_S_tilde, c1.in_S)
         rec.check("stilde", "well-defined-under-permuted-completion",
-                  same_verdicts, {"map": cat.format_mor(f)})
+                  same_verdicts, {"map": f})
     rec.coverage("stilde", maps=len(maps), basis_maps=len(fresh),
                  mode=rec.maps_mode)
 
@@ -297,7 +304,7 @@ def suite_wakamatsu(cat, t, cfg, maps, rec):
     objs += [cat.random_obj(rng, 2) for _ in range(4)]
     for x in objs:
         rec.check("wakamatsu", "cone-perp-and-left-approximation",
-                  lambda: wakamatsu_check(cat, t, x), {"x": cat.obj_label(x)})
+                  lambda: wakamatsu_check(cat, t, x), {"x": x})
     rec.coverage("wakamatsu", objects=len(objs), mode="exhaustive")
 
 
@@ -306,8 +313,7 @@ def suite_identify(cat, t, cfg, maps, rec):
         def resolved():
             xp, s = s_resolution(cat, t, cat.obj([i]))
             cls = classify(cat, t, s)
-            return (in_CT(cat, t, xp) and cls.in_S,
-                    {"xprime": cat.obj_label(xp)})
+            return in_CT(cat, t, xp) and cls.in_S, {"xprime": xp}
         rec.check("identify", "resolution-in-CT-and-S", resolved,
                   {"y": cat.labels[i]})
     rec.coverage("identify", objects=cat.N, mode="exhaustive")
@@ -334,7 +340,7 @@ def suite_factoring(cat, t, cfg, maps, rec):
             rec.check("factoring-surjection", "factors-exactly",
                       lambda: cat.compose(
                           s, factor_through_s(cat, t, u, s)).m == u.m,
-                      {"u": cat.format_mor(u)})
+                      {"u": u})
     rec.coverage("factoring-surjection", maps=count, mode="exhaustive")
 
 
@@ -359,7 +365,7 @@ def suite_equivalence(cat, t, cfg, maps, rec):
             return all(a.entries == b.entries
                        for a, b in zip(lhs.comps, rhs.comps))
         rec.check("equivalence", "naturality-through-resolutions", natural,
-                  {"map": cat.format_mor(f)})
+                  {"map": f})
     rec.coverage("equivalence", pairs=cat.N ** 2, mode="exhaustive")
 
 
@@ -433,7 +439,7 @@ def suite_elementary(cat, t, cfg, maps, rec):
                                     cat.zero_mor(U, cat.zero_obj))
             iota = cat.direct_sum_mor(cat.identity(X),
                                       cat.zero_mor(cat.zero_obj, U))
-            pair = {"x": cat.obj_label(pi.src), "y": cat.obj_label(X)}
+            pair = {"x": pi.src, "y": X}
             rec.check("elementary", "projection-in-S",
                       lambda: classify(cat, t, pi).in_S, pair)
             rec.check("elementary", "section-projection-identity",
@@ -455,7 +461,7 @@ def suite_elementary(cat, t, cfg, maps, rec):
             continue
         a = cat.random_mor(rng, X, mid)
         v = cat.compose(cat.random_mor(rng, mid, Y), a)
-        pair = {"x": cat.obj_label(X), "y": cat.obj_label(Y)}
+        pair = {"x": X, "y": Y}
         rec.check("elementary", "through-perp-evaluates-zero",
                   lambda: H_mor(cat, alg, v).is_zero(), pair)
         u = cat.random_mor(rng, X, Y)

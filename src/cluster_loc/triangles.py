@@ -1,8 +1,9 @@
 """Distinguished triangles: cone profiles, certified completions, meshes.
 
-A triangle is stored in the rotation x -> y -> z -> Σx.  Completion of a
-morphism f works in two steps: the isomorphism type of the cone is forced by
-the long-exact-sequence profile
+A triangle x -f-> y -g-> z -h-> Σx is its three maps, z being g's target,
+and ``certify_triangle`` certifies it from them.  Completion of a morphism
+f works in two steps: the isomorphism type of the cone is forced by the
+long-exact-sequence profile
 
     dim Hom(W, z) = dim coker Hom(W, f) + dim ker Hom(W, Σf)
 
@@ -92,9 +93,13 @@ class CertReport(Value):
 
 
 class Triangle(Value):
-    """x -f-> y -g-> z -h-> Sigma x with its CertReport."""
+    """f.src -f-> f.tgt -g-> z -h-> Σ f.src, held as its three maps."""
 
-    __slots__ = ("x", "y", "z", "f", "g", "h", "cert")
+    __slots__ = ("f", "g", "h")
+
+    @property
+    def z(self) -> Obj:
+        return self.g.tgt
 
 
 # -- rank tables -------------------------------------------------------------
@@ -317,15 +322,13 @@ def _composes_to_zero(cat: Category, g: Mor, f: Mor) -> bool:
     return True
 
 
-def certify_triangle_parts(cat: Category, X: Obj, Y: Obj, Z: Obj,
-                           f: Mor, g: Mor, h: Mor,
-                           profile: list[int] | None = None,
-                           tables=None, sf: Mor | None = None) -> CertReport:
+def certify_triangle_parts(cat: Category, f: Mor, g: Mor, h: Mor,
+                           profile: list[int], tables: tuple,
+                           sf: Mor) -> CertReport:
     """Hom-exactness certificate (both variances, full rotation period, all
-    indecomposable observers) plus zero composites and the cone profile.
-    A caller that holds Σf passes it as ``sf``; ΣX is its source."""
-    if sf is None:
-        sf = cat.suspend_mor(f)
+    indecomposable observers) plus zero composites and the cone profile,
+    from f's cone profile, the rank tables (rf, rg, rh, pf, pg, ph) of
+    ``post_rank_table`` and ``pre_rank_table`` on f, g and h, and Σf."""
     left_extra = []
     if not _composes_to_zero(cat, g, f):
         left_extra.append(("composite", "g.f"))
@@ -333,22 +336,19 @@ def certify_triangle_parts(cat: Category, X: Obj, Y: Obj, Z: Obj,
         left_extra.append(("composite", "h.g"))
     if not _composes_to_zero(cat, sf, h):
         left_extra.append(("composite", "Sf.h"))
-    if profile is None:
-        profile = cone_profile(cat, f)
-    homdim = cat.hom_vec_into(Z) == profile
-    if tables is None:
-        tables = (post_rank_table(cat, f), post_rank_table(cat, g),
-                  post_rank_table(cat, h), pre_rank_table(cat, f),
-                  pre_rank_table(cat, g), pre_rank_table(cat, h))
-    rf, rg, rh, pf, pg, ph = tables
-    left, right = _exactness_failures(cat, Y, Z, sf.src, rf, rg, rh,
-                                      pf, pg, ph)
+    homdim = cat.hom_vec_into(g.tgt) == profile
+    left, right = _exactness_failures(cat, f.tgt, g.tgt, sf.src, *tables)
     return CertReport(homdim, tuple(left_extra) + left, right)
 
 
 def certify_triangle(cat: Category, tri: Triangle) -> CertReport:
-    return certify_triangle_parts(cat, tri.x, tri.y, tri.z,
-                                  tri.f, tri.g, tri.h)
+    """The certificate of tri, computed from its three maps."""
+    f, g, h = tri.f, tri.g, tri.h
+    tables = (post_rank_table(cat, f), post_rank_table(cat, g),
+              post_rank_table(cat, h), pre_rank_table(cat, f),
+              pre_rank_table(cat, g), pre_rank_table(cat, h))
+    return certify_triangle_parts(cat, f, g, h, cone_profile(cat, f),
+                                  tables, cat.suspend_mor(f))
 
 
 # -- completion ---------------------------------------------------------------
@@ -427,7 +427,7 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
     if tri.f == f:
         return tri
     h = tri.h if f.m[0][0] > 0 else cat.scale_mor(-1, tri.h)
-    return Triangle(f.src, f.tgt, tri.z, f, tri.g, h, tri.cert)
+    return Triangle(f, tri.g, h)
 
 
 def _transport(cat: Category, b: Mor, k: int, seed: int) -> Triangle:
@@ -439,7 +439,7 @@ def _transport(cat: Category, b: Mor, k: int, seed: int) -> Triangle:
     g, h = cat.suspend_mor(tri.g, -k), cat.suspend_mor(tri.h, -k)
     if k % 2:
         h = cat.scale_mor(-1, h)
-    return Triangle(b.src, b.tgt, g.tgt, b, g, h, tri.cert)
+    return Triangle(b, g, h)
 
 
 def _search_triangle(cat: Category, f: Mor, seed: int) -> Triangle:
@@ -478,12 +478,10 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
         kb_h = kernel_basis(g_rows + sf_rows, ncols)
         for h in generic_maps(cat, Z, sX, kb_h, draws):
             rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
-            cert = certify_triangle_parts(cat, X, Y, Z, f, g, h,
-                                          profile=profile,
-                                          tables=(rf, rg, rh, pf, pg, ph),
-                                          sf=sf)
-            if cert.is_valid():
-                return Triangle(X, Y, Z, f, g, h, cert)
+            if certify_triangle_parts(cat, f, g, h, profile,
+                                      (rf, rg, rh, pf, pg, ph),
+                                      sf).is_valid():
+                return Triangle(f, g, h)
     return None
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from cluster_loc import category, modules, rigid, suites
+from cluster_loc import CertReport, category, cli, modules, rigid, suites
 from cluster_loc.category import build_category
 from cluster_loc.cli import main
 from cluster_loc.localization import algebra_of
@@ -475,6 +475,8 @@ def test_wakamatsu_suite_records_a_cone_outside_Tperp(monkeypatch,
     for f in failures:
         assert f["check"] == "cone-perp-and-left-approximation"
         assert "error" not in f and set(f["detail"]) == {"x"}
+        # the object is rendered as its label in the failure record only
+        assert isinstance(f["detail"]["x"], str)
 
 
 @pytest.mark.parametrize("suite, T, side, check, failed", [
@@ -665,12 +667,24 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
     # the README's form: a rank instead of a config
     assert main(["cone", "--n", "4", "--map", "M44,SM24 -> M34"]) == 0
     assert capsys.readouterr().out == out
+    # the cone of an identity is the zero object, labelled 0
+    assert main(["cone", "--n", "4", "--map", "M34 -> M34"]) == 0
+    assert "M34 -> M34 -> 0 -> S(M34)" in capsys.readouterr().out
     # rank 0 is a rank the build rejects, not a missing rank
     assert main(["cone", "--n", "0", "--map", "M44,SM24 -> M34"]) == 2
     assert "rank out of supported range" in capsys.readouterr().err
     assert main(["loc-hom", "--config", cfg, "--x", "M34", "--y", "M34"]) == 0
     out = capsys.readouterr().out
     assert "dimension 2" in out
+
+
+def test_cli_cone_recertifies_the_triangle(monkeypatch, capsys):
+    """cone prints the certificate it computes for the triangle it shows:
+    with a failing certificate planted, the line reads False."""
+    failing = CertReport(True, (("composite", "g.f"),), ())
+    monkeypatch.setattr(cli, "certify_triangle", lambda cat, tri: failing)
+    assert main(["cone", "--n", "4", "--map", "M44,SM24 -> M34"]) == 0
+    assert "certificate valid: False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,message", [

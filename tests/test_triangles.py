@@ -12,9 +12,9 @@ from cluster_loc.linalg import eliminate, integer_row, kernel_basis, rank
 from cluster_loc.suites import (InstanceConfig, basis_maps, cached_category,
                                 run_suites)
 from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
-                                   certify_triangle_parts, complete_triangle,
-                                   cone_profile, mesh_map_into,
-                                   mesh_map_out_of, profile_candidates)
+                                   complete_triangle, cone_profile,
+                                   mesh_map_into, mesh_map_out_of,
+                                   profile_candidates)
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
 from smoothing_reference import smooth_crossing
@@ -27,18 +27,15 @@ def ar_triangle(cat, x: int) -> Triangle:
 
 
 def rotate_forward(cat, tri: Triangle) -> Triangle:
-    """(f, g, h) -> (g, h, -Σf); the certificate is recomputed."""
-    nf = cat.scale_mor(-1, cat.suspend_mor(tri.f))
-    sx = cat.suspend_obj(tri.x)
-    cert = certify_triangle_parts(cat, tri.y, tri.z, sx, tri.g, tri.h, nf)
-    return Triangle(tri.y, tri.z, sx, tri.g, tri.h, nf, cert)
+    """(f, g, h) -> (g, h, -Σf)."""
+    return Triangle(tri.g, tri.h, cat.scale_mor(-1, cat.suspend_mor(tri.f)))
 
 
 def test_cone_of_identity_is_zero(cat4):
     x = cat4.obj(["M34"])
     tri = complete_triangle(cat4, cat4.identity(x))
     assert tri.z.is_zero()
-    assert tri.cert.is_valid()
+    assert certify_triangle(cat4, tri).is_valid()
 
 
 def test_cone_of_zero_map_splits(cat4):
@@ -47,7 +44,7 @@ def test_cone_of_zero_map_splits(cat4):
     tri = complete_triangle(cat4, cat4.zero_mor(x, y))
     want = cat4.obj(list(y.summands) + list(cat4.suspend_obj(x).summands))
     assert tri.z == want
-    assert tri.cert.is_valid()
+    assert certify_triangle(cat4, tri).is_valid()
 
 
 def test_cone_profile_examples(cat4):
@@ -191,20 +188,20 @@ def test_completion_on_singular_rank():
     for _ in range(12):
         f = cat.random_mor(rng, cat.random_obj(rng, 2), cat.random_obj(rng, 2))
         tri = complete_triangle(cat, f)
-        assert tri.cert.is_valid()
+        assert certify_triangle(cat, tri).is_valid()
         assert tri.z == complete_triangle(cat, f, seed=1).z
     for x in range(cat.N):
         tri = ar_triangle(cat, x)
-        assert tri.cert.is_valid()
-        assert tri.z == cat.suspend_obj(tri.y, 2)
+        assert certify_triangle(cat, tri).is_valid()
+        assert tri.z == cat.suspend_obj(tri.f.tgt, 2)
 
 
 def test_ar_triangles_certify(cat4):
     for x in range(cat4.N):
         tri = ar_triangle(cat4, x)
-        assert tri.cert.is_valid()
+        assert certify_triangle(cat4, tri).is_valid()
         # almost split triangle: Σx -> E -> x -> Σ²x
-        assert tri.y == Obj((x,))
+        assert tri.f.tgt == Obj((x,))
         assert tri.z == cat4.suspend_obj(Obj((x,)), 2)
 
 
@@ -230,15 +227,15 @@ def test_split_triangle_certifies(cat4):
     j = xy.summands.index(y.summands[0])
     inc = cat4.mor(x, xy, [[1 if r == i else 0] for r in range(2)])
     proj = cat4.mor(xy, y, [[1 if c == j else 0 for c in range(2)]])
-    cert = certify_triangle_parts(cat4, x, xy, y, inc, proj,
-                                  cat4.zero_mor(y, cat4.suspend_obj(x)))
+    cert = certify_triangle(cat4, Triangle(
+        inc, proj, cat4.zero_mor(y, cat4.suspend_obj(x))))
     assert cert.is_valid()
 
 
 def test_negative_control_zero_g_fails(cat4):
     tri = ar_triangle(cat4, cat4.arc_of_token("M34"))
-    bad = certify_triangle_parts(cat4, tri.x, tri.y, tri.z, tri.f,
-                                 cat4.zero_mor(tri.y, tri.z), tri.h)
+    bad = certify_triangle(cat4, Triangle(
+        tri.f, cat4.zero_mor(tri.f.tgt, tri.z), tri.h))
     assert not bad.is_valid()
     assert bad.left_exactness_failures or bad.right_exactness_failures
 
@@ -251,23 +248,20 @@ def test_certificate_reports_each_planted_fault(cat4):
     cat, inv = cat4, cat4.sigma_arc_inv
     for x, y, z in [k for k in sorted(cat.comp) if k[0] != k[1] != k[2]][:5]:
         fxy, gyz = cat.basis_mor(x, y), cat.basis_mor(y, z)
-        X, Y, Z = fxy.src, fxy.tgt, gyz.tgt
+        X, Z = fxy.src, gyz.tgt
         planted = {
-            "g.f": (X, Y, Z, fxy, gyz,
-                    cat.zero_mor(Z, cat.suspend_obj(X))),
-            "h.g": (Obj((inv[z],)), X, Y, cat.zero_mor(Obj((inv[z],)), X),
-                    fxy, gyz),
-            "Sf.h": (Obj((inv[y],)), Obj((inv[z],)), X,
-                     cat.basis_mor(inv[y], inv[z]),
+            "g.f": (fxy, gyz, cat.zero_mor(Z, cat.suspend_obj(X))),
+            "h.g": (cat.zero_mor(Obj((inv[z],)), X), fxy, gyz),
+            "Sf.h": (cat.basis_mor(inv[y], inv[z]),
                      cat.zero_mor(Obj((inv[z],)), X), fxy)}
-        for name, parts in planted.items():
-            cert = certify_triangle_parts(cat, *parts)
+        for name, maps in planted.items():
+            cert = certify_triangle(cat, Triangle(*maps))
             assert ("composite", name) in cert.left_exactness_failures
     tri = complete_triangle(cat, cat.basis_mor(*next(
         k for k in sorted(cat.hom_deg) if k[0] != k[1])))
-    assert tri.cert.is_valid()
-    bad = certify_triangle_parts(cat, tri.x, tri.y, tri.z, tri.f, tri.g,
-                                 cat.zero_mor(tri.z, cat.suspend_obj(tri.x)))
+    assert certify_triangle(cat, tri).is_valid()
+    bad = certify_triangle(cat, Triangle(tri.f, tri.g, cat.zero_mor(
+        tri.z, cat.suspend_obj(tri.f.src))))
     for failures in (bad.left_exactness_failures,
                      bad.right_exactness_failures):
         assert any(node == "SX" for _, node in failures)
@@ -296,7 +290,7 @@ def test_completion_certifies_the_second_candidate_cone(n):
     assert triangles._search_completion(cat, f, first, profile, rf, pf,
                                         0) is None
     tri = complete_triangle(cat, f)
-    assert tri.z == f.tgt and tri.cert.is_valid()
+    assert tri.z == f.tgt and certify_triangle(cat, tri).is_valid()
 
 
 def _with_extra_summand(z: Obj) -> Obj:
@@ -477,8 +471,7 @@ def test_transport_without_the_rotation_sign_is_caught(monkeypatch):
 
     def unrotated(cat, b, k, seed):
         tri = real(cat, b, k, seed)
-        return Triangle(tri.x, tri.y, tri.z, tri.f, tri.g,
-                        cat.scale_mor((-1) ** k, tri.h), tri.cert)
+        return Triangle(tri.f, tri.g, cat.scale_mor((-1) ** k, tri.h))
 
     monkeypatch.setattr(triangles, "_transport", unrotated)
     failures = _recertification_failures(build_category(4))
@@ -493,7 +486,7 @@ def test_rotation_closure(cat4):
                             cat4.random_obj(rng, 2))
         tri = complete_triangle(cat4, f)
         rot = rotate_forward(cat4, tri)
-        assert rot.cert.is_valid()
+        assert certify_triangle(cat4, rot).is_valid()
 
 
 def test_cone_of_direct_sum(cat4):
@@ -518,7 +511,7 @@ def test_completion_independent_of_search_order(cat4):
         t0 = complete_triangle(cat4, f, seed=0)
         t1 = complete_triangle(cat4, f, seed=1)
         assert t0.z == t1.z
-        assert t1.cert.is_valid()
+        assert certify_triangle(cat4, t1).is_valid()
 
 
 @pytest.fixture(scope="module")

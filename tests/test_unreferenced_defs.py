@@ -19,8 +19,6 @@ ALLOWED = {
                            "one forward elimination of [A | b]: the kernel "
                            "verdict that bench/ decides and the factoring "
                            "tests use",
-    "certify_triangle": "the whole-triangle certificate that bench's "
-                        "map-battery and tests/test_triangles.py apply",
 }
 
 

@@ -19,6 +19,13 @@ def _mor():
     return Mor(Obj((0,)), Obj((1, 2)), ((Fraction(1),), (Fraction(-1),)))
 
 
+def _triangle_maps():
+    """Maps 0 -> 1 + 2 -> 3 -> 4 that compose end to end, as a triangle's
+    f, g and h do."""
+    return (_mor(), Mor(Obj((1, 2)), Obj((3,)), ((1, 1),)),
+            Mor(Obj((3,)), Obj((4,)), ((1,),)))
+
+
 # each factory builds a fresh, equal value on every call; the tuple is its
 # fields in declaration order
 SAMPLES = {
@@ -33,10 +40,7 @@ SAMPLES = {
     "RigidObject": (lambda: RigidObject((0, 2)), ((0, 2),)),
     "CertReport": (lambda: CertReport(True, (), (("M11", 1),)),
                    (True, (), (("M11", 1),))),
-    "Triangle": (lambda: Triangle(Obj((0,)), Obj((1, 2)), Obj(()), _mor(),
-                                  _mor(), _mor(), CertReport(True, (), ())),
-                 (Obj((0,)), Obj((1, 2)), Obj(()), _mor(), _mor(), _mor(),
-                  CertReport(True, (), ()))),
+    "Triangle": (lambda: Triangle(*_triangle_maps()), _triangle_maps()),
     "LocHom": (lambda: LocHom(Obj((0,)), Obj((1,)), (Obj((0,)), _mor()),
                               (Obj((1,)), _mor()), (_mor(),), 1),
                (Obj((0,)), Obj((1,)), (Obj((0,)), _mor()),
@@ -53,7 +57,7 @@ FIELDS = {
     "RigidObject": ("arcs",),
     "CertReport": ("homdim_match", "left_exactness_failures",
                    "right_exactness_failures"),
-    "Triangle": ("x", "y", "z", "f", "g", "h", "cert"),
+    "Triangle": ("f", "g", "h"),
     "LocHom": ("x", "y", "x_res", "y_res", "reps", "dim"),
     "Zigzag": ("steps",),
     "InstanceConfig": ("n", "T", "type", "seed", "suites"),
@@ -154,6 +158,17 @@ def test_fields_bind_by_position_or_by_name():
         with pytest.raises(TypeError, match="takes the fields homdim_match, "
                            "left_exactness_failures, right_exactness_failures"):
             CertReport(*args, **kwargs)
+
+
+def test_triangle_is_its_three_maps():
+    """A triangle holds f, g and h only; its cone z is g's target, read
+    off the map, and is no field to assign."""
+    f, g, h = _triangle_maps()
+    tri = Triangle(f, g, h)
+    assert Triangle.__slots__ == ("f", "g", "h")
+    assert tri.z is g.tgt
+    with pytest.raises(AttributeError):
+        tri.z = Obj(())
 
 
 def test_rigid_object_memo_is_its_one_mutable_part():
