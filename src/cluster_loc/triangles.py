@@ -43,9 +43,13 @@ all of f's nonzero entries lie in one row or one column, no products are
 kept at all.  The hom dimensions the check compares against are memoised
 vectors per object (``Category.hom_vec_into`` / ``hom_vec_from``).
 
-One search per Σ-orbit.  The completed triangles memo
-(``cat._memo["triangles"]``) holds one entry per map and seed; a map
-c·b(x, y) between two arcs is stored under the basis map b(x, y), so
+One search per connected block.  A map that is not a nonzero map between
+two arcs is split into the connected blocks of its nonzero entries, and
+its triangle is the direct sum of its blocks' triangles, assembled on
+each call; an untouched summand needs no search.  So only connected maps
+are searched and stored.  The completed triangles memo
+(``cat._memo["triangles"]``) holds one entry per stored map and seed; a
+map c·b(x, y) between two arcs is stored under the basis map b(x, y), so
 those entries are bounded by the hom pairs times the seeds.  Only the
 least pair of each Σ-orbit is searched.  Any other pair's entry is
 filled once from the entry of Σ^k b(x, y), the least pair's basis map up
@@ -55,15 +59,15 @@ checks is lost: Σ is a functor, which ``_check_tables`` proves on every
 constant, so Σ^{-k} keeps every zero composite, and as the certificate is
 folded over the suspension period, the filled triangle's exactness
 equations at an observer W are the representative's at Σ^k W.  Every
-other map is searched per map and seed.  A result is a function of
-(f, seed) alone, whichever maps were completed before.
+other connected map is searched per map and seed.  A result is a
+function of (f, seed) alone, whichever maps were completed before.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .category import Category, Mor, Obj
+from .category import Category, Mor, Obj, _perm_to_sorted
 from .linalg import Mat, eliminate, integer_row, kernel_basis
 from .values import Value
 
@@ -187,19 +191,17 @@ def _block_rank(ents: list[tuple]) -> int:
                           for row in rows.values()])[0])
 
 
-def cone_profile(cat: Category, f: Mor) -> list[int]:
+def cone_profile(cat: Category, f: Mor, rf: list[int] | None = None
+                 ) -> list[int]:
     """dim Hom(W, cone f) for each indecomposable W, from the long exact
     sequence: coker of Hom(W, f) plus kernel of Hom(W, Σf).
 
     rank Hom(W, Σf) equals rank Hom(Σ^{-1}W, f), so one rank table serves
-    both terms.
+    both terms: rf = ``post_rank_table(cat, f)``, built here unless the
+    caller already holds it.
     """
-    return _profile_from_ranks(cat, f, post_rank_table(cat, f))
-
-
-def _profile_from_ranks(cat: Category, f: Mor, rf: list[int]) -> list[int]:
-    """The cone profile of f from its rank table rf = post_rank_table(f):
-    coker Hom(w, f) plus ker Hom(Σ^{-1}w, f)."""
+    if rf is None:
+        rf = post_rank_table(cat, f)
     into_src, into_tgt = cat.hom_vec_into(f.src), cat.hom_vec_into(f.tgt)
     return [into_tgt[w] - rf[w] + into_src[wm] - rf[wm]
             for w, wm in enumerate(cat.sigma_arc_inv)]
@@ -344,10 +346,11 @@ def certify_triangle_parts(cat: Category, f: Mor, g: Mor, h: Mor,
 def certify_triangle(cat: Category, tri: Triangle) -> CertReport:
     """The certificate of tri, computed from its three maps."""
     f, g, h = tri.f, tri.g, tri.h
-    tables = (post_rank_table(cat, f), post_rank_table(cat, g),
-              post_rank_table(cat, h), pre_rank_table(cat, f),
-              pre_rank_table(cat, g), pre_rank_table(cat, h))
-    return certify_triangle_parts(cat, f, g, h, cone_profile(cat, f),
+    rf = post_rank_table(cat, f)
+    tables = (rf, post_rank_table(cat, g), post_rank_table(cat, h),
+              pre_rank_table(cat, f), pre_rank_table(cat, g),
+              pre_rank_table(cat, h))
+    return certify_triangle_parts(cat, f, g, h, cone_profile(cat, f, rf),
                                   tables, cat.suspend_mor(f))
 
 
@@ -402,7 +405,11 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
     times sign(c): a triangle stays distinguished when its first and third
     maps are both multiplied by -1, and a positive scalar changes no rank
     and no zero composite.  The basis map of a pair that is not the least
-    of its Σ-orbit is filled by ``_transport``; any other map is searched.
+    of its Σ-orbit is filled by ``_transport``.  Any other map is split
+    into the connected blocks of its nonzero entries (``_blocks``): a
+    connected map is searched and stored, and a split one is the direct
+    sum of its blocks' triangles (``_direct_sum``), stored only through
+    its searched blocks.
 
     A search's connecting maps are a generic draw from their solution
     spaces, gated by the certificate; when the hom-dimension matrix is
@@ -422,12 +429,86 @@ def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
             tri = _transport(cat, b, k, seed) if k else _search_triangle(
                 cat, b, seed)
         else:
+            blocks = _blocks(f)
+            if len(blocks) != 1 or not all(blocks[0]):
+                return _direct_sum(cat, f, blocks, seed)
             tri = _search_triangle(cat, f, seed)
         memo[key, seed] = tri
     if tri.f == f:
         return tri
     h = tri.h if f.m[0][0] > 0 else cat.scale_mor(-1, tri.h)
     return Triangle(f, tri.g, h)
+
+
+def _blocks(f: Mor) -> list[tuple[list[int], list[int]]]:
+    """The connected blocks of f's nonzero entries, as sorted (target
+    positions, source positions): two positions share a block when a chain
+    of nonzero entries joins them.  An untouched summand is a block of its
+    own, with no position at the other end."""
+    blocks = []
+    for j in range(len(f.src)):
+        rows, cols = {i for i, row in enumerate(f.m) if row[j]}, {j}
+        for block in [b for b in blocks if b[0] & rows]:
+            blocks.remove(block)
+            rows, cols = rows | block[0], cols | block[1]
+        blocks.append((rows, cols))
+    touched = set().union(*(rows for rows, _ in blocks))
+    blocks += [({i}, set()) for i in range(len(f.tgt)) if i not in touched]
+    return [(sorted(rows), sorted(cols)) for rows, cols in blocks]
+
+
+def _direct_sum(cat: Category, f: Mor, blocks: list, seed: int) -> Triangle:
+    """f's triangle as the direct sum of its blocks' triangles, at f's own
+    summand positions, with the cone's summands sorted stably.
+
+    A block with entries at both ends is completed by ``complete_triangle``.
+    An untouched target summand y adds 0 -> y -1-> y -> 0, and an untouched
+    source summand x adds x -> 0 -> Σx -1-> Σx: the rotation of
+    x -1-> x -> 0 -> Σx, up to -1 on its cone summand, an isomorphism of
+    triangles.  ``suspend_mor`` moves each entry with its own pair's sign,
+    so Σf at a block's positions is the block's Σ, and ΣX holds f's source
+    positions in ``suspend_mor``'s stable order, re-sorted at the
+    wrap-around.
+
+    A direct sum of distinguished triangles is distinguished (Neeman,
+    Triangulated Categories, 2001, ch. 1), and the sum is not certified
+    again, as its certificate is the sum of its blocks':
+    up to a permutation of the summands f, g, h and Σf are block-diagonal,
+    so each rank of Hom(W, -) or Hom(-, W) is the sum of the blocks'
+    ranks; the hom dimensions of Y, Z and ΣX and f's cone profile add over
+    the blocks; so each exactness equation rank + rank = dim is the sum of
+    the blocks' equations, and each composite g.f, h.g and Σf.h has the
+    blocks' composites as its blocks, zero when theirs are.  The sum adds
+    no memo entry; only its searched blocks are stored.
+    """
+    X, Y, m = f.src.summands, f.tgt.summands, f.m
+    sx = [cat.sigma_arc[x] for x in X]
+    at = _perm_to_sorted(sx)        # the ΣX position of each source position
+    parts = []                      # (cone summand, g entries, h entries)
+    for rows, cols in blocks:
+        if rows and cols:
+            tri = complete_triangle(cat, Mor(
+                Obj(tuple(X[j] for j in cols)), Obj(tuple(Y[i] for i in rows)),
+                tuple(tuple(m[i][j] for j in cols) for i in rows)), seed)
+            # a stable sort keeps its order on any subset of the positions
+            sxb = sorted(at[j] for j in cols)
+            parts += [(z, zip(rows, grow), zip(sxb, hcol)) for z, grow, hcol
+                      in zip(tri.g.tgt.summands, tri.g.m, zip(*tri.h.m))]
+        elif rows:
+            parts.append((Y[rows[0]], [(rows[0], 1)], ()))
+        else:
+            parts.append((sx[cols[0]], (), [(at[cols[0]], 1)]))
+    parts.sort(key=lambda part: part[0])
+    g, h = [], [[0] * len(parts) for _ in X]
+    for k, (_, gs, hs) in enumerate(parts):
+        g.append([0] * len(Y))
+        for i, v in gs:
+            g[k][i] = v
+        for p, v in hs:
+            h[p][k] = v
+    Z = Obj(tuple(z for z, _, _ in parts))
+    return Triangle(f, Mor(f.tgt, Z, tuple(map(tuple, g))),
+                    Mor(Z, Obj(tuple(sorted(sx))), tuple(map(tuple, h))))
 
 
 def _transport(cat: Category, b: Mor, k: int, seed: int) -> Triangle:
@@ -446,7 +527,7 @@ def _search_triangle(cat: Category, f: Mor, seed: int) -> Triangle:
     """The certified search for f's triangle at the seed, with no memo: the
     candidate cones of f's profile, each searched in order."""
     rf = post_rank_table(cat, f)
-    profile = _profile_from_ranks(cat, f, rf)
+    profile = cone_profile(cat, f, rf)
     candidates = profile_candidates(cat, profile)
     pf = pre_rank_table(cat, f)
     for Z in candidates:

@@ -8,6 +8,7 @@ from cluster_loc.linalg import Mat, kernel_basis, rank_rows, solve_right
 from cluster_loc.modules import Algebra, LambdaModule
 from cluster_loc.rigid import RigidObject, rigid_object
 from cluster_loc.suites import cached_category
+from cluster_loc.triangles import _blocks
 
 
 def sample_rigid(cat: Category, rng: random.Random) -> RigidObject:
@@ -63,6 +64,13 @@ def is_isomorphism(cat: Category, f: Mor) -> bool:
     v, d, _ = sol
     g = cat.mor_from_vec(Y, X, [Fraction(a, d) for a in v])
     return cat.compose(g, f).m == cat.identity(X).m
+
+
+def is_connected(f: Mor) -> bool:
+    """Whether f's nonzero entries join all its summands into one block,
+    so that ``complete_triangle`` searches f itself."""
+    blocks = _blocks(f)
+    return len(blocks) == 1 and all(blocks[0])
 
 
 def shift_once(cat: Category, f: Mor, direction: int) -> Mor:

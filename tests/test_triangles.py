@@ -18,7 +18,7 @@ from cluster_loc.triangles import (Triangle, TriangleError, certify_triangle,
 from profile_reference import (hom_dim_matrix, reduced_hom_dim_system,
                                reference_candidates)
 from smoothing_reference import smooth_crossing
-from conftest import as_rows, shift_once
+from conftest import as_rows, is_connected, shift_once
 
 
 def ar_triangle(cat, x: int) -> Triangle:
@@ -306,9 +306,13 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
     cone; listed alone, no completion certifies, and the stilde suite
     records the TriangleError under two-verdicts-agree.  So the candidate
     memo cannot stand in for the certificate.  A map between two arcs is
-    completed from its Σ-orbit representative's search, so both halves
-    drive the direct search on every map as well as ``complete_triangle``.
-    The unpatched run is clean."""
+    completed from its Σ-orbit representative's search, and a split map
+    from its blocks', so both halves drive the direct search on every map
+    as well as ``complete_triangle``.  With the wrong cone alone, every
+    map with a nonzero entry still raises, as one of its blocks is
+    searched; a map with no nonzero entry is a direct sum of untouched
+    summands and completes without a search.  The unpatched run is
+    clean."""
     cfg = InstanceConfig(n=4, T=["M44", "M14", "M11"], seed=7,
                          suites=["stilde"])
     assert run_suites(cfg, cat=build_category(4))["failures_total"] == 0
@@ -343,8 +347,12 @@ def test_a_wrong_candidate_cone_fails_the_certificate(monkeypatch):
     for f in maps:
         with pytest.raises(TriangleError, match="no certified completion"):
             triangles._search_triangle(cat, f, 0)
+        if f.is_zero():
+            assert certify_triangle(cat, complete_triangle(cat, f)).is_valid()
+            continue
         with pytest.raises(TriangleError, match="no certified completion"):
             complete_triangle(cat, f)
+    assert any(f.is_zero() for f in maps)
     (record,) = run_suites(cfg, cat=build_category(4))["suites"]
     assert record["failures"]
     assert len(record["failures"]) == record["checks"]
@@ -479,6 +487,117 @@ def test_transport_without_the_rotation_sign_is_caught(monkeypatch):
     assert {f.split()[0] for f in failures} == {"transport"}
 
 
+def _block_pool(cat: Category) -> list:
+    """A seeded pool of maps between sums of up to three summands: drawn
+    maps, direct sums of two drawn maps, maps with a repeated arc at
+    either end, zero maps, and maps 0 -> Y and X -> 0."""
+    rng = random.Random(f"blocks:{cat.n}")
+    draw = cat.random_obj
+    maps = [cat.random_mor(rng, draw(rng, 3), draw(rng, 3))
+            for _ in range(10)]
+    maps += [cat.direct_sum_mor(
+        cat.random_mor(rng, draw(rng, 2), draw(rng, 1)),
+        cat.random_mor(rng, draw(rng, 1), draw(rng, 1))) for _ in range(4)]
+    for _ in range(3):
+        a = rng.randrange(cat.N)
+        maps += [cat.random_mor(rng, Obj((a, a)), draw(rng, 2)),
+                 cat.random_mor(rng, draw(rng, 1), Obj((a, a, a)))]
+    maps += [cat.zero_mor(draw(rng, 3), draw(rng, 2)),
+             cat.zero_mor(cat.zero_obj, draw(rng, 3)),
+             cat.zero_mor(draw(rng, 3), cat.zero_obj),
+             cat.zero_mor(cat.zero_obj, cat.zero_obj)]
+    return maps
+
+
+def _block_sweep_failures(cat: Category) -> list[str]:
+    """The re-certification sweep of block completion on a fresh category:
+    every map of ``_block_pool``, at seeds 0 and 1, completes to a triangle
+    on f itself that the certificate accepts, with the cone of a direct
+    search on f."""
+    failures = []
+    for f in _block_pool(cat):
+        for seed in (0, 1):
+            tri = complete_triangle(cat, f, seed)
+            if not (tri.f == f and certify_triangle(cat, tri).is_valid()
+                    and tri.z == triangles._search_triangle(
+                        cat, f, seed).z):
+                failures.append(f"{cat.format_mor(f)} seed {seed}")
+    return failures
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_completions_recertify(n):
+    """Every completion, assembled from the blocks of a split map or
+    searched on a connected one, passes the certificate and has the cone
+    of the direct search; the pool splits at every rank."""
+    cat = build_category(n)
+    assert any(not is_connected(f) and not f.is_zero()
+               for f in _block_pool(cat))
+    assert _block_sweep_failures(cat) == []
+
+
+def test_block_sweep_catches_a_wrong_h_position(monkeypatch):
+    """Negative controls of the direct sum, at rank 5: with ΣX's order
+    taken without ``suspend_mor``'s re-sort at the wrap-around, or with an
+    untouched source summand's entry of h dropped, the sweep reports
+    triangles that the certificate refuses.  The unpatched sweep is
+    clean."""
+    assert _block_sweep_failures(build_category(5)) == []
+    with monkeypatch.context() as mp:
+        mp.setattr(triangles, "_perm_to_sorted", lambda v: range(len(v)))
+        assert _block_sweep_failures(build_category(5))
+    real = triangles._direct_sum
+
+    def dropped(cat, f, blocks, seed):
+        tri = real(cat, f, blocks, seed)
+        sx = [cat.sigma_arc[x] for x in f.src.summands]
+        order = sorted(range(len(sx)), key=sx.__getitem__)
+        lost = {order.index(cols[0]) for rows, cols in blocks if not rows}
+        return Triangle(f, tri.g, cat.mor(tri.h.src, tri.h.tgt, [
+            [0] * len(row) if p in lost else row
+            for p, row in enumerate(tri.h.m)]))
+
+    monkeypatch.setattr(triangles, "_direct_sum", dropped)
+    assert _block_sweep_failures(build_category(5))
+
+
+def test_block_completion_work_counts(monkeypatch):
+    """A split map searches only its connected blocks that are not yet
+    stored, and stores only them; a second completion of it searches
+    nothing and adds no entry, and a map with no nonzero entry searches
+    nothing."""
+    cat = build_category(5)
+    rng = random.Random("work")
+    a = []
+    while len(a) < 2:
+        f = cat.random_mor(rng, cat.random_obj(rng, 2),
+                           cat.random_obj(rng, 2))
+        if is_connected(f) and len(f.src) + len(f.tgt) > 2:
+            a.append(f)
+    x, y = Obj((0,)), Obj((cat.N - 1,))
+    split = cat.direct_sum_mor(
+        cat.direct_sum_mor(a[0], a[1]),
+        cat.direct_sum_mor(cat.zero_mor(x, cat.zero_obj),
+                           cat.zero_mor(cat.zero_obj, y)))
+    searched = []
+    real = triangles._search_triangle
+    monkeypatch.setattr(triangles, "_search_triangle",
+                        lambda cat, f, seed: searched.append(f) or real(
+                            cat, f, seed))
+    memo = cat._memo.setdefault("triangles", {})
+    complete_triangle(cat, a[0])
+    assert searched == [a[0]] and len(memo) == 1
+    tri = complete_triangle(cat, split)
+    assert searched == [a[0], a[1]] and len(memo) == 2
+    assert tri.f == split and certify_triangle(cat, tri).is_valid()
+    assert complete_triangle(cat, split) == tri
+    X, Y = cat.random_obj(rng, 3), cat.random_obj(rng, 3)
+    for f in (cat.zero_mor(X, Y), cat.zero_mor(cat.zero_obj, Y),
+              cat.zero_mor(X, cat.zero_obj)):
+        assert certify_triangle(cat, complete_triangle(cat, f)).is_valid()
+    assert len(searched) == 2 and len(memo) == 2
+
+
 def test_rotation_closure(cat4):
     rng = random.Random(9)
     for _ in range(10):
@@ -516,8 +635,9 @@ def test_completion_independent_of_search_order(cat4):
 
 @pytest.fixture(scope="module")
 def drawn_pool():
-    """Completions at seeds 0 and 1 of a seeded pool of maps at ranks 5..8,
-    on fresh categories, with the draws each solution space took."""
+    """Completions at seeds 0 and 1 of a seeded pool of connected maps
+    with three or more summands at ranks 5..8, each searched on a fresh
+    category, with the draws each solution space took."""
     spaces = []     # [kernel dimension, draws] per solution space
     real = triangles.generic_maps
 
@@ -535,8 +655,10 @@ def drawn_pool():
             cat = build_category(n)
             rng = random.Random(100 + n)
             for _ in range(8):
-                f = cat.random_mor(rng, cat.random_obj(rng, 2),
-                                   cat.random_obj(rng, 3))
+                f = cat.zero_mor(cat.zero_obj, cat.zero_obj)
+                while not (is_connected(f) and len(f.src) + len(f.tgt) > 2):
+                    f = cat.random_mor(rng, cat.random_obj(rng, 2),
+                                       cat.random_obj(rng, 3))
                 first = len(spaces)
                 t0 = complete_triangle(cat, f, seed=0)
                 t1 = complete_triangle(cat, f, seed=1)
