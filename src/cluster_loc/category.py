@@ -32,7 +32,8 @@ suspension orbit (2,442 at n = 12), which proves both everywhere, by
 transport along the suspension and induction on the last step's degree,
 once every step of degree d >= 2 factors through an arrow and the
 suspension keeps degrees; last comes the mesh identity that cone profiles
-are solved by.
+are solved by.  2-Calabi–Yau duality, checked on every hom pair, lets
+every contravariant rank be read off the covariant ones at Σ⁻²W.
 
 On top of the arc-level tables sits the additive layer: formal direct sums
 (``Obj``) and block matrices of hom coefficients (``Mor``), with composition,
@@ -124,22 +125,21 @@ class Mor(Value):
 
 
 class ObserverIndex(dict):
-    """Per arc pair (x, y): every w with comp(w, x, y) != 0 (``into``) or
-    with comp(x, y, w) != 0 (not ``into``), each followed by that constant,
-    in one flat tuple of ints.  An entry is filled on its pair's first
-    read, so a cold query pays only for the pairs it touches; a fill is
-    write-once and idempotent, so threads that race on it store equal
-    tuples."""
+    """Per arc pair (x, y): every w with comp(w, x, y) != 0, each followed
+    by that constant, in one flat tuple of ints.  An entry is filled on its
+    pair's first read, so a cold query pays only for the pairs it touches;
+    a fill is write-once and idempotent, so threads that race on it store
+    equal tuples."""
 
-    def __init__(self, comp: dict, hom: list[list[int]], into: bool):
+    def __init__(self, comp: dict, hom_in: list[list[int]]):
         super().__init__()
-        self.comp, self.hom, self.into = comp, hom, into
+        self.comp, self.hom_in = comp, hom_in
 
     def __missing__(self, pair: tuple[int, int]) -> tuple[int, ...]:
         x, y = pair
         comp, out = self.comp, []
-        for w in self.hom[x if self.into else y]:
-            c = comp.get((w, x, y) if self.into else (x, y, w))
+        for w in self.hom_in[x]:
+            c = comp.get((w, x, y))
             if c:
                 out += (w, c)
         got = self[pair] = tuple(out)
@@ -212,8 +212,7 @@ class Category:
             self.hom_in[y].append(x)
             homs[x][y] = True
         self._homs = tuple(map(tuple, homs))    # row x: Hom(x, y) != 0
-        self.observers_into = ObserverIndex(comp, self.hom_in, True)
-        self.observers_from = ObserverIndex(comp, self.hom_out, False)
+        self.observers_into = ObserverIndex(comp, self.hom_in)
         self.suspension_index = SuspensionIndex(sig, self.sigma_powers)
         self._memo: dict = {}
 
@@ -452,24 +451,22 @@ class Category:
         """v with v[w] = dim Hom(w, X) for every indecomposable w, built once
         per ``X.summands`` and memoised write-once: the triangle certificate
         reads whole vectors of the same objects again and again, so unlike
-        ``hom_slots`` a rebuild would cost time."""
-        return self._hom_vec("vec_into", self.hom_in, X)
-
-    def hom_vec_from(self, X: Obj) -> list[int]:
-        """v with v[w] = dim Hom(X, w) for every indecomposable w, memoised
-        like ``hom_vec_into``; callers of either must not mutate v."""
-        return self._hom_vec("vec_from", self.hom_out, X)
-
-    def _hom_vec(self, kind: str, adjacent: list[list[int]], X: Obj):
-        cache = self._memo.setdefault(kind, {})
+        ``hom_slots`` a rebuild would cost time; callers must not mutate v."""
+        cache = self._memo.setdefault("vec_into", {})
         got = cache.get(X.summands)
         if got is None:
             got = [0] * self.N
             for s in X.summands:
-                for w in adjacent[s]:
+                for w in self.hom_in[s]:
                     got[w] += 1
             cache[X.summands] = got
         return got
+
+    def hom_vec_from(self, X: Obj) -> list[int]:
+        """v with v[w] = dim Hom(X, w) = dim Hom(Σ⁻²w, X) for every
+        indecomposable w, by the duality that ``_check_tables`` checks."""
+        into = self.hom_vec_into(X)
+        return [into[v] for v in self.sigma_powers[-2]]
 
     # -- randomness helpers (suites) --------------------------------------
 
@@ -819,9 +816,25 @@ def _check_tables(cat: Category):
     chains with a nonzero side at n = 1..12.  Composition keys must be
     triples of arc indices, as a build makes them.  Last, the mesh
     identity that cone profiles are solved by (``_check_mesh_identity``).
+
+    First in the pass over the hom pairs comes 2-Calabi–Yau duality
+    (Serre functor Σ²): for every hom pair (v, a), c(v, a, Σ²v) != 0, so
+    (a, Σ²v) is a hom pair too, as every key is a chain of hom pairs.
+    (v, a) -> (a, Σ²v) is a bijection of the pairs of arcs, so it maps the
+    hom pairs onto the hom pairs.  Proof that every
+    contravariant rank is then a covariant one: take W, v = Σ⁻²W and
+    π(A) = c(v, A, W), nonzero on every hom pair (A, W).  Associativity on
+    v -> x -> y -> W, proved everywhere by ``_check_constants``, gives
+    c(v, x, y)·π(y) = c(x, y, W)·π(x), both sides zero together.  So for
+    f: X -> Y the matrix of Hom(v, f) is diag(π(Y_i))⁻¹ · (the matrix of
+    Hom(f, W))ᵀ · diag(π(X_j)) on the same slots, rank Hom(f, W) =
+    rank Hom(Σ⁻²W, f), and dim Hom(X, W) = dim Hom(Σ⁻²W, X).  Hence a
+    triangle's Hom(-, W) equations at Y, Z and ΣX are its Hom(Σ⁻²W, -)
+    ones, term by term, and its certificate checks Hom(W, -) only.
     """
     arcs, hom_deg, comp, sig, sigma_arc = (cat.arcs, cat.hom_deg, cat.comp,
                                            cat.sig, cat.sigma_arc)
+    serre = cat.sigma_powers[2]
     N, cross, inv = cat.N, cat._cross, cat.sigma_arc_inv
     want, names = oracle.label_hom_matrix(cat.n), oracle.labels(cat.n)
     li = [names.index(lab) for lab in cat.labels]   # each arc's label index
@@ -848,6 +861,9 @@ def _check_tables(cat: Category):
     degs, sigs = [[None] * N for _ in arcs], [[0] * N for _ in arcs]
     for (x, y), d in hom_deg.items():
         s = sig[(x, y)]
+        if not comp.get((x, y, serre[x])):
+            raise BuildError(f"2-Calabi–Yau duality fails at ({arcs[x]}, "
+                             f"{arcs[y]}): the composite into Σ² is zero")
         if comp.get((x, x, y)) != 1 or comp.get((x, y, y)) != 1:
             raise BuildError(f"identities are not units at ({arcs[x]}, {arcs[y]})")
         if s == 0 or x == y and s != 1:

@@ -119,7 +119,7 @@ def s_resolution(cat: Category, t: RigidObject, y: Obj) -> tuple[Obj, Mor]:
         return memo[y.summands]
     tri1 = approx_triangle(cat, t, y)
     u = tri1.f
-    v = cat.scale_mor(-1, cat.suspend_mor(tri1.h, -1))   # Z -> T0
+    v = cat.scale_mor(-1, cat.suspend_mor(tri1.h, -1))   # Σ⁻¹Z -> T0
     z_obj = v.src
     w = right_addT_approx(cat, t, z_obj)
     vw = cat.compose(v, w)

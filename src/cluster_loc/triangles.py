@@ -21,27 +21,36 @@ constraints, gated by the full hom-exactness certificate.  Every exactness
 condition is a maximal-rank condition on such a linear family, so one
 generic member passes unless no member does.
 
-The certificate checks, for every indecomposable W and every rotation of the
-triangle over one full suspension period, exactness of Hom(W, -) and
-Hom(-, W) at the middle term.  Because the suspension is an autoequivalence,
-rank Hom(W, Σ^k u) = rank Hom(Σ^{-k} W, u), so the (W, rotation) grid folds
-into six rank tables indexed by the indecomposables; the folded check covers
-exactly the same equations without re-suspending the maps.
+The certificate checks the three zero composites and, for every
+indecomposable W and every rotation of the triangle over one full
+suspension period, exactness of Hom(W, -) at the middle term.  Because the
+suspension is an autoequivalence, rank Hom(W, Σ^k u) = rank Hom(Σ^{-k} W, u),
+so the (W, rotation) grid folds into three rank tables indexed by the
+indecomposables, with no map re-suspended.  The Hom(-, W) equations are
+the Hom(Σ⁻²W, -) ones, by the 2-Calabi–Yau duality that every build checks
+(``category._check_tables`` has the proof), so ``pre_rank_table`` is
+``post_rank_table`` read at Σ⁻²w and the certificate checks Hom(W, -) only.
+
+What is certified.  The certificate reads ranks and zero composites only,
+so it cannot see a nonzero scalar on g or h, and the generic draw fixes
+them only up to such scalars: a returned triangle is hom-exact, with the
+forced cone, but it is not in general distinguished.  The callers need no
+more: ``classify`` reads only ranks and factoring, and ``s_resolution``
+re-checks its result (``in_CT``, ``classify(s).in_S``).
 
 A table is built from the nonzero entries of f.  Every hom space between
 arcs is at most 1-dimensional, so an entry f_ij from x to y reaches
-Hom(W, f) only for the W that map to x with comp(W, x, y) != 0, and
-Hom(f, W) only for the W that y maps to with comp(x, y, W) != 0, each time
+Hom(W, f) only for the W that map to x with comp(W, x, y) != 0, each time
 as the product of f_ij and that constant.  Those W, with their constants,
-are read from the category's two observer indexes keyed by arc pair
-(``Category.observers_into`` / ``observers_from``), each entry filled on
-its pair's first read, so a cold query pays only for the pairs it
-touches.  An observer that collects no product has rank 0; one entry, two
-entries and blocks of two rows or two columns have closed-form ranks, and
-only blocks of at least three rows and three columns are eliminated.  When
-all of f's nonzero entries lie in one row or one column, no products are
-kept at all.  The hom dimensions the check compares against are memoised
-vectors per object (``Category.hom_vec_into`` / ``hom_vec_from``).
+are read from the category's observer index keyed by arc pair
+(``Category.observers_into``), each entry filled on its pair's first
+read, so a cold query pays only for the pairs it touches.  An observer
+that collects no product has rank 0; one entry, two entries and blocks of
+two rows or two columns have closed-form ranks, and only blocks of at
+least three rows and three columns are eliminated.  When all of f's
+nonzero entries lie in one row or one column, no products are kept at
+all.  The hom dimensions the check compares against are memoised vectors
+per object (``Category.hom_vec_into``).
 
 One search per connected block.  A map that is not a nonzero map between
 two arcs is split into the connected blocks of its nonzero entries, and
@@ -87,13 +96,11 @@ class TriangleError(RuntimeError):
 
 
 class CertReport(Value):
-    # exactness failures: (arc label, node) of Hom(W, -) / of Hom(-, W)
-    __slots__ = ("homdim_match", "left_exactness_failures",
-                 "right_exactness_failures")
+    # exactness failures: ("composite", name), then (arc label, node)
+    __slots__ = ("homdim_match", "exactness_failures")
 
     def is_valid(self) -> bool:
-        return (self.homdim_match and not self.left_exactness_failures
-                and not self.right_exactness_failures)
+        return self.homdim_match and not self.exactness_failures
 
 
 class Triangle(Value):
@@ -114,52 +121,37 @@ def post_rank_table(cat: Category, f: Mor) -> list[int]:
 
     Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
     w of ``cat.observers_into[x, y]``, where it is the product
-    f_ij·comp(w, x, y); row i of the block of w is f.tgt[i].
+    f_ij·comp(w, x, y); row i of the block of w is f.tgt[i].  Each row of
+    f is scaled to integers (``integer_row``, which changes no rank).  When
+    the entries all lie in one row or one column, so does every block, and
+    a block that is not empty has rank 1 with no product kept.
     """
     src, tgt, obs = f.src.summands, f.tgt.summands, cat.observers_into
-    return _rank_table(cat.N, [(i, j, a, obs[src[j], tgt[i]])
-                               for i, j, a in _nonzero_entries(f)])
-
-
-def pre_rank_table(cat: Category, f: Mor) -> list[int]:
-    """rank of Hom(f, w) for every indecomposable w.
-
-    Entry (i, j) of f, from x = f.src[j] to y = f.tgt[i], reaches only the
-    w of ``cat.observers_from[x, y]``, where it is the product
-    f_ij·comp(x, y, w); row j of the block of w is f.src[j].
-    """
-    src, tgt, obs = f.src.summands, f.tgt.summands, cat.observers_from
-    return _rank_table(cat.N, [(j, i, a, obs[src[j], tgt[i]])
-                               for i, j, a in _nonzero_entries(f)])
-
-
-def _nonzero_entries(f: Mor) -> list[tuple]:
-    """The nonzero entries (i, j, f_ij) of f, each row scaled to integers
-    (``integer_row``, which changes no rank)."""
-    return [(i, j, a) for i, row in enumerate(f.m)
+    ents = [(i, j, a, obs[src[j], tgt[i]]) for i, row in enumerate(f.m)
             for j, a in enumerate(integer_row(row)) if a]
-
-
-def _rank_table(n: int, ents: list[tuple]) -> list[int]:
-    """The rank of each of the n observers' blocks, from the entries (row,
-    column, value, flat observer tuple of (w, constant)) of the map.  When
-    the entries all lie in one row or one column, so does every block, and
-    each block that is not empty has rank 1 with no product kept."""
-    out = [0] * n
-    if (len({r for r, _, _, _ in ents}) < 2
-            or len({c for _, c, _, _ in ents}) < 2):
-        for *_, obs in ents:
-            for w in obs[::2]:
+    out = [0] * cat.N
+    if (len({i for i, _, _, _ in ents}) < 2
+            or len({j for _, j, _, _ in ents}) < 2):
+        for *_, ws in ents:
+            for w in ws[::2]:
                 out[w] = 1
         return out
     blocks: dict[int, list] = {}
-    for r, c, a, obs in ents:
-        it = iter(obs)
+    for i, j, a, ws in ents:
+        it = iter(ws)
         for w, k in zip(it, it):
-            blocks.setdefault(w, []).append((r, c, a * k))
+            blocks.setdefault(w, []).append((i, j, a * k))
     for w, block in blocks.items():
         out[w] = _block_rank(block)
     return out
+
+
+def pre_rank_table(cat: Category, f: Mor) -> list[int]:
+    """rank of Hom(f, w) for every indecomposable w: rank Hom(Σ⁻²w, f), read
+    off ``post_rank_table`` by the 2-Calabi–Yau duality that every build
+    checks (``category._check_tables``, where the proof is)."""
+    rf = post_rank_table(cat, f)
+    return [rf[v] for v in cat.sigma_powers[-2]]
 
 
 def _block_rank(ents: list[tuple]) -> int:
@@ -277,33 +269,24 @@ def _mults_to_obj(mults) -> Obj:
 # -- certificate --------------------------------------------------------------
 
 
-def _exactness_failures(cat: Category, Y, Z, sX, rf, rg, rh,
-                        pf, pg, ph):
-    """Folded exactness check over one full rotation period.
+def _exactness_failures(cat: Category, Y, Z, sX, rf, rg, rh) -> tuple:
+    """Folded exactness check of Hom(W, -) over one full rotation period.
 
     Node types per observer arc w: the middle objects Y, Z and ΣX of the
     rotated sequence; the Σ^k-rotated instance at observer W equals the
     unrotated instance at observer Σ^{-k}W.
     """
     into_y, into_z, into_sx = map(cat.hom_vec_into, (Y, Z, sX))
-    from_y, from_z, from_sx = map(cat.hom_vec_from, (Y, Z, sX))
-    left = []
-    right = []
+    failures = []
     for w, wm in enumerate(cat.sigma_arc_inv):
         lab = cat.labels[w]
         if rf[w] + rg[w] != into_y[w]:
-            left.append((lab, "Y"))
+            failures.append((lab, "Y"))
         if rg[w] + rh[w] != into_z[w]:
-            left.append((lab, "Z"))
+            failures.append((lab, "Z"))
         if rh[w] + rf[wm] != into_sx[w]:
-            left.append((lab, "SX"))
-        if pg[w] + pf[w] != from_y[w]:
-            right.append((lab, "Y"))
-        if ph[w] + pg[w] != from_z[w]:
-            right.append((lab, "Z"))
-        if pf[wm] + ph[w] != from_sx[w]:
-            right.append((lab, "SX"))
-    return tuple(left), tuple(right)
+            failures.append((lab, "SX"))
+    return tuple(failures)
 
 
 def _composes_to_zero(cat: Category, g: Mor, f: Mor) -> bool:
@@ -327,29 +310,27 @@ def _composes_to_zero(cat: Category, g: Mor, f: Mor) -> bool:
 def certify_triangle_parts(cat: Category, f: Mor, g: Mor, h: Mor,
                            profile: list[int], tables: tuple,
                            sf: Mor) -> CertReport:
-    """Hom-exactness certificate (both variances, full rotation period, all
+    """Hom-exactness certificate (Hom(W, -), full rotation period, all
     indecomposable observers) plus zero composites and the cone profile,
-    from f's cone profile, the rank tables (rf, rg, rh, pf, pg, ph) of
-    ``post_rank_table`` and ``pre_rank_table`` on f, g and h, and Σf."""
-    left_extra = []
+    from f's cone profile, the rank tables (rf, rg, rh) of
+    ``post_rank_table`` on f, g and h, and Σf."""
+    composites = []
     if not _composes_to_zero(cat, g, f):
-        left_extra.append(("composite", "g.f"))
+        composites.append(("composite", "g.f"))
     if not _composes_to_zero(cat, h, g):
-        left_extra.append(("composite", "h.g"))
+        composites.append(("composite", "h.g"))
     if not _composes_to_zero(cat, sf, h):
-        left_extra.append(("composite", "Sf.h"))
+        composites.append(("composite", "Sf.h"))
     homdim = cat.hom_vec_into(g.tgt) == profile
-    left, right = _exactness_failures(cat, f.tgt, g.tgt, sf.src, *tables)
-    return CertReport(homdim, tuple(left_extra) + left, right)
+    return CertReport(homdim, tuple(composites) + _exactness_failures(
+        cat, f.tgt, g.tgt, sf.src, *tables))
 
 
 def certify_triangle(cat: Category, tri: Triangle) -> CertReport:
     """The certificate of tri, computed from its three maps."""
     f, g, h = tri.f, tri.g, tri.h
     rf = post_rank_table(cat, f)
-    tables = (rf, post_rank_table(cat, g), post_rank_table(cat, h),
-              pre_rank_table(cat, f), pre_rank_table(cat, g),
-              pre_rank_table(cat, h))
+    tables = (rf, post_rank_table(cat, g), post_rank_table(cat, h))
     return certify_triangle_parts(cat, f, g, h, cone_profile(cat, f, rf),
                                   tables, cat.suspend_mor(f))
 
@@ -397,14 +378,16 @@ def generic_maps(cat: Category, X: Obj, Y: Obj, kb: Mat, draws,
 
 
 def complete_triangle(cat: Category, f: Mor, seed: int = 0) -> Triangle:
-    """Certified completion of f to a triangle f.src -> f.tgt -> z -> Σf.src.
+    """Certified completion of f to a triangle f.src -> f.tgt -> z -> Σf.src:
+    hom-exact with the forced cone, not in general distinguished (see the
+    module docstring).
 
     Each map is completed once per seed and stored; a map f = c·b(x, y)
     between two arcs (c != 0) is stored under the basis map b(x, y), and
     for c != 1 that triangle is returned with f first and its third map
-    times sign(c): a triangle stays distinguished when its first and third
-    maps are both multiplied by -1, and a positive scalar changes no rank
-    and no zero composite.  The basis map of a pair that is not the least
+    times sign(c): neither a sign on the first and third maps together
+    nor a positive scalar changes a rank or a zero composite, so the
+    certificate still holds.  The basis map of a pair that is not the least
     of its Σ-orbit is filled by ``_transport``.  Any other map is split
     into the connected blocks of its nonzero entries (``_blocks``): a
     connected map is searched and stored, and a split one is the direct
@@ -470,16 +453,16 @@ def _direct_sum(cat: Category, f: Mor, blocks: list, seed: int) -> Triangle:
     positions in ``suspend_mor``'s stable order, re-sorted at the
     wrap-around.
 
-    A direct sum of distinguished triangles is distinguished (Neeman,
-    Triangulated Categories, 2001, ch. 1), and the sum is not certified
-    again, as its certificate is the sum of its blocks':
-    up to a permutation of the summands f, g, h and Σf are block-diagonal,
-    so each rank of Hom(W, -) or Hom(-, W) is the sum of the blocks'
-    ranks; the hom dimensions of Y, Z and ΣX and f's cone profile add over
-    the blocks; so each exactness equation rank + rank = dim is the sum of
-    the blocks' equations, and each composite g.f, h.g and Σf.h has the
-    blocks' composites as its blocks, zero when theirs are.  The sum adds
-    no memo entry; only its searched blocks are stored.
+    The sum is hom-exact when its blocks are, as its certificate is the
+    sum of theirs, so it is not certified again; it is distinguished only
+    as far as they are (Neeman, Triangulated Categories, 2001, ch. 1).  Up
+    to a permutation of the summands f, g, h and Σf are block-diagonal, so
+    each rank of Hom(W, -) is the sum of the blocks' ranks; the hom
+    dimensions of Y, Z and ΣX and f's cone profile add over the blocks; so
+    each exactness equation rank + rank = dim is the sum of the blocks'
+    equations, and each composite g.f, h.g and Σf.h has the blocks'
+    composites as its blocks, zero when theirs are.  The sum adds no memo
+    entry; only its searched blocks are stored.
     """
     X, Y, m = f.src.summands, f.tgt.summands, f.m
     sx = [cat.sigma_arc[x] for x in X]
@@ -529,9 +512,8 @@ def _search_triangle(cat: Category, f: Mor, seed: int) -> Triangle:
     rf = post_rank_table(cat, f)
     profile = cone_profile(cat, f, rf)
     candidates = profile_candidates(cat, profile)
-    pf = pre_rank_table(cat, f)
     for Z in candidates:
-        tri = _search_completion(cat, f, Z, profile, rf, pf, seed)
+        tri = _search_completion(cat, f, Z, profile, rf, seed)
         if tri is not None:
             return tri
     raise TriangleError(
@@ -540,7 +522,7 @@ def _search_triangle(cat: Category, f: Mor, seed: int) -> Triangle:
         f"{[cat.obj_label(z) for z in candidates]})")
 
 
-def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
+def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf,
                        seed: int):
     sf = cat.suspend_mor(f)
     X, Y, sX = f.src, f.tgt, sf.src
@@ -553,14 +535,13 @@ def _search_completion(cat: Category, f: Mor, Z: Obj, profile, rf, pf,
     sf_rows = cat.post_rows(sf, Z)[0]
 
     for g in generic_maps(cat, Y, Z, kb_g, draws):
-        rg, pg = post_rank_table(cat, g), pre_rank_table(cat, g)
+        rg = post_rank_table(cat, g)
         # h candidates: h . g = 0 and Σf . h = 0
         g_rows, ncols = cat.pre_rows(g, sX)
         kb_h = kernel_basis(g_rows + sf_rows, ncols)
         for h in generic_maps(cat, Z, sX, kb_h, draws):
-            rh, ph = post_rank_table(cat, h), pre_rank_table(cat, h)
             if certify_triangle_parts(cat, f, g, h, profile,
-                                      (rf, rg, rh, pf, pg, ph),
+                                      (rf, rg, post_rank_table(cat, h)),
                                       sf).is_valid():
                 return Triangle(f, g, h)
     return None

@@ -7,13 +7,17 @@ category, as AC2 runs its instances, and prints:
 - the wall time of the battery (the category build not included);
 - the candidate searches (calls of ``triangles._search_triangle``);
 - the ``Category.suspend_mor`` calls;
+- the rank-table calls, ``post_rank_table`` and ``pre_rank_table``,
+  counted at every module binding they are looked up through
+  (``triangles`` and ``rigid``), so a table that another builds counts
+  in both;
 - the entries of the category's ``triangles`` memo, split into maps
   between two arcs and other maps.
 
     PYTHONPATH=src python tests/ac2_slice.py                  # n = 5, N = 150
     PYTHONPATH=src python tests/ac2_slice.py --n 4 --count 196
 
-The counters wrap the two functions, which adds a little to the time.
+The counters wrap these functions, which adds a little to the time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from cluster_loc import triangles
+from cluster_loc import rigid, triangles
 from cluster_loc.category import Category, build_category
 from cluster_loc.suites import InstanceConfig, run_suites
 from conftest import enumerate_basic_rigid
@@ -44,8 +48,14 @@ def main() -> None:
     ap.add_argument("--count", type=int, default=150)
     args = ap.parse_args()
     searches, suspensions = [0], [0]
+    tables = {"post_rank_table": [0], "pre_rank_table": [0]}
     triangles._search_triangle = counted(
         searches, "_search_triangle", triangles._search_triangle)
+    for module in (triangles, rigid):
+        for name, calls in tables.items():
+            if hasattr(module, name):
+                setattr(module, name,
+                        counted(calls, name, getattr(module, name)))
     Category.suspend_mor = counted(suspensions, "suspend_mor",
                                    Category.suspend_mor)
     cat = build_category(args.n)
@@ -64,6 +74,8 @@ def main() -> None:
     print(f"wall {wall:.2f} s")
     print(f"candidate searches {searches[0]}")
     print(f"suspend_mor calls {suspensions[0]}")
+    for name, calls in tables.items():
+        print(f"{name} calls {calls[0]}")
     print(f"triangles entries {len(memo)}: {arcs} maps between two arcs, "
           f"{len(memo) - arcs} other maps")
 

@@ -652,6 +652,27 @@ def test_associativity_check_transports_along_the_suspension(n):
     assert caught
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_duality_check_rejects_each_deleted_orbit(n):
+    """Negative control of 2-Calabi–Yau duality, the premise on which the
+    triangle certificate reads every Hom(-, W) rank off Hom(Σ⁻²W, -): the
+    composition keys (v, a, Σ²v) with v != a, deleted one Σ-orbit at a
+    time, fail the table checks with the duality error, which names a
+    pair; the unplanted tables pass."""
+    cat = cached_category(n)
+    sa, serre = cat.sigma_arc, cat.sigma_powers[2]
+    category._check_tables(Category(n, cat.hom_deg, cat.comp, cat.sig))
+    orbits = {min(_key_orbit(sa, k)) for k in cat.comp
+              if k[0] != k[1] and k[2] == serre[k[0]]}
+    assert len(orbits) == {3: 4, 4: 8, 5: 16, 6: 25, 7: 40, 8: 56}[n]
+    for key in sorted(orbits):
+        gone = set(_key_orbit(sa, key))
+        comp = {k: c for k, c in cat.comp.items() if k not in gone}
+        with pytest.raises(BuildError, match=r"^2-Calabi–Yau duality fails "
+                           r"at \(\d+-\d+, \d+-\d+\): "):
+            category._check_tables(Category(n, cat.hom_deg, comp, cat.sig))
+
+
 def test_table_checks_name_every_planted_non_unit_constant(cat4):
     """Twice the constant at each key (x, y, z) with x != y != z, one at a
     time: the table checks name the planted key, also where a key that the

@@ -160,9 +160,9 @@ def test_battery_memo_keeps_no_entry_per_object_pair():
                                  "identify", "factoring-surjection"])
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
     assert set(cat._memo) == {"triangles", "candidates", "vec_into",
-                              "vec_from", ("map_pool", 7, 100)}
-    for kind in ("vec_into", "vec_from"):
-        assert all(isinstance(a, int) for key in cat._memo[kind] for a in key)
+                              ("map_pool", 7, 100)}
+    assert all(isinstance(a, int) for key in cat._memo["vec_into"]
+               for a in key)
     # keyed by profile, one int per indecomposable, not by object pair
     assert cat._memo["candidates"]
     assert all(type(key) is tuple and len(key) == cat.N
@@ -234,22 +234,23 @@ def test_reports_do_not_depend_on_the_instances_run_before():
 
 
 def test_battery_observer_indexes_stay_within_the_hom_pairs():
-    """After the same seeded AC2 instance each observer index of the rank
-    tables holds at most one entry per hom pair, keyed by a pair of arc
-    indices that is a hom pair, and each entry is a flat tuple of ints."""
+    """After the same seeded AC2 instance the one observer index of the
+    rank tables holds at most one entry per hom pair, keyed by a pair of
+    arc indices that is a hom pair, and each entry is a flat tuple of
+    ints."""
     cat = build_category(6)
     t = sample_rigid(cat, random.Random("ac2:6"))
     cfg = InstanceConfig(n=6, T=[cat.labels[a] for a in t.arcs], seed=7,
                          suites=["kernel", "stilde", "doubleperp", "wakamatsu",
                                  "identify", "factoring-surjection"])
     assert run_suites(cfg, sample_maps=100, cat=cat)["failures_total"] == 0
-    for index in (cat.observers_into, cat.observers_from):
-        assert 0 < len(index) <= len(cat.hom_deg)
-        for key, obs in index.items():
-            assert len(key) == 2
-            assert all(type(a) is int for a in key) and key in cat.hom_deg
-            assert type(obs) is tuple and len(obs) % 2 == 0
-            assert all(type(v) is int for v in obs)
+    index = cat.observers_into
+    assert 0 < len(index) <= len(cat.hom_deg)
+    for key, obs in index.items():
+        assert len(key) == 2
+        assert all(type(a) is int for a in key) and key in cat.hom_deg
+        assert type(obs) is tuple and len(obs) % 2 == 0
+        assert all(type(v) is int for v in obs)
 
 
 def test_map_suite_mode_follows_the_drawn_pool():
@@ -681,7 +682,7 @@ def test_cli_classify_cone_lochom(tmp_path, capsys):
 def test_cli_cone_recertifies_the_triangle(monkeypatch, capsys):
     """cone prints the certificate it computes for the triangle it shows:
     with a failing certificate planted, the line reads False."""
-    failing = CertReport(True, (("composite", "g.f"),), ())
+    failing = CertReport(True, (("composite", "g.f"),))
     monkeypatch.setattr(cli, "certify_triangle", lambda cat, tri: failing)
     assert main(["cone", "--n", "4", "--map", "M44,SM24 -> M34"]) == 0
     assert "certificate valid: False" in capsys.readouterr().out

@@ -234,17 +234,21 @@ def test_split_triangle_certifies(cat4):
 
 def test_negative_control_zero_g_fails(cat4):
     tri = ar_triangle(cat4, cat4.arc_of_token("M34"))
-    bad = certify_triangle(cat4, Triangle(
-        tri.f, cat4.zero_mor(tri.f.tgt, tri.z), tri.h))
+    planted = Triangle(tri.f, cat4.zero_mor(tri.f.tgt, tri.z), tri.h)
+    bad = certify_triangle(cat4, planted)
     assert not bad.is_valid()
-    assert bad.left_exactness_failures or bad.right_exactness_failures
+    assert bad.exactness_failures
+    assert _contravariant_failures(cat4, planted)
+    assert _variance_mismatches(cat4, planted) == set()
 
 
 def test_certificate_reports_each_planted_fault(cat4):
     """A chain x -> y -> z of arcs with a nonzero composite, planted as
     (f, g), as (g, h) and as (h, Sf) of a rank-4 sequence, fails the
     composite check of that position; a certified triangle with h = 0
-    fails exactness at its node SX, in both variances."""
+    fails exactness at its node SX, in the certificate's Hom(W, -) and in
+    the reference's Hom(-, W), and the two variances fail at the same
+    nodes, Σ⁻²W for W."""
     cat, inv = cat4, cat4.sigma_arc_inv
     for x, y, z in [k for k in sorted(cat.comp) if k[0] != k[1] != k[2]][:5]:
         fxy, gyz = cat.basis_mor(x, y), cat.basis_mor(y, z)
@@ -256,15 +260,18 @@ def test_certificate_reports_each_planted_fault(cat4):
                      cat.zero_mor(Obj((inv[z],)), X), fxy)}
         for name, maps in planted.items():
             cert = certify_triangle(cat, Triangle(*maps))
-            assert ("composite", name) in cert.left_exactness_failures
+            assert ("composite", name) in cert.exactness_failures
+            assert _variance_mismatches(cat, Triangle(*maps)) == set()
     tri = complete_triangle(cat, cat.basis_mor(*next(
         k for k in sorted(cat.hom_deg) if k[0] != k[1])))
     assert certify_triangle(cat, tri).is_valid()
-    bad = certify_triangle(cat, Triangle(tri.f, tri.g, cat.zero_mor(
-        tri.z, cat.suspend_obj(tri.f.src))))
-    for failures in (bad.left_exactness_failures,
-                     bad.right_exactness_failures):
+    planted = Triangle(tri.f, tri.g, cat.zero_mor(
+        tri.z, cat.suspend_obj(tri.f.src)))
+    bad = certify_triangle(cat, planted)
+    for failures in (bad.exactness_failures,
+                     _contravariant_failures(cat, planted)):
         assert any(node == "SX" for _, node in failures)
+    assert _variance_mismatches(cat, planted) == set()
 
 
 def _two_cone_map(n: int):
@@ -286,8 +293,8 @@ def test_completion_certifies_the_second_candidate_cone(n):
     profile = cone_profile(cat, f)
     first, second = profile_candidates(cat, profile)
     assert second == f.tgt and first != f.tgt
-    rf, pf = triangles.post_rank_table(cat, f), triangles.pre_rank_table(cat, f)
-    assert triangles._search_completion(cat, f, first, profile, rf, pf,
+    rf = triangles.post_rank_table(cat, f)
+    assert triangles._search_completion(cat, f, first, profile, rf,
                                         0) is None
     tri = complete_triangle(cat, f)
     assert tri.z == f.tgt and certify_triangle(cat, tri).is_valid()
@@ -374,7 +381,9 @@ def _recertification_failures(cat: Category) -> list[str]:
       where Σ^k f0 = s·b0;
     - Σ^k of each basis map and of seeded maps between sums
       (``suspend_mor``) equals k single shifts for k in -m..m, m = n + 3;
-    - the suspension index names each hom pair's least orbit pair.
+    - the suspension index names each hom pair's least orbit pair;
+    - each basis map's triangle fails the reference's Hom(-, W) equations
+      exactly where the certificate fails Hom(Σ⁻²W, -) (none).
     """
     m, failures = cat.n + 3, []
     for f0 in basis_maps(cat):
@@ -396,6 +405,9 @@ def _recertification_failures(cat: Category) -> list[str]:
                         and tri.z == triangles._search_triangle(
                             cat, f, seed).z):
                     failures.append(f"completion {cat.format_mor(f)} "
+                                    f"seed {seed}")
+                if c == 1 and _variance_mismatches(cat, tri):
+                    failures.append(f"variances {cat.format_mor(f)} "
                                     f"seed {seed}")
                 sign = (1 if c > 0 else -1) * s * (-1) ** k
                 if (tri.g, tri.h) != (g, cat.scale_mor(sign, h)):
@@ -513,14 +525,16 @@ def _block_sweep_failures(cat: Category) -> list[str]:
     """The re-certification sweep of block completion on a fresh category:
     every map of ``_block_pool``, at seeds 0 and 1, completes to a triangle
     on f itself that the certificate accepts, with the cone of a direct
-    search on f."""
+    search on f, and whose Hom(-, W) equations in the reference fail
+    exactly where the certificate's Hom(Σ⁻²W, -) ones do."""
     failures = []
     for f in _block_pool(cat):
         for seed in (0, 1):
             tri = complete_triangle(cat, f, seed)
             if not (tri.f == f and certify_triangle(cat, tri).is_valid()
                     and tri.z == triangles._search_triangle(
-                        cat, f, seed).z):
+                        cat, f, seed).z
+                    and not _variance_mismatches(cat, tri)):
                 failures.append(f"{cat.format_mor(f)} seed {seed}")
     return failures
 
@@ -777,6 +791,39 @@ def _dense_pre_rank_table(cat, f):
     return out
 
 
+def _contravariant_failures(cat, tri) -> list[tuple[str, str]]:
+    """The Hom(-, W) exactness equations of tri at its nodes Y, Z and ΣX,
+    for every indecomposable W over one full rotation period, as the
+    certificate checked them before it read them off Hom(Σ⁻²W, -): the
+    ranks from ``_dense_pre_rank_table``, the dimensions counted with
+    ``hom1``.  (label of W, node) for each equation that fails."""
+    f, g, h = tri.f, tri.g, tri.h
+    pf, pg, ph = (_dense_pre_rank_table(cat, m) for m in (f, g, h))
+    dims = [[sum(cat.hom1(s, w) for s in X.summands) for w in range(cat.N)]
+            for X in (f.tgt, g.tgt, cat.suspend_obj(f.src))]
+    out = []
+    for w, wm in enumerate(cat.sigma_arc_inv):
+        for node, lhs, dim in (("Y", pg[w] + pf[w], dims[0][w]),
+                               ("Z", ph[w] + pg[w], dims[1][w]),
+                               ("SX", pf[wm] + ph[w], dims[2][w])):
+            if lhs != dim:
+                out.append((cat.labels[w], node))
+    return out
+
+
+def _variance_mismatches(cat, tri) -> set:
+    """The symmetric difference of the reference's Hom(-, W) failures of
+    tri, each moved to Σ⁻²W, and the certificate's Hom(W, -) failures:
+    empty when the two variances fail at the same nodes."""
+    inv2, at = cat.sigma_powers[-2], cat.label_to_arc
+    moved = {(cat.labels[inv2[at[lab]]], node)
+             for lab, node in _contravariant_failures(cat, tri)}
+    cert = {(lab, node) for lab, node in
+            certify_triangle(cat, tri).exactness_failures
+            if lab != "composite"}
+    return moved ^ cert
+
+
 def _closed_form_maps(cat):
     """Maps whose blocks reach each closed-form rank.  On copies of one arc
     a every entry is a -> a, whose constants are 1, so every observer's
@@ -867,9 +914,9 @@ def test_completions_of_integer_maps_are_integral(n):
 
 def test_rank_tables_add_nothing_to_the_memo():
     """The tables add nothing to the category's memo: the observers they
-    read per entry come from the two observer indexes keyed by arc pair
-    (``Category.observers_into`` / ``observers_from``), which sit beside
-    it and are filled pair by pair on first read."""
+    read per entry come from the one observer index keyed by arc pair
+    (``Category.observers_into``), which sits beside it and is filled pair
+    by pair on first read; ``pre_rank_table`` reads ``post_rank_table``."""
     cat = build_category(6)
     rng = random.Random("tables:memo")
     maps = [cat.random_mor(rng, cat.random_obj(rng, 4), cat.random_obj(rng, 4))

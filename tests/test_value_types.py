@@ -38,8 +38,8 @@ SAMPLES = {
     "Interval": (lambda: Interval(2, 3), (2, 3)),
     "Stalk": (lambda: Stalk(Interval(2, 3), 1), (Interval(2, 3), 1)),
     "RigidObject": (lambda: RigidObject((0, 2)), ((0, 2),)),
-    "CertReport": (lambda: CertReport(True, (), (("M11", 1),)),
-                   (True, (), (("M11", 1),))),
+    "CertReport": (lambda: CertReport(True, (("M11", "SX"),)),
+                   (True, (("M11", "SX"),))),
     "Triangle": (lambda: Triangle(*_triangle_maps()), _triangle_maps()),
     "LocHom": (lambda: LocHom(Obj((0,)), Obj((1,)), (Obj((0,)), _mor()),
                               (Obj((1,)), _mor()), (_mor(),), 1),
@@ -55,8 +55,7 @@ FIELDS = {
     "Mat": ("rows", "cols", "entries"),
     "Interval": ("i", "j"), "Stalk": ("mod", "shift"),
     "RigidObject": ("arcs",),
-    "CertReport": ("homdim_match", "left_exactness_failures",
-                   "right_exactness_failures"),
+    "CertReport": ("homdim_match", "exactness_failures"),
     "Triangle": ("f", "g", "h"),
     "LocHom": ("x", "y", "x_res", "y_res", "reps", "dim"),
     "Zigzag": ("steps",),
@@ -146,17 +145,15 @@ def test_arcs_sort_by_endpoints():
 
 
 def test_fields_bind_by_position_or_by_name():
-    assert CertReport(homdim_match=True, left_exactness_failures=(),
-                      right_exactness_failures=()) == CertReport(True, (), ())
-    assert CertReport(True, (), right_exactness_failures=()) == \
-        CertReport(True, (), ())
-    for args, kwargs in [((True, ()), {}), ((True, (), (), 1), {}),
-                         ((True, ()), {"right_exactness_failures": (),
-                                       "extra": 1}),
-                         ((True, (), ()), {"homdim_match": True}),
-                         ((True, ()), {"homdim_match": True})]:
+    assert CertReport(homdim_match=True, exactness_failures=()) == \
+        CertReport(True, ())
+    assert CertReport(True, exactness_failures=()) == CertReport(True, ())
+    for args, kwargs in [((True,), {}), ((True, (), 1), {}),
+                         ((True,), {"exactness_failures": (), "extra": 1}),
+                         ((True, ()), {"homdim_match": True}),
+                         ((True,), {"homdim_match": True})]:
         with pytest.raises(TypeError, match="takes the fields homdim_match, "
-                           "left_exactness_failures, right_exactness_failures"):
+                           "exactness_failures"):
             CertReport(*args, **kwargs)
 
 
